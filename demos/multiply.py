@@ -26,7 +26,7 @@ required = math.factorial(depth + 1)
 print(f"n = {n}, S = {S}, exchange depth d* = {depth}")
 print(f"lower bound to certify: (d*+1)! = {required}")
 
-outputs = many_ham_transversals(family, base, S)
+outputs = many_ham_transversals(family, base, S, J)
 print(f"recursion produced {len(outputs)} transversals")
 
 assert len(set(outputs)) == len(outputs), "outputs must be pairwise distinct"

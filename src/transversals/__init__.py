@@ -11,9 +11,7 @@ checks the numeric inequalities that make the guarantees kick in.
 
 from .core import (
     BaseGraph,
-    KIND_CYCLE,
     KIND_HAM,
-    KIND_MATCHING,
     KIND_PM,
     NaturalIndexing,
     SubgraphFamily,
@@ -24,7 +22,6 @@ from .core import (
     edge,
     is_naturally_indexed,
     naturally_index,
-    transversal_kind_for,
     validate_family,
     validate_transversal,
 )
@@ -67,8 +64,9 @@ from .exchange import (
     LollipopTrace,
     PrunedDigraph,
     find_alternating_cycle,
-    lollipop_second_cycle,
+    ham_exchange,
     lollipop_walk,
+    pm_exchange,
     prune,
     recolor_ham,
     second_ham_transversal,
@@ -110,10 +108,12 @@ from .sampler import (
     dirac_depth_target,
     empirical_lower_tail,
     factorial_bounds,
+    ham_hypothesis_warnings,
     lll_condition_ham,
     lll_condition_scan,
     pm_bounded_degree_floor,
     pm_degree_threshold,
+    pm_hypothesis_warnings,
     pm_lll_rhs,
     sample_set_dirac,
     sample_set_lll_ham,

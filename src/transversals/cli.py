@@ -6,7 +6,8 @@ are a pure function of the inputs and the seed. Exit codes: 0 success,
 2 input error, 3 budget or resample cap exhausted, 4 precondition
 violated by otherwise well-formed input.
 
-Instance files are JSON: kind ("hamiltonian" or "perfect_matching"),
+Instance files are JSON: kind (``KIND_HAM`` = "hamiltonian" or
+``KIND_PM`` = "perfect_matching", the same values the library uses),
 num_vertices, subgraphs as lists of [u, v] pairs (the list position is
 the color), optional base_edges (defaults to the union of the
 subgraphs), optional planted {edges, colors}, optional metadata map.
@@ -30,7 +31,6 @@ from .core import (
     Transversal,
     edge,
     naturally_index,
-    transversal_kind_for,
     validate_family,
     validate_transversal,
 )
@@ -41,13 +41,7 @@ from .errors import (
     ResampleBudgetExceeded,
     TransversalError,
 )
-from .exchange import (
-    find_alternating_cycle,
-    lollipop_walk,
-    prune,
-    second_ham_transversal,
-    second_pm_transversal,
-)
+from .exchange import ham_exchange, pm_exchange
 from .generators import (
     gen_dirac_family,
     gen_planted_ham_family,
@@ -96,7 +90,7 @@ def instance_to_obj(
     family: SubgraphFamily, planted: Optional[Transversal], metadata: Optional[dict]
 ) -> dict:
     obj = {
-        "kind": "hamiltonian" if family.kind == KIND_HAM else "perfect_matching",
+        "kind": family.kind,
         "num_vertices": family.num_vertices,
         "base_edges": [list(e) for e in family.base.edges()],
         "subgraphs": [[list(e) for e in sorted(g)] for g in family.subgraphs],
@@ -110,17 +104,13 @@ def instance_to_obj(
 
 def instance_from_obj(obj: dict):
     try:
-        kind_tag = obj["kind"]
+        kind = obj["kind"]
         num_vertices = int(obj["num_vertices"])
         sub_lists = obj["subgraphs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc
-    if kind_tag == "hamiltonian":
-        kind = KIND_HAM
-    elif kind_tag == "perfect_matching":
-        kind = KIND_PM
-    else:
-        raise InputError(f"unknown kind {kind_tag!r}")
+    if kind not in (KIND_HAM, KIND_PM):
+        raise InputError(f"unknown kind {kind!r}")
     try:
         subgraphs = [
             frozenset(edge(int(u), int(v)) for u, v in g) for g in sub_lists
@@ -140,7 +130,7 @@ def instance_from_obj(obj: dict):
             union |= set(colors)
             if "base_edges" not in obj:
                 base_edges = sorted(union)
-            planted = Transversal.from_map(transversal_kind_for(kind), colors)
+            planted = Transversal.from_map(kind, colors)
         base = BaseGraph(num_vertices, base_edges)
         family = SubgraphFamily(base, subgraphs, kind)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -232,7 +222,10 @@ def cmd_gen(args) -> tuple[dict, list, int]:
     elif model == "witness":
         if args.set is None or args.d is None:
             raise InputError("witness model needs --set and --d")
-        members = tuple(int(t) for t in args.set.split(",") if t.strip())
+        try:
+            members = tuple(int(t) for t in args.set.split(",") if t.strip())
+        except ValueError:
+            raise InputError(f"bad --set {args.set!r}; need comma-separated integers") from None
         params["set"] = list(members)
         params["d"] = args.d
         family, planted = gen_witness_instance_ham(args.n, members, args.d, args.seed)
@@ -284,13 +277,10 @@ def cmd_second(args) -> tuple[dict, list, int]:
         from .digraphs import omega_member_ham
 
         H = build_full_ryb(fam_c, t_c)
-        jp = prune(H, ms)
-        anchor = edge(min(ms), (min(ms) + 1) % fam_c.num_vertices)
-        trace = lollipop_walk(jp, anchor)
-        t2_c = second_ham_transversal(fam_c, t_c, ms, H)
+        t2_c, trace = ham_exchange(fam_c, t_c, ms, H)
         omega_ok = omega_member_ham(t_c, ms, t2_c)
         provenance = {
-            "anchor": list(anchor),
+            "anchor": list(edge(*trace.states[0][:2])),
             "trace_states": len(trace.states),
             "pivot_edges": [list(e) for e in trace.pivots],
         }
@@ -299,8 +289,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
         from .digraphs import omega_member_pm
 
         H = build_full_rb(fam_c, t_c)
-        cyc = find_alternating_cycle(H, ms)
-        t2_c = second_pm_transversal(fam_c, t_c, ms, H)
+        t2_c, cyc = pm_exchange(fam_c, t_c, ms, H)
         omega_ok = omega_member_pm(t_c, ms, t2_c)
         provenance = {
             "cycle_pairs": list(cyc.pairs),
@@ -382,30 +371,11 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
     _write_debug_log(args.debug_log, outcome.records)
     cand = outcome.candidate
     original_members = sorted(inv.map_vertex(v) for v in cand.members)
-    guarantee: dict = {}
-    if args.method == "lll-ham":
-        r_eff = cfg.r if cfg.r is not None else min(
-            min(len(H.yellow[v]) for v in range(H.n)),
-            min(len(H.blue[v]) for v in range(H.n)),
-        )
-        p_eff = cfg.p if cfg.p is not None else 0.5 * math.sqrt(math.log(m) / m)
-        guarantee = {
-            "event_threshold": p_eff * r_eff / 400.0,
-            "depth_floor": math.ceil(p_eff * r_eff / 400.0),
-            "statement_form": r_eff / 400.0 * math.sqrt(math.log(m) / m),
-        }
-    elif args.method == "dirac":
-        from .sampler import dirac_depth_target
-
-        guarantee = {"depth_floor": dirac_depth_target(H.n, cfg.c)}
-    else:
-        r_eff = cfg.r if cfg.r is not None else min(
-            len(H.blue[v]) for v in range(2 * H.n)
-        )
-        guarantee = {
-            "event_threshold": cfg.alpha * r_eff / 2.0,
-            "depth_floor": math.ceil(cfg.alpha * r_eff / 2.0),
-        }
+    guarantee = {
+        "depth_floor": outcome.depth_floor,
+        "event_threshold": outcome.event_threshold,
+        "statement_form": outcome.statement_form,
+    }
     results = {
         "status": "ok",
         "members": original_members,
@@ -414,7 +384,7 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
         "depth": cand.metrics.depth,
         "red_independent": cand.metrics.red_independent,
         "resamples": outcome.resamples,
-        "guarantee": guarantee,
+        "guarantee": {k: v for k, v in guarantee.items() if v is not None},
     }
     return results, list(outcome.warnings), EXIT_OK
 
@@ -429,7 +399,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
     if family.kind == KIND_HAM:
         H = build_full_ryb(fam_c, t_c)
         d = d_star(H, ms)
-        out_c = many_ham_transversals(fam_c, t_c, ms)
+        out_c = many_ham_transversals(fam_c, t_c, ms, H)
         metric_name = "d_star"
         omega = (
             enumerate_omega_ham(fam_c, t_c, ms)
@@ -439,7 +409,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
     else:
         H = build_full_rb(fam_c, t_c)
         d = d_cross(H, ms)
-        out_c = many_pm_transversals(fam_c, t_c, ms)
+        out_c = many_pm_transversals(fam_c, t_c, ms, H)
         metric_name = "d_cross"
         omega = enumerate_omega_pm(fam_c, t_c, ms) if fam_c.num_pairs <= 8 else None
     required = math.factorial(d + 1)

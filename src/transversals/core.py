@@ -3,10 +3,15 @@
 A family is a base graph G together with an ordered list of subgraphs
 G_0..G_{s-1}. A transversal picks one edge per subgraph, all distinct:
 ``colors`` is a bijection from the chosen edges onto 0..s-1 with
-edge e belonging to the subgraph of its color. Two kinds are supported:
+edge e belonging to the subgraph of its color. One two-valued kind,
+shared by a family and its transversals, says which target is meant:
 
-* ``hamiltonian``: s = |V| and the chosen edges form a Hamiltonian cycle;
-* ``matching``: |V| = 2s and the chosen edges form a perfect matching.
+* ``KIND_HAM = "hamiltonian"``: s = |V| and the chosen edges form a
+  Hamiltonian cycle;
+* ``KIND_PM = "perfect_matching"``: |V| = 2s and the chosen edges form a
+  perfect matching.
+
+The values are also the ``kind`` tags of the instance files.
 
 The canonical ("naturally indexed") labelling puts the cycle on
 0,1,...,n-1 with edge(i, i+1 mod n) colored i, or pairs vertex i with
@@ -24,10 +29,7 @@ from .errors import InvalidTransversal, NotNaturallyIndexed
 Edge = tuple[int, int]
 
 KIND_HAM = "hamiltonian"
-KIND_PM = "matching"
-
-KIND_CYCLE = "cycle"
-KIND_MATCHING = "matching"
+KIND_PM = "perfect_matching"
 
 
 def edge(u: int, v: int) -> Edge:
@@ -134,9 +136,6 @@ class SubgraphFamily:
         """Matching kind only: number of matched pairs n, with |V| = 2n."""
         return self.base.num_vertices // 2
 
-    def subgraph_has(self, color: int, e: Edge) -> bool:
-        return e in self.subgraphs[color]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -151,9 +150,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def codes(self) -> set[str]:
-        return {v.code for v in self.violations}
 
     def summary(self) -> str:
         if self.ok:
@@ -173,7 +169,7 @@ class Transversal:
     items: tuple[tuple[Edge, int], ...]
 
     def __post_init__(self):
-        if self.kind not in (KIND_CYCLE, KIND_MATCHING):
+        if self.kind not in (KIND_HAM, KIND_PM):
             raise ValueError(f"unknown transversal kind {self.kind!r}")
         object.__setattr__(
             self, "items", tuple(sorted((edge(u, v), c) for (u, v), c in self.items))
@@ -200,19 +196,13 @@ class Transversal:
                 return c
         raise KeyError(e)
 
-    def edge_of_color(self, c: int) -> Edge:
-        for e, cc in self.items:
-            if cc == c:
-                return e
-        raise KeyError(c)
-
     def __len__(self) -> int:
         return len(self.items)
 
     def cycle_sequence(self) -> tuple[int, ...]:
         """Vertex order of a cycle transversal, from 0 toward its smaller neighbor."""
-        if self.kind != KIND_CYCLE:
-            raise ValueError("cycle_sequence is for cycle transversals")
+        if self.kind != KIND_HAM:
+            raise ValueError("cycle_sequence is for hamiltonian transversals")
         adj: dict[int, list[int]] = {}
         for u, v in self.edges:
             adj.setdefault(u, []).append(v)
@@ -222,10 +212,6 @@ class Transversal:
             a, b = adj[order[-1]]
             order.append(a if a != order[-2] else b)
         return tuple(order)
-
-
-def transversal_kind_for(family_kind: str) -> str:
-    return KIND_CYCLE if family_kind == KIND_HAM else KIND_MATCHING
 
 
 def validate_family(family: SubgraphFamily) -> ValidationReport:
@@ -281,9 +267,8 @@ def validate_transversal(family: SubgraphFamily, t: Transversal) -> ValidationRe
     """Full check: kind match, membership, color bijection, structure."""
     out: list[Violation] = []
     n = family.num_vertices
-    expected_kind = transversal_kind_for(family.kind)
-    if t.kind != expected_kind:
-        out.append(Violation("kind_mismatch", f"family {family.kind} needs {expected_kind}, got {t.kind}"))
+    if t.kind != family.kind:
+        out.append(Violation("kind_mismatch", f"family is {family.kind}, transversal is {t.kind}"))
         return ValidationReport(tuple(out))
     s = family.num_colors
     if len(t) != s:
@@ -336,9 +321,9 @@ def canonical_transversal(family: SubgraphFamily) -> Transversal:
     """The transversal the canonical labelling plants (cycle or pairing)."""
     if family.kind == KIND_HAM:
         n = family.num_vertices
-        return Transversal.from_map(KIND_CYCLE, {edge(i, (i + 1) % n): i for i in range(n)})
+        return Transversal.from_map(KIND_HAM, {edge(i, (i + 1) % n): i for i in range(n)})
     n = family.num_pairs
-    return Transversal.from_map(KIND_MATCHING, {edge(i, n + i): i for i in range(n)})
+    return Transversal.from_map(KIND_PM, {edge(i, n + i): i for i in range(n)})
 
 
 @dataclass(frozen=True)

@@ -59,19 +59,6 @@ class RybDigraph:
             bs[t].add(h)
         return cls(n, tuple(tuple(sorted(s)) for s in ys), tuple(tuple(sorted(s)) for s in bs))
 
-    def red_adjacent(self, u: int, v: int) -> bool:
-        d = abs(u - v) % self.n
-        return min(d, self.n - d) in (1, 2)
-
-    def arc_subset_of(self, other: "RybDigraph") -> bool:
-        return self.n == other.n and all(
-            set(self.yellow[v]) <= set(other.yellow[v]) and set(self.blue[v]) <= set(other.blue[v])
-            for v in range(self.n)
-        )
-
-    def num_arcs(self) -> int:
-        return sum(len(a) for a in self.yellow) + sum(len(a) for a in self.blue)
-
 
 @dataclass(frozen=True)
 class RbDigraph:
@@ -101,17 +88,6 @@ class RbDigraph:
     def pair_index(self, v: int) -> int:
         return v % self.n
 
-    def red_adjacent(self, u: int, v: int) -> bool:
-        return u != v and self.pair_index(u) == self.pair_index(v)
-
-    def arc_subset_of(self, other: "RbDigraph") -> bool:
-        return self.n == other.n and all(
-            set(self.blue[v]) <= set(other.blue[v]) for v in range(2 * self.n)
-        )
-
-    def num_arcs(self) -> int:
-        return sum(len(a) for a in self.blue)
-
 
 @dataclass(frozen=True)
 class SetMetrics:
@@ -134,9 +110,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.members)
 
 
 def _subgraph_adjacency(n: int, g: frozenset[Edge]) -> list[list[int]]:

@@ -11,6 +11,11 @@ plus one forced missing color yields the second transversal.
 Matching kind: walk red pair edges and lowest-head blue arcs alternately
 until a pair repeats, cut out the even alternating cycle, and swap it
 into the matching; set members keep their base colors.
+
+``ham_exchange`` and ``pm_exchange`` return the second transversal with
+the rotation walk or alternating cycle that produced it;
+``second_ham_transversal`` and ``second_pm_transversal`` return the
+transversal alone.
 """
 
 from __future__ import annotations
@@ -20,15 +25,15 @@ from typing import Sequence
 
 from .core import (
     Edge,
-    KIND_CYCLE,
-    KIND_MATCHING,
+    KIND_HAM,
+    KIND_PM,
     SubgraphFamily,
     Transversal,
     edge,
     require_naturally_indexed,
     validate_transversal,
 )
-from .digraphs import RbDigraph, RybDigraph, is_locally_dominating, is_red_independent
+from .digraphs import RbDigraph, RybDigraph, is_red_independent
 from .errors import (
     InvalidTransversal,
     NoBlueEscape,
@@ -171,18 +176,6 @@ def lollipop_walk(jp: PrunedDigraph, anchor: Edge) -> LollipopTrace:
         prev, cur = cur, nxt
 
 
-def lollipop_second_cycle(jp: PrunedDigraph, anchor: Edge) -> tuple[int, ...]:
-    """Final walk state as a vertex cycle (closing edge last-to-first)."""
-    trace = lollipop_walk(jp, anchor)
-    final = trace.final
-    if final == trace.states[0]:
-        raise WalkStuck("walk terminated on its initial state")
-    adj = jp.underlying_adjacency()
-    if final[0] not in adj[final[-1]]:
-        raise WalkStuck("final state does not close into a cycle")
-    return final
-
-
 def recolor_ham(cycle: Sequence[int], jp: PrunedDigraph, base: Transversal) -> Transversal:
     """Color the second cycle: cycle edges keep their base color, retained
     arcs take their tail rule, and the one closing edge gets the single
@@ -213,7 +206,39 @@ def recolor_ham(cycle: Sequence[int], jp: PrunedDigraph, base: Transversal) -> T
     if closing in psi:
         raise RecolorConflict("closing edge duplicates a path edge")
     psi[closing] = missing.pop()
-    return Transversal.from_map(KIND_CYCLE, psi)
+    return Transversal.from_map(KIND_HAM, psi)
+
+
+def ham_exchange(
+    family: SubgraphFamily,
+    base: Transversal,
+    members: Sequence[int],
+    J: RybDigraph,
+) -> tuple[Transversal, LollipopTrace]:
+    """Second cycle transversal supported by the arcs of J, with its walk.
+
+    Requires the canonical labelling, a red-independent set, and local
+    domination of the set inside J. The walk is anchored at the forward
+    cycle edge of the smallest member, and its final state, closed by
+    the edge last-to-first, is the second cycle. The result is validated
+    and is always distinct from base.
+    """
+    require_naturally_indexed(family, base)
+    ms = tuple(sorted(set(members)))
+    jp = prune(J, ms)
+    trace = lollipop_walk(jp, edge(ms[0], (ms[0] + 1) % jp.n))
+    cyc = trace.final
+    if cyc == trace.states[0]:
+        raise WalkStuck("walk terminated on its initial state")
+    if cyc[0] not in jp.underlying_adjacency()[cyc[-1]]:
+        raise WalkStuck("final state does not close into a cycle")
+    out = recolor_ham(cyc, jp, base)
+    report = validate_transversal(family, out)
+    if not report.ok:
+        raise InvalidTransversal(f"exchange produced an invalid transversal: {report.summary()}", report)
+    if out == base:
+        raise WalkStuck("exchange returned the base transversal")
+    return out, trace
 
 
 def second_ham_transversal(
@@ -222,24 +247,8 @@ def second_ham_transversal(
     members: Sequence[int],
     J: RybDigraph,
 ) -> Transversal:
-    """Second cycle transversal supported by the arcs of J.
-
-    Requires the canonical labelling, a red-independent set, and local
-    domination of the set inside J. The result is validated and is always
-    distinct from base.
-    """
-    require_naturally_indexed(family, base)
-    ms = tuple(sorted(set(members)))
-    jp = prune(J, ms)
-    anchor = edge(ms[0], (ms[0] + 1) % jp.n)
-    cyc = lollipop_second_cycle(jp, anchor)
-    out = recolor_ham(cyc, jp, base)
-    report = validate_transversal(family, out)
-    if not report.ok:
-        raise InvalidTransversal(f"exchange produced an invalid transversal: {report.summary()}", report)
-    if out == base:
-        raise WalkStuck("exchange returned the base transversal")
-    return out
+    """The transversal of ``ham_exchange`` without its walk."""
+    return ham_exchange(family, base, members, J)[0]
 
 
 @dataclass(frozen=True)
@@ -255,9 +264,6 @@ class AlternatingCycle:
 
     def red_edges(self, n: int) -> list[Edge]:
         return [edge(p, p + n) for p in self.pairs]
-
-    def arc_edges(self) -> list[Edge]:
-        return [edge(t, h) for t, h in self.arcs]
 
     def length(self) -> int:
         return 2 * len(self.pairs)
@@ -291,13 +297,13 @@ def find_alternating_cycle(J: RbDigraph, members: Sequence[int]) -> AlternatingC
         p = J.pair_index(w)
 
 
-def second_pm_transversal(
+def pm_exchange(
     family: SubgraphFamily,
     base: Transversal,
     members: Sequence[int],
     J: RbDigraph,
-) -> Transversal:
-    """Swap the alternating cycle into the planted matching.
+) -> tuple[Transversal, AlternatingCycle]:
+    """Swap the alternating cycle into the planted matching; return both.
 
     Each set member on the cycle moves to its blue-arc head and keeps its
     base color; untouched pairs stay as they are. Validated, distinct.
@@ -310,10 +316,20 @@ def second_pm_transversal(
         del colors[edge(p, p + n)]
     for t, h in cyc.arcs:
         colors[edge(t, h)] = J.pair_index(t)
-    out = Transversal.from_map(KIND_MATCHING, colors)
+    out = Transversal.from_map(KIND_PM, colors)
     report = validate_transversal(family, out)
     if not report.ok:
         raise InvalidTransversal(f"exchange produced an invalid transversal: {report.summary()}", report)
     if out == base:
         raise WalkStuck("exchange returned the base transversal")
-    return out
+    return out, cyc
+
+
+def second_pm_transversal(
+    family: SubgraphFamily,
+    base: Transversal,
+    members: Sequence[int],
+    J: RbDigraph,
+) -> Transversal:
+    """The transversal of ``pm_exchange`` without its cycle."""
+    return pm_exchange(family, base, members, J)[0]

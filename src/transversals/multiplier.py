@@ -185,13 +185,12 @@ class WitnessTable:
     """Realized set-targeting edges per boundary vertex.
 
     witnesses maps (vertex, edge) to a neighborhood member containing the
-    edge; unrealized holds what is still missing per vertex; saturated is
-    the vertex whose unrealized set emptied first.
+    edge; saturated is the vertex whose set-targeting edges were all
+    realized first.
     """
 
     saturated: int
     witnesses: dict[tuple[int, Edge], Transversal]
-    unrealized: dict[int, frozenset[Edge]]
 
     def targets_of(self, v: int) -> list[Edge]:
         return sorted(e for (w, e) in self.witnesses if w == v)
@@ -205,7 +204,7 @@ def find_saturated_vertex_ham(
 ) -> WitnessTable:
     """Accumulate witnesses until some boundary vertex is saturated.
 
-    Each round keeps exactly one unrealized arc per boundary vertex
+    Each round keeps exactly one not-yet-realized arc per boundary vertex
     (lowest head), runs the exchange on that sub-digraph, and records the
     returned transversal for every kept arc it realizes. The returned
     cycle always differs from base inside the kept arcs, so every round
@@ -234,9 +233,7 @@ def find_saturated_vertex_ham(
     while True:
         v0 = finished()
         if v0 is not None:
-            return WitnessTable(
-                v0, witnesses, {v: frozenset(t) for v, t in todo.items()}
-            )
+            return WitnessTable(v0, witnesses)
         yarcs = []
         barcs = []
         for v, pending in todo.items():
@@ -274,7 +271,7 @@ def find_saturated_vertex_pm(
         empties = [v for v, t in todo.items() if not t]
         if empties:
             v0 = min(empties)
-            return WitnessTable(v0, witnesses, {v: frozenset(t) for v, t in todo.items()})
+            return WitnessTable(v0, witnesses)
         arcs = []
         for v, pending in todo.items():
             head = min(h if lo == v else lo for lo, h in pending)
@@ -299,16 +296,15 @@ def _set_endpoint(e: Edge, s: frozenset[int]) -> int:
 
 
 def many_ham_transversals(
-    family: SubgraphFamily, base: Transversal, members: Sequence[int]
+    family: SubgraphFamily, base: Transversal, members: Sequence[int], H: RybDigraph
 ) -> list[Transversal]:
     """At least (d+1)! distinct transversals, d the support depth of members.
 
-    All outputs lie in the exchange neighborhood of (base, members) and
-    include base itself.
+    H is the full digraph ``build_full_ryb(family, base)``. All outputs lie
+    in the exchange neighborhood of (base, members) and include base itself.
     """
     require_naturally_indexed(family, base)
     ms = tuple(sorted(set(members)))
-    H = build_full_ryb(family, base)
     d = d_star(H, ms)
     if d < 1:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
@@ -402,12 +398,14 @@ def _reduce_pm_instance(
 
 
 def many_pm_transversals(
-    family: SubgraphFamily, base: Transversal, members: Sequence[int]
+    family: SubgraphFamily, base: Transversal, members: Sequence[int], H: RbDigraph
 ) -> list[Transversal]:
-    """At least (d+1)! distinct matchings, d the blue escape depth."""
+    """At least (d+1)! distinct matchings, d the blue escape depth.
+
+    H is the full digraph ``build_full_rb(family, base)``.
+    """
     require_naturally_indexed(family, base)
     ms = tuple(sorted(set(members)))
-    H = build_full_rb(family, base)
     d = d_cross(H, ms)
     out = sorted(set(_many_pm(family, base, ms, H, d)), key=lambda t: t.items)
     assert len(out) >= math.factorial(d + 1), "multiplication fell short of (d+1)!"

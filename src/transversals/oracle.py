@@ -14,9 +14,7 @@ from typing import Sequence
 
 from .core import (
     Edge,
-    KIND_CYCLE,
     KIND_HAM,
-    KIND_MATCHING,
     KIND_PM,
     SubgraphFamily,
     Transversal,
@@ -141,7 +139,7 @@ def enumerate_all_ham_transversals(
             if base.has_edge(u, 0) and path[1] < path[-1]:
                 closing = edge(u, 0)
                 if _colors_feasible(chosen + [closing], options):
-                    _assign_colors(search, KIND_CYCLE, chosen + [closing], options)
+                    _assign_colors(search, KIND_HAM, chosen + [closing], options)
             return
         for v in base.neighbors(u):
             if used[v]:
@@ -183,7 +181,7 @@ def enumerate_all_pm_transversals(
             return
         u = next((v for v in range(n) if not matched[v]), None)
         if u is None:
-            search.results.append(Transversal.from_map(KIND_MATCHING, assignment))
+            search.results.append(Transversal.from_map(KIND_PM, assignment))
             return
         matched[u] = True
         for w in base.neighbors(u):

@@ -33,7 +33,6 @@ class SamplerConfig:
     r: Optional[int] = None
     m: Optional[int] = None
     c: Optional[float] = None
-    epsilon: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -45,30 +44,38 @@ class ResampleRecord:
 
 
 @dataclass(frozen=True)
-class BadEventReport:
-    kind: str
-    location: object
-    observed: int
-    threshold: float
-
-
-@dataclass(frozen=True)
 class SampleOutcome:
+    """The accepted set, its resample log, and the floor it is certified for.
+
+    depth_floor is the support depth every accepted set reaches. The
+    resampling samplers also give event_threshold, the count below which
+    a bad event fires; lll-ham gives statement_form, the floor in the
+    form r/400 * sqrt(log m/m), when m is known.
+    """
+
     candidate: CandidateSet
     resamples: int
     records: tuple[ResampleRecord, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
+    depth_floor: int
+    event_threshold: Optional[float] = None
+    statement_form: Optional[float] = None
 
 
 def default_inclusion_probability(m: int) -> float:
     return 0.5 * math.sqrt(math.log(m) / m)
 
 
+_M_NOT_GIVEN = "max degree m not given, so the hypothesis on m was not checked"
+
+
 def ham_hypothesis_warnings(m: Optional[int], r: int) -> list[str]:
+    if m is None:
+        return [_M_NOT_GIVEN]
     out = []
-    if m is not None and m < 262:
+    if m < 262:
         out.append(f"max degree m = {m} is below the analyzed range m >= 262")
-    if m is not None and r < 7.0 * math.sqrt(m * math.log(m)) + 2.0:
+    if r < 7.0 * math.sqrt(m * math.log(m)) + 2.0:
         need = 7.0 * math.sqrt(m * math.log(m)) + 2.0
         out.append(f"out-degree floor r = {r} is below 7*sqrt(m log m)+2 = {need:.3f}")
     return out
@@ -85,7 +92,7 @@ def pm_lll_rhs(alpha: float, m: int) -> float:
 
 def pm_hypothesis_warnings(alpha: float, m: Optional[int], r: int) -> list[str]:
     if m is None:
-        return []
+        return [_M_NOT_GIVEN]
     rhs = pm_lll_rhs(alpha, m)
     if r < rhs:
         return [f"escape floor r = {r} is below 4(1+log(2m^2-2m+1))/(1-alpha)^2 = {rhs:.3f}"]
@@ -133,6 +140,8 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
     if not 0.0 < p < 1.0:
         raise DomainError(f"inclusion probability {p} outside (0,1)")
     threshold = p * r / 400.0
+    floor = math.ceil(threshold)
+    statement_form = None if cfg.m is None else r / 400.0 * math.sqrt(math.log(cfg.m) / cfg.m)
     warnings = tuple(ham_hypothesis_warnings(cfg.m, r))
 
     yflat, yoff = _flat_heads(H.yellow)
@@ -164,8 +173,8 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
             members = tuple(int(v) for v in np.nonzero(incl)[0])
             cand = annotate_ham(H, members)
             assert cand.metrics.red_independent
-            assert cand.metrics.depth >= math.ceil(threshold)
-            return SampleOutcome(cand, step, tuple(records), warnings)
+            assert cand.metrics.depth >= floor
+            return SampleOutcome(cand, step, tuple(records), warnings, floor, threshold, statement_form)
         if step == cfg.max_resamples:
             break
         _, kind, location, scope = worst
@@ -224,7 +233,7 @@ def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
             cand = annotate_ham(H, members)
             assert cand.metrics.red_independent
             if cand.metrics.depth >= target:
-                return SampleOutcome(cand, step, tuple(records), warnings)
+                return SampleOutcome(cand, step, tuple(records), warnings, target)
             observed = cand.metrics.depth
         else:
             observed = -1
@@ -258,6 +267,7 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
     if min(degs) < r:
         raise DomainError(f"some blue out-degree ({min(degs)}) is below r = {r}")
     threshold = alpha * r / 2.0
+    floor = math.ceil(threshold)
     warnings = tuple(pm_hypothesis_warnings(alpha, cfg.m, r))
 
     # pad head lists into a (2n, maxdeg) matrix for whole-array sweeps
@@ -288,8 +298,8 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
             members = tuple(int(v) for v in np.sort(chosen))
             cand = annotate_pm(H, members)
             assert cand.metrics.red_independent
-            assert cand.metrics.depth >= math.ceil(threshold)
-            return SampleOutcome(cand, step, tuple(records), warnings)
+            assert cand.metrics.depth >= floor
+            return SampleOutcome(cand, step, tuple(records), warnings, floor, threshold)
         if step == cfg.max_resamples:
             break
         i0 = int(flagged[0])

@@ -53,6 +53,7 @@ from transversals import (
     omega_member_ham,
     omega_member_pm,
     permanent,
+    pm_hypothesis_warnings,
     pm_lll_rhs,
     sample_set_lll_ham,
     sample_set_pm,
@@ -60,7 +61,6 @@ from transversals import (
     second_pm_transversal,
     validate_transversal,
 )
-from transversals.sampler import pm_hypothesis_warnings
 
 from conftest import make_ham_family, random_ham_set, random_pm_set
 
@@ -151,7 +151,7 @@ def test_c04_many_ham_factorial_bound():
             n = rng.randrange(9, 13)
             S = (0, 3, 6)
             fam, t = gen_witness_instance_ham(n, S, d, seed=1000 * d + i)
-            out = many_ham_transversals(fam, t, S)
+            out = many_ham_transversals(fam, t, S, build_full_ryb(fam, t))
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)
             assert len(set(out)) == len(out), (d, n, i)
@@ -231,7 +231,7 @@ def test_c07_many_pm_factorial_bound():
             H = build_full_rb(fam, t)
             S = tuple(range(n))
             assert d_cross(H, S) == d, (d, n, i)
-            out = many_pm_transversals(fam, t, S)
+            out = many_pm_transversals(fam, t, S, H)
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)
             assert len(set(out)) == len(out), (d, n, i)
@@ -413,8 +413,8 @@ def test_c11_determinism_everywhere():
     assert second_ham_transversal(fam3, t3, (0, 3, 6), H3) == second_ham_transversal(
         fam3, t3, (0, 3, 6), H3
     )
-    assert many_ham_transversals(fam3, t3, (0, 3, 6)) == many_ham_transversals(
-        fam3, t3, (0, 3, 6)
+    assert many_ham_transversals(fam3, t3, (0, 3, 6), H3) == many_ham_transversals(
+        fam3, t3, (0, 3, 6), H3
     )
     print("CRITERION 11 PASS: generators, samplers, exchange, multiplication all bit-stable under fixed seeds")
 

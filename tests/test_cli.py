@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -129,6 +130,10 @@ def test_exit_code_input_error(tmp_path, capsys):
     path = gen_witness_file(tmp_path, capsys)
     assert main(["second", "--in", path, "--set", "bogus"]) == 2
     assert main(["bounds", "--id", "made-up"]) == 2
+    assert main([
+        "gen", "--model", "witness", "--n", "12", "--seed", "1", "--set", "0,a",
+        "--d", "2", "--out", str(tmp_path / "w.json"),
+    ]) == 2
 
 
 def test_exit_code_precondition(tmp_path, capsys):
@@ -196,3 +201,53 @@ def test_dirac_gen_with_find_planted(tmp_path, capsys):
     code, rep = run_cli(capsys, "second", "--in", path, "--set", "0,3,6")
     # the planted cycle may or may not admit that set; accept 0 or 4
     assert code in (0, 4)
+
+
+# SHA-256 of each report (wall_time_s removed, re-serialised as printed)
+# and of each file the command writes. The values were captured before
+# the exchange, sampler and multiplier results were reshaped; a change in
+# any CLI output shows up here.
+PINNED = [
+    ("gen --model witness --n 9 --set 0,3,6 --d 2 --seed 11 --out w.json",
+     "0bdb45ea082e71463577f1dfbddb44e92c1e731e04a1dfd64a9fd7ebb9dcf72f",
+     {"w.json": "6ade7b09361bcce91cf65a4cb7a0e3ea5dc8d121490cd60ba8b714c7e0d2532b"}),
+    ("gen --model planted-pm --n 6 --extra-degree 2 --seed 7 --out pm.json",
+     "b4f3f4c2e77d14cb482f23ade39d7ebf4907843fd7e768cdc8733f91a11edde8",
+     {"pm.json": "22ec057efb3363ab8d8456b2ff6fb0253b07707d7a3846719e6d301289e9773b"}),
+    ("gen --model dirac --n 10 --c 0.8 --seed 4 --find-planted --out d.json",
+     "4acce0ab4f9e54c1f9511d99f96bad712543b52b17ed4be44ad0c3202efe3c26",
+     {"d.json": "470c69a549141997e3901cebd629bd1e873809f402024efd2e1849024d4c32a7"}),
+    ("gen --model regular-all-equal --n 30 --m 10 --seed 1 --out r.json",
+     "593f7fcb28ff0ea2e7f1515bf7766805b14df5d1b8547c73a6cbad34540786a4",
+     {"r.json": "8a52d4d87908af055f7bc30b0a301f364fa3b715e89f7ee35416c414d2e6428d"}),
+    ("second --in w.json --set 0,3,6",
+     "be9cfd0428109c115daf662b2b03c891ca978cd50361665510326634bd7b0584", {}),
+    ("second --in pm.json --set x0,x1,x2,x3,x4,x5",
+     "fa25fe8b28ec35a46910917d9890effcaad6d5f757e3fdfceb828a863b4f79ca", {}),
+    ("sample-set --in r.json --method lll-ham --seed 2 --debug-log lll.jsonl",
+     "7866108fbb8c14e8731dc5554ad79179b3b5e44e76a238c6803ca0de48267885",
+     {"lll.jsonl": "ef7734cc21e7f93438bb2798a4049e4a885da56d78e5431c56976405c05f56d7"}),
+    ("sample-set --in pm.json --method pm --seed 1 --debug-log pm.jsonl",
+     "6ded9aedfec1c3c55bf04dfa18d6d603b7d584a77f0ce01596d585a731ab5350",
+     {"pm.jsonl": "361b0ee523cf75c63713311bcc4858b7b7209b7cc0f2221b28c736196c54bce5"}),
+    ("sample-set --in d.json --method dirac --seed 1 --c 0.8 --debug-log dirac.jsonl",
+     "c154b1509e6a16a60e69ebac270668ad7a80cac0896b9fc027aaa4b90cf40714",
+     {"dirac.jsonl": "cd4d78c3b6bb3427d1a5b36794316cf17f0c71d4ca4047196b0e1591257fc347"}),
+    ("multiply --in w.json --set 0,3,6",
+     "f86c4d051f17a8f95d6d8f0258bf66558ebca32f2b13086a57f5c01000c461b3", {}),
+    ("multiply --in pm.json --set x0,x1,x2,x3,x4,x5",
+     "0883411b442705fd1c326fcce01dc42e1836350a09bffcaa479b6b39a27a3c83", {}),
+]
+
+
+def test_reports_pinned(tmp_path, monkeypatch, capsys):
+    # relative paths keep the echoed parameters independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    for cmd, report_sha, files in PINNED:
+        assert main(cmd.split()) == 0, cmd
+        rep = json.loads(capsys.readouterr().out)
+        del rep["wall_time_s"]
+        text = json.dumps(rep, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == report_sha, f"{cmd}\n{text}"
+        for name, sha in files.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, (cmd, name)

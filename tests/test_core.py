@@ -3,9 +3,7 @@ from hypothesis import given, strategies as st
 
 from transversals import (
     BaseGraph,
-    KIND_CYCLE,
     KIND_HAM,
-    KIND_MATCHING,
     KIND_PM,
     NaturalIndexing,
     NotNaturallyIndexed,
@@ -17,7 +15,6 @@ from transversals import (
     edge,
     is_naturally_indexed,
     naturally_index,
-    transversal_kind_for,
     validate_family,
     validate_transversal,
 )
@@ -88,7 +85,7 @@ def test_pm_family_needs_even_vertices_and_half_colors():
 def test_canonical_transversal_shapes():
     fam = make_ham_family(6, {})
     t = canonical_transversal(fam)
-    assert t.kind == KIND_CYCLE
+    assert t.kind == KIND_HAM
     assert t.color_of(edge(2, 3)) == 2
     assert t.color_of(edge(5, 0)) == 5
     assert t.cycle_sequence() == (0, 1, 2, 3, 4, 5)
@@ -100,7 +97,7 @@ def test_transversal_validation_catches_color_misuse():
     fam = make_ham_family(5, {})
     items = {edge(i, (i + 1) % 5): i for i in range(5)}
     items[edge(4, 0)] = 0  # duplicate color, one missing
-    t = Transversal.from_map(KIND_CYCLE, items)
+    t = Transversal.from_map(KIND_HAM, items)
     rep = validate_transversal(fam, t)
     assert not rep.ok
     assert any(v.code == "color_repeat" for v in rep.violations)
@@ -109,7 +106,7 @@ def test_transversal_validation_catches_color_misuse():
 def test_transversal_validation_catches_wrong_subgraph():
     fam = make_ham_family(5, {})
     items = {edge(i, (i + 1) % 5): (i + 1) % 5 for i in range(5)}
-    t = Transversal.from_map(KIND_CYCLE, items)
+    t = Transversal.from_map(KIND_HAM, items)
     rep = validate_transversal(fam, t)
     assert not rep.ok
     assert any(v.code == "edge_not_in_subgraph" for v in rep.violations)
@@ -120,16 +117,21 @@ def test_matching_transversal_shape_check():
     base = BaseGraph(6, [(0, 3), (1, 4), (2, 5), (0, 4)])
     subs = [frozenset({(0, 3)}), frozenset({(1, 4)}), frozenset({(2, 5)})]
     fam = SubgraphFamily(base, subs, KIND_PM)
-    t = Transversal.from_map(KIND_MATCHING, {(0, 3): 0, (1, 4): 1, (2, 5): 2})
+    t = Transversal.from_map(KIND_PM, {(0, 3): 0, (1, 4): 1, (2, 5): 2})
     assert validate_transversal(fam, t).ok
-    overlap = Transversal.from_map(KIND_MATCHING, {(0, 3): 0, (0, 4): 1, (2, 5): 2})
+    overlap = Transversal.from_map(KIND_PM, {(0, 3): 0, (0, 4): 1, (2, 5): 2})
     rep = validate_transversal(fam, overlap)
     assert not rep.ok
 
 
 def test_kind_mapping():
-    assert transversal_kind_for(KIND_HAM) == KIND_CYCLE
-    assert transversal_kind_for(KIND_PM) == KIND_MATCHING
+    # one kind names a family and its transversals, and is the file tag
+    assert (KIND_HAM, KIND_PM) == ("hamiltonian", "perfect_matching")
+    fam = make_ham_family(6, {})
+    t = canonical_transversal(fam)
+    assert t.kind == fam.kind == KIND_HAM
+    rep = validate_transversal(fam, Transversal(KIND_PM, t.items))
+    assert [v.code for v in rep.violations] == ["kind_mismatch"]
 
 
 def test_require_naturally_indexed_raises():
@@ -140,7 +142,7 @@ def test_require_naturally_indexed_raises():
     base = complete_graph(5)
     subs = [frozenset({e}) for e in (edge(seq[i], seq[(i + 1) % 5]) for i in range(5))]
     fam2 = SubgraphFamily(base, subs, KIND_HAM)
-    t = Transversal.from_map(KIND_CYCLE, items)
+    t = Transversal.from_map(KIND_HAM, items)
     assert validate_transversal(fam2, t).ok
     assert not is_naturally_indexed(fam2, t)
     with pytest.raises(NotNaturallyIndexed):
@@ -164,7 +166,7 @@ def test_natural_indexing_round_trip(n, rng):
         subs[colors[k]] = frozenset({e})
         items[e] = colors[k]
     fam = SubgraphFamily(base, subs, KIND_HAM)
-    t = Transversal.from_map(KIND_CYCLE, items)
+    t = Transversal.from_map(KIND_HAM, items)
     fam2, t2, idx = naturally_index(fam, t)
     assert is_naturally_indexed(fam2, t2)
     inv = idx.inverse()
@@ -186,7 +188,7 @@ def test_pm_natural_indexing_places_pairs():
     base = BaseGraph(4, [(0, 1), (2, 3), (1, 2)])
     subs = [frozenset({(0, 1)}), frozenset({(2, 3), (1, 2)})]
     fam = SubgraphFamily(base, subs, KIND_PM)
-    t = Transversal.from_map(KIND_MATCHING, {(0, 1): 0, (2, 3): 1})
+    t = Transversal.from_map(KIND_PM, {(0, 1): 0, (2, 3): 1})
     fam2, t2, idx = naturally_index(fam, t)
     assert is_naturally_indexed(fam2, t2)
     assert t2.color_of(edge(0, 2)) == 0

@@ -13,7 +13,6 @@ from transversals import (
     find_alternating_cycle,
     gen_planted_pm_family,
     gen_witness_instance_ham,
-    lollipop_second_cycle,
     lollipop_walk,
     omega_member_ham,
     omega_member_pm,
@@ -98,7 +97,7 @@ def test_walk_finds_the_unique_other_anchored_cycle():
         assert len(thru) == 2
         others = [c for c in thru if c != t.edge_set]
         assert len(others) == 1
-        seq = lollipop_second_cycle(jp, anchor)
+        seq = lollipop_walk(jp, anchor).final
         cyc_edges = frozenset(
             edge(seq[i], seq[(i + 1) % n]) for i in range(n)
         )

@@ -102,7 +102,7 @@ def test_many_ham_reaches_factorial(d):
         n = rng.randrange(9, 13)
         S = (0, 4, 8) if n >= 11 and rng.random() < 0.4 else (0, 3, 6)
         fam, t = gen_witness_instance_ham(n, S, d, seed=rng.randrange(10**6))
-        out = many_ham_transversals(fam, t, S)
+        out = many_ham_transversals(fam, t, S, build_full_ryb(fam, t))
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
         om = set(enumerate_omega_ham(fam, t, S))
@@ -120,7 +120,7 @@ def test_many_pm_reaches_factorial(d):
         H = build_full_rb(fam, t)
         S = tuple(range(n))
         assert d_cross(H, S) == d
-        out = many_pm_transversals(fam, t, S)
+        out = many_pm_transversals(fam, t, S, H)
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
         om = set(enumerate_omega_pm(fam, t, S))
@@ -133,7 +133,7 @@ def test_many_ham_rejects_zero_depth():
     fam = make_ham_family(8, {})
     t = canonical_transversal(fam)
     with pytest.raises(DStarTooSmall):
-        many_ham_transversals(fam, t, (0, 4))
+        many_ham_transversals(fam, t, (0, 4), build_full_ryb(fam, t))
 
 
 def test_omega_ham_endpoint_colors_pin_attachment(figure_family):

@@ -121,6 +121,22 @@ def test_lll_ham_sampler_rejects_bad_p(regular_ryb):
         sample_set_lll_ham(regular_ryb, SamplerConfig(seed=0))  # no p, no m
 
 
+def test_samplers_warn_when_m_is_not_given(regular_ryb, bipartite_rb):
+    # without m the hypotheses on m cannot be checked, and the outcome says so
+    ham = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, p=default_inclusion_probability(30)))
+    pm = sample_set_pm(bipartite_rb, SamplerConfig(seed=0, alpha=0.5))
+    for out in (ham, pm):
+        assert len(out.warnings) == 1
+        assert "m not given" in out.warnings[0] and "not checked" in out.warnings[0]
+        assert out.depth_floor == math.ceil(out.event_threshold)
+        assert out.candidate.metrics.depth >= out.depth_floor
+    assert ham.statement_form is None
+    with_m = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
+    assert with_m.candidate == ham.candidate
+    # r/400 * sqrt(log m/m) is twice p*r/400 at the default p
+    assert with_m.statement_form == pytest.approx(2 * with_m.event_threshold)
+
+
 def test_pm_sampler_meets_guarantee(bipartite_rb):
     H = bipartite_rb
     out = sample_set_pm(H, SamplerConfig(seed=1, alpha=0.5))
