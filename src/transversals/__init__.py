@@ -46,6 +46,7 @@ from .errors import (
     DStarTooSmall,
     DomainError,
     GenerationFailed,
+    GuaranteeViolated,
     InfeasibleDegree,
     InfeasibleWitness,
     InvalidTransversal,

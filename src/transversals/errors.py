@@ -45,6 +45,10 @@ class WalkStuck(TransversalError):
     """
 
 
+class GuaranteeViolated(TransversalError):
+    """A result fell short of a bound the paper proves; signals an upstream bug."""
+
+
 class RecolorConflict(TransversalError):
     """Recoloring produced a non-bijection; signals an upstream bug."""
 

@@ -228,8 +228,6 @@ def ham_exchange(
     jp = prune(J, ms)
     trace = lollipop_walk(jp, edge(ms[0], (ms[0] + 1) % jp.n))
     cyc = trace.final
-    if cyc == trace.states[0]:
-        raise WalkStuck("walk terminated on its initial state")
     if cyc[0] not in jp.underlying_adjacency()[cyc[-1]]:
         raise WalkStuck("final state does not close into a cycle")
     out = recolor_ham(cyc, jp, base)

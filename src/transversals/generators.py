@@ -19,7 +19,6 @@ from .core import (
     SubgraphFamily,
     Transversal,
     canonical_transversal,
-    cycle_graph,
     edge,
     iter_cycle_edges,
 )

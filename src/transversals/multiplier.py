@@ -8,12 +8,13 @@ constructively, by repeatedly building a one-arc-per-vertex sub-digraph
 from the not-yet-realized edges, running the exchange, and crossing off
 every arc the returned transversal realizes. Branching over the
 saturated vertex's d+1 or more target edges and recursing on the shrunk
-set multiplies the count by d+1 per level.
+set multiplies the count by d+1 per level; a matching child is relabelled
+once, and its outputs are lifted back through one pair of tables. The
+(d+1)! floor, the target count and the depth drop raise GuaranteeViolated.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,9 +24,11 @@ from .core import (
     Edge,
     SubgraphFamily,
     Transversal,
+    canonical_transversal,
     edge,
     naturally_index,
     require_naturally_indexed,
+    validate_transversal,
 )
 from .digraphs import (
     RbDigraph,
@@ -35,7 +38,7 @@ from .digraphs import (
     d_cross,
     d_star,
 )
-from .errors import DStarTooSmall, NotRedIndependent, WalkStuck
+from .errors import DStarTooSmall, GuaranteeViolated, InvalidTransversal, NotRedIndependent, WalkStuck
 from .exchange import second_ham_transversal, second_pm_transversal
 
 
@@ -196,6 +199,30 @@ class WitnessTable:
         return sorted(e for (w, e) in self.witnesses if w == v)
 
 
+def _saturate(witnesses, todo, exchange) -> WitnessTable:
+    """Run exchange rounds until some boundary vertex has no pending edge.
+
+    Each round keeps one pending arc per boundary vertex (lowest head),
+    passes ``{vertex: head}`` to ``exchange``, and crosses off every
+    pending edge the returned transversal realizes. That transversal
+    differs from base inside the kept arcs, so every round makes progress.
+    """
+    while True:
+        empties = [v for v, t in todo.items() if not t]
+        if empties:
+            return WitnessTable(min(empties), witnesses)
+        heads = {v: min(h if lo == v else lo for lo, h in pending) for v, pending in todo.items()}
+        t2 = exchange(heads)
+        progressed = False
+        for v, pending in todo.items():
+            for e in sorted(pending & t2.edge_set):
+                witnesses[(v, e)] = t2
+                pending.discard(e)
+                progressed = True
+        if not progressed:
+            raise WalkStuck("exchange realized none of the kept arcs")
+
+
 def find_saturated_vertex_ham(
     family: SubgraphFamily,
     base: Transversal,
@@ -204,11 +231,8 @@ def find_saturated_vertex_ham(
 ) -> WitnessTable:
     """Accumulate witnesses until some boundary vertex is saturated.
 
-    Each round keeps exactly one not-yet-realized arc per boundary vertex
-    (lowest head), runs the exchange on that sub-digraph, and records the
-    returned transversal for every kept arc it realizes. The returned
-    cycle always differs from base inside the kept arcs, so every round
-    retires at least one arc and the loop terminates.
+    The boundary vertices are the set's cycle neighbors; their pending
+    edges are their yellow or blue arcs into the set.
     """
     n = family.num_vertices
     ms = sorted(set(members))
@@ -226,29 +250,13 @@ def find_saturated_vertex_ham(
         todo[yv] = {edge(yv, h) for h in H.yellow[yv] if h in s}
         todo[bv] = {edge(bv, h) for h in H.blue[bv] if h in s}
 
-    def finished() -> int | None:
-        empties = [v for v, t in todo.items() if not t]
-        return min(empties) if empties else None
-
-    while True:
-        v0 = finished()
-        if v0 is not None:
-            return WitnessTable(v0, witnesses)
-        yarcs = []
-        barcs = []
-        for v, pending in todo.items():
-            head = min(h if lo == v else lo for lo, h in pending)
-            (yarcs if side[v] == "yellow" else barcs).append((v, head))
+    def exchange(heads: dict[int, int]) -> Transversal:
+        yarcs = [(v, h) for v, h in heads.items() if side[v] == "yellow"]
+        barcs = [(v, h) for v, h in heads.items() if side[v] == "blue"]
         J = RybDigraph.from_arcs(n, yarcs, barcs)
-        t2 = second_ham_transversal(family, base, ms, J)
-        progressed = False
-        for v, pending in todo.items():
-            for e in sorted(pending & t2.edge_set):
-                witnesses[(v, e)] = t2
-                pending.discard(e)
-                progressed = True
-        if not progressed:
-            raise WalkStuck("exchange realized none of the kept arcs")
+        return second_ham_transversal(family, base, ms, J)
+
+    return _saturate(witnesses, todo, exchange)
 
 
 def find_saturated_vertex_pm(
@@ -267,25 +275,11 @@ def find_saturated_vertex_pm(
         witnesses[(v, edge(v, H.partner(v)))] = base
         todo[v] = {edge(v, h) for h in H.blue[v] if h not in s}
 
-    while True:
-        empties = [v for v, t in todo.items() if not t]
-        if empties:
-            v0 = min(empties)
-            return WitnessTable(v0, witnesses)
-        arcs = []
-        for v, pending in todo.items():
-            head = min(h if lo == v else lo for lo, h in pending)
-            arcs.append((v, head))
-        J = RbDigraph.from_arcs(n, arcs)
-        t2 = second_pm_transversal(family, base, ms, J)
-        progressed = False
-        for v, pending in todo.items():
-            for e in sorted(pending & t2.edge_set):
-                witnesses[(v, e)] = t2
-                pending.discard(e)
-                progressed = True
-        if not progressed:
-            raise WalkStuck("exchange realized none of the kept arcs")
+    def exchange(heads: dict[int, int]) -> Transversal:
+        J = RbDigraph.from_arcs(n, heads.items())
+        return second_pm_transversal(family, base, ms, J)
+
+    return _saturate(witnesses, todo, exchange)
 
 
 def _set_endpoint(e: Edge, s: frozenset[int]) -> int:
@@ -309,7 +303,8 @@ def many_ham_transversals(
     if d < 1:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
     out = sorted(set(_many_ham(family, base, ms, H, d)), key=lambda t: t.items)
-    assert len(out) >= math.factorial(d + 1), "multiplication fell short of (d+1)!"
+    if len(out) < math.factorial(d + 1):
+        raise GuaranteeViolated("multiplication fell short of (d+1)!")
     return out
 
 
@@ -319,7 +314,8 @@ def _many_ham(family, base, ms, H, d) -> list[Transversal]:
     table = find_saturated_vertex_ham(family, base, ms, H)
     v0 = table.saturated
     targets = table.targets_of(v0)
-    assert len(targets) >= d + 1, "saturated vertex has too few targets"
+    if len(targets) < d + 1:
+        raise GuaranteeViolated("saturated vertex has too few targets")
     s = frozenset(ms)
     out: list[Transversal] = []
     for e in targets:
@@ -330,71 +326,37 @@ def _many_ham(family, base, ms, H, d) -> list[Transversal]:
         ms2 = idx.map_vertices(rest)
         H2 = build_full_ryb(fam2, t2)
         d2 = d_star(H2, ms2)
-        assert d2 >= d - 1, "support depth dropped by more than one"
+        if d2 < d - 1:
+            raise GuaranteeViolated("support depth dropped by more than one")
         inv = idx.inverse()
         for sub in _many_ham(fam2, t2, ms2, H2, d2):
             out.append(inv.apply_to_transversal(sub))
     return out
 
 
-@dataclass(frozen=True)
-class _PmReduction:
-    """Vertex/color compaction after deleting one cross edge and its color."""
+def _pm_child(family: SubgraphFamily, wit: Transversal, e: Edge):
+    """Delete wit's edge e with its endpoints and color, relabelling once.
 
-    keep_vertices: tuple[int, ...]
-    removed_color: int
-
-    def vmap(self, v: int) -> int:
-        return bisect.bisect_left(self.keep_vertices, v)
-
-    def vinv(self, v: int) -> int:
-        return self.keep_vertices[v]
-
-    def cmap(self, c: int) -> int:
-        return c if c < self.removed_color else c - 1
-
-    def cinv(self, c: int) -> int:
-        return c if c < self.removed_color else c + 1
-
-
-def _reduce_pm_instance(
-    family: SubgraphFamily, wit: Transversal, e: Edge, c: int
-) -> tuple[SubgraphFamily, Transversal, _PmReduction]:
-    """Delete edge e's endpoints and color c; compact ids to stay contiguous.
-
-    The reduced planted matching is wit minus e, so the surviving pairs
-    are wit's pairs, not the original ones.
+    The k-th other pair of wit in color order becomes (k, n'+k), smaller
+    endpoint low, colored k. Returns the child family and its canonical
+    matching, the parent-to-child vertex map, and the child-to-parent
+    vertex and color tables.
     """
-    gone = set(e)
-    keep = tuple(v for v in range(family.num_vertices) if v not in gone)
-    red = _PmReduction(keep, c)
-    base_r = BaseGraph(
-        len(keep),
-        [
-            edge(red.vmap(u), red.vmap(v))
-            for u, v in family.base.edges()
-            if u not in gone and v not in gone
-        ],
-    )
-    subs = [
-        frozenset(
-            edge(red.vmap(u), red.vmap(v))
-            for u, v in g
-            if u not in gone and v not in gone
-        )
-        for k, g in enumerate(family.subgraphs)
-        if k != c
-    ]
-    fam_r = SubgraphFamily(base_r, subs, family.kind)
-    wit_r = Transversal.from_map(
-        wit.kind,
-        {
-            edge(red.vmap(u), red.vmap(v)): red.cmap(cc)
-            for (u, v), cc in wit.items
-            if (u, v) != e
-        },
-    )
-    return fam_r, wit_r, red
+    kept = sorted((c, uv) for uv, c in wit.items if uv != e)
+    cinv = [c for c, _ in kept]
+    vinv = [u for _, (u, _) in kept] + [v for _, (_, v) in kept]
+    vmap = {w: k for k, w in enumerate(vinv)}
+
+    def relabel(edges) -> list[Edge]:
+        return [edge(vmap[u], vmap[v]) for u, v in edges if u in vmap and v in vmap]
+
+    base2 = BaseGraph(len(vinv), relabel(family.base.edge_set))
+    fam2 = SubgraphFamily(base2, [relabel(family.subgraphs[c]) for c in cinv], family.kind)
+    t2 = canonical_transversal(fam2)
+    report = validate_transversal(fam2, t2)
+    if not report.ok:
+        raise InvalidTransversal(f"child matching is invalid: {report.summary()}", report)
+    return fam2, t2, vmap, vinv, cinv
 
 
 def many_pm_transversals(
@@ -408,7 +370,8 @@ def many_pm_transversals(
     ms = tuple(sorted(set(members)))
     d = d_cross(H, ms)
     out = sorted(set(_many_pm(family, base, ms, H, d)), key=lambda t: t.items)
-    assert len(out) >= math.factorial(d + 1), "multiplication fell short of (d+1)!"
+    if len(out) < math.factorial(d + 1):
+        raise GuaranteeViolated("multiplication fell short of (d+1)!")
     return out
 
 
@@ -419,24 +382,20 @@ def _many_pm(family, base, ms, H, d) -> list[Transversal]:
     table = find_saturated_vertex_pm(family, base, ms, H)
     v0 = table.saturated
     targets = table.targets_of(v0)
-    assert len(targets) >= d + 1, "saturated vertex has too few targets"
+    if len(targets) < d + 1:
+        raise GuaranteeViolated("saturated vertex has too few targets")
     out: list[Transversal] = []
     for e in targets:
         wit = table.witnesses[(v0, e)]
         c = wit.colors()[e]
-        fam_r, wit_r, red = _reduce_pm_instance(family, wit, e, c)
-        fam2, t2, idx = naturally_index(fam_r, wit_r)
-        ms2 = idx.map_vertices(red.vmap(m) for m in ms if m != v0)
+        fam2, t2, vmap, vinv, cinv = _pm_child(family, wit, e)
+        ms2 = tuple(sorted(vmap[m] for m in ms if m != v0))
         H2 = build_full_rb(fam2, t2)
         d2 = d_cross(H2, ms2)
-        assert d2 >= d - 1, "escape depth dropped by more than one"
-        inv = idx.inverse()
+        if d2 < d - 1:
+            raise GuaranteeViolated("escape depth dropped by more than one")
         for sub in _many_pm(fam2, t2, ms2, H2, d2):
-            lifted = inv.apply_to_transversal(sub)
-            colors = {
-                edge(red.vinv(u), red.vinv(v)): red.cinv(cc)
-                for (u, v), cc in lifted.items
-            }
+            colors = {edge(vinv[u], vinv[v]): cinv[cc] for (u, v), cc in sub.items}
             colors[e] = c
             out.append(Transversal.from_map(base.kind, colors))
     return out

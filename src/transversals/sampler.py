@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .digraphs import CandidateSet, RbDigraph, RybDigraph, annotate_ham, annotate_pm
-from .errors import DomainError, ResampleBudgetExceeded
+from .errors import DomainError, GuaranteeViolated, ResampleBudgetExceeded
 
 XI = math.exp(-399.0 / 400.0) / (1.0 / 400.0) ** (1.0 / 400.0)
 
@@ -113,6 +113,14 @@ def _row_counts(flat: np.ndarray, offsets: np.ndarray, incl: np.ndarray) -> np.n
     return np.add.reduceat(incl[flat].astype(np.int64), offsets[:-1])
 
 
+def _check_sampled(cand: CandidateSet, floor: int) -> None:
+    """The post-hoc guarantee of an accepted set: red-independent, depth >= floor."""
+    if not cand.metrics.red_independent:
+        raise GuaranteeViolated("sampled set is not red-independent")
+    if cand.metrics.depth < floor:
+        raise GuaranteeViolated(f"sampled set has depth {cand.metrics.depth}, below the floor {floor}")
+
+
 def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
     """Red-independent set with all boundary support counts >= p*r/400.
 
@@ -172,8 +180,7 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
         if worst is None:
             members = tuple(int(v) for v in np.nonzero(incl)[0])
             cand = annotate_ham(H, members)
-            assert cand.metrics.red_independent
-            assert cand.metrics.depth >= floor
+            _check_sampled(cand, floor)
             return SampleOutcome(cand, step, tuple(records), warnings, floor, threshold, statement_form)
         if step == cfg.max_resamples:
             break
@@ -231,7 +238,8 @@ def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
         members = tuple(int(v) for v in np.nonzero(keep)[0])
         if members:
             cand = annotate_ham(H, members)
-            assert cand.metrics.red_independent
+            if not cand.metrics.red_independent:
+                raise GuaranteeViolated("sampled set is not red-independent")
             if cand.metrics.depth >= target:
                 return SampleOutcome(cand, step, tuple(records), warnings, target)
             observed = cand.metrics.depth
@@ -297,8 +305,7 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
         if flagged.size == 0:
             members = tuple(int(v) for v in np.sort(chosen))
             cand = annotate_pm(H, members)
-            assert cand.metrics.red_independent
-            assert cand.metrics.depth >= floor
+            _check_sampled(cand, floor)
             return SampleOutcome(cand, step, tuple(records), warnings, floor, threshold)
         if step == cfg.max_resamples:
             break

@@ -12,7 +12,6 @@ behavioral contract; 8c reruns it at the nearest scale where the
 hypothesis does hold (250 pairs, m = 249, r = 204).
 """
 
-import json
 import math
 import random
 import time
@@ -25,7 +24,6 @@ from transversals import (
     KIND_HAM,
     build_full_rb,
     build_full_ryb,
-    canonical_transversal,
     chernoff_bounds,
     complete_graph,
     count_ham_transversals,

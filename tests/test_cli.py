@@ -1,8 +1,6 @@
 import hashlib
 import json
 
-import pytest
-
 from transversals.cli import main
 
 
@@ -205,8 +203,9 @@ def test_dirac_gen_with_find_planted(tmp_path, capsys):
 
 # SHA-256 of each report (wall_time_s removed, re-serialised as printed)
 # and of each file the command writes. The values were captured before
-# the exchange, sampler and multiplier results were reshaped; a change in
-# any CLI output shows up here.
+# the exchange, sampler and multiplier results were reshaped, and the
+# d=3 and d=4 multiply entries before the matching recursion was
+# relabelled once per child; a change in any CLI output shows up here.
 PINNED = [
     ("gen --model witness --n 9 --set 0,3,6 --d 2 --seed 11 --out w.json",
      "0bdb45ea082e71463577f1dfbddb44e92c1e731e04a1dfd64a9fd7ebb9dcf72f",
@@ -237,6 +236,16 @@ PINNED = [
      "f86c4d051f17a8f95d6d8f0258bf66558ebca32f2b13086a57f5c01000c461b3", {}),
     ("multiply --in pm.json --set x0,x1,x2,x3,x4,x5",
      "0883411b442705fd1c326fcce01dc42e1836350a09bffcaa479b6b39a27a3c83", {}),
+    ("gen --model planted-pm --n 8 --extra-degree 4 --seed 2 --out pm8.json",
+     "24be11e6f0c39b26c6e6cd5ef53d1044c54dc6ffdecce0bbbd493a7e952767d7",
+     {"pm8.json": "79f5b08e95ad919b923095e5cfd36457b1d049abb69824ef37c9e670e43ec51f"}),
+    ("multiply --in pm8.json --set x0,x1,x2,x3,x4,x5,x6,x7",
+     "afa7273accad51d19d7ab98c4638a0c59875aa10f4ecbf5e0efad7987b0bb2aa", {}),
+    ("gen --model witness --n 12 --set 0,3,6,9 --d 3 --seed 1 --out w12.json",
+     "0f39e737ab88cf88c33feb324ecd5aba58f6c20a2df7c1e15ff5e31ae0e9591d",
+     {"w12.json": "bf57724bea582ebb4f5c9e8636e4044c55eeb824f74f15804c7343668c88588e"}),
+    ("multiply --in w12.json --set 0,3,6,9",
+     "f122e381d715ed6f9121be17430b39a58de9abe92789e2d30d15e05dccdd888d", {}),
 ]
 
 

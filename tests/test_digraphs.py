@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from transversals import (
@@ -13,7 +11,6 @@ from transversals import (
     canonical_transversal,
     d_cross,
     d_star,
-    edge,
     gen_planted_pm_family,
     gen_witness_instance_ham,
     is_locally_dominating,

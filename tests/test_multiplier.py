@@ -5,12 +5,12 @@ import pytest
 
 from transversals import (
     DStarTooSmall,
+    GuaranteeViolated,
     build_full_rb,
     build_full_ryb,
     canonical_transversal,
     d_cross,
     d_star,
-    edge,
     enumerate_all_ham_transversals,
     enumerate_omega_ham,
     enumerate_omega_pm,
@@ -27,6 +27,7 @@ from transversals import (
     permanent,
     validate_transversal,
 )
+from transversals import multiplier
 
 from conftest import make_ham_family, random_ham_set
 
@@ -134,6 +135,15 @@ def test_many_ham_rejects_zero_depth():
     t = canonical_transversal(fam)
     with pytest.raises(DStarTooSmall):
         many_ham_transversals(fam, t, (0, 4), build_full_ryb(fam, t))
+
+
+def test_many_pm_raises_when_the_floor_fails(monkeypatch):
+    # an explicit raise, not an assert, so python -O keeps the check
+    fam, t = gen_planted_pm_family(6, 2, seed=5)
+    H = build_full_rb(fam, t)
+    monkeypatch.setattr(multiplier, "_many_pm", lambda family, base, ms, H, d: [base])
+    with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
+        many_pm_transversals(fam, t, tuple(range(6)), H)
 
 
 def test_omega_ham_endpoint_colors_pin_attachment(figure_family):

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from transversals import (
+    CandidateSet,
     DomainError,
+    GuaranteeViolated,
     ResampleBudgetExceeded,
     SamplerConfig,
     build_full_rb,
@@ -29,6 +31,8 @@ from transversals import (
     sample_set_lll_ham,
     sample_set_pm,
 )
+from transversals import sampler
+from transversals.digraphs import SetMetrics
 from transversals.sampler import XI
 
 
@@ -150,6 +154,13 @@ def test_pm_sampler_deterministic(bipartite_rb):
     a = sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
     b = sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
     assert a.candidate.members == b.candidate.members
+
+
+def test_pm_sampler_raises_when_the_depth_floor_fails(bipartite_rb, monkeypatch):
+    # an explicit raise, not an assert, so python -O keeps the check
+    monkeypatch.setattr(sampler, "annotate_pm", lambda H, ms: CandidateSet(ms, SetMetrics(True, 0, ())))
+    with pytest.raises(GuaranteeViolated, match="below the floor 5"):
+        sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
 
 
 def test_pm_sampler_rejects_bad_alpha(bipartite_rb):

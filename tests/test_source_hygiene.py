@@ -1,0 +1,38 @@
+"""Source checks no installed linter makes: unused imports, stray asserts."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "transversals"
+
+
+def _modules():
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            if path != PACKAGE / "__init__.py":  # its imports are the public API
+                yield path, ast.parse(path.read_text(), str(path))
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in _modules():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _modules() if path.parent == PACKAGE
+        for node in ast.walk(tree) if isinstance(node, ast.Assert)
+    ]
+    assert found == []
