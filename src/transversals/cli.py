@@ -8,9 +8,12 @@ violated by otherwise well-formed input.
 
 Instance files are JSON: kind (``KIND_HAM`` = "hamiltonian" or
 ``KIND_PM`` = "perfect_matching", the same values the library uses),
-num_vertices, subgraphs as lists of [u, v] pairs (the list position is
-the color), optional base_edges (defaults to the union of the
-subgraphs), optional planted {edges, colors}, optional metadata map.
+num_vertices (the subgraph count, or twice it for a matching),
+subgraphs as lists of [u, v] pairs (the list position is the color),
+optional base_edges (defaults to the union of the subgraphs), optional
+planted {edges, colors}, optional metadata map. Vertex ids, colors and
+num_vertices must be JSON integers; anything else is an input error,
+never rounded.
 """
 
 from __future__ import annotations
@@ -89,11 +92,13 @@ def transversal_to_obj(t: Transversal) -> dict:
 def instance_to_obj(
     family: SubgraphFamily, planted: Optional[Transversal], metadata: Optional[dict]
 ) -> dict:
+    # equal subgraphs share one row list; the encoder writes it each time
+    rows = {g: [list(e) for e in sorted(g)] for g in set(family.subgraphs)}
     obj = {
         "kind": family.kind,
         "num_vertices": family.num_vertices,
         "base_edges": [list(e) for e in family.base.edges()],
-        "subgraphs": [[list(e) for e in sorted(g)] for g in family.subgraphs],
+        "subgraphs": [rows[g] for g in family.subgraphs],
     }
     if planted is not None:
         obj["planted"] = transversal_to_obj(planted)
@@ -102,30 +107,50 @@ def instance_to_obj(
     return obj
 
 
+def _json_int(x, what: str) -> int:
+    # bool is an int subclass, and int() would round 1.7 down to 1
+    if type(x) is not int:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_edge(pair) -> tuple[int, int]:
+    u, v = pair
+    if type(u) is not int or type(v) is not int:
+        raise InputError(f"vertex ids must be integers, got {pair!r}")
+    return edge(u, v)
+
+
 def instance_from_obj(obj: dict):
     try:
         kind = obj["kind"]
-        num_vertices = int(obj["num_vertices"])
+        num_vertices = _json_int(obj["num_vertices"], "num_vertices")
         sub_lists = obj["subgraphs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc
     if kind not in (KIND_HAM, KIND_PM):
         raise InputError(f"unknown kind {kind!r}")
+    if not isinstance(sub_lists, list) or not sub_lists:
+        raise InputError("malformed instance file: subgraphs must be a non-empty list")
+    # checked before BaseGraph allocates num_vertices adjacency rows
+    want = len(sub_lists) if kind == KIND_HAM else 2 * len(sub_lists)
+    if num_vertices != want:
+        raise InputError(
+            f"num_vertices {num_vertices} does not fit {len(sub_lists)} {kind} subgraphs; need {want}"
+        )
     try:
-        subgraphs = [
-            frozenset(edge(int(u), int(v)) for u, v in g) for g in sub_lists
-        ]
-        union = set().union(*subgraphs) if subgraphs else set()
+        subgraphs = [frozenset(_json_edge(e) for e in g) for g in sub_lists]
+        union = set().union(*subgraphs)
         if "base_edges" in obj:
-            base_edges = [edge(int(u), int(v)) for u, v in obj["base_edges"]]
+            base_edges = [_json_edge(e) for e in obj["base_edges"]]
         else:
             base_edges = sorted(union)
         planted_obj = obj.get("planted")
         planted = None
         if planted_obj is not None:
             colors = {
-                edge(int(u), int(v)): int(c)
-                for (u, v), c in zip(planted_obj["edges"], planted_obj["colors"])
+                _json_edge(e): _json_int(c, "planted color")
+                for e, c in zip(planted_obj["edges"], planted_obj["colors"])
             }
             union |= set(colors)
             if "base_edges" not in obj:

@@ -380,10 +380,16 @@ def naturally_index(
     itself under the identity. Matching kind: the pair colored c becomes
     (c, n+c) with the smaller original endpoint on the low side; the color
     order is untouched.
+
+    A valid t that is already canonical returns the family and t
+    themselves with the identity indexing, without rebuilding anything.
     """
     report = validate_transversal(family, t)
     if not report.ok:
         raise InvalidTransversal(f"cannot index invalid transversal: {report.summary()}", report)
+    if is_naturally_indexed(family, t):
+        identity = NaturalIndexing(tuple(range(family.num_vertices)), tuple(range(family.num_colors)))
+        return family, t, identity
     if family.kind == KIND_HAM:
         n = family.num_vertices
         order = t.cycle_sequence()

@@ -46,6 +46,8 @@ class RybDigraph:
             for head in self.yellow[tail] + self.blue[tail]:
                 if head in banned:
                     raise ValueError(f"arc {tail}->{head} targets a cycle neighbor or itself")
+                if not 0 <= head < self.n:
+                    raise ValueError(f"arc {tail}->{head} leaves the vertex range 0..{self.n - 1}")
 
     @classmethod
     def from_arcs(
@@ -112,37 +114,40 @@ class CandidateSet:
         return len(self.members)
 
 
-def _subgraph_adjacency(n: int, g: frozenset[Edge]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def build_full_ryb(family: SubgraphFamily, t: Transversal) -> RybDigraph:
-    """All yellow and blue arcs the family supports over the planted cycle."""
+    """All yellow and blue arcs the family supports over the planted cycle.
+
+    One incidence pass over the subgraphs, O(n + sum of |G_c|): row i of
+    yellow reads only G_i at vertex i, and row i of blue only G_{i-1} at i.
+    """
     if family.kind != KIND_HAM:
         raise ValueError("cycle digraph needs a hamiltonian family")
     require_naturally_indexed(family, t)
     n = family.num_vertices
-    # identical subgraph objects share one adjacency build (all-equal families)
-    adj_cache: dict[int, list[list[int]]] = {}
+    yellow: list[list[int]] = [[] for _ in range(n)]
+    blue: list[list[int]] = [[] for _ in range(n)]
+    for c, g in enumerate(family.subgraphs):
+        nxt = (c + 1) % n
+        # an edge of G_c at c is a yellow head of c, one at c+1 a blue head of c+1
+        for u, v in g:
+            if u == c:
+                yellow[c].append(v)
+            if v == c:
+                yellow[c].append(u)
+            if u == nxt:
+                blue[nxt].append(v)
+            if v == nxt:
+                blue[nxt].append(u)
 
-    def adjacency(color: int) -> list[list[int]]:
-        g = family.subgraphs[color]
-        key = id(g)
-        if key not in adj_cache:
-            adj_cache[key] = _subgraph_adjacency(n, g)
-        return adj_cache[key]
-
-    yellow = []
-    blue = []
-    for i in range(n):
+    def row(i: int, heads: list[int]) -> tuple[int, ...]:
         banned = {(i - 1) % n, (i + 1) % n}
-        yellow.append(tuple(sorted(j for j in adjacency(i)[i] if j not in banned)))
-        blue.append(tuple(sorted(j for j in adjacency((i - 1) % n)[i] if j not in banned)))
-    return RybDigraph(n, tuple(yellow), tuple(blue))
+        return tuple(sorted(j for j in heads if j not in banned))
+
+    return RybDigraph(
+        n,
+        tuple(row(i, hs) for i, hs in enumerate(yellow)),
+        tuple(row(i, hs) for i, hs in enumerate(blue)),
+    )
 
 
 def build_full_rb(family: SubgraphFamily, t: Transversal) -> RbDigraph:

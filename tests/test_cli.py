@@ -1,6 +1,9 @@
 import hashlib
 import json
 
+import pytest
+
+from transversals import cli
 from transversals.cli import main
 
 
@@ -185,6 +188,48 @@ def test_instance_file_validation_fails_cleanly(tmp_path):
     assert main(["count", "--in", str(bad)]) == 2
     bad.write_text("{not json")
     assert main(["count", "--in", str(bad)]) == 2
+
+
+def test_vertex_count_is_checked_before_the_graph_is_built(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("BaseGraph was built before num_vertices was checked")
+
+    monkeypatch.setattr(cli, "BaseGraph", refuse)
+    bad = tmp_path / "huge.json"
+    for kind, n in (("hamiltonian", 10**12), ("hamiltonian", 0), ("perfect_matching", 3)):
+        bad.write_text(json.dumps({
+            "kind": kind,
+            "num_vertices": n,
+            "subgraphs": [[[0, 1]], [[1, 2]], [[0, 2]]],
+        }))
+        assert main(["count", "--in", str(bad)]) == 2, (kind, n)
+
+
+def test_instance_numbers_must_be_json_integers(tmp_path):
+    good = {
+        "kind": "hamiltonian",
+        "num_vertices": 3,
+        "subgraphs": [[[0, 1]], [[1, 2]], [[0, 2]]],
+        "planted": {"edges": [[0, 1], [1, 2], [0, 2]], "colors": [0, 1, 2]},
+    }
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(good))
+    assert main(["count", "--in", str(path)]) == 0
+    bad_variants = [
+        {"subgraphs": [[[0, 1.7]], [[1, 2]], [[0, 2]]]},
+        {"subgraphs": [[[0, 1.0]], [[1, 2]], [[0, 2]]]},
+        {"subgraphs": [[[0, True]], [[1, 2]], [[0, 2]]]},
+        {"subgraphs": [[["0", 1]], [[1, 2]], [[0, 2]]]},
+        {"num_vertices": 3.0},
+        {"num_vertices": "3"},
+        {"num_vertices": True},
+        {"base_edges": [[0, 1], [1, 2], [0, 2.5]]},
+        {"planted": {"edges": [[0, 1], [1, 2], [0, 2]], "colors": [0, 1, 2.0]}},
+        {"planted": {"edges": [[0, 1], [1, 2], [0, False]], "colors": [0, 1, 2]}},
+    ]
+    for change in bad_variants:
+        path.write_text(json.dumps({**good, **change}))
+        assert main(["count", "--in", str(path)]) == 2, change
 
 
 def test_dirac_gen_with_find_planted(tmp_path, capsys):

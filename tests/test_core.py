@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from transversals import (
     BaseGraph,
+    InvalidTransversal,
     KIND_HAM,
     KIND_PM,
     NaturalIndexing,
@@ -13,6 +14,7 @@ from transversals import (
     complete_graph,
     cycle_graph,
     edge,
+    gen_planted_pm_family,
     is_naturally_indexed,
     naturally_index,
     validate_family,
@@ -150,6 +152,27 @@ def test_require_naturally_indexed_raises():
     fam3, t3, idx = naturally_index(fam2, t)
     require_naturally_indexed(fam3, t3)
     assert t3 == canonical_transversal(fam3)
+
+
+def test_naturally_index_returns_canonical_input_itself():
+    ham = make_ham_family(7, {2: [(2, 5)]})
+    for fam, t in ((ham, canonical_transversal(ham)), gen_planted_pm_family(5, 2, seed=1)):
+        fam2, t2, idx = naturally_index(fam, t)
+        assert fam2 is fam and t2 is t
+        assert idx.vertex_perm == tuple(range(fam.num_vertices))
+        assert idx.color_perm == tuple(range(fam.num_colors))
+
+
+def test_naturally_index_validates_before_the_identity_path():
+    # colors say canonical, but subgraph 2 lacks the cycle edge (2, 3)
+    fam = make_ham_family(5, {})
+    subs = list(fam.subgraphs)
+    subs[2] = frozenset({edge(2, 4)})
+    fam = SubgraphFamily(fam.base, subs, KIND_HAM)
+    t = canonical_transversal(fam)
+    assert is_naturally_indexed(fam, t)
+    with pytest.raises(InvalidTransversal, match="edge_not_in_subgraph"):
+        naturally_index(fam, t)
 
 
 @given(st.integers(5, 12), st.randoms(use_true_random=False))

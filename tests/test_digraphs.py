@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from transversals import (
     CandidateSet,
+    KIND_HAM,
     RbDigraph,
     RybDigraph,
+    SubgraphFamily,
     annotate_ham,
     annotate_pm,
     build_full_rb,
@@ -11,6 +14,8 @@ from transversals import (
     canonical_transversal,
     d_cross,
     d_star,
+    edge,
+    gen_planted_ham_family,
     gen_planted_pm_family,
     gen_witness_instance_ham,
     is_locally_dominating,
@@ -57,6 +62,58 @@ def test_blue_arc_comes_from_previous_subgraph():
     H = build_full_ryb(fam, canonical_transversal(fam))
     assert 5 in H.blue[2]
     assert not H.yellow[2]
+
+
+def _arcs_by_definition(fam):
+    """Yellow i->j iff edge(i,j) in G_i, blue i->j iff edge(i,j) in G_{i-1},
+    with j off the cycle neighbours of i; checked over all pairs."""
+    n = fam.num_vertices
+    G = fam.subgraphs
+
+    def heads(i, g):
+        return tuple(
+            j for j in range(n) if j not in (i, (i - 1) % n, (i + 1) % n) and edge(i, j) in g
+        )
+
+    yellow = tuple(heads(i, G[i]) for i in range(n))
+    blue = tuple(heads(i, G[(i - 1) % n]) for i in range(n))
+    return yellow, blue
+
+
+@given(st.integers(3, 14), st.data())
+def test_ryb_build_matches_arc_definition_on_planted_families(n, data):
+    k = data.draw(st.integers(0, n - 3), label="extra_degree")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    fam, t = gen_planted_ham_family(n, k, seed)
+    H = build_full_ryb(fam, t)
+    assert (H.yellow, H.blue) == _arcs_by_definition(fam)
+
+
+@given(st.integers(9, 40), st.data())
+def test_ryb_build_matches_arc_definition_on_witness_instances(n, data):
+    size = data.draw(st.integers(2, n // 3), label="set size")
+    members = [i * (n // size) for i in range(size)]  # gaps of at least 3
+    d = data.draw(st.integers(1, size - 1), label="d")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    fam, t = gen_witness_instance_ham(n, members, d, seed)
+    H = build_full_ryb(fam, t)
+    assert (H.yellow, H.blue) == _arcs_by_definition(fam)
+    assert d_star(H, members) == d
+
+
+def test_ryb_build_reads_both_endpoints_of_one_subgraph():
+    # G_2 has a chord at 2 and one at 3; G_7 wraps: a chord at 7 and one at 0
+    fam = make_ham_family(8, {2: [(2, 5), (3, 6)], 7: [(3, 7), (0, 4)]})
+    H = build_full_ryb(fam, canonical_transversal(fam))
+    assert {i: r for i, r in enumerate(H.yellow) if r} == {2: (5,), 7: (3,)}
+    assert {i: r for i, r in enumerate(H.blue) if r} == {3: (6,), 0: (4,)}
+    # a loop edge is a self-arc, and an edge to a vertex past n-1 or
+    # below 0 is an arc to no vertex; each is rejected
+    for bad in ((2, 2), (2, 9), (-1, 3)):
+        subs = list(fam.subgraphs)
+        subs[2] = subs[2] | {bad}
+        with pytest.raises(ValueError):
+            build_full_ryb(SubgraphFamily(fam.base, subs, KIND_HAM), canonical_transversal(fam))
 
 
 def test_red_independence_circular_distance():

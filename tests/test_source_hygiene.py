@@ -1,4 +1,5 @@
-"""Source checks no installed linter makes: unused imports, stray asserts."""
+"""Source checks no installed linter makes: unused imports, stray asserts,
+private helpers that nothing calls."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,22 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(tree) if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_private_helper_is_read():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert unread == []
