@@ -19,15 +19,18 @@ never rounded.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 import time
+from itertools import chain
 from typing import Optional
 
 from . import oracle
 from .core import (
     BaseGraph,
+    Edge,
     KIND_HAM,
     KIND_PM,
     SubgraphFamily,
@@ -107,6 +110,31 @@ def instance_to_obj(
     return obj
 
 
+def _instance_text(obj: dict) -> str:
+    """Exactly ``json.dumps(obj, indent=1, sort_keys=True)``, each row list encoded once.
+
+    Equal subgraphs share one row list (``instance_to_obj``), so a row's
+    text is made once and repeated. Every other value is encoded alone and
+    shifted in to its depth: JSON escapes newlines inside strings, so each
+    newline the encoder writes starts an indented line.
+    """
+
+    def at_depth(value, depth: int) -> str:
+        return json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n" + " " * depth)
+
+    def subgraphs_text(rows: list) -> str:
+        if not rows:
+            return "[]"
+        texts = {id(r): at_depth(r, 2) for r in {id(r): r for r in rows}.values()}
+        return "[\n  " + ",\n  ".join(texts[id(r)] for r in rows) + "\n ]"
+
+    items = [
+        json.dumps(key) + ": " + (subgraphs_text(value) if key == "subgraphs" else at_depth(value, 1))
+        for key, value in sorted(obj.items())
+    ]
+    return "{\n " + ",\n ".join(items) + "\n}"
+
+
 def _json_int(x, what: str) -> int:
     # bool is an int subclass, and int() would round 1.7 down to 1
     if type(x) is not int:
@@ -114,11 +142,38 @@ def _json_int(x, what: str) -> int:
     return x
 
 
-def _json_edge(pair) -> tuple[int, int]:
+def _json_edge(pair) -> Edge:
     u, v = pair
     if type(u) is not int or type(v) is not int:
         raise InputError(f"vertex ids must be integers, got {pair!r}")
     return edge(u, v)
+
+
+def _json_subgraphs(rows) -> list[frozenset[Edge]]:
+    """One canonical edge set per distinct row; equal rows share it.
+
+    Each row's shape and types are checked on their own before the row is
+    looked up by value: 1, 1.0 and true compare and hash equal, so a
+    lookup alone would let [[0, true]] pass as an earlier [[0, 1]]. A row
+    that fails the check goes through ``_json_edge``, which names the bad
+    pair.
+    """
+    canon: dict[tuple[int, ...], frozenset[Edge]] = {}
+    out = []
+    for g in rows:
+        try:
+            # with every pair of length 2 the flat id sequence is the row
+            flat = tuple(chain.from_iterable(g)) if set(map(len, g)) <= {2} else None
+        except TypeError:  # a row or a pair that is not a list
+            flat = None
+        if flat is None or not set(map(type, flat)) <= {int}:
+            out.append(frozenset(map(_json_edge, g)))
+            continue
+        s = canon.get(flat)
+        if s is None:
+            s = canon[flat] = frozenset(map(_json_edge, g))
+        out.append(s)
+    return out
 
 
 def instance_from_obj(obj: dict):
@@ -139,8 +194,8 @@ def instance_from_obj(obj: dict):
             f"num_vertices {num_vertices} does not fit {len(sub_lists)} {kind} subgraphs; need {want}"
         )
     try:
-        subgraphs = [frozenset(_json_edge(e) for e in g) for g in sub_lists]
-        union = set().union(*subgraphs)
+        subgraphs = _json_subgraphs(sub_lists)
+        union = set().union(*{id(g): g for g in subgraphs}.values())
         if "base_edges" in obj:
             base_edges = [_json_edge(e) for e in obj["base_edges"]]
         else:
@@ -171,14 +226,22 @@ def instance_from_obj(obj: dict):
 
 
 def load_instance(path: str):
+    # a dense file decodes to hundreds of thousands of small lists in no
+    # cycle; collections while they are made would only scan them again
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"cannot parse {path}: {exc}") from exc
-    return instance_from_obj(obj)
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputError(f"cannot parse {path}: {exc}") from exc
+        return instance_from_obj(obj)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def require_planted(planted: Optional[Transversal]) -> Transversal:
@@ -259,8 +322,7 @@ def cmd_gen(args) -> tuple[dict, list, int]:
     metadata = {k: v for k, v in params.items()}
     obj = instance_to_obj(family, planted, metadata)
     with open(args.out, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_instance_text(obj) + "\n")
     results = {
         "path": args.out,
         "num_vertices": family.num_vertices,
@@ -424,7 +486,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
     if family.kind == KIND_HAM:
         H = build_full_ryb(fam_c, t_c)
         d = d_star(H, ms)
-        out_c = many_ham_transversals(fam_c, t_c, ms, H)
+        out_c = many_ham_transversals(fam_c, t_c, ms, H, d=d)
         metric_name = "d_star"
         omega = (
             enumerate_omega_ham(fam_c, t_c, ms)
@@ -434,7 +496,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
     else:
         H = build_full_rb(fam_c, t_c)
         d = d_cross(H, ms)
-        out_c = many_pm_transversals(fam_c, t_c, ms, H)
+        out_c = many_pm_transversals(fam_c, t_c, ms, H, d=d)
         metric_name = "d_cross"
         omega = enumerate_omega_pm(fam_c, t_c, ms) if fam_c.num_pairs <= 8 else None
     required = math.factorial(d + 1)

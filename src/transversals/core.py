@@ -110,7 +110,12 @@ def complete_graph(n: int) -> BaseGraph:
 
 @dataclass(frozen=True)
 class SubgraphFamily:
-    """A base graph with an ordered tuple of subgraph edge sets."""
+    """A base graph with an ordered tuple of subgraph edge sets.
+
+    Each subgraph object passed in is canonicalised once, so subgraphs
+    given as one shared object (an all-equal family, or a loaded file
+    whose rows are equal) stay one shared frozenset.
+    """
 
     base: BaseGraph
     subgraphs: tuple[frozenset[Edge], ...]
@@ -119,9 +124,18 @@ class SubgraphFamily:
     def __post_init__(self):
         if self.kind not in (KIND_HAM, KIND_PM):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        object.__setattr__(
-            self, "subgraphs", tuple(frozenset(edge(u, v) for u, v in g) for g in self.subgraphs)
-        )
+        # keyed by id, not by value: hashing every set would cost the many
+        # small child families of the multiplication more than it saves;
+        # the tuple keeps each input alive, so no id is reused meanwhile
+        given = tuple(self.subgraphs)
+        canon: dict[int, frozenset[Edge]] = {}
+        subs = []
+        for g in given:
+            c = canon.get(id(g))
+            if c is None:
+                c = canon[id(g)] = frozenset(edge(u, v) for u, v in g)
+            subs.append(c)
+        object.__setattr__(self, "subgraphs", tuple(subs))
 
     @property
     def num_vertices(self) -> int:
@@ -230,7 +244,15 @@ def validate_family(family: SubgraphFamily) -> ValidationReport:
             out.append(
                 Violation("subgraph_count", f"need {n // 2} subgraphs for {n} vertices, got {family.num_colors}")
             )
+    # a subgraph inside the base has no loop (the base has none) and no
+    # missing edge, so only one that is not gets the per-edge scan
+    inside: set[int] = set()
     for i, g in enumerate(family.subgraphs):
+        if id(g) in inside:
+            continue
+        if g <= family.base.edge_set:
+            inside.add(id(g))
+            continue
         for u, v in sorted(g):
             if u == v:
                 out.append(Violation("loop_edge", f"subgraph {i} has loop at {u}"))

@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .digraphs import CandidateSet, RbDigraph, RybDigraph, annotate_ham, annotate_pm
 from .errors import DomainError, GuaranteeViolated, ResampleBudgetExceeded
+
+# numpy is most of the package's import time and only the samplers use it,
+# so each function that needs it imports it; commands that sample nothing
+# never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 XI = math.exp(-399.0 / 400.0) / (1.0 / 400.0) ** (1.0 / 400.0)
 
@@ -100,6 +104,8 @@ def pm_hypothesis_warnings(alpha: float, m: Optional[int], r: int) -> list[str]:
 
 
 def _flat_heads(rows: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     # CSR layout: heads concatenated, offsets of length len(rows)+1
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     for i, row in enumerate(rows):
@@ -109,6 +115,8 @@ def _flat_heads(rows: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarr
 
 
 def _row_counts(flat: np.ndarray, offsets: np.ndarray, incl: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # np.add.reduceat misbehaves on empty rows; callers guarantee none
     return np.add.reduceat(incl[flat].astype(np.int64), offsets[:-1])
 
@@ -129,6 +137,8 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
     meets the set fewer than p*r/400 times (y_yellow / y_blue). The flagged
     event with the smallest canonical key is resampled until none remain.
     """
+    import numpy as np
+
     n = H.n
     ydeg = [len(H.yellow[v]) for v in range(n)]
     bdeg = [len(H.blue[v]) for v in range(n)]
@@ -209,6 +219,8 @@ def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
     depth reaches dirac_depth_target. Rejected draws are redrawn whole;
     the record's redrawn field is left empty to mean a full redraw.
     """
+    import numpy as np
+
     n = H.n
     if cfg.c is None:
         raise DomainError("dirac sampling needs cfg.c")
@@ -264,6 +276,8 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
     i's bit together with the bits of every pair owning a vertex of
     blue(x_i) or blue(y_i).
     """
+    import numpy as np
+
     n = H.n
     alpha = cfg.alpha
     if not 0.0 < alpha < 1.0:
@@ -336,6 +350,8 @@ def empirical_lower_tail(
     n: int, p: float, delta: float, trials: int, seed: int
 ) -> float:
     """Monte-Carlo frequency of Bin(n,p) < (1-delta)np."""
+    import numpy as np
+
     if not 0.0 < p < 1.0 or not 0.0 < delta < 1.0 or n < 1 or trials < 1:
         raise DomainError("need n, trials >= 1 and p, delta in (0,1)")
     rng = np.random.default_rng(seed)

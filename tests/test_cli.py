@@ -1,9 +1,16 @@
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from transversals import cli
+import transversals
+from transversals import BaseGraph, KIND_HAM, SubgraphFamily, canonical_transversal, cli, edge, multiplier
 from transversals.cli import main
 
 
@@ -106,6 +113,26 @@ def test_pm_sample_set_with_aliases(tmp_path, capsys):
     )
     assert code == 0
     assert rep["results"]["size"] == 6
+
+
+def test_multiply_computes_each_depth_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (cli, multiplier):
+        for name in ("d_star", "d_cross"):
+            def record(H, members, real=getattr(module, name)):
+                calls.append((H, tuple(members)))
+                return real(H, members)
+            monkeypatch.setattr(module, name, record)
+    pm = str(tmp_path / "pm.json")
+    run_cli(capsys, "gen", "--model", "planted-pm", "--n", "6", "--extra-degree", "2",
+            "--seed", "7", "--out", pm)
+    for path, members in ((gen_witness_file(tmp_path, capsys), "0,3,6"), (pm, "x0,x1,x2,x3,x4,x5")):
+        calls.clear()
+        code, rep = run_cli(capsys, "multiply", "--in", path, "--set", members)
+        assert code == 0 and rep["results"]["count"] >= rep["results"]["required"]
+        # the calls hold every digraph, so no two of them share an id
+        keys = [(id(H), ms) for H, ms in calls]
+        assert keys and len(set(keys)) == len(keys)
 
 
 def test_reports_reproducible_modulo_wall_time(tmp_path, capsys):
@@ -230,6 +257,116 @@ def test_instance_numbers_must_be_json_integers(tmp_path):
     for change in bad_variants:
         path.write_text(json.dumps({**good, **change}))
         assert main(["count", "--in", str(path)]) == 2, change
+
+
+GEN_MODELS = [
+    "--model planted-ham --n 12 --extra-degree 3 --seed 5",
+    "--model planted-pm --n 6 --extra-degree 2 --seed 7",
+    "--model dirac --n 10 --c 0.8 --seed 4",
+    "--model dirac --n 10 --c 0.8 --seed 4 --find-planted",
+    "--model regular-all-equal --n 30 --m 10 --seed 1",
+    "--model witness --n 12 --set 0,3,6,9 --d 3 --seed 1",
+]
+
+
+@pytest.mark.parametrize("model", GEN_MODELS)
+def test_gen_writes_the_bytes_of_json_dump(model, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    assert main(["gen", *model.split(), "--out", str(path)]) == 0
+    text = path.read_text()
+    reference = json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+    assert text == reference
+
+
+@st.composite
+def instance_families(draw):
+    """Cycle-kind families whose subgraphs mix shared, distinct and empty
+    edge sets, with the canonical cycle planted or not."""
+    n = draw(st.integers(3, 8), label="n")
+    planted = draw(st.booleans(), label="planted")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    cycle = [edge(i, (i + 1) % n) for i in range(n)]
+    shared = [draw(st.frozensets(pairs, min_size=1, max_size=5)).union(cycle) for _ in range(2)]
+    # a planted cycle needs edge i in subgraph i, so no subgraph is empty
+    choices = ["shared", "distinct"] if planted else ["shared", "distinct", "empty"]
+    subs = []
+    for i in range(n):
+        choice = draw(st.sampled_from(choices), label=f"subgraph {i}")
+        if choice == "shared":
+            subs.append(shared[draw(st.integers(0, 1))])
+        elif choice == "distinct":
+            subs.append(draw(st.frozensets(pairs, max_size=5)).union(cycle[i:i + 1] if planted else ()))
+        else:
+            subs.append(frozenset())
+    family = SubgraphFamily(BaseGraph(n, set().union(cycle, *subs)), subs, KIND_HAM)
+    return family, canonical_transversal(family) if planted else None
+
+
+@given(instance_families(), st.dictionaries(st.text(max_size=4), st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.text(max_size=4)), max_size=3))
+def test_instance_text_is_json_dump_and_loads_back(case, metadata):
+    family, planted = case
+    obj = cli.instance_to_obj(family, planted, metadata)
+    text = cli._instance_text(obj)
+    assert text == json.dumps(obj, indent=1, sort_keys=True)
+    loaded, loaded_planted, _ = cli.instance_from_obj(json.loads(text))
+    assert loaded == family and loaded_planted == planted
+    first: dict = {}
+    for g in loaded.subgraphs:  # equal rows load as one shared set
+        assert first.setdefault(g, g) is g
+
+
+def _k3_file(tmp_path, rows):
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps({"kind": "hamiltonian", "num_vertices": 3, "subgraphs": rows}))
+    return str(path)
+
+
+K3_ROW = [[0, 1], [1, 2], [0, 2]]
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ([[0, True], [1, 2], [0, 2]], "vertex ids must be integers, got [0, True]"),
+    ([[0, 1.0], [1, 2], [0, 2]], "vertex ids must be integers, got [0, 1.0]"),
+    ([[0, "1"], [1, 2], [0, 2]], "vertex ids must be integers, got [0, '1']"),
+    ([[0, 1, 1], [1, 2], [0, 2]], "too many values to unpack"),
+])
+def test_a_row_equal_to_an_earlier_row_is_still_type_checked(bad_row, message, tmp_path, capsys):
+    path = _k3_file(tmp_path, [K3_ROW, bad_row, K3_ROW])
+    assert main(["count", "--in", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_repeated_reversed_rows_canonicalise_to_one_set(tmp_path):
+    reversed_row = [[1, 0], [2, 1], [2, 0]]
+    family, _, _ = cli.load_instance(_k3_file(tmp_path, [reversed_row, reversed_row, K3_ROW]))
+    assert family.subgraphs[0] is family.subgraphs[1]
+    assert set(family.subgraphs) == {frozenset({(0, 1), (1, 2), (0, 2)})}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loading_restores_the_collector_state(enabled, tmp_path):
+    good = _k3_file(tmp_path, [K3_ROW] * 3)
+    bad = str(tmp_path / "bad.json")
+    Path(bad).write_text("{not json")
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        cli.load_instance(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(cli.InputError):
+            cli.load_instance(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(transversals.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, transversals.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_dirac_gen_with_find_planted(tmp_path, capsys):

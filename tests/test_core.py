@@ -15,12 +15,13 @@ from transversals import (
     cycle_graph,
     edge,
     gen_planted_pm_family,
+    gen_regular_all_equal,
     is_naturally_indexed,
     naturally_index,
     validate_family,
     validate_transversal,
 )
-from transversals.core import require_naturally_indexed
+from transversals.core import ValidationReport, Violation, require_naturally_indexed
 
 from conftest import make_ham_family
 
@@ -65,6 +66,57 @@ def test_family_validation_catches_stray_subgraph_edge():
     rep = validate_family(fam)
     assert not rep.ok
     assert any(v.code == "edge_not_in_base" for v in rep.violations)
+
+
+def _validate_family_per_edge(family):
+    """The per-edge scan validate_family used for every subgraph: the reference."""
+    out = []
+    n = family.num_vertices
+    if family.kind == KIND_HAM:
+        if family.num_colors != n:
+            out.append(
+                Violation("subgraph_count", f"need {n} subgraphs for {n} vertices, got {family.num_colors}")
+            )
+    else:
+        if n % 2 != 0:
+            out.append(Violation("odd_vertex_count", f"matching kind needs even |V|, got {n}"))
+        elif family.num_colors != n // 2:
+            out.append(
+                Violation("subgraph_count", f"need {n // 2} subgraphs for {n} vertices, got {family.num_colors}")
+            )
+    for i, g in enumerate(family.subgraphs):
+        for u, v in sorted(g):
+            if u == v:
+                out.append(Violation("loop_edge", f"subgraph {i} has loop at {u}"))
+            elif not family.base.has_edge(u, v):
+                out.append(Violation("edge_not_in_base", f"subgraph {i} edge ({u},{v}) missing from base"))
+    return ValidationReport(tuple(out))
+
+
+@given(st.integers(2, 9), st.sampled_from([KIND_HAM, KIND_PM]), st.data())
+def test_validate_family_matches_the_per_edge_scan(n, kind, data):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    base = BaseGraph(n, [e for e in data.draw(st.lists(pairs), label="base") if e[0] != e[1]])
+    # a few shared edge sets, some with loops or edges outside the base
+    pool = data.draw(st.lists(st.frozensets(pairs, max_size=6), min_size=1, max_size=3), label="pool")
+    count = data.draw(st.integers(0, n + 1), label="subgraphs")
+    subs = [
+        pool[data.draw(st.integers(0, len(pool) - 1))] if data.draw(st.booleans())
+        else data.draw(st.frozensets(pairs, max_size=6))
+        for _ in range(count)
+    ]
+    family = SubgraphFamily(base, subs, kind)
+    assert validate_family(family) == _validate_family_per_edge(family)
+
+
+def test_equal_subgraph_objects_stay_shared():
+    shared = [(1, 0), (2, 1)]
+    fam = SubgraphFamily(complete_graph(3), [shared, shared, [(0, 2)]], KIND_HAM)
+    assert fam.subgraphs[0] is fam.subgraphs[1]
+    assert fam.subgraphs[0] == frozenset({(0, 1), (1, 2)})
+    assert fam.subgraphs[2] == frozenset({(0, 2)})
+    fam, _ = gen_regular_all_equal(20, 4, 1)
+    assert all(g is fam.subgraphs[0] for g in fam.subgraphs)
 
 
 def test_family_kind_is_checked():
