@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from itertools import chain
+from operator import le
 from typing import Optional
 
 from . import oracle
@@ -150,15 +151,18 @@ def _json_edge(pair) -> Edge:
 
 
 def _json_subgraphs(rows) -> list[frozenset[Edge]]:
-    """One canonical edge set per distinct row; equal rows share it.
+    """One edge set per distinct row, equal rows sharing it.
 
     Each row's shape and types are checked on their own before the row is
     looked up by value: 1, 1.0 and true compare and hash equal, so a
-    lookup alone would let [[0, true]] pass as an earlier [[0, 1]]. A row
-    that fails the check goes through ``_json_edge``, which names the bad
-    pair.
+    lookup alone would let [[0, true]] pass as an earlier [[0, 1]]. A
+    checked row becomes a set without a per-pair Python call, leaving the
+    per-edge pass to ``SubgraphFamily``; only a row holding a reversed pair
+    is ordered here, as the union of the rows may become the base graph,
+    whose errors name pairs as ``edge()`` orders them. A row that fails
+    the check goes through ``_json_edge``, which names the bad pair.
     """
-    canon: dict[tuple[int, ...], frozenset[Edge]] = {}
+    sets: dict[tuple[int, ...], frozenset[Edge]] = {}
     out = []
     for g in rows:
         try:
@@ -169,9 +173,12 @@ def _json_subgraphs(rows) -> list[frozenset[Edge]]:
         if flat is None or not set(map(type, flat)) <= {int}:
             out.append(frozenset(map(_json_edge, g)))
             continue
-        s = canon.get(flat)
+        s = sets.get(flat)
         if s is None:
-            s = canon[flat] = frozenset(map(_json_edge, g))
+            us, vs = flat[::2], flat[1::2]
+            s = sets[flat] = frozenset(
+                zip(us, vs) if all(map(le, us, vs)) else map(edge, us, vs)
+            )
         out.append(s)
     return out
 
@@ -486,7 +493,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
     if family.kind == KIND_HAM:
         H = build_full_ryb(fam_c, t_c)
         d = d_star(H, ms)
-        out_c = many_ham_transversals(fam_c, t_c, ms, H, d=d)
+        out_c = many_ham_transversals(fam_c, t_c, ms, H)
         metric_name = "d_star"
         omega = (
             enumerate_omega_ham(fam_c, t_c, ms)
@@ -496,7 +503,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
     else:
         H = build_full_rb(fam_c, t_c)
         d = d_cross(H, ms)
-        out_c = many_pm_transversals(fam_c, t_c, ms, H, d=d)
+        out_c = many_pm_transversals(fam_c, t_c, ms, H)
         metric_name = "d_cross"
         omega = enumerate_omega_pm(fam_c, t_c, ms) if fam_c.num_pairs <= 8 else None
     required = math.factorial(d + 1)

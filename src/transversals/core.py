@@ -126,14 +126,15 @@ class SubgraphFamily:
             raise ValueError(f"unknown family kind {self.kind!r}")
         # keyed by id, not by value: hashing every set would cost the many
         # small child families of the multiplication more than it saves;
-        # the tuple keeps each input alive, so no id is reused meanwhile
+        # the tuple keeps each input alive, so no id is reused meanwhile;
+        # edge() is inlined, which pays for the memo in those families
         given = tuple(self.subgraphs)
         canon: dict[int, frozenset[Edge]] = {}
         subs = []
         for g in given:
             c = canon.get(id(g))
             if c is None:
-                c = canon[id(g)] = frozenset(edge(u, v) for u, v in g)
+                c = canon[id(g)] = frozenset([(u, v) if u <= v else (v, u) for u, v in g])
             subs.append(c)
         object.__setattr__(self, "subgraphs", tuple(subs))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     BaseGraph,
@@ -290,24 +290,16 @@ def _set_endpoint(e: Edge, s: frozenset[int]) -> int:
 
 
 def many_ham_transversals(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    H: RybDigraph,
-    *,
-    d: Optional[int] = None,
+    family: SubgraphFamily, base: Transversal, members: Sequence[int], H: RybDigraph
 ) -> list[Transversal]:
     """At least (d+1)! distinct transversals, d the support depth of members.
 
-    H is the full digraph ``build_full_ryb(family, base)``. A caller that
-    has already computed ``d_star(H, members)`` passes it as d. All outputs
-    lie in the exchange neighborhood of (base, members) and include base
-    itself.
+    H is the full digraph ``build_full_ryb(family, base)``. All outputs lie
+    in the exchange neighborhood of (base, members) and include base itself.
     """
     require_naturally_indexed(family, base)
     ms = tuple(sorted(set(members)))
-    if d is None:
-        d = d_star(H, ms)
+    d = d_star(H, ms)
     if d < 1:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
     out = sorted(set(_many_ham(family, base, ms, H, d)), key=lambda t: t.items)
@@ -368,22 +360,15 @@ def _pm_child(family: SubgraphFamily, wit: Transversal, e: Edge):
 
 
 def many_pm_transversals(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    H: RbDigraph,
-    *,
-    d: Optional[int] = None,
+    family: SubgraphFamily, base: Transversal, members: Sequence[int], H: RbDigraph
 ) -> list[Transversal]:
     """At least (d+1)! distinct matchings, d the blue escape depth.
 
-    H is the full digraph ``build_full_rb(family, base)``. A caller that
-    has already computed ``d_cross(H, members)`` passes it as d.
+    H is the full digraph ``build_full_rb(family, base)``.
     """
     require_naturally_indexed(family, base)
     ms = tuple(sorted(set(members)))
-    if d is None:
-        d = d_cross(H, ms)
+    d = d_cross(H, ms)
     out = sorted(set(_many_pm(family, base, ms, H, d)), key=lambda t: t.items)
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import transversals
-from transversals import BaseGraph, KIND_HAM, SubgraphFamily, canonical_transversal, cli, edge, multiplier
+from transversals import BaseGraph, KIND_HAM, SubgraphFamily, canonical_transversal, cli, edge
 from transversals.cli import main
 
 
@@ -113,26 +113,6 @@ def test_pm_sample_set_with_aliases(tmp_path, capsys):
     )
     assert code == 0
     assert rep["results"]["size"] == 6
-
-
-def test_multiply_computes_each_depth_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    for module in (cli, multiplier):
-        for name in ("d_star", "d_cross"):
-            def record(H, members, real=getattr(module, name)):
-                calls.append((H, tuple(members)))
-                return real(H, members)
-            monkeypatch.setattr(module, name, record)
-    pm = str(tmp_path / "pm.json")
-    run_cli(capsys, "gen", "--model", "planted-pm", "--n", "6", "--extra-degree", "2",
-            "--seed", "7", "--out", pm)
-    for path, members in ((gen_witness_file(tmp_path, capsys), "0,3,6"), (pm, "x0,x1,x2,x3,x4,x5")):
-        calls.clear()
-        code, rep = run_cli(capsys, "multiply", "--in", path, "--set", members)
-        assert code == 0 and rep["results"]["count"] >= rep["results"]["required"]
-        # the calls hold every digraph, so no two of them share an id
-        keys = [(id(H), ms) for H, ms in calls]
-        assert keys and len(set(keys)) == len(keys)
 
 
 def test_reports_reproducible_modulo_wall_time(tmp_path, capsys):
@@ -342,6 +322,13 @@ def test_repeated_reversed_rows_canonicalise_to_one_set(tmp_path):
     family, _, _ = cli.load_instance(_k3_file(tmp_path, [reversed_row, reversed_row, K3_ROW]))
     assert family.subgraphs[0] is family.subgraphs[1]
     assert set(family.subgraphs) == {frozenset({(0, 1), (1, 2), (0, 2)})}
+
+
+def test_a_reversed_pair_outside_the_graph_is_named_in_order(tmp_path, capsys):
+    # the base is the union of the rows, so its error names the pair as edge() orders it
+    row = [[0, 1], [5, 2]]
+    assert main(["count", "--in", _k3_file(tmp_path, [row, row, K3_ROW])]) == 2
+    assert "edge (2,5) outside vertex range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("enabled", [True, False])
