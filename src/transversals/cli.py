@@ -41,7 +41,14 @@ from .core import (
     validate_family,
     validate_transversal,
 )
-from .digraphs import build_full_rb, build_full_ryb, d_cross, d_star
+from .digraphs import (
+    build_full_rb,
+    build_full_ryb,
+    d_cross,
+    d_star,
+    omega_member_ham,
+    omega_member_pm,
+)
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -251,12 +258,6 @@ def load_instance(path: str):
             gc.enable()
 
 
-def require_planted(planted: Optional[Transversal]) -> Transversal:
-    if planted is None:
-        raise InputError("this command needs an instance file with a planted transversal")
-    return planted
-
-
 def parse_set_spec(spec: str, family: SubgraphFamily) -> tuple[int, ...]:
     """Comma-separated vertices; matching instances accept x3/y3 aliases."""
     n = family.num_vertices
@@ -284,9 +285,29 @@ def parse_set_spec(spec: str, family: SubgraphFamily) -> tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
-def _canonicalize(family, planted):
+def _prepare(args, kind=None):
+    """Load a planted instance, relabel it canonically and build its digraph.
+
+    In order: load; require the planted transversal; parse ``--set``
+    unless ``kind`` is given (``sample-set`` takes no set and passes the
+    kind its method needs); relabel with ``naturally_index``; check the
+    kind; map the set; build H. Returns the file's family, transversal and
+    set, their canonical forms, H, the map back to the file's labels, and
+    the depth function with its report name.
+    """
+    family, planted, _ = load_instance(args.infile)
+    if planted is None:
+        raise InputError("this command needs an instance file with a planted transversal")
+    members = parse_set_spec(args.set, family) if kind is None else ()
     fam_c, t_c, idx = naturally_index(family, planted)
-    return fam_c, t_c, idx, idx.inverse()
+    if kind not in (None, fam_c.kind):
+        raise InputError(f"method {args.method} needs a {kind} instance")
+    ms = idx.map_vertices(members)
+    if fam_c.kind == KIND_HAM:
+        H, depth, metric = build_full_ryb(fam_c, t_c), d_star, "d_star"
+    else:
+        H, depth, metric = build_full_rb(fam_c, t_c), d_cross, "d_cross"
+    return family, planted, members, fam_c, t_c, ms, H, idx.inverse(), depth, metric
 
 
 def cmd_gen(args) -> tuple[dict, list, int]:
@@ -326,8 +347,7 @@ def cmd_gen(args) -> tuple[dict, list, int]:
         family, planted = gen_witness_instance_ham(args.n, members, args.d, args.seed)
     else:
         raise InputError(f"unknown model {model!r}")
-    metadata = {k: v for k, v in params.items()}
-    obj = instance_to_obj(family, planted, metadata)
+    obj = instance_to_obj(family, planted, params)
     with open(args.out, "w") as fh:
         fh.write(_instance_text(obj) + "\n")
     results = {
@@ -354,7 +374,7 @@ def cmd_count(args) -> tuple[dict, list, int]:
     except BudgetExceeded as exc:
         results = {
             "status": "inconclusive",
-            "partial_count": len(exc.partial),
+            "partial_count": exc.found,
             "nodes": exc.nodes,
         }
         return results, [f"search budget exhausted: {exc}"], EXIT_BUDGET
@@ -362,15 +382,8 @@ def cmd_count(args) -> tuple[dict, list, int]:
 
 
 def cmd_second(args) -> tuple[dict, list, int]:
-    family, planted, _ = load_instance(args.infile)
-    planted = require_planted(planted)
-    members = parse_set_spec(args.set, family)
-    fam_c, t_c, idx, inv = _canonicalize(family, planted)
-    ms = idx.map_vertices(members)
-    if family.kind == KIND_HAM:
-        from .digraphs import omega_member_ham
-
-        H = build_full_ryb(fam_c, t_c)
+    family, planted, members, fam_c, t_c, ms, H, inv, depth, metric = _prepare(args)
+    if fam_c.kind == KIND_HAM:
         t2_c, trace = ham_exchange(fam_c, t_c, ms, H)
         omega_ok = omega_member_ham(t_c, ms, t2_c)
         provenance = {
@@ -378,11 +391,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
             "trace_states": len(trace.states),
             "pivot_edges": [list(e) for e in trace.pivots],
         }
-        metric = {"metric": "d_star", "value": d_star(H, ms)}
     else:
-        from .digraphs import omega_member_pm
-
-        H = build_full_rb(fam_c, t_c)
         t2_c, cyc = pm_exchange(fam_c, t_c, ms, H)
         omega_ok = omega_member_pm(t_c, ms, t2_c)
         provenance = {
@@ -390,17 +399,16 @@ def cmd_second(args) -> tuple[dict, list, int]:
             "cycle_arcs": [list(a) for a in cyc.arcs],
             "cycle_length": cyc.length(),
         }
-        metric = {"metric": "d_cross", "value": d_cross(H, ms)}
     t2 = inv.apply_to_transversal(t2_c)
-    valid = validate_transversal(family, t2).ok
     results = {
         "set": list(members),
         "second": transversal_to_obj(t2),
-        "valid": valid,
+        "valid": validate_transversal(family, t2).ok,
         "distinct": t2 != planted,
         "omega_member": omega_ok,
         "provenance": provenance,
-        **metric,
+        "metric": metric,
+        "value": depth(H, ms),
     }
     return results, [], EXIT_OK
 
@@ -429,9 +437,8 @@ def _write_debug_log(path: Optional[str], records) -> None:
 
 
 def cmd_sample_set(args) -> tuple[dict, list, int]:
-    family, planted, _ = load_instance(args.infile)
-    planted = require_planted(planted)
-    fam_c, t_c, idx, inv = _canonicalize(family, planted)
+    kind = KIND_PM if args.method == "pm" else KIND_HAM
+    family, _, _, _, _, _, H, inv, _, metric = _prepare(args, kind)
     m = args.m if args.m is not None else family.base.max_degree()
     cfg = SamplerConfig(
         seed=args.seed,
@@ -442,20 +449,7 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
         m=m,
         c=args.c,
     )
-    if args.method in ("lll-ham", "dirac"):
-        if fam_c.kind != KIND_HAM:
-            raise InputError(f"method {args.method} needs a hamiltonian instance")
-        H = build_full_ryb(fam_c, t_c)
-        run = sample_set_lll_ham if args.method == "lll-ham" else sample_set_dirac
-        metric_name = "d_star"
-    elif args.method == "pm":
-        if fam_c.kind != KIND_PM:
-            raise InputError("method pm needs a perfect_matching instance")
-        H = build_full_rb(fam_c, t_c)
-        run = sample_set_pm
-        metric_name = "d_cross"
-    else:
-        raise InputError(f"unknown method {args.method!r}")
+    run = {"lll-ham": sample_set_lll_ham, "dirac": sample_set_dirac, "pm": sample_set_pm}[args.method]
     try:
         outcome = run(H, cfg)
     except ResampleBudgetExceeded as exc:
@@ -474,7 +468,7 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
         "status": "ok",
         "members": original_members,
         "size": len(cand),
-        "metric": metric_name,
+        "metric": metric,
         "depth": cand.metrics.depth,
         "red_independent": cand.metrics.red_independent,
         "resamples": outcome.resamples,
@@ -484,32 +478,22 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
 
 
 def cmd_multiply(args) -> tuple[dict, list, int]:
-    family, planted, _ = load_instance(args.infile)
-    planted = require_planted(planted)
-    members = parse_set_spec(args.set, family)
-    fam_c, t_c, idx, inv = _canonicalize(family, planted)
-    ms = idx.map_vertices(members)
-    warnings: list[str] = []
-    if family.kind == KIND_HAM:
-        H = build_full_ryb(fam_c, t_c)
-        d = d_star(H, ms)
+    _, _, members, fam_c, t_c, ms, H, inv, depth, metric = _prepare(args)
+    d = depth(H, ms)
+    if fam_c.kind == KIND_HAM:
         out_c = many_ham_transversals(fam_c, t_c, ms, H)
-        metric_name = "d_star"
         omega = (
             enumerate_omega_ham(fam_c, t_c, ms)
             if fam_c.num_vertices <= 12 and len(ms) <= 4
             else None
         )
     else:
-        H = build_full_rb(fam_c, t_c)
-        d = d_cross(H, ms)
         out_c = many_pm_transversals(fam_c, t_c, ms, H)
-        metric_name = "d_cross"
         omega = enumerate_omega_pm(fam_c, t_c, ms) if fam_c.num_pairs <= 8 else None
     required = math.factorial(d + 1)
     results = {
         "set": list(members),
-        "metric": metric_name,
+        "metric": metric,
         "d": d,
         "required": required,
         "count": len(out_c),
@@ -525,7 +509,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
             "outputs_in_omega": in_omega,
             "omega_at_least_required": len(omega) >= required,
         }
-    return results, warnings, EXIT_OK
+    return results, [], EXIT_OK
 
 
 def cmd_bounds(args) -> tuple[dict, list, int]:
@@ -578,10 +562,7 @@ def cmd_bounds(args) -> tuple[dict, list, int]:
         return {"alpha": args.alpha, "m": args.m, "threshold": value}, [], EXIT_OK
     if bid in BOUND_IDS:
         params = {}
-        for name in ("m", "n", "t"):
-            if getattr(args, name) is not None:
-                params[name] = getattr(args, name)
-        for name in ("c", "epsilon", "alpha"):
+        for name in ("m", "n", "t", "c", "epsilon", "alpha"):
             if getattr(args, name) is not None:
                 params[name] = getattr(args, name)
         value = factorial_bounds(bid, **params)

@@ -58,12 +58,17 @@ class NoBlueEscape(TransversalError):
 
 
 class BudgetExceeded(TransversalError):
-    """Search budget exhausted; ``partial`` holds results found so far."""
+    """Search budget exhausted after ``found`` results.
 
-    def __init__(self, message, partial=(), nodes=0):
+    ``partial`` holds the results found so far, or nothing when the search
+    only counted them.
+    """
+
+    def __init__(self, message, partial=(), nodes=0, found=0):
         super().__init__(message)
         self.partial = list(partial)
         self.nodes = nodes
+        self.found = found
 
 
 class ResampleBudgetExceeded(TransversalError):

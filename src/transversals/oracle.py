@@ -31,9 +31,17 @@ class SearchBudget:
 
 
 class _Search:
-    def __init__(self, budget: SearchBudget):
+    """Node and result budget of one search, and what it found.
+
+    ``kind`` given, each solution is kept as a ``Transversal`` in
+    ``results``; without it the search only counts them in ``found``.
+    """
+
+    def __init__(self, budget: SearchBudget, kind: str | None = None):
         self.budget = budget
+        self.kind = kind
         self.nodes = 0
+        self.found = 0
         self.start = time.perf_counter()
         self.results: list[Transversal] = []
 
@@ -41,14 +49,19 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise BudgetExceeded(
-                f"node budget {self.budget.max_nodes} exhausted", self.results, self.nodes
+                f"node budget {self.budget.max_nodes} exhausted", self.results, self.nodes, self.found
             )
         if self.budget.time_limit_s is not None and self.nodes % 1024 == 0:
             if time.perf_counter() - self.start > self.budget.time_limit_s:
-                raise BudgetExceeded("time budget exhausted", self.results, self.nodes)
+                raise BudgetExceeded("time budget exhausted", self.results, self.nodes, self.found)
+
+    def solution(self, assignment: dict[Edge, int]) -> None:
+        self.found += 1
+        if self.kind is not None:
+            self.results.append(Transversal.from_map(self.kind, assignment))
 
     def full(self) -> bool:
-        return self.budget.max_results is not None and len(self.results) >= self.budget.max_results
+        return self.budget.max_results is not None and self.found >= self.budget.max_results
 
 
 def _edge_options(family: SubgraphFamily) -> dict[Edge, tuple[int, ...]]:
@@ -80,9 +93,7 @@ def _colors_feasible(chosen: Sequence[Edge], options: dict[Edge, tuple[int, ...]
     return True
 
 
-def _assign_colors(
-    search: _Search, kind: str, edges: list[Edge], options: dict[Edge, tuple[int, ...]]
-):
+def _assign_colors(search: _Search, edges: list[Edge], options: dict[Edge, tuple[int, ...]]):
     """Enumerate all bijective colorings of a fixed edge set."""
     n = len(edges)
     order = sorted(range(n), key=lambda i: len(options[edges[i]]))
@@ -93,7 +104,7 @@ def _assign_colors(
         if search.full():
             return
         if k == n:
-            search.results.append(Transversal.from_map(kind, assignment))
+            search.solution(assignment)
             return
         e = edges[order[k]]
         for c in options[e]:
@@ -111,18 +122,12 @@ def _assign_colors(
     rec(0)
 
 
-def enumerate_all_ham_transversals(
-    family: SubgraphFamily, budget: SearchBudget | None = None
-) -> list[Transversal]:
-    """Every (cycle, coloring) transversal, canonically sorted.
-
-    Cycles are rooted at vertex 0 with the smaller second vertex, so each
-    cycle appears once; colorings are enumerated per cycle.
-    """
+def _search_ham(family: SubgraphFamily, budget: SearchBudget | None, kind: str | None = None) -> _Search:
+    """Cycles rooted at vertex 0 with the smaller second vertex, so each
+    cycle is found once; colorings are enumerated per cycle."""
     if family.kind != KIND_HAM:
         raise ValueError("hamiltonian enumeration needs a hamiltonian family")
-    budget = budget or SearchBudget()
-    search = _Search(budget)
+    search = _Search(budget or SearchBudget(), kind)
     n = family.num_vertices
     options = _edge_options(family)
     base = family.base
@@ -139,7 +144,7 @@ def enumerate_all_ham_transversals(
             if base.has_edge(u, 0) and path[1] < path[-1]:
                 closing = edge(u, 0)
                 if _colors_feasible(chosen + [closing], options):
-                    _assign_colors(search, KIND_HAM, chosen + [closing], options)
+                    _assign_colors(search, chosen + [closing], options)
             return
         for v in base.neighbors(u):
             if used[v]:
@@ -158,17 +163,15 @@ def enumerate_all_ham_transversals(
                 return
 
     extend()
-    return sorted(search.results, key=lambda t: t.items)
+    return search
 
 
-def enumerate_all_pm_transversals(
-    family: SubgraphFamily, budget: SearchBudget | None = None
-) -> list[Transversal]:
-    """Every (perfect matching, coloring) transversal, canonically sorted."""
+def _search_pm(family: SubgraphFamily, budget: SearchBudget | None, kind: str | None = None) -> _Search:
+    """Matchings built by pairing the lowest unmatched vertex, each edge
+    colored as it is added."""
     if family.kind != KIND_PM:
         raise ValueError("matching enumeration needs a matching family")
-    budget = budget or SearchBudget()
-    search = _Search(budget)
+    search = _Search(budget or SearchBudget(), kind)
     n = family.num_vertices
     options = _edge_options(family)
     base = family.base
@@ -181,7 +184,7 @@ def enumerate_all_pm_transversals(
             return
         u = next((v for v in range(n) if not matched[v]), None)
         if u is None:
-            search.results.append(Transversal.from_map(KIND_PM, assignment))
+            search.solution(assignment)
             return
         matched[u] = True
         for w in base.neighbors(u):
@@ -206,15 +209,31 @@ def enumerate_all_pm_transversals(
         matched[u] = False
 
     rec()
-    return sorted(search.results, key=lambda t: t.items)
+    return search
+
+
+def enumerate_all_ham_transversals(
+    family: SubgraphFamily, budget: SearchBudget | None = None
+) -> list[Transversal]:
+    """Every (cycle, coloring) transversal, canonically sorted."""
+    return sorted(_search_ham(family, budget, KIND_HAM).results, key=lambda t: t.items)
+
+
+def enumerate_all_pm_transversals(
+    family: SubgraphFamily, budget: SearchBudget | None = None
+) -> list[Transversal]:
+    """Every (perfect matching, coloring) transversal, canonically sorted."""
+    return sorted(_search_pm(family, budget, KIND_PM).results, key=lambda t: t.items)
 
 
 def count_ham_transversals(family: SubgraphFamily, budget: SearchBudget | None = None) -> int:
-    return len(enumerate_all_ham_transversals(family, budget))
+    """The number of transversals ``enumerate_all_ham_transversals`` finds, none of them built."""
+    return _search_ham(family, budget).found
 
 
 def count_pm_transversals(family: SubgraphFamily, budget: SearchBudget | None = None) -> int:
-    return len(enumerate_all_pm_transversals(family, budget))
+    """The number of transversals ``enumerate_all_pm_transversals`` finds, none of them built."""
+    return _search_pm(family, budget).found
 
 
 def exists_ham_transversal(

@@ -14,9 +14,11 @@ from transversals import (
     enumerate_all_ham_transversals,
     enumerate_all_pm_transversals,
     exists_ham_transversal,
+    gen_dirac_family,
     gen_planted_ham_family,
     gen_planted_pm_family,
     permanent,
+    oracle,
     validate_transversal,
 )
 
@@ -80,6 +82,33 @@ def test_budget_exhaustion_carries_partial():
         enumerate_all_ham_transversals(fam, SearchBudget(max_nodes=500))
     assert exc.value.nodes >= 500
     assert all(validate_transversal(fam, t).ok for t in exc.value.partial)
+
+
+def test_counting_builds_no_transversal(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("a count built a Transversal")
+
+    k6 = gen_dirac_family(6, 1.0, seed=1)
+    pm = gen_planted_pm_family(5, 2, seed=0)[0]
+    expected = len(enumerate_all_pm_transversals(pm))
+    monkeypatch.setattr(oracle, "Transversal", refuse)
+    assert count_ham_transversals(k6) == 43200  # 5!/2 cycles of K6, 6! colorings each
+    assert count_pm_transversals(pm) == expected
+    with pytest.raises(BudgetExceeded) as exc:
+        count_ham_transversals(k6, SearchBudget(max_nodes=500))
+    assert exc.value.partial == [] and exc.value.found > 0
+
+
+def test_budget_exhaustion_counts_what_enumeration_keeps():
+    base = complete_graph(8)
+    fam = SubgraphFamily(base, [base.edge_set] * 8, KIND_HAM)
+    for budget in (SearchBudget(max_nodes=500), SearchBudget(max_nodes=2000)):
+        with pytest.raises(BudgetExceeded) as kept:
+            enumerate_all_ham_transversals(fam, budget)
+        with pytest.raises(BudgetExceeded) as counted:
+            count_ham_transversals(fam, budget)
+        assert kept.value.found == len(kept.value.partial) == counted.value.found
+        assert kept.value.nodes == counted.value.nodes
 
 
 def test_max_results_stops_early():

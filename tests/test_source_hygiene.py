@@ -56,3 +56,26 @@ def test_every_private_helper_is_read():
         and node.name not in read
     ]
     assert unread == []
+
+
+def test_no_function_imports_from_the_package():
+    # a module-level name is what the benchmark tracer rebinds; a
+    # function-local import would look the name up where it is defined
+    found = set()  # a nested function's imports are met twice
+    for path, tree in _modules():
+        if path.parent != PACKAGE:
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                own = (
+                    isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or (node.module or "").split(".")[0] == "transversals")
+                ) or (
+                    isinstance(node, ast.Import)
+                    and any(a.name.split(".")[0] == "transversals" for a in node.names)
+                )
+                if own:
+                    found.add(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert sorted(found) == []
