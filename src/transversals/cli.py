@@ -4,7 +4,8 @@ Subcommands: gen, count, second, sample-set, multiply, bounds. Every
 report is a JSON object on stdout whose fields other than wall_time_s
 are a pure function of the inputs and the seed. Exit codes: 0 success,
 2 input error, 3 budget or resample cap exhausted, 4 precondition
-violated by otherwise well-formed input.
+violated by otherwise well-formed input, 5 internal error (a guarantee
+check failed, which signals a bug, not bad input).
 
 Instance files are JSON: kind (``KIND_HAM`` = "hamiltonian" or
 ``KIND_PM`` = "perfect_matching", the same values the library uses),
@@ -52,8 +53,11 @@ from .digraphs import (
 from .errors import (
     BudgetExceeded,
     DomainError,
+    GuaranteeViolated,
+    RecolorConflict,
     ResampleBudgetExceeded,
     TransversalError,
+    WalkStuck,
 )
 from .exchange import ham_exchange, pm_exchange
 from .generators import (
@@ -85,8 +89,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 _BUDGET_ERRORS = (BudgetExceeded, ResampleBudgetExceeded)
+_INTERNAL_ERRORS = (GuaranteeViolated, WalkStuck, RecolorConflict)
 
 
 class InputError(ValueError):
@@ -653,6 +659,9 @@ def main(argv=None) -> int:
     except _BUDGET_ERRORS as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except TransversalError as exc:
         print(f"precondition failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

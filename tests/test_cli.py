@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import transversals
-from transversals import BaseGraph, KIND_HAM, SubgraphFamily, canonical_transversal, cli, edge
+from transversals import (
+    BaseGraph,
+    GuaranteeViolated,
+    KIND_HAM,
+    SubgraphFamily,
+    canonical_transversal,
+    cli,
+    edge,
+)
 from transversals.cli import main
 
 
@@ -153,6 +161,19 @@ def test_exit_code_precondition(tmp_path, capsys):
         "gen", "--model", "witness", "--n", "9", "--set", "0,3,6",
         "--d", "9", "--seed", "1", "--out", str(tmp_path / "x.json"),
     ]) == 4
+
+
+def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
+    path = gen_witness_file(tmp_path, capsys)
+
+    def fall_short(*args):
+        raise GuaranteeViolated("multiplication fell short of (d+1)!")
+
+    monkeypatch.setattr(cli, "many_ham_transversals", fall_short)
+    assert main(["multiply", "--in", path, "--set", "0,3,6"]) == cli.EXIT_INTERNAL == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: GuaranteeViolated: multiplication fell short of (d+1)!\n"
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from transversals import (
     DStarTooSmall,
@@ -65,6 +66,23 @@ def test_omega_pm_equals_permanent():
         assert len(set(om)) == len(om)
         for psi in om:
             assert omega_member_pm(t, S, psi)
+
+
+@st.composite
+def planted_pm_with_set(draw):
+    """(family, planted, S): a planted-pm family with n <= 7 pairs and a
+    set holding one endpoint of each planted pair."""
+    n = draw(st.integers(1, 7), label="pairs")
+    extra = draw(st.integers(0, n - 1), label="extra degree")
+    fam, t = gen_planted_pm_family(n, extra, seed=draw(st.integers(0, 2**16), label="seed"))
+    high = draw(st.lists(st.booleans(), min_size=n, max_size=n), label="high endpoint")
+    return fam, t, tuple(i + n if h else i for i, h in enumerate(high))
+
+
+@given(planted_pm_with_set())
+def test_omega_pm_count_is_the_permanent(case):
+    fam, t, S = case
+    assert len(enumerate_omega_pm(fam, t, S)) == permanent(omega_admissibility_matrix(fam, S))
 
 
 def test_saturated_vertex_ham_accumulates_enough_targets():

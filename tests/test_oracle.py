@@ -1,4 +1,8 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from transversals import (
     BaseGraph,
@@ -120,6 +124,7 @@ def test_max_results_stops_early():
 
 
 def test_permanent_small_matrices():
+    assert permanent([]) == 1
     assert permanent([[1]]) == 1
     assert permanent([[1, 0], [0, 1]]) == 1
     assert permanent([[1, 1], [1, 1]]) == 2
@@ -127,3 +132,36 @@ def test_permanent_small_matrices():
     assert permanent([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
     # permanent is row-permutation invariant
     assert permanent([[0, 1, 1], [1, 1, 0], [1, 0, 1]]) == 2
+
+
+def _permanent_by_permutations(matrix):
+    rows = range(len(matrix))
+    return sum(
+        math.prod(matrix[i][p[i]] for i in rows) for p in itertools.permutations(rows)
+    )
+
+
+# one_of picks a branch uniformly, so about half the entries are 0 and
+# row sums often cancel to 0 under mixed signs
+_small_entries = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.lists(st.lists(_small_entries, min_size=k, max_size=k), min_size=k, max_size=k)
+))
+def test_permanent_matches_the_sum_over_permutations(matrix):
+    assert permanent(matrix) == _permanent_by_permutations(matrix)
+
+
+def test_permanent_is_exact_beyond_float_precision():
+    big = 2**80
+    matrix = [[big + 3 * i - j if (i + j) % 4 else -big - i for j in range(5)] for i in range(5)]
+    assert permanent(matrix) == _permanent_by_permutations(matrix)
+    # all entries equal: per(cJ_k) = k! c^k, which a float would round
+    assert permanent([[big + 1] * 5 for _ in range(5)]) == 120 * (big + 1) ** 5
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1], [2]]])
+def test_permanent_rejects_a_ragged_or_non_square_matrix(matrix):
+    with pytest.raises(ValueError, match="square"):
+        permanent(matrix)
