@@ -15,8 +15,9 @@ The values are also the ``kind`` tags of the instance files.
 
 The canonical ("naturally indexed") labelling puts the cycle on
 0,1,...,n-1 with edge(i, i+1 mod n) colored i, or pairs vertex i with
-n+i colored i. Everything downstream assumes it; ``naturally_index``
-produces it from any valid transversal.
+n+i colored i. Everything downstream assumes it. ``canonical_tables``
+states the rule once and ``relabel`` rebuilds a family from its tables;
+``naturally_index`` and the multiplication's children both use them.
 """
 
 from __future__ import annotations
@@ -349,6 +350,42 @@ def canonical_transversal(family: SubgraphFamily) -> Transversal:
     return Transversal.from_map(KIND_PM, {edge(i, n + i): i for i in range(n)})
 
 
+def canonical_tables(
+    t: Transversal, drop: Edge | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """New-to-old vertex and color tables of the canonical labelling of t.
+
+    New vertex k is old vertex ``vinv[k]`` and new color k is old color
+    ``cinv[k]``. Cycle kind: the cycle is walked from vertex 0 toward its
+    smaller neighbor, and position k takes the color of the edge to
+    position k+1. Matching kind: the pairs are taken in color order,
+    leaving out ``drop`` if given; the k-th becomes (k, n+k), smaller
+    endpoint low, colored k.
+    """
+    if t.kind == KIND_HAM:
+        order, cols = t.cycle_sequence(), t.colors()
+        return order, tuple(cols[edge(u, v)] for u, v in zip(order, order[1:] + order[:1]))
+    kept = sorted((c, uv) for uv, c in t.items if uv != drop)
+    return tuple(u for _, (u, _) in kept) + tuple(v for _, (_, v) in kept), tuple(c for c, _ in kept)
+
+
+def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> SubgraphFamily:
+    """The family under new-to-old tables: vertex k is old ``vinv[k]``,
+    subgraph k is old ``cinv[k]``, and edges touching a vertex left out of
+    ``vinv`` are dropped. Identity tables return the family itself."""
+    if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
+        return family
+    new = [-1] * family.num_vertices
+    for k, v in enumerate(vinv):
+        new[v] = k
+
+    def pairs(edges) -> list[Edge]:
+        return [(new[u], new[v]) for u, v in edges if new[u] >= 0 and new[v] >= 0]
+
+    subs = [pairs(family.subgraphs[c]) for c in cinv]
+    return SubgraphFamily(BaseGraph(len(vinv), pairs(family.base.edge_set)), subs, family.kind)
+
+
 @dataclass(frozen=True)
 class NaturalIndexing:
     """Vertex and color permutations taking an instance to canonical form.
@@ -381,11 +418,8 @@ class NaturalIndexing:
         return tuple(sorted(self.vertex_perm[v] for v in vs))
 
     def apply_to_family(self, family: SubgraphFamily) -> SubgraphFamily:
-        base = BaseGraph(family.num_vertices, [self.map_edge(e) for e in family.base.edges()])
-        subs: list[frozenset[Edge]] = [frozenset()] * family.num_colors
-        for old_color, g in enumerate(family.subgraphs):
-            subs[self.color_perm[old_color]] = frozenset(self.map_edge(e) for e in g)
-        return SubgraphFamily(base, tuple(subs), family.kind)
+        inv = self.inverse()
+        return relabel(family, inv.vertex_perm, inv.color_perm)
 
     def apply_to_transversal(self, t: Transversal) -> Transversal:
         return Transversal.from_map(
@@ -398,41 +432,19 @@ def naturally_index(
 ) -> tuple[SubgraphFamily, Transversal, NaturalIndexing]:
     """Relabel vertices and reorder subgraphs so t becomes canonical.
 
-    Cycle kind: the cycle is walked from original vertex 0 toward its
-    smaller-labelled cycle neighbor, so an already-canonical input maps to
-    itself under the identity. Matching kind: the pair colored c becomes
-    (c, n+c) with the smaller original endpoint on the low side; the color
-    order is untouched.
-
-    A valid t that is already canonical returns the family and t
-    themselves with the identity indexing, without rebuilding anything.
+    The labelling is the one ``canonical_tables`` gives; a matching keeps
+    its color order. A valid t that is already canonical returns the
+    family and t themselves with the identity indexing, rebuilding nothing.
     """
     report = validate_transversal(family, t)
     if not report.ok:
         raise InvalidTransversal(f"cannot index invalid transversal: {report.summary()}", report)
-    if is_naturally_indexed(family, t):
-        identity = NaturalIndexing(tuple(range(family.num_vertices)), tuple(range(family.num_colors)))
-        return family, t, identity
-    if family.kind == KIND_HAM:
-        n = family.num_vertices
-        order = t.cycle_sequence()
-        vperm = [0] * n
-        for pos, v in enumerate(order):
-            vperm[v] = pos
-        cperm = [0] * n
-        cols = t.colors()
-        for pos in range(n):
-            e = edge(order[pos], order[(pos + 1) % n])
-            cperm[cols[e]] = pos
-    else:
-        n = family.num_pairs
-        vperm = [0] * family.num_vertices
-        for (u, v), c in t.items:
-            vperm[u] = c
-            vperm[v] = n + c
-        cperm = list(range(n))
-    idx = NaturalIndexing(tuple(vperm), tuple(cperm))
-    return idx.apply_to_family(family), idx.apply_to_transversal(t), idx
+    vinv, cinv = canonical_tables(t)
+    fam2 = relabel(family, vinv, cinv)
+    idx = NaturalIndexing(vinv, cinv).inverse()
+    if fam2 is family:
+        return family, t, idx
+    return fam2, canonical_transversal(fam2), idx
 
 
 def require_naturally_indexed(family: SubgraphFamily, t: Transversal) -> None:

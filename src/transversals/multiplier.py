@@ -8,9 +8,12 @@ constructively, by repeatedly building a one-arc-per-vertex sub-digraph
 from the not-yet-realized edges, running the exchange, and crossing off
 every arc the returned transversal realizes. Branching over the
 saturated vertex's d+1 or more target edges and recursing on the shrunk
-set multiplies the count by d+1 per level; a matching child is relabelled
-once, and its outputs are lifted back through one pair of tables. The
-(d+1)! floor, the target count and the depth drop raise GuaranteeViolated.
+set multiplies the count by d+1 per level. One recursion serves both
+kinds: each child is relabelled once by ``canonical_tables`` and
+``relabel`` (a matching child also drops its branch pair), and its
+outputs are lifted back through the same new-to-old tables. The (d+1)!
+floor, the target count and the depth drop are each checked once and
+raise GuaranteeViolated.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    BaseGraph,
+    KIND_HAM,
     Edge,
     SubgraphFamily,
     Transversal,
+    canonical_tables,
     canonical_transversal,
     edge,
-    naturally_index,
+    relabel,
     require_naturally_indexed,
     validate_transversal,
 )
@@ -302,61 +306,7 @@ def many_ham_transversals(
     d = d_star(H, ms)
     if d < 1:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
-    out = sorted(set(_many_ham(family, base, ms, H, d)), key=lambda t: t.items)
-    if len(out) < math.factorial(d + 1):
-        raise GuaranteeViolated("multiplication fell short of (d+1)!")
-    return out
-
-
-def _many_ham(family, base, ms, H, d) -> list[Transversal]:
-    if d == 1:
-        return [base, second_ham_transversal(family, base, ms, H)]
-    table = find_saturated_vertex_ham(family, base, ms, H)
-    v0 = table.saturated
-    targets = table.targets_of(v0)
-    if len(targets) < d + 1:
-        raise GuaranteeViolated("saturated vertex has too few targets")
-    s = frozenset(ms)
-    out: list[Transversal] = []
-    for e in targets:
-        wit = table.witnesses[(v0, e)]
-        s1 = _set_endpoint(e, s)
-        rest = tuple(m for m in ms if m != s1)
-        fam2, t2, idx = naturally_index(family, wit)
-        ms2 = idx.map_vertices(rest)
-        H2 = build_full_ryb(fam2, t2)
-        d2 = d_star(H2, ms2)
-        if d2 < d - 1:
-            raise GuaranteeViolated("support depth dropped by more than one")
-        inv = idx.inverse()
-        for sub in _many_ham(fam2, t2, ms2, H2, d2):
-            out.append(inv.apply_to_transversal(sub))
-    return out
-
-
-def _pm_child(family: SubgraphFamily, wit: Transversal, e: Edge):
-    """Delete wit's edge e with its endpoints and color, relabelling once.
-
-    The k-th other pair of wit in color order becomes (k, n'+k), smaller
-    endpoint low, colored k. Returns the child family and its canonical
-    matching, the parent-to-child vertex map, and the child-to-parent
-    vertex and color tables.
-    """
-    kept = sorted((c, uv) for uv, c in wit.items if uv != e)
-    cinv = [c for c, _ in kept]
-    vinv = [u for _, (u, _) in kept] + [v for _, (_, v) in kept]
-    vmap = {w: k for k, w in enumerate(vinv)}
-
-    def relabel(edges) -> list[Edge]:
-        return [edge(vmap[u], vmap[v]) for u, v in edges if u in vmap and v in vmap]
-
-    base2 = BaseGraph(len(vinv), relabel(family.base.edge_set))
-    fam2 = SubgraphFamily(base2, [relabel(family.subgraphs[c]) for c in cinv], family.kind)
-    t2 = canonical_transversal(fam2)
-    report = validate_transversal(fam2, t2)
-    if not report.ok:
-        raise InvalidTransversal(f"child matching is invalid: {report.summary()}", report)
-    return fam2, t2, vmap, vinv, cinv
+    return _at_least_factorial(_many(family, base, ms, H, d), d)
 
 
 def many_pm_transversals(
@@ -369,33 +319,56 @@ def many_pm_transversals(
     require_naturally_indexed(family, base)
     ms = tuple(sorted(set(members)))
     d = d_cross(H, ms)
-    out = sorted(set(_many_pm(family, base, ms, H, d)), key=lambda t: t.items)
+    return _at_least_factorial(_many(family, base, ms, H, d), d)
+
+
+def _at_least_factorial(found: list[Transversal], d: int) -> list[Transversal]:
+    out = sorted(set(found), key=lambda t: t.items)
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
     return out
 
 
-def _many_pm(family, base, ms, H, d) -> list[Transversal]:
-    n = family.num_pairs
-    if n == 1 or d == 0:
-        return [base]
-    table = find_saturated_vertex_pm(family, base, ms, H)
+def _many(family, base, ms, H, d) -> list[Transversal]:
+    """One branch per target of a saturated vertex, for either kind.
+
+    A cycle child keeps every vertex; a matching child drops the branch
+    pair, which is put back into each lifted output.
+    """
+    ham = family.kind == KIND_HAM
+    if ham:
+        if d == 1:
+            return [base, second_ham_transversal(family, base, ms, H)]
+        table = find_saturated_vertex_ham(family, base, ms, H)
+    else:
+        if d == 0 or family.num_pairs == 1:
+            return [base]
+        table = find_saturated_vertex_pm(family, base, ms, H)
     v0 = table.saturated
     targets = table.targets_of(v0)
     if len(targets) < d + 1:
         raise GuaranteeViolated("saturated vertex has too few targets")
+    build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
+    s = frozenset(ms)
     out: list[Transversal] = []
     for e in targets:
         wit = table.witnesses[(v0, e)]
-        c = wit.colors()[e]
-        fam2, t2, vmap, vinv, cinv = _pm_child(family, wit, e)
-        ms2 = tuple(sorted(vmap[m] for m in ms if m != v0))
-        H2 = build_full_rb(fam2, t2)
-        d2 = d_cross(H2, ms2)
+        report = validate_transversal(family, wit)
+        if not report.ok:
+            raise InvalidTransversal(f"witness is invalid: {report.summary()}", report)
+        branch = {} if ham else {e: wit.color_of(e)}
+        vinv, cinv = canonical_tables(wit, None if ham else e)
+        fam2 = relabel(family, vinv, cinv)
+        t2 = canonical_transversal(fam2)
+        new = dict(zip(vinv, range(len(vinv))))
+        s1 = _set_endpoint(e, s)
+        ms2 = tuple(sorted(new[m] for m in ms if m != s1))
+        H2 = build(fam2, t2)
+        d2 = depth(H2, ms2)
         if d2 < d - 1:
-            raise GuaranteeViolated("escape depth dropped by more than one")
-        for sub in _many_pm(fam2, t2, ms2, H2, d2):
-            colors = {edge(vinv[u], vinv[v]): cinv[cc] for (u, v), cc in sub.items}
-            colors[e] = c
+            raise GuaranteeViolated("depth dropped by more than one")
+        for sub in _many(fam2, t2, ms2, H2, d2):
+            colors = {edge(vinv[u], vinv[v]): cinv[c] for (u, v), c in sub.items}
+            colors.update(branch)
             out.append(Transversal.from_map(base.kind, colors))
     return out

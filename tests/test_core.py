@@ -227,28 +227,31 @@ def test_naturally_index_validates_before_the_identity_path():
         naturally_index(fam, t)
 
 
-@given(st.integers(5, 12), st.randoms(use_true_random=False))
-def test_natural_indexing_round_trip(n, rng):
-    seq = list(range(n))
+@given(st.integers(5, 12), st.sampled_from([KIND_HAM, KIND_PM]), st.randoms(use_true_random=False))
+def test_natural_indexing_round_trip(n, kind, rng):
+    seq = list(range(n if kind == KIND_HAM else 2 * n))
     rng.shuffle(seq)
     colors = list(range(n))
     rng.shuffle(colors)
-    base = complete_graph(n)
+    if kind == KIND_HAM:
+        planted = [edge(seq[k], seq[(k + 1) % n]) for k in range(n)]
+    else:
+        planted = [edge(seq[2 * k], seq[2 * k + 1]) for k in range(n)]
+    base = complete_graph(len(seq))
     subs = [frozenset() for _ in range(n)]
     items = {}
-    for k in range(n):
-        e = edge(seq[k], seq[(k + 1) % n])
+    for k, e in enumerate(planted):
         subs[colors[k]] = frozenset({e})
         items[e] = colors[k]
-    fam = SubgraphFamily(base, subs, KIND_HAM)
-    t = Transversal.from_map(KIND_HAM, items)
+    fam = SubgraphFamily(base, subs, kind)
+    t = Transversal.from_map(kind, items)
     fam2, t2, idx = naturally_index(fam, t)
     assert is_naturally_indexed(fam2, t2)
     inv = idx.inverse()
     assert inv.apply_to_transversal(t2) == t
     back = inv.apply_to_family(fam2)
     assert back == fam
-    for v in range(n):
+    for v in range(len(seq)):
         assert inv.map_vertex(idx.map_vertex(v)) == v
 
 

@@ -2,16 +2,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from transversals import (
     DStarTooSmall,
     GuaranteeViolated,
+    KIND_HAM,
     build_full_rb,
     build_full_ryb,
     canonical_transversal,
     d_cross,
     d_star,
+    edge,
     enumerate_all_ham_transversals,
     enumerate_omega_ham,
     enumerate_omega_pm,
@@ -29,6 +31,7 @@ from transversals import (
     validate_transversal,
 )
 from transversals import multiplier
+from transversals.core import canonical_tables, relabel
 
 from conftest import make_ham_family, random_ham_set
 
@@ -148,6 +151,73 @@ def test_many_pm_reaches_factorial(d):
             assert psi in om
 
 
+@st.composite
+def witness_ham_with_set(draw):
+    """(family, planted, S): a witness cycle instance with n <= 12, two or
+    three members at circular distance >= 3, and support depth d <= 2."""
+    n = draw(st.integers(6, 12), label="vertices")
+    size = draw(st.integers(2, 3 if n >= 9 else 2), label="members")
+    gaps, left = [], n
+    for k in range(size - 1):
+        gaps.append(draw(st.integers(3, left - 3 * (size - 1 - k)), label="gap"))
+        left -= gaps[-1]
+    first = draw(st.integers(0, n - 1), label="first member")
+    S = tuple(sorted((first + sum(gaps[:k])) % n for k in range(size)))
+    d = draw(st.integers(1, min(2, size - 1)), label="depth")
+    fam, t = gen_witness_instance_ham(n, S, d, seed=draw(st.integers(0, 2**16), label="seed"))
+    return fam, t, S
+
+
+def _check_multiplied(fam, out, omega, d):
+    assert len(out) >= math.factorial(d + 1)
+    assert len(set(out)) == len(out)
+    for psi in out:
+        assert validate_transversal(fam, psi).ok
+        assert psi in omega
+
+
+@given(witness_ham_with_set())
+def test_many_ham_lies_in_omega(case):
+    fam, t, S = case
+    H = build_full_ryb(fam, t)
+    out = many_ham_transversals(fam, t, S, H)
+    _check_multiplied(fam, out, set(enumerate_omega_ham(fam, t, S)), d_star(H, S))
+
+
+@settings(deadline=None)
+@given(planted_pm_with_set())
+def test_many_pm_lies_in_omega(case):
+    # S holds a random endpoint of each pair, not only the low ones
+    fam, t, S = case
+    H = build_full_rb(fam, t)
+    d = d_cross(H, S)
+    assume(d <= 4)  # 7 pairs at depth 6 take about a second each
+    out = many_pm_transversals(fam, t, S, H)
+    _check_multiplied(fam, out, set(enumerate_omega_pm(fam, t, S)), d)
+
+
+@given(st.one_of(witness_ham_with_set(), planted_pm_with_set()))
+def test_child_lifts_back_to_its_witness(case):
+    # the child's canonical transversal, lifted through the tables (plus
+    # the dropped branch pair of a matching), is the witness it came from
+    fam, t, S = case
+    assume(fam.num_vertices > 2)  # a one-pair matching has no child
+    if fam.kind == KIND_HAM:
+        table = find_saturated_vertex_ham(fam, t, S, build_full_ryb(fam, t))
+    else:
+        table = find_saturated_vertex_pm(fam, t, S, build_full_rb(fam, t))
+    for (_, e), wit in table.witnesses.items():
+        drop = None if fam.kind == KIND_HAM else e
+        vinv, cinv = canonical_tables(wit, drop)
+        fam2 = relabel(fam, vinv, cinv)
+        t2 = canonical_transversal(fam2)
+        assert validate_transversal(fam2, t2).ok
+        lifted = {edge(vinv[u], vinv[v]): cinv[c] for (u, v), c in t2.items}
+        if drop:
+            lifted[drop] = wit.color_of(drop)
+        assert lifted == wit.colors()
+
+
 def test_many_ham_rejects_zero_depth():
     fam = make_ham_family(8, {})
     t = canonical_transversal(fam)
@@ -159,9 +229,17 @@ def test_many_pm_raises_when_the_floor_fails(monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
     fam, t = gen_planted_pm_family(6, 2, seed=5)
     H = build_full_rb(fam, t)
-    monkeypatch.setattr(multiplier, "_many_pm", lambda family, base, ms, H, d: [base])
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d: [base])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
         many_pm_transversals(fam, t, tuple(range(6)), H)
+
+
+def test_many_ham_raises_when_the_floor_fails(monkeypatch):
+    fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
+    H = build_full_ryb(fam, t)
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d: [base])
+    with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
+        many_ham_transversals(fam, t, (0, 4, 8), H)
 
 
 def test_omega_ham_endpoint_colors_pin_attachment(figure_family):
