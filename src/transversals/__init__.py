@@ -7,13 +7,15 @@ that encode local exchanges around a planted transversal, rotates or
 swaps a second transversal out of them, multiplies one transversal into
 factorially many, samples the required well-spread vertex sets, and
 checks the numeric inequalities that make the guarantees kick in.
+Everything runs in a canonical labelling: ``naturally_index`` relabels an
+instance into it and returns the new-to-old tables, and ``lift`` maps
+results back to the instance's own labels.
 """
 
 from .core import (
     BaseGraph,
     KIND_HAM,
     KIND_PM,
-    NaturalIndexing,
     SubgraphFamily,
     Transversal,
     canonical_transversal,
@@ -21,7 +23,9 @@ from .core import (
     cycle_graph,
     edge,
     is_naturally_indexed,
+    lift,
     naturally_index,
+    old_to_new,
     validate_family,
     validate_transversal,
 )

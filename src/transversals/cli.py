@@ -3,7 +3,7 @@
 Subcommands: gen, count, second, sample-set, multiply, bounds. Every
 report is a JSON object on stdout whose fields other than wall_time_s
 are a pure function of the inputs and the seed. Exit codes: 0 success,
-2 input error, 3 budget or resample cap exhausted, 4 precondition
+2 input error, 3 budget, result cap or resample cap exhausted, 4 precondition
 violated by otherwise well-formed input, 5 internal error (a guarantee
 check failed, which signals a bug, not bad input).
 
@@ -38,7 +38,9 @@ from .core import (
     SubgraphFamily,
     Transversal,
     edge,
+    lift,
     naturally_index,
+    old_to_new,
     validate_family,
     validate_transversal,
 )
@@ -91,12 +93,19 @@ EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
+LLL_SCAN_MAX_HI = 1_000_000  # at about 5 us per m, a scan of seconds
+
 _BUDGET_ERRORS = (BudgetExceeded, ResampleBudgetExceeded)
 _INTERNAL_ERRORS = (GuaranteeViolated, WalkStuck, RecolorConflict)
 
 
 class InputError(ValueError):
     pass
+
+
+def _at_least(value: Optional[int], floor: int, flag: str) -> None:
+    if value is not None and value < floor:
+        raise InputError(f"{flag} must be at least {floor}, got {value}")
 
 
 def transversal_to_obj(t: Transversal) -> dict:
@@ -298,22 +307,24 @@ def _prepare(args, kind=None):
     unless ``kind`` is given (``sample-set`` takes no set and passes the
     kind its method needs); relabel with ``naturally_index``; check the
     kind; map the set; build H. Returns the file's family, transversal and
-    set, their canonical forms, H, the map back to the file's labels, and
-    the depth function with its report name.
+    set, their canonical forms, H, the new-to-old vertex and color tables
+    that ``lift`` maps results back through, and the depth function with
+    its report name.
     """
     family, planted, _ = load_instance(args.infile)
     if planted is None:
         raise InputError("this command needs an instance file with a planted transversal")
     members = parse_set_spec(args.set, family) if kind is None else ()
-    fam_c, t_c, idx = naturally_index(family, planted)
+    fam_c, t_c, tables = naturally_index(family, planted)
     if kind not in (None, fam_c.kind):
         raise InputError(f"method {args.method} needs a {kind} instance")
-    ms = idx.map_vertices(members)
+    new = old_to_new(tables[0], family.num_vertices)
+    ms = tuple(sorted(new[v] for v in members))
     if fam_c.kind == KIND_HAM:
         H, depth, metric = build_full_ryb(fam_c, t_c), d_star, "d_star"
     else:
         H, depth, metric = build_full_rb(fam_c, t_c), d_cross, "d_cross"
-    return family, planted, members, fam_c, t_c, ms, H, idx.inverse(), depth, metric
+    return family, planted, members, fam_c, t_c, ms, H, tables, depth, metric
 
 
 def cmd_gen(args) -> tuple[dict, list, int]:
@@ -368,6 +379,8 @@ def cmd_gen(args) -> tuple[dict, list, int]:
 
 
 def cmd_count(args) -> tuple[dict, list, int]:
+    _at_least(args.max_nodes, 1, "--max-nodes")
+    _at_least(args.max_results, 1, "--max-results")
     family, _, _ = load_instance(args.infile)
     budget = oracle.SearchBudget(max_nodes=args.max_nodes, max_results=args.max_results)
     counter = (
@@ -388,7 +401,7 @@ def cmd_count(args) -> tuple[dict, list, int]:
 
 
 def cmd_second(args) -> tuple[dict, list, int]:
-    family, planted, members, fam_c, t_c, ms, H, inv, depth, metric = _prepare(args)
+    family, planted, members, fam_c, t_c, ms, H, tables, depth, metric = _prepare(args)
     if fam_c.kind == KIND_HAM:
         t2_c, trace = ham_exchange(fam_c, t_c, ms, H)
         omega_ok = omega_member_ham(t_c, ms, t2_c)
@@ -405,7 +418,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
             "cycle_arcs": [list(a) for a in cyc.arcs],
             "cycle_length": cyc.length(),
         }
-    t2 = inv.apply_to_transversal(t2_c)
+    (t2,) = lift([t2_c], *tables)
     results = {
         "set": list(members),
         "second": transversal_to_obj(t2),
@@ -443,8 +456,9 @@ def _write_debug_log(path: Optional[str], records) -> None:
 
 
 def cmd_sample_set(args) -> tuple[dict, list, int]:
+    _at_least(args.max_resamples, 0, "--max-resamples")
     kind = KIND_PM if args.method == "pm" else KIND_HAM
-    family, _, _, _, _, _, H, inv, _, metric = _prepare(args, kind)
+    family, _, _, _, _, _, H, (vinv, _), _, metric = _prepare(args, kind)
     m = args.m if args.m is not None else family.base.max_degree()
     cfg = SamplerConfig(
         seed=args.seed,
@@ -464,7 +478,7 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
         return results, [str(exc)], EXIT_BUDGET
     _write_debug_log(args.debug_log, outcome.records)
     cand = outcome.candidate
-    original_members = sorted(inv.map_vertex(v) for v in cand.members)
+    original_members = sorted(vinv[v] for v in cand.members)
     guarantee = {
         "depth_floor": outcome.depth_floor,
         "event_threshold": outcome.event_threshold,
@@ -484,7 +498,7 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
 
 
 def cmd_multiply(args) -> tuple[dict, list, int]:
-    _, _, members, fam_c, t_c, ms, H, inv, depth, metric = _prepare(args)
+    _, _, members, fam_c, t_c, ms, H, tables, depth, metric = _prepare(args)
     d = depth(H, ms)
     if fam_c.kind == KIND_HAM:
         out_c = many_ham_transversals(fam_c, t_c, ms, H)
@@ -503,9 +517,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
         "d": d,
         "required": required,
         "count": len(out_c),
-        "transversals": [
-            transversal_to_obj(inv.apply_to_transversal(t)) for t in out_c
-        ],
+        "transversals": [transversal_to_obj(t) for t in lift(out_c, *tables)],
     }
     if omega is not None:
         omega_set = set(omega)
@@ -546,6 +558,8 @@ def cmd_bounds(args) -> tuple[dict, list, int]:
         }
         return results, [], EXIT_OK
     if bid == "lll-scan":
+        if args.hi > LLL_SCAN_MAX_HI:
+            raise InputError(f"lll-scan --hi is capped at {LLL_SCAN_MAX_HI}, got {args.hi}")
         scan = lll_condition_scan(args.lo, args.hi)
         results = {
             "lo": scan.lo,

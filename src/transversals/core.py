@@ -16,18 +16,20 @@ The values are also the ``kind`` tags of the instance files.
 The canonical ("naturally indexed") labelling puts the cycle on
 0,1,...,n-1 with edge(i, i+1 mod n) colored i, or pairs vertex i with
 n+i colored i. Everything downstream assumes it. ``canonical_tables``
-states the rule once and ``relabel`` rebuilds a family from its tables;
-``naturally_index`` and the multiplication's children both use them.
+states the rule once as new-to-old tables, ``relabel`` rebuilds a family
+from them and ``lift`` maps transversals back; ``naturally_index`` and
+the multiplication's children both make that one round trip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidTransversal, NotNaturallyIndexed
 
 Edge = tuple[int, int]
+Tables = tuple[tuple[int, ...], tuple[int, ...]]  # new-to-old vertex and color tables
 
 KIND_HAM = "hamiltonian"
 KIND_PM = "perfect_matching"
@@ -330,29 +332,25 @@ def validate_transversal(family: SubgraphFamily, t: Transversal) -> ValidationRe
     return ValidationReport(tuple(out))
 
 
-def is_naturally_indexed(family: SubgraphFamily, t: Transversal) -> bool:
-    """True iff t is the canonical transversal in the canonical labelling."""
+def _canonical_colors(family: SubgraphFamily) -> dict[Edge, int]:
     if family.kind == KIND_HAM:
         n = family.num_vertices
-        want = {edge(i, (i + 1) % n): i for i in range(n)}
-    else:
-        n = family.num_pairs
-        want = {edge(i, n + i): i for i in range(n)}
-    return t.colors() == want
+        return {edge(i, (i + 1) % n): i for i in range(n)}
+    n = family.num_pairs
+    return {edge(i, n + i): i for i in range(n)}
+
+
+def is_naturally_indexed(family: SubgraphFamily, t: Transversal) -> bool:
+    """True iff t is the canonical transversal in the canonical labelling."""
+    return t.colors() == _canonical_colors(family)
 
 
 def canonical_transversal(family: SubgraphFamily) -> Transversal:
     """The transversal the canonical labelling plants (cycle or pairing)."""
-    if family.kind == KIND_HAM:
-        n = family.num_vertices
-        return Transversal.from_map(KIND_HAM, {edge(i, (i + 1) % n): i for i in range(n)})
-    n = family.num_pairs
-    return Transversal.from_map(KIND_PM, {edge(i, n + i): i for i in range(n)})
+    return Transversal.from_map(family.kind, _canonical_colors(family))
 
 
-def canonical_tables(
-    t: Transversal, drop: Edge | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def canonical_tables(t: Transversal, drop: Edge | None = None) -> Tables:
     """New-to-old vertex and color tables of the canonical labelling of t.
 
     New vertex k is old vertex ``vinv[k]`` and new color k is old color
@@ -369,15 +367,21 @@ def canonical_tables(
     return tuple(u for _, (u, _) in kept) + tuple(v for _, (_, v) in kept), tuple(c for c, _ in kept)
 
 
+def old_to_new(vinv: Sequence[int], num_vertices: int) -> list[int]:
+    """The inverse table: ``new[vinv[k]] == k``, -1 where vinv leaves a vertex out."""
+    new = [-1] * num_vertices
+    for k, v in enumerate(vinv):
+        new[v] = k
+    return new
+
+
 def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> SubgraphFamily:
     """The family under new-to-old tables: vertex k is old ``vinv[k]``,
     subgraph k is old ``cinv[k]``, and edges touching a vertex left out of
     ``vinv`` are dropped. Identity tables return the family itself."""
     if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
         return family
-    new = [-1] * family.num_vertices
-    for k, v in enumerate(vinv):
-        new[v] = k
+    new = old_to_new(vinv, family.num_vertices)
 
     def pairs(edges) -> list[Edge]:
         return [(new[u], new[v]) for u, v in edges if new[u] >= 0 and new[v] >= 0]
@@ -386,65 +390,36 @@ def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]
     return SubgraphFamily(BaseGraph(len(vinv), pairs(family.base.edge_set)), subs, family.kind)
 
 
-@dataclass(frozen=True)
-class NaturalIndexing:
-    """Vertex and color permutations taking an instance to canonical form.
-
-    ``vertex_perm[old] = new`` and ``color_perm[old] = new``. Applying
-    both to the family and the transversal yields the canonical instance;
-    applying the inverse recovers the input exactly.
-    """
-
-    vertex_perm: tuple[int, ...]
-    color_perm: tuple[int, ...]
-
-    def inverse(self) -> "NaturalIndexing":
-        vp = [0] * len(self.vertex_perm)
-        cp = [0] * len(self.color_perm)
-        for old, new in enumerate(self.vertex_perm):
-            vp[new] = old
-        for old, new in enumerate(self.color_perm):
-            cp[new] = old
-        return NaturalIndexing(tuple(vp), tuple(cp))
-
-    def map_vertex(self, v: int) -> int:
-        return self.vertex_perm[v]
-
-    def map_edge(self, e: Edge) -> Edge:
-        u, v = e
-        return edge(self.vertex_perm[u], self.vertex_perm[v])
-
-    def map_vertices(self, vs: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.vertex_perm[v] for v in vs))
-
-    def apply_to_family(self, family: SubgraphFamily) -> SubgraphFamily:
-        inv = self.inverse()
-        return relabel(family, inv.vertex_perm, inv.color_perm)
-
-    def apply_to_transversal(self, t: Transversal) -> Transversal:
-        return Transversal.from_map(
-            t.kind, {self.map_edge(e): self.color_perm[c] for e, c in t.items}
-        )
+def lift(transversals: Iterable[Transversal], vinv: tuple[int, ...], cinv: tuple[int, ...],
+         extra: Mapping[Edge, int] | None = None) -> list[Transversal]:
+    """Transversals of a relabelled family in the old labels: edge (u, v)
+    colored c becomes (``vinv[u]``, ``vinv[v]``) colored ``cinv[c]``, plus
+    the old edges and colors in ``extra`` (a matching child's branch pair).
+    Identity tables with nothing extra return the inputs themselves."""
+    if not extra and vinv == tuple(range(len(vinv))) and cinv == tuple(range(len(cinv))):
+        return list(transversals)
+    out = []
+    for t in transversals:
+        colors = {edge(vinv[u], vinv[v]): cinv[c] for (u, v), c in t.items}
+        colors.update(extra or {})
+        out.append(Transversal.from_map(t.kind, colors))
+    return out
 
 
-def naturally_index(
-    family: SubgraphFamily, t: Transversal
-) -> tuple[SubgraphFamily, Transversal, NaturalIndexing]:
+def naturally_index(family: SubgraphFamily, t: Transversal) -> tuple[SubgraphFamily, Transversal, Tables]:
     """Relabel vertices and reorder subgraphs so t becomes canonical.
 
-    The labelling is the one ``canonical_tables`` gives; a matching keeps
-    its color order. A valid t that is already canonical returns the
-    family and t themselves with the identity indexing, rebuilding nothing.
+    Returns them with the new-to-old tables of ``canonical_tables``, which
+    ``lift`` maps results back through; a matching keeps its color order.
+    A valid t that is already canonical returns the family and t
+    themselves, with identity tables, rebuilding nothing.
     """
     report = validate_transversal(family, t)
     if not report.ok:
         raise InvalidTransversal(f"cannot index invalid transversal: {report.summary()}", report)
-    vinv, cinv = canonical_tables(t)
-    fam2 = relabel(family, vinv, cinv)
-    idx = NaturalIndexing(vinv, cinv).inverse()
-    if fam2 is family:
-        return family, t, idx
-    return fam2, canonical_transversal(fam2), idx
+    tables = canonical_tables(t)
+    fam2 = relabel(family, *tables)
+    return fam2, t if fam2 is family else canonical_transversal(fam2), tables
 
 
 def require_naturally_indexed(family: SubgraphFamily, t: Transversal) -> None:

@@ -11,9 +11,11 @@ saturated vertex's d+1 or more target edges and recursing on the shrunk
 set multiplies the count by d+1 per level. One recursion serves both
 kinds: each child is relabelled once by ``canonical_tables`` and
 ``relabel`` (a matching child also drops its branch pair), and its
-outputs are lifted back through the same new-to-old tables. The (d+1)!
-floor, the target count and the depth drop are each checked once and
-raise GuaranteeViolated.
+whole output list is lifted back by one ``lift`` through the same
+new-to-old tables. The base is validated once, on entry; every other
+witness is validated by the exchange that made it. The (d+1)! floor,
+the target count and the depth drop are each checked once and raise
+GuaranteeViolated.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .core import (
     canonical_tables,
     canonical_transversal,
     edge,
+    lift,
+    old_to_new,
     relabel,
     require_naturally_indexed,
     validate_transversal,
@@ -286,13 +290,6 @@ def find_saturated_vertex_pm(
     return _saturate(witnesses, todo, exchange)
 
 
-def _set_endpoint(e: Edge, s: frozenset[int]) -> int:
-    u, v = e
-    if (u in s) == (v in s):
-        raise ValueError(f"edge {e} does not cross the set boundary")
-    return u if u in s else v
-
-
 def many_ham_transversals(
     family: SubgraphFamily, base: Transversal, members: Sequence[int], H: RybDigraph
 ) -> list[Transversal]:
@@ -301,12 +298,7 @@ def many_ham_transversals(
     H is the full digraph ``build_full_ryb(family, base)``. All outputs lie
     in the exchange neighborhood of (base, members) and include base itself.
     """
-    require_naturally_indexed(family, base)
-    ms = tuple(sorted(set(members)))
-    d = d_star(H, ms)
-    if d < 1:
-        raise DStarTooSmall(f"support depth is {d}; need at least 1")
-    return _at_least_factorial(_many(family, base, ms, H, d), d)
+    return _multiply(family, base, members, H, d_star)
 
 
 def many_pm_transversals(
@@ -316,14 +308,24 @@ def many_pm_transversals(
 
     H is the full digraph ``build_full_rb(family, base)``.
     """
+    return _multiply(family, base, members, H, d_cross)
+
+
+def _multiply(family, base, members, H, depth) -> list[Transversal]:
+    """The entry checks and the (d+1)! floor, once for the whole recursion.
+
+    base is validated here; every other witness comes out of the exchange,
+    which validates it, and a child's base is the relabelled image of one.
+    """
     require_naturally_indexed(family, base)
+    report = validate_transversal(family, base)
+    if not report.ok:
+        raise InvalidTransversal(f"witness is invalid: {report.summary()}", report)
     ms = tuple(sorted(set(members)))
-    d = d_cross(H, ms)
-    return _at_least_factorial(_many(family, base, ms, H, d), d)
-
-
-def _at_least_factorial(found: list[Transversal], d: int) -> list[Transversal]:
-    out = sorted(set(found), key=lambda t: t.items)
+    d = depth(H, ms)
+    if d < 1 and family.kind == KIND_HAM:
+        raise DStarTooSmall(f"support depth is {d}; need at least 1")
+    out = sorted(set(_many(family, base, ms, H, d)), key=lambda t: t.items)
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
     return out
@@ -349,26 +351,19 @@ def _many(family, base, ms, H, d) -> list[Transversal]:
     if len(targets) < d + 1:
         raise GuaranteeViolated("saturated vertex has too few targets")
     build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
-    s = frozenset(ms)
     out: list[Transversal] = []
     for e in targets:
         wit = table.witnesses[(v0, e)]
-        report = validate_transversal(family, wit)
-        if not report.ok:
-            raise InvalidTransversal(f"witness is invalid: {report.summary()}", report)
-        branch = {} if ham else {e: wit.color_of(e)}
         vinv, cinv = canonical_tables(wit, None if ham else e)
         fam2 = relabel(family, vinv, cinv)
         t2 = canonical_transversal(fam2)
-        new = dict(zip(vinv, range(len(vinv))))
-        s1 = _set_endpoint(e, s)
-        ms2 = tuple(sorted(new[m] for m in ms if m != s1))
+        new = old_to_new(vinv, family.num_vertices)
+        # e has one endpoint in the set, and the child's set leaves it out
+        ms2 = tuple(sorted(new[m] for m in ms if m not in e))
         H2 = build(fam2, t2)
         d2 = depth(H2, ms2)
         if d2 < d - 1:
             raise GuaranteeViolated("depth dropped by more than one")
-        for sub in _many(fam2, t2, ms2, H2, d2):
-            colors = {edge(vinv[u], vinv[v]): cinv[c] for (u, v), c in sub.items}
-            colors.update(branch)
-            out.append(Transversal.from_map(base.kind, colors))
+        branch = None if ham else {e: wit.color_of(e)}
+        out += lift(_many(fam2, t2, ms2, H2, d2), vinv, cinv, branch)
     return out

@@ -3,7 +3,8 @@
 Enumeration backtracks jointly over the structure (cycle path or matching)
 and exact colors, pruning with a bipartite-matching feasibility test
 between chosen edges and colors. Budgets are explicit: blowing the node
-or time budget raises, carrying whatever was found so far.
+or time budget raises, carrying whatever was found so far; so does a
+count that the result cap stopped, as it is not exact.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class _Search:
 
     def full(self) -> bool:
         return self.budget.max_results is not None and self.found >= self.budget.max_results
+
+    def count(self) -> int:
+        if self.full():
+            raise BudgetExceeded(f"result cap {self.budget.max_results} reached", (), self.nodes, self.found)
+        return self.found
 
 
 def _edge_options(family: SubgraphFamily) -> dict[Edge, tuple[int, ...]]:
@@ -229,12 +235,12 @@ def enumerate_all_pm_transversals(
 
 def count_ham_transversals(family: SubgraphFamily, budget: SearchBudget | None = None) -> int:
     """The number of transversals ``enumerate_all_ham_transversals`` finds, none of them built."""
-    return _search_ham(family, budget).found
+    return _search_ham(family, budget).count()
 
 
 def count_pm_transversals(family: SubgraphFamily, budget: SearchBudget | None = None) -> int:
     """The number of transversals ``enumerate_all_pm_transversals`` finds, none of them built."""
-    return _search_pm(family, budget).found
+    return _search_pm(family, budget).count()
 
 
 def exists_ham_transversal(

@@ -47,6 +47,7 @@ from transversals import (
     many_ham_transversals,
     many_pm_transversals,
     naturally_index,
+    old_to_new,
     omega_admissibility_matrix,
     omega_member_ham,
     omega_member_pm,
@@ -127,8 +128,9 @@ def test_c03_d_star_invariance_exhaustive():
         H = build_full_ryb(fam, t)
         d0 = d_star(H, S)
         for psi in enumerate_omega_ham(fam, t, S):
-            fam2, psi2, idx = naturally_index(fam, psi)
-            S2 = idx.map_vertices(S)
+            fam2, psi2, (vinv, _) = naturally_index(fam, psi)
+            new = old_to_new(vinv, fam.num_vertices)
+            S2 = sorted(new[v] for v in S)
             assert d_star(build_full_ryb(fam2, psi2), S2) == d0, (n, S, i)
             members_checked += 1
         instances += 1
@@ -207,8 +209,9 @@ def test_c06_d_cross_invariance_and_permanent():
         M = omega_admissibility_matrix(fam, S)
         assert len(om) == permanent(M), (n, i)
         for psi in om:
-            fam2, psi2, idx = naturally_index(fam, psi)
-            S2 = idx.map_vertices(S)
+            fam2, psi2, (vinv, _) = naturally_index(fam, psi)
+            new = old_to_new(vinv, fam.num_vertices)
+            S2 = sorted(new[v] for v in S)
             assert d_cross(build_full_rb(fam2, psi2), S2) == d0, (n, i)
             members_checked += 1
         instances += 1

@@ -21,6 +21,7 @@ from transversals import (
     edge,
 )
 from transversals.cli import main
+from transversals.sampler import ScanReport
 
 
 def run_cli(capsys, *args):
@@ -186,6 +187,63 @@ def test_exit_code_budget(tmp_path, capsys):
     code, rep = run_cli(capsys, "count", "--in", path, "--max-nodes", "500")
     assert code == 3
     assert rep["results"] == {"status": "inconclusive", "partial_count": 156, "nodes": 501}
+
+
+def test_count_stopped_by_the_result_cap_is_inconclusive(tmp_path, capsys):
+    # K6 holds 43200 transversals; a count the cap stops is not exact, even
+    # when the cap equals the count, since the search cannot tell
+    path = str(tmp_path / "k6.json")
+    run_cli(capsys, "gen", "--model", "dirac", "--n", "6", "--c", "1.0", "--seed", "1", "--out", path)
+    code, rep = run_cli(capsys, "count", "--in", path, "--max-results", "5")
+    assert code == cli.EXIT_BUDGET == 3
+    assert rep["results"] == {"status": "inconclusive", "partial_count": 5, "nodes": 21}
+    assert rep["warnings"] == ["search budget exhausted: result cap 5 reached"]
+    code, rep = run_cli(capsys, "count", "--in", path, "--max-results", "43200")
+    assert code == 3
+    assert rep["results"] == {"status": "inconclusive", "partial_count": 43200, "nodes": 117597}
+    code, rep = run_cli(capsys, "count", "--in", path, "--max-results", "43201")
+    assert code == 0
+    assert rep["results"] == {"status": "exact", "count": 43200}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--max-nodes", "-1"], "--max-nodes must be at least 1, got -1"),
+    (["count", "--max-nodes", "0"], "--max-nodes must be at least 1, got 0"),
+    (["count", "--max-results", "0"], "--max-results must be at least 1, got 0"),
+    (["count", "--max-results", "-3"], "--max-results must be at least 1, got -3"),
+    (["sample-set", "--method", "pm", "--seed", "1", "--max-resamples", "-1"],
+     "--max-resamples must be at least 0, got -1"),
+])
+def test_a_budget_below_its_floor_exits_2_before_the_file_is_read(argv, message, tmp_path, capsys):
+    # the file does not exist, so reading it first would name the file
+    missing = str(tmp_path / "missing.json")
+    assert main(argv[:1] + ["--in", missing] + argv[1:]) == cli.EXIT_INPUT == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_zero_resamples_is_one_draw(tmp_path, capsys):
+    path = str(tmp_path / "pm8.json")
+    run_cli(capsys, "gen", "--model", "planted-pm", "--n", "8", "--extra-degree", "4",
+            "--seed", "2", "--out", path)
+    code, rep = run_cli(capsys, "sample-set", "--in", path, "--method", "pm", "--seed", "1",
+                        "--max-resamples", "0")
+    assert code == 0
+    assert rep["results"]["status"] == "ok" and rep["results"]["resamples"] == 0
+    assert rep["results"]["members"] == [0, 4, 5, 9, 10, 11, 14, 15]
+
+
+def test_lll_scan_range_is_capped(capsys, monkeypatch):
+    assert cli.LLL_SCAN_MAX_HI == 10**6
+    assert main(["bounds", "--id", "lll-scan", "--hi", "1000000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lll-scan --hi is capped at 1000000, got 1000000001\n"
+    # the cap itself is accepted; a stub stands in for the 5 s scan
+    monkeypatch.setattr(cli, "lll_condition_scan", lambda lo, hi: ScanReport(lo, hi, 262, 78, (262,), (8, 78)))
+    code, rep = run_cli(capsys, "bounds", "--id", "lll-scan", "--hi", "1000000")
+    assert code == 0 and rep["results"]["hi"] == 10**6
 
 
 def test_bounds_lll_scan(capsys):

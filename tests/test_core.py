@@ -6,7 +6,6 @@ from transversals import (
     InvalidTransversal,
     KIND_HAM,
     KIND_PM,
-    NaturalIndexing,
     NotNaturallyIndexed,
     SubgraphFamily,
     Transversal,
@@ -17,11 +16,13 @@ from transversals import (
     gen_planted_pm_family,
     gen_regular_all_equal,
     is_naturally_indexed,
+    lift,
     naturally_index,
+    old_to_new,
     validate_family,
     validate_transversal,
 )
-from transversals.core import ValidationReport, Violation, require_naturally_indexed
+from transversals.core import ValidationReport, Violation, relabel, require_naturally_indexed
 
 from conftest import make_ham_family
 
@@ -201,7 +202,7 @@ def test_require_naturally_indexed_raises():
     assert not is_naturally_indexed(fam2, t)
     with pytest.raises(NotNaturallyIndexed):
         require_naturally_indexed(fam2, t)
-    fam3, t3, idx = naturally_index(fam2, t)
+    fam3, t3, _ = naturally_index(fam2, t)
     require_naturally_indexed(fam3, t3)
     assert t3 == canonical_transversal(fam3)
 
@@ -209,10 +210,11 @@ def test_require_naturally_indexed_raises():
 def test_naturally_index_returns_canonical_input_itself():
     ham = make_ham_family(7, {2: [(2, 5)]})
     for fam, t in ((ham, canonical_transversal(ham)), gen_planted_pm_family(5, 2, seed=1)):
-        fam2, t2, idx = naturally_index(fam, t)
+        fam2, t2, (vinv, cinv) = naturally_index(fam, t)
         assert fam2 is fam and t2 is t
-        assert idx.vertex_perm == tuple(range(fam.num_vertices))
-        assert idx.color_perm == tuple(range(fam.num_colors))
+        assert vinv == tuple(range(fam.num_vertices))
+        assert cinv == tuple(range(fam.num_colors))
+        assert lift([t2], vinv, cinv)[0] is t
 
 
 def test_naturally_index_validates_before_the_identity_path():
@@ -229,6 +231,8 @@ def test_naturally_index_validates_before_the_identity_path():
 
 @given(st.integers(5, 12), st.sampled_from([KIND_HAM, KIND_PM]), st.randoms(use_true_random=False))
 def test_natural_indexing_round_trip(n, kind, rng):
+    # lift takes the canonical transversal back to t, and the inverted
+    # tables take the canonical family back to the input family
     seq = list(range(n if kind == KIND_HAM else 2 * n))
     rng.shuffle(seq)
     colors = list(range(n))
@@ -245,20 +249,26 @@ def test_natural_indexing_round_trip(n, kind, rng):
         items[e] = colors[k]
     fam = SubgraphFamily(base, subs, kind)
     t = Transversal.from_map(kind, items)
-    fam2, t2, idx = naturally_index(fam, t)
+    fam2, t2, (vinv, cinv) = naturally_index(fam, t)
     assert is_naturally_indexed(fam2, t2)
-    inv = idx.inverse()
-    assert inv.apply_to_transversal(t2) == t
-    back = inv.apply_to_family(fam2)
-    assert back == fam
-    for v in range(len(seq)):
-        assert inv.map_vertex(idx.map_vertex(v)) == v
+    assert lift([t2], vinv, cinv) == [t]
+    vnew = old_to_new(vinv, len(seq))
+    assert [vinv[v] for v in vnew] == list(range(len(seq)))
+    assert relabel(fam2, tuple(vnew), tuple(old_to_new(cinv, n))) == fam
 
 
 def test_indexing_maps_edges_and_vertex_sets():
-    idx = NaturalIndexing(vertex_perm=(2, 0, 1), color_perm=(0, 1, 2))
-    assert idx.map_edge((0, 1)) == (0, 2)
-    assert idx.map_vertices((0, 2)) == (1, 2)
+    # new-to-old table (1, 2, 0) sends old vertices 0, 1, 2 to 2, 0, 1
+    vinv = (1, 2, 0)
+    new = old_to_new(vinv, 3)
+    assert new == [2, 0, 1]
+    assert sorted(new[v] for v in (0, 2)) == [1, 2]
+    fam = SubgraphFamily(complete_graph(3), [frozenset({(0, 1)}), frozenset({(1, 2)}), frozenset({(0, 2)})],
+                         KIND_HAM)
+    fam2 = relabel(fam, vinv, (0, 1, 2))
+    assert fam2.subgraphs[0] == frozenset({(0, 2)})
+    t = Transversal.from_map(KIND_HAM, {(0, 2): 0})
+    assert lift([t], vinv, (0, 1, 2))[0].color_of(edge(0, 1)) == 0
 
 
 def test_pm_natural_indexing_places_pairs():
@@ -267,7 +277,7 @@ def test_pm_natural_indexing_places_pairs():
     subs = [frozenset({(0, 1)}), frozenset({(2, 3), (1, 2)})]
     fam = SubgraphFamily(base, subs, KIND_PM)
     t = Transversal.from_map(KIND_PM, {(0, 1): 0, (2, 3): 1})
-    fam2, t2, idx = naturally_index(fam, t)
+    fam2, t2, _ = naturally_index(fam, t)
     assert is_naturally_indexed(fam2, t2)
     assert t2.color_of(edge(0, 2)) == 0
     assert t2.color_of(edge(1, 3)) == 1

@@ -7,13 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 from transversals import (
     DStarTooSmall,
     GuaranteeViolated,
+    InvalidTransversal,
     KIND_HAM,
+    KIND_PM,
+    SubgraphFamily,
     build_full_rb,
     build_full_ryb,
     canonical_transversal,
     d_cross,
     d_star,
-    edge,
     enumerate_all_ham_transversals,
     enumerate_omega_ham,
     enumerate_omega_pm,
@@ -21,9 +23,11 @@ from transversals import (
     find_saturated_vertex_pm,
     gen_planted_pm_family,
     gen_witness_instance_ham,
+    lift,
     many_ham_transversals,
     many_pm_transversals,
     naturally_index,
+    old_to_new,
     omega_admissibility_matrix,
     omega_member_ham,
     omega_member_pm,
@@ -212,10 +216,8 @@ def test_child_lifts_back_to_its_witness(case):
         fam2 = relabel(fam, vinv, cinv)
         t2 = canonical_transversal(fam2)
         assert validate_transversal(fam2, t2).ok
-        lifted = {edge(vinv[u], vinv[v]): cinv[c] for (u, v), c in t2.items}
-        if drop:
-            lifted[drop] = wit.color_of(drop)
-        assert lifted == wit.colors()
+        extra = {drop: wit.color_of(drop)} if drop else None
+        assert lift([t2], vinv, cinv, extra) == [wit]
 
 
 def test_many_ham_rejects_zero_depth():
@@ -242,6 +244,44 @@ def test_many_ham_raises_when_the_floor_fails(monkeypatch):
         many_ham_transversals(fam, t, (0, 4, 8), H)
 
 
+def _entry_case(kind):
+    """(family, base, set, build, many): a witness cycle instance with d = 2,
+    or the planted-pm n=8 seed 2 instance of the pinned reports (d = 4)."""
+    if kind == KIND_HAM:
+        fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
+        return fam, t, (0, 4, 8), build_full_ryb, many_ham_transversals
+    fam, t = gen_planted_pm_family(8, 4, seed=2)
+    return fam, t, tuple(range(8)), build_full_rb, many_pm_transversals
+
+
+@pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
+def test_many_rejects_a_base_missing_from_its_subgraph(kind):
+    # the colors are canonical, so require_naturally_indexed passes, but
+    # subgraph 2 lacks the base's edge of color 2
+    fam, t, S, build, many = _entry_case(kind)
+    subs = list(fam.subgraphs)
+    subs[2] = subs[2] - {e for e, c in t.items if c == 2}
+    fam = SubgraphFamily(fam.base, subs, kind)
+    with pytest.raises(InvalidTransversal, match="witness is invalid: edge_not_in_subgraph"):
+        many(fam, t, S, build(fam, t))
+
+
+@pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
+def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
+    # the base is checked on entry; every other witness was checked by the
+    # exchange that made it, so the recursion checks none again
+    fam, t, S, build, many = _entry_case(kind)
+    checked = []
+
+    def counting(family, u):
+        checked.append(u)
+        return validate_transversal(family, u)
+
+    monkeypatch.setattr(multiplier, "validate_transversal", counting)
+    assert len(many(fam, t, S, build(fam, t))) == outputs
+    assert checked == [t]
+
+
 def test_omega_ham_endpoint_colors_pin_attachment(figure_family):
     # every omega member keeps base colors off the boundary and reuses
     # the boundary subgraphs for attachment edges
@@ -263,8 +303,9 @@ def test_d_star_invariant_across_omega():
         H = build_full_ryb(fam, t)
         d0 = d_star(H, S)
         for psi in enumerate_omega_ham(fam, t, S):
-            fam2, psi2, idx = naturally_index(fam, psi)
-            assert d_star(build_full_ryb(fam2, psi2), idx.map_vertices(S)) == d0
+            fam2, psi2, (vinv, _) = naturally_index(fam, psi)
+            new = old_to_new(vinv, fam.num_vertices)
+            assert d_star(build_full_ryb(fam2, psi2), sorted(new[v] for v in S)) == d0
 
 
 def test_d_cross_invariant_across_omega():
@@ -277,5 +318,6 @@ def test_d_cross_invariant_across_omega():
         S = tuple(range(n))
         d0 = d_cross(H, S)
         for psi in enumerate_omega_pm(fam, t, S):
-            fam2, psi2, idx = naturally_index(fam, psi)
-            assert d_cross(build_full_rb(fam2, psi2), idx.map_vertices(S)) == d0
+            fam2, psi2, (vinv, _) = naturally_index(fam, psi)
+            new = old_to_new(vinv, fam.num_vertices)
+            assert d_cross(build_full_rb(fam2, psi2), sorted(new[v] for v in S)) == d0
