@@ -33,8 +33,8 @@ r = min(
     min(len(J.blue[v]) for v in range(200)),
 )
 floor = math.ceil(default_inclusion_probability(30) * r / 400.0)
-print(f"|S| = {len(out.candidate)}, resamples = {out.resamples}")
-print(f"guaranteed depth floor = {floor}, realized d* = {d_star(J, out.candidate.members)}")
+print(f"|S| = {len(out.members)}, resamples = {out.resamples}")
+print(f"guaranteed depth floor = {floor}, realized d* = {d_star(J, out.members)}")
 for w in out.warnings:
     print("  warning:", w)
 
@@ -44,8 +44,8 @@ t = exists_ham_transversal(family)
 fam_c, t_c, _ = naturally_index(family, t)
 J = build_full_ryb(fam_c, t_c)
 out = sample_set_dirac(J, SamplerConfig(seed=4, c=0.9))
-print(f"|S| = {len(out.candidate)}, redraws = {out.resamples}")
-print(f"target depth = {dirac_depth_target(60, 0.9)}, realized d* = {d_star(J, out.candidate.members)}")
+print(f"|S| = {len(out.members)}, redraws = {out.resamples}")
+print(f"target depth = {dirac_depth_target(60, 0.9)}, realized d* = {d_star(J, out.members)}")
 
 print("\n== per-pair choice sampler (matching families) ==")
 family, base = gen_bipartite_pm_family(60, 20, seed=9)
@@ -53,5 +53,5 @@ H = build_full_rb(family, base)
 out = sample_set_pm(H, SamplerConfig(seed=11, alpha=0.5))
 r = min(len(H.blue[v]) for v in range(120))
 floor = math.ceil(0.5 * r / 2.0)
-print(f"|S| = {len(out.candidate)} (one vertex per pair), resamples = {out.resamples}")
-print(f"guaranteed depth floor = {floor}, realized d_cross = {d_cross(H, out.candidate.members)}")
+print(f"|S| = {len(out.members)} (one vertex per pair), resamples = {out.resamples}")
+print(f"guaranteed depth floor = {floor}, realized d_cross = {d_cross(H, out.members)}")

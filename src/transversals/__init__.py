@@ -30,11 +30,8 @@ from .core import (
     validate_transversal,
 )
 from .digraphs import (
-    CandidateSet,
     RbDigraph,
     RybDigraph,
-    annotate_ham,
-    annotate_pm,
     build_full_rb,
     build_full_ryb,
     d_cross,
@@ -44,6 +41,7 @@ from .digraphs import (
     is_red_independent,
     omega_member_ham,
     omega_member_pm,
+    support,
 )
 from .errors import (
     BudgetExceeded,

@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain
 from operator import le
 from typing import Optional
@@ -435,24 +436,9 @@ def cmd_second(args) -> tuple[dict, list, int]:
 def _write_debug_log(path: Optional[str], records) -> None:
     if path is None:
         return
-    def clean(v):
-        if isinstance(v, tuple):
-            return list(v)
-        return v
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "step": rec.step,
-                        "kind": rec.kind,
-                        "location": clean(rec.location),
-                        "redrawn": list(rec.redrawn),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
 
 def cmd_sample_set(args) -> tuple[dict, list, int]:
@@ -477,8 +463,7 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
         results = {"status": "budget-exhausted", "resamples": exc.resamples}
         return results, [str(exc)], EXIT_BUDGET
     _write_debug_log(args.debug_log, outcome.records)
-    cand = outcome.candidate
-    original_members = sorted(vinv[v] for v in cand.members)
+    original_members = sorted(vinv[v] for v in outcome.members)
     guarantee = {
         "depth_floor": outcome.depth_floor,
         "event_threshold": outcome.event_threshold,
@@ -487,10 +472,11 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
     results = {
         "status": "ok",
         "members": original_members,
-        "size": len(cand),
+        "size": len(outcome.members),
         "metric": metric,
-        "depth": cand.metrics.depth,
-        "red_independent": cand.metrics.red_independent,
+        "depth": outcome.depth,
+        # an accepted outcome is certified red-independent
+        "red_independent": True,
         "resamples": outcome.resamples,
         "guarantee": {k: v for k, v in guarantee.items() if v is not None},
     }
@@ -561,14 +547,7 @@ def cmd_bounds(args) -> tuple[dict, list, int]:
         if args.hi > LLL_SCAN_MAX_HI:
             raise InputError(f"lll-scan --hi is capped at {LLL_SCAN_MAX_HI}, got {args.hi}")
         scan = lll_condition_scan(args.lo, args.hi)
-        results = {
-            "lo": scan.lo,
-            "hi": scan.hi,
-            "first_min_m": scan.first_min_m,
-            "second_min_m": scan.second_min_m,
-            "first_transitions": list(scan.first_transitions),
-            "second_transitions": list(scan.second_transitions),
-        }
+        results = asdict(scan)
         notes = []
         if not scan.second_single_crossing:
             notes.append(

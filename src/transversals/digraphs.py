@@ -13,11 +13,16 @@ that edge lies in subgraph i.
 
 Both full digraphs and their arc-subsets share these representations;
 sub-digraphs always keep all red edges, so red is implicit.
+
+``support`` is the one place a row is filtered by set membership: it
+lists, per arc tail, the heads the support depth counts. ``d_star`` and
+``d_cross`` are the shortest of those lists; the exchange picks from
+them and the multiplier's saturation loop crosses them off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
@@ -89,29 +94,6 @@ class RbDigraph:
 
     def pair_index(self, v: int) -> int:
         return v % self.n
-
-
-@dataclass(frozen=True)
-class SetMetrics:
-    red_independent: bool
-    depth: int
-    support: tuple[tuple[int, int], ...]
-    """Per member: the two counts entering the depth (yellow/blue for the
-    cycle kind, blue-escape count twice for the matching kind)."""
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """A sorted vertex set, optionally annotated with its metrics."""
-
-    members: tuple[int, ...]
-    metrics: SetMetrics | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def build_full_ryb(family: SubgraphFamily, t: Transversal) -> RybDigraph:
@@ -192,21 +174,37 @@ def is_maximal_red_independent(digraph: RbDigraph, members: Sequence[int]) -> bo
     return len(ms) == digraph.n and is_red_independent(digraph, sorted(ms))
 
 
-def _support_counts_ham(J: RybDigraph, member: int, s: frozenset[int]) -> tuple[int, int]:
-    n = J.n
-    y = sum(1 for h in J.yellow[(member - 1) % n] if h in s)
-    b = sum(1 for h in J.blue[(member + 1) % n] if h in s)
-    return y, b
+def support(H: RybDigraph | RbDigraph, members: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """The arc heads the support depth counts, by arc tail.
+
+    Cycle kind: for each member m, ascending, m-1's yellow heads in the set
+    and then m+1's blue heads in the set; red independence keeps these
+    tails distinct. Matching kind: each member's blue heads outside the
+    set. Heads stay in row order, which is ascending.
+    """
+    ms = sorted(set(members))
+    s = frozenset(ms)
+    if isinstance(H, RbDigraph):
+        if not is_maximal_red_independent(H, ms):
+            raise NotMaximalRedIndependent("need exactly one endpoint per pair")
+        return {v: tuple(h for h in H.blue[v] if h not in s) for v in ms}
+    if not ms:
+        raise ValueError("empty set has no support depth")
+    if not is_red_independent(H, ms):
+        raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
+    n = H.n
+    heads: dict[int, tuple[int, ...]] = {}
+    for m in ms:
+        y, b = (m - 1) % n, (m + 1) % n
+        heads[y] = tuple(h for h in H.yellow[y] if h in s)
+        heads[b] = tuple(h for h in H.blue[b] if h in s)
+    return heads
 
 
 def is_locally_dominating(J: RybDigraph, members: Sequence[int]) -> bool:
     """Every member is fed by a yellow arc from its predecessor and a blue
     arc from its successor, both landing inside the set."""
-    ms = sorted(set(members))
-    if not is_red_independent(J, ms):
-        raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
-    s = frozenset(ms)
-    return all(min(_support_counts_ham(J, v, s)) >= 1 for v in ms)
+    return d_star(J, members) >= 1
 
 
 def d_star(H: RybDigraph, members: Sequence[int]) -> int:
@@ -215,42 +213,12 @@ def d_star(H: RybDigraph, members: Sequence[int]) -> int:
     Zero whenever some member has an empty yellow or blue support; the
     caller decides whether zero is an error.
     """
-    ms = sorted(set(members))
-    if not ms:
-        raise ValueError("empty set has no support depth")
-    if not is_red_independent(H, ms):
-        raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
-    s = frozenset(ms)
-    return min(min(_support_counts_ham(H, v, s)) for v in ms)
+    return min(map(len, support(H, members).values()))
 
 
 def d_cross(H: RbDigraph, members: Sequence[int]) -> int:
     """Minimum number of blue arcs leaving the set from any member."""
-    ms = sorted(set(members))
-    if not is_maximal_red_independent(H, ms):
-        raise NotMaximalRedIndependent("need exactly one endpoint per pair")
-    s = frozenset(ms)
-    return min(sum(1 for h in H.blue[v] if h not in s) for v in ms)
-
-
-def annotate_ham(H: RybDigraph, members: Sequence[int]) -> CandidateSet:
-    ms = tuple(sorted(set(members)))
-    indep = is_red_independent(H, ms)
-    s = frozenset(ms)
-    support = tuple(_support_counts_ham(H, v, s) for v in ms)
-    depth = min((min(p) for p in support), default=0) if indep and ms else 0
-    return CandidateSet(ms, SetMetrics(indep, depth, support))
-
-
-def annotate_pm(H: RbDigraph, members: Sequence[int]) -> CandidateSet:
-    ms = tuple(sorted(set(members)))
-    indep = is_red_independent(H, ms)
-    s = frozenset(ms)
-    escapes = tuple(sum(1 for h in H.blue[v] if h not in s) for v in ms)
-    support = tuple((e, e) for e in escapes)
-    maximal = len(ms) == H.n and indep
-    depth = min(escapes, default=0) if maximal else 0
-    return CandidateSet(ms, SetMetrics(indep, depth, support))
+    return min(map(len, support(H, members).values()))
 
 
 def omega_member_ham(base: Transversal, members: Sequence[int], cand: Transversal) -> bool:

@@ -33,13 +33,11 @@ from .core import (
     require_naturally_indexed,
     validate_transversal,
 )
-from .digraphs import RbDigraph, RybDigraph, is_red_independent
+from .digraphs import RbDigraph, RybDigraph, support
 from .errors import (
     InvalidTransversal,
     NoBlueEscape,
     NotLocallyDominating,
-    NotMaximalRedIndependent,
-    NotRedIndependent,
     RecolorConflict,
     WalkStuck,
 )
@@ -89,21 +87,17 @@ def prune(J: RybDigraph, members: Sequence[int]) -> PrunedDigraph:
     """Keep one yellow arc into the set from each member's predecessor and
     one blue arc from each member's successor, lowest head first."""
     ms = tuple(sorted(set(members)))
-    if not is_red_independent(J, ms):
-        raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
-    s = frozenset(ms)
+    heads = support(J, ms)
     n = J.n
     ypick = []
     bpick = []
     for m in ms:
-        ytail = (m - 1) % n
-        yheads = [h for h in J.yellow[ytail] if h in s]
-        btail = (m + 1) % n
-        bheads = [h for h in J.blue[btail] if h in s]
+        ytail, btail = (m - 1) % n, (m + 1) % n
+        yheads, bheads = heads[ytail], heads[btail]
         if not yheads or not bheads:
             raise NotLocallyDominating(f"member {m} lacks in-set support (yellow {len(yheads)}, blue {len(bheads)})")
-        ypick.append((m, (ytail, min(yheads))))
-        bpick.append((m, (btail, min(bheads))))
+        ypick.append((m, (ytail, yheads[0])))
+        bpick.append((m, (btail, bheads[0])))
     return PrunedDigraph(n, ms, tuple(ypick), tuple(bpick))
 
 
@@ -270,12 +264,8 @@ class AlternatingCycle:
 def find_alternating_cycle(J: RbDigraph, members: Sequence[int]) -> AlternatingCycle:
     """Walk red edges and lowest-head blue escapes until a pair repeats,
     then cut the closed part. Starts at the set endpoint of pair 0."""
-    ms = sorted(set(members))
-    n = J.n
-    if len(ms) != n or not is_red_independent(J, ms):
-        raise NotMaximalRedIndependent("need exactly one endpoint per pair")
-    s = frozenset(ms)
-    set_end = {J.pair_index(v): v for v in ms}
+    escapes = support(J, members)
+    set_end = {J.pair_index(v): v for v in escapes}
     trail: list[tuple[int, tuple[int, int]]] = []
     seen_at: dict[int, int] = {}
     p = 0
@@ -286,10 +276,9 @@ def find_alternating_cycle(J: RbDigraph, members: Sequence[int]) -> AlternatingC
             arcs = tuple(a for _, a in trail[start:])
             return AlternatingCycle(pairs, arcs)
         z = set_end[p]
-        escapes = [h for h in J.blue[z] if h not in s]
-        if not escapes:
+        if not escapes[z]:
             raise NoBlueEscape(f"member {z} of pair {p} has no blue arc leaving the set")
-        w = min(escapes)
+        w = escapes[z][0]
         seen_at[p] = len(trail)
         trail.append((p, (z, w)))
         p = J.pair_index(w)

@@ -24,6 +24,9 @@ from .core import (
 )
 from .errors import GenerationFailed, InfeasibleDegree, InfeasibleWitness
 
+# pairing rounds gen_regular_all_equal tries before it gives up
+REGULAR_RESTARTS = 200
+
 
 def _circular_distance(a: int, b: int, n: int) -> int:
     d = (a - b) % n
@@ -88,9 +91,7 @@ def gen_dirac_family(n: int, c: float, seed: int) -> SubgraphFamily:
     return SubgraphFamily(base, subs, KIND_HAM)
 
 
-def gen_regular_all_equal(
-    n: int, m: int, seed: int, restarts: int = 200
-) -> tuple[SubgraphFamily, Transversal]:
+def gen_regular_all_equal(n: int, m: int, seed: int) -> tuple[SubgraphFamily, Transversal]:
     """One m-regular Hamiltonian graph, used as every subgraph.
 
     Built as the planted cycle plus a random pairing of the remaining
@@ -124,7 +125,7 @@ def gen_regular_all_equal(
                 return None
         return chosen
 
-    for _ in range(restarts):
+    for _ in range(REGULAR_RESTARTS):
         extras = one_round() if extra > 0 else set()
         if extras is None:
             continue
@@ -135,7 +136,7 @@ def gen_regular_all_equal(
         shared = frozenset(g)
         family = SubgraphFamily(base, [shared] * n, KIND_HAM)
         return family, canonical_transversal(family)
-    raise GenerationFailed(f"no simple {m}-regular pairing in {restarts} rounds")
+    raise GenerationFailed(f"no simple {m}-regular pairing in {REGULAR_RESTARTS} rounds")
 
 
 def gen_planted_pm_family(

@@ -5,8 +5,8 @@ sets. The multiplication recursions first locate a saturated boundary
 vertex: a vertex all of whose set-targeting edges are realized by some
 already-constructed neighborhood member. Saturation is reached
 constructively, by repeatedly building a one-arc-per-vertex sub-digraph
-from the not-yet-realized edges, running the exchange, and crossing off
-every arc the returned transversal realizes. Branching over the
+from the not-yet-realized arcs of the set's ``support``, running the
+exchange, and crossing off every arc the returned transversal realizes. Branching over the
 saturated vertex's d+1 or more target edges and recursing on the shrunk
 set multiplies the count by d+1 per level. One recursion serves both
 kinds: each child is relabelled once by ``canonical_tables`` and
@@ -45,6 +45,7 @@ from .digraphs import (
     build_full_ryb,
     d_cross,
     d_star,
+    support,
 )
 from .errors import DStarTooSmall, GuaranteeViolated, InvalidTransversal, NotRedIndependent, WalkStuck
 from .exchange import second_ham_transversal, second_pm_transversal
@@ -207,26 +208,34 @@ class WitnessTable:
         return sorted(e for (w, e) in self.witnesses if w == v)
 
 
-def _saturate(witnesses, todo, exchange) -> WitnessTable:
-    """Run exchange rounds until some boundary vertex has no pending edge.
+def _saturate(base, heads, base_edge, exchange) -> WitnessTable:
+    """Run exchange rounds until some boundary vertex has no pending head.
 
-    Each round keeps one pending arc per boundary vertex (lowest head),
-    passes ``{vertex: head}`` to ``exchange``, and crosses off every
-    pending edge the returned transversal realizes. That transversal
-    differs from base inside the kept arcs, so every round makes progress.
+    ``heads`` is the set's ``support``: each boundary vertex v starts with
+    its counted heads pending, and base witnesses ``base_edge(v)``. Each
+    round keeps one pending arc per boundary vertex (lowest head), passes
+    ``{vertex: head}`` to ``exchange``, and crosses off every pending head
+    whose edge the returned transversal realizes. That transversal differs
+    from base inside the kept arcs, so every round makes progress.
     """
+    witnesses = {(v, base_edge(v)): base for v in heads}
+    todo = {v: list(hs) for v, hs in heads.items()}
     while True:
         empties = [v for v, t in todo.items() if not t]
         if empties:
             return WitnessTable(min(empties), witnesses)
-        heads = {v: min(h if lo == v else lo for lo, h in pending) for v, pending in todo.items()}
-        t2 = exchange(heads)
+        t2 = exchange({v: pending[0] for v, pending in todo.items()})
         progressed = False
         for v, pending in todo.items():
-            for e in sorted(pending & t2.edge_set):
-                witnesses[(v, e)] = t2
-                pending.discard(e)
-                progressed = True
+            kept = []
+            for h in pending:
+                e = edge(v, h)
+                if e in t2.edge_set:
+                    witnesses[(v, e)] = t2
+                    progressed = True
+                else:
+                    kept.append(h)
+            todo[v] = kept
         if not progressed:
             raise WalkStuck("exchange realized none of the kept arcs")
 
@@ -244,27 +253,15 @@ def find_saturated_vertex_ham(
     """
     n = family.num_vertices
     ms = sorted(set(members))
-    s = frozenset(ms)
-    witnesses: dict[tuple[int, Edge], Transversal] = {}
-    todo: dict[int, set[Edge]] = {}
-    side: dict[int, str] = {}
-    for m in ms:
-        yv = (m - 1) % n
-        bv = (m + 1) % n
-        side[yv] = "yellow"
-        side[bv] = "blue"
-        witnesses[(yv, edge(yv, m))] = base
-        witnesses[(bv, edge(bv, m))] = base
-        todo[yv] = {edge(yv, h) for h in H.yellow[yv] if h in s}
-        todo[bv] = {edge(bv, h) for h in H.blue[bv] if h in s}
 
-    def exchange(heads: dict[int, int]) -> Transversal:
-        yarcs = [(v, h) for v, h in heads.items() if side[v] == "yellow"]
-        barcs = [(v, h) for v, h in heads.items() if side[v] == "blue"]
-        J = RybDigraph.from_arcs(n, yarcs, barcs)
-        return second_ham_transversal(family, base, ms, J)
+    def exchange(picks: dict[int, int]) -> Transversal:
+        yarcs = [((m - 1) % n, picks[(m - 1) % n]) for m in ms]
+        barcs = [((m + 1) % n, picks[(m + 1) % n]) for m in ms]
+        return second_ham_transversal(family, base, ms, RybDigraph.from_arcs(n, yarcs, barcs))
 
-    return _saturate(witnesses, todo, exchange)
+    # each boundary vertex is the cycle neighbor of exactly one member
+    owner = {(m + k) % n: m for m in ms for k in (-1, 1)}
+    return _saturate(base, support(H, ms), lambda v: edge(v, owner[v]), exchange)
 
 
 def find_saturated_vertex_pm(
@@ -276,18 +273,11 @@ def find_saturated_vertex_pm(
     """Matching-side witness accumulation over blue escape arcs."""
     n = family.num_pairs
     ms = sorted(set(members))
-    s = frozenset(ms)
-    witnesses: dict[tuple[int, Edge], Transversal] = {}
-    todo: dict[int, set[Edge]] = {}
-    for v in ms:
-        witnesses[(v, edge(v, H.partner(v)))] = base
-        todo[v] = {edge(v, h) for h in H.blue[v] if h not in s}
 
-    def exchange(heads: dict[int, int]) -> Transversal:
-        J = RbDigraph.from_arcs(n, heads.items())
-        return second_pm_transversal(family, base, ms, J)
+    def exchange(picks: dict[int, int]) -> Transversal:
+        return second_pm_transversal(family, base, ms, RbDigraph.from_arcs(n, picks.items()))
 
-    return _saturate(witnesses, todo, exchange)
+    return _saturate(base, support(H, ms), lambda v: edge(v, H.partner(v)), exchange)
 
 
 def many_ham_transversals(

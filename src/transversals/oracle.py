@@ -3,14 +3,13 @@
 Enumeration backtracks jointly over the structure (cycle path or matching)
 and exact colors, pruning with a bipartite-matching feasibility test
 between chosen edges and colors. Budgets are explicit: blowing the node
-or time budget raises, carrying whatever was found so far; so does a
-count that the result cap stopped, as it is not exact.
+budget raises, carrying whatever was found so far; so does a count that
+the result cap stopped, as it is not exact.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +28,6 @@ from .errors import BudgetExceeded
 class SearchBudget:
     max_nodes: int = 100_000_000
     max_results: int | None = None
-    time_limit_s: float | None = None
 
 
 class _Search:
@@ -44,7 +42,6 @@ class _Search:
         self.kind = kind
         self.nodes = 0
         self.found = 0
-        self.start = time.perf_counter()
         self.results: list[Transversal] = []
 
     def tick(self):
@@ -53,9 +50,6 @@ class _Search:
             raise BudgetExceeded(
                 f"node budget {self.budget.max_nodes} exhausted", self.results, self.nodes, self.found
             )
-        if self.budget.time_limit_s is not None and self.nodes % 1024 == 0:
-            if time.perf_counter() - self.start > self.budget.time_limit_s:
-                raise BudgetExceeded("time budget exhausted", self.results, self.nodes, self.found)
 
     def solution(self, assignment: dict[Edge, int]) -> None:
         self.found += 1
@@ -247,7 +241,7 @@ def exists_ham_transversal(
     family: SubgraphFamily, budget: SearchBudget | None = None
 ) -> Transversal | None:
     budget = budget or SearchBudget()
-    capped = SearchBudget(budget.max_nodes, 1, budget.time_limit_s)
+    capped = SearchBudget(budget.max_nodes, 1)
     found = enumerate_all_ham_transversals(family, capped)
     return found[0] if found else None
 

@@ -16,8 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .digraphs import CandidateSet, RbDigraph, RybDigraph, annotate_ham, annotate_pm
-from .errors import DomainError, GuaranteeViolated, ResampleBudgetExceeded
+from .digraphs import RbDigraph, RybDigraph, d_cross, d_star
+from .errors import (
+    DomainError,
+    GuaranteeViolated,
+    NotMaximalRedIndependent,
+    NotRedIndependent,
+    ResampleBudgetExceeded,
+)
 
 # numpy is most of the package's import time and only the samplers use it,
 # so each function that needs it imports it; commands that sample nothing
@@ -49,15 +55,19 @@ class ResampleRecord:
 
 @dataclass(frozen=True)
 class SampleOutcome:
-    """The accepted set, its resample log, and the floor it is certified for.
+    """The accepted set, its support depth, its resample log, and the floor
+    it is certified for.
 
+    members is sorted and red-independent (one endpoint per pair for the
+    matching sampler); depth is its ``d_star`` or ``d_cross``.
     depth_floor is the support depth every accepted set reaches. The
     resampling samplers also give event_threshold, the count below which
     a bad event fires; lll-ham gives statement_form, the floor in the
     form r/400 * sqrt(log m/m), when m is known.
     """
 
-    candidate: CandidateSet
+    members: tuple[int, ...]
+    depth: int
     resamples: int
     records: tuple[ResampleRecord, ...]
     warnings: tuple[str, ...]
@@ -121,12 +131,16 @@ def _row_counts(flat: np.ndarray, offsets: np.ndarray, incl: np.ndarray) -> np.n
     return np.add.reduceat(incl[flat].astype(np.int64), offsets[:-1])
 
 
-def _check_sampled(cand: CandidateSet, floor: int) -> None:
-    """The post-hoc guarantee of an accepted set: red-independent, depth >= floor."""
-    if not cand.metrics.red_independent:
-        raise GuaranteeViolated("sampled set is not red-independent")
-    if cand.metrics.depth < floor:
-        raise GuaranteeViolated(f"sampled set has depth {cand.metrics.depth}, below the floor {floor}")
+def _sampled_depth(depth, H, members: tuple[int, ...], floor: int = 0) -> int:
+    """The support depth of a sampled set, and its post-hoc guarantee:
+    red-independent, depth >= floor."""
+    try:
+        d = depth(H, members)
+    except (NotRedIndependent, NotMaximalRedIndependent):
+        raise GuaranteeViolated("sampled set is not red-independent") from None
+    if d < floor:
+        raise GuaranteeViolated(f"sampled set has depth {d}, below the floor {floor}")
+    return d
 
 
 def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
@@ -189,9 +203,8 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
                 worst = (key, "y_blue", int(v), H.blue[int(v)])
         if worst is None:
             members = tuple(int(v) for v in np.nonzero(incl)[0])
-            cand = annotate_ham(H, members)
-            _check_sampled(cand, floor)
-            return SampleOutcome(cand, step, tuple(records), warnings, floor, threshold, statement_form)
+            depth = _sampled_depth(d_star, H, members, floor)
+            return SampleOutcome(members, depth, step, tuple(records), warnings, floor, threshold, statement_form)
         if step == cfg.max_resamples:
             break
         _, kind, location, scope = worst
@@ -249,12 +262,9 @@ def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
         keep = incl & ~near
         members = tuple(int(v) for v in np.nonzero(keep)[0])
         if members:
-            cand = annotate_ham(H, members)
-            if not cand.metrics.red_independent:
-                raise GuaranteeViolated("sampled set is not red-independent")
-            if cand.metrics.depth >= target:
-                return SampleOutcome(cand, step, tuple(records), warnings, target)
-            observed = cand.metrics.depth
+            observed = _sampled_depth(d_star, H, members)
+            if observed >= target:
+                return SampleOutcome(members, observed, step, tuple(records), warnings, target)
         else:
             observed = -1
         if step == cfg.max_resamples:
@@ -292,14 +302,9 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
     floor = math.ceil(threshold)
     warnings = tuple(pm_hypothesis_warnings(alpha, cfg.m, r))
 
-    # pad head lists into a (2n, maxdeg) matrix for whole-array sweeps
-    maxdeg = max(degs)
-    heads = np.zeros((2 * n, maxdeg), dtype=np.int64)
-    valid = np.zeros((2 * n, maxdeg), dtype=bool)
-    for v in range(2 * n):
-        row = H.blue[v]
-        heads[v, : len(row)] = row
-        valid[v, : len(row)] = True
+    # every row is non-empty, as r >= 1
+    flat, offsets = _flat_heads(H.blue)
+    deg = np.diff(offsets)
     scopes: list[tuple[int, ...]] = []
     for i in range(n):
         owners = {w % n for w in H.blue[i]} | {w % n for w in H.blue[n + i]} | {i}
@@ -314,13 +319,12 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
         chosen = idx + n * bits
         in_set = np.zeros(2 * n, dtype=bool)
         in_set[chosen] = True
-        escapes = (~in_set[heads] & valid).sum(axis=1)[chosen]
+        escapes = (deg - _row_counts(flat, offsets, in_set))[chosen]
         flagged = np.nonzero(escapes < threshold)[0]
         if flagged.size == 0:
             members = tuple(int(v) for v in np.sort(chosen))
-            cand = annotate_pm(H, members)
-            _check_sampled(cand, floor)
-            return SampleOutcome(cand, step, tuple(records), warnings, floor, threshold)
+            depth = _sampled_depth(d_cross, H, members, floor)
+            return SampleOutcome(members, depth, step, tuple(records), warnings, floor, threshold)
         if step == cfg.max_resamples:
             break
         i0 = int(flagged[0])

@@ -299,7 +299,7 @@ def test_c08b_sampler_behavior_at_stated_scale():
         assert len(out.warnings) == 1 and "escape floor" in out.warnings[0], (
             out.warnings
         )
-        if out.candidate.metrics.depth >= target:
+        if out.depth >= target:
             good += 1
     elapsed = time.perf_counter() - start
     assert good >= 9, f"only {good}/10 seeds reached d_cross >= {target}"
@@ -324,7 +324,7 @@ def test_c08c_sampler_at_full_hypothesis_scale():
     for seed in range(10):
         out = sample_set_pm(H, SamplerConfig(seed=seed, alpha=alpha, m=m))
         assert out.warnings == (), out.warnings
-        if out.candidate.metrics.depth >= target:
+        if out.depth >= target:
             good += 1
     elapsed = time.perf_counter() - start
     assert good >= 9, f"only {good}/10 seeds reached d_cross >= {target}"
@@ -398,7 +398,7 @@ def test_c11_determinism_everywhere():
     H = build_full_ryb(fam, t)
     a = sample_set_lll_ham(H, SamplerConfig(seed=9, m=26))
     b = sample_set_lll_ham(H, SamplerConfig(seed=9, m=26))
-    assert a.candidate.members == b.candidate.members
+    assert a.members == b.members
     assert a.resamples == b.resamples
     assert [(r.kind, r.location) for r in a.records] == [
         (r.kind, r.location) for r in b.records
@@ -407,7 +407,7 @@ def test_c11_determinism_everywhere():
     H2 = build_full_rb(fam2, t2)
     c = sample_set_pm(H2, SamplerConfig(seed=9, alpha=0.5))
     d = sample_set_pm(H2, SamplerConfig(seed=9, alpha=0.5))
-    assert c.candidate.members == d.candidate.members
+    assert c.members == d.members
     # deterministic pipelines: exchange and multiplication output order
     fam3, t3 = gen_witness_instance_ham(10, (0, 3, 6), 2, seed=6)
     H3 = build_full_ryb(fam3, t3)

@@ -15,10 +15,12 @@ from transversals import (
     BaseGraph,
     GuaranteeViolated,
     KIND_HAM,
+    NotRedIndependent,
     SubgraphFamily,
     canonical_transversal,
     cli,
     edge,
+    sampler,
 )
 from transversals.cli import main
 from transversals.sampler import ScanReport
@@ -158,6 +160,7 @@ def test_exit_code_precondition(tmp_path, capsys):
     path = gen_witness_file(tmp_path, capsys)
     # members at circular distance 1 break red independence
     assert main(["second", "--in", path, "--set", "0,1"]) == 4
+    assert capsys.readouterr().err == "precondition failed: NotRedIndependent: set [0, 1] has a red-adjacent pair\n"
     assert main([
         "gen", "--model", "witness", "--n", "9", "--set", "0,3,6",
         "--d", "9", "--seed", "1", "--out", str(tmp_path / "x.json"),
@@ -175,6 +178,20 @@ def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: GuaranteeViolated: multiplication fell short of (d+1)!\n"
+
+
+def test_sample_set_exits_5_when_the_sampled_set_is_not_red_independent(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "r.json")
+    run_cli(capsys, "gen", "--model", "regular-all-equal", "--n", "30", "--m", "10", "--seed", "1", "--out", path)
+
+    def not_independent(H, members):
+        raise NotRedIndependent(f"set {list(members)} has a red-adjacent pair")
+
+    monkeypatch.setattr(sampler, "d_star", not_independent)
+    assert main(["sample-set", "--in", path, "--method", "lll-ham", "--seed", "2"]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: GuaranteeViolated: sampled set is not red-independent\n"
 
 
 def test_exit_code_budget(tmp_path, capsys):

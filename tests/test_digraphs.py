@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from transversals import (
-    CandidateSet,
     KIND_HAM,
     RbDigraph,
     RybDigraph,
+    NotMaximalRedIndependent,
+    NotRedIndependent,
     SubgraphFamily,
-    annotate_ham,
-    annotate_pm,
     build_full_rb,
     build_full_ryb,
     canonical_transversal,
@@ -25,6 +24,7 @@ from transversals import (
     omega_member_pm,
     second_ham_transversal,
     second_pm_transversal,
+    support,
 )
 
 from conftest import make_ham_family
@@ -80,6 +80,34 @@ def _arcs_by_definition(fam):
     return yellow, blue
 
 
+def _support_by_definition(fam, members):
+    """The counted heads read off the subgraphs, with no digraph.
+
+    Cycle kind: tail m-1 counts h in S with edge(m-1, h) in G_{m-1}, tail
+    m+1 counts h in S with edge(m+1, h) in G_m, h off the tail's cycle
+    neighbours. Matching kind: member v counts every opposite-side h
+    outside S and off v's own pair, joined to v in G_{v mod n}.
+    """
+    S = set(members)
+    N = fam.num_vertices
+    G = fam.subgraphs
+    if fam.kind == KIND_HAM:
+        out = {}
+        for m in sorted(S):
+            for tail, color in (((m - 1) % N, (m - 1) % N), ((m + 1) % N, m)):
+                near = {tail, (tail - 1) % N, (tail + 1) % N}
+                out[tail] = tuple(h for h in sorted(S - near) if edge(tail, h) in G[color])
+        return out
+    n = fam.num_pairs
+    return {
+        v: tuple(
+            h for h in range(N)
+            if h not in S and h % n != v % n and (h < n) != (v < n) and edge(v, h) in G[v % n]
+        )
+        for v in sorted(S)
+    }
+
+
 @given(st.integers(3, 14), st.data())
 def test_ryb_build_matches_arc_definition_on_planted_families(n, data):
     k = data.draw(st.integers(0, n - 3), label="extra_degree")
@@ -87,6 +115,11 @@ def test_ryb_build_matches_arc_definition_on_planted_families(n, data):
     fam, t = gen_planted_ham_family(n, k, seed)
     H = build_full_ryb(fam, t)
     assert (H.yellow, H.blue) == _arcs_by_definition(fam)
+    # random chords, so arcs also land outside the set
+    size = data.draw(st.integers(1, n // 3), label="set size")
+    shift = data.draw(st.integers(0, n - 1), label="shift")
+    members = [(shift + i * (n // size)) % n for i in range(size)]
+    assert support(H, members) == _support_by_definition(fam, members)
 
 
 @given(st.integers(9, 40), st.data())
@@ -98,6 +131,7 @@ def test_ryb_build_matches_arc_definition_on_witness_instances(n, data):
     fam, t = gen_witness_instance_ham(n, members, d, seed)
     H = build_full_ryb(fam, t)
     assert (H.yellow, H.blue) == _arcs_by_definition(fam)
+    assert support(H, members) == _support_by_definition(fam, members)
     assert d_star(H, members) == d
 
 
@@ -177,20 +211,37 @@ def test_d_cross_counts_escapes():
     assert got == 2
 
 
-def test_annotate_populates_metrics(figure_family):
+def test_support_lists_the_counted_heads(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam, t)
-    cand = annotate_ham(H, (0, 3))
-    assert isinstance(cand, CandidateSet)
-    assert cand.members == (0, 3)
-    assert cand.metrics.red_independent
-    assert cand.metrics.depth == 1
-    assert len(cand) == 2
+    # member 0: yellow 5 -> 3 and blue 1 -> 3; member 3: yellow 2 -> 0 and blue 4 -> 0
+    heads = support(H, (3, 0))
+    assert list(heads.items()) == [(5, (3,)), (1, (3,)), (2, (0,)), (4, (0,))]
+    assert d_star(H, (0, 3)) == min(map(len, heads.values())) == 1
+    with pytest.raises(ValueError, match="empty set"):
+        support(H, ())
+    with pytest.raises(NotRedIndependent, match=r"set \[0, 1\] has a red-adjacent pair"):
+        support(H, (1, 0))
 
     fam2, t2 = gen_planted_pm_family(4, 1, seed=0)
     H2 = build_full_rb(fam2, t2)
-    cand2 = annotate_pm(H2, tuple(range(4)))
-    assert cand2.metrics.depth == d_cross(H2, tuple(range(4)))
+    # the x side is one endpoint per pair, and every blue arc leaves it
+    assert support(H2, range(4)) == {v: H2.blue[v] for v in range(4)}
+    assert d_cross(H2, tuple(range(4))) == min(len(H2.blue[v]) for v in range(4))
+    with pytest.raises(NotMaximalRedIndependent, match="need exactly one endpoint per pair"):
+        support(H2, (0, 4, 1, 2))
+
+
+@given(st.integers(2, 12), st.data())
+def test_support_matches_the_family_on_planted_matchings(n, data):
+    k = data.draw(st.integers(0, n - 1), label="extra_degree")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    sides = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="sides")
+    members = [i + n * y for i, y in enumerate(sides)]
+    fam, t = gen_planted_pm_family(n, k, seed)
+    heads = support(build_full_rb(fam, t), members)
+    assert heads == _support_by_definition(fam, members)
+    assert list(heads) == sorted(members)
 
 
 def test_omega_member_ham_accepts_and_rejects(figure_family):

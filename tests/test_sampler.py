@@ -3,7 +3,6 @@ import math
 import pytest
 
 from transversals import (
-    CandidateSet,
     DomainError,
     GuaranteeViolated,
     ResampleBudgetExceeded,
@@ -11,6 +10,8 @@ from transversals import (
     build_full_rb,
     build_full_ryb,
     chernoff_bounds,
+    d_cross,
+    d_star,
     default_inclusion_probability,
     dirac_depth_target,
     empirical_lower_tail,
@@ -32,7 +33,6 @@ from transversals import (
     sample_set_pm,
 )
 from transversals import sampler
-from transversals.digraphs import SetMetrics
 from transversals.sampler import XI
 
 
@@ -85,27 +85,25 @@ def test_default_inclusion_probability():
 def test_lll_ham_sampler_meets_guarantee(regular_ryb):
     H = regular_ryb
     out = sample_set_lll_ham(H, SamplerConfig(seed=5, m=30))
-    cand = out.candidate
-    assert cand.metrics.red_independent
-    assert is_red_independent(H, cand.members)
+    assert is_red_independent(H, out.members)
     p = default_inclusion_probability(30)
     r = min(
         min(len(H.yellow[v]) for v in range(H.n)),
         min(len(H.blue[v]) for v in range(H.n)),
     )
-    assert cand.metrics.depth >= math.ceil(p * r / 400.0)
+    assert out.depth == d_star(H, out.members) >= math.ceil(p * r / 400.0)
     assert len(out.warnings) == 2  # small-m and small-r regime notes
 
 
 def test_lll_ham_sampler_deterministic(regular_ryb):
     a = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
     b = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
-    assert a.candidate.members == b.candidate.members
+    assert a.members == b.members
     assert a.resamples == b.resamples
     assert [r.location for r in a.records] == [r.location for r in b.records]
     c = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=6, m=30))
     assert (
-        c.candidate.members != a.candidate.members or c.resamples != a.resamples
+        c.members != a.members or c.resamples != a.resamples
     )
 
 
@@ -133,10 +131,10 @@ def test_samplers_warn_when_m_is_not_given(regular_ryb, bipartite_rb):
         assert len(out.warnings) == 1
         assert "m not given" in out.warnings[0] and "not checked" in out.warnings[0]
         assert out.depth_floor == math.ceil(out.event_threshold)
-        assert out.candidate.metrics.depth >= out.depth_floor
+        assert out.depth >= out.depth_floor
     assert ham.statement_form is None
     with_m = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
-    assert with_m.candidate == ham.candidate
+    assert (with_m.members, with_m.depth) == (ham.members, ham.depth)
     # r/400 * sqrt(log m/m) is twice p*r/400 at the default p
     assert with_m.statement_form == pytest.approx(2 * with_m.event_threshold)
 
@@ -144,21 +142,33 @@ def test_samplers_warn_when_m_is_not_given(regular_ryb, bipartite_rb):
 def test_pm_sampler_meets_guarantee(bipartite_rb):
     H = bipartite_rb
     out = sample_set_pm(H, SamplerConfig(seed=1, alpha=0.5))
-    cand = out.candidate
-    assert is_maximal_red_independent(H, cand.members)
-    assert len(cand) == H.n
-    assert cand.metrics.depth >= math.ceil(0.5 * 20 / 2)
+    assert is_maximal_red_independent(H, out.members)
+    assert len(out.members) == H.n
+    assert out.depth == d_cross(H, out.members) >= math.ceil(0.5 * 20 / 2)
+
+
+def test_pm_escape_counts_match_the_row_loop(bipartite_rb):
+    # the sampler counts escapes as degree minus in-set heads over the flat layout
+    import numpy as np
+
+    H = bipartite_rb
+    flat, offsets = sampler._flat_heads(H.blue)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        in_set = rng.random(2 * H.n) < 0.5
+        got = np.diff(offsets) - sampler._row_counts(flat, offsets, in_set)
+        assert got.tolist() == [sum(1 for h in row if not in_set[h]) for row in H.blue]
 
 
 def test_pm_sampler_deterministic(bipartite_rb):
     a = sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
     b = sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
-    assert a.candidate.members == b.candidate.members
+    assert a.members == b.members
 
 
 def test_pm_sampler_raises_when_the_depth_floor_fails(bipartite_rb, monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
-    monkeypatch.setattr(sampler, "annotate_pm", lambda H, ms: CandidateSet(ms, SetMetrics(True, 0, ())))
+    monkeypatch.setattr(sampler, "d_cross", lambda H, ms: 0)
     with pytest.raises(GuaranteeViolated, match="below the floor 5"):
         sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
 
@@ -176,10 +186,10 @@ def test_dirac_sampler_meets_target():
     fam_c, t_c, _ = naturally_index(fam, t)
     H = build_full_ryb(fam_c, t_c)
     out = sample_set_dirac(H, SamplerConfig(seed=4, c=0.9))
-    assert out.candidate.metrics.depth >= dirac_depth_target(60, 0.9)
-    assert is_red_independent(H, out.candidate.members)
+    assert out.depth >= dirac_depth_target(60, 0.9)
+    assert is_red_independent(H, out.members)
     again = sample_set_dirac(H, SamplerConfig(seed=4, c=0.9))
-    assert again.candidate.members == out.candidate.members
+    assert again.members == out.members
 
 
 def test_dirac_sampler_requires_c():
