@@ -23,10 +23,13 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
+from functools import lru_cache
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import le
 from typing import Optional
 
@@ -95,6 +98,7 @@ EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
 LLL_SCAN_MAX_HI = 1_000_000  # at about 5 us per m, a scan of seconds
+GEN_MAX_EDGES = 5_000_000  # edges a gen file may list: about 130 MB of text
 
 _BUDGET_ERRORS = (BudgetExceeded, ResampleBudgetExceeded)
 _INTERNAL_ERRORS = (GuaranteeViolated, WalkStuck, RecolorConflict)
@@ -109,6 +113,11 @@ def _at_least(value: Optional[int], floor: int, flag: str) -> None:
         raise InputError(f"{flag} must be at least {floor}, got {value}")
 
 
+def _gen_fits(edges: int) -> None:
+    if edges > GEN_MAX_EDGES:
+        raise InputError(f"gen would list up to {edges} edges; the cap is {GEN_MAX_EDGES}")
+
+
 def transversal_to_obj(t: Transversal) -> dict:
     return {
         "edges": [list(e) for e, _ in t.items],
@@ -119,7 +128,7 @@ def transversal_to_obj(t: Transversal) -> dict:
 def instance_to_obj(
     family: SubgraphFamily, planted: Optional[Transversal], metadata: Optional[dict]
 ) -> dict:
-    # equal subgraphs share one row list; the encoder writes it each time
+    # equal subgraphs share one row list, which _json_text encodes once
     rows = {g: [list(e) for e in sorted(g)] for g in set(family.subgraphs)}
     obj = {
         "kind": family.kind,
@@ -134,29 +143,90 @@ def instance_to_obj(
     return obj
 
 
-def _instance_text(obj: dict) -> str:
-    """Exactly ``json.dumps(obj, indent=1, sort_keys=True)``, each row list encoded once.
+@lru_cache(maxsize=None)
+def _c_encoder(item_separator: str):
+    """json's C encoder as ``json.dumps(..., sort_keys=True)`` sets it up,
+    but with the given item separator."""
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii,
+        None, ": ", item_separator, True, False, True,
+    )
 
-    Equal subgraphs share one row list (``instance_to_obj``), so a row's
-    text is made once and repeated. Every other value is encoded alone and
+
+_SCALARS = frozenset({int, float, bool, type(None), str})
+_NUMBERS = _SCALARS - {str}
+_LISTS = frozenset({list, tuple})
+
+
+def _json_text(value, indent: int) -> str:
+    """Exactly ``json.dumps(value, indent=indent, sort_keys=True)``, from C-encoder pieces.
+
+    ``indent`` forces json's pure-Python encoder, so the text is built here
+    instead, as a list of pieces joined once. Python walks the dicts and
+    the lists of mixed values; a list of scalars is one C call with the
+    indented item separator, and so is a list of non-empty number rows
+    (edge lists), whose between-row separator one ``replace`` then moves
+    out a level: with no strings in the rows, every bracket and comma there
+    is structural. A list object met again at the same depth repeats its
+    pieces, so each distinct subgraph row of an instance is encoded once.
+    A dict with a key that is not a ``str`` is left to ``json.dumps`` and
     shifted in to its depth: JSON escapes newlines inside strings, so each
-    newline the encoder writes starts an indented line.
+    newline it writes starts a line.
     """
+    pieces: list[str] = []
+    spans: dict[tuple[int, int], tuple[int, int]] = {}  # (list id, depth) -> its pieces
+    unit = " " * indent
 
-    def at_depth(value, depth: int) -> str:
-        return json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n" + " " * depth)
+    def enc(v, item_separator: str) -> str:
+        return "".join(_c_encoder(item_separator)(v, 0))
 
-    def subgraphs_text(rows: list) -> str:
-        if not rows:
-            return "[]"
-        texts = {id(r): at_depth(r, 2) for r in {id(r): r for r in rows}.values()}
-        return "[\n  " + ",\n  ".join(texts[id(r)] for r in rows) + "\n ]"
+    def write(v, depth: int) -> None:
+        p0 = "\n" + unit * depth
+        p1 = p0 + unit
+        if isinstance(v, dict):
+            if not v:
+                pieces.append("{}")
+            elif not {str}.issuperset(map(type, v)):
+                pieces.append(json.dumps(v, indent=indent, sort_keys=True).replace("\n", p0))
+            else:
+                sep = "{" + p1
+                for k in sorted(v):
+                    pieces.append(sep + encode_basestring_ascii(k) + ": ")
+                    write(v[k], depth + 1)
+                    sep = "," + p1
+                pieces.append(p0 + "}")
+            return
+        if not isinstance(v, (list, tuple)):
+            pieces.append(enc(v, ","))
+            return
+        if not v:
+            pieces.append("[]")
+            return
+        key = (id(v), depth)
+        if key in spans:
+            start, end = spans[key]
+            pieces.extend(pieces[start:end])
+            return
+        start = len(pieces)
+        if _SCALARS.issuperset(map(type, v)):
+            pieces.extend(["[" + p1, enc(v, "," + p1)[1:-1], p0 + "]"])
+        elif _LISTS.issuperset(map(type, v)) and all(v) and _NUMBERS.issuperset(
+            map(type, chain.from_iterable(v))
+        ):
+            p2 = p1 + unit
+            rows = enc(v, "," + p2)[2:-2].replace("]," + p2 + "[", p1 + "]," + p1 + "[" + p2)
+            pieces.extend(["[" + p1 + "[" + p2, rows, p1 + "]" + p0 + "]"])
+        else:
+            sep = "[" + p1
+            for x in v:
+                pieces.append(sep)
+                write(x, depth + 1)
+                sep = "," + p1
+            pieces.append(p0 + "]")
+        spans[key] = (start, len(pieces))
 
-    items = [
-        json.dumps(key) + ": " + (subgraphs_text(value) if key == "subgraphs" else at_depth(value, 1))
-        for key, value in sorted(obj.items())
-    ]
-    return "{\n " + ",\n ".join(items) + "\n}"
+    write(value, 0)
+    return "".join(pieces)
 
 
 def _json_int(x, what: str) -> int:
@@ -329,19 +399,24 @@ def _prepare(args, kind=None):
 
 
 def cmd_gen(args) -> tuple[dict, list, int]:
-    model = args.model
-    params = {"model": model, "n": args.n, "seed": args.seed}
+    model, n, extra = args.model, args.n, args.extra_degree
+    params = {"model": model, "n": n, "seed": args.seed}
+    # each bound counts what the file lists, before anything is allocated:
+    # the base edges, every subgraph row and the planted edges
     if model == "planted-ham":
-        params["extra_degree"] = args.extra_degree
-        family, planted = gen_planted_ham_family(args.n, args.extra_degree, args.seed)
+        _gen_fits(n * (3 + 2 * extra))
+        params["extra_degree"] = extra
+        family, planted = gen_planted_ham_family(n, extra, args.seed)
     elif model == "planted-pm":
-        params["extra_degree"] = args.extra_degree
-        family, planted = gen_planted_pm_family(args.n, args.extra_degree, args.seed)
+        _gen_fits(n * (3 + 4 * extra))
+        params["extra_degree"] = extra
+        family, planted = gen_planted_pm_family(n, extra, args.seed)
     elif model == "dirac":
         if args.c is None:
             raise InputError("dirac model needs --c")
+        _gen_fits((n + 1) * n * (n - 1) // 2 + n)
         params["c"] = args.c
-        family = gen_dirac_family(args.n, args.c, args.seed)
+        family = gen_dirac_family(n, args.c, args.seed)
         planted = None
         if args.find_planted:
             planted = oracle.exists_ham_transversal(family)
@@ -351,8 +426,9 @@ def cmd_gen(args) -> tuple[dict, list, int]:
     elif model == "regular-all-equal":
         if args.m is None:
             raise InputError("regular-all-equal model needs --m")
+        _gen_fits((n + 1) * n * args.m // 2 + n)
         params["m"] = args.m
-        family, planted = gen_regular_all_equal(args.n, args.m, args.seed)
+        family, planted = gen_regular_all_equal(n, args.m, args.seed)
     elif model == "witness":
         if args.set is None or args.d is None:
             raise InputError("witness model needs --set and --d")
@@ -360,14 +436,15 @@ def cmd_gen(args) -> tuple[dict, list, int]:
             members = tuple(int(t) for t in args.set.split(",") if t.strip())
         except ValueError:
             raise InputError(f"bad --set {args.set!r}; need comma-separated integers") from None
+        _gen_fits(3 * n + 4 * len(members) * args.d)
         params["set"] = list(members)
         params["d"] = args.d
-        family, planted = gen_witness_instance_ham(args.n, members, args.d, args.seed)
+        family, planted = gen_witness_instance_ham(n, members, args.d, args.seed)
     else:
         raise InputError(f"unknown model {model!r}")
     obj = instance_to_obj(family, planted, params)
     with open(args.out, "w") as fh:
-        fh.write(_instance_text(obj) + "\n")
+        fh.write(_json_text(obj, 1) + "\n")
     results = {
         "path": args.out,
         "num_vertices": family.num_vertices,
@@ -666,7 +743,13 @@ def main(argv=None) -> int:
         "warnings": warnings,
         "wall_time_s": round(time.perf_counter() - start, 6),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(_json_text(report, 2), flush=True)
+    except BrokenPipeError:
+        # the reader left early; aim stdout at devnull so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

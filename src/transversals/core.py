@@ -378,7 +378,8 @@ def old_to_new(vinv: Sequence[int], num_vertices: int) -> list[int]:
 def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> SubgraphFamily:
     """The family under new-to-old tables: vertex k is old ``vinv[k]``,
     subgraph k is old ``cinv[k]``, and edges touching a vertex left out of
-    ``vinv`` are dropped. Identity tables return the family itself."""
+    ``vinv`` are dropped. Subgraphs shared in the family stay shared.
+    Identity tables return the family itself."""
     if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
         return family
     new = old_to_new(vinv, family.num_vertices)
@@ -386,7 +387,14 @@ def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]
     def pairs(edges) -> list[Edge]:
         return [(new[u], new[v]) for u, v in edges if new[u] >= 0 and new[v] >= 0]
 
-    subs = [pairs(family.subgraphs[c]) for c in cinv]
+    # a subgraph shared by several colors is mapped once and stays shared
+    mapped: dict[int, list[Edge]] = {}
+    subs = []
+    for c in cinv:
+        g = family.subgraphs[c]
+        if id(g) not in mapped:
+            mapped[id(g)] = pairs(g)
+        subs.append(mapped[id(g)])
     return SubgraphFamily(BaseGraph(len(vinv), pairs(family.base.edge_set)), subs, family.kind)
 
 

@@ -99,37 +99,37 @@ class RbDigraph:
 def build_full_ryb(family: SubgraphFamily, t: Transversal) -> RybDigraph:
     """All yellow and blue arcs the family supports over the planted cycle.
 
-    One incidence pass over the subgraphs, O(n + sum of |G_c|): row i of
-    yellow reads only G_i at vertex i, and row i of blue only G_{i-1} at i.
+    Row i of yellow reads only G_i at vertex i, and row i of blue only
+    G_{i-1} at i. Each distinct subgraph object is indexed by vertex once,
+    so an all-equal family costs one pass over its one edge set, and any
+    family O(n + the sum of its distinct |G_c|).
     """
     if family.kind != KIND_HAM:
         raise ValueError("cycle digraph needs a hamiltonian family")
     require_naturally_indexed(family, t)
     n = family.num_vertices
-    yellow: list[list[int]] = [[] for _ in range(n)]
-    blue: list[list[int]] = [[] for _ in range(n)]
+    # keyed by id as SubgraphFamily canonicalises: the family keeps each alive
+    index: dict[int, dict[int, list[int]]] = {}
+    yellow: list[tuple[int, ...]] = [()] * n
+    blue: list[tuple[int, ...]] = [()] * n
+    steps = (1, n - 1)  # v - u over a cycle pair u < v
     for c, g in enumerate(family.subgraphs):
+        at = index.get(id(g))
+        if at is None:
+            at = index[id(g)] = {}
+            for u, v in g:
+                # a cycle pair is red, never an arc (SubgraphFamily orders u <= v);
+                # any other pair is kept, for RybDigraph to reject if it is no arc
+                if v - u not in steps or u < 0 or v >= n:
+                    at.setdefault(u, []).append(v)
+                    at.setdefault(v, []).append(u)
         nxt = (c + 1) % n
-        # an edge of G_c at c is a yellow head of c, one at c+1 a blue head of c+1
-        for u, v in g:
-            if u == c:
-                yellow[c].append(v)
-            if v == c:
-                yellow[c].append(u)
-            if u == nxt:
-                blue[nxt].append(v)
-            if v == nxt:
-                blue[nxt].append(u)
-
-    def row(i: int, heads: list[int]) -> tuple[int, ...]:
-        banned = {(i - 1) % n, (i + 1) % n}
-        return tuple(sorted(j for j in heads if j not in banned))
-
-    return RybDigraph(
-        n,
-        tuple(row(i, hs) for i, hs in enumerate(yellow)),
-        tuple(row(i, hs) for i, hs in enumerate(blue)),
-    )
+        # G_c at c gives c's yellow heads, and at c+1 the blue heads of c+1
+        if c in at:
+            yellow[c] = tuple(sorted(at[c]))
+        if nxt in at:
+            blue[nxt] = tuple(sorted(at[nxt]))
+    return RybDigraph(n, tuple(yellow), tuple(blue))
 
 
 def build_full_rb(family: SubgraphFamily, t: Transversal) -> RbDigraph:

@@ -383,13 +383,95 @@ def instance_families(draw):
 def test_instance_text_is_json_dump_and_loads_back(case, metadata):
     family, planted = case
     obj = cli.instance_to_obj(family, planted, metadata)
-    text = cli._instance_text(obj)
+    text = cli._json_text(obj, 1)
     assert text == json.dumps(obj, indent=1, sort_keys=True)
     loaded, loaded_planted, _ = cli.instance_from_obj(json.loads(text))
     assert loaded == family and loaded_planted == planted
     first: dict = {}
     for g in loaded.subgraphs:  # equal rows load as one shared set
         assert first.setdefault(g, g) is g
+
+
+_NUMBERS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats())
+_SCALARS = _NUMBERS | st.text(max_size=4)
+
+
+@st.composite
+def json_values(draw):
+    """Nested JSON values, NaN, infinities and non-ASCII text included,
+    with rows of numbers as edge lists are, dicts keyed by integers as well
+    as by strings, and one list object at several places and depths."""
+    shared = draw(st.lists(_SCALARS | st.lists(_NUMBERS, min_size=1, max_size=3), min_size=1, max_size=4))
+    rows = st.lists(st.lists(_NUMBERS, min_size=1, max_size=3), min_size=1, max_size=4)
+    tree = draw(st.recursive(
+        _SCALARS | rows | st.just(shared),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.tuples(kids, kids),
+            st.dictionaries(st.text(max_size=3), kids, max_size=4),
+            st.dictionaries(st.integers(), kids, max_size=2),
+        ),
+        max_leaves=20,
+    ))
+    return [shared, tree, {"again": [shared, shared]}]
+
+
+@given(json_values(), st.sampled_from([1, 2]))
+def test_json_text_is_json_dumps(value, indent):
+    assert cli._json_text(value, indent) == json.dumps(value, indent=indent, sort_keys=True)
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    src = str(Path(transversals.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "transversals.cli", "bounds", "--id", "lll-cond", "--m", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdout.close()  # the reader leaves before the report is printed
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+OVER_CAP = [
+    "--model planted-ham --n 100000000",
+    "--model planted-pm --n 2000000 --extra-degree 1",
+    "--model dirac --n 300 --c 0.5",
+    "--model regular-all-equal --n 2000 --m 10",
+    "--model witness --n 2000000 --set 0,3,6 --d 2",
+]
+GENERATORS = (
+    "gen_planted_ham_family", "gen_planted_pm_family", "gen_dirac_family",
+    "gen_regular_all_equal", "gen_witness_instance_ham",
+)
+
+
+@pytest.mark.parametrize("model", OVER_CAP)
+def test_gen_exits_2_above_the_edge_cap_before_generating(model, tmp_path, capsys, monkeypatch):
+    def generate(*args):
+        raise AssertionError("generator reached above the cap")
+
+    for name in GENERATORS:
+        monkeypatch.setattr(cli, name, generate)
+    path = tmp_path / "big.json"
+    assert main(["gen", *model.split(), "--seed", "1", "--out", str(path)]) == 2
+    assert f"the cap is {cli.GEN_MAX_EDGES}" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("model", GEN_MODELS)
+def test_the_gen_cap_bounds_the_edges_the_file_lists(model, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.json"
+    assert main(["gen", *model.split(), "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    listed = len(obj["base_edges"]) + sum(map(len, obj["subgraphs"]))
+    listed += len(obj.get("planted", {}).get("edges", ()))
+    # a bound below what the file lists would reject this very file
+    monkeypatch.setattr(cli, "GEN_MAX_EDGES", listed - 1)
+    assert main(["gen", *model.split(), "--out", str(path)]) == 2
+    capsys.readouterr()
 
 
 def _k3_file(tmp_path, rows):
@@ -591,7 +673,10 @@ def test_reports_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for cmd, report_sha, files in PINNED:
         assert main(cmd.split()) == 0, cmd
-        rep = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        rep = json.loads(out)
+        # the printed bytes, not only the report they hold
+        assert out == json.dumps(rep, indent=2, sort_keys=True) + "\n", cmd
         del rep["wall_time_s"]
         text = json.dumps(rep, indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == report_sha, f"{cmd}\n{text}"

@@ -28,7 +28,9 @@ from transversals import (
     enumerate_omega_pm,
     gen_planted_ham_family,
     gen_planted_pm_family,
+    gen_regular_all_equal,
     gen_witness_instance_ham,
+    naturally_index,
     validate_transversal,
 )
 
@@ -99,7 +101,7 @@ def test_relabelling_keeps_every_guarantee(case, rnd):
         paths = []
         for name, fam, t in (("a", family, planted), ("b", moved_family, moved_planted)):
             path = str(Path(tmp) / f"{name}.json")
-            Path(path).write_text(cli._instance_text(cli.instance_to_obj(fam, t, {})))
+            Path(path).write_text(cli._json_text(cli.instance_to_obj(fam, t, {}), 1))
             paths.append(path)
         original, moved = paths
         spec = ",".join(map(str, members))
@@ -128,3 +130,17 @@ def test_relabelling_keeps_every_guarantee(case, rnd):
                 assert Transversal.from_map(family.kind, back) in omega
 
         assert _run("count", "--in", moved) == _run("count", "--in", original)
+
+
+def test_a_relabelled_all_equal_family_stays_one_shared_subgraph():
+    family, planted = gen_regular_all_equal(12, 4, 3)
+    rnd = random.Random(5)
+    vperm, cperm = list(range(12)), list(range(12))
+    rnd.shuffle(vperm)
+    rnd.shuffle(cperm)
+    moved, moved_planted = _relabel(family, planted, vperm, cperm)
+    # every color of an all-equal family maps to the same edge set: share it
+    shared = SubgraphFamily(moved.base, [moved.subgraphs[0]] * 12, KIND_HAM)
+    fam_c, _, _ = naturally_index(shared, moved_planted)
+    assert fam_c is not shared
+    assert all(g is fam_c.subgraphs[0] for g in fam_c.subgraphs)

@@ -79,3 +79,23 @@ def test_no_function_imports_from_the_package():
                 if own:
                     found.add(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert sorted(found) == []
+
+
+def test_only_the_json_writer_indents():
+    # every indented JSON the package emits comes from cli._json_text
+    found = []
+    for path, tree in _modules():
+        if path.parent != PACKAGE:
+            continue
+        writer = {
+            id(node)
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_json_text"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in writer
+            and any(k.arg == "indent" for k in node.keywords)
+        ]
+    assert found == []
