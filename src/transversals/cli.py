@@ -29,6 +29,7 @@ import time
 from dataclasses import asdict
 from functools import lru_cache
 from itertools import chain
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import le
 from typing import Optional
@@ -253,27 +254,36 @@ def _json_subgraphs(rows) -> list[frozenset[Edge]]:
     per-edge pass to ``SubgraphFamily``; only a row holding a reversed pair
     is ordered here, as the union of the rows may become the base graph,
     whose errors name pairs as ``edge()`` orders them. A row that fails
-    the check goes through ``_json_edge``, which names the bad pair.
+    the check goes through ``_json_edge``, which names the bad pair. A row
+    object met again (the loader shares the decoded list of equal row texts)
+    was checked already and reuses its set.
     """
     sets: dict[tuple[int, ...], frozenset[Edge]] = {}
+    checked: dict[int, frozenset[Edge]] = {}  # row object id -> its set
     out = []
     for g in rows:
-        try:
-            # with every pair of length 2 the flat id sequence is the row
-            flat = tuple(chain.from_iterable(g)) if set(map(len, g)) <= {2} else None
-        except TypeError:  # a row or a pair that is not a list
-            flat = None
-        if flat is None or not set(map(type, flat)) <= {int}:
-            out.append(frozenset(map(_json_edge, g)))
-            continue
-        s = sets.get(flat)
+        s = checked.get(id(g))
         if s is None:
-            us, vs = flat[::2], flat[1::2]
-            s = sets[flat] = frozenset(
-                zip(us, vs) if all(map(le, us, vs)) else map(edge, us, vs)
-            )
+            s = checked[id(g)] = _json_row(g, sets)
         out.append(s)
     return out
+
+
+def _json_row(g, sets: dict[tuple[int, ...], frozenset[Edge]]) -> frozenset[Edge]:
+    try:
+        # with every pair of length 2 the flat id sequence is the row
+        flat = tuple(chain.from_iterable(g)) if set(map(len, g)) <= {2} else None
+    except TypeError:  # a row or a pair that is not a list
+        flat = None
+    if flat is None or not set(map(type, flat)) <= {int}:
+        return frozenset(map(_json_edge, g))
+    s = sets.get(flat)
+    if s is None:
+        us, vs = flat[::2], flat[1::2]
+        s = sets[flat] = frozenset(
+            zip(us, vs) if all(map(le, us, vs)) else map(edge, us, vs)
+        )
+    return s
 
 
 def instance_from_obj(obj: dict):
@@ -325,18 +335,96 @@ def instance_from_obj(obj: dict):
     return family, planted, obj.get("metadata", {})
 
 
+_decode = json.JSONDecoder().raw_decode
+_skip = WHITESPACE.match
+_SHAREABLE = ("[", "{", '"')
+
+
+def _after(text: str, i: int, token: str) -> int:
+    """The index past ``token``, which must start at ``i``, and the whitespace after it."""
+    if not text.startswith(token, i):
+        raise ValueError(f"expected {token!r}")
+    return _skip(text, i + len(token)).end()
+
+
+def _json_array(text: str, i: int) -> tuple[list, int]:
+    """The array whose ``[`` is at ``i``, and an index past it.
+
+    An array whose second element's text starts with the whole text of a
+    first array, object or string is walked element by element, and an
+    element whose text starts with the last such text seen in this array is
+    that element's decoded object again: those texts are prefix-free, so
+    equal text at a value boundary is an equal value ending at the same
+    place. Numbers are never reused (1 is a prefix of 12). Any other array
+    is one C decode from its ``[``.
+    """
+    j = _skip(text, i + 1).end()
+    if not text.startswith(_SHAREABLE, j):
+        return _decode(text, i)
+    prev_obj, k = _decode(text, j)
+    prev = text[j:k]
+    m = _skip(text, k).end()
+    if not text.startswith(",", m) or not text.startswith(prev, _skip(text, m + 1).end()):
+        return _decode(text, i)
+    out = [prev_obj]
+    while text.startswith(",", m):
+        k = _skip(text, m + 1).end()
+        if text.startswith(prev, k):
+            out.append(prev_obj)
+            k += len(prev)
+        else:
+            v, e = _decode(text, k)
+            out.append(v)
+            if text.startswith(_SHAREABLE, k):
+                prev, prev_obj = text[k:e], v
+            k = e
+        m = _skip(text, k).end()
+    return out, _after(text, m, "]")
+
+
+def _json_load(text: str):
+    """Exactly ``json.loads(text)``, with each repeated row text decoded once.
+
+    A top-level object is walked with json's own C string scanner and C
+    decoder; its array values go through ``_json_array``, so the equal rows
+    of a file share one decoded list. Any text the walk does not expect (a
+    top level that is not an object, a syntax error, trailing data, a BOM)
+    is left to ``json.loads``, whose value or error it then is.
+    """
+    try:
+        obj = {}
+        i = _after(text, _skip(text, 0).end(), "{")
+        more = not text.startswith("}", i)
+        while more:
+            if not text.startswith('"', i):
+                raise ValueError("expected a key")
+            key, i = scanstring(text, i + 1)
+            i = _after(text, _skip(text, i).end(), ":")
+            obj[key], i = (_json_array if text.startswith("[", i) else _decode)(text, i)
+            i = _skip(text, i).end()
+            more = text.startswith(",", i)
+            if more:
+                i = _after(text, i, ",")
+        if _after(text, i, "}") == len(text):
+            return obj
+    except ValueError:
+        pass
+    return json.loads(text)
+
+
 def load_instance(path: str):
-    # a dense file decodes to hundreds of thousands of small lists in no
-    # cycle; collections while they are made would only scan them again
+    # a file decodes to tens of thousands of small lists in no cycle;
+    # collections while they are made would only scan them again
     enabled = gc.isenabled()
     gc.disable()
     try:
         try:
-            with open(path) as fh:
-                obj = json.load(fh)
+            with open(path, encoding="utf-8") as fh:
+                obj = _json_load(fh.read())
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: nesting too deep for json's decoder
             raise InputError(f"cannot parse {path}: {exc}") from exc
         return instance_from_obj(obj)
     finally:

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import transversals
 from transversals import (
@@ -421,6 +421,96 @@ def test_json_text_is_json_dumps(value, indent):
     assert cli._json_text(value, indent) == json.dumps(value, indent=indent, sort_keys=True)
 
 
+_ELEMENTS = st.one_of(
+    st.lists(st.lists(st.integers(0, 12), min_size=2, max_size=2), max_size=3),  # edge-pair rows
+    st.lists(st.integers(0, 12), max_size=3),  # number arrays such as [1, 12, 1]
+    st.integers(0, 12) | st.floats() | st.booleans() | st.none(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.lists(st.integers(0, 12), max_size=2), max_size=2),
+)
+
+
+@st.composite
+def json_load_texts(draw):
+    """An object's ``json.dumps`` text whose arrays repeat elements of one
+    pool, and the object; or a mutated text, and None."""
+    pool = draw(st.lists(_ELEMENTS, min_size=1, max_size=3))
+    values = st.one_of(
+        st.lists(st.sampled_from(pool), max_size=6),
+        st.sampled_from(pool),
+        st.dictionaries(st.text(max_size=2), st.lists(st.sampled_from(pool), max_size=3), max_size=2),
+    )
+    obj = draw(st.dictionaries(st.text(max_size=3), values, max_size=4))
+    text = json.dumps(
+        obj,
+        indent=draw(st.sampled_from([None, 0, 1, "\t"])),
+        separators=draw(st.sampled_from([None, (",", ":"), (" , ", " : ")])),
+        ensure_ascii=draw(st.booleans()),
+    )
+    mutation = draw(st.just("none") | st.sampled_from(
+        ["truncate", "stray", "bom", "top level", "trailing", "duplicate key"]
+    ))
+    at = draw(st.integers(0, len(text)))
+    if mutation == "none":
+        return text, obj
+    if mutation == "truncate":
+        text = text[:at]
+    elif mutation == "stray":
+        text = text[:at] + draw(st.sampled_from('[]{},:"0-x\\ \n')) + text[at:]
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "top level":
+        text = draw(st.sampled_from(["[" + text + "]", json.dumps(list(obj.values())), "12", '"s"', ""]))
+    elif mutation == "trailing":
+        text += draw(st.sampled_from([" 1", "{}", "x", "]", ",", " \n"]))
+    else:
+        key = draw(st.sampled_from(sorted(obj) or [""]))
+        text = "{" + json.dumps(key) + ": " + json.dumps(draw(values)) + ", " + text[1:]
+    return text, None
+
+
+def _outcome(load, text):
+    try:
+        return repr(load(text))  # repr tells 1 from 1.0 and True, and NaN equals itself
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _containers(v):
+    if isinstance(v, (list, dict)):
+        yield v
+        for x in v.values() if isinstance(v, dict) else v:
+            yield from _containers(x)
+
+
+_REPEATS = '{"a" : [[0, 1] , [0, 1], 1, 12, [0, 1]], "b": [[0, 1], [0, 1]]}'
+
+
+@given(json_load_texts())
+@example((_REPEATS, json.loads(_REPEATS)))  # spaced separators; a number after a shared row; a row in two arrays
+@example(('{"a": [[1], [1]]} x', None))
+def test_json_load_is_json_loads(drawn):
+    text, obj = drawn
+    assert _outcome(cli._json_load, text) == _outcome(json.loads, text)
+    if obj is None:
+        return
+    # equal element texts of one array share an object; no two values share one
+    loaded = cli._json_load(text)
+    owner: dict = {}
+    for key, value in loaded.items():
+        assert all(owner.setdefault(id(c), key) == key for c in _containers(value))
+        drawn_rows = obj[key]
+        if not (isinstance(value, list) and len(value) > 1 and isinstance(value[0], (list, dict, str))
+                and json.dumps(drawn_rows[0]) == json.dumps(drawn_rows[1])):
+            continue
+        last = None
+        for row, got in zip(drawn_rows, value):
+            if last is not None and json.dumps(row) == json.dumps(last[0]):
+                assert got is last[1]
+            elif isinstance(row, (list, dict, str)):
+                last = row, got
+
+
 def test_a_closed_stdout_ends_without_a_traceback():
     src = str(Path(transversals.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -493,6 +583,39 @@ def test_a_row_equal_to_an_earlier_row_is_still_type_checked(bad_row, message, t
     path = _k3_file(tmp_path, [K3_ROW, bad_row, K3_ROW])
     assert main(["count", "--in", path]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_equal_rows_decode_to_one_list_checked_once(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "r.json")
+    code, _ = run_cli(capsys, "gen", "--model", "regular-all-equal", "--n", "20", "--m", "6",
+                      "--seed", "1", "--out", path)
+    assert code == 0
+    rows = cli._json_load(Path(path).read_text())["subgraphs"]
+    assert len(rows) == 20 and all(r is rows[0] for r in rows)
+    checked = []
+    check = cli._json_row
+    monkeypatch.setattr(cli, "_json_row", lambda g, sets: checked.append(g) or check(g, sets))
+    family, _, _ = cli.load_instance(path)
+    assert len(checked) == 1
+    assert all(g is family.subgraphs[0] for g in family.subgraphs)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"kind": "hamiltonian", "num_vertices": 3, "subgraphs": ' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["top-level", "subgraphs"])
+def test_an_over_deep_file_is_an_input_error(text, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["count", "--in", str(path)]) == 2
+    assert f"error: cannot parse {path}: maximum recursion depth exceeded" in capsys.readouterr().err
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "\xff\xfe"}')
+    assert main(["count", "--in", str(path)]) == 2
+    assert f"error: cannot parse {path}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_repeated_reversed_rows_canonicalise_to_one_set(tmp_path):
