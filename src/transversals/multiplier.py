@@ -12,10 +12,12 @@ set multiplies the count by d+1 per level. One recursion serves both
 kinds: each child is relabelled once by ``canonical_tables`` and
 ``relabel`` (a matching child also drops its branch pair), and its
 whole output list is lifted back by one ``lift`` through the same
-new-to-old tables. The base is validated once, on entry; every other
-witness is validated by the exchange that made it. The (d+1)! floor,
-the target count and the depth drop are each checked once and raise
-GuaranteeViolated.
+new-to-old tables. Isomorphic children are equal once relabelled, so a
+memo that lives for one ``many_*_transversals`` call solves each
+distinct child (family, set) once. The base is validated once, on
+entry; every other witness is validated by the exchange that made it.
+The (d+1)! floor, the target count and the depth drop are each checked
+once and raise GuaranteeViolated.
 """
 
 from __future__ import annotations
@@ -315,17 +317,20 @@ def _multiply(family, base, members, H, depth) -> list[Transversal]:
     d = depth(H, ms)
     if d < 1 and family.kind == KIND_HAM:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
-    out = sorted(set(_many(family, base, ms, H, d)), key=lambda t: t.items)
+    out = sorted(set(_many(family, base, ms, H, d, {})), key=lambda t: t.items)
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
     return out
 
 
-def _many(family, base, ms, H, d) -> list[Transversal]:
+def _many(family, base, ms, H, d, memo) -> list[Transversal]:
     """One branch per target of a saturated vertex, for either kind.
 
     A cycle child keeps every vertex; a matching child drops the branch
-    pair, which is put back into each lifted output.
+    pair, which is put back into each lifted output. Isomorphic children
+    are equal once relabelled, so ``memo`` (one dict per ``_multiply``
+    call) maps each distinct child (family, set) to its depth and its
+    outputs in its own labels, and each is solved once.
     """
     ham = family.kind == KIND_HAM
     if ham:
@@ -346,14 +351,23 @@ def _many(family, base, ms, H, d) -> list[Transversal]:
         wit = table.witnesses[(v0, e)]
         vinv, cinv = canonical_tables(wit, None if ham else e)
         fam2 = relabel(family, vinv, cinv)
-        t2 = canonical_transversal(fam2)
         new = old_to_new(vinv, family.num_vertices)
         # e has one endpoint in the set, and the child's set leaves it out
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
-        H2 = build(fam2, t2)
-        d2 = depth(H2, ms2)
+        key = (fam2, ms2)
+        hit = memo.get(key)
+        if hit is None:
+            t2 = canonical_transversal(fam2)
+            H2 = build(fam2, t2)
+            d2 = depth(H2, ms2)
+        else:
+            d2, solved = hit
+        # checked against this parent's d, on a hit as well
         if d2 < d - 1:
             raise GuaranteeViolated("depth dropped by more than one")
+        if hit is None:
+            solved = _many(fam2, t2, ms2, H2, d2, memo)
+            memo[key] = d2, solved
         branch = None if ham else {e: wit.color_of(e)}
-        out += lift(_many(fam2, t2, ms2, H2, d2), vinv, cinv, branch)
+        out += lift(solved, vinv, cinv, branch)
     return out

@@ -155,18 +155,23 @@ def test_many_pm_reaches_factorial(d):
             assert psi in om
 
 
+def _spread_set(draw, n, size):
+    """size vertices of the n-cycle at pairwise circular distance >= 3."""
+    gaps, left = [], n
+    for k in range(size - 1):
+        gaps.append(draw(st.integers(3, left - 3 * (size - 1 - k)), label="gap"))
+        left -= gaps[-1]
+    first = draw(st.integers(0, n - 1), label="first member")
+    return tuple(sorted((first + sum(gaps[:k])) % n for k in range(size)))
+
+
 @st.composite
 def witness_ham_with_set(draw):
     """(family, planted, S): a witness cycle instance with n <= 12, two or
     three members at circular distance >= 3, and support depth d <= 2."""
     n = draw(st.integers(6, 12), label="vertices")
     size = draw(st.integers(2, 3 if n >= 9 else 2), label="members")
-    gaps, left = [], n
-    for k in range(size - 1):
-        gaps.append(draw(st.integers(3, left - 3 * (size - 1 - k)), label="gap"))
-        left -= gaps[-1]
-    first = draw(st.integers(0, n - 1), label="first member")
-    S = tuple(sorted((first + sum(gaps[:k])) % n for k in range(size)))
+    S = _spread_set(draw, n, size)
     d = draw(st.integers(1, min(2, size - 1)), label="depth")
     fam, t = gen_witness_instance_ham(n, S, d, seed=draw(st.integers(0, 2**16), label="seed"))
     return fam, t, S
@@ -231,7 +236,7 @@ def test_many_pm_raises_when_the_floor_fails(monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
     fam, t = gen_planted_pm_family(6, 2, seed=5)
     H = build_full_rb(fam, t)
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d: [base])
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
         many_pm_transversals(fam, t, tuple(range(6)), H)
 
@@ -239,7 +244,7 @@ def test_many_pm_raises_when_the_floor_fails(monkeypatch):
 def test_many_ham_raises_when_the_floor_fails(monkeypatch):
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     H = build_full_ryb(fam, t)
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d: [base])
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
         many_ham_transversals(fam, t, (0, 4, 8), H)
 
@@ -280,6 +285,68 @@ def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
     monkeypatch.setattr(multiplier, "validate_transversal", counting)
     assert len(many(fam, t, S, build(fam, t))) == outputs
     assert checked == [t]
+
+
+class _NeverStores(dict):
+    """A memo that forgets every child: each one is solved from scratch."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@st.composite
+def multiply_case(draw):
+    """(family, planted, S, H, d): a planted-pm family with 3-7 pairs,
+    extra degree d = 1-3 and S its low endpoints, or a witness cycle
+    instance with d = 2 or 3 and |S| = d + 1."""
+    if draw(st.booleans(), label="matching"):
+        n = draw(st.integers(3, 7), label="pairs")
+        extra = draw(st.integers(1, min(3, n - 1)), label="extra degree")
+        fam, t = gen_planted_pm_family(n, extra, seed=draw(st.integers(0, 2**16), label="seed"))
+        S = tuple(range(n))
+        return fam, t, S, build_full_rb(fam, t), extra
+    d = draw(st.integers(2, 3), label="depth")
+    n = draw(st.integers(3 * d + 3, 3 * d + 7), label="vertices")
+    S = _spread_set(draw, n, d + 1)
+    fam, t = gen_witness_instance_ham(n, S, d, seed=draw(st.integers(0, 2**16), label="seed"))
+    return fam, t, S, build_full_ryb(fam, t), d
+
+
+@settings(deadline=None, max_examples=60)
+@given(multiply_case())
+def test_many_memo_changes_no_output(case):
+    # solving each distinct child once gives the list, in the order, that
+    # solving every child again gives
+    fam, t, S, H, d = case
+    assert multiplier._many(fam, t, S, H, d, {}) == multiplier._many(fam, t, S, H, d, _NeverStores())
+
+
+def test_many_builds_each_distinct_child_once(monkeypatch):
+    # planted-pm n=8 seed 2 of the pinned reports: 1744 child builds and
+    # 1015 exchanges without the memo, 358 distinct children
+    fam, t, S, build, many = _entry_case(KIND_PM)
+    H = build(fam, t)
+    builds, exchanges = [], []
+    exchange = multiplier.second_pm_transversal
+
+    def counting_build(family, u):
+        builds.append(family)
+        return build_full_rb(family, u)
+
+    def counting_exchange(*args):
+        exchanges.append(args)
+        return exchange(*args)
+
+    monkeypatch.setattr(multiplier, "build_full_rb", counting_build)
+    monkeypatch.setattr(multiplier, "second_pm_transversal", counting_exchange)
+    assert len(many(fam, t, S, H)) == 982
+    # each family is built once, so each (family, set) key is too
+    assert len(builds) == len(set(builds)) == 358
+    assert len(exchanges) == 455
+    # the memo lives for one call: a second call builds every child again
+    first = list(builds)
+    assert len(many(fam, t, S, H)) == 982
+    assert builds[len(first):] == first
 
 
 def test_omega_ham_endpoint_colors_pin_attachment(figure_family):
