@@ -223,6 +223,21 @@ def test_count_stopped_by_the_result_cap_is_inconclusive(tmp_path, capsys):
     assert rep["results"] == {"status": "exact", "count": 43200}
 
 
+def test_a_deep_cycle_count_ends_in_its_budget_exit(tmp_path, capsys):
+    # a 600-vertex path is 600 levels deep; the search keeps its own stack,
+    # so the budget, not Python's recursion limit, ends it
+    path = str(tmp_path / "w600.json")
+    run_cli(capsys, "gen", "--model", "witness", "--n", "600", "--set", "0,150,300,450",
+            "--d", "3", "--seed", "2", "--out", path)
+    code = main(["count", "--in", path, "--max-nodes", "1000"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET == 3
+    rep = json.loads(captured.out)
+    assert rep["results"] == {"status": "inconclusive", "partial_count": 0, "nodes": 1001}
+    assert rep["warnings"] == ["search budget exhausted: node budget 1000 exhausted"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["count", "--max-nodes", "-1"], "--max-nodes must be at least 1, got -1"),
     (["count", "--max-nodes", "0"], "--max-nodes must be at least 1, got 0"),
@@ -253,12 +268,14 @@ def test_zero_resamples_is_one_draw(tmp_path, capsys):
 
 def test_lll_scan_range_is_capped(capsys, monkeypatch):
     assert cli.LLL_SCAN_MAX_HI == 10**6
-    assert main(["bounds", "--id", "lll-scan", "--hi", "1000000001"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: lll-scan --hi is capped at 1000000, got 1000000001\n"
-    # the cap itself is accepted; a stub stands in for the 5 s scan
+    # a stub stands in for the 5 s scan, so a cap that drifted upwards fails fast
     monkeypatch.setattr(cli, "lll_condition_scan", lambda lo, hi: ScanReport(lo, hi, 262, 78, (262,), (8, 78)))
+    for hi in (10**6 + 1, 10**9 + 1):
+        assert main(["bounds", "--id", "lll-scan", "--hi", str(hi)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: lll-scan --hi is capped at 1000000, got {hi}\n"
+    # the cap itself is accepted
     code, rep = run_cli(capsys, "bounds", "--id", "lll-scan", "--hi", "1000000")
     assert code == 0 and rep["results"]["hi"] == 10**6
 

@@ -249,6 +249,26 @@ def test_many_ham_raises_when_the_floor_fails(monkeypatch):
         many_ham_transversals(fam, t, (0, 4, 8), H)
 
 
+@pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
+def test_the_floor_is_d_plus_one_factorial_exactly(kind, monkeypatch):
+    # (d+1)! - 1 distinct outputs must raise and (d+1)! must pass, so a
+    # floor that drifts to d! or to (d+1)! + 1 fails here
+    if kind == KIND_HAM:
+        fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
+        ms, H, many, depth = (0, 4, 8), build_full_ryb(fam, t), many_ham_transversals, d_star
+    else:
+        fam, t = gen_planted_pm_family(6, 2, seed=5)
+        ms, H, many, depth = tuple(range(6)), build_full_rb(fam, t), many_pm_transversals, d_cross
+    outputs = many(fam, t, ms, H)
+    floor = math.factorial(depth(H, ms) + 1)
+    assert len(outputs) >= floor > 1
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: outputs[:floor - 1])
+    with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
+        many(fam, t, ms, H)
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: outputs[:floor])
+    assert many(fam, t, ms, H) == outputs[:floor]
+
+
 def _entry_case(kind):
     """(family, base, set, build, many): a witness cycle instance with d = 2,
     or the planted-pm n=8 seed 2 instance of the pinned reports (d = 4)."""

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from transversals import (
     BaseGraph,
@@ -121,6 +121,114 @@ def test_max_results_stops_early():
     got = enumerate_all_ham_transversals(fam, SearchBudget(max_results=5))
     assert len(got) == 5
     assert len(set(got)) == 5
+
+
+@st.composite
+def _small_families(draw):
+    """A cycle family on at most 7 vertices or a matching family on at most
+    5 pairs, each color holding about 60% of the host's edges, so that
+    branches often meet the same state."""
+    if draw(st.booleans()):
+        n, kind = draw(st.integers(3, 7)), KIND_HAM
+        host = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        colors = n
+    else:
+        colors, kind = draw(st.integers(1, 5)), KIND_PM
+        n = 2 * colors
+        host = [(u, colors + v) for u in range(colors) for v in range(colors)]
+    member = st.lists(st.integers(0, 4).map(lambda r: r < 3), min_size=len(host), max_size=len(host))
+    subs = [frozenset(e for e, keep in zip(host, draw(member)) if keep) for _ in range(colors)]
+    edges = sorted(set().union(*subs))
+    return SubgraphFamily(BaseGraph(n, edges), subs, kind)
+
+
+def _outcome(search, family, budget, kind):
+    """What one search ends in: its budget message, or whether the result
+    cap stopped it; with the nodes it ticked and the solutions it found."""
+    try:
+        done = search(family, budget, kind)
+    except BudgetExceeded as exc:
+        return str(exc), exc.nodes, exc.found
+    return done.full(), done.nodes, done.found
+
+
+def _searches(family):
+    if family.kind == KIND_HAM:
+        return oracle._search_ham, count_ham_transversals, enumerate_all_ham_transversals
+    return oracle._search_pm, count_pm_transversals, enumerate_all_pm_transversals
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    _small_families(),
+    st.integers(1, 1500),
+    st.one_of(st.none(), st.integers(1, 300)),
+)
+def test_a_count_matches_the_enumeration_at_every_budget(family, max_nodes, max_results):
+    # enumeration keeps its results, so it never reads the counting memo
+    search, count, enumerate_all = _searches(family)
+    budget = SearchBudget(max_nodes, max_results)
+    kind = family.kind
+    assert _outcome(search, family, budget, None) == _outcome(search, family, budget, kind)
+    try:
+        counted = count(family, budget)
+    except BudgetExceeded as exc:
+        counted = str(exc), exc.nodes, exc.found
+    try:
+        kept = len(enumerate_all(family, budget))
+    except BudgetExceeded as exc:
+        kept = str(exc), exc.nodes, exc.found
+    if isinstance(counted, int) or counted[0].startswith("node budget"):
+        assert counted == kept
+    else:
+        assert counted[2] == kept == max_results
+
+
+def _memo_cases():
+    k6 = gen_dirac_family(6, 1.0, seed=1)
+    pm = gen_planted_pm_family(8, 4, seed=2)[0]
+    return [
+        (k6, SearchBudget()),
+        (k6, SearchBudget(max_nodes=9000)),
+        (k6, SearchBudget(max_results=4000)),
+        (pm, SearchBudget()),
+        (pm, SearchBudget(max_nodes=20000)),
+        (pm, SearchBudget(max_results=2000)),
+    ]
+
+
+def test_a_full_memo_keeps_the_search_exact(monkeypatch):
+    cases = _memo_cases()
+    wide = [_outcome(_searches(f)[0], f, b, None) for f, b in cases]
+    monkeypatch.setattr(oracle, "MEMO_ENTRIES", 3)
+    assert [_outcome(_searches(f)[0], f, b, None) for f, b in cases] == wide
+    assert wide[0] == (False, 117685, 43200) and wide[3] == (False, 25399, 3062)
+
+
+def test_a_memoized_subtree_that_ends_at_the_budget_is_not_walked(monkeypatch):
+    # a budget equal to the node total leaves room for every memo hit,
+    # so the walk ticks exactly as often as it does with no budget
+    ticks = []
+    tick = oracle._Search.tick
+    monkeypatch.setattr(oracle._Search, "tick", lambda self: ticks.append(1) or tick(self))
+    for family, _ in _memo_cases()[::3]:
+        search = _searches(family)[0]
+        ticks.clear()
+        total = search(family, None).nodes
+        walked = len(ticks)
+        assert search(family, SearchBudget(max_nodes=total)).nodes == total
+        assert len(ticks) - walked == walked < total
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 6).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 5), max_size=4, unique=True), min_size=k, max_size=k
+)))
+def test_colors_feasible_matches_a_search_over_all_colorings(color_lists):
+    chosen = [(i, i + 1) for i in range(len(color_lists))]
+    options = {e: tuple(cs) for e, cs in zip(chosen, color_lists)}
+    expected = any(len(set(pick)) == len(pick) for pick in itertools.product(*color_lists))
+    assert oracle._colors_feasible(chosen, options) == expected
 
 
 def test_permanent_small_matrices():
