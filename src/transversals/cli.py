@@ -9,12 +9,16 @@ check failed, which signals a bug, not bad input).
 
 Instance files are JSON: kind (``KIND_HAM`` = "hamiltonian" or
 ``KIND_PM`` = "perfect_matching", the same values the library uses),
-num_vertices (the subgraph count, or twice it for a matching),
-subgraphs as lists of [u, v] pairs (the list position is the color),
-optional base_edges (defaults to the union of the subgraphs), optional
-planted {edges, colors}, optional metadata map. Vertex ids, colors and
-num_vertices must be JSON integers; anything else is an input error,
-never rounded.
+num_vertices (the subgraph count, or twice it for a matching), the
+subgraphs (the list position is the color), optional base_edges
+(defaults to the union of the subgraphs), optional planted {edges,
+colors}, optional metadata map. A file with ``"format": 2`` (what
+``gen`` writes) lists each distinct subgraph once, as a list of [u, v]
+pairs in ``rows``, and gives each color the index of its row in
+``subgraphs``; a file without ``format`` is format 1, whose subgraphs
+are the lists of pairs themselves. Vertex ids, colors, row indices,
+format and num_vertices must be JSON integers; anything else is an input
+error, never rounded.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import time
 from dataclasses import asdict
 from functools import lru_cache
 from itertools import chain
-from json.decoder import WHITESPACE, scanstring
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import le
 from typing import Optional
@@ -82,6 +85,7 @@ from .multiplier import (
 )
 from .sampler import (
     BOUND_IDS,
+    FACTORIAL_MAX_ARG,
     SamplerConfig,
     factorial_bounds,
     lll_condition_ham,
@@ -99,7 +103,7 @@ EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
 LLL_SCAN_MAX_HI = 1_000_000  # at about 5 us per m, a scan of seconds
-GEN_MAX_EDGES = 5_000_000  # edges a gen file may list: about 130 MB of text
+GEN_MAX_EDGES = 5_000_000  # edges a gen file lists with one row per color: about 130 MB of text
 
 _BUDGET_ERRORS = (BudgetExceeded, ResampleBudgetExceeded)
 _INTERNAL_ERRORS = (GuaranteeViolated, WalkStuck, RecolorConflict)
@@ -129,13 +133,18 @@ def transversal_to_obj(t: Transversal) -> dict:
 def instance_to_obj(
     family: SubgraphFamily, planted: Optional[Transversal], metadata: Optional[dict]
 ) -> dict:
-    # equal subgraphs share one row list, which _json_text encodes once
-    rows = {g: [list(e) for e in sorted(g)] for g in set(family.subgraphs)}
+    """A format-2 instance: each distinct subgraph is one row, in order of
+    first use by color, and ``subgraphs`` holds each color's row index."""
+    index: dict[frozenset[Edge], int] = {}
+    for g in family.subgraphs:
+        index.setdefault(g, len(index))
     obj = {
+        "format": 2,
         "kind": family.kind,
         "num_vertices": family.num_vertices,
         "base_edges": [list(e) for e in family.base.edges()],
-        "subgraphs": [rows[g] for g in family.subgraphs],
+        "rows": [[list(e) for e in sorted(g)] for g in index],
+        "subgraphs": [index[g] for g in family.subgraphs],
     }
     if planted is not None:
         obj["planted"] = transversal_to_obj(planted)
@@ -168,14 +177,11 @@ def _json_text(value, indent: int) -> str:
     indented item separator, and so is a list of non-empty number rows
     (edge lists), whose between-row separator one ``replace`` then moves
     out a level: with no strings in the rows, every bracket and comma there
-    is structural. A list object met again at the same depth repeats its
-    pieces, so each distinct subgraph row of an instance is encoded once.
-    A dict with a key that is not a ``str`` is left to ``json.dumps`` and
-    shifted in to its depth: JSON escapes newlines inside strings, so each
-    newline it writes starts a line.
+    is structural. A dict with a key that is not a ``str`` is left to
+    ``json.dumps`` and shifted in to its depth: JSON escapes newlines inside
+    strings, so each newline it writes starts a line.
     """
     pieces: list[str] = []
-    spans: dict[tuple[int, int], tuple[int, int]] = {}  # (list id, depth) -> its pieces
     unit = " " * indent
 
     def enc(v, item_separator: str) -> str:
@@ -203,12 +209,6 @@ def _json_text(value, indent: int) -> str:
         if not v:
             pieces.append("[]")
             return
-        key = (id(v), depth)
-        if key in spans:
-            start, end = spans[key]
-            pieces.extend(pieces[start:end])
-            return
-        start = len(pieces)
         if _SCALARS.issuperset(map(type, v)):
             pieces.extend(["[" + p1, enc(v, "," + p1)[1:-1], p0 + "]"])
         elif _LISTS.issuperset(map(type, v)) and all(v) and _NUMBERS.issuperset(
@@ -224,7 +224,6 @@ def _json_text(value, indent: int) -> str:
                 write(x, depth + 1)
                 sep = "," + p1
             pieces.append(p0 + "]")
-        spans[key] = (start, len(pieces))
 
     write(value, 0)
     return "".join(pieces)
@@ -244,29 +243,25 @@ def _json_edge(pair) -> Edge:
     return edge(u, v)
 
 
-def _json_subgraphs(rows) -> list[frozenset[Edge]]:
-    """One edge set per distinct row, equal rows sharing it.
+def _json_subgraphs(rows, colors) -> list[frozenset[Edge]]:
+    """Each color's edge set, given each color's index into ``rows``.
 
-    Each row's shape and types are checked on their own before the row is
-    looked up by value: 1, 1.0 and true compare and hash equal, so a
-    lookup alone would let [[0, true]] pass as an earlier [[0, 1]]. A
-    checked row becomes a set without a per-pair Python call, leaving the
-    per-edge pass to ``SubgraphFamily``; only a row holding a reversed pair
-    is ordered here, as the union of the rows may become the base graph,
-    whose errors name pairs as ``edge()`` orders them. A row that fails
-    the check goes through ``_json_edge``, which names the bad pair. A row
-    object met again (the loader shares the decoded list of equal row texts)
-    was checked already and reuses its set.
+    Each row is checked once, and equal rows share one edge set. A row's
+    shape and types are checked on their own before it is looked up by
+    value: 1, 1.0 and true compare and hash equal, so a lookup alone would
+    let [[0, true]] pass as an earlier [[0, 1]]. A checked row becomes a
+    set without a per-pair Python call, leaving the per-edge pass to
+    ``SubgraphFamily``; only a row holding a reversed pair is ordered
+    here, as the union of the rows may become the base graph, whose errors
+    name pairs as ``edge()`` orders them. A row that fails the check goes
+    through ``_json_edge``, which names the bad pair.
     """
     sets: dict[tuple[int, ...], frozenset[Edge]] = {}
-    checked: dict[int, frozenset[Edge]] = {}  # row object id -> its set
-    out = []
-    for g in rows:
-        s = checked.get(id(g))
-        if s is None:
-            s = checked[id(g)] = _json_row(g, sets)
-        out.append(s)
-    return out
+    out = [_json_row(g, sets) for g in rows]
+    for i in colors:
+        if type(i) is not int or not 0 <= i < len(out):
+            raise InputError(f"a row index must be an integer in [0, {len(out)}), got {i!r}")
+    return [out[i] for i in colors]
 
 
 def _json_row(g, sets: dict[tuple[int, ...], frozenset[Edge]]) -> frozenset[Edge]:
@@ -290,13 +285,19 @@ def instance_from_obj(obj: dict):
     try:
         kind = obj["kind"]
         num_vertices = _json_int(obj["num_vertices"], "num_vertices")
+        fmt = _json_int(obj.get("format", 1), "format")
         sub_lists = obj["subgraphs"]
+        rows = obj["rows"] if fmt == 2 else sub_lists
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc
+    if fmt not in (1, 2):
+        raise InputError(f"unknown instance format {fmt}; known: 1, 2")
     if kind not in (KIND_HAM, KIND_PM):
         raise InputError(f"unknown kind {kind!r}")
     if not isinstance(sub_lists, list) or not sub_lists:
         raise InputError("malformed instance file: subgraphs must be a non-empty list")
+    if not isinstance(rows, list):
+        raise InputError("malformed instance file: rows must be a list")
     # checked before BaseGraph allocates num_vertices adjacency rows
     want = len(sub_lists) if kind == KIND_HAM else 2 * len(sub_lists)
     if num_vertices != want:
@@ -304,7 +305,7 @@ def instance_from_obj(obj: dict):
             f"num_vertices {num_vertices} does not fit {len(sub_lists)} {kind} subgraphs; need {want}"
         )
     try:
-        subgraphs = _json_subgraphs(sub_lists)
+        subgraphs = _json_subgraphs(rows, sub_lists if fmt == 2 else range(len(rows)))
         union = set().union(*{id(g): g for g in subgraphs}.values())
         if "base_edges" in obj:
             base_edges = [_json_edge(e) for e in obj["base_edges"]]
@@ -335,83 +336,6 @@ def instance_from_obj(obj: dict):
     return family, planted, obj.get("metadata", {})
 
 
-_decode = json.JSONDecoder().raw_decode
-_skip = WHITESPACE.match
-_SHAREABLE = ("[", "{", '"')
-
-
-def _after(text: str, i: int, token: str) -> int:
-    """The index past ``token``, which must start at ``i``, and the whitespace after it."""
-    if not text.startswith(token, i):
-        raise ValueError(f"expected {token!r}")
-    return _skip(text, i + len(token)).end()
-
-
-def _json_array(text: str, i: int) -> tuple[list, int]:
-    """The array whose ``[`` is at ``i``, and an index past it.
-
-    An array whose second element's text starts with the whole text of a
-    first array, object or string is walked element by element, and an
-    element whose text starts with the last such text seen in this array is
-    that element's decoded object again: those texts are prefix-free, so
-    equal text at a value boundary is an equal value ending at the same
-    place. Numbers are never reused (1 is a prefix of 12). Any other array
-    is one C decode from its ``[``.
-    """
-    j = _skip(text, i + 1).end()
-    if not text.startswith(_SHAREABLE, j):
-        return _decode(text, i)
-    prev_obj, k = _decode(text, j)
-    prev = text[j:k]
-    m = _skip(text, k).end()
-    if not text.startswith(",", m) or not text.startswith(prev, _skip(text, m + 1).end()):
-        return _decode(text, i)
-    out = [prev_obj]
-    while text.startswith(",", m):
-        k = _skip(text, m + 1).end()
-        if text.startswith(prev, k):
-            out.append(prev_obj)
-            k += len(prev)
-        else:
-            v, e = _decode(text, k)
-            out.append(v)
-            if text.startswith(_SHAREABLE, k):
-                prev, prev_obj = text[k:e], v
-            k = e
-        m = _skip(text, k).end()
-    return out, _after(text, m, "]")
-
-
-def _json_load(text: str):
-    """Exactly ``json.loads(text)``, with each repeated row text decoded once.
-
-    A top-level object is walked with json's own C string scanner and C
-    decoder; its array values go through ``_json_array``, so the equal rows
-    of a file share one decoded list. Any text the walk does not expect (a
-    top level that is not an object, a syntax error, trailing data, a BOM)
-    is left to ``json.loads``, whose value or error it then is.
-    """
-    try:
-        obj = {}
-        i = _after(text, _skip(text, 0).end(), "{")
-        more = not text.startswith("}", i)
-        while more:
-            if not text.startswith('"', i):
-                raise ValueError("expected a key")
-            key, i = scanstring(text, i + 1)
-            i = _after(text, _skip(text, i).end(), ":")
-            obj[key], i = (_json_array if text.startswith("[", i) else _decode)(text, i)
-            i = _skip(text, i).end()
-            more = text.startswith(",", i)
-            if more:
-                i = _after(text, i, ",")
-        if _after(text, i, "}") == len(text):
-            return obj
-    except ValueError:
-        pass
-    return json.loads(text)
-
-
 def load_instance(path: str):
     # a file decodes to tens of thousands of small lists in no cycle;
     # collections while they are made would only scan them again
@@ -420,7 +344,7 @@ def load_instance(path: str):
     try:
         try:
             with open(path, encoding="utf-8") as fh:
-                obj = _json_load(fh.read())
+                obj = json.loads(fh.read())
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -489,8 +413,9 @@ def _prepare(args, kind=None):
 def cmd_gen(args) -> tuple[dict, list, int]:
     model, n, extra = args.model, args.n, args.extra_degree
     params = {"model": model, "n": n, "seed": args.seed}
-    # each bound counts what the file lists, before anything is allocated:
-    # the base edges, every subgraph row and the planted edges
+    # each bound counts, before anything is allocated, the edges the file
+    # lists with one row per color: the base edges, every color's row and
+    # the planted edges
     if model == "planted-ham":
         _gen_fits(n * (3 + 2 * extra))
         params["extra_degree"] = extra
@@ -729,7 +654,8 @@ def cmd_bounds(args) -> tuple[dict, list, int]:
         for name in ("m", "n", "t", "c", "epsilon", "alpha"):
             if getattr(args, name) is not None:
                 params[name] = getattr(args, name)
-        value = factorial_bounds(bid, **params)
+        # above the cap the value would not print
+        value = factorial_bounds(bid, max_arg=FACTORIAL_MAX_ARG, **params)
         return {"id": bid, "params": params, "value": value}, [], EXIT_OK
     raise InputError(
         f"unknown bound id {bid!r}; known: lll-cond, lll-scan, pm-degree-threshold, "

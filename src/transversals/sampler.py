@@ -13,6 +13,7 @@ less-than; the post-hoc guarantees round up.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -32,6 +33,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 XI = math.exp(-399.0 / 400.0) / (1.0 / 400.0) ** (1.0 / 400.0)
+
+# the largest k whose k! prints under Python's default 4300-digit limit;
+# the CLI reports no factorial bound above it
+FACTORIAL_MAX_ARG = 1558
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,8 @@ def pm_lll_rhs(alpha: float, m: int) -> float:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     if m < 2:
         raise DomainError(f"max degree must be >= 2, got {m}")
+    if m > sys.float_info.max:
+        raise DomainError("max degree m is too large for a float")
     return 4.0 * (1.0 + math.log(2.0 * m * m - 2.0 * m + 1.0)) / (1.0 - alpha) ** 2
 
 
@@ -163,6 +170,8 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
         raise DomainError(
             f"some out-degree ({min(min(ydeg), min(bdeg))}) is below r = {r}"
         )
+    if cfg.m is not None and cfg.m < 2:
+        raise DomainError(f"max degree must be >= 2, got {cfg.m}")
     if cfg.p is not None:
         p = cfg.p
     elif cfg.m is not None:
@@ -390,6 +399,8 @@ def lll_condition_ham(m: int) -> InequalityReport:
     """
     if m < 3:
         raise DomainError(f"need m >= 3, got {m}")
+    if 2 * (m - 1) ** 2 > sys.float_info.max:
+        raise DomainError("m is too large for float arithmetic: 2(m-1)^2 exceeds the largest float")
     p = default_inclusion_probability(m)
     r = 7.0 * math.sqrt(m * math.log(m)) + 2.0
     x = 1.05 * p * p
@@ -483,7 +494,7 @@ BOUND_IDS = (
 )
 
 
-def factorial_bounds(bound_id: str, **params) -> int:
+def factorial_bounds(bound_id: str, *, max_arg: Optional[int] = None, **params) -> int:
     """Guaranteed-count evaluators, one per headline bound.
 
     ham-bounded-degree(m):        ceil(log(m)/60)!            for m >= 262
@@ -492,7 +503,26 @@ def factorial_bounds(bound_id: str, **params) -> int:
     pm-dirac(n, c, epsilon):      floor(c n/(2+eps))!          for c >= 1/2
     ham-min-degree(m, t):         floor((t-2)/400 sqrt(log m/m)+1)!
     pm-min-degree(m, t, alpha):   floor(alpha(t-1)/2+1)!       for m >= 37
+
+    The factorial's argument is computed first. One that is not finite,
+    or that rounds above ``max_arg`` when that is given, is a
+    ``DomainError``, raised before ``math.factorial`` runs.
     """
+    try:
+        x, rounding = _factorial_argument(bound_id, params)
+    except OverflowError:
+        raise DomainError(f"{bound_id}: a parameter is too large for a float") from None
+    if not math.isfinite(x):
+        raise DomainError(f"{bound_id}: the factorial's argument {x} is not finite")
+    k = rounding(x)
+    if max_arg is not None and k > max_arg:
+        raise DomainError(f"{bound_id}: the factorial's argument {x:.6g} rounds above {max_arg}")
+    return math.factorial(k)
+
+
+def _factorial_argument(bound_id: str, params: dict):
+    """The unrounded argument of ``bound_id``'s factorial and its rounding,
+    after the bound's parameter checks."""
 
     def need(*names):
         missing = [k for k in names if params.get(k) is None]
@@ -502,46 +532,45 @@ def factorial_bounds(bound_id: str, **params) -> int:
                 f"{bound_id} takes exactly {names}; missing {missing}, extra {extra}"
             )
 
+    # each range check is written so that a NaN fails it
     if bound_id == "ham-bounded-degree":
         need("m")
         m = params["m"]
         if m < 262:
             raise DomainError(f"need m >= 262, got {m}")
-        return math.factorial(math.ceil(math.log(m) / 60.0))
+        return math.log(m) / 60.0, math.ceil
     if bound_id == "ham-dirac":
         need("n", "c", "epsilon")
         n, c, eps = params["n"], params["c"], params["epsilon"]
-        if n < 3 or c < 0.5 or c > 1.0 or eps <= 0:
+        if not (n >= 3 and 0.5 <= c <= 1.0 and eps > 0):
             raise DomainError("need n >= 3, 1/2 <= c <= 1, epsilon > 0")
-        return math.factorial(math.ceil(c * c * n / (16.0 + eps)))
+        return c * c * n / (16.0 + eps), math.ceil
     if bound_id == "pm-bounded-degree":
         need("m")
         m = params["m"]
         if m < 44:
             raise DomainError(f"need m >= 44, got {m}")
-        return math.factorial(math.ceil(0.5 * math.log(m)))
+        return 0.5 * math.log(m), math.ceil
     if bound_id == "pm-dirac":
         need("n", "c", "epsilon")
         n, c, eps = params["n"], params["c"], params["epsilon"]
-        if n < 1 or c < 0.5 or c > 1.0 or eps <= 0:
+        if not (n >= 1 and 0.5 <= c <= 1.0 and eps > 0):
             raise DomainError("need n >= 1, 1/2 <= c <= 1, epsilon > 0")
-        return math.factorial(math.floor(c * n / (2.0 + eps)))
+        return c * n / (2.0 + eps), math.floor
     if bound_id == "ham-min-degree":
         need("m", "t")
         m, t = params["m"], params["t"]
         if m < 262:
             raise DomainError(f"need m >= 262, got {m}")
-        if t < 7.0 * math.sqrt(m * math.log(m)):
+        if not t >= 7.0 * math.sqrt(m * math.log(m)):
             raise DomainError("need t >= 7 sqrt(m log m)")
-        return math.factorial(
-            math.floor((t - 2.0) / 400.0 * math.sqrt(math.log(m) / m) + 1.0)
-        )
+        return (t - 2.0) / 400.0 * math.sqrt(math.log(m) / m) + 1.0, math.floor
     if bound_id == "pm-min-degree":
         need("m", "t", "alpha")
         m, t, alpha = params["m"], params["t"], params["alpha"]
         if m < 37:
             raise DomainError(f"need m >= 37, got {m}")
-        if t < pm_degree_threshold(alpha, m):
+        if not t >= pm_degree_threshold(alpha, m):
             raise DomainError("need t >= the pm degree threshold at (alpha, m)")
-        return math.factorial(math.floor(0.5 * alpha * (t - 1.0) + 1.0))
+        return 0.5 * alpha * (t - 1.0) + 1.0, math.floor
     raise DomainError(f"unknown bound id {bound_id!r}; known: {', '.join(BOUND_IDS)}")

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,13 +9,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 import transversals
 from transversals import (
     BaseGraph,
     GuaranteeViolated,
     KIND_HAM,
+    KIND_PM,
     NotRedIndependent,
     SubgraphFamily,
     canonical_transversal,
@@ -395,18 +397,51 @@ def instance_families(draw):
     return family, canonical_transversal(family) if planted else None
 
 
-@given(instance_families(), st.dictionaries(st.text(max_size=4), st.one_of(
+@st.composite
+def matching_families(draw):
+    """Matching-kind families on 1-5 pairs whose subgraphs of edges
+    across the sides mix shared, distinct and empty edge sets, with the
+    canonical matching planted or not."""
+    n = draw(st.integers(1, 5), label="pairs")
+    planted = draw(st.booleans(), label="planted")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(n, 2 * n - 1))
+    matching = [edge(i, i + n) for i in range(n)]
+    shared = [draw(st.frozensets(pairs, min_size=1, max_size=4)) for _ in range(2)]
+    choices = ["shared", "distinct"] if planted else ["shared", "distinct", "empty"]
+    subs = []
+    for i in range(n):
+        choice = draw(st.sampled_from(choices), label=f"subgraph {i}")
+        if choice == "shared":
+            g = shared[draw(st.integers(0, 1))]
+        elif choice == "distinct":
+            g = draw(st.frozensets(pairs, max_size=4))
+        else:
+            g = frozenset()
+        subs.append(g | {matching[i]} if planted else g)
+    family = SubgraphFamily(BaseGraph(2 * n, set().union(matching, *subs)), subs, KIND_PM)
+    return family, canonical_transversal(family) if planted else None
+
+
+def _format_1(obj: dict) -> dict:
+    """The format-1 object of a format-2 one: each color's row in place."""
+    old = {k: v for k, v in obj.items() if k not in ("format", "rows")}
+    old["subgraphs"] = [obj["rows"][i] for i in obj["subgraphs"]]
+    return old
+
+
+@given(instance_families() | matching_families(), st.dictionaries(st.text(max_size=4), st.one_of(
     st.integers(), st.floats(allow_nan=False), st.text(max_size=4)), max_size=3))
 def test_instance_text_is_json_dump_and_loads_back(case, metadata):
     family, planted = case
     obj = cli.instance_to_obj(family, planted, metadata)
     text = cli._json_text(obj, 1)
     assert text == json.dumps(obj, indent=1, sort_keys=True)
-    loaded, loaded_planted, _ = cli.instance_from_obj(json.loads(text))
-    assert loaded == family and loaded_planted == planted
-    first: dict = {}
-    for g in loaded.subgraphs:  # equal rows load as one shared set
-        assert first.setdefault(g, g) is g
+    # the format-1 text of the same instance loads to the same family
+    for loaded_text in (text, json.dumps(_format_1(obj), indent=1)):
+        loaded, loaded_planted, _ = cli.instance_from_obj(json.loads(loaded_text))
+        assert loaded == family and loaded_planted == planted
+        for g in loaded.subgraphs:  # equal rows load as one shared set
+            assert all((g is h) == (g == h) for h in loaded.subgraphs)
 
 
 _NUMBERS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats())
@@ -436,96 +471,6 @@ def json_values(draw):
 @given(json_values(), st.sampled_from([1, 2]))
 def test_json_text_is_json_dumps(value, indent):
     assert cli._json_text(value, indent) == json.dumps(value, indent=indent, sort_keys=True)
-
-
-_ELEMENTS = st.one_of(
-    st.lists(st.lists(st.integers(0, 12), min_size=2, max_size=2), max_size=3),  # edge-pair rows
-    st.lists(st.integers(0, 12), max_size=3),  # number arrays such as [1, 12, 1]
-    st.integers(0, 12) | st.floats() | st.booleans() | st.none(),
-    st.text(max_size=3),
-    st.dictionaries(st.text(max_size=2), st.lists(st.integers(0, 12), max_size=2), max_size=2),
-)
-
-
-@st.composite
-def json_load_texts(draw):
-    """An object's ``json.dumps`` text whose arrays repeat elements of one
-    pool, and the object; or a mutated text, and None."""
-    pool = draw(st.lists(_ELEMENTS, min_size=1, max_size=3))
-    values = st.one_of(
-        st.lists(st.sampled_from(pool), max_size=6),
-        st.sampled_from(pool),
-        st.dictionaries(st.text(max_size=2), st.lists(st.sampled_from(pool), max_size=3), max_size=2),
-    )
-    obj = draw(st.dictionaries(st.text(max_size=3), values, max_size=4))
-    text = json.dumps(
-        obj,
-        indent=draw(st.sampled_from([None, 0, 1, "\t"])),
-        separators=draw(st.sampled_from([None, (",", ":"), (" , ", " : ")])),
-        ensure_ascii=draw(st.booleans()),
-    )
-    mutation = draw(st.just("none") | st.sampled_from(
-        ["truncate", "stray", "bom", "top level", "trailing", "duplicate key"]
-    ))
-    at = draw(st.integers(0, len(text)))
-    if mutation == "none":
-        return text, obj
-    if mutation == "truncate":
-        text = text[:at]
-    elif mutation == "stray":
-        text = text[:at] + draw(st.sampled_from('[]{},:"0-x\\ \n')) + text[at:]
-    elif mutation == "bom":
-        text = "\ufeff" + text
-    elif mutation == "top level":
-        text = draw(st.sampled_from(["[" + text + "]", json.dumps(list(obj.values())), "12", '"s"', ""]))
-    elif mutation == "trailing":
-        text += draw(st.sampled_from([" 1", "{}", "x", "]", ",", " \n"]))
-    else:
-        key = draw(st.sampled_from(sorted(obj) or [""]))
-        text = "{" + json.dumps(key) + ": " + json.dumps(draw(values)) + ", " + text[1:]
-    return text, None
-
-
-def _outcome(load, text):
-    try:
-        return repr(load(text))  # repr tells 1 from 1.0 and True, and NaN equals itself
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def _containers(v):
-    if isinstance(v, (list, dict)):
-        yield v
-        for x in v.values() if isinstance(v, dict) else v:
-            yield from _containers(x)
-
-
-_REPEATS = '{"a" : [[0, 1] , [0, 1], 1, 12, [0, 1]], "b": [[0, 1], [0, 1]]}'
-
-
-@given(json_load_texts())
-@example((_REPEATS, json.loads(_REPEATS)))  # spaced separators; a number after a shared row; a row in two arrays
-@example(('{"a": [[1], [1]]} x', None))
-def test_json_load_is_json_loads(drawn):
-    text, obj = drawn
-    assert _outcome(cli._json_load, text) == _outcome(json.loads, text)
-    if obj is None:
-        return
-    # equal element texts of one array share an object; no two values share one
-    loaded = cli._json_load(text)
-    owner: dict = {}
-    for key, value in loaded.items():
-        assert all(owner.setdefault(id(c), key) == key for c in _containers(value))
-        drawn_rows = obj[key]
-        if not (isinstance(value, list) and len(value) > 1 and isinstance(value[0], (list, dict, str))
-                and json.dumps(drawn_rows[0]) == json.dumps(drawn_rows[1])):
-            continue
-        last = None
-        for row, got in zip(drawn_rows, value):
-            if last is not None and json.dumps(row) == json.dumps(last[0]):
-                assert got is last[1]
-            elif isinstance(row, (list, dict, str)):
-                last = row, got
 
 
 def test_a_closed_stdout_ends_without_a_traceback():
@@ -573,7 +518,8 @@ def test_the_gen_cap_bounds_the_edges_the_file_lists(model, tmp_path, capsys, mo
     path = tmp_path / "g.json"
     assert main(["gen", *model.split(), "--out", str(path)]) == 0
     obj = json.loads(path.read_text())
-    listed = len(obj["base_edges"]) + sum(map(len, obj["subgraphs"]))
+    # the cap counts one row per color, as a format-1 file lists them
+    listed = len(obj["base_edges"]) + sum(len(obj["rows"][i]) for i in obj["subgraphs"])
     listed += len(obj.get("planted", {}).get("edges", ()))
     # a bound below what the file lists would reject this very file
     monkeypatch.setattr(cli, "GEN_MAX_EDGES", listed - 1)
@@ -607,8 +553,8 @@ def test_equal_rows_decode_to_one_list_checked_once(tmp_path, capsys, monkeypatc
     code, _ = run_cli(capsys, "gen", "--model", "regular-all-equal", "--n", "20", "--m", "6",
                       "--seed", "1", "--out", path)
     assert code == 0
-    rows = cli._json_load(Path(path).read_text())["subgraphs"]
-    assert len(rows) == 20 and all(r is rows[0] for r in rows)
+    obj = json.loads(Path(path).read_text())
+    assert len(obj["rows"]) == 1 and obj["subgraphs"] == [0] * 20
     checked = []
     check = cli._json_row
     monkeypatch.setattr(cli, "_json_row", lambda g, sets: checked.append(g) or check(g, sets))
@@ -765,19 +711,20 @@ def test_prepare_rejects_before_the_build(stage_files, stage_calls, capsys):
 # the exchange, sampler and multiplier results were reshaped, and the
 # d=3 and d=4 multiply entries before the matching recursion was
 # relabelled once per child; a change in any CLI output shows up here.
+# The gen files are format 2; FORMAT_1_PINNED holds their format-1 bytes.
 PINNED = [
     ("gen --model witness --n 9 --set 0,3,6 --d 2 --seed 11 --out w.json",
      "0bdb45ea082e71463577f1dfbddb44e92c1e731e04a1dfd64a9fd7ebb9dcf72f",
-     {"w.json": "6ade7b09361bcce91cf65a4cb7a0e3ea5dc8d121490cd60ba8b714c7e0d2532b"}),
+     {"w.json": "51bd2b71b5b5db8aeacb22b86abb38237a83e85b18c6598a6753801299b2c3df"}),
     ("gen --model planted-pm --n 6 --extra-degree 2 --seed 7 --out pm.json",
      "b4f3f4c2e77d14cb482f23ade39d7ebf4907843fd7e768cdc8733f91a11edde8",
-     {"pm.json": "22ec057efb3363ab8d8456b2ff6fb0253b07707d7a3846719e6d301289e9773b"}),
+     {"pm.json": "13aa32ecb298760a3eb29fa09ec83509a27949f288853d6a5b9d18c9bcfb8911"}),
     ("gen --model dirac --n 10 --c 0.8 --seed 4 --find-planted --out d.json",
      "4acce0ab4f9e54c1f9511d99f96bad712543b52b17ed4be44ad0c3202efe3c26",
-     {"d.json": "470c69a549141997e3901cebd629bd1e873809f402024efd2e1849024d4c32a7"}),
+     {"d.json": "0021c89250d4329cc02d5454244b3663be16e1d9086f0abd91ee81208b948503"}),
     ("gen --model regular-all-equal --n 30 --m 10 --seed 1 --out r.json",
      "593f7fcb28ff0ea2e7f1515bf7766805b14df5d1b8547c73a6cbad34540786a4",
-     {"r.json": "8a52d4d87908af055f7bc30b0a301f364fa3b715e89f7ee35416c414d2e6428d"}),
+     {"r.json": "4d47e15038944c55cc092a00a2c520d7247c35cb1dfc92111c9cdf40fcf32166"}),
     ("second --in w.json --set 0,3,6",
      "be9cfd0428109c115daf662b2b03c891ca978cd50361665510326634bd7b0584", {}),
     ("second --in pm.json --set x0,x1,x2,x3,x4,x5",
@@ -797,12 +744,12 @@ PINNED = [
      "0883411b442705fd1c326fcce01dc42e1836350a09bffcaa479b6b39a27a3c83", {}),
     ("gen --model planted-pm --n 8 --extra-degree 4 --seed 2 --out pm8.json",
      "24be11e6f0c39b26c6e6cd5ef53d1044c54dc6ffdecce0bbbd493a7e952767d7",
-     {"pm8.json": "79f5b08e95ad919b923095e5cfd36457b1d049abb69824ef37c9e670e43ec51f"}),
+     {"pm8.json": "c17f1a6efe8ffc7169c3bc766ac825bebb1f4045d40d9fce2f999ba8fa8e32e3"}),
     ("multiply --in pm8.json --set x0,x1,x2,x3,x4,x5,x6,x7",
      "afa7273accad51d19d7ab98c4638a0c59875aa10f4ecbf5e0efad7987b0bb2aa", {}),
     ("gen --model witness --n 12 --set 0,3,6,9 --d 3 --seed 1 --out w12.json",
      "0f39e737ab88cf88c33feb324ecd5aba58f6c20a2df7c1e15ff5e31ae0e9591d",
-     {"w12.json": "bf57724bea582ebb4f5c9e8636e4044c55eeb824f74f15804c7343668c88588e"}),
+     {"w12.json": "ef301752e2c6fdb7efad63b9b215b6d81ddba1e180a518b5b22313c63007a86e"}),
     ("multiply --in w12.json --set 0,3,6,9",
      "f122e381d715ed6f9121be17430b39a58de9abe92789e2d30d15e05dccdd888d", {}),
 ]
@@ -822,3 +769,101 @@ def test_reports_pinned(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(text.encode()).hexdigest() == report_sha, f"{cmd}\n{text}"
         for name, sha in files.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, (cmd, name)
+
+
+# SHA-256 of each gen file of PINNED in format 1, as gen wrote it before
+# format 2: one edge list per color, no format and no rows
+FORMAT_1_PINNED = {
+    "w.json": "6ade7b09361bcce91cf65a4cb7a0e3ea5dc8d121490cd60ba8b714c7e0d2532b",
+    "pm.json": "22ec057efb3363ab8d8456b2ff6fb0253b07707d7a3846719e6d301289e9773b",
+    "d.json": "470c69a549141997e3901cebd629bd1e873809f402024efd2e1849024d4c32a7",
+    "r.json": "8a52d4d87908af055f7bc30b0a301f364fa3b715e89f7ee35416c414d2e6428d",
+    "pm8.json": "79f5b08e95ad919b923095e5cfd36457b1d049abb69824ef37c9e670e43ec51f",
+    "w12.json": "bf57724bea582ebb4f5c9e8636e4044c55eeb824f74f15804c7343668c88588e",
+}
+
+
+def test_format_1_files_give_the_pinned_reports(tmp_path, monkeypatch, capsys):
+    # each gen file converted back is the old format-1 file byte for byte;
+    # it loads to the same instance, and every other command reports the
+    # same bytes from it
+    monkeypatch.chdir(tmp_path)
+    for cmd, report_sha, files in PINNED:
+        assert main(cmd.split()) == 0, cmd
+        out = capsys.readouterr().out
+        if cmd.startswith("gen"):
+            for name in files:
+                new = (tmp_path / name).read_text()
+                old = json.dumps(_format_1(json.loads(new)), indent=1, sort_keys=True) + "\n"
+                assert hashlib.sha256(old.encode()).hexdigest() == FORMAT_1_PINNED[name], name
+                (tmp_path / name).write_text(old)
+                assert cli.load_instance(name) == cli.instance_from_obj(json.loads(new))
+            continue
+        rep = json.loads(out)
+        del rep["wall_time_s"]
+        text = json.dumps(rep, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == report_sha, cmd
+        for name, sha in files.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, (cmd, name)
+
+
+_K3_FORMAT_2 = {"format": 2, "kind": "hamiltonian", "num_vertices": 3, "rows": [K3_ROW], "subgraphs": [0, 0, 0]}
+_DROP = object()  # a change that removes the key
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"subgraphs": [0, 0, -1]}, "a row index must be an integer in [0, 1), got -1"),
+    ({"subgraphs": [0, 1, 0]}, "a row index must be an integer in [0, 1), got 1"),
+    ({"subgraphs": [0, True, 0]}, "a row index must be an integer in [0, 1), got True"),
+    ({"subgraphs": [1.0, 0, 0]}, "a row index must be an integer in [0, 1), got 1.0"),
+    ({"subgraphs": ["0", 0, 0]}, "a row index must be an integer in [0, 1), got '0'"),
+    ({"format": 3}, "unknown instance format 3; known: 1, 2"),
+    ({"format": "2"}, "format must be an integer, got '2'"),
+    ({"format": True}, "format must be an integer, got True"),
+    ({"rows": None}, "rows must be a list"),
+    ({"rows": {"0": K3_ROW}}, "rows must be a list"),
+    ({"rows": _DROP}, "malformed instance file: 'rows'"),
+])
+def test_a_bad_format_2_file_is_an_input_error(change, message, tmp_path, capsys):
+    obj = {k: v for k, v in {**_K3_FORMAT_2, **change}.items() if v is not _DROP}
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(obj))
+    assert main(["count", "--in", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    path.write_text(json.dumps(_K3_FORMAT_2))
+    assert main(["count", "--in", str(path)]) == 0
+    capsys.readouterr()
+
+
+_LONG_M = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    "--id pm-dirac --n 4000 --c 1.0 --epsilon 0.001",
+    "--id ham-dirac --n 10 --c 0.7 --epsilon nan",
+    "--id pm-min-degree --m 40 --t nan --alpha 0.5",
+    "--id ham-min-degree --m 300 --t inf",
+    "--id pm-min-degree --m 40 --t 1e300 --alpha 0.5",
+    f"--id lll-cond --m {_LONG_M}",
+    f"--id pm-degree-threshold --alpha 0.5 --m {_LONG_M}",
+    "--id ham-dirac --n 100000000000 --c 1.0 --epsilon 1",
+    "--id pm-dirac --n 4677 --c 1.0 --epsilon 1",
+])
+def test_a_bound_out_of_range_exits_4(argv, capsys):
+    assert main(["bounds", *argv.split()]) == 4
+    assert capsys.readouterr().err.startswith("precondition failed: DomainError: ")
+
+
+def test_the_largest_factorial_bound_prints(capsys):
+    code, rep = run_cli(capsys, "bounds", "--id", "pm-dirac", "--n", "4674", "--c", "1.0", "--epsilon", "1")
+    assert code == 0
+    assert rep["results"]["value"] == math.factorial(sampler.FACTORIAL_MAX_ARG) == math.factorial(1558)
+
+
+@pytest.mark.parametrize("argv", [["--m", "0"], ["--p", "0.3", "--m", "-3"]])
+def test_lll_ham_sampling_below_max_degree_2_exits_4(argv, tmp_path, capsys):
+    path = str(tmp_path / "r.json")
+    assert main(["gen", "--model", "regular-all-equal", "--n", "30", "--m", "10", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["sample-set", "--in", path, "--method", "lll-ham", "--seed", "1", *argv]) == 4
+    assert capsys.readouterr().err == f"precondition failed: DomainError: max degree must be >= 2, got {argv[-1]}\n"

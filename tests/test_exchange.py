@@ -3,8 +3,10 @@ import random
 import pytest
 
 from transversals import (
+    AlternatingCycle,
     NoBlueEscape,
     NotLocallyDominating,
+    WalkStuck,
     build_full_rb,
     build_full_ryb,
     canonical_transversal,
@@ -21,6 +23,7 @@ from transversals import (
     second_pm_transversal,
     validate_transversal,
 )
+from transversals import exchange
 from transversals.exchange import PrunedDigraph
 
 from conftest import make_ham_family, random_ham_set
@@ -203,3 +206,23 @@ def test_no_blue_escape_raises():
     H, S = stranded
     with pytest.raises(NoBlueEscape):
         find_alternating_cycle(H, S)
+
+
+def test_ham_exchange_refuses_to_return_its_base(monkeypatch):
+    # a walk that recolors back to the base is stuck, not a second cycle
+    fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
+    H = build_full_ryb(fam, t)
+    assert second_ham_transversal(fam, t, (0, 4, 8), H) != t
+    monkeypatch.setattr(exchange, "recolor_ham", lambda cyc, jp, base: base)
+    with pytest.raises(WalkStuck, match="returned the base"):
+        second_ham_transversal(fam, t, (0, 4, 8), H)
+
+
+def test_pm_exchange_refuses_to_return_its_base(monkeypatch):
+    # swapping an empty alternating cycle leaves the base as it was
+    fam, t = gen_planted_pm_family(6, 2, seed=23)
+    H = build_full_rb(fam, t)
+    assert second_pm_transversal(fam, t, tuple(range(6)), H) != t
+    monkeypatch.setattr(exchange, "find_alternating_cycle", lambda J, members: AlternatingCycle((), ()))
+    with pytest.raises(WalkStuck, match="returned the base"):
+        second_pm_transversal(fam, t, tuple(range(6)), H)

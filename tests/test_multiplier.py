@@ -408,3 +408,56 @@ def test_d_cross_invariant_across_omega():
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             assert d_cross(build_full_rb(fam2, psi2), sorted(new[v] for v in S)) == d0
+
+
+def _boundary_case(kind):
+    """``_entry_case`` with its digraph and depth, and the names of the
+    kind's depth and saturation functions in ``multiplier``."""
+    fam, t, ms, build, _ = _entry_case(kind)
+    H = build(fam, t)
+    depth_name, find_name = (
+        ("d_star", "find_saturated_vertex_ham") if kind == KIND_HAM else ("d_cross", "find_saturated_vertex_pm")
+    )
+    return fam, t, ms, H, getattr(multiplier, depth_name)(H, ms), depth_name, find_name
+
+
+@pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
+def test_a_child_may_drop_the_depth_by_one_and_no_more(kind, monkeypatch):
+    # every child reports depth d - 2, then d - 1; the children's own
+    # recursion is stubbed out, so only this node's depth check runs
+    fam, t, ms, H, d, depth_name, _ = _boundary_case(kind)
+    assert d >= 2
+    many = multiplier._many
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
+    monkeypatch.setattr(multiplier, depth_name, lambda H, ms: d - 2)
+    with pytest.raises(GuaranteeViolated, match="depth dropped by more than one"):
+        many(fam, t, ms, H, d, {})
+    monkeypatch.setattr(multiplier, depth_name, lambda H, ms: d - 1)
+    assert many(fam, t, ms, H, d, {})
+
+
+@pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
+def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
+    # the saturated vertex keeps only its first k targets: k = d raises,
+    # k = d + 1 does not
+    fam, t, ms, H, d, _, find_name = _boundary_case(kind)
+    find = getattr(multiplier, find_name)
+    many = multiplier._many
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
+
+    def keeping(k):
+        def trimmed(*args):
+            table = find(*args)
+            v0 = table.saturated
+            kept = set(table.targets_of(v0)[:k])
+            assert len(kept) == k
+            return multiplier.WitnessTable(v0, {
+                (v, e): w for (v, e), w in table.witnesses.items() if v != v0 or e in kept
+            })
+        return trimmed
+
+    monkeypatch.setattr(multiplier, find_name, keeping(d))
+    with pytest.raises(GuaranteeViolated, match="too few targets"):
+        many(fam, t, ms, H, d, {})
+    monkeypatch.setattr(multiplier, find_name, keeping(d + 1))
+    assert len(many(fam, t, ms, H, d, {})) == d + 1

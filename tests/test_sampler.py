@@ -266,3 +266,55 @@ def test_factorial_bounds_domain_checks():
         factorial_bounds("nonsense", m=10)
     with pytest.raises(DomainError):
         factorial_bounds("ham-bounded-degree", m=262, n=3)
+
+
+def test_a_sampled_set_below_its_depth_floor_raises(regular_ryb, monkeypatch):
+    # the set's depth is reported as floor - 1, then as floor
+    floor = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30)).depth_floor
+    assert floor >= 1
+    monkeypatch.setattr(sampler, "d_star", lambda H, members: floor - 1)
+    with pytest.raises(GuaranteeViolated, match=f"below the floor {floor}"):
+        sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
+    monkeypatch.setattr(sampler, "d_star", lambda H, members: floor)
+    assert sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30)).depth == floor
+
+
+@pytest.mark.parametrize("cfg", [SamplerConfig(seed=0, m=0), SamplerConfig(seed=0, p=0.3, m=-3),
+                                 SamplerConfig(seed=0, m=1)])
+def test_lll_ham_sampler_rejects_a_max_degree_below_2(regular_ryb, cfg):
+    with pytest.raises(DomainError, match=f"max degree must be >= 2, got {cfg.m}"):
+        sample_set_lll_ham(regular_ryb, cfg)
+
+
+def test_factorial_bounds_stop_above_max_arg():
+    cap = sampler.FACTORIAL_MAX_ARG
+    assert cap == 1558
+    # floor(n / 3) at c = 1, epsilon = 1
+    value = factorial_bounds("pm-dirac", n=4674, c=1.0, epsilon=1.0, max_arg=cap)
+    assert value == math.factorial(1558) and len(str(value)) == 4300
+    with pytest.raises(DomainError, match="rounds above 1558"):
+        factorial_bounds("pm-dirac", n=4677, c=1.0, epsilon=1.0, max_arg=cap)
+    # with no cap the library returns what does not print
+    assert factorial_bounds("pm-dirac", n=4677, c=1.0, epsilon=1.0) == math.factorial(1559)
+
+
+@pytest.mark.parametrize("bound_id, params", [
+    ("ham-dirac", dict(n=10, c=0.7, epsilon=math.nan)),
+    ("ham-dirac", dict(n=10, c=math.nan, epsilon=1.0)),
+    ("pm-dirac", dict(n=10, c=0.7, epsilon=math.nan)),
+    ("ham-min-degree", dict(m=300, t=math.nan)),
+    ("ham-min-degree", dict(m=300, t=math.inf)),
+    ("pm-min-degree", dict(m=40, t=math.nan, alpha=0.5)),
+    ("pm-min-degree", dict(m=40, t=1e300, alpha=0.5)),
+    ("ham-dirac", dict(n=10**400, c=1.0, epsilon=1.0)),
+])
+def test_factorial_bounds_reject_nan_infinite_and_huge_arguments(bound_id, params):
+    with pytest.raises(DomainError):
+        factorial_bounds(bound_id, max_arg=sampler.FACTORIAL_MAX_ARG, **params)
+
+
+def test_m_too_large_for_a_float_is_a_domain_error():
+    with pytest.raises(DomainError, match="too large"):
+        lll_condition_ham(10**400)
+    with pytest.raises(DomainError, match="too large"):
+        pm_lll_rhs(0.5, 10**400)

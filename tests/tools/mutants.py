@@ -28,6 +28,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 ORACLE = "src/transversals/oracle.py"
+MULTIPLIER = "src/transversals/multiplier.py"
+EXCHANGE = "src/transversals/exchange.py"
+# the out == base check occurs in both exchanges; the return after it
+# tells them apart
+_RETURNS_BASE = 'if out == base:\n        raise WalkStuck("exchange returned the base transversal")'
+_NEVER = 'if False:\n        raise WalkStuck("exchange returned the base transversal")'
 
 # name -> (file, text, replacement)
 MUTANTS = {
@@ -48,7 +54,7 @@ MUTANTS = {
         "self.nodes + nodes <= self.budget.max_nodes",
     ),
     "floor-d-factorial": (
-        "src/transversals/multiplier.py",
+        MULTIPLIER,
         "len(out) < math.factorial(d + 1)",
         "len(out) < math.factorial(d)",
     ),
@@ -57,6 +63,16 @@ MUTANTS = {
         "args.hi > LLL_SCAN_MAX_HI",
         "args.hi > 2 * LLL_SCAN_MAX_HI",
     ),
+    "depth-drop-by-two": (MULTIPLIER, "d2 < d - 1", "d2 < d - 2"),
+    "d-targets-suffice": (MULTIPLIER, "len(targets) < d + 1", "len(targets) < d"),
+    "sampled-floor-minus-one": ("src/transversals/sampler.py", "if d < floor:", "if d < floor - 1:"),
+    "ham-exchange-may-return-base": (
+        EXCHANGE, _RETURNS_BASE + "\n    return out, trace", _NEVER + "\n    return out, trace",
+    ),
+    "pm-exchange-may-return-base": (
+        EXCHANGE, _RETURNS_BASE + "\n    return out, cyc", _NEVER + "\n    return out, cyc",
+    ),
+    "negative-row-index": ("src/transversals/cli.py", "not 0 <= i < len(out)", "not i < len(out)"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench")
