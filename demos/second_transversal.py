@@ -3,7 +3,8 @@
 The planted transversal is the cycle 0-1-2-3-4-5 with edge (i, i+1)
 colored i. Four chords are spread over the subgraphs so that the set
 S = {0, 3} is red-independent and locally dominating, which is all the
-exchange needs.
+exchange needs. The exchange reads the set's support lists, the in-set
+heads of each member's neighbors, and keeps the first head of each.
 """
 
 from transversals import (
@@ -18,6 +19,7 @@ from transversals import (
     omega_member_ham,
     prune,
     second_ham_transversal,
+    support,
     validate_transversal,
 )
 
@@ -42,16 +44,19 @@ print("blue arcs:  ", {v: sorted(J.blue[v]) for v in range(n) if J.blue[v]})
 
 S = (0, 3)
 print(f"\nset S = {S}: d* = {d_star(J, S)}")
+heads = support(J, S)
+print("support lists:", heads)
 
-jp = prune(J, S)
-print("retained picks:", jp.arcs())
+jp = prune(heads, S, n)
+print("retained yellow arcs:", [arc for _, arc in jp.yellow_pick])
+print("retained blue arcs:  ", [arc for _, arc in jp.blue_pick])
 
 trace = lollipop_walk(jp, edge(0, 1))
 print(f"rotation walk: {len(trace.states)} states, pivots {list(trace.pivots)}")
 for state in trace.states:
     print("  path", state)
 
-second = second_ham_transversal(family, base, S, J)
+second = second_ham_transversal(family, base, S, heads)
 print("\nsecond transversal:")
 for e, c in second.items:
     marker = "" if base.colors().get(e) == c else "   <- new"

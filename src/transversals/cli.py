@@ -59,6 +59,7 @@ from .digraphs import (
     d_star,
     omega_member_ham,
     omega_member_pm,
+    support,
 )
 from .errors import (
     BudgetExceeded,
@@ -494,7 +495,7 @@ def cmd_count(args) -> tuple[dict, list, int]:
 def cmd_second(args) -> tuple[dict, list, int]:
     family, planted, members, fam_c, t_c, ms, H, tables, depth, metric = _prepare(args)
     if fam_c.kind == KIND_HAM:
-        t2_c, trace = ham_exchange(fam_c, t_c, ms, H)
+        t2_c, trace = ham_exchange(fam_c, t_c, ms, support(H, ms))
         omega_ok = omega_member_ham(t_c, ms, t2_c)
         provenance = {
             "anchor": list(edge(*trace.states[0][:2])),
@@ -502,13 +503,15 @@ def cmd_second(args) -> tuple[dict, list, int]:
             "pivot_edges": [list(e) for e in trace.pivots],
         }
     else:
-        t2_c, cyc = pm_exchange(fam_c, t_c, ms, H)
+        t2_c, cyc = pm_exchange(fam_c, t_c, ms, support(H, ms))
         omega_ok = omega_member_pm(t_c, ms, t2_c)
         provenance = {
             "cycle_pairs": list(cyc.pairs),
             "cycle_arcs": [list(a) for a in cyc.arcs],
             "cycle_length": cyc.length(),
         }
+    if not omega_ok:
+        raise GuaranteeViolated("the second transversal lies outside the exchange neighborhood")
     (t2,) = lift([t2_c], *tables)
     results = {
         "set": list(members),

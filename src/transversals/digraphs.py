@@ -11,19 +11,19 @@ are the matched pairs (i, n+i), and a blue arc leaves an endpoint of
 pair i toward an opposite-side endpoint of a different pair j whenever
 that edge lies in subgraph i.
 
-Both full digraphs and their arc-subsets share these representations;
-sub-digraphs always keep all red edges, so red is implicit.
+Red edges are fixed by the labelling, so neither class stores them.
 
 ``support`` is the one place a row is filtered by set membership: it
-lists, per arc tail, the heads the support depth counts. ``d_star`` and
-``d_cross`` are the shortest of those lists; the exchange picks from
-them and the multiplier's saturation loop crosses them off.
+lists, per arc tail, the heads the support depth counts, and checks red
+independence. ``d_star`` and ``d_cross`` are the shortest of those
+lists; the exchange keeps the first head of each, and the multiplier's
+saturation loop crosses heads off and passes what is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     Edge,
@@ -54,18 +54,6 @@ class RybDigraph:
                 if not 0 <= head < self.n:
                     raise ValueError(f"arc {tail}->{head} leaves the vertex range 0..{self.n - 1}")
 
-    @classmethod
-    def from_arcs(
-        cls, n: int, yellow_arcs: Iterable[tuple[int, int]], blue_arcs: Iterable[tuple[int, int]]
-    ) -> "RybDigraph":
-        ys: list[set[int]] = [set() for _ in range(n)]
-        bs: list[set[int]] = [set() for _ in range(n)]
-        for t, h in yellow_arcs:
-            ys[t].add(h)
-        for t, h in blue_arcs:
-            bs[t].add(h)
-        return cls(n, tuple(tuple(sorted(s)) for s in ys), tuple(tuple(sorted(s)) for s in bs))
-
 
 @dataclass(frozen=True)
 class RbDigraph:
@@ -81,13 +69,6 @@ class RbDigraph:
                     raise ValueError(f"arc {tail}->{head} stays inside one pair")
                 if (tail < self.n) == (head < self.n):
                     raise ValueError(f"arc {tail}->{head} does not cross sides")
-
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "RbDigraph":
-        bs: list[set[int]] = [set() for _ in range(2 * n)]
-        for t, h in arcs:
-            bs[t].add(h)
-        return cls(n, tuple(tuple(sorted(s)) for s in bs))
 
     def partner(self, v: int) -> int:
         return v + self.n if v < self.n else v - self.n

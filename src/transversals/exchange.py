@@ -1,6 +1,6 @@
 """Producing one more transversal from a planted one.
 
-Cycle kind: prune the arc digraph down to one yellow and one blue arc per
+Cycle kind: prune the support down to one yellow and one blue arc per
 set member, then walk Thomason-style rotations over Hamiltonian paths of
 the underlying graph that start with a fixed anchor edge. States of that
 auxiliary walk have degree 1 or 2, so starting at the opened base cycle
@@ -8,10 +8,14 @@ auxiliary walk have degree 1 or 2, so starting at the opened base cycle
 which closes into a second Hamiltonian cycle. Recoloring by arc tails
 plus one forced missing color yields the second transversal.
 
-Matching kind: walk red pair edges and lowest-head blue arcs alternately
+Matching kind: walk red pair edges and first-head blue arcs alternately
 until a pair repeats, cut out the even alternating cycle, and swap it
 into the matching; set members keep their base colors.
 
+Both exchanges read a heads map shaped like ``digraphs.support``'s result,
+arc tail to the heads the support depth counts, and keep the first head
+of each list: the lowest, as ``support`` lists heads ascending. The
+multiplier's witness loop passes its pending lists as they are.
 ``ham_exchange`` and ``pm_exchange`` return the second transversal with
 the rotation walk or alternating cycle that produced it;
 ``second_ham_transversal`` and ``second_pm_transversal`` return the
@@ -21,7 +25,7 @@ transversal alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     Edge,
@@ -33,14 +37,17 @@ from .core import (
     require_naturally_indexed,
     validate_transversal,
 )
-from .digraphs import RbDigraph, RybDigraph, support
 from .errors import (
     InvalidTransversal,
     NoBlueEscape,
     NotLocallyDominating,
+    NotMaximalRedIndependent,
     RecolorConflict,
     WalkStuck,
 )
+
+
+Heads = Mapping[int, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -48,19 +55,15 @@ class PrunedDigraph:
     """One retained yellow and blue arc per set member, plus the cycle.
 
     ``yellow_pick[m] = (m-1, head)`` and ``blue_pick[m] = (m+1, head)``,
-    heads inside the set. Distance-2 red edges are dropped; the underlying
-    graph is the base cycle plus the retained arc edges.
+    heads inside the set. Distance-2 red edges are dropped; ``adj`` is the
+    underlying graph, the base cycle plus the retained arc edges.
     """
 
     n: int
     members: tuple[int, ...]
     yellow_pick: tuple[tuple[int, tuple[int, int]], ...]
     blue_pick: tuple[tuple[int, tuple[int, int]], ...]
-
-    def arcs(self) -> list[tuple[int, int, str]]:
-        out = [(t, h, "yellow") for _, (t, h) in self.yellow_pick]
-        out += [(t, h, "blue") for _, (t, h) in self.blue_pick]
-        return out
+    adj: tuple[tuple[int, ...], ...]
 
     def arc_color(self, e: Edge) -> int | None:
         """Recoloring rule for a retained arc's underlying edge, else None."""
@@ -72,33 +75,30 @@ class PrunedDigraph:
                 return (t - 1) % self.n
         return None
 
-    def underlying_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i in range(self.n):
-            adj[i].add((i + 1) % self.n)
-            adj[(i + 1) % self.n].add(i)
-        for t, h, _ in self.arcs():
-            adj[t].add(h)
-            adj[h].add(t)
-        return tuple(tuple(sorted(s)) for s in adj)
 
-
-def prune(J: RybDigraph, members: Sequence[int]) -> PrunedDigraph:
-    """Keep one yellow arc into the set from each member's predecessor and
-    one blue arc from each member's successor, lowest head first."""
+def prune(heads: Heads, members: Sequence[int], n: int) -> PrunedDigraph:
+    """Keep the first yellow head of each member's predecessor and the
+    first blue head of its successor; a tail missing from ``heads`` has
+    none. ``heads`` is ``support``'s map, or any map whose lists start
+    with heads ``support`` would list."""
     ms = tuple(sorted(set(members)))
-    heads = support(J, ms)
-    n = J.n
-    ypick = []
-    bpick = []
+    if not ms:
+        raise ValueError("empty set has no support depth")
+    adj = [{(v - 1) % n, (v + 1) % n} for v in range(n)]
+    ypick, bpick = [], []
     for m in ms:
         ytail, btail = (m - 1) % n, (m + 1) % n
-        yheads, bheads = heads[ytail], heads[btail]
+        yheads, bheads = heads.get(ytail, ()), heads.get(btail, ())
         if not yheads or not bheads:
             raise NotLocallyDominating(f"member {m} lacks in-set support (yellow {len(yheads)}, blue {len(bheads)})")
+        if yheads[0] not in ms or bheads[0] not in ms:
+            raise NotLocallyDominating(f"member {m}'s first heads {yheads[0]}, {bheads[0]} are not all in the set")
         ypick.append((m, (ytail, yheads[0])))
         bpick.append((m, (btail, bheads[0])))
-    return PrunedDigraph(n, ms, tuple(ypick), tuple(bpick))
+        for t, h in ((ytail, yheads[0]), (btail, bheads[0])):
+            adj[t].add(h)
+            adj[h].add(t)
+    return PrunedDigraph(n, ms, tuple(ypick), tuple(bpick), tuple(tuple(sorted(s)) for s in adj))
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def lollipop_walk(jp: PrunedDigraph, anchor: Edge) -> LollipopTrace:
     s0, s1 = anchor
     if s0 not in jp.members or s1 != (s0 + 1) % n:
         raise ValueError(f"anchor {anchor} is not a member's forward cycle edge")
-    adj = jp.underlying_adjacency()
+    adj = jp.adj
     q0 = tuple((s0 + k) % n for k in range(n))
     states = [q0]
     pivot_edges: list[Edge] = []
@@ -207,22 +207,23 @@ def ham_exchange(
     family: SubgraphFamily,
     base: Transversal,
     members: Sequence[int],
-    J: RybDigraph,
+    heads: Heads,
 ) -> tuple[Transversal, LollipopTrace]:
-    """Second cycle transversal supported by the arcs of J, with its walk.
+    """Second cycle transversal supported by the first of ``heads``, with its walk.
 
-    Requires the canonical labelling, a red-independent set, and local
-    domination of the set inside J. The walk is anchored at the forward
+    Requires the canonical labelling, a red-independent set (``support``
+    checks it), and local domination: every member's predecessor and
+    successor have a head. The walk is anchored at the forward
     cycle edge of the smallest member, and its final state, closed by
     the edge last-to-first, is the second cycle. The result is validated
     and is always distinct from base.
     """
     require_naturally_indexed(family, base)
     ms = tuple(sorted(set(members)))
-    jp = prune(J, ms)
+    jp = prune(heads, ms, family.num_vertices)
     trace = lollipop_walk(jp, edge(ms[0], (ms[0] + 1) % jp.n))
     cyc = trace.final
-    if cyc[0] not in jp.underlying_adjacency()[cyc[-1]]:
+    if cyc[0] not in jp.adj[cyc[-1]]:
         raise WalkStuck("final state does not close into a cycle")
     out = recolor_ham(cyc, jp, base)
     report = validate_transversal(family, out)
@@ -237,10 +238,10 @@ def second_ham_transversal(
     family: SubgraphFamily,
     base: Transversal,
     members: Sequence[int],
-    J: RybDigraph,
+    heads: Heads,
 ) -> Transversal:
     """The transversal of ``ham_exchange`` without its walk."""
-    return ham_exchange(family, base, members, J)[0]
+    return ham_exchange(family, base, members, heads)[0]
 
 
 @dataclass(frozen=True)
@@ -261,11 +262,14 @@ class AlternatingCycle:
         return 2 * len(self.pairs)
 
 
-def find_alternating_cycle(J: RbDigraph, members: Sequence[int]) -> AlternatingCycle:
-    """Walk red edges and lowest-head blue escapes until a pair repeats,
-    then cut the closed part. Starts at the set endpoint of pair 0."""
-    escapes = support(J, members)
-    set_end = {J.pair_index(v): v for v in escapes}
+def find_alternating_cycle(escapes: Heads, n: int) -> AlternatingCycle:
+    """Walk red edges and first-head blue escapes until a pair repeats,
+    then cut the closed part. ``escapes`` maps one endpoint of each of the
+    n pairs to its heads, as ``support`` does; the walk starts at the set
+    endpoint of pair 0."""
+    set_end = {v % n: v for v in escapes}
+    if len(escapes) != n or len(set_end) != n:
+        raise NotMaximalRedIndependent("need exactly one endpoint per pair")
     trail: list[tuple[int, tuple[int, int]]] = []
     seen_at: dict[int, int] = {}
     p = 0
@@ -281,28 +285,29 @@ def find_alternating_cycle(J: RbDigraph, members: Sequence[int]) -> AlternatingC
         w = escapes[z][0]
         seen_at[p] = len(trail)
         trail.append((p, (z, w)))
-        p = J.pair_index(w)
+        p = w % n
 
 
 def pm_exchange(
     family: SubgraphFamily,
     base: Transversal,
     members: Sequence[int],
-    J: RbDigraph,
+    heads: Heads,
 ) -> tuple[Transversal, AlternatingCycle]:
     """Swap the alternating cycle into the planted matching; return both.
 
-    Each set member on the cycle moves to its blue-arc head and keeps its
-    base color; untouched pairs stay as they are. Validated, distinct.
+    The members are the keys of ``heads``, one endpoint per pair. Each
+    set member on the cycle moves to its first head and keeps its base
+    color; untouched pairs stay as they are. Validated, distinct.
     """
     require_naturally_indexed(family, base)
-    cyc = find_alternating_cycle(J, members)
-    n = J.n
+    n = family.num_pairs
+    cyc = find_alternating_cycle(heads, n)
     colors = base.colors()
     for p in cyc.pairs:
         del colors[edge(p, p + n)]
     for t, h in cyc.arcs:
-        colors[edge(t, h)] = J.pair_index(t)
+        colors[edge(t, h)] = t % n
     out = Transversal.from_map(KIND_PM, colors)
     report = validate_transversal(family, out)
     if not report.ok:
@@ -316,7 +321,7 @@ def second_pm_transversal(
     family: SubgraphFamily,
     base: Transversal,
     members: Sequence[int],
-    J: RbDigraph,
+    heads: Heads,
 ) -> Transversal:
     """The transversal of ``pm_exchange`` without its cycle."""
-    return pm_exchange(family, base, members, J)[0]
+    return pm_exchange(family, base, members, heads)[0]

@@ -4,15 +4,16 @@ The exchange neighborhood of (base, S) is enumerated directly for small
 sets. The multiplication recursions first locate a saturated boundary
 vertex: a vertex all of whose set-targeting edges are realized by some
 already-constructed neighborhood member. Saturation is reached
-constructively, by repeatedly building a one-arc-per-vertex sub-digraph
-from the not-yet-realized arcs of the set's ``support``, running the
-exchange, and crossing off every arc the returned transversal realizes. Branching over the
-saturated vertex's d+1 or more target edges and recursing on the shrunk
-set multiplies the count by d+1 per level. One recursion serves both
-kinds: each child is relabelled once by ``canonical_tables`` and
-``relabel`` (a matching child also drops its branch pair), and its
-whole output list is lifted back by one ``lift`` through the same
-new-to-old tables. Isomorphic children are equal once relabelled, so a
+constructively by one ``find_saturated_vertex`` for both kinds: it
+passes the not-yet-realized heads of the set's ``support`` to the
+exchange, which keeps the first of each list, and crosses off every
+head the returned transversal realizes; no digraph is built per round.
+Branching over the saturated vertex's d+1 or more target edges and
+recursing on the shrunk set multiplies the count by d+1 per level. One
+recursion serves both kinds: each child is relabelled once by
+``canonical_tables`` and ``relabel`` (a matching child also drops its
+branch pair), and its whole output list is lifted back by one ``lift``
+through the same new-to-old tables. Isomorphic children are equal once relabelled, so a
 memo that lives for one ``many_*_transversals`` call solves each
 distinct child (family, set) once. The base is validated once, on
 entry; every other witness is validated by the exchange that made it.
@@ -210,29 +211,45 @@ class WitnessTable:
         return sorted(e for (w, e) in self.witnesses if w == v)
 
 
-def _saturate(base, heads, base_edge, exchange) -> WitnessTable:
+def find_saturated_vertex(
+    family: SubgraphFamily,
+    base: Transversal,
+    members: Sequence[int],
+    H: RybDigraph | RbDigraph,
+) -> WitnessTable:
     """Run exchange rounds until some boundary vertex has no pending head.
 
-    ``heads`` is the set's ``support``: each boundary vertex v starts with
-    its counted heads pending, and base witnesses ``base_edge(v)``. Each
-    round keeps one pending arc per boundary vertex (lowest head), passes
-    ``{vertex: head}`` to ``exchange``, and crosses off every pending head
-    whose edge the returned transversal realizes. That transversal differs
-    from base inside the kept arcs, so every round makes progress.
+    The boundary vertices are the arc tails of the set's ``support``. Each
+    starts with its counted heads pending, and base witnesses its cycle
+    edge to its member, or its planted pair. Each round passes the pending
+    lists to the exchange, which keeps the first, lowest, head of each,
+    and crosses off every pending head the returned transversal realizes.
+    That transversal differs from base inside the kept arcs, so every
+    round makes progress.
     """
-    witnesses = {(v, base_edge(v)): base for v in heads}
-    todo = {v: list(hs) for v, hs in heads.items()}
+    ms = sorted(set(members))
+    if family.kind == KIND_HAM:
+        n = family.num_vertices
+        # each boundary vertex is the cycle neighbor of exactly one member
+        base_edge = {(m + k) % n: edge(m, (m + k) % n) for m in ms for k in (-1, 1)}
+        second = second_ham_transversal
+    else:
+        base_edge = {m: edge(m, H.partner(m)) for m in ms}
+        second = second_pm_transversal
+    todo = {v: list(hs) for v, hs in support(H, ms).items()}
+    witnesses = {(v, base_edge[v]): base for v in todo}
     while True:
         empties = [v for v, t in todo.items() if not t]
         if empties:
             return WitnessTable(min(empties), witnesses)
-        t2 = exchange({v: pending[0] for v, pending in todo.items()})
+        t2 = second(family, base, ms, todo)
+        realized = t2.edge_set
         progressed = False
         for v, pending in todo.items():
             kept = []
             for h in pending:
                 e = edge(v, h)
-                if e in t2.edge_set:
+                if e in realized:
                     witnesses[(v, e)] = t2
                     progressed = True
                 else:
@@ -240,46 +257,6 @@ def _saturate(base, heads, base_edge, exchange) -> WitnessTable:
             todo[v] = kept
         if not progressed:
             raise WalkStuck("exchange realized none of the kept arcs")
-
-
-def find_saturated_vertex_ham(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    H: RybDigraph,
-) -> WitnessTable:
-    """Accumulate witnesses until some boundary vertex is saturated.
-
-    The boundary vertices are the set's cycle neighbors; their pending
-    edges are their yellow or blue arcs into the set.
-    """
-    n = family.num_vertices
-    ms = sorted(set(members))
-
-    def exchange(picks: dict[int, int]) -> Transversal:
-        yarcs = [((m - 1) % n, picks[(m - 1) % n]) for m in ms]
-        barcs = [((m + 1) % n, picks[(m + 1) % n]) for m in ms]
-        return second_ham_transversal(family, base, ms, RybDigraph.from_arcs(n, yarcs, barcs))
-
-    # each boundary vertex is the cycle neighbor of exactly one member
-    owner = {(m + k) % n: m for m in ms for k in (-1, 1)}
-    return _saturate(base, support(H, ms), lambda v: edge(v, owner[v]), exchange)
-
-
-def find_saturated_vertex_pm(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    H: RbDigraph,
-) -> WitnessTable:
-    """Matching-side witness accumulation over blue escape arcs."""
-    n = family.num_pairs
-    ms = sorted(set(members))
-
-    def exchange(picks: dict[int, int]) -> Transversal:
-        return second_pm_transversal(family, base, ms, RbDigraph.from_arcs(n, picks.items()))
-
-    return _saturate(base, support(H, ms), lambda v: edge(v, H.partner(v)), exchange)
 
 
 def many_ham_transversals(
@@ -333,14 +310,11 @@ def _many(family, base, ms, H, d, memo) -> list[Transversal]:
     outputs in its own labels, and each is solved once.
     """
     ham = family.kind == KIND_HAM
-    if ham:
-        if d == 1:
-            return [base, second_ham_transversal(family, base, ms, H)]
-        table = find_saturated_vertex_ham(family, base, ms, H)
-    else:
-        if d == 0 or family.num_pairs == 1:
-            return [base]
-        table = find_saturated_vertex_pm(family, base, ms, H)
+    if ham and d == 1:
+        return [base, second_ham_transversal(family, base, ms, support(H, ms))]
+    if not ham and (d == 0 or family.num_pairs == 1):
+        return [base]
+    table = find_saturated_vertex(family, base, ms, H)
     v0 = table.saturated
     targets = table.targets_of(v0)
     if len(targets) < d + 1:

@@ -172,6 +172,8 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
         )
     if cfg.m is not None and cfg.m < 2:
         raise DomainError(f"max degree must be >= 2, got {cfg.m}")
+    if cfg.m is not None and cfg.m > sys.float_info.max:
+        raise DomainError("max degree m is too large for a float")
     if cfg.p is not None:
         p = cfg.p
     elif cfg.m is not None:

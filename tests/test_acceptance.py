@@ -58,6 +58,7 @@ from transversals import (
     sample_set_pm,
     second_ham_transversal,
     second_pm_transversal,
+    support,
     validate_transversal,
 )
 
@@ -96,7 +97,7 @@ def test_c02_second_ham_suite_200_instances():
         S = random_ham_set(rng, n, n >= 9 and rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=i)
         H = build_full_ryb(fam, t)
-        t2 = second_ham_transversal(fam, t, S, H)
+        t2 = second_ham_transversal(fam, t, S, support(H, S))
         assert validate_transversal(fam, t2).ok, (n, S, i)
         assert t2 != t, (n, S, i)
         assert omega_member_ham(t, S, t2), (n, S, i)
@@ -181,9 +182,10 @@ def test_c05_second_pm_suite_200_instances():
         fam, t = gen_planted_pm_family(n, extra, seed=i)
         H = build_full_rb(fam, t)
         S = random_pm_set(rng, H, n)
-        cyc = find_alternating_cycle(H, S)
+        heads = support(H, S)
+        cyc = find_alternating_cycle(heads, n)
         assert cyc.length() >= 2 and cyc.length() % 2 == 0, (n, i)
-        t2 = second_pm_transversal(fam, t, S, H)
+        t2 = second_pm_transversal(fam, t, S, heads)
         assert validate_transversal(fam, t2).ok, (n, i)
         assert t2 != t, (n, i)
         assert omega_member_pm(t, S, t2), (n, i)
@@ -411,8 +413,9 @@ def test_c11_determinism_everywhere():
     # deterministic pipelines: exchange and multiplication output order
     fam3, t3 = gen_witness_instance_ham(10, (0, 3, 6), 2, seed=6)
     H3 = build_full_ryb(fam3, t3)
-    assert second_ham_transversal(fam3, t3, (0, 3, 6), H3) == second_ham_transversal(
-        fam3, t3, (0, 3, 6), H3
+    heads3 = support(H3, (0, 3, 6))
+    assert second_ham_transversal(fam3, t3, (0, 3, 6), heads3) == second_ham_transversal(
+        fam3, t3, (0, 3, 6), heads3
     )
     assert many_ham_transversals(fam3, t3, (0, 3, 6), H3) == many_ham_transversals(
         fam3, t3, (0, 3, 6), H3

@@ -13,15 +13,21 @@ from hypothesis import given, strategies as st
 
 import transversals
 from transversals import (
+    AlternatingCycle,
     BaseGraph,
     GuaranteeViolated,
     KIND_HAM,
     KIND_PM,
+    LollipopTrace,
     NotRedIndependent,
     SubgraphFamily,
     canonical_transversal,
     cli,
     edge,
+    enumerate_all_ham_transversals,
+    enumerate_all_pm_transversals,
+    omega_member_ham,
+    omega_member_pm,
     sampler,
 )
 from transversals.cli import main
@@ -194,6 +200,32 @@ def test_sample_set_exits_5_when_the_sampled_set_is_not_red_independent(tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: GuaranteeViolated: sampled set is not red-independent\n"
+
+
+@pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
+def test_second_exits_5_when_its_result_is_outside_omega(kind, tmp_path, capsys, monkeypatch):
+    # an exchange that returns a valid transversal outside the exchange
+    # neighborhood: the first one the oracle lists
+    path = str(tmp_path / "p.json")
+    model, n, extra, members = ("planted-ham", 8, 3, "0,4") if kind == KIND_HAM else ("planted-pm", 4, 2, "0,1,2,3")
+    run_cli(capsys, "gen", "--model", model, "--n", str(n), "--extra-degree", str(extra), "--seed", "0", "--out", path)
+    if kind == KIND_HAM:
+        every, member, name = enumerate_all_ham_transversals, omega_member_ham, "ham_exchange"
+        provenance = LollipopTrace((tuple(range(n)),), ())
+    else:
+        every, member, name = enumerate_all_pm_transversals, omega_member_pm, "pm_exchange"
+        provenance = AlternatingCycle((), ())
+
+    def outside_omega(family, base, ms, heads):
+        return next(t for t in every(family) if not member(base, ms, t)), provenance
+
+    monkeypatch.setattr(cli, name, outside_omega)
+    assert main(["second", "--in", path, "--set", members]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: GuaranteeViolated: the second transversal lies outside the exchange neighborhood\n"
+    )
 
 
 def test_exit_code_budget(tmp_path, capsys):
@@ -867,3 +899,14 @@ def test_lll_ham_sampling_below_max_degree_2_exits_4(argv, tmp_path, capsys):
     capsys.readouterr()
     assert main(["sample-set", "--in", path, "--method", "lll-ham", "--seed", "1", *argv]) == 4
     assert capsys.readouterr().err == f"precondition failed: DomainError: max degree must be >= 2, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("p", [[], ["--p", "0.3"]])
+def test_lll_ham_sampling_with_a_max_degree_too_large_for_a_float_exits_4(p, tmp_path, capsys):
+    path = str(tmp_path / "r.json")
+    assert main(["gen", "--model", "regular-all-equal", "--n", "30", "--m", "10", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["sample-set", "--in", path, "--method", "lll-ham", "--seed", "1", "--m", str(10**400), *p]) == 4
+    err = capsys.readouterr().err
+    assert err == "precondition failed: DomainError: max degree m is too large for a float\n"
+    assert "Traceback" not in err

@@ -30,6 +30,14 @@ from transversals import (
 from conftest import make_ham_family
 
 
+def _rows(n, arcs=()):
+    """One tuple of heads per tail 0..n-1, from (tail, head) arcs."""
+    rows = [() for _ in range(n)]
+    for t, h in arcs:
+        rows[t] += (h,)
+    return tuple(rows)
+
+
 def test_figure_arcs(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam, t)
@@ -49,11 +57,11 @@ def test_yellow_arc_excludes_cycle_neighbors():
     H = build_full_ryb(fam, canonical_transversal(fam))
     assert 3 in H.yellow[1]
     with pytest.raises(ValueError):
-        RybDigraph.from_arcs(7, [(1, 2)], [])
+        RybDigraph(7, _rows(7, [(1, 2)]), _rows(7))
     with pytest.raises(ValueError):
-        RybDigraph.from_arcs(7, [(1, 1)], [])
+        RybDigraph(7, _rows(7, [(1, 1)]), _rows(7))
     with pytest.raises(ValueError):
-        RybDigraph.from_arcs(7, [], [(0, 6)])
+        RybDigraph(7, _rows(7), _rows(7, [(0, 6)]))
 
 
 def test_blue_arc_comes_from_previous_subgraph():
@@ -151,13 +159,13 @@ def test_ryb_build_reads_both_endpoints_of_one_subgraph():
 
 
 def test_red_independence_circular_distance():
-    H = RybDigraph.from_arcs(8, [], [])
+    H = RybDigraph(8, _rows(8), _rows(8))
     assert is_red_independent(H, (0, 3))
     assert is_red_independent(H, (0, 4))
     assert not is_red_independent(H, (0, 1))
     assert not is_red_independent(H, (0, 2))
     assert not is_red_independent(H, (0, 6))  # distance 2 around the wrap
-    H9 = RybDigraph.from_arcs(9, [], [])
+    H9 = RybDigraph(9, _rows(9), _rows(9))
     assert is_red_independent(H9, (0, 3, 6))
 
 
@@ -179,7 +187,7 @@ def test_d_star_on_witness_instance_matches_request():
 
 
 def test_rb_partner_and_pair_index():
-    H = RbDigraph.from_arcs(4, [])
+    H = RbDigraph(4, _rows(8))
     assert H.partner(0) == 4 and H.partner(4) == 0
     assert H.partner(3) == 7 and H.partner(7) == 3
     assert H.pair_index(2) == 2 and H.pair_index(6) == 2
@@ -194,7 +202,7 @@ def test_rb_arcs_cross_pair_boundary():
 
 
 def test_pm_red_independence_one_per_pair():
-    H = RbDigraph.from_arcs(3, [])
+    H = RbDigraph(3, _rows(6))
     assert is_red_independent(H, (0, 1, 2))
     assert is_red_independent(H, (0, 4, 2))
     assert not is_red_independent(H, (0, 3, 1))  # 0 and 3 share pair 0
@@ -247,7 +255,7 @@ def test_support_matches_the_family_on_planted_matchings(n, data):
 def test_omega_member_ham_accepts_and_rejects(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam, t)
-    t2 = second_ham_transversal(fam, t, (0, 3), H)
+    t2 = second_ham_transversal(fam, t, (0, 3), support(H, (0, 3)))
     assert omega_member_ham(t, (0, 3), t2)
     assert omega_member_ham(t, (0, 3), t)
 
@@ -271,6 +279,6 @@ def test_omega_member_pm_checks_color_and_boundary():
     fam, t = gen_planted_pm_family(5, 2, seed=7)
     H = build_full_rb(fam, t)
     S = tuple(range(5))
-    t2 = second_pm_transversal(fam, t, S, H)
+    t2 = second_pm_transversal(fam, t, S, support(H, S))
     assert omega_member_pm(t, S, t2)
     assert omega_member_pm(t, S, t)

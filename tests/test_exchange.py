@@ -6,6 +6,7 @@ from transversals import (
     AlternatingCycle,
     NoBlueEscape,
     NotLocallyDominating,
+    NotMaximalRedIndependent,
     WalkStuck,
     build_full_rb,
     build_full_ryb,
@@ -21,6 +22,7 @@ from transversals import (
     prune,
     second_ham_transversal,
     second_pm_transversal,
+    support,
     validate_transversal,
 )
 from transversals import exchange
@@ -56,7 +58,7 @@ def _ham_cycles_through(n, adj, anchor):
 def test_figure_second_transversal_matches_hand_trace(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam, t)
-    t2 = second_ham_transversal(fam, t, (0, 3), H)
+    t2 = second_ham_transversal(fam, t, (0, 3), support(H, (0, 3)))
     assert t2.colors() == {
         (0, 1): 0,
         (1, 2): 1,
@@ -72,7 +74,7 @@ def test_figure_second_transversal_matches_hand_trace(figure_family):
 def test_prune_keeps_only_rotation_arcs(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam, t)
-    jp = prune(H, (0, 3))
+    jp = prune(support(H, (0, 3)), (0, 3), 6)
     assert isinstance(jp, PrunedDigraph)
     assert set(jp.members) == {0, 3}
     for m, (tail, head) in jp.yellow_pick:
@@ -83,7 +85,7 @@ def test_prune_keeps_only_rotation_arcs(figure_family):
         assert tail == (m + 1) % 6
         assert head in H.blue[tail]
         assert head in {0, 3}
-    adj = jp.underlying_adjacency()
+    adj = jp.adj
     # every cycle edge survives
     for i in range(6):
         assert (i + 1) % 6 in adj[i]
@@ -94,9 +96,9 @@ def test_walk_finds_the_unique_other_anchored_cycle():
     for n, S, seed in [(8, (0, 4), 0), (9, (0, 3, 6), 0)]:
         fam, t = gen_witness_instance_ham(n, S, 1, seed=seed)
         H = build_full_ryb(fam, t)
-        jp = prune(H, S)
+        jp = prune(support(H, S), S, n)
         anchor = edge(min(S), min(S) + 1)
-        thru = _ham_cycles_through(n, jp.underlying_adjacency(), anchor)
+        thru = _ham_cycles_through(n, jp.adj, anchor)
         assert len(thru) == 2
         others = [c for c in thru if c != t.edge_set]
         assert len(others) == 1
@@ -114,16 +116,16 @@ def test_anchored_cycle_count_is_even():
         S = random_ham_set(rng, n, rng.random() < 0.4)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
         H = build_full_ryb(fam, t)
-        jp = prune(H, S)
+        jp = prune(support(H, S), S, n)
         anchor = edge(min(S), min(S) + 1)
-        thru = _ham_cycles_through(n, jp.underlying_adjacency(), anchor)
+        thru = _ham_cycles_through(n, jp.adj, anchor)
         assert len(thru) % 2 == 0 and len(thru) >= 2
 
 
 def test_walk_trace_shape(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam, t)
-    jp = prune(H, (0, 3))
+    jp = prune(support(H, (0, 3)), (0, 3), 6)
     trace = lollipop_walk(jp, edge(0, 1))
     assert len(trace.states) >= 2
     assert trace.states[0] != trace.states[-1]
@@ -135,7 +137,7 @@ def test_prune_rejects_undominated_set():
     t = canonical_transversal(fam)
     H = build_full_ryb(fam, t)
     with pytest.raises(NotLocallyDominating):
-        prune(H, (0, 4))
+        prune(support(H, (0, 4)), (0, 4), 8)
 
 
 def test_second_ham_differs_only_in_allowed_places():
@@ -145,7 +147,7 @@ def test_second_ham_differs_only_in_allowed_places():
         S = random_ham_set(rng, n, rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
         H = build_full_ryb(fam, t)
-        t2 = second_ham_transversal(fam, t, S, H)
+        t2 = second_ham_transversal(fam, t, S, support(H, S))
         assert validate_transversal(fam, t2).ok
         assert t2 != t
         assert omega_member_ham(t, S, t2)
@@ -164,7 +166,7 @@ def test_find_alternating_cycle_alternates():
         fam, t = gen_planted_pm_family(n, extra, seed=rng.randrange(10**6))
         H = build_full_rb(fam, t)
         S = tuple(range(n))
-        cyc = find_alternating_cycle(H, S)
+        cyc = find_alternating_cycle(support(H, S), n)
         assert cyc.length() >= 2 and cyc.length() % 2 == 0
         assert len(cyc.arcs) == len(cyc.pairs)
         reds = cyc.red_edges(n)
@@ -180,7 +182,7 @@ def test_second_pm_transversal_swaps_cycle():
     fam, t = gen_planted_pm_family(6, 2, seed=23)
     H = build_full_rb(fam, t)
     S = tuple(range(6))
-    t2 = second_pm_transversal(fam, t, S, H)
+    t2 = second_pm_transversal(fam, t, S, support(H, S))
     assert validate_transversal(fam, t2).ok
     assert t2 != t
     assert omega_member_pm(t, S, t2)
@@ -205,24 +207,72 @@ def test_no_blue_escape_raises():
     assert stranded is not None, "expected some stranded side choice at n = 2"
     H, S = stranded
     with pytest.raises(NoBlueEscape):
-        find_alternating_cycle(H, S)
+        find_alternating_cycle(support(H, S), 2)
 
 
 def test_ham_exchange_refuses_to_return_its_base(monkeypatch):
     # a walk that recolors back to the base is stuck, not a second cycle
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     H = build_full_ryb(fam, t)
-    assert second_ham_transversal(fam, t, (0, 4, 8), H) != t
+    heads = support(H, (0, 4, 8))
+    assert second_ham_transversal(fam, t, (0, 4, 8), heads) != t
     monkeypatch.setattr(exchange, "recolor_ham", lambda cyc, jp, base: base)
     with pytest.raises(WalkStuck, match="returned the base"):
-        second_ham_transversal(fam, t, (0, 4, 8), H)
+        second_ham_transversal(fam, t, (0, 4, 8), heads)
 
 
 def test_pm_exchange_refuses_to_return_its_base(monkeypatch):
     # swapping an empty alternating cycle leaves the base as it was
     fam, t = gen_planted_pm_family(6, 2, seed=23)
     H = build_full_rb(fam, t)
-    assert second_pm_transversal(fam, t, tuple(range(6)), H) != t
-    monkeypatch.setattr(exchange, "find_alternating_cycle", lambda J, members: AlternatingCycle((), ()))
+    heads = support(H, range(6))
+    assert second_pm_transversal(fam, t, tuple(range(6)), heads) != t
+    monkeypatch.setattr(exchange, "find_alternating_cycle", lambda escapes, n: AlternatingCycle((), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
-        second_pm_transversal(fam, t, tuple(range(6)), H)
+        second_pm_transversal(fam, t, tuple(range(6)), heads)
+
+
+def test_the_exchange_reads_only_the_first_head_of_each_list():
+    # the witness loop passes its pending lists, which only share their
+    # first head with the support; cutting every list to its first k heads
+    # changes nothing
+    rng = random.Random(41)
+    for _ in range(12):
+        n = rng.randrange(9, 14)
+        S = random_ham_set(rng, n, True)
+        fam, t = gen_witness_instance_ham(n, S, rng.randrange(1, len(S)), seed=rng.randrange(10**6))
+        heads = support(build_full_ryb(fam, t), S)
+        second = second_ham_transversal(fam, t, S, heads)
+        for k in range(1, max(map(len, heads.values())) + 1):
+            assert second_ham_transversal(fam, t, S, {v: hs[:k] for v, hs in heads.items()}) == second
+    tried = 0
+    for _ in range(30):
+        n = rng.randrange(3, 9)
+        fam, t = gen_planted_pm_family(n, rng.randrange(1, n), seed=rng.randrange(10**6))
+        S = tuple(i + n * rng.randrange(2) for i in range(n))
+        heads = support(build_full_rb(fam, t), S)
+        if not all(heads.values()):
+            continue
+        tried += max(map(len, heads.values())) > 1
+        second = second_pm_transversal(fam, t, S, heads)
+        for k in range(1, max(map(len, heads.values())) + 1):
+            assert second_pm_transversal(fam, t, S, {v: hs[:k] for v, hs in heads.items()}) == second
+    assert tried >= 5
+
+
+def test_a_heads_map_support_could_not_make_is_a_precondition_error():
+    # a missing tail, or a first head outside the set, leaves a member
+    # undominated; a matching map needs exactly one endpoint of every pair
+    fam, t = gen_witness_instance_ham(9, (0, 3, 6), 1, seed=5)
+    heads = support(build_full_ryb(fam, t), (0, 3, 6))
+    for tail in heads:
+        with pytest.raises(NotLocallyDominating, match="lacks in-set support"):
+            second_ham_transversal(fam, t, (0, 3, 6), {v: hs for v, hs in heads.items() if v != tail})
+        for head in (4, 20, -1):
+            with pytest.raises(NotLocallyDominating, match="not all in the set"):
+                second_ham_transversal(fam, t, (0, 3, 6), {**heads, tail: (head, *heads[tail])})
+    fam, t = gen_planted_pm_family(4, 2, seed=3)
+    heads = support(build_full_rb(fam, t), range(4))
+    for bad in ({v: heads[v] for v in range(3)}, {**heads, 4: heads[0]}, {**heads, 5: ()}):
+        with pytest.raises(NotMaximalRedIndependent, match="one endpoint per pair"):
+            second_pm_transversal(fam, t, range(4), bad)

@@ -19,8 +19,7 @@ from transversals import (
     enumerate_all_ham_transversals,
     enumerate_omega_ham,
     enumerate_omega_pm,
-    find_saturated_vertex_ham,
-    find_saturated_vertex_pm,
+    find_saturated_vertex,
     gen_planted_pm_family,
     gen_witness_instance_ham,
     lift,
@@ -95,7 +94,7 @@ def test_omega_pm_count_is_the_permanent(case):
 def test_saturated_vertex_ham_accumulates_enough_targets():
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     H = build_full_ryb(fam, t)
-    table = find_saturated_vertex_ham(fam, t, (0, 4, 8), H)
+    table = find_saturated_vertex(fam, t, (0, 4, 8), H)
     v = table.saturated
     targets = table.targets_of(v)
     assert len(targets) >= 3  # d + 1
@@ -110,7 +109,7 @@ def test_saturated_vertex_pm_accumulates_enough_targets():
     fam, t = gen_planted_pm_family(6, 2, seed=5)
     H = build_full_rb(fam, t)
     S = tuple(range(6))
-    table = find_saturated_vertex_pm(fam, t, S, H)
+    table = find_saturated_vertex(fam, t, S, H)
     v = table.saturated
     targets = table.targets_of(v)
     assert len(targets) >= d_cross(H, S) + 1
@@ -211,10 +210,8 @@ def test_child_lifts_back_to_its_witness(case):
     # the dropped branch pair of a matching), is the witness it came from
     fam, t, S = case
     assume(fam.num_vertices > 2)  # a one-pair matching has no child
-    if fam.kind == KIND_HAM:
-        table = find_saturated_vertex_ham(fam, t, S, build_full_ryb(fam, t))
-    else:
-        table = find_saturated_vertex_pm(fam, t, S, build_full_rb(fam, t))
+    build = build_full_ryb if fam.kind == KIND_HAM else build_full_rb
+    table = find_saturated_vertex(fam, t, S, build(fam, t))
     for (_, e), wit in table.witnesses.items():
         drop = None if fam.kind == KIND_HAM else e
         vinv, cinv = canonical_tables(wit, drop)
@@ -411,21 +408,19 @@ def test_d_cross_invariant_across_omega():
 
 
 def _boundary_case(kind):
-    """``_entry_case`` with its digraph and depth, and the names of the
-    kind's depth and saturation functions in ``multiplier``."""
+    """``_entry_case`` with its digraph and depth, and the name of the
+    kind's depth function in ``multiplier``."""
     fam, t, ms, build, _ = _entry_case(kind)
     H = build(fam, t)
-    depth_name, find_name = (
-        ("d_star", "find_saturated_vertex_ham") if kind == KIND_HAM else ("d_cross", "find_saturated_vertex_pm")
-    )
-    return fam, t, ms, H, getattr(multiplier, depth_name)(H, ms), depth_name, find_name
+    depth_name = "d_star" if kind == KIND_HAM else "d_cross"
+    return fam, t, ms, H, getattr(multiplier, depth_name)(H, ms), depth_name
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
 def test_a_child_may_drop_the_depth_by_one_and_no_more(kind, monkeypatch):
     # every child reports depth d - 2, then d - 1; the children's own
     # recursion is stubbed out, so only this node's depth check runs
-    fam, t, ms, H, d, depth_name, _ = _boundary_case(kind)
+    fam, t, ms, H, d, depth_name = _boundary_case(kind)
     assert d >= 2
     many = multiplier._many
     monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
@@ -440,8 +435,8 @@ def test_a_child_may_drop_the_depth_by_one_and_no_more(kind, monkeypatch):
 def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
     # the saturated vertex keeps only its first k targets: k = d raises,
     # k = d + 1 does not
-    fam, t, ms, H, d, _, find_name = _boundary_case(kind)
-    find = getattr(multiplier, find_name)
+    fam, t, ms, H, d, _ = _boundary_case(kind)
+    find = multiplier.find_saturated_vertex
     many = multiplier._many
     monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
 
@@ -456,8 +451,8 @@ def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
             })
         return trimmed
 
-    monkeypatch.setattr(multiplier, find_name, keeping(d))
+    monkeypatch.setattr(multiplier, "find_saturated_vertex", keeping(d))
     with pytest.raises(GuaranteeViolated, match="too few targets"):
         many(fam, t, ms, H, d, {})
-    monkeypatch.setattr(multiplier, find_name, keeping(d + 1))
+    monkeypatch.setattr(multiplier, "find_saturated_vertex", keeping(d + 1))
     assert len(many(fam, t, ms, H, d, {})) == d + 1

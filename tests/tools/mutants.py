@@ -73,6 +73,7 @@ MUTANTS = {
         EXCHANGE, _RETURNS_BASE + "\n    return out, cyc", _NEVER + "\n    return out, cyc",
     ),
     "negative-row-index": ("src/transversals/cli.py", "not 0 <= i < len(out)", "not i < len(out)"),
+    "second-skips-omega-check": ("src/transversals/cli.py", "if not omega_ok:", "if False:"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench")
