@@ -16,9 +16,9 @@ The values are also the ``kind`` tags of the instance files.
 The canonical ("naturally indexed") labelling puts the cycle on
 0,1,...,n-1 with edge(i, i+1 mod n) colored i, or pairs vertex i with
 n+i colored i. Everything downstream assumes it. ``canonical_tables``
-states the rule once as new-to-old tables, ``relabel`` rebuilds a family
-from them and ``lift`` maps transversals back; ``naturally_index`` and
-the multiplication's children both make that one round trip.
+states the rule once as new-to-old tables, ``relabel_rows`` and
+``relabel`` rebuild a family from them and ``lift`` maps transversals
+back; ``naturally_index`` and the multiplication's children share it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import InvalidTransversal, NotNaturallyIndexed
 
 Edge = tuple[int, int]
 Tables = tuple[tuple[int, ...], tuple[int, ...]]  # new-to-old vertex and color tables
+Rows = tuple[frozenset[Edge], tuple[frozenset[Edge], ...]]  # base edges and subgraphs
 
 KIND_HAM = "hamiltonian"
 KIND_PM = "perfect_matching"
@@ -189,8 +190,9 @@ class Transversal:
     def __post_init__(self):
         if self.kind not in (KIND_HAM, KIND_PM):
             raise ValueError(f"unknown transversal kind {self.kind!r}")
+        # edge() is inlined: every output of the multiplication passes here
         object.__setattr__(
-            self, "items", tuple(sorted((edge(u, v), c) for (u, v), c in self.items))
+            self, "items", tuple(sorted([((u, v) if u <= v else (v, u), c) for (u, v), c in self.items]))
         )
 
     @classmethod
@@ -375,43 +377,50 @@ def old_to_new(vinv: Sequence[int], num_vertices: int) -> list[int]:
     return new
 
 
-def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> SubgraphFamily:
-    """The family under new-to-old tables: vertex k is old ``vinv[k]``,
-    subgraph k is old ``cinv[k]``, and edges touching a vertex left out of
-    ``vinv`` are dropped. Subgraphs shared in the family stay shared.
-    Identity tables return the family itself."""
+def relabel_rows(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> Rows:
+    """The base edges and subgraphs under new-to-old tables: vertex k is
+    old ``vinv[k]``, subgraph k is old ``cinv[k]``, and edges touching a
+    vertex left out of ``vinv`` are dropped. Edges are ordered (min, max),
+    so equal families give equal rows; shared subgraphs stay shared.
+    Identity tables return the family's own rows."""
     if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
-        return family
+        return family.base.edge_set, family.subgraphs
     new = old_to_new(vinv, family.num_vertices)
 
-    def pairs(edges) -> list[Edge]:
-        return [(new[u], new[v]) for u, v in edges if new[u] >= 0 and new[v] >= 0]
+    def pairs(edges) -> frozenset[Edge]:
+        mapped = [(new[u], new[v]) for u, v in edges]
+        return frozenset([(a, b) if a <= b else (b, a) for a, b in mapped if a >= 0 and b >= 0])
 
     # a subgraph shared by several colors is mapped once and stays shared
-    mapped: dict[int, list[Edge]] = {}
+    mapped: dict[int, frozenset[Edge]] = {}
     subs = []
     for c in cinv:
         g = family.subgraphs[c]
         if id(g) not in mapped:
             mapped[id(g)] = pairs(g)
         subs.append(mapped[id(g)])
-    return SubgraphFamily(BaseGraph(len(vinv), pairs(family.base.edge_set)), subs, family.kind)
+    return pairs(family.base.edge_set), tuple(subs)
 
 
-def lift(transversals: Iterable[Transversal], vinv: tuple[int, ...], cinv: tuple[int, ...],
-         extra: Mapping[Edge, int] | None = None) -> list[Transversal]:
+def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> SubgraphFamily:
+    """The family on ``len(vinv)`` vertices built from ``relabel_rows``.
+    Identity tables return the family itself."""
+    if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
+        return family
+    base, subs = relabel_rows(family, vinv, cinv)
+    return SubgraphFamily(BaseGraph(len(vinv), base), subs, family.kind)
+
+
+def lift(transversals: Iterable[Transversal], vinv: tuple[int, ...], cinv: tuple[int, ...]) -> list[Transversal]:
     """Transversals of a relabelled family in the old labels: edge (u, v)
-    colored c becomes (``vinv[u]``, ``vinv[v]``) colored ``cinv[c]``, plus
-    the old edges and colors in ``extra`` (a matching child's branch pair).
-    Identity tables with nothing extra return the inputs themselves."""
-    if not extra and vinv == tuple(range(len(vinv))) and cinv == tuple(range(len(cinv))):
+    colored c becomes (``vinv[u]``, ``vinv[v]``) colored ``cinv[c]``.
+    Identity tables return the inputs themselves. The multiplication does
+    not lift level by level: it composes the tables down its recursion
+    and builds each output once, in the labels of the call."""
+    if vinv == tuple(range(len(vinv))) and cinv == tuple(range(len(cinv))):
         return list(transversals)
-    out = []
-    for t in transversals:
-        colors = {edge(vinv[u], vinv[v]): cinv[c] for (u, v), c in t.items}
-        colors.update(extra or {})
-        out.append(Transversal.from_map(t.kind, colors))
-    return out
+    return [Transversal(t.kind, tuple([((vinv[u], vinv[v]), cinv[c]) for (u, v), c in t.items]))
+            for t in transversals]
 
 
 def naturally_index(family: SubgraphFamily, t: Transversal) -> tuple[SubgraphFamily, Transversal, Tables]:

@@ -296,11 +296,13 @@ def pm_exchange(
 ) -> tuple[Transversal, AlternatingCycle]:
     """Swap the alternating cycle into the planted matching; return both.
 
-    The members are the keys of ``heads``, one endpoint per pair. Each
-    set member on the cycle moves to its first head and keeps its base
-    color; untouched pairs stay as they are. Validated, distinct.
+    The members must be the keys of ``heads``, one endpoint per pair.
+    Each set member on the cycle moves to its first head and keeps its
+    base color; untouched pairs stay as they are. Validated, distinct.
     """
     require_naturally_indexed(family, base)
+    if set(members) != set(heads):
+        raise NotMaximalRedIndependent("the members must be the keys of the heads map, one endpoint per pair")
     n = family.num_pairs
     cyc = find_alternating_cycle(heads, n)
     colors = base.colors()

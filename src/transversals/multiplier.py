@@ -10,12 +10,12 @@ exchange, which keeps the first of each list, and crosses off every
 head the returned transversal realizes; no digraph is built per round.
 Branching over the saturated vertex's d+1 or more target edges and
 recursing on the shrunk set multiplies the count by d+1 per level. One
-recursion serves both kinds: each child is relabelled once by
-``canonical_tables`` and ``relabel`` (a matching child also drops its
-branch pair), and its whole output list is lifted back by one ``lift``
-through the same new-to-old tables. Isomorphic children are equal once relabelled, so a
-memo that lives for one ``many_*_transversals`` call solves each
-distinct child (family, set) once. The base is validated once, on
+recursion serves both kinds: each child's rows are mapped by
+``relabel_rows`` through the tables of ``canonical_tables`` (a matching
+child drops its branch pair), and a memo keyed on them and the child's
+set solves each distinct child once per call. The recursion returns a
+plan of tables, which is expanded once at the top, so each output is
+built once, in the caller's labels. The base is validated once, on
 entry; every other witness is validated by the exchange that made it.
 The (d+1)! floor, the target count and the depth drop are each checked
 once and raise GuaranteeViolated.
@@ -29,15 +29,15 @@ from typing import Sequence
 
 from .core import (
     KIND_HAM,
+    BaseGraph,
     Edge,
     SubgraphFamily,
     Transversal,
     canonical_tables,
     canonical_transversal,
     edge,
-    lift,
     old_to_new,
-    relabel,
+    relabel_rows,
     require_naturally_indexed,
     validate_transversal,
 )
@@ -294,20 +294,34 @@ def _multiply(family, base, members, H, depth) -> list[Transversal]:
     d = depth(H, ms)
     if d < 1 and family.kind == KIND_HAM:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
-    out = sorted(set(_many(family, base, ms, H, d, {})), key=lambda t: t.items)
+    plan = _many(family, base, ms, H, d, {})
+    out = sorted(set(_expand(plan, range(family.num_vertices), range(family.num_colors))), key=lambda t: t.items)
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
     return out
 
 
-def _many(family, base, ms, H, d, memo) -> list[Transversal]:
+def _expand(plan, vmap, cmap, fixed=()):
+    """The outputs a plan stands for, each built once: vmap and cmap take
+    the node's labels to the caller's, and ``fixed`` holds the branch
+    pairs dropped on the way down, in the caller's labels."""
+    for item in plan:
+        if isinstance(item, Transversal):
+            yield Transversal(item.kind, tuple([((vmap[u], vmap[v]), cmap[c]) for (u, v), c in item.items]) + fixed)
+        else:
+            vinv, cinv, pairs, child = item
+            pairs = tuple([((vmap[u], vmap[v]), cmap[c]) for (u, v), c in pairs])
+            yield from _expand(child, [vmap[k] for k in vinv], [cmap[k] for k in cinv], fixed + pairs)
+
+
+def _many(family, base, ms, H, d, memo) -> list:
     """One branch per target of a saturated vertex, for either kind.
 
-    A cycle child keeps every vertex; a matching child drops the branch
-    pair, which is put back into each lifted output. Isomorphic children
-    are equal once relabelled, so ``memo`` (one dict per ``_multiply``
-    call) maps each distinct child (family, set) to its depth and its
-    outputs in its own labels, and each is solved once.
+    Returns a plan: a list of outputs in this node's labels, or of
+    branches ``(vinv, cinv, pairs, child plan)``: the child's tables and
+    the (edge, color) items it drops, a matching's branch pair. ``memo``
+    (one dict per ``_multiply`` call) maps each distinct child's rows and
+    set to its depth and plan; a hit builds no family.
     """
     ham = family.kind == KIND_HAM
     if ham and d == 1:
@@ -320,28 +334,28 @@ def _many(family, base, ms, H, d, memo) -> list[Transversal]:
     if len(targets) < d + 1:
         raise GuaranteeViolated("saturated vertex has too few targets")
     build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
-    out: list[Transversal] = []
+    plan = []
     for e in targets:
         wit = table.witnesses[(v0, e)]
         vinv, cinv = canonical_tables(wit, None if ham else e)
-        fam2 = relabel(family, vinv, cinv)
+        base2, subs2 = relabel_rows(family, vinv, cinv)
         new = old_to_new(vinv, family.num_vertices)
         # e has one endpoint in the set, and the child's set leaves it out
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
-        key = (fam2, ms2)
+        key = len(vinv), base2, subs2, ms2
         hit = memo.get(key)
         if hit is None:
+            fam2 = SubgraphFamily(BaseGraph(len(vinv), base2), subs2, family.kind)
             t2 = canonical_transversal(fam2)
             H2 = build(fam2, t2)
             d2 = depth(H2, ms2)
         else:
-            d2, solved = hit
+            d2, child = hit
         # checked against this parent's d, on a hit as well
         if d2 < d - 1:
             raise GuaranteeViolated("depth dropped by more than one")
         if hit is None:
-            solved = _many(fam2, t2, ms2, H2, d2, memo)
-            memo[key] = d2, solved
-        branch = None if ham else {e: wit.color_of(e)}
-        out += lift(solved, vinv, cinv, branch)
-    return out
+            child = _many(fam2, t2, ms2, H2, d2, memo)
+            memo[key] = d2, child
+        plan.append((vinv, cinv, () if ham else ((e, wit.color_of(e)),), child))
+    return plan

@@ -276,3 +276,8 @@ def test_a_heads_map_support_could_not_make_is_a_precondition_error():
     for bad in ({v: heads[v] for v in range(3)}, {**heads, 4: heads[0]}, {**heads, 5: ()}):
         with pytest.raises(NotMaximalRedIndependent, match="one endpoint per pair"):
             second_pm_transversal(fam, t, range(4), bad)
+    # a well-formed map whose keys are not the members given
+    assert second_pm_transversal(fam, t, range(4), heads) != t
+    for members in (range(3), (0, 1, 2, 7), range(5)):
+        with pytest.raises(NotMaximalRedIndependent, match="keys of the heads map"):
+            second_pm_transversal(fam, t, members, heads)

@@ -11,6 +11,7 @@ from transversals import (
     KIND_HAM,
     KIND_PM,
     SubgraphFamily,
+    Transversal,
     build_full_rb,
     build_full_ryb,
     canonical_transversal,
@@ -31,6 +32,8 @@ from transversals import (
     omega_member_ham,
     omega_member_pm,
     permanent,
+    second_ham_transversal,
+    support,
     validate_transversal,
 )
 from transversals import multiplier
@@ -206,20 +209,21 @@ def test_many_pm_lies_in_omega(case):
 
 @given(st.one_of(witness_ham_with_set(), planted_pm_with_set()))
 def test_child_lifts_back_to_its_witness(case):
-    # the child's canonical transversal, lifted through the tables (plus
-    # the dropped branch pair of a matching), is the witness it came from
+    # the child's canonical transversal, expanded through a one-branch plan
+    # (the tables, plus the dropped branch pair of a matching), is the
+    # witness it came from
     fam, t, S = case
     assume(fam.num_vertices > 2)  # a one-pair matching has no child
-    build = build_full_ryb if fam.kind == KIND_HAM else build_full_rb
+    ham = fam.kind == KIND_HAM
+    build = build_full_ryb if ham else build_full_rb
     table = find_saturated_vertex(fam, t, S, build(fam, t))
     for (_, e), wit in table.witnesses.items():
-        drop = None if fam.kind == KIND_HAM else e
-        vinv, cinv = canonical_tables(wit, drop)
+        vinv, cinv = canonical_tables(wit, None if ham else e)
         fam2 = relabel(fam, vinv, cinv)
         t2 = canonical_transversal(fam2)
         assert validate_transversal(fam2, t2).ok
-        extra = {drop: wit.color_of(drop)} if drop else None
-        assert lift([t2], vinv, cinv, extra) == [wit]
+        plan = [(vinv, cinv, () if ham else ((e, wit.color_of(e)),), [t2])]
+        assert list(multiplier._expand(plan, range(fam.num_vertices), range(fam.num_colors))) == [wit]
 
 
 def test_many_ham_rejects_zero_depth():
@@ -336,6 +340,43 @@ def test_many_memo_changes_no_output(case):
     # solving every child again gives
     fam, t, S, H, d = case
     assert multiplier._many(fam, t, S, H, d, {}) == multiplier._many(fam, t, S, H, d, _NeverStores())
+
+
+def _lifted_per_level(family, base, ms, H, d):
+    """The recursion with no memo and no plan: every child's outputs are
+    lifted back a level at a time, a matching child's branch pair added."""
+    ham = family.kind == KIND_HAM
+    if ham and d == 1:
+        return [base, second_ham_transversal(family, base, ms, support(H, ms))]
+    if not ham and (d == 0 or family.num_pairs == 1):
+        return [base]
+    table = find_saturated_vertex(family, base, ms, H)
+    build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
+    out = []
+    for e in table.targets_of(table.saturated):
+        wit = table.witnesses[(table.saturated, e)]
+        vinv, cinv = canonical_tables(wit, None if ham else e)
+        fam2 = relabel(family, vinv, cinv)
+        new = old_to_new(vinv, family.num_vertices)
+        ms2 = tuple(sorted(new[m] for m in ms if m not in e))
+        t2 = canonical_transversal(fam2)
+        H2 = build(fam2, t2)
+        solved = _lifted_per_level(fam2, t2, ms2, H2, depth(H2, ms2))
+        pair = {} if ham else {e: wit.color_of(e)}
+        out += [Transversal.from_map(u.kind, {**u.colors(), **pair}) for u in lift(solved, vinv, cinv)]
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(multiply_case())
+def test_many_equals_a_lift_per_level(case):
+    # the plan, expanded once at the top, gives the outputs, in the order,
+    # that lifting every child's list back at each level gives
+    fam, t, S, H, _ = case
+    ham = fam.kind == KIND_HAM
+    many, depth = (many_ham_transversals, d_star) if ham else (many_pm_transversals, d_cross)
+    expected = sorted(set(_lifted_per_level(fam, t, S, H, depth(H, S))), key=lambda u: u.items)
+    assert many(fam, t, S, H) == expected
 
 
 def test_many_builds_each_distinct_child_once(monkeypatch):

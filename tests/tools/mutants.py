@@ -65,6 +65,15 @@ MUTANTS = {
     ),
     "depth-drop-by-two": (MULTIPLIER, "d2 < d - 1", "d2 < d - 2"),
     "d-targets-suffice": (MULTIPLIER, "len(targets) < d + 1", "len(targets) < d"),
+    "memo-key-without-set": (
+        MULTIPLIER, "key = len(vinv), base2, subs2, ms2", "key = len(vinv), base2, subs2",
+    ),
+    "memo-key-without-base-edges": (
+        MULTIPLIER, "key = len(vinv), base2, subs2, ms2", "key = len(vinv), subs2, ms2",
+    ),
+    "expansion-drops-branch-pair": (
+        MULTIPLIER, "[cmap[k] for k in cinv], fixed + pairs)", "[cmap[k] for k in cinv], fixed)",
+    ),
     "sampled-floor-minus-one": ("src/transversals/sampler.py", "if d < floor:", "if d < floor - 1:"),
     "ham-exchange-may-return-base": (
         EXCHANGE, _RETURNS_BASE + "\n    return out, trace", _NEVER + "\n    return out, trace",
