@@ -60,6 +60,7 @@ from .digraphs import (
     omega_member_ham,
     omega_member_pm,
     support,
+    support_depth,
 )
 from .errors import (
     BudgetExceeded,
@@ -493,9 +494,10 @@ def cmd_count(args) -> tuple[dict, list, int]:
 
 
 def cmd_second(args) -> tuple[dict, list, int]:
-    family, planted, members, fam_c, t_c, ms, H, tables, depth, metric = _prepare(args)
+    family, planted, members, fam_c, t_c, ms, H, tables, _, metric = _prepare(args)
+    heads = support(H, ms)
     if fam_c.kind == KIND_HAM:
-        t2_c, trace = ham_exchange(fam_c, t_c, ms, support(H, ms))
+        t2_c, trace = ham_exchange(fam_c, t_c, ms, heads)
         omega_ok = omega_member_ham(t_c, ms, t2_c)
         provenance = {
             "anchor": list(edge(*trace.states[0][:2])),
@@ -503,7 +505,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
             "pivot_edges": [list(e) for e in trace.pivots],
         }
     else:
-        t2_c, cyc = pm_exchange(fam_c, t_c, ms, support(H, ms))
+        t2_c, cyc = pm_exchange(fam_c, t_c, ms, heads)
         omega_ok = omega_member_pm(t_c, ms, t2_c)
         provenance = {
             "cycle_pairs": list(cyc.pairs),
@@ -521,7 +523,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
         "omega_member": omega_ok,
         "provenance": provenance,
         "metric": metric,
-        "value": depth(H, ms),
+        "value": support_depth(heads),
     }
     return results, [], EXIT_OK
 

@@ -219,20 +219,6 @@ class Transversal:
     def __len__(self) -> int:
         return len(self.items)
 
-    def cycle_sequence(self) -> tuple[int, ...]:
-        """Vertex order of a cycle transversal, from 0 toward its smaller neighbor."""
-        if self.kind != KIND_HAM:
-            raise ValueError("cycle_sequence is for hamiltonian transversals")
-        adj: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        order = [0, min(adj[0])]
-        while len(order) < len(self.items):
-            a, b = adj[order[-1]]
-            order.append(a if a != order[-2] else b)
-        return tuple(order)
-
 
 def validate_family(family: SubgraphFamily) -> ValidationReport:
     """Structural checks: subgraph count matches kind, edges live in base."""
@@ -334,22 +320,26 @@ def validate_transversal(family: SubgraphFamily, t: Transversal) -> ValidationRe
     return ValidationReport(tuple(out))
 
 
-def _canonical_colors(family: SubgraphFamily) -> dict[Edge, int]:
-    if family.kind == KIND_HAM:
-        n = family.num_vertices
-        return {edge(i, (i + 1) % n): i for i in range(n)}
-    n = family.num_pairs
+def _canonical_colors(kind: str, num_vertices: int) -> dict[Edge, int]:
+    if kind == KIND_HAM:
+        return {edge(i, (i + 1) % num_vertices): i for i in range(num_vertices)}
+    n = num_vertices // 2
     return {edge(i, n + i): i for i in range(n)}
+
+
+def planted(kind: str, num_vertices: int) -> Transversal:
+    """The canonical labelling's transversal: edge(i, i+1 mod n) or (i, n+i), colored i."""
+    return Transversal.from_map(kind, _canonical_colors(kind, num_vertices))
 
 
 def is_naturally_indexed(family: SubgraphFamily, t: Transversal) -> bool:
     """True iff t is the canonical transversal in the canonical labelling."""
-    return t.colors() == _canonical_colors(family)
+    return t.colors() == _canonical_colors(family.kind, family.num_vertices)
 
 
 def canonical_transversal(family: SubgraphFamily) -> Transversal:
     """The transversal the canonical labelling plants (cycle or pairing)."""
-    return Transversal.from_map(family.kind, _canonical_colors(family))
+    return planted(family.kind, family.num_vertices)
 
 
 def canonical_tables(t: Transversal, drop: Edge | None = None) -> Tables:
@@ -363,10 +353,27 @@ def canonical_tables(t: Transversal, drop: Edge | None = None) -> Tables:
     endpoint low, colored k.
     """
     if t.kind == KIND_HAM:
-        order, cols = t.cycle_sequence(), t.colors()
-        return order, tuple(cols[edge(u, v)] for u, v in zip(order, order[1:] + order[:1]))
+        adj: dict[int, list[int]] = {}
+        for u, v in t.edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        order = [0, adj[0][0]]
+        while len(order) < len(t.items):
+            a, b = adj[order[-1]]
+            order.append(a if a != order[-2] else b)
+        cols = t.colors()
+        return cycle_tables(tuple(order), tuple(cols[edge(u, v)] for u, v in zip(order, order[1:] + order[:1])))
     kept = sorted((c, uv) for uv, c in t.items if uv != drop)
     return tuple(u for _, (u, _) in kept) + tuple(v for _, (_, v) in kept), tuple(c for c, _ in kept)
+
+
+def cycle_tables(seq: tuple[int, ...], cols: tuple[int, ...]) -> Tables:
+    """``canonical_tables`` of the cycle walked as the tuple ``seq``, ``cols[k]``
+    coloring the edge leaving ``seq[k]``: start at 0, toward its smaller neighbor."""
+    k = seq.index(0)
+    if seq[k - 1] < seq[(k + 1) % len(seq)]:
+        seq, cols, k = seq[::-1], cols[-2::-1] + cols[-1:], len(seq) - 1 - k
+    return seq[k:] + seq[:k], cols[k:] + cols[:k]
 
 
 def old_to_new(vinv: Sequence[int], num_vertices: int) -> list[int]:

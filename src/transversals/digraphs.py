@@ -13,11 +13,12 @@ that edge lies in subgraph i.
 
 Red edges are fixed by the labelling, so neither class stores them.
 
-``support`` is the one place a row is filtered by set membership: it
-lists, per arc tail, the heads the support depth counts, and checks red
-independence. ``d_star`` and ``d_cross`` are the shortest of those
-lists; the exchange keeps the first head of each, and the multiplier's
-saturation loop crosses heads off and passes what is left.
+``support`` lists, per arc tail, the heads the support depth counts, and
+checks red independence; ``support_through`` gives the same lists for a
+relabelled family by looking each arc up, under ``_arcs``, the arc rule
+``build_full_*`` also applies. ``d_star`` and ``d_cross`` are the
+shortest list; the exchange keeps the first head of each, and the
+multiplier's saturation loop crosses heads off and passes what is left.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ class RbDigraph:
         return v % self.n
 
 
+def _arcs(cycle: bool, n: int, c: int, pairs) -> list[tuple[int, int]]:
+    """The arc rule: the arcs t->h that the edges t-h of subgraph c in
+    ``pairs`` give, one call per batch. A cycle keeps a pair (both arcs)
+    unless it joins cycle neighbors; one out of range stays, for RybDigraph
+    to reject. A matching's edge gives the arc from its end in pair c to an
+    end of another pair, across the sides."""
+    if cycle:
+        red = 1, n - 1
+        return [p for p in pairs if (p[1] - p[0]) % n not in red or not (0 <= p[0] < n and 0 <= p[1] < n)]
+    return [(t, h) for u, v in pairs for t, h in ((u, v), (v, u))
+            if t % n == c and (t < n) != (h < n) and h % n != c]
+
+
 def build_full_ryb(family: SubgraphFamily, t: Transversal) -> RybDigraph:
     """All yellow and blue arcs the family supports over the planted cycle.
 
@@ -93,17 +107,13 @@ def build_full_ryb(family: SubgraphFamily, t: Transversal) -> RybDigraph:
     index: dict[int, dict[int, list[int]]] = {}
     yellow: list[tuple[int, ...]] = [()] * n
     blue: list[tuple[int, ...]] = [()] * n
-    steps = (1, n - 1)  # v - u over a cycle pair u < v
     for c, g in enumerate(family.subgraphs):
         at = index.get(id(g))
         if at is None:
             at = index[id(g)] = {}
-            for u, v in g:
-                # a cycle pair is red, never an arc (SubgraphFamily orders u <= v);
-                # any other pair is kept, for RybDigraph to reject if it is no arc
-                if v - u not in steps or u < 0 or v >= n:
-                    at.setdefault(u, []).append(v)
-                    at.setdefault(v, []).append(u)
+            for u, v in _arcs(True, n, c, g):
+                at.setdefault(u, []).append(v)
+                at.setdefault(v, []).append(u)
         nxt = (c + 1) % n
         # G_c at c gives c's yellow heads, and at c+1 the blue heads of c+1
         if c in at:
@@ -121,38 +131,48 @@ def build_full_rb(family: SubgraphFamily, t: Transversal) -> RbDigraph:
     n = family.num_pairs
     blue: list[list[int]] = [[] for _ in range(2 * n)]
     for i, g in enumerate(family.subgraphs):
-        for u, v in g:
-            for a, b in ((u, v), (v, u)):
-                # arcs leave pair i's endpoints toward the opposite side
-                if a % n == i and (a < n) != (b < n) and b % n != i:
-                    blue[a].append(b)
+        for a, b in _arcs(False, n, i, g):
+            blue[a].append(b)
     return RbDigraph(n, tuple(tuple(sorted(set(h))) for h in blue))
 
 
 def is_red_independent(digraph: RybDigraph | RbDigraph, members: Sequence[int]) -> bool:
     """No two members joined by a red edge."""
-    ms = sorted(set(members))
-    if isinstance(digraph, RybDigraph):
-        n = digraph.n
-        for a in range(len(ms)):
-            for b in range(a + 1, len(ms)):
-                d = (ms[b] - ms[a]) % n
-                if min(d, n - d) <= 2:
-                    return False
-        return True
-    seen_pairs: set[int] = set()
-    for v in ms:
-        p = digraph.pair_index(v)
-        if p in seen_pairs:
-            return False
-        seen_pairs.add(p)
-    return True
+    return _red_independent(isinstance(digraph, RybDigraph), digraph.n, sorted(set(members)))
+
+
+def _red_independent(cycle: bool, n: int, ms: list[int]) -> bool:
+    if cycle:  # no two members within cycle distance 2
+        return all(min((b - a) % n, (a - b) % n) > 2 for i, a in enumerate(ms) for b in ms[i + 1:])
+    return len({v % n for v in ms}) == len(ms)  # no two in one pair
 
 
 def is_maximal_red_independent(digraph: RbDigraph, members: Sequence[int]) -> bool:
     """Exactly one endpoint from every matched pair."""
     ms = set(members)
     return len(ms) == digraph.n and is_red_independent(digraph, sorted(ms))
+
+
+def _support(cycle: bool, n: int, members: Sequence[int], row) -> dict[int, tuple[int, ...]]:
+    """``support``'s checks and lists. ``row(t, c, candidates)`` gives tail
+    t's heads in subgraph c, ascending; it may keep only the candidates."""
+    ms = sorted(set(members))
+    s = frozenset(ms)
+    if not cycle:
+        if len(ms) != n or not _red_independent(False, n, ms):
+            raise NotMaximalRedIndependent("need exactly one endpoint per pair")
+        rest = [w for w in range(2 * n) if w not in s]
+        return {m: tuple(h for h in row(m, m % n, rest) if h not in s) for m in ms}
+    if not ms:
+        raise ValueError("empty set has no support depth")
+    if not _red_independent(True, n, ms):
+        raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
+    heads: dict[int, tuple[int, ...]] = {}
+    for m in ms:
+        # m-1 has yellow heads, read in subgraph m-1; m+1 has blue ones, read in subgraph m
+        for t, c in (((m - 1) % n, (m - 1) % n), ((m + 1) % n, m)):
+            heads[t] = tuple(h for h in row(t, c, ms) if h in s)
+    return heads
 
 
 def support(H: RybDigraph | RbDigraph, members: Sequence[int]) -> dict[int, tuple[int, ...]]:
@@ -163,23 +183,23 @@ def support(H: RybDigraph | RbDigraph, members: Sequence[int]) -> dict[int, tupl
     tails distinct. Matching kind: each member's blue heads outside the
     set. Heads stay in row order, which is ascending.
     """
-    ms = sorted(set(members))
-    s = frozenset(ms)
-    if isinstance(H, RbDigraph):
-        if not is_maximal_red_independent(H, ms):
-            raise NotMaximalRedIndependent("need exactly one endpoint per pair")
-        return {v: tuple(h for h in H.blue[v] if h not in s) for v in ms}
-    if not ms:
-        raise ValueError("empty set has no support depth")
-    if not is_red_independent(H, ms):
-        raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
-    n = H.n
-    heads: dict[int, tuple[int, ...]] = {}
-    for m in ms:
-        y, b = (m - 1) % n, (m + 1) % n
-        heads[y] = tuple(h for h in H.yellow[y] if h in s)
-        heads[b] = tuple(h for h in H.blue[b] if h in s)
-    return heads
+    cycle = not isinstance(H, RbDigraph)
+    return _support(cycle, H.n, members, lambda t, c, _: H.yellow[t] if cycle and c == t else H.blue[t])
+
+
+def support_through(family: SubgraphFamily, vt: Sequence[int], ct: Sequence[int],
+                    members: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """``support`` of ``relabel(family, vt, ct)``'s digraph, errors included,
+    looking each candidate arc up in family's subgraphs through the tables:
+    O(|S|^2) lookups for a cycle, O(n^2) for a matching."""
+    cycle, n, subs = family.kind == KIND_HAM, len(ct), family.subgraphs
+    return _support(cycle, n, members, lambda t, c, candidates: [
+        h for _, h in _arcs(cycle, n, c, [(t, h) for h in candidates]) if edge(vt[t], vt[h]) in subs[ct[c]]])
+
+
+def support_depth(heads: dict[int, tuple[int, ...]]) -> int:
+    """The support depth: the length of the shortest list of ``heads``."""
+    return min(map(len, heads.values()))
 
 
 def is_locally_dominating(J: RybDigraph, members: Sequence[int]) -> bool:
@@ -194,12 +214,12 @@ def d_star(H: RybDigraph, members: Sequence[int]) -> int:
     Zero whenever some member has an empty yellow or blue support; the
     caller decides whether zero is an error.
     """
-    return min(map(len, support(H, members).values()))
+    return support_depth(support(H, members))
 
 
 def d_cross(H: RbDigraph, members: Sequence[int]) -> int:
     """Minimum number of blue arcs leaving the set from any member."""
-    return min(map(len, support(H, members).values()))
+    return support_depth(support(H, members))
 
 
 def omega_member_ham(base: Transversal, members: Sequence[int], cand: Transversal) -> bool:

@@ -16,8 +16,10 @@ Both exchanges read a heads map shaped like ``digraphs.support``'s result,
 arc tail to the heads the support depth counts, and keep the first head
 of each list: the lowest, as ``support`` lists heads ascending. The
 multiplier's witness loop passes its pending lists as they are.
-``ham_exchange`` and ``pm_exchange`` return the second transversal with
-the rotation walk or alternating cycle that produced it;
+``cycle_exchange`` and ``matching_exchange`` need no family, and
+``checked_second`` validates a result in the labels its caller lifts it
+to. ``ham_exchange`` and ``pm_exchange`` return the second transversal
+with the rotation walk or alternating cycle that produced it;
 ``second_ham_transversal`` and ``second_pm_transversal`` return the
 transversal alone.
 """
@@ -29,11 +31,13 @@ from typing import Mapping, Sequence
 
 from .core import (
     Edge,
-    KIND_HAM,
     KIND_PM,
     SubgraphFamily,
+    Tables,
     Transversal,
+    cycle_tables,
     edge,
+    lift,
     require_naturally_indexed,
     validate_transversal,
 )
@@ -57,6 +61,7 @@ class PrunedDigraph:
     ``yellow_pick[m] = (m-1, head)`` and ``blue_pick[m] = (m+1, head)``,
     heads inside the set. Distance-2 red edges are dropped; ``adj`` is the
     underlying graph, the base cycle plus the retained arc edges.
+    ``arc_colors`` recolors a retained arc's edge by its tail rule.
     """
 
     n: int
@@ -64,16 +69,7 @@ class PrunedDigraph:
     yellow_pick: tuple[tuple[int, tuple[int, int]], ...]
     blue_pick: tuple[tuple[int, tuple[int, int]], ...]
     adj: tuple[tuple[int, ...], ...]
-
-    def arc_color(self, e: Edge) -> int | None:
-        """Recoloring rule for a retained arc's underlying edge, else None."""
-        for _, (t, h) in self.yellow_pick:
-            if edge(t, h) == e:
-                return t
-        for _, (t, h) in self.blue_pick:
-            if edge(t, h) == e:
-                return (t - 1) % self.n
-        return None
+    arc_colors: Mapping[Edge, int]
 
 
 def prune(heads: Heads, members: Sequence[int], n: int) -> PrunedDigraph:
@@ -98,7 +94,8 @@ def prune(heads: Heads, members: Sequence[int], n: int) -> PrunedDigraph:
         for t, h in ((ytail, yheads[0]), (btail, bheads[0])):
             adj[t].add(h)
             adj[h].add(t)
-    return PrunedDigraph(n, ms, tuple(ypick), tuple(bpick), tuple(tuple(sorted(s)) for s in adj))
+    colors = {edge(t, h): (t - 1) % n for _, (t, h) in bpick} | {edge(t, h): t for _, (t, h) in ypick}
+    return PrunedDigraph(n, ms, tuple(ypick), tuple(bpick), tuple(tuple(sorted(s)) for s in adj), colors)
 
 
 @dataclass(frozen=True)
@@ -170,37 +167,54 @@ def lollipop_walk(jp: PrunedDigraph, anchor: Edge) -> LollipopTrace:
         prev, cur = cur, nxt
 
 
-def recolor_ham(cycle: Sequence[int], jp: PrunedDigraph, base: Transversal) -> Transversal:
-    """Color the second cycle: cycle edges keep their base color, retained
-    arcs take their tail rule, and the one closing edge gets the single
-    color left over. Any ambiguity or repeat raises RecolorConflict."""
+def recolor_ham(cycle: Sequence[int], jp: PrunedDigraph) -> tuple[int, ...]:
+    """The colors along the second cycle, entry k for the edge leaving
+    ``cycle[k]``: cycle edges keep their base color, retained arcs take
+    their tail rule, and the one closing edge gets the single color left
+    over. Any ambiguity or repeat raises RecolorConflict."""
     n = jp.n
-    verts = list(cycle)
     psi: dict[Edge, int] = {}
-    for k in range(n - 1):
-        e = edge(verts[k], verts[k + 1])
-        u, v = e
+    for u, v in zip(cycle, cycle[1:]):
+        e = edge(u, v)
         if (u + 1) % n == v:
             c = u
         elif (v + 1) % n == u:
             c = v
+        elif e in jp.arc_colors:
+            c = jp.arc_colors[e]
         else:
-            ac = jp.arc_color(e)
-            if ac is None:
-                raise RecolorConflict(f"edge {e} is neither a cycle edge nor a retained arc")
-            c = ac
+            raise RecolorConflict(f"edge {e} is neither a cycle edge nor a retained arc")
         if e in psi:
             raise RecolorConflict(f"edge {e} appears twice in the cycle")
         psi[e] = c
-    used = set(psi.values())
-    if len(used) != n - 1:
+    if len(set(psi.values())) != n - 1:
         raise RecolorConflict("arc-tail rule repeated a color")
-    missing = set(range(n)) - used
-    closing = edge(verts[-1], verts[0])
-    if closing in psi:
+    if edge(cycle[-1], cycle[0]) in psi:
         raise RecolorConflict("closing edge duplicates a path edge")
-    psi[closing] = missing.pop()
-    return Transversal.from_map(KIND_HAM, psi)
+    return tuple(psi.values()) + tuple(set(range(n)).difference(psi.values()))
+
+
+def cycle_exchange(heads: Heads, members: Sequence[int], n: int) -> tuple[Tables, LollipopTrace]:
+    """The second cycle's canonical tables on the n-cycle, and its walk,
+    anchored at the smallest member's forward cycle edge. Requires local
+    domination: every member's predecessor and successor have a head."""
+    ms = tuple(sorted(set(members)))
+    jp = prune(heads, ms, n)
+    trace = lollipop_walk(jp, edge(ms[0], (ms[0] + 1) % n))
+    cyc = trace.final
+    if cyc[0] not in jp.adj[cyc[-1]]:
+        raise WalkStuck("final state does not close into a cycle")
+    return cycle_tables(cyc, recolor_ham(cyc, jp)), trace
+
+
+def checked_second(family: SubgraphFamily, base: Transversal, out: Transversal, lifted: Transversal) -> Transversal:
+    """out, after checking that ``lifted``, its image in family's labels, is valid and out is not base."""
+    report = validate_transversal(family, lifted)
+    if not report.ok:
+        raise InvalidTransversal(f"exchange produced an invalid transversal: {report.summary()}", report)
+    if out == base:
+        raise WalkStuck("exchange returned the base transversal")
+    return out
 
 
 def ham_exchange(
@@ -212,26 +226,13 @@ def ham_exchange(
     """Second cycle transversal supported by the first of ``heads``, with its walk.
 
     Requires the canonical labelling, a red-independent set (``support``
-    checks it), and local domination: every member's predecessor and
-    successor have a head. The walk is anchored at the forward
-    cycle edge of the smallest member, and its final state, closed by
-    the edge last-to-first, is the second cycle. The result is validated
-    and is always distinct from base.
+    checks it), and what ``cycle_exchange`` requires. The result is
+    validated and is always distinct from base.
     """
     require_naturally_indexed(family, base)
-    ms = tuple(sorted(set(members)))
-    jp = prune(heads, ms, family.num_vertices)
-    trace = lollipop_walk(jp, edge(ms[0], (ms[0] + 1) % jp.n))
-    cyc = trace.final
-    if cyc[0] not in jp.adj[cyc[-1]]:
-        raise WalkStuck("final state does not close into a cycle")
-    out = recolor_ham(cyc, jp, base)
-    report = validate_transversal(family, out)
-    if not report.ok:
-        raise InvalidTransversal(f"exchange produced an invalid transversal: {report.summary()}", report)
-    if out == base:
-        raise WalkStuck("exchange returned the base transversal")
-    return out, trace
+    tables, trace = cycle_exchange(heads, members, family.num_vertices)
+    (out,) = lift([base], *tables)
+    return checked_second(family, base, out, out), trace
 
 
 def second_ham_transversal(
@@ -303,20 +304,21 @@ def pm_exchange(
     require_naturally_indexed(family, base)
     if set(members) != set(heads):
         raise NotMaximalRedIndependent("the members must be the keys of the heads map, one endpoint per pair")
-    n = family.num_pairs
+    out, cyc = matching_exchange(base, heads)
+    return checked_second(family, base, out, out), cyc
+
+
+def matching_exchange(base: Transversal, heads: Heads) -> tuple[Transversal, AlternatingCycle]:
+    """Swap the alternating cycle of ``heads`` into the canonical matching
+    ``base``; the result is not validated."""
+    n = len(base)
     cyc = find_alternating_cycle(heads, n)
     colors = base.colors()
     for p in cyc.pairs:
         del colors[edge(p, p + n)]
     for t, h in cyc.arcs:
         colors[edge(t, h)] = t % n
-    out = Transversal.from_map(KIND_PM, colors)
-    report = validate_transversal(family, out)
-    if not report.ok:
-        raise InvalidTransversal(f"exchange produced an invalid transversal: {report.summary()}", report)
-    if out == base:
-        raise WalkStuck("exchange returned the base transversal")
-    return out, cyc
+    return Transversal.from_map(KIND_PM, colors), cyc
 
 
 def second_pm_transversal(

@@ -10,15 +10,15 @@ exchange, which keeps the first of each list, and crosses off every
 head the returned transversal realizes; no digraph is built per round.
 Branching over the saturated vertex's d+1 or more target edges and
 recursing on the shrunk set multiplies the count by d+1 per level. One
-recursion serves both kinds: each child's rows are mapped by
-``relabel_rows`` through the tables of ``canonical_tables`` (a matching
-child drops its branch pair), and a memo keyed on them and the child's
-set solves each distinct child once per call. The recursion returns a
-plan of tables, which is expanded once at the top, so each output is
-built once, in the caller's labels. The base is validated once, on
-entry; every other witness is validated by the exchange that made it.
-The (d+1)! floor, the target count and the depth drop are each checked
-once and raise GuaranteeViolated.
+recursion serves both kinds. A node is its new-to-old vertex and color
+tables into the root family, plus its set; no family, base graph or
+digraph is built for it, and ``support_through`` reads its support once.
+A memo keyed on each child's rows (``relabel_rows``) and set solves each
+distinct child once per call. The plan of tables the recursion returns
+is expanded once at the top, so each output is built once, in the
+caller's labels. The base is validated on entry, every other witness
+once, lifted into the root's labels. The (d+1)! floor, the target count
+and the depth drop are each checked once and raise GuaranteeViolated.
 """
 
 from __future__ import annotations
@@ -29,29 +29,22 @@ from typing import Sequence
 
 from .core import (
     KIND_HAM,
-    BaseGraph,
     Edge,
     SubgraphFamily,
+    Tables,
     Transversal,
     canonical_tables,
-    canonical_transversal,
     edge,
+    lift,
     old_to_new,
+    planted,
     relabel_rows,
     require_naturally_indexed,
     validate_transversal,
 )
-from .digraphs import (
-    RbDigraph,
-    RybDigraph,
-    build_full_rb,
-    build_full_ryb,
-    d_cross,
-    d_star,
-    support,
-)
+from .digraphs import RbDigraph, RybDigraph, support, support_depth, support_through
 from .errors import DStarTooSmall, GuaranteeViolated, InvalidTransversal, NotRedIndependent, WalkStuck
-from .exchange import second_ham_transversal, second_pm_transversal
+from .exchange import checked_second, cycle_exchange, matching_exchange
 
 
 def _cycle_paths(n: int, members: Sequence[int]):
@@ -200,63 +193,69 @@ class WitnessTable:
     """Realized set-targeting edges per boundary vertex.
 
     witnesses maps (vertex, edge) to a neighborhood member containing the
-    edge; saturated is the vertex whose set-targeting edges were all
-    realized first.
+    edge, and its tables if a cycle; saturated is the vertex whose
+    set-targeting edges were all realized first.
     """
 
     saturated: int
-    witnesses: dict[tuple[int, Edge], Transversal]
+    witnesses: dict[tuple[int, Edge], tuple[Transversal, Tables | None]]
 
     def targets_of(self, v: int) -> list[Edge]:
         return sorted(e for (w, e) in self.witnesses if w == v)
 
 
-def find_saturated_vertex(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    H: RybDigraph | RbDigraph,
-) -> WitnessTable:
+def find_saturated_vertex(family: SubgraphFamily, node: tuple, base: Transversal, members: Sequence[int],
+                          heads: dict[int, tuple[int, ...]]) -> WitnessTable:
     """Run exchange rounds until some boundary vertex has no pending head.
 
-    The boundary vertices are the arc tails of the set's ``support``. Each
-    starts with its counted heads pending, and base witnesses its cycle
-    edge to its member, or its planted pair. Each round passes the pending
-    lists to the exchange, which keeps the first, lowest, head of each,
-    and crosses off every pending head the returned transversal realizes.
-    That transversal differs from base inside the kept arcs, so every
-    round makes progress.
+    ``node`` and base are as in ``_many``, and the tails of heads, its
+    ``support``, are the boundary vertices. Each starts with its heads
+    pending, and base witnesses its cycle edge to its member, or its
+    planted pair. Each round passes the pending lists to the exchange,
+    which keeps the first, lowest, head of each, and crosses off every
+    pending head the returned transversal realizes. That transversal
+    differs from base inside the kept arcs, so every round makes progress.
     """
     ms = sorted(set(members))
-    if family.kind == KIND_HAM:
-        n = family.num_vertices
+    n = len(base)
+    if base.kind == KIND_HAM:
         # each boundary vertex is the cycle neighbor of exactly one member
         base_edge = {(m + k) % n: edge(m, (m + k) % n) for m in ms for k in (-1, 1)}
-        second = second_ham_transversal
+        tables = tuple(range(n)), tuple(range(n))
     else:
-        base_edge = {m: edge(m, H.partner(m)) for m in ms}
-        second = second_pm_transversal
-    todo = {v: list(hs) for v, hs in support(H, ms).items()}
-    witnesses = {(v, base_edge[v]): base for v in todo}
+        base_edge, tables = {m: edge(m, (m + n) % (2 * n)) for m in ms}, None
+    todo = {v: list(hs) for v, hs in heads.items()}
+    witnesses = {(v, base_edge[v]): (base, tables) for v in todo}
     while True:
         empties = [v for v, t in todo.items() if not t]
         if empties:
             return WitnessTable(min(empties), witnesses)
-        t2 = second(family, base, ms, todo)
-        realized = t2.edge_set
+        found = _second(family, node, base, ms, todo)
+        realized = found[0].edge_set
         progressed = False
         for v, pending in todo.items():
             kept = []
             for h in pending:
                 e = edge(v, h)
                 if e in realized:
-                    witnesses[(v, e)] = t2
+                    witnesses[(v, e)] = found
                     progressed = True
                 else:
                     kept.append(h)
             todo[v] = kept
         if not progressed:
             raise WalkStuck("exchange realized none of the kept arcs")
+
+
+def _second(family, node, base, ms, heads) -> tuple[Transversal, Tables | None]:
+    """One exchange at a node: the witness, with its tables for a cycle,
+    validated once, lifted into family's labels as ``_expand`` lifts."""
+    if base.kind == KIND_HAM:
+        tables, _ = cycle_exchange(heads, ms, len(base))
+        (out,) = lift([base], *tables)
+    else:
+        tables, (out, _) = None, matching_exchange(base, heads)
+    return checked_second(family, base, out, next(_expand([out], *node))), tables
 
 
 def many_ham_transversals(
@@ -267,7 +266,7 @@ def many_ham_transversals(
     H is the full digraph ``build_full_ryb(family, base)``. All outputs lie
     in the exchange neighborhood of (base, members) and include base itself.
     """
-    return _multiply(family, base, members, H, d_star)
+    return _multiply(family, base, members, H)
 
 
 def many_pm_transversals(
@@ -277,10 +276,10 @@ def many_pm_transversals(
 
     H is the full digraph ``build_full_rb(family, base)``.
     """
-    return _multiply(family, base, members, H, d_cross)
+    return _multiply(family, base, members, H)
 
 
-def _multiply(family, base, members, H, depth) -> list[Transversal]:
+def _multiply(family, base, members, H) -> list[Transversal]:
     """The entry checks and the (d+1)! floor, once for the whole recursion.
 
     base is validated here; every other witness comes out of the exchange,
@@ -291,11 +290,13 @@ def _multiply(family, base, members, H, depth) -> list[Transversal]:
     if not report.ok:
         raise InvalidTransversal(f"witness is invalid: {report.summary()}", report)
     ms = tuple(sorted(set(members)))
-    d = depth(H, ms)
+    heads = support(H, ms)
+    d = support_depth(heads)
     if d < 1 and family.kind == KIND_HAM:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
-    plan = _many(family, base, ms, H, d, {})
-    out = sorted(set(_expand(plan, range(family.num_vertices), range(family.num_colors))), key=lambda t: t.items)
+    root = tuple(range(family.num_vertices)), tuple(range(family.num_colors)), ()
+    plan = _many(family, base, root, ms, heads, d, {})
+    out = sorted(set(_expand(plan, *root)), key=lambda t: t.items)
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
     return out
@@ -314,48 +315,56 @@ def _expand(plan, vmap, cmap, fixed=()):
             yield from _expand(child, [vmap[k] for k in vinv], [cmap[k] for k in cinv], fixed + pairs)
 
 
-def _many(family, base, ms, H, d, memo) -> list:
+def _many(family, base, node, ms, heads, d, memo) -> list:
     """One branch per target of a saturated vertex, for either kind.
 
-    Returns a plan: a list of outputs in this node's labels, or of
-    branches ``(vinv, cinv, pairs, child plan)``: the child's tables and
-    the (edge, color) items it drops, a matching's branch pair. ``memo``
-    (one dict per ``_multiply`` call) maps each distinct child's rows and
-    set to its depth and plan; a hit builds no family.
+    family is the root's; ``node = (vt, ct, fixed)``: new vertex k is
+    family's ``vt[k]``, new color k is ``ct[k]``, and ``fixed`` holds the
+    pairs a matching dropped on the way down, in family's labels. base is
+    the node's planted transversal, heads ms's ``support`` and d its depth.
+    Returns a plan: a list of outputs in this node's labels, or of branches
+    ``(vinv, cinv, pairs, child plan)``: the child's tables and the (edge,
+    color) items it drops, a matching's branch pair. ``memo`` (one dict per
+    ``_multiply`` call) maps each distinct child's rows and set to its
+    depth and plan.
     """
+    vt, ct, fixed = node
     ham = family.kind == KIND_HAM
     if ham and d == 1:
-        return [base, second_ham_transversal(family, base, ms, support(H, ms))]
-    if not ham and (d == 0 or family.num_pairs == 1):
+        return [base, _second(family, node, base, ms, heads)[0]]
+    if not ham and (d == 0 or len(ct) == 1):
         return [base]
-    table = find_saturated_vertex(family, base, ms, H)
+    table = find_saturated_vertex(family, node, base, ms, heads)
     v0 = table.saturated
     targets = table.targets_of(v0)
     if len(targets) < d + 1:
         raise GuaranteeViolated("saturated vertex has too few targets")
-    build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
     plan = []
     for e in targets:
-        wit = table.witnesses[(v0, e)]
-        vinv, cinv = canonical_tables(wit, None if ham else e)
-        base2, subs2 = relabel_rows(family, vinv, cinv)
-        new = old_to_new(vinv, family.num_vertices)
+        wit, tables = table.witnesses[(v0, e)]
+        vinv, cinv = tables or canonical_tables(wit, e)
+        pairs = () if ham else ((e, wit.color_of(e)),)
+        # relabelling composes: these rows are what this node's family would give
+        vt2, ct2 = tuple([vt[k] for k in vinv]), tuple([ct[k] for k in cinv])
+        base2, subs2 = relabel_rows(family, vt2, ct2)
+        new = old_to_new(vinv, len(vt))
         # e has one endpoint in the set, and the child's set leaves it out
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
         key = len(vinv), base2, subs2, ms2
         hit = memo.get(key)
         if hit is None:
-            fam2 = SubgraphFamily(BaseGraph(len(vinv), base2), subs2, family.kind)
-            t2 = canonical_transversal(fam2)
-            H2 = build(fam2, t2)
-            d2 = depth(H2, ms2)
+            heads2 = support_through(family, vt2, ct2, ms2)
+            d2 = support_depth(heads2)
         else:
             d2, child = hit
         # checked against this parent's d, on a hit as well
         if d2 < d - 1:
             raise GuaranteeViolated("depth dropped by more than one")
         if hit is None:
-            child = _many(fam2, t2, ms2, H2, d2, memo)
+            fixed2 = fixed + tuple([((vt[u], vt[v]), ct[c]) for (u, v), c in pairs])
+            # every cycle node has the root's n vertices, so the root's base
+            t2 = base if ham else planted(family.kind, len(vt2))
+            child = _many(family, t2, (vt2, ct2, fixed2), ms2, heads2, d2, memo)
             memo[key] = d2, child
-        plan.append((vinv, cinv, () if ham else ((e, wit.color_of(e)),), child))
+        plan.append((vinv, cinv, pairs, child))
     return plan

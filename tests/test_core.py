@@ -22,7 +22,7 @@ from transversals import (
     validate_family,
     validate_transversal,
 )
-from transversals.core import ValidationReport, Violation, relabel, require_naturally_indexed
+from transversals.core import ValidationReport, Violation, canonical_tables, relabel, require_naturally_indexed
 
 from conftest import make_ham_family
 
@@ -143,7 +143,7 @@ def test_canonical_transversal_shapes():
     assert t.kind == KIND_HAM
     assert t.color_of(edge(2, 3)) == 2
     assert t.color_of(edge(5, 0)) == 5
-    assert t.cycle_sequence() == (0, 1, 2, 3, 4, 5)
+    assert canonical_tables(t) == ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5))
     assert validate_transversal(fam, t).ok
     assert is_naturally_indexed(fam, t)
 

@@ -26,7 +26,7 @@ from transversals import (
     validate_transversal,
 )
 from transversals import exchange
-from transversals.exchange import PrunedDigraph
+from transversals.exchange import LollipopTrace, PrunedDigraph
 
 from conftest import make_ham_family, random_ham_set
 
@@ -216,7 +216,8 @@ def test_ham_exchange_refuses_to_return_its_base(monkeypatch):
     H = build_full_ryb(fam, t)
     heads = support(H, (0, 4, 8))
     assert second_ham_transversal(fam, t, (0, 4, 8), heads) != t
-    monkeypatch.setattr(exchange, "recolor_ham", lambda cyc, jp, base: base)
+    # a walk that ends where it started: the opened base cycle
+    monkeypatch.setattr(exchange, "lollipop_walk", lambda jp, anchor: LollipopTrace((tuple(range(11)),), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
         second_ham_transversal(fam, t, (0, 4, 8), heads)
 

@@ -1,15 +1,19 @@
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from transversals import (
+    BaseGraph,
     DStarTooSmall,
     GuaranteeViolated,
     InvalidTransversal,
     KIND_HAM,
     KIND_PM,
+    RbDigraph,
+    RybDigraph,
     SubgraphFamily,
     Transversal,
     build_full_rb,
@@ -36,8 +40,9 @@ from transversals import (
     support,
     validate_transversal,
 )
-from transversals import multiplier
-from transversals.core import canonical_tables, relabel
+from transversals import exchange, multiplier
+from transversals.core import canonical_tables, relabel, relabel_rows
+from transversals.digraphs import support_depth, support_through
 
 from conftest import make_ham_family, random_ham_set
 
@@ -94,15 +99,23 @@ def test_omega_pm_count_is_the_permanent(case):
     assert len(enumerate_omega_pm(fam, t, S)) == permanent(omega_admissibility_matrix(fam, S))
 
 
+def _root(fam, S, H):
+    """``_many``'s node, set and support at the root: identity tables, no
+    dropped pairs."""
+    node = tuple(range(fam.num_vertices)), tuple(range(fam.num_colors)), ()
+    return node, tuple(sorted(S)), support(H, S)
+
+
 def test_saturated_vertex_ham_accumulates_enough_targets():
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-    H = build_full_ryb(fam, t)
-    table = find_saturated_vertex(fam, t, (0, 4, 8), H)
+    node, ms, heads = _root(fam, (0, 4, 8), build_full_ryb(fam, t))
+    table = find_saturated_vertex(fam, node, t, ms, heads)
     v = table.saturated
     targets = table.targets_of(v)
     assert len(targets) >= 3  # d + 1
     for e in targets:
-        wit = table.witnesses[(v, e)]
+        wit, tables = table.witnesses[(v, e)]
+        assert tables == canonical_tables(wit)
         assert e in wit.edge_set
         assert validate_transversal(fam, wit).ok
         assert omega_member_ham(t, (0, 4, 8), wit)
@@ -112,12 +125,14 @@ def test_saturated_vertex_pm_accumulates_enough_targets():
     fam, t = gen_planted_pm_family(6, 2, seed=5)
     H = build_full_rb(fam, t)
     S = tuple(range(6))
-    table = find_saturated_vertex(fam, t, S, H)
+    node, ms, heads = _root(fam, S, H)
+    table = find_saturated_vertex(fam, node, t, ms, heads)
     v = table.saturated
     targets = table.targets_of(v)
     assert len(targets) >= d_cross(H, S) + 1
     for e in targets:
-        wit = table.witnesses[(v, e)]
+        wit, tables = table.witnesses[(v, e)]
+        assert tables is None
         assert e in wit.edge_set
         assert validate_transversal(fam, wit).ok
         assert omega_member_pm(t, S, wit)
@@ -211,14 +226,17 @@ def test_many_pm_lies_in_omega(case):
 def test_child_lifts_back_to_its_witness(case):
     # the child's canonical transversal, expanded through a one-branch plan
     # (the tables, plus the dropped branch pair of a matching), is the
-    # witness it came from
+    # witness it came from; a cycle's tables, taken from the walk, are
+    # canonical_tables' own
     fam, t, S = case
     assume(fam.num_vertices > 2)  # a one-pair matching has no child
     ham = fam.kind == KIND_HAM
     build = build_full_ryb if ham else build_full_rb
-    table = find_saturated_vertex(fam, t, S, build(fam, t))
-    for (_, e), wit in table.witnesses.items():
+    node, ms, heads = _root(fam, S, build(fam, t))
+    table = find_saturated_vertex(fam, node, t, ms, heads)
+    for (_, e), (wit, tables) in table.witnesses.items():
         vinv, cinv = canonical_tables(wit, None if ham else e)
+        assert tables == ((vinv, cinv) if ham else None)
         fam2 = relabel(fam, vinv, cinv)
         t2 = canonical_transversal(fam2)
         assert validate_transversal(fam2, t2).ok
@@ -237,7 +255,7 @@ def test_many_pm_raises_when_the_floor_fails(monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
     fam, t = gen_planted_pm_family(6, 2, seed=5)
     H = build_full_rb(fam, t)
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: [base])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
         many_pm_transversals(fam, t, tuple(range(6)), H)
 
@@ -245,7 +263,7 @@ def test_many_pm_raises_when_the_floor_fails(monkeypatch):
 def test_many_ham_raises_when_the_floor_fails(monkeypatch):
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     H = build_full_ryb(fam, t)
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: [base])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
         many_ham_transversals(fam, t, (0, 4, 8), H)
 
@@ -263,10 +281,10 @@ def test_the_floor_is_d_plus_one_factorial_exactly(kind, monkeypatch):
     outputs = many(fam, t, ms, H)
     floor = math.factorial(depth(H, ms) + 1)
     assert len(outputs) >= floor > 1
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: outputs[:floor - 1])
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: outputs[:floor - 1])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
         many(fam, t, ms, H)
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: outputs[:floor])
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: outputs[:floor])
     assert many(fam, t, ms, H) == outputs[:floor]
 
 
@@ -294,18 +312,22 @@ def test_many_rejects_a_base_missing_from_its_subgraph(kind):
 
 @pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
 def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
-    # the base is checked on entry; every other witness was checked by the
-    # exchange that made it, so the recursion checks none again
+    # the base is checked on entry; every other witness was checked once,
+    # in the root family's labels, by the exchange round that made it, so
+    # the recursion checks none again
     fam, t, S, build, many = _entry_case(kind)
-    checked = []
+    checked, lifted = [], []
 
-    def counting(family, u):
-        checked.append(u)
+    def counting(family, u, calls=checked):
+        calls.append((family, u))
         return validate_transversal(family, u)
 
     monkeypatch.setattr(multiplier, "validate_transversal", counting)
+    monkeypatch.setattr(exchange, "validate_transversal", partial(counting, calls=lifted))
+    _, rounds = _counting(monkeypatch)
     assert len(many(fam, t, S, build(fam, t))) == outputs
-    assert checked == [t]
+    assert checked == [(fam, t)]
+    assert len(lifted) == len(rounds) and all(family is fam for family, _ in lifted)
 
 
 class _NeverStores(dict):
@@ -339,7 +361,89 @@ def test_many_memo_changes_no_output(case):
     # solving each distinct child once gives the list, in the order, that
     # solving every child again gives
     fam, t, S, H, d = case
-    assert multiplier._many(fam, t, S, H, d, {}) == multiplier._many(fam, t, S, H, d, _NeverStores())
+    node, ms, heads = _root(fam, S, H)
+    assert multiplier._many(fam, t, node, ms, heads, d, {}) == multiplier._many(fam, t, node, ms, heads, d, _NeverStores())
+
+
+def _many_per_family(family, base, ms, H, d, memo):
+    """The recursion as it was when every child was a family: the child's
+    rows make a new family, whose digraph gives the child's depth and
+    support, and whose labels the exchange validates in."""
+    ham = family.kind == KIND_HAM
+    node, _, heads = _root(family, ms, H)
+    if ham and d == 1:
+        return [base, second_ham_transversal(family, base, ms, heads)]
+    if not ham and (d == 0 or family.num_pairs == 1):
+        return [base]
+    table = find_saturated_vertex(family, node, base, ms, heads)
+    targets = table.targets_of(table.saturated)
+    assert len(targets) >= d + 1
+    build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
+    plan = []
+    for e in targets:
+        wit, _ = table.witnesses[(table.saturated, e)]
+        vinv, cinv = canonical_tables(wit, None if ham else e)
+        fam2 = relabel(family, vinv, cinv)
+        new = old_to_new(vinv, family.num_vertices)
+        ms2 = tuple(sorted(new[m] for m in ms if m not in e))
+        key = fam2.base, fam2.subgraphs, ms2
+        if key not in memo:
+            t2 = canonical_transversal(fam2)
+            H2 = build(fam2, t2)
+            assert depth(H2, ms2) >= d - 1
+            memo[key] = _many_per_family(fam2, t2, ms2, H2, depth(H2, ms2), memo)
+        plan.append((vinv, cinv, () if ham else ((e, wit.color_of(e)),), memo[key]))
+    return plan
+
+
+@settings(deadline=None, max_examples=40)
+@given(multiply_case())
+def test_many_matches_the_recursion_over_child_families(case):
+    # a child held as tables into the root family gives the outputs, in
+    # the order, that building each child's family and digraph gives
+    fam, t, S, H, d = case
+    node, ms, heads = _root(fam, S, H)
+    plan = multiplier._many(fam, t, node, ms, heads, d, {})
+    expected = _many_per_family(fam, t, ms, H, d, {})
+    assert list(multiplier._expand(plan, *node)) == list(multiplier._expand(expected, *node))
+
+
+@st.composite
+def relabelled_support_case(draw):
+    """(family, vt, ct, members): a ``multiply_case`` family, random
+    new-to-old tables (a matching keeps k of its pairs' vertices and
+    colors, not necessarily pairwise) and a set, spread or arbitrary."""
+    fam = draw(multiply_case())[0]
+    ham = fam.kind == KIND_HAM
+    k = fam.num_colors if ham else draw(st.integers(1, fam.num_colors), label="colors kept")
+    size = k if ham else 2 * k
+    vt = tuple(draw(st.permutations(range(fam.num_vertices)), label="vertex table")[:size])
+    ct = tuple(draw(st.permutations(range(fam.num_colors)), label="color table")[:k])
+    if not draw(st.booleans(), label="well-formed set"):
+        members = tuple(draw(st.sets(st.integers(0, size - 1), max_size=4), label="set"))
+    elif ham:
+        members = _spread_set(draw, k, draw(st.integers(1, k // 3), label="members"))
+    else:
+        members = tuple(i + k * draw(st.integers(0, 1), label="high endpoint") for i in range(k))
+    return fam, vt, ct, members
+
+
+def _outcome(fn, *args):
+    """The support's items in order, or the error's type and message."""
+    try:
+        return list(fn(*args).items())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(relabelled_support_case())
+def test_support_through_is_the_support_of_the_relabelled_digraph(case):
+    fam, vt, ct, members = case
+    fam2 = relabel(fam, vt, ct)
+    build = build_full_ryb if fam.kind == KIND_HAM else build_full_rb
+    expected = _outcome(support, build(fam2, canonical_transversal(fam2)), members)
+    assert _outcome(support_through, fam, vt, ct, members) == expected
 
 
 def _lifted_per_level(family, base, ms, H, d):
@@ -350,11 +454,12 @@ def _lifted_per_level(family, base, ms, H, d):
         return [base, second_ham_transversal(family, base, ms, support(H, ms))]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
-    table = find_saturated_vertex(family, base, ms, H)
+    node, _, heads = _root(family, ms, H)
+    table = find_saturated_vertex(family, node, base, ms, heads)
     build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
     out = []
     for e in table.targets_of(table.saturated):
-        wit = table.witnesses[(table.saturated, e)]
+        wit, _ = table.witnesses[(table.saturated, e)]
         vinv, cinv = canonical_tables(wit, None if ham else e)
         fam2 = relabel(family, vinv, cinv)
         new = old_to_new(vinv, family.num_vertices)
@@ -379,32 +484,64 @@ def test_many_equals_a_lift_per_level(case):
     assert many(fam, t, S, H) == expected
 
 
+def _counting(monkeypatch):
+    """Record the arguments of each memo miss (the one ``support_through``
+    call a new child makes) and of each exchange round."""
+    misses, rounds = [], []
+    for name, calls in (("support_through", misses), ("_second", rounds)):
+        def counted(*args, fn=getattr(multiplier, name), calls=calls):
+            calls.append(args)
+            return fn(*args)
+        monkeypatch.setattr(multiplier, name, counted)
+    return misses, rounds
+
+
 def test_many_builds_each_distinct_child_once(monkeypatch):
-    # planted-pm n=8 seed 2 of the pinned reports: 1744 child builds and
-    # 1015 exchanges without the memo, 358 distinct children
+    # planted-pm n=8 seed 2 of the pinned reports: 1744 children and 1015
+    # exchanges without the memo, 358 distinct children
     fam, t, S, build, many = _entry_case(KIND_PM)
     H = build(fam, t)
-    builds, exchanges = [], []
-    exchange = multiplier.second_pm_transversal
-
-    def counting_build(family, u):
-        builds.append(family)
-        return build_full_rb(family, u)
-
-    def counting_exchange(*args):
-        exchanges.append(args)
-        return exchange(*args)
-
-    monkeypatch.setattr(multiplier, "build_full_rb", counting_build)
-    monkeypatch.setattr(multiplier, "second_pm_transversal", counting_exchange)
+    misses, rounds = _counting(monkeypatch)
     assert len(many(fam, t, S, H)) == 982
-    # each family is built once, so each (family, set) key is too
-    assert len(builds) == len(set(builds)) == 358
-    assert len(exchanges) == 455
-    # the memo lives for one call: a second call builds every child again
-    first = list(builds)
+    # each child's support is read once, so each (rows, set) key is missed once
+    keys = [(relabel_rows(fam, vt, ct), ms) for _, vt, ct, ms in misses]
+    assert len(misses) == len(set(keys)) == 358
+    assert len(rounds) == 455
+    # the memo lives for one call: a second call solves every child again
+    first = list(misses)
     assert len(many(fam, t, S, H)) == 982
-    assert builds[len(first):] == first
+    assert misses[len(first):] == first
+
+
+@pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
+def test_many_builds_no_family_or_digraph_below_the_root(kind, outputs, monkeypatch):
+    # a node is a pair of tables into the root family: once the caller's
+    # digraph exists, the recursion constructs no family, base graph or
+    # digraph for any child
+    fam, t, S, build, many = _entry_case(kind)
+    H = build(fam, t)
+    built = []
+    for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__"),
+                      (RybDigraph, "__post_init__"), (RbDigraph, "__post_init__")):
+        def counting(self, *args, fn=getattr(cls, name), cls=cls):
+            built.append(cls.__name__)
+            fn(self, *args)
+        monkeypatch.setattr(cls, name, counting)
+    assert len(many(fam, t, S, H)) == outputs
+    assert built == []
+
+
+def test_many_solves_equal_cycle_children_once(monkeypatch):
+    # witness n=60, d=3, the set at the quarter points: 11 nodes (the root
+    # and 10 misses) and 17 exchanges. Children with equal rows but other
+    # tables into the root share one solve; a memo keyed on the tables
+    # would miss 16 times and exchange 23 times
+    S = (0, 15, 30, 45)
+    fam, t = gen_witness_instance_ham(60, S, 3, seed=7)
+    misses, rounds = _counting(monkeypatch)
+    assert len(many_ham_transversals(fam, t, S, build_full_ryb(fam, t))) == 24
+    assert len(misses) == 10
+    assert len(rounds) == 17
 
 
 def test_omega_ham_endpoint_colors_pin_attachment(figure_family):
@@ -449,37 +586,37 @@ def test_d_cross_invariant_across_omega():
 
 
 def _boundary_case(kind):
-    """``_entry_case`` with its digraph and depth, and the name of the
-    kind's depth function in ``multiplier``."""
-    fam, t, ms, build, _ = _entry_case(kind)
-    H = build(fam, t)
-    depth_name = "d_star" if kind == KIND_HAM else "d_cross"
-    return fam, t, ms, H, getattr(multiplier, depth_name)(H, ms), depth_name
+    """``_entry_case`` as ``_many``'s arguments at the root, with its depth."""
+    fam, t, S, build, _ = _entry_case(kind)
+    node, ms, heads = _root(fam, S, build(fam, t))
+    return fam, t, node, ms, heads, support_depth(heads)
+
+
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
 def test_a_child_may_drop_the_depth_by_one_and_no_more(kind, monkeypatch):
     # every child reports depth d - 2, then d - 1; the children's own
     # recursion is stubbed out, so only this node's depth check runs
-    fam, t, ms, H, d, depth_name = _boundary_case(kind)
+    fam, t, node, ms, heads, d = _boundary_case(kind)
     assert d >= 2
     many = multiplier._many
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
-    monkeypatch.setattr(multiplier, depth_name, lambda H, ms: d - 2)
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: [base])
+    monkeypatch.setattr(multiplier, "support_depth", lambda heads: d - 2)
     with pytest.raises(GuaranteeViolated, match="depth dropped by more than one"):
-        many(fam, t, ms, H, d, {})
-    monkeypatch.setattr(multiplier, depth_name, lambda H, ms: d - 1)
-    assert many(fam, t, ms, H, d, {})
+        many(fam, t, node, ms, heads, d, {})
+    monkeypatch.setattr(multiplier, "support_depth", lambda heads: d - 1)
+    assert many(fam, t, node, ms, heads, d, {})
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
 def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
     # the saturated vertex keeps only its first k targets: k = d raises,
     # k = d + 1 does not
-    fam, t, ms, H, d, _ = _boundary_case(kind)
+    fam, t, node, ms, heads, d = _boundary_case(kind)
     find = multiplier.find_saturated_vertex
     many = multiplier._many
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, ms, H, d, memo: [base])
+    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: [base])
 
     def keeping(k):
         def trimmed(*args):
@@ -494,6 +631,6 @@ def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
 
     monkeypatch.setattr(multiplier, "find_saturated_vertex", keeping(d))
     with pytest.raises(GuaranteeViolated, match="too few targets"):
-        many(fam, t, ms, H, d, {})
+        many(fam, t, node, ms, heads, d, {})
     monkeypatch.setattr(multiplier, "find_saturated_vertex", keeping(d + 1))
-    assert len(many(fam, t, ms, H, d, {})) == d + 1
+    assert len(many(fam, t, node, ms, heads, d, {})) == d + 1

@@ -30,10 +30,9 @@ ROOT = Path(__file__).resolve().parents[2]
 ORACLE = "src/transversals/oracle.py"
 MULTIPLIER = "src/transversals/multiplier.py"
 EXCHANGE = "src/transversals/exchange.py"
-# the out == base check occurs in both exchanges; the return after it
-# tells them apart
-_RETURNS_BASE = 'if out == base:\n        raise WalkStuck("exchange returned the base transversal")'
-_NEVER = 'if False:\n        raise WalkStuck("exchange returned the base transversal")'
+DIGRAPHS = "src/transversals/digraphs.py"
+# the arc rule as support_through's lookup applies it
+_LOOKUP = "_arcs(cycle, n, c, [(t, h) for h in candidates])"
 
 # name -> (file, text, replacement)
 MUTANTS = {
@@ -75,12 +74,14 @@ MUTANTS = {
         MULTIPLIER, "[cmap[k] for k in cinv], fixed + pairs)", "[cmap[k] for k in cinv], fixed)",
     ),
     "sampled-floor-minus-one": ("src/transversals/sampler.py", "if d < floor:", "if d < floor - 1:"),
-    "ham-exchange-may-return-base": (
-        EXCHANGE, _RETURNS_BASE + "\n    return out, trace", _NEVER + "\n    return out, trace",
+    "exchange-may-return-base": (EXCHANGE, "if out == base:", "if False:"),
+    "cycle-lookup-counts-own-member": (
+        DIGRAPHS, _LOOKUP, f"({_LOOKUP} if not cycle else [(t, h) for h in candidates])",
     ),
-    "pm-exchange-may-return-base": (
-        EXCHANGE, _RETURNS_BASE + "\n    return out, cyc", _NEVER + "\n    return out, cyc",
+    "matching-lookup-counts-partner": (
+        DIGRAPHS, _LOOKUP, f"({_LOOKUP} if cycle else [(t, h) for h in candidates if (t < n) != (h < n)])",
     ),
+    "memo-key-from-tables": (MULTIPLIER, "key = len(vinv), base2, subs2, ms2", "key = vt2, ct2, ms2"),
     "negative-row-index": ("src/transversals/cli.py", "not 0 <= i < len(out)", "not i < len(out)"),
     "second-skips-omega-check": ("src/transversals/cli.py", "if not omega_ok:", "if False:"),
 }
