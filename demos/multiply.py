@@ -19,14 +19,14 @@ from transversals import (
 
 n, S, d, seed = 10, (0, 3, 6), 2, 6
 family, base = gen_witness_instance_ham(n, S, d, seed=seed)
-J = build_full_ryb(family, base)
+J = build_full_ryb(family)
 
 depth = d_star(J, S)
 required = math.factorial(depth + 1)
 print(f"n = {n}, S = {S}, exchange depth d* = {depth}")
 print(f"lower bound to certify: (d*+1)! = {required}")
 
-outputs = many_ham_transversals(family, base, S, J)
+outputs = many_ham_transversals(family, S, J)
 print(f"recursion produced {len(outputs)} transversals")
 
 assert len(set(outputs)) == len(outputs), "outputs must be pairwise distinct"

@@ -25,8 +25,8 @@ from transversals import (
 )
 
 print("== biased-bit sampler with targeted resampling (cycle families) ==")
-family, base = gen_regular_all_equal(200, 30, seed=3)
-J = build_full_ryb(family, base)
+family, _ = gen_regular_all_equal(200, 30, seed=3)
+J = build_full_ryb(family)
 out = sample_set_lll_ham(J, SamplerConfig(seed=5, m=30))
 r = min(
     min(len(J.yellow[v]) for v in range(200)),
@@ -42,14 +42,14 @@ print("\n== two-step rejection sampler (dense cycle families) ==")
 family = gen_dirac_family(60, 0.9, seed=2)
 t = exists_ham_transversal(family)
 fam_c, t_c, _ = naturally_index(family, t)
-J = build_full_ryb(fam_c, t_c)
+J = build_full_ryb(fam_c)
 out = sample_set_dirac(J, SamplerConfig(seed=4, c=0.9))
 print(f"|S| = {len(out.members)}, redraws = {out.resamples}")
 print(f"target depth = {dirac_depth_target(60, 0.9)}, realized d* = {d_star(J, out.members)}")
 
 print("\n== per-pair choice sampler (matching families) ==")
-family, base = gen_bipartite_pm_family(60, 20, seed=9)
-H = build_full_rb(family, base)
+family, _ = gen_bipartite_pm_family(60, 20, seed=9)
+H = build_full_rb(family)
 out = sample_set_pm(H, SamplerConfig(seed=11, alpha=0.5))
 r = min(len(H.blue[v]) for v in range(120))
 floor = math.ceil(0.5 * r / 2.0)

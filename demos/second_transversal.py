@@ -12,13 +12,13 @@ from transversals import (
     KIND_HAM,
     SubgraphFamily,
     build_full_ryb,
-    canonical_transversal,
     d_star,
     edge,
+    ham_exchange,
     lollipop_walk,
     omega_member_ham,
+    planted,
     prune,
-    second_ham_transversal,
     support,
     validate_transversal,
 )
@@ -32,13 +32,13 @@ for i in range(n):
         es.add(edge(*chords[i]))
     subs.append(frozenset(es))
 family = SubgraphFamily(BaseGraph(n, sorted(set().union(*subs))), subs, KIND_HAM)
-base = canonical_transversal(family)
+base = planted(family.kind, family.num_vertices)
 
 print("subgraphs:")
 for i, g in enumerate(subs):
     print(f"  G_{i}: {sorted(g)}")
 
-J = build_full_ryb(family, base)
+J = build_full_ryb(family)
 print("\nyellow arcs:", {v: sorted(J.yellow[v]) for v in range(n) if J.yellow[v]})
 print("blue arcs:  ", {v: sorted(J.blue[v]) for v in range(n) if J.blue[v]})
 
@@ -56,7 +56,7 @@ print(f"rotation walk: {len(trace.states)} states, pivots {list(trace.pivots)}")
 for state in trace.states:
     print("  path", state)
 
-second = second_ham_transversal(family, base, S, heads)
+second = ham_exchange(family, S, heads)[0]
 print("\nsecond transversal:")
 for e, c in second.items:
     marker = "" if base.colors().get(e) == c else "   <- new"

@@ -18,14 +18,13 @@ from .core import (
     KIND_PM,
     SubgraphFamily,
     Transversal,
-    canonical_transversal,
     complete_graph,
     cycle_graph,
     edge,
-    is_naturally_indexed,
     lift,
     naturally_index,
     old_to_new,
+    planted,
     validate_family,
     validate_transversal,
 )
@@ -72,8 +71,6 @@ from .exchange import (
     pm_exchange,
     prune,
     recolor_ham,
-    second_ham_transversal,
-    second_pm_transversal,
 )
 from .generators import (
     gen_bipartite_pm_family,

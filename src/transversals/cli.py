@@ -406,9 +406,9 @@ def _prepare(args, kind=None):
     new = old_to_new(tables[0], family.num_vertices)
     ms = tuple(sorted(new[v] for v in members))
     if fam_c.kind == KIND_HAM:
-        H, depth, metric = build_full_ryb(fam_c, t_c), d_star, "d_star"
+        H, depth, metric = build_full_ryb(fam_c), d_star, "d_star"
     else:
-        H, depth, metric = build_full_rb(fam_c, t_c), d_cross, "d_cross"
+        H, depth, metric = build_full_rb(fam_c), d_cross, "d_cross"
     return family, planted, members, fam_c, t_c, ms, H, tables, depth, metric
 
 
@@ -497,7 +497,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
     family, planted, members, fam_c, t_c, ms, H, tables, _, metric = _prepare(args)
     heads = support(H, ms)
     if fam_c.kind == KIND_HAM:
-        t2_c, trace = ham_exchange(fam_c, t_c, ms, heads)
+        t2_c, trace = ham_exchange(fam_c, ms, heads)
         omega_ok = omega_member_ham(t_c, ms, t2_c)
         provenance = {
             "anchor": list(edge(*trace.states[0][:2])),
@@ -505,7 +505,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
             "pivot_edges": [list(e) for e in trace.pivots],
         }
     else:
-        t2_c, cyc = pm_exchange(fam_c, t_c, ms, heads)
+        t2_c, cyc = pm_exchange(fam_c, ms, heads)
         omega_ok = omega_member_pm(t_c, ms, t2_c)
         provenance = {
             "cycle_pairs": list(cyc.pairs),
@@ -582,14 +582,14 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
     _, _, members, fam_c, t_c, ms, H, tables, depth, metric = _prepare(args)
     d = depth(H, ms)
     if fam_c.kind == KIND_HAM:
-        out_c = many_ham_transversals(fam_c, t_c, ms, H)
+        out_c = many_ham_transversals(fam_c, ms, H)
         omega = (
             enumerate_omega_ham(fam_c, t_c, ms)
             if fam_c.num_vertices <= 12 and len(ms) <= 4
             else None
         )
     else:
-        out_c = many_pm_transversals(fam_c, t_c, ms, H)
+        out_c = many_pm_transversals(fam_c, ms, H)
         omega = enumerate_omega_pm(fam_c, t_c, ms) if fam_c.num_pairs <= 8 else None
     required = math.factorial(d + 1)
     results = {

@@ -15,10 +15,15 @@ The values are also the ``kind`` tags of the instance files.
 
 The canonical ("naturally indexed") labelling puts the cycle on
 0,1,...,n-1 with edge(i, i+1 mod n) colored i, or pairs vertex i with
-n+i colored i. Everything downstream assumes it. ``canonical_tables``
-states the rule once as new-to-old tables, ``relabel_rows`` and
-``relabel`` rebuild a family from them and ``lift`` maps transversals
-back; ``naturally_index`` and the multiplication's children share it.
+n+i colored i. Everything downstream assumes it. That transversal is
+``planted(kind, n)``, a function of the kind and the vertex count, so
+the digraph builders, the exchanges and the multiplication take the
+family alone. Only the omega checks, which compare a result with a
+base, take one, and ``enumerate_omega_*`` pass it to
+``require_naturally_indexed``. ``canonical_tables`` states the rule
+once as new-to-old tables, ``relabel_rows`` and ``relabel`` rebuild a
+family from them and ``lift`` maps transversals back;
+``naturally_index`` and the multiplication's children share it.
 """
 
 from __future__ import annotations
@@ -332,16 +337,6 @@ def planted(kind: str, num_vertices: int) -> Transversal:
     return Transversal.from_map(kind, _canonical_colors(kind, num_vertices))
 
 
-def is_naturally_indexed(family: SubgraphFamily, t: Transversal) -> bool:
-    """True iff t is the canonical transversal in the canonical labelling."""
-    return t.colors() == _canonical_colors(family.kind, family.num_vertices)
-
-
-def canonical_transversal(family: SubgraphFamily) -> Transversal:
-    """The transversal the canonical labelling plants (cycle or pairing)."""
-    return planted(family.kind, family.num_vertices)
-
-
 def canonical_tables(t: Transversal, drop: Edge | None = None) -> Tables:
     """New-to-old vertex and color tables of the canonical labelling of t.
 
@@ -443,11 +438,12 @@ def naturally_index(family: SubgraphFamily, t: Transversal) -> tuple[SubgraphFam
         raise InvalidTransversal(f"cannot index invalid transversal: {report.summary()}", report)
     tables = canonical_tables(t)
     fam2 = relabel(family, *tables)
-    return fam2, t if fam2 is family else canonical_transversal(fam2), tables
+    return fam2, t if fam2 is family else planted(fam2.kind, fam2.num_vertices), tables
 
 
 def require_naturally_indexed(family: SubgraphFamily, t: Transversal) -> None:
-    if not is_naturally_indexed(family, t):
+    """Raise unless t is the planted transversal in the canonical labelling."""
+    if t.colors() != _canonical_colors(family.kind, family.num_vertices):
         raise NotNaturallyIndexed("operation requires the canonical labelling; run naturally_index first")
 
 

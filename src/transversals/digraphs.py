@@ -33,7 +33,6 @@ from .core import (
     SubgraphFamily,
     Transversal,
     edge,
-    require_naturally_indexed,
 )
 from .errors import NotMaximalRedIndependent, NotRedIndependent
 
@@ -91,7 +90,7 @@ def _arcs(cycle: bool, n: int, c: int, pairs) -> list[tuple[int, int]]:
             if t % n == c and (t < n) != (h < n) and h % n != c]
 
 
-def build_full_ryb(family: SubgraphFamily, t: Transversal) -> RybDigraph:
+def build_full_ryb(family: SubgraphFamily) -> RybDigraph:
     """All yellow and blue arcs the family supports over the planted cycle.
 
     Row i of yellow reads only G_i at vertex i, and row i of blue only
@@ -101,7 +100,6 @@ def build_full_ryb(family: SubgraphFamily, t: Transversal) -> RybDigraph:
     """
     if family.kind != KIND_HAM:
         raise ValueError("cycle digraph needs a hamiltonian family")
-    require_naturally_indexed(family, t)
     n = family.num_vertices
     # keyed by id as SubgraphFamily canonicalises: the family keeps each alive
     index: dict[int, dict[int, list[int]]] = {}
@@ -123,11 +121,10 @@ def build_full_ryb(family: SubgraphFamily, t: Transversal) -> RybDigraph:
     return RybDigraph(n, tuple(yellow), tuple(blue))
 
 
-def build_full_rb(family: SubgraphFamily, t: Transversal) -> RbDigraph:
+def build_full_rb(family: SubgraphFamily) -> RbDigraph:
     """All blue arcs the family supports over the planted pairing."""
     if family.kind != KIND_PM:
         raise ValueError("pair digraph needs a matching family")
-    require_naturally_indexed(family, t)
     n = family.num_pairs
     blue: list[list[int]] = [[] for _ in range(2 * n)]
     for i, g in enumerate(family.subgraphs):

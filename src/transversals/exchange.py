@@ -18,10 +18,10 @@ of each list: the lowest, as ``support`` lists heads ascending. The
 multiplier's witness loop passes its pending lists as they are.
 ``cycle_exchange`` and ``matching_exchange`` need no family, and
 ``checked_second`` validates a result in the labels its caller lifts it
-to. ``ham_exchange`` and ``pm_exchange`` return the second transversal
-with the rotation walk or alternating cycle that produced it;
-``second_ham_transversal`` and ``second_pm_transversal`` return the
-transversal alone.
+to. ``ham_exchange`` and ``pm_exchange`` take a canonically labelled
+family, whose planted transversal is ``planted(kind, n)``, and return
+the second transversal with the rotation walk or alternating cycle
+that produced it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 from .core import (
     Edge,
+    KIND_HAM,
     KIND_PM,
     SubgraphFamily,
     Tables,
@@ -38,7 +39,7 @@ from .core import (
     cycle_tables,
     edge,
     lift,
-    require_naturally_indexed,
+    planted,
     validate_transversal,
 )
 from .errors import (
@@ -217,32 +218,17 @@ def checked_second(family: SubgraphFamily, base: Transversal, out: Transversal, 
     return out
 
 
-def ham_exchange(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    heads: Heads,
-) -> tuple[Transversal, LollipopTrace]:
+def ham_exchange(family: SubgraphFamily, members: Sequence[int], heads: Heads) -> tuple[Transversal, LollipopTrace]:
     """Second cycle transversal supported by the first of ``heads``, with its walk.
 
     Requires the canonical labelling, a red-independent set (``support``
     checks it), and what ``cycle_exchange`` requires. The result is
-    validated and is always distinct from base.
+    validated and is always distinct from the planted cycle.
     """
-    require_naturally_indexed(family, base)
+    base = planted(KIND_HAM, family.num_vertices)
     tables, trace = cycle_exchange(heads, members, family.num_vertices)
     (out,) = lift([base], *tables)
     return checked_second(family, base, out, out), trace
-
-
-def second_ham_transversal(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    heads: Heads,
-) -> Transversal:
-    """The transversal of ``ham_exchange`` without its walk."""
-    return ham_exchange(family, base, members, heads)[0]
 
 
 @dataclass(frozen=True)
@@ -289,43 +275,23 @@ def find_alternating_cycle(escapes: Heads, n: int) -> AlternatingCycle:
         p = w % n
 
 
-def pm_exchange(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    heads: Heads,
-) -> tuple[Transversal, AlternatingCycle]:
+def pm_exchange(family: SubgraphFamily, members: Sequence[int], heads: Heads) -> tuple[Transversal, AlternatingCycle]:
     """Swap the alternating cycle into the planted matching; return both.
 
     The members must be the keys of ``heads``, one endpoint per pair.
     Each set member on the cycle moves to its first head and keeps its
-    base color; untouched pairs stay as they are. Validated, distinct.
+    planted color; untouched pairs stay as they are. Validated, distinct.
     """
-    require_naturally_indexed(family, base)
     if set(members) != set(heads):
         raise NotMaximalRedIndependent("the members must be the keys of the heads map, one endpoint per pair")
-    out, cyc = matching_exchange(base, heads)
-    return checked_second(family, base, out, out), cyc
+    out, cyc = matching_exchange(heads, family.num_pairs)
+    return checked_second(family, planted(KIND_PM, family.num_vertices), out, out), cyc
 
 
-def matching_exchange(base: Transversal, heads: Heads) -> tuple[Transversal, AlternatingCycle]:
-    """Swap the alternating cycle of ``heads`` into the canonical matching
-    ``base``; the result is not validated."""
-    n = len(base)
+def matching_exchange(heads: Heads, n: int) -> tuple[Transversal, AlternatingCycle]:
+    """Swap the alternating cycle of ``heads`` into the planted matching
+    on n pairs, (p, n+p) colored p; the result is not validated."""
     cyc = find_alternating_cycle(heads, n)
-    colors = base.colors()
-    for p in cyc.pairs:
-        del colors[edge(p, p + n)]
-    for t, h in cyc.arcs:
-        colors[edge(t, h)] = t % n
-    return Transversal.from_map(KIND_PM, colors), cyc
-
-
-def second_pm_transversal(
-    family: SubgraphFamily,
-    base: Transversal,
-    members: Sequence[int],
-    heads: Heads,
-) -> Transversal:
-    """The transversal of ``pm_exchange`` without its cycle."""
-    return pm_exchange(family, base, members, heads)[0]
+    swapped = set(cyc.pairs)
+    kept = [((p, p + n), p) for p in range(n) if p not in swapped]
+    return Transversal(KIND_PM, tuple(kept + [((t, h), t % n) for t, h in cyc.arcs])), cyc

@@ -18,9 +18,9 @@ from .core import (
     KIND_PM,
     SubgraphFamily,
     Transversal,
-    canonical_transversal,
     edge,
     iter_cycle_edges,
+    planted,
 )
 from .errors import GenerationFailed, InfeasibleDegree, InfeasibleWitness
 
@@ -58,7 +58,7 @@ def gen_planted_ham_family(
         subs.append(g)
     base = BaseGraph(n, list(iter_cycle_edges(n)) + sorted(chords))
     family = SubgraphFamily(base, subs, KIND_HAM)
-    return family, canonical_transversal(family)
+    return family, planted(KIND_HAM, n)
 
 
 def gen_dirac_family(n: int, c: float, seed: int) -> SubgraphFamily:
@@ -135,7 +135,7 @@ def gen_regular_all_equal(n: int, m: int, seed: int) -> tuple[SubgraphFamily, Tr
             continue
         shared = frozenset(g)
         family = SubgraphFamily(base, [shared] * n, KIND_HAM)
-        return family, canonical_transversal(family)
+        return family, planted(KIND_HAM, n)
     raise GenerationFailed(f"no simple {m}-regular pairing in {REGULAR_RESTARTS} rounds")
 
 
@@ -164,7 +164,7 @@ def gen_planted_pm_family(
         subs.append(g)
     base = BaseGraph(2 * n, union)
     family = SubgraphFamily(base, subs, KIND_PM)
-    return family, canonical_transversal(family)
+    return family, planted(KIND_PM, 2 * n)
 
 
 def gen_witness_instance_ham(
@@ -207,7 +207,7 @@ def gen_witness_instance_ham(
             chords.add(e)
     base = BaseGraph(n, list(iter_cycle_edges(n)) + sorted(chords))
     family = SubgraphFamily(base, subs, KIND_HAM)
-    return family, canonical_transversal(family)
+    return family, planted(KIND_HAM, n)
 
 
 def gen_bipartite_pm_family(
@@ -240,4 +240,4 @@ def gen_bipartite_pm_family(
             g.add(edge(n + i, j))
         subs.append(g)
     family = SubgraphFamily(base, subs, KIND_PM)
-    return family, canonical_transversal(family)
+    return family, planted(KIND_PM, 2 * n)

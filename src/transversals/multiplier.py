@@ -16,9 +16,12 @@ digraph is built for it, and ``support_through`` reads its support once.
 A memo keyed on each child's rows (``relabel_rows``) and set solves each
 distinct child once per call. The plan of tables the recursion returns
 is expanded once at the top, so each output is built once, in the
-caller's labels. The base is validated on entry, every other witness
-once, lifted into the root's labels. The (d+1)! floor, the target count
-and the depth drop are each checked once and raise GuaranteeViolated.
+caller's labels. The base is the planted transversal, ``planted(kind,
+n)``: it is built and validated once on entry, and the memo keeps one
+per node size, so a cycle's is built once per call. Every other witness
+is validated once, lifted into the root's labels. The (d+1)! floor, the
+target count and the depth drop are each checked once and raise
+GuaranteeViolated.
 """
 
 from __future__ import annotations
@@ -208,13 +211,14 @@ def find_saturated_vertex(family: SubgraphFamily, node: tuple, base: Transversal
                           heads: dict[int, tuple[int, ...]]) -> WitnessTable:
     """Run exchange rounds until some boundary vertex has no pending head.
 
-    ``node`` and base are as in ``_many``, and the tails of heads, its
-    ``support``, are the boundary vertices. Each starts with its heads
-    pending, and base witnesses its cycle edge to its member, or its
-    planted pair. Each round passes the pending lists to the exchange,
-    which keeps the first, lowest, head of each, and crosses off every
-    pending head the returned transversal realizes. That transversal
-    differs from base inside the kept arcs, so every round makes progress.
+    ``node`` is as in ``_many`` and base is its planted transversal, as
+    ``_many`` holds it; the tails of heads, its ``support``, are the
+    boundary vertices. Each starts with its heads pending, and base
+    witnesses its cycle edge to its member, or its planted pair. Each
+    round passes the pending lists to the exchange, which keeps the
+    first, lowest, head of each, and crosses off every pending head the
+    returned transversal realizes. That transversal differs from base
+    inside the kept arcs, so every round makes progress.
     """
     ms = sorted(set(members))
     n = len(base)
@@ -254,38 +258,36 @@ def _second(family, node, base, ms, heads) -> tuple[Transversal, Tables | None]:
         tables, _ = cycle_exchange(heads, ms, len(base))
         (out,) = lift([base], *tables)
     else:
-        tables, (out, _) = None, matching_exchange(base, heads)
+        tables, (out, _) = None, matching_exchange(heads, len(base))
     return checked_second(family, base, out, next(_expand([out], *node))), tables
 
 
-def many_ham_transversals(
-    family: SubgraphFamily, base: Transversal, members: Sequence[int], H: RybDigraph
-) -> list[Transversal]:
+def many_ham_transversals(family: SubgraphFamily, members: Sequence[int], H: RybDigraph) -> list[Transversal]:
     """At least (d+1)! distinct transversals, d the support depth of members.
 
-    H is the full digraph ``build_full_ryb(family, base)``. All outputs lie
-    in the exchange neighborhood of (base, members) and include base itself.
+    H is the full digraph ``build_full_ryb(family)``. All outputs lie in
+    the exchange neighborhood of the planted cycle and members, and
+    include the planted cycle itself.
     """
-    return _multiply(family, base, members, H)
+    return _multiply(family, members, H)
 
 
-def many_pm_transversals(
-    family: SubgraphFamily, base: Transversal, members: Sequence[int], H: RbDigraph
-) -> list[Transversal]:
+def many_pm_transversals(family: SubgraphFamily, members: Sequence[int], H: RbDigraph) -> list[Transversal]:
     """At least (d+1)! distinct matchings, d the blue escape depth.
 
-    H is the full digraph ``build_full_rb(family, base)``.
+    H is the full digraph ``build_full_rb(family)``.
     """
-    return _multiply(family, base, members, H)
+    return _multiply(family, members, H)
 
 
-def _multiply(family, base, members, H) -> list[Transversal]:
+def _multiply(family, members, H) -> list[Transversal]:
     """The entry checks and the (d+1)! floor, once for the whole recursion.
 
-    base is validated here; every other witness comes out of the exchange,
-    which validates it, and a child's base is the relabelled image of one.
+    The planted transversal is built and validated here, once; every other
+    witness comes out of the exchange, which validates it, and a child's
+    base is the relabelled image of one.
     """
-    require_naturally_indexed(family, base)
+    base = planted(family.kind, family.num_vertices)
     report = validate_transversal(family, base)
     if not report.ok:
         raise InvalidTransversal(f"witness is invalid: {report.summary()}", report)
@@ -295,7 +297,7 @@ def _multiply(family, base, members, H) -> list[Transversal]:
     if d < 1 and family.kind == KIND_HAM:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
     root = tuple(range(family.num_vertices)), tuple(range(family.num_colors)), ()
-    plan = _many(family, base, root, ms, heads, d, {})
+    plan = _many(family, root, ms, heads, d, {family.num_vertices: base})
     out = sorted(set(_expand(plan, *root)), key=lambda t: t.items)
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
@@ -315,21 +317,25 @@ def _expand(plan, vmap, cmap, fixed=()):
             yield from _expand(child, [vmap[k] for k in vinv], [cmap[k] for k in cinv], fixed + pairs)
 
 
-def _many(family, base, node, ms, heads, d, memo) -> list:
+def _many(family, node, ms, heads, d, memo) -> list:
     """One branch per target of a saturated vertex, for either kind.
 
     family is the root's; ``node = (vt, ct, fixed)``: new vertex k is
     family's ``vt[k]``, new color k is ``ct[k]``, and ``fixed`` holds the
-    pairs a matching dropped on the way down, in family's labels. base is
-    the node's planted transversal, heads ms's ``support`` and d its depth.
+    pairs a matching dropped on the way down, in family's labels. heads
+    is ms's ``support`` and d its depth.
     Returns a plan: a list of outputs in this node's labels, or of branches
     ``(vinv, cinv, pairs, child plan)``: the child's tables and the (edge,
     color) items it drops, a matching's branch pair. ``memo`` (one dict per
     ``_multiply`` call) maps each distinct child's rows and set to its
-    depth and plan.
+    depth and plan, and each node size to the node's planted transversal,
+    so a cycle's, shared by every node, is built once.
     """
     vt, ct, fixed = node
     ham = family.kind == KIND_HAM
+    base = memo.get(len(vt))
+    if base is None:
+        base = memo[len(vt)] = planted(family.kind, len(vt))
     if ham and d == 1:
         return [base, _second(family, node, base, ms, heads)[0]]
     if not ham and (d == 0 or len(ct) == 1):
@@ -362,9 +368,7 @@ def _many(family, base, node, ms, heads, d, memo) -> list:
             raise GuaranteeViolated("depth dropped by more than one")
         if hit is None:
             fixed2 = fixed + tuple([((vt[u], vt[v]), ct[c]) for (u, v), c in pairs])
-            # every cycle node has the root's n vertices, so the root's base
-            t2 = base if ham else planted(family.kind, len(vt2))
-            child = _many(family, t2, (vt2, ct2, fixed2), ms2, heads2, d2, memo)
+            child = _many(family, (vt2, ct2, fixed2), ms2, heads2, d2, memo)
             memo[key] = d2, child
         plan.append((vinv, cinv, pairs, child))
     return plan

@@ -6,9 +6,9 @@ from transversals import (
     BaseGraph,
     KIND_HAM,
     SubgraphFamily,
-    canonical_transversal,
     d_cross,
     edge,
+    planted,
 )
 
 
@@ -28,7 +28,7 @@ def figure_family():
     fam = make_ham_family(
         6, {5: [(3, 5)], 0: [(1, 3)], 2: [(0, 2)], 3: [(0, 4)]}
     )
-    return fam, canonical_transversal(fam)
+    return fam, planted(fam.kind, fam.num_vertices)
 
 
 def random_ham_set(rng: random.Random, n: int, want_three: bool):

@@ -42,6 +42,7 @@ from transversals import (
     gen_planted_pm_family,
     gen_regular_all_equal,
     gen_witness_instance_ham,
+    ham_exchange,
     lll_condition_ham,
     lll_condition_scan,
     many_ham_transversals,
@@ -52,12 +53,11 @@ from transversals import (
     omega_member_ham,
     omega_member_pm,
     permanent,
+    pm_exchange,
     pm_hypothesis_warnings,
     pm_lll_rhs,
     sample_set_lll_ham,
     sample_set_pm,
-    second_ham_transversal,
-    second_pm_transversal,
     support,
     validate_transversal,
 )
@@ -96,8 +96,8 @@ def test_c02_second_ham_suite_200_instances():
         n = rng.randrange(6, 16)
         S = random_ham_set(rng, n, n >= 9 and rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=i)
-        H = build_full_ryb(fam, t)
-        t2 = second_ham_transversal(fam, t, S, support(H, S))
+        H = build_full_ryb(fam)
+        t2 = ham_exchange(fam, S, support(H, S))[0]
         assert validate_transversal(fam, t2).ok, (n, S, i)
         assert t2 != t, (n, S, i)
         assert omega_member_ham(t, S, t2), (n, S, i)
@@ -126,13 +126,13 @@ def test_c03_d_star_invariance_exhaustive():
             S = random_ham_set(rng, n, False)
         d = 1 if len(S) < 3 else rng.choice([1, 1, 2])
         fam, t = gen_witness_instance_ham(n, S, d, seed=i)
-        H = build_full_ryb(fam, t)
+        H = build_full_ryb(fam)
         d0 = d_star(H, S)
         for psi in enumerate_omega_ham(fam, t, S):
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             S2 = sorted(new[v] for v in S)
-            assert d_star(build_full_ryb(fam2, psi2), S2) == d0, (n, S, i)
+            assert d_star(build_full_ryb(fam2), S2) == d0, (n, S, i)
             members_checked += 1
         instances += 1
     assert instances >= 50 and members_checked > instances
@@ -152,7 +152,7 @@ def test_c04_many_ham_factorial_bound():
             n = rng.randrange(9, 13)
             S = (0, 3, 6)
             fam, t = gen_witness_instance_ham(n, S, d, seed=1000 * d + i)
-            out = many_ham_transversals(fam, t, S, build_full_ryb(fam, t))
+            out = many_ham_transversals(fam, S, build_full_ryb(fam))
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)
             assert len(set(out)) == len(out), (d, n, i)
@@ -180,12 +180,12 @@ def test_c05_second_pm_suite_200_instances():
         n = rng.randrange(2, 21)
         extra = 1 if n <= 3 else rng.randrange(1, min(4, n - 1))
         fam, t = gen_planted_pm_family(n, extra, seed=i)
-        H = build_full_rb(fam, t)
+        H = build_full_rb(fam)
         S = random_pm_set(rng, H, n)
         heads = support(H, S)
         cyc = find_alternating_cycle(heads, n)
         assert cyc.length() >= 2 and cyc.length() % 2 == 0, (n, i)
-        t2 = second_pm_transversal(fam, t, S, heads)
+        t2 = pm_exchange(fam, S, heads)[0]
         assert validate_transversal(fam, t2).ok, (n, i)
         assert t2 != t, (n, i)
         assert omega_member_pm(t, S, t2), (n, i)
@@ -204,7 +204,7 @@ def test_c06_d_cross_invariance_and_permanent():
         n = rng.randrange(2, 9)
         extra = 1 if n <= 3 else rng.randrange(1, min(4, n - 1))
         fam, t = gen_planted_pm_family(n, extra, seed=500 + i)
-        H = build_full_rb(fam, t)
+        H = build_full_rb(fam)
         S = random_pm_set(rng, H, n)
         d0 = d_cross(H, S)
         om = enumerate_omega_pm(fam, t, S)
@@ -214,7 +214,7 @@ def test_c06_d_cross_invariance_and_permanent():
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             S2 = sorted(new[v] for v in S)
-            assert d_cross(build_full_rb(fam2, psi2), S2) == d0, (n, i)
+            assert d_cross(build_full_rb(fam2), S2) == d0, (n, i)
             members_checked += 1
         instances += 1
     assert instances >= 50
@@ -231,10 +231,10 @@ def test_c07_many_pm_factorial_bound():
         for i in range(30):
             n = rng.randrange(max(3, d + 2), 9)
             fam, t = gen_planted_pm_family(n, d, seed=3000 * d + i)
-            H = build_full_rb(fam, t)
+            H = build_full_rb(fam)
             S = tuple(range(n))
             assert d_cross(H, S) == d, (d, n, i)
-            out = many_pm_transversals(fam, t, S, H)
+            out = many_pm_transversals(fam, S, H)
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)
             assert len(set(out)) == len(out), (d, n, i)
@@ -292,7 +292,7 @@ def test_c08b_sampler_behavior_at_stated_scale():
     start = time.perf_counter()
     fam, t = gen_bipartite_pm_family(200, 180, seed=808)
     m = fam.base.max_degree()
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     target = math.ceil(0.5 * 180 / 2)
     assert target == 45
     good = 0
@@ -320,7 +320,7 @@ def test_c08c_sampler_at_full_hypothesis_scale():
     m = fam.base.max_degree()
     assert m == 249
     assert r >= pm_lll_rhs(alpha, m)  # 204 >= 203.585...
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     target = math.ceil(alpha * r / 2)
     good = 0
     for seed in range(10):
@@ -397,7 +397,7 @@ def test_c11_determinism_everywhere():
     assert gen_bipartite_pm_family(10, 3, seed=4) == gen_bipartite_pm_family(10, 3, seed=4)
     # samplers (members and resample trace both pinned)
     fam, t = gen_regular_all_equal(150, 26, seed=2)
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     a = sample_set_lll_ham(H, SamplerConfig(seed=9, m=26))
     b = sample_set_lll_ham(H, SamplerConfig(seed=9, m=26))
     assert a.members == b.members
@@ -406,19 +406,19 @@ def test_c11_determinism_everywhere():
         (r.kind, r.location) for r in b.records
     ]
     fam2, t2 = gen_bipartite_pm_family(40, 12, seed=2)
-    H2 = build_full_rb(fam2, t2)
+    H2 = build_full_rb(fam2)
     c = sample_set_pm(H2, SamplerConfig(seed=9, alpha=0.5))
     d = sample_set_pm(H2, SamplerConfig(seed=9, alpha=0.5))
     assert c.members == d.members
     # deterministic pipelines: exchange and multiplication output order
     fam3, t3 = gen_witness_instance_ham(10, (0, 3, 6), 2, seed=6)
-    H3 = build_full_ryb(fam3, t3)
+    H3 = build_full_ryb(fam3)
     heads3 = support(H3, (0, 3, 6))
-    assert second_ham_transversal(fam3, t3, (0, 3, 6), heads3) == second_ham_transversal(
-        fam3, t3, (0, 3, 6), heads3
-    )
-    assert many_ham_transversals(fam3, t3, (0, 3, 6), H3) == many_ham_transversals(
-        fam3, t3, (0, 3, 6), H3
+    assert ham_exchange(fam3, (0, 3, 6), heads3)[0] == ham_exchange(
+        fam3, (0, 3, 6), heads3
+    )[0]
+    assert many_ham_transversals(fam3, (0, 3, 6), H3) == many_ham_transversals(
+        fam3, (0, 3, 6), H3
     )
     print("CRITERION 11 PASS: generators, samplers, exchange, multiplication all bit-stable under fixed seeds")
 

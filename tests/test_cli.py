@@ -21,13 +21,13 @@ from transversals import (
     LollipopTrace,
     NotRedIndependent,
     SubgraphFamily,
-    canonical_transversal,
     cli,
     edge,
     enumerate_all_ham_transversals,
     enumerate_all_pm_transversals,
     omega_member_ham,
     omega_member_pm,
+    planted,
     sampler,
 )
 from transversals.cli import main
@@ -216,7 +216,8 @@ def test_second_exits_5_when_its_result_is_outside_omega(kind, tmp_path, capsys,
         every, member, name = enumerate_all_pm_transversals, omega_member_pm, "pm_exchange"
         provenance = AlternatingCycle((), ())
 
-    def outside_omega(family, base, ms, heads):
+    def outside_omega(family, ms, heads):
+        base = planted(family.kind, family.num_vertices)
         return next(t for t in every(family) if not member(base, ms, t)), provenance
 
     monkeypatch.setattr(cli, name, outside_omega)
@@ -410,23 +411,23 @@ def instance_families(draw):
     """Cycle-kind families whose subgraphs mix shared, distinct and empty
     edge sets, with the canonical cycle planted or not."""
     n = draw(st.integers(3, 8), label="n")
-    planted = draw(st.booleans(), label="planted")
+    plant = draw(st.booleans(), label="planted")
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     cycle = [edge(i, (i + 1) % n) for i in range(n)]
     shared = [draw(st.frozensets(pairs, min_size=1, max_size=5)).union(cycle) for _ in range(2)]
     # a planted cycle needs edge i in subgraph i, so no subgraph is empty
-    choices = ["shared", "distinct"] if planted else ["shared", "distinct", "empty"]
+    choices = ["shared", "distinct"] if plant else ["shared", "distinct", "empty"]
     subs = []
     for i in range(n):
         choice = draw(st.sampled_from(choices), label=f"subgraph {i}")
         if choice == "shared":
             subs.append(shared[draw(st.integers(0, 1))])
         elif choice == "distinct":
-            subs.append(draw(st.frozensets(pairs, max_size=5)).union(cycle[i:i + 1] if planted else ()))
+            subs.append(draw(st.frozensets(pairs, max_size=5)).union(cycle[i:i + 1] if plant else ()))
         else:
             subs.append(frozenset())
     family = SubgraphFamily(BaseGraph(n, set().union(cycle, *subs)), subs, KIND_HAM)
-    return family, canonical_transversal(family) if planted else None
+    return family, planted(family.kind, family.num_vertices) if plant else None
 
 
 @st.composite
@@ -435,11 +436,11 @@ def matching_families(draw):
     across the sides mix shared, distinct and empty edge sets, with the
     canonical matching planted or not."""
     n = draw(st.integers(1, 5), label="pairs")
-    planted = draw(st.booleans(), label="planted")
+    plant = draw(st.booleans(), label="planted")
     pairs = st.tuples(st.integers(0, n - 1), st.integers(n, 2 * n - 1))
     matching = [edge(i, i + n) for i in range(n)]
     shared = [draw(st.frozensets(pairs, min_size=1, max_size=4)) for _ in range(2)]
-    choices = ["shared", "distinct"] if planted else ["shared", "distinct", "empty"]
+    choices = ["shared", "distinct"] if plant else ["shared", "distinct", "empty"]
     subs = []
     for i in range(n):
         choice = draw(st.sampled_from(choices), label=f"subgraph {i}")
@@ -449,9 +450,9 @@ def matching_families(draw):
             g = draw(st.frozensets(pairs, max_size=4))
         else:
             g = frozenset()
-        subs.append(g | {matching[i]} if planted else g)
+        subs.append(g | {matching[i]} if plant else g)
     family = SubgraphFamily(BaseGraph(2 * n, set().union(matching, *subs)), subs, KIND_PM)
-    return family, canonical_transversal(family) if planted else None
+    return family, planted(family.kind, family.num_vertices) if plant else None
 
 
 def _format_1(obj: dict) -> dict:

@@ -9,16 +9,15 @@ from transversals import (
     NotNaturallyIndexed,
     SubgraphFamily,
     Transversal,
-    canonical_transversal,
     complete_graph,
     cycle_graph,
     edge,
     gen_planted_pm_family,
     gen_regular_all_equal,
-    is_naturally_indexed,
     lift,
     naturally_index,
     old_to_new,
+    planted,
     validate_family,
     validate_transversal,
 )
@@ -139,13 +138,13 @@ def test_pm_family_needs_even_vertices_and_half_colors():
 
 def test_canonical_transversal_shapes():
     fam = make_ham_family(6, {})
-    t = canonical_transversal(fam)
+    t = planted(fam.kind, fam.num_vertices)
     assert t.kind == KIND_HAM
     assert t.color_of(edge(2, 3)) == 2
     assert t.color_of(edge(5, 0)) == 5
     assert canonical_tables(t) == ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5))
     assert validate_transversal(fam, t).ok
-    assert is_naturally_indexed(fam, t)
+    require_naturally_indexed(fam, t)
 
 
 def test_transversal_validation_catches_color_misuse():
@@ -183,7 +182,7 @@ def test_kind_mapping():
     # one kind names a family and its transversals, and is the file tag
     assert (KIND_HAM, KIND_PM) == ("hamiltonian", "perfect_matching")
     fam = make_ham_family(6, {})
-    t = canonical_transversal(fam)
+    t = planted(fam.kind, fam.num_vertices)
     assert t.kind == fam.kind == KIND_HAM
     rep = validate_transversal(fam, Transversal(KIND_PM, t.items))
     assert [v.code for v in rep.violations] == ["kind_mismatch"]
@@ -199,17 +198,16 @@ def test_require_naturally_indexed_raises():
     fam2 = SubgraphFamily(base, subs, KIND_HAM)
     t = Transversal.from_map(KIND_HAM, items)
     assert validate_transversal(fam2, t).ok
-    assert not is_naturally_indexed(fam2, t)
     with pytest.raises(NotNaturallyIndexed):
         require_naturally_indexed(fam2, t)
     fam3, t3, _ = naturally_index(fam2, t)
     require_naturally_indexed(fam3, t3)
-    assert t3 == canonical_transversal(fam3)
+    assert t3 == planted(fam3.kind, fam3.num_vertices)
 
 
 def test_naturally_index_returns_canonical_input_itself():
     ham = make_ham_family(7, {2: [(2, 5)]})
-    for fam, t in ((ham, canonical_transversal(ham)), gen_planted_pm_family(5, 2, seed=1)):
+    for fam, t in ((ham, planted(ham.kind, ham.num_vertices)), gen_planted_pm_family(5, 2, seed=1)):
         fam2, t2, (vinv, cinv) = naturally_index(fam, t)
         assert fam2 is fam and t2 is t
         assert vinv == tuple(range(fam.num_vertices))
@@ -223,8 +221,8 @@ def test_naturally_index_validates_before_the_identity_path():
     subs = list(fam.subgraphs)
     subs[2] = frozenset({edge(2, 4)})
     fam = SubgraphFamily(fam.base, subs, KIND_HAM)
-    t = canonical_transversal(fam)
-    assert is_naturally_indexed(fam, t)
+    t = planted(fam.kind, fam.num_vertices)
+    require_naturally_indexed(fam, t)
     with pytest.raises(InvalidTransversal, match="edge_not_in_subgraph"):
         naturally_index(fam, t)
 
@@ -250,7 +248,7 @@ def test_natural_indexing_round_trip(n, kind, rng):
     fam = SubgraphFamily(base, subs, kind)
     t = Transversal.from_map(kind, items)
     fam2, t2, (vinv, cinv) = naturally_index(fam, t)
-    assert is_naturally_indexed(fam2, t2)
+    require_naturally_indexed(fam2, t2)
     assert lift([t2], vinv, cinv) == [t]
     vnew = old_to_new(vinv, len(seq))
     assert [vinv[v] for v in vnew] == list(range(len(seq)))
@@ -278,6 +276,6 @@ def test_pm_natural_indexing_places_pairs():
     fam = SubgraphFamily(base, subs, KIND_PM)
     t = Transversal.from_map(KIND_PM, {(0, 1): 0, (2, 3): 1})
     fam2, t2, _ = naturally_index(fam, t)
-    assert is_naturally_indexed(fam2, t2)
+    assert t2 == planted(KIND_PM, 4)
     assert t2.color_of(edge(0, 2)) == 0
     assert t2.color_of(edge(1, 3)) == 1

@@ -10,20 +10,19 @@ from transversals import (
     SubgraphFamily,
     build_full_rb,
     build_full_ryb,
-    canonical_transversal,
     d_cross,
     d_star,
     edge,
     gen_planted_ham_family,
     gen_planted_pm_family,
     gen_witness_instance_ham,
+    ham_exchange,
     is_locally_dominating,
     is_maximal_red_independent,
     is_red_independent,
     omega_member_ham,
     omega_member_pm,
-    second_ham_transversal,
-    second_pm_transversal,
+    pm_exchange,
     support,
 )
 
@@ -40,7 +39,7 @@ def _rows(n, arcs=()):
 
 def test_figure_arcs(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     assert {v: sorted(H.yellow[v]) for v in range(6) if H.yellow[v]} == {
         2: [0],
         5: [3],
@@ -54,7 +53,7 @@ def test_figure_arcs(figure_family):
 def test_yellow_arc_excludes_cycle_neighbors():
     # chord (1, 3) in G_1 gives yellow 1 -> 3; chord (1, 2) could not
     fam = make_ham_family(7, {1: [(1, 3)]})
-    H = build_full_ryb(fam, canonical_transversal(fam))
+    H = build_full_ryb(fam)
     assert 3 in H.yellow[1]
     with pytest.raises(ValueError):
         RybDigraph(7, _rows(7, [(1, 2)]), _rows(7))
@@ -67,7 +66,7 @@ def test_yellow_arc_excludes_cycle_neighbors():
 def test_blue_arc_comes_from_previous_subgraph():
     # chord (2, 5) placed in G_1 means blue arc 2 -> 5
     fam = make_ham_family(7, {1: [(2, 5)]})
-    H = build_full_ryb(fam, canonical_transversal(fam))
+    H = build_full_ryb(fam)
     assert 5 in H.blue[2]
     assert not H.yellow[2]
 
@@ -121,7 +120,7 @@ def test_ryb_build_matches_arc_definition_on_planted_families(n, data):
     k = data.draw(st.integers(0, n - 3), label="extra_degree")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     fam, t = gen_planted_ham_family(n, k, seed)
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     assert (H.yellow, H.blue) == _arcs_by_definition(fam)
     # random chords, so arcs also land outside the set
     size = data.draw(st.integers(1, n // 3), label="set size")
@@ -137,7 +136,7 @@ def test_ryb_build_matches_arc_definition_on_witness_instances(n, data):
     d = data.draw(st.integers(1, size - 1), label="d")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     fam, t = gen_witness_instance_ham(n, members, d, seed)
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     assert (H.yellow, H.blue) == _arcs_by_definition(fam)
     assert support(H, members) == _support_by_definition(fam, members)
     assert d_star(H, members) == d
@@ -146,7 +145,7 @@ def test_ryb_build_matches_arc_definition_on_witness_instances(n, data):
 def test_ryb_build_reads_both_endpoints_of_one_subgraph():
     # G_2 has a chord at 2 and one at 3; G_7 wraps: a chord at 7 and one at 0
     fam = make_ham_family(8, {2: [(2, 5), (3, 6)], 7: [(3, 7), (0, 4)]})
-    H = build_full_ryb(fam, canonical_transversal(fam))
+    H = build_full_ryb(fam)
     assert {i: r for i, r in enumerate(H.yellow) if r} == {2: (5,), 7: (3,)}
     assert {i: r for i, r in enumerate(H.blue) if r} == {3: (6,), 0: (4,)}
     # a loop edge is a self-arc, and an edge to a vertex past n-1 or
@@ -155,7 +154,7 @@ def test_ryb_build_reads_both_endpoints_of_one_subgraph():
         subs = list(fam.subgraphs)
         subs[2] = subs[2] | {bad}
         with pytest.raises(ValueError):
-            build_full_ryb(SubgraphFamily(fam.base, subs, KIND_HAM), canonical_transversal(fam))
+            build_full_ryb(SubgraphFamily(fam.base, subs, KIND_HAM))
 
 
 def test_red_independence_circular_distance():
@@ -171,7 +170,7 @@ def test_red_independence_circular_distance():
 
 def test_d_star_counts_min_inset_support(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     assert d_star(H, (0, 3)) == 1
     assert is_locally_dominating(H, (0, 3))
     # member 0 needs yellow from 5 into S and blue from 1 into S
@@ -181,7 +180,7 @@ def test_d_star_counts_min_inset_support(figure_family):
 def test_d_star_on_witness_instance_matches_request():
     for d in (1, 2):
         fam, t = gen_witness_instance_ham(9, (0, 3, 6), d, seed=5)
-        H = build_full_ryb(fam, t)
+        H = build_full_ryb(fam)
         assert d_star(H, (0, 3, 6)) == d
         assert is_locally_dominating(H, (0, 3, 6))
 
@@ -195,7 +194,7 @@ def test_rb_partner_and_pair_index():
 
 def test_rb_arcs_cross_pair_boundary():
     fam, t = gen_planted_pm_family(5, 2, seed=1)
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     for tail in range(10):
         for head in H.blue[tail]:
             assert H.pair_index(head) != H.pair_index(tail)
@@ -212,7 +211,7 @@ def test_pm_red_independence_one_per_pair():
 
 def test_d_cross_counts_escapes():
     fam, t = gen_planted_pm_family(6, 2, seed=3)
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     S = tuple(range(6))
     assert d_cross(H, S) == 2  # every x-side vertex got exactly 2 cross edges
     got = min(len([w for w in H.blue[v] if w not in set(S)]) for v in S)
@@ -221,7 +220,7 @@ def test_d_cross_counts_escapes():
 
 def test_support_lists_the_counted_heads(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     # member 0: yellow 5 -> 3 and blue 1 -> 3; member 3: yellow 2 -> 0 and blue 4 -> 0
     heads = support(H, (3, 0))
     assert list(heads.items()) == [(5, (3,)), (1, (3,)), (2, (0,)), (4, (0,))]
@@ -232,7 +231,7 @@ def test_support_lists_the_counted_heads(figure_family):
         support(H, (1, 0))
 
     fam2, t2 = gen_planted_pm_family(4, 1, seed=0)
-    H2 = build_full_rb(fam2, t2)
+    H2 = build_full_rb(fam2)
     # the x side is one endpoint per pair, and every blue arc leaves it
     assert support(H2, range(4)) == {v: H2.blue[v] for v in range(4)}
     assert d_cross(H2, tuple(range(4))) == min(len(H2.blue[v]) for v in range(4))
@@ -247,15 +246,15 @@ def test_support_matches_the_family_on_planted_matchings(n, data):
     sides = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="sides")
     members = [i + n * y for i, y in enumerate(sides)]
     fam, t = gen_planted_pm_family(n, k, seed)
-    heads = support(build_full_rb(fam, t), members)
+    heads = support(build_full_rb(fam), members)
     assert heads == _support_by_definition(fam, members)
     assert list(heads) == sorted(members)
 
 
 def test_omega_member_ham_accepts_and_rejects(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam, t)
-    t2 = second_ham_transversal(fam, t, (0, 3), support(H, (0, 3)))
+    H = build_full_ryb(fam)
+    t2 = ham_exchange(fam, (0, 3), support(H, (0, 3)))[0]
     assert omega_member_ham(t, (0, 3), t2)
     assert omega_member_ham(t, (0, 3), t)
 
@@ -277,8 +276,8 @@ def test_omega_member_ham_agrees_with_enumeration():
 
 def test_omega_member_pm_checks_color_and_boundary():
     fam, t = gen_planted_pm_family(5, 2, seed=7)
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     S = tuple(range(5))
-    t2 = second_pm_transversal(fam, t, S, support(H, S))
+    t2 = pm_exchange(fam, S, support(H, S))[0]
     assert omega_member_pm(t, S, t2)
     assert omega_member_pm(t, S, t)

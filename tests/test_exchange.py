@@ -10,18 +10,18 @@ from transversals import (
     WalkStuck,
     build_full_rb,
     build_full_ryb,
-    canonical_transversal,
     d_cross,
     edge,
     find_alternating_cycle,
     gen_planted_pm_family,
     gen_witness_instance_ham,
+    ham_exchange,
     lollipop_walk,
     omega_member_ham,
     omega_member_pm,
+    planted,
+    pm_exchange,
     prune,
-    second_ham_transversal,
-    second_pm_transversal,
     support,
     validate_transversal,
 )
@@ -57,8 +57,8 @@ def _ham_cycles_through(n, adj, anchor):
 
 def test_figure_second_transversal_matches_hand_trace(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam, t)
-    t2 = second_ham_transversal(fam, t, (0, 3), support(H, (0, 3)))
+    H = build_full_ryb(fam)
+    t2 = ham_exchange(fam, (0, 3), support(H, (0, 3)))[0]
     assert t2.colors() == {
         (0, 1): 0,
         (1, 2): 1,
@@ -73,7 +73,7 @@ def test_figure_second_transversal_matches_hand_trace(figure_family):
 
 def test_prune_keeps_only_rotation_arcs(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     jp = prune(support(H, (0, 3)), (0, 3), 6)
     assert isinstance(jp, PrunedDigraph)
     assert set(jp.members) == {0, 3}
@@ -95,7 +95,7 @@ def test_walk_finds_the_unique_other_anchored_cycle():
     # frozen instances whose pruned graph has exactly two anchored cycles
     for n, S, seed in [(8, (0, 4), 0), (9, (0, 3, 6), 0)]:
         fam, t = gen_witness_instance_ham(n, S, 1, seed=seed)
-        H = build_full_ryb(fam, t)
+        H = build_full_ryb(fam)
         jp = prune(support(H, S), S, n)
         anchor = edge(min(S), min(S) + 1)
         thru = _ham_cycles_through(n, jp.adj, anchor)
@@ -115,7 +115,7 @@ def test_anchored_cycle_count_is_even():
         n = rng.randrange(7, 11)
         S = random_ham_set(rng, n, rng.random() < 0.4)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
-        H = build_full_ryb(fam, t)
+        H = build_full_ryb(fam)
         jp = prune(support(H, S), S, n)
         anchor = edge(min(S), min(S) + 1)
         thru = _ham_cycles_through(n, jp.adj, anchor)
@@ -124,7 +124,7 @@ def test_anchored_cycle_count_is_even():
 
 def test_walk_trace_shape(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     jp = prune(support(H, (0, 3)), (0, 3), 6)
     trace = lollipop_walk(jp, edge(0, 1))
     assert len(trace.states) >= 2
@@ -134,8 +134,8 @@ def test_walk_trace_shape(figure_family):
 
 def test_prune_rejects_undominated_set():
     fam = make_ham_family(8, {})
-    t = canonical_transversal(fam)
-    H = build_full_ryb(fam, t)
+    t = planted(fam.kind, fam.num_vertices)
+    H = build_full_ryb(fam)
     with pytest.raises(NotLocallyDominating):
         prune(support(H, (0, 4)), (0, 4), 8)
 
@@ -146,8 +146,8 @@ def test_second_ham_differs_only_in_allowed_places():
         n = rng.randrange(7, 12)
         S = random_ham_set(rng, n, rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
-        H = build_full_ryb(fam, t)
-        t2 = second_ham_transversal(fam, t, S, support(H, S))
+        H = build_full_ryb(fam)
+        t2 = ham_exchange(fam, S, support(H, S))[0]
         assert validate_transversal(fam, t2).ok
         assert t2 != t
         assert omega_member_ham(t, S, t2)
@@ -164,7 +164,7 @@ def test_find_alternating_cycle_alternates():
         n = rng.randrange(2, 12)
         extra = 1 if n <= 3 else rng.randrange(1, min(4, n - 1))
         fam, t = gen_planted_pm_family(n, extra, seed=rng.randrange(10**6))
-        H = build_full_rb(fam, t)
+        H = build_full_rb(fam)
         S = tuple(range(n))
         cyc = find_alternating_cycle(support(H, S), n)
         assert cyc.length() >= 2 and cyc.length() % 2 == 0
@@ -180,9 +180,9 @@ def test_find_alternating_cycle_alternates():
 
 def test_second_pm_transversal_swaps_cycle():
     fam, t = gen_planted_pm_family(6, 2, seed=23)
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     S = tuple(range(6))
-    t2 = second_pm_transversal(fam, t, S, support(H, S))
+    t2 = pm_exchange(fam, S, support(H, S))[0]
     assert validate_transversal(fam, t2).ok
     assert t2 != t
     assert omega_member_pm(t, S, t2)
@@ -197,7 +197,7 @@ def test_no_blue_escape_raises():
     stranded = None
     for seed in range(10):
         fam, t = gen_planted_pm_family(2, 1, seed=seed)
-        H = build_full_rb(fam, t)
+        H = build_full_rb(fam)
         for S in [(0, 1), (0, 3), (1, 2), (2, 3)]:
             if d_cross(H, S) == 0:
                 stranded = (H, S)
@@ -213,24 +213,24 @@ def test_no_blue_escape_raises():
 def test_ham_exchange_refuses_to_return_its_base(monkeypatch):
     # a walk that recolors back to the base is stuck, not a second cycle
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     heads = support(H, (0, 4, 8))
-    assert second_ham_transversal(fam, t, (0, 4, 8), heads) != t
+    assert ham_exchange(fam, (0, 4, 8), heads)[0] != t
     # a walk that ends where it started: the opened base cycle
     monkeypatch.setattr(exchange, "lollipop_walk", lambda jp, anchor: LollipopTrace((tuple(range(11)),), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
-        second_ham_transversal(fam, t, (0, 4, 8), heads)
+        ham_exchange(fam, (0, 4, 8), heads)[0]
 
 
 def test_pm_exchange_refuses_to_return_its_base(monkeypatch):
     # swapping an empty alternating cycle leaves the base as it was
     fam, t = gen_planted_pm_family(6, 2, seed=23)
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     heads = support(H, range(6))
-    assert second_pm_transversal(fam, t, tuple(range(6)), heads) != t
+    assert pm_exchange(fam, tuple(range(6)), heads)[0] != t
     monkeypatch.setattr(exchange, "find_alternating_cycle", lambda escapes, n: AlternatingCycle((), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
-        second_pm_transversal(fam, t, tuple(range(6)), heads)
+        pm_exchange(fam, tuple(range(6)), heads)[0]
 
 
 def test_the_exchange_reads_only_the_first_head_of_each_list():
@@ -242,22 +242,22 @@ def test_the_exchange_reads_only_the_first_head_of_each_list():
         n = rng.randrange(9, 14)
         S = random_ham_set(rng, n, True)
         fam, t = gen_witness_instance_ham(n, S, rng.randrange(1, len(S)), seed=rng.randrange(10**6))
-        heads = support(build_full_ryb(fam, t), S)
-        second = second_ham_transversal(fam, t, S, heads)
+        heads = support(build_full_ryb(fam), S)
+        second = ham_exchange(fam, S, heads)[0]
         for k in range(1, max(map(len, heads.values())) + 1):
-            assert second_ham_transversal(fam, t, S, {v: hs[:k] for v, hs in heads.items()}) == second
+            assert ham_exchange(fam, S, {v: hs[:k] for v, hs in heads.items()})[0] == second
     tried = 0
     for _ in range(30):
         n = rng.randrange(3, 9)
         fam, t = gen_planted_pm_family(n, rng.randrange(1, n), seed=rng.randrange(10**6))
         S = tuple(i + n * rng.randrange(2) for i in range(n))
-        heads = support(build_full_rb(fam, t), S)
+        heads = support(build_full_rb(fam), S)
         if not all(heads.values()):
             continue
         tried += max(map(len, heads.values())) > 1
-        second = second_pm_transversal(fam, t, S, heads)
+        second = pm_exchange(fam, S, heads)[0]
         for k in range(1, max(map(len, heads.values())) + 1):
-            assert second_pm_transversal(fam, t, S, {v: hs[:k] for v, hs in heads.items()}) == second
+            assert pm_exchange(fam, S, {v: hs[:k] for v, hs in heads.items()})[0] == second
     assert tried >= 5
 
 
@@ -265,20 +265,20 @@ def test_a_heads_map_support_could_not_make_is_a_precondition_error():
     # a missing tail, or a first head outside the set, leaves a member
     # undominated; a matching map needs exactly one endpoint of every pair
     fam, t = gen_witness_instance_ham(9, (0, 3, 6), 1, seed=5)
-    heads = support(build_full_ryb(fam, t), (0, 3, 6))
+    heads = support(build_full_ryb(fam), (0, 3, 6))
     for tail in heads:
         with pytest.raises(NotLocallyDominating, match="lacks in-set support"):
-            second_ham_transversal(fam, t, (0, 3, 6), {v: hs for v, hs in heads.items() if v != tail})
+            ham_exchange(fam, (0, 3, 6), {v: hs for v, hs in heads.items() if v != tail})[0]
         for head in (4, 20, -1):
             with pytest.raises(NotLocallyDominating, match="not all in the set"):
-                second_ham_transversal(fam, t, (0, 3, 6), {**heads, tail: (head, *heads[tail])})
+                ham_exchange(fam, (0, 3, 6), {**heads, tail: (head, *heads[tail])})[0]
     fam, t = gen_planted_pm_family(4, 2, seed=3)
-    heads = support(build_full_rb(fam, t), range(4))
+    heads = support(build_full_rb(fam), range(4))
     for bad in ({v: heads[v] for v in range(3)}, {**heads, 4: heads[0]}, {**heads, 5: ()}):
         with pytest.raises(NotMaximalRedIndependent, match="one endpoint per pair"):
-            second_pm_transversal(fam, t, range(4), bad)
+            pm_exchange(fam, range(4), bad)[0]
     # a well-formed map whose keys are not the members given
-    assert second_pm_transversal(fam, t, range(4), heads) != t
+    assert pm_exchange(fam, range(4), heads)[0] != t
     for members in (range(3), (0, 1, 2, 7), range(5)):
         with pytest.raises(NotMaximalRedIndependent, match="keys of the heads map"):
-            second_pm_transversal(fam, t, members, heads)
+            pm_exchange(fam, members, heads)[0]

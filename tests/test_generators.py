@@ -7,7 +7,6 @@ from transversals import (
     InfeasibleWitness,
     build_full_rb,
     build_full_ryb,
-    canonical_transversal,
     d_cross,
     d_star,
     edge,
@@ -17,7 +16,7 @@ from transversals import (
     gen_planted_pm_family,
     gen_regular_all_equal,
     gen_witness_instance_ham,
-    is_naturally_indexed,
+    planted,
     validate_family,
     validate_transversal,
 )
@@ -31,8 +30,7 @@ def test_planted_ham_family_valid_and_canonical():
         fam, t = gen_planted_ham_family(n, extra, seed=rng.randrange(10**6))
         assert validate_family(fam).ok
         assert validate_transversal(fam, t).ok
-        assert is_naturally_indexed(fam, t)
-        assert t == canonical_transversal(fam)
+        assert t == planted(fam.kind, fam.num_vertices)
         # every subgraph: its cycle edge plus at most extra chords
         for i, g in enumerate(fam.subgraphs):
             assert edge(i, (i + 1) % n) in g
@@ -62,8 +60,8 @@ def test_planted_pm_family_shape():
         fam, t = gen_planted_pm_family(n, extra, seed=rng.randrange(10**6))
         assert validate_family(fam).ok
         assert validate_transversal(fam, t).ok
-        assert is_naturally_indexed(fam, t)
-        H = build_full_rb(fam, t)
+        assert t == planted(fam.kind, fam.num_vertices)
+        H = build_full_rb(fam)
         # each x-side member has exactly extra escapes from its own subgraph
         assert d_cross(H, tuple(range(n))) == extra
 
@@ -116,7 +114,7 @@ def test_witness_instance_depth_is_exact():
         d = rng.randrange(1, 3)
         fam, t = gen_witness_instance_ham(n, S, d, seed=rng.randrange(10**6))
         assert validate_family(fam).ok
-        H = build_full_ryb(fam, t)
+        H = build_full_ryb(fam)
         assert d_star(H, S) == d
 
 
@@ -135,7 +133,7 @@ def test_bipartite_pm_family_degrees():
     fam, t = gen_bipartite_pm_family(12, 4, seed=6)
     assert validate_family(fam).ok
     assert validate_transversal(fam, t).ok
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     for v in range(24):
         assert len(H.blue[v]) == 4
     with pytest.raises(InfeasibleDegree):

@@ -18,7 +18,6 @@ from transversals import (
     Transversal,
     build_full_rb,
     build_full_ryb,
-    canonical_transversal,
     d_cross,
     d_star,
     enumerate_all_ham_transversals,
@@ -27,6 +26,7 @@ from transversals import (
     find_saturated_vertex,
     gen_planted_pm_family,
     gen_witness_instance_ham,
+    ham_exchange,
     lift,
     many_ham_transversals,
     many_pm_transversals,
@@ -36,7 +36,7 @@ from transversals import (
     omega_member_ham,
     omega_member_pm,
     permanent,
-    second_ham_transversal,
+    planted,
     support,
     validate_transversal,
 )
@@ -62,7 +62,7 @@ def test_omega_contains_base_and_stays_inside_all(figure_family):
 def test_omega_ham_respects_path_reversal_only():
     # with no chords the only omega member is the base itself
     fam = make_ham_family(8, {})
-    t = canonical_transversal(fam)
+    t = planted(fam.kind, fam.num_vertices)
     om = enumerate_omega_ham(fam, t, (0, 4))
     assert om == [t]
 
@@ -108,7 +108,7 @@ def _root(fam, S, H):
 
 def test_saturated_vertex_ham_accumulates_enough_targets():
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-    node, ms, heads = _root(fam, (0, 4, 8), build_full_ryb(fam, t))
+    node, ms, heads = _root(fam, (0, 4, 8), build_full_ryb(fam))
     table = find_saturated_vertex(fam, node, t, ms, heads)
     v = table.saturated
     targets = table.targets_of(v)
@@ -123,7 +123,7 @@ def test_saturated_vertex_ham_accumulates_enough_targets():
 
 def test_saturated_vertex_pm_accumulates_enough_targets():
     fam, t = gen_planted_pm_family(6, 2, seed=5)
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     S = tuple(range(6))
     node, ms, heads = _root(fam, S, H)
     table = find_saturated_vertex(fam, node, t, ms, heads)
@@ -145,7 +145,7 @@ def test_many_ham_reaches_factorial(d):
         n = rng.randrange(9, 13)
         S = (0, 4, 8) if n >= 11 and rng.random() < 0.4 else (0, 3, 6)
         fam, t = gen_witness_instance_ham(n, S, d, seed=rng.randrange(10**6))
-        out = many_ham_transversals(fam, t, S, build_full_ryb(fam, t))
+        out = many_ham_transversals(fam, S, build_full_ryb(fam))
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
         om = set(enumerate_omega_ham(fam, t, S))
@@ -160,10 +160,10 @@ def test_many_pm_reaches_factorial(d):
     for _ in range(8):
         n = rng.randrange(d + 2, 9)
         fam, t = gen_planted_pm_family(n, d, seed=rng.randrange(10**6))
-        H = build_full_rb(fam, t)
+        H = build_full_rb(fam)
         S = tuple(range(n))
         assert d_cross(H, S) == d
-        out = many_pm_transversals(fam, t, S, H)
+        out = many_pm_transversals(fam, S, H)
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
         om = set(enumerate_omega_pm(fam, t, S))
@@ -205,8 +205,8 @@ def _check_multiplied(fam, out, omega, d):
 @given(witness_ham_with_set())
 def test_many_ham_lies_in_omega(case):
     fam, t, S = case
-    H = build_full_ryb(fam, t)
-    out = many_ham_transversals(fam, t, S, H)
+    H = build_full_ryb(fam)
+    out = many_ham_transversals(fam, S, H)
     _check_multiplied(fam, out, set(enumerate_omega_ham(fam, t, S)), d_star(H, S))
 
 
@@ -215,10 +215,10 @@ def test_many_ham_lies_in_omega(case):
 def test_many_pm_lies_in_omega(case):
     # S holds a random endpoint of each pair, not only the low ones
     fam, t, S = case
-    H = build_full_rb(fam, t)
+    H = build_full_rb(fam)
     d = d_cross(H, S)
     assume(d <= 4)  # 7 pairs at depth 6 take about a second each
-    out = many_pm_transversals(fam, t, S, H)
+    out = many_pm_transversals(fam, S, H)
     _check_multiplied(fam, out, set(enumerate_omega_pm(fam, t, S)), d)
 
 
@@ -232,13 +232,13 @@ def test_child_lifts_back_to_its_witness(case):
     assume(fam.num_vertices > 2)  # a one-pair matching has no child
     ham = fam.kind == KIND_HAM
     build = build_full_ryb if ham else build_full_rb
-    node, ms, heads = _root(fam, S, build(fam, t))
+    node, ms, heads = _root(fam, S, build(fam))
     table = find_saturated_vertex(fam, node, t, ms, heads)
     for (_, e), (wit, tables) in table.witnesses.items():
         vinv, cinv = canonical_tables(wit, None if ham else e)
         assert tables == ((vinv, cinv) if ham else None)
         fam2 = relabel(fam, vinv, cinv)
-        t2 = canonical_transversal(fam2)
+        t2 = planted(fam2.kind, fam2.num_vertices)
         assert validate_transversal(fam2, t2).ok
         plan = [(vinv, cinv, () if ham else ((e, wit.color_of(e)),), [t2])]
         assert list(multiplier._expand(plan, range(fam.num_vertices), range(fam.num_colors))) == [wit]
@@ -246,26 +246,26 @@ def test_child_lifts_back_to_its_witness(case):
 
 def test_many_ham_rejects_zero_depth():
     fam = make_ham_family(8, {})
-    t = canonical_transversal(fam)
+    t = planted(fam.kind, fam.num_vertices)
     with pytest.raises(DStarTooSmall):
-        many_ham_transversals(fam, t, (0, 4), build_full_ryb(fam, t))
+        many_ham_transversals(fam, (0, 4), build_full_ryb(fam))
 
 
 def test_many_pm_raises_when_the_floor_fails(monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
     fam, t = gen_planted_pm_family(6, 2, seed=5)
-    H = build_full_rb(fam, t)
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: [base])
+    H = build_full_rb(fam)
+    monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many_pm_transversals(fam, t, tuple(range(6)), H)
+        many_pm_transversals(fam, tuple(range(6)), H)
 
 
 def test_many_ham_raises_when_the_floor_fails(monkeypatch):
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-    H = build_full_ryb(fam, t)
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: [base])
+    H = build_full_ryb(fam)
+    monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many_ham_transversals(fam, t, (0, 4, 8), H)
+        many_ham_transversals(fam, (0, 4, 8), H)
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
@@ -274,18 +274,18 @@ def test_the_floor_is_d_plus_one_factorial_exactly(kind, monkeypatch):
     # floor that drifts to d! or to (d+1)! + 1 fails here
     if kind == KIND_HAM:
         fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-        ms, H, many, depth = (0, 4, 8), build_full_ryb(fam, t), many_ham_transversals, d_star
+        ms, H, many, depth = (0, 4, 8), build_full_ryb(fam), many_ham_transversals, d_star
     else:
         fam, t = gen_planted_pm_family(6, 2, seed=5)
-        ms, H, many, depth = tuple(range(6)), build_full_rb(fam, t), many_pm_transversals, d_cross
-    outputs = many(fam, t, ms, H)
+        ms, H, many, depth = tuple(range(6)), build_full_rb(fam), many_pm_transversals, d_cross
+    outputs = many(fam, ms, H)
     floor = math.factorial(depth(H, ms) + 1)
     assert len(outputs) >= floor > 1
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: outputs[:floor - 1])
+    monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: outputs[:floor - 1])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many(fam, t, ms, H)
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: outputs[:floor])
-    assert many(fam, t, ms, H) == outputs[:floor]
+        many(fam, ms, H)
+    monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: outputs[:floor])
+    assert many(fam, ms, H) == outputs[:floor]
 
 
 def _entry_case(kind):
@@ -300,14 +300,14 @@ def _entry_case(kind):
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
 def test_many_rejects_a_base_missing_from_its_subgraph(kind):
-    # the colors are canonical, so require_naturally_indexed passes, but
-    # subgraph 2 lacks the base's edge of color 2
+    # the family is canonically labelled, but subgraph 2 lacks the planted
+    # edge of color 2, which only the entry validation sees
     fam, t, S, build, many = _entry_case(kind)
     subs = list(fam.subgraphs)
     subs[2] = subs[2] - {e for e, c in t.items if c == 2}
     fam = SubgraphFamily(fam.base, subs, kind)
     with pytest.raises(InvalidTransversal, match="witness is invalid: edge_not_in_subgraph"):
-        many(fam, t, S, build(fam, t))
+        many(fam, S, build(fam))
 
 
 @pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
@@ -325,9 +325,26 @@ def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
     monkeypatch.setattr(multiplier, "validate_transversal", counting)
     monkeypatch.setattr(exchange, "validate_transversal", partial(counting, calls=lifted))
     _, rounds = _counting(monkeypatch)
-    assert len(many(fam, t, S, build(fam, t))) == outputs
+    assert len(many(fam, S, build(fam))) == outputs
     assert checked == [(fam, t)]
     assert len(lifted) == len(rounds) and all(family is fam for family, _ in lifted)
+
+
+@pytest.mark.parametrize("kind, sizes", [(KIND_HAM, [11]), (KIND_PM, [16, 14, 12, 10, 8, 6, 4, 2])])
+def test_many_builds_each_planted_transversal_once(kind, sizes, monkeypatch):
+    # every cycle node shares the root's planted cycle, so one call builds
+    # it once; a matching node builds its own once per size, not once per
+    # node (359) or per exchange round (455), and the exchange builds none
+    fam, t, S, build, many = _entry_case(kind)
+    H = build(fam)
+    built = []
+    for module in (multiplier, exchange):
+        def counting(kind, num_vertices, fn=module.planted):
+            built.append(num_vertices)
+            return fn(kind, num_vertices)
+        monkeypatch.setattr(module, "planted", counting)
+    many(fam, S, H)
+    assert built == sizes
 
 
 class _NeverStores(dict):
@@ -347,12 +364,12 @@ def multiply_case(draw):
         extra = draw(st.integers(1, min(3, n - 1)), label="extra degree")
         fam, t = gen_planted_pm_family(n, extra, seed=draw(st.integers(0, 2**16), label="seed"))
         S = tuple(range(n))
-        return fam, t, S, build_full_rb(fam, t), extra
+        return fam, t, S, build_full_rb(fam), extra
     d = draw(st.integers(2, 3), label="depth")
     n = draw(st.integers(3 * d + 3, 3 * d + 7), label="vertices")
     S = _spread_set(draw, n, d + 1)
     fam, t = gen_witness_instance_ham(n, S, d, seed=draw(st.integers(0, 2**16), label="seed"))
-    return fam, t, S, build_full_ryb(fam, t), d
+    return fam, t, S, build_full_ryb(fam), d
 
 
 @settings(deadline=None, max_examples=60)
@@ -362,7 +379,7 @@ def test_many_memo_changes_no_output(case):
     # solving every child again gives
     fam, t, S, H, d = case
     node, ms, heads = _root(fam, S, H)
-    assert multiplier._many(fam, t, node, ms, heads, d, {}) == multiplier._many(fam, t, node, ms, heads, d, _NeverStores())
+    assert multiplier._many(fam, node, ms, heads, d, {}) == multiplier._many(fam, node, ms, heads, d, _NeverStores())
 
 
 def _many_per_family(family, base, ms, H, d, memo):
@@ -372,7 +389,7 @@ def _many_per_family(family, base, ms, H, d, memo):
     ham = family.kind == KIND_HAM
     node, _, heads = _root(family, ms, H)
     if ham and d == 1:
-        return [base, second_ham_transversal(family, base, ms, heads)]
+        return [base, ham_exchange(family, ms, heads)[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     table = find_saturated_vertex(family, node, base, ms, heads)
@@ -388,8 +405,8 @@ def _many_per_family(family, base, ms, H, d, memo):
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
         key = fam2.base, fam2.subgraphs, ms2
         if key not in memo:
-            t2 = canonical_transversal(fam2)
-            H2 = build(fam2, t2)
+            t2 = planted(fam2.kind, fam2.num_vertices)
+            H2 = build(fam2)
             assert depth(H2, ms2) >= d - 1
             memo[key] = _many_per_family(fam2, t2, ms2, H2, depth(H2, ms2), memo)
         plan.append((vinv, cinv, () if ham else ((e, wit.color_of(e)),), memo[key]))
@@ -403,7 +420,7 @@ def test_many_matches_the_recursion_over_child_families(case):
     # the order, that building each child's family and digraph gives
     fam, t, S, H, d = case
     node, ms, heads = _root(fam, S, H)
-    plan = multiplier._many(fam, t, node, ms, heads, d, {})
+    plan = multiplier._many(fam, node, ms, heads, d, {})
     expected = _many_per_family(fam, t, ms, H, d, {})
     assert list(multiplier._expand(plan, *node)) == list(multiplier._expand(expected, *node))
 
@@ -442,7 +459,7 @@ def test_support_through_is_the_support_of_the_relabelled_digraph(case):
     fam, vt, ct, members = case
     fam2 = relabel(fam, vt, ct)
     build = build_full_ryb if fam.kind == KIND_HAM else build_full_rb
-    expected = _outcome(support, build(fam2, canonical_transversal(fam2)), members)
+    expected = _outcome(support, build(fam2), members)
     assert _outcome(support_through, fam, vt, ct, members) == expected
 
 
@@ -451,7 +468,7 @@ def _lifted_per_level(family, base, ms, H, d):
     lifted back a level at a time, a matching child's branch pair added."""
     ham = family.kind == KIND_HAM
     if ham and d == 1:
-        return [base, second_ham_transversal(family, base, ms, support(H, ms))]
+        return [base, ham_exchange(family, ms, support(H, ms))[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     node, _, heads = _root(family, ms, H)
@@ -464,8 +481,8 @@ def _lifted_per_level(family, base, ms, H, d):
         fam2 = relabel(family, vinv, cinv)
         new = old_to_new(vinv, family.num_vertices)
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
-        t2 = canonical_transversal(fam2)
-        H2 = build(fam2, t2)
+        t2 = planted(fam2.kind, fam2.num_vertices)
+        H2 = build(fam2)
         solved = _lifted_per_level(fam2, t2, ms2, H2, depth(H2, ms2))
         pair = {} if ham else {e: wit.color_of(e)}
         out += [Transversal.from_map(u.kind, {**u.colors(), **pair}) for u in lift(solved, vinv, cinv)]
@@ -481,7 +498,7 @@ def test_many_equals_a_lift_per_level(case):
     ham = fam.kind == KIND_HAM
     many, depth = (many_ham_transversals, d_star) if ham else (many_pm_transversals, d_cross)
     expected = sorted(set(_lifted_per_level(fam, t, S, H, depth(H, S))), key=lambda u: u.items)
-    assert many(fam, t, S, H) == expected
+    assert many(fam, S, H) == expected
 
 
 def _counting(monkeypatch):
@@ -500,16 +517,16 @@ def test_many_builds_each_distinct_child_once(monkeypatch):
     # planted-pm n=8 seed 2 of the pinned reports: 1744 children and 1015
     # exchanges without the memo, 358 distinct children
     fam, t, S, build, many = _entry_case(KIND_PM)
-    H = build(fam, t)
+    H = build(fam)
     misses, rounds = _counting(monkeypatch)
-    assert len(many(fam, t, S, H)) == 982
+    assert len(many(fam, S, H)) == 982
     # each child's support is read once, so each (rows, set) key is missed once
     keys = [(relabel_rows(fam, vt, ct), ms) for _, vt, ct, ms in misses]
     assert len(misses) == len(set(keys)) == 358
     assert len(rounds) == 455
     # the memo lives for one call: a second call solves every child again
     first = list(misses)
-    assert len(many(fam, t, S, H)) == 982
+    assert len(many(fam, S, H)) == 982
     assert misses[len(first):] == first
 
 
@@ -519,7 +536,7 @@ def test_many_builds_no_family_or_digraph_below_the_root(kind, outputs, monkeypa
     # digraph exists, the recursion constructs no family, base graph or
     # digraph for any child
     fam, t, S, build, many = _entry_case(kind)
-    H = build(fam, t)
+    H = build(fam)
     built = []
     for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__"),
                       (RybDigraph, "__post_init__"), (RbDigraph, "__post_init__")):
@@ -527,7 +544,7 @@ def test_many_builds_no_family_or_digraph_below_the_root(kind, outputs, monkeypa
             built.append(cls.__name__)
             fn(self, *args)
         monkeypatch.setattr(cls, name, counting)
-    assert len(many(fam, t, S, H)) == outputs
+    assert len(many(fam, S, H)) == outputs
     assert built == []
 
 
@@ -539,7 +556,7 @@ def test_many_solves_equal_cycle_children_once(monkeypatch):
     S = (0, 15, 30, 45)
     fam, t = gen_witness_instance_ham(60, S, 3, seed=7)
     misses, rounds = _counting(monkeypatch)
-    assert len(many_ham_transversals(fam, t, S, build_full_ryb(fam, t))) == 24
+    assert len(many_ham_transversals(fam, S, build_full_ryb(fam))) == 24
     assert len(misses) == 10
     assert len(rounds) == 17
 
@@ -562,12 +579,12 @@ def test_d_star_invariant_across_omega():
         n = rng.randrange(7, 11)
         S = random_ham_set(rng, n, rng.random() < 0.4)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
-        H = build_full_ryb(fam, t)
+        H = build_full_ryb(fam)
         d0 = d_star(H, S)
         for psi in enumerate_omega_ham(fam, t, S):
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
-            assert d_star(build_full_ryb(fam2, psi2), sorted(new[v] for v in S)) == d0
+            assert d_star(build_full_ryb(fam2), sorted(new[v] for v in S)) == d0
 
 
 def test_d_cross_invariant_across_omega():
@@ -576,19 +593,19 @@ def test_d_cross_invariant_across_omega():
         n = rng.randrange(3, 7)
         extra = rng.randrange(1, min(4, n - 1))
         fam, t = gen_planted_pm_family(n, extra, seed=rng.randrange(10**6))
-        H = build_full_rb(fam, t)
+        H = build_full_rb(fam)
         S = tuple(range(n))
         d0 = d_cross(H, S)
         for psi in enumerate_omega_pm(fam, t, S):
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
-            assert d_cross(build_full_rb(fam2, psi2), sorted(new[v] for v in S)) == d0
+            assert d_cross(build_full_rb(fam2), sorted(new[v] for v in S)) == d0
 
 
 def _boundary_case(kind):
     """``_entry_case`` as ``_many``'s arguments at the root, with its depth."""
     fam, t, S, build, _ = _entry_case(kind)
-    node, ms, heads = _root(fam, S, build(fam, t))
+    node, ms, heads = _root(fam, S, build(fam))
     return fam, t, node, ms, heads, support_depth(heads)
 
 
@@ -601,12 +618,12 @@ def test_a_child_may_drop_the_depth_by_one_and_no_more(kind, monkeypatch):
     fam, t, node, ms, heads, d = _boundary_case(kind)
     assert d >= 2
     many = multiplier._many
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: [base])
+    monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
     monkeypatch.setattr(multiplier, "support_depth", lambda heads: d - 2)
     with pytest.raises(GuaranteeViolated, match="depth dropped by more than one"):
-        many(fam, t, node, ms, heads, d, {})
+        many(fam, node, ms, heads, d, {})
     monkeypatch.setattr(multiplier, "support_depth", lambda heads: d - 1)
-    assert many(fam, t, node, ms, heads, d, {})
+    assert many(fam, node, ms, heads, d, {})
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
@@ -616,7 +633,7 @@ def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
     fam, t, node, ms, heads, d = _boundary_case(kind)
     find = multiplier.find_saturated_vertex
     many = multiplier._many
-    monkeypatch.setattr(multiplier, "_many", lambda family, base, node, ms, heads, d, memo: [base])
+    monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
 
     def keeping(k):
         def trimmed(*args):
@@ -631,6 +648,6 @@ def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
 
     monkeypatch.setattr(multiplier, "find_saturated_vertex", keeping(d))
     with pytest.raises(GuaranteeViolated, match="too few targets"):
-        many(fam, t, node, ms, heads, d, {})
+        many(fam, node, ms, heads, d, {})
     monkeypatch.setattr(multiplier, "find_saturated_vertex", keeping(d + 1))
-    assert len(many(fam, t, node, ms, heads, d, {})) == d + 1
+    assert len(many(fam, node, ms, heads, d, {})) == d + 1

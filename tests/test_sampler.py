@@ -39,13 +39,13 @@ from transversals.sampler import XI
 @pytest.fixture(scope="module")
 def regular_ryb():
     fam, t = gen_regular_all_equal(200, 30, seed=3)
-    return build_full_ryb(fam, t)
+    return build_full_ryb(fam)
 
 
 @pytest.fixture(scope="module")
 def bipartite_rb():
     fam, t = gen_bipartite_pm_family(60, 20, seed=9)
-    return build_full_rb(fam, t)
+    return build_full_rb(fam)
 
 
 def test_xi_constant_value():
@@ -109,7 +109,7 @@ def test_lll_ham_sampler_deterministic(regular_ryb):
 
 def test_lll_ham_sampler_budget_exhaustion():
     fam, t = gen_regular_all_equal(300, 8, seed=3)
-    H = build_full_ryb(fam, t)
+    H = build_full_ryb(fam)
     with pytest.raises(ResampleBudgetExceeded) as exc:
         sample_set_lll_ham(H, SamplerConfig(seed=5, m=8, max_resamples=60))
     assert exc.value.resamples == 60
@@ -184,7 +184,7 @@ def test_dirac_sampler_meets_target():
     fam = gen_dirac_family(60, 0.9, seed=2)
     t = exists_ham_transversal(fam)
     fam_c, t_c, _ = naturally_index(fam, t)
-    H = build_full_ryb(fam_c, t_c)
+    H = build_full_ryb(fam_c)
     out = sample_set_dirac(H, SamplerConfig(seed=4, c=0.9))
     assert out.depth >= dirac_depth_target(60, 0.9)
     assert is_red_independent(H, out.members)
@@ -196,7 +196,7 @@ def test_dirac_sampler_requires_c():
     fam = gen_dirac_family(20, 0.9, seed=0)
     t = exists_ham_transversal(fam)
     fam_c, t_c, _ = naturally_index(fam, t)
-    H = build_full_ryb(fam_c, t_c)
+    H = build_full_ryb(fam_c)
     with pytest.raises(DomainError):
         sample_set_dirac(H, SamplerConfig(seed=0))
 

@@ -75,6 +75,7 @@ MUTANTS = {
     ),
     "sampled-floor-minus-one": ("src/transversals/sampler.py", "if d < floor:", "if d < floor - 1:"),
     "exchange-may-return-base": (EXCHANGE, "if out == base:", "if False:"),
+    "multiply-skips-entry-validation": (MULTIPLIER, "if not report.ok:", "if False:"),
     "cycle-lookup-counts-own-member": (
         DIGRAPHS, _LOOKUP, f"({_LOOKUP} if not cycle else [(t, h) for h in candidates])",
     ),
