@@ -83,7 +83,6 @@ from .generators import (
 from .multiplier import (
     enumerate_omega_ham,
     enumerate_omega_pm,
-    find_saturated_vertex,
     many_ham_transversals,
     many_pm_transversals,
     omega_admissibility_matrix,

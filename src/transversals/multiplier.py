@@ -4,24 +4,32 @@ The exchange neighborhood of (base, S) is enumerated directly for small
 sets. The multiplication recursions first locate a saturated boundary
 vertex: a vertex all of whose set-targeting edges are realized by some
 already-constructed neighborhood member. Saturation is reached
-constructively by one ``find_saturated_vertex`` for both kinds: it
+constructively by one ``_find_saturated_vertex`` for both kinds: it
 passes the not-yet-realized heads of the set's ``support`` to the
 exchange, which keeps the first of each list, and crosses off every
 head the returned transversal realizes; no digraph is built per round.
 Branching over the saturated vertex's d+1 or more target edges and
 recursing on the shrunk set multiplies the count by d+1 per level. One
-recursion serves both kinds. A node is its new-to-old vertex and color
-tables into the root family, plus its set; no family, base graph or
-digraph is built for it, and ``support_through`` reads its support once.
-A memo keyed on each child's rows (``relabel_rows``) and set solves each
-distinct child once per call. The plan of tables the recursion returns
-is expanded once at the top, so each output is built once, in the
-caller's labels. The base is the planted transversal, ``planted(kind,
-n)``: it is built and validated once on entry, and the memo keeps one
-per node size, so a cycle's is built once per call. Every other witness
-is validated once, lifted into the root's labels. The (d+1)! floor, the
-target count and the depth drop are each checked once and raise
-GuaranteeViolated.
+recursion serves both kinds. A cycle's runs on its ``_kernel``: each
+member, its two cycle neighbors and the vertex after its successor, at
+most 4|S| vertices, with every longer base path between them contracted
+to one edge. So its nodes cost O(|S|), not O(n). A matching, or a cycle
+whose members are at most four apart, keeps every vertex, and runs on
+the caller's family as it is. A node is its new-to-old vertex and color
+tables into the family the recursion runs on, plus its set; no family,
+base graph or digraph is built for it, and ``support_through`` reads its
+support once. A memo keyed on each child's rows (``relabel_rows``) and
+set solves each distinct child once per call. The plan of tables the
+recursion returns is expanded once at the top, and each kernel output
+once more, putting the contracted paths back, so each output is built
+once in the caller's labels. The base is the planted transversal,
+``planted(kind, n)``: it is built and validated once on entry, and the
+memo keeps one per node size, so a cycle's is built once per call.
+Every other witness is validated once, by the exchange round that made
+it, and every expanded output once in the caller's labels. The (d+1)!
+floor, the target count, the depth drop, a cycle output's membership in
+the exchange neighborhood and its expansion are each checked once and
+raise GuaranteeViolated.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from typing import Sequence
 
 from .core import (
     KIND_HAM,
+    BaseGraph,
     Edge,
     SubgraphFamily,
     Tables,
@@ -45,7 +54,7 @@ from .core import (
     require_naturally_indexed,
     validate_transversal,
 )
-from .digraphs import RbDigraph, RybDigraph, support, support_depth, support_through
+from .digraphs import RbDigraph, RybDigraph, omega_member_ham, support, support_depth, support_through
 from .errors import DStarTooSmall, GuaranteeViolated, InvalidTransversal, NotRedIndependent, WalkStuck
 from .exchange import checked_second, cycle_exchange, matching_exchange
 
@@ -207,8 +216,8 @@ class WitnessTable:
         return sorted(e for (w, e) in self.witnesses if w == v)
 
 
-def find_saturated_vertex(family: SubgraphFamily, node: tuple, base: Transversal, members: Sequence[int],
-                          heads: dict[int, tuple[int, ...]]) -> WitnessTable:
+def _find_saturated_vertex(family: SubgraphFamily, node: tuple, base: Transversal, members: Sequence[int],
+                           heads: dict[int, tuple[int, ...]]) -> WitnessTable:
     """Run exchange rounds until some boundary vertex has no pending head.
 
     ``node`` is as in ``_many`` and base is its planted transversal, as
@@ -283,9 +292,13 @@ def many_pm_transversals(family: SubgraphFamily, members: Sequence[int], H: RbDi
 def _multiply(family, members, H) -> list[Transversal]:
     """The entry checks and the (d+1)! floor, once for the whole recursion.
 
-    The planted transversal is built and validated here, once; every other
-    witness comes out of the exchange, which validates it, and a child's
-    base is the relabelled image of one.
+    The planted transversal is built and validated here, once, and every
+    check on the set runs on the caller's family and H. A cycle's
+    recursion then runs on its ``_kernel``, whose outputs are expanded
+    back once, validated in the caller's labels, and checked against the
+    exchange neighborhood in the kernel's. Every other witness comes out
+    of the exchange, which validates it, and a child's base is the
+    relabelled image of one.
     """
     base = planted(family.kind, family.num_vertices)
     report = validate_transversal(family, base)
@@ -296,12 +309,110 @@ def _multiply(family, members, H) -> list[Transversal]:
     d = support_depth(heads)
     if d < 1 and family.kind == KIND_HAM:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
-    root = tuple(range(family.num_vertices)), tuple(range(family.num_colors)), ()
-    plan = _many(family, root, ms, heads, d, {family.num_vertices: base})
-    out = sorted(set(_expand(plan, *root)), key=lambda t: t.items)
+    kfam, kms, kheads, K, paths = _kernel(family, ms, heads)
+    kbase = base if kfam is family else planted(KIND_HAM, len(K))
+    root = tuple(range(kfam.num_vertices)), tuple(range(kfam.num_colors)), ()
+    plan = _many(kfam, root, kms, kheads, d, {kfam.num_vertices: kbase})
+    out = set(_expand(plan, *root))
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
-    return out
+    expanded = _expand_kernel(family, out, K, paths)
+    if family.kind == KIND_HAM and not all(omega_member_ham(kbase, kms, t) for t in out):
+        raise GuaranteeViolated("a multiplication output lies outside the exchange neighborhood")
+    return sorted(expanded, key=lambda t: t.items)
+
+
+def _kernel(family: SubgraphFamily, ms: tuple[int, ...], heads: dict[int, tuple[int, ...]]) -> tuple:
+    """The cycle instance cut down to at most 4|ms| vertices.
+
+    Returns the kernel family, ms and its ``support`` heads in kernel
+    labels, K and the contracted paths. K keeps, for each member m, m-1,
+    m, m+1 and m+2, in cycle order: kernel vertex and color k are root
+    vertex and color K[k], so the kernel is canonically labelled. Where
+    K[k+1] is not K[k]+1, the base path K[k]...K[k+1] (some m+2...m'-1,
+    m' the next member) contracts to the kernel edge (k, k+1). That edge
+    is in kernel subgraph k only, and ``paths`` maps it to its own color
+    k and the path's (edge, color) items in root labels. Kernel subgraph
+    k is otherwise root subgraph K[k] restricted to K, less any chord
+    landing on a contracted edge: such a chord joins two non-members. A
+    matching, or a cycle whose members are at most four apart, keeps
+    every vertex: it returns family, ms and heads themselves, the
+    identity and no paths, and nothing is built.
+
+    Why the recursion may run here instead:
+    - Omega keeps the contracted paths. Every member of the exchange
+      neighborhood alternates set vertices and base paths between them,
+      which keep their base colors (``enumerate_omega_ham``); so it
+      keeps each path m+2...m'-1 whole, uses no chord between two
+      non-members, and no color of a path's interior.
+    - The recursion reads no interior vertex of a contracted path.
+      ``support`` and ``support_through`` read arcs from m-1 and m+1 into
+      the set, in colors m-1 and m. The exchange keeps one such arc per
+      tail, and its rotation walk pivots only at ends of kept arcs, all
+      in K: a path's interior vertex has no kept arc, so every walk state
+      holds its two base edges, and the recolor gives them their base
+      colors. Each child is a member of omega, so the same holds below.
+    - A valid kernel transversal expands to a valid root one. A
+      contracted edge in its own color stands for its path, whose
+      interior vertices and colors appear nowhere else in the kernel, so
+      putting the path back keeps one Hamiltonian cycle and one edge of
+      each color, each in its subgraph. ``_expand_kernel`` refuses a
+      contracted edge in any other color.
+    """
+    n = family.num_vertices
+    K = sorted({(m + k) % n for m in ms for k in (-1, 0, 1, 2)}) if family.kind == KIND_HAM else range(n)
+    if len(K) == n:
+        return family, ms, heads, tuple(range(n)), {}
+    size = len(K)
+    paths = {}
+    for k, a in enumerate(K):
+        gap = (K[(k + 1) % size] - a) % n
+        if gap > 1:
+            path = tuple([(edge(v % n, (v + 1) % n), v % n) for v in range(a, a + gap)])
+            paths[edge(k, (k + 1) % size)] = k, path
+    new = {v: k for k, v in enumerate(K)}
+    # one restriction per distinct subgraph object, as build_full_ryb indexes
+    # them; K is increasing, so a restricted edge stays (min, max)
+    restricted: dict[int, frozenset[Edge]] = {}
+    subs = []
+    for k, c in enumerate(K):
+        g = family.subgraphs[c]
+        sub = restricted.get(id(g))
+        if sub is None:
+            kept = [(new[u], new[v]) for u, v in g if u in new and v in new]
+            sub = restricted[id(g)] = frozenset(kept) - paths.keys()
+        e = edge(k, (k + 1) % size)
+        subs.append(sub | {e} if e in paths else sub)
+    base = BaseGraph(size, frozenset().union(paths, *restricted.values()))
+    # support reads only tails and heads K keeps, and K is increasing, so
+    # mapping the root's lists gives the kernel's, still ascending
+    kheads = {new[t]: tuple([new[h] for h in hs]) for t, hs in heads.items()}
+    return SubgraphFamily(base, subs, KIND_HAM), tuple([new[m] for m in ms]), kheads, tuple(K), paths
+
+
+def _expand_kernel(family, out, K, paths) -> list[Transversal]:
+    """``_kernel``'s outputs in family's labels, each validated there;
+    ``out`` as it is when nothing contracted. A contracted edge becomes
+    its path, and must carry its own color."""
+    if not paths:
+        return list(out)
+    expanded = []
+    for t in out:
+        items = []
+        for e, c in t.items:
+            path = paths.get(e)
+            if path is None:
+                items.append(((K[e[0]], K[e[1]]), K[c]))
+            elif c != path[0]:
+                raise GuaranteeViolated(f"a kernel output recolors the contracted edge {e}")
+            else:
+                items += path[1]
+        u = Transversal(KIND_HAM, tuple(items))
+        check = validate_transversal(family, u)
+        if not check.ok:
+            raise GuaranteeViolated(f"an expanded multiplication output is invalid: {check.summary()}")
+        expanded.append(u)
+    return expanded
 
 
 def _expand(plan, vmap, cmap, fixed=()):
@@ -320,7 +431,8 @@ def _expand(plan, vmap, cmap, fixed=()):
 def _many(family, node, ms, heads, d, memo) -> list:
     """One branch per target of a saturated vertex, for either kind.
 
-    family is the root's; ``node = (vt, ct, fixed)``: new vertex k is
+    family is the one ``_multiply`` runs on, a cycle's kernel or the
+    caller's; ``node = (vt, ct, fixed)``: new vertex k is
     family's ``vt[k]``, new color k is ``ct[k]``, and ``fixed`` holds the
     pairs a matching dropped on the way down, in family's labels. heads
     is ms's ``support`` and d its depth.
@@ -340,7 +452,7 @@ def _many(family, node, ms, heads, d, memo) -> list:
         return [base, _second(family, node, base, ms, heads)[0]]
     if not ham and (d == 0 or len(ct) == 1):
         return [base]
-    table = find_saturated_vertex(family, node, base, ms, heads)
+    table = _find_saturated_vertex(family, node, base, ms, heads)
     v0 = table.saturated
     targets = table.targets_of(v0)
     if len(targets) < d + 1:

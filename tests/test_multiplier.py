@@ -23,7 +23,7 @@ from transversals import (
     enumerate_all_ham_transversals,
     enumerate_omega_ham,
     enumerate_omega_pm,
-    find_saturated_vertex,
+    gen_planted_ham_family,
     gen_planted_pm_family,
     gen_witness_instance_ham,
     ham_exchange,
@@ -109,7 +109,7 @@ def _root(fam, S, H):
 def test_saturated_vertex_ham_accumulates_enough_targets():
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     node, ms, heads = _root(fam, (0, 4, 8), build_full_ryb(fam))
-    table = find_saturated_vertex(fam, node, t, ms, heads)
+    table = multiplier._find_saturated_vertex(fam, node, t, ms, heads)
     v = table.saturated
     targets = table.targets_of(v)
     assert len(targets) >= 3  # d + 1
@@ -126,7 +126,7 @@ def test_saturated_vertex_pm_accumulates_enough_targets():
     H = build_full_rb(fam)
     S = tuple(range(6))
     node, ms, heads = _root(fam, S, H)
-    table = find_saturated_vertex(fam, node, t, ms, heads)
+    table = multiplier._find_saturated_vertex(fam, node, t, ms, heads)
     v = table.saturated
     targets = table.targets_of(v)
     assert len(targets) >= d_cross(H, S) + 1
@@ -233,7 +233,7 @@ def test_child_lifts_back_to_its_witness(case):
     ham = fam.kind == KIND_HAM
     build = build_full_ryb if ham else build_full_rb
     node, ms, heads = _root(fam, S, build(fam))
-    table = find_saturated_vertex(fam, node, t, ms, heads)
+    table = multiplier._find_saturated_vertex(fam, node, t, ms, heads)
     for (_, e), (wit, tables) in table.witnesses.items():
         vinv, cinv = canonical_tables(wit, None if ham else e)
         assert tables == ((vinv, cinv) if ham else None)
@@ -392,7 +392,7 @@ def _many_per_family(family, base, ms, H, d, memo):
         return [base, ham_exchange(family, ms, heads)[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
-    table = find_saturated_vertex(family, node, base, ms, heads)
+    table = multiplier._find_saturated_vertex(family, node, base, ms, heads)
     targets = table.targets_of(table.saturated)
     assert len(targets) >= d + 1
     build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
@@ -472,7 +472,7 @@ def _lifted_per_level(family, base, ms, H, d):
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     node, _, heads = _root(family, ms, H)
-    table = find_saturated_vertex(family, node, base, ms, heads)
+    table = multiplier._find_saturated_vertex(family, node, base, ms, heads)
     build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
     out = []
     for e in table.targets_of(table.saturated):
@@ -631,7 +631,7 @@ def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
     # the saturated vertex keeps only its first k targets: k = d raises,
     # k = d + 1 does not
     fam, t, node, ms, heads, d = _boundary_case(kind)
-    find = multiplier.find_saturated_vertex
+    find = multiplier._find_saturated_vertex
     many = multiplier._many
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
 
@@ -646,8 +646,190 @@ def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
             })
         return trimmed
 
-    monkeypatch.setattr(multiplier, "find_saturated_vertex", keeping(d))
+    monkeypatch.setattr(multiplier, "_find_saturated_vertex", keeping(d))
     with pytest.raises(GuaranteeViolated, match="too few targets"):
         many(fam, node, ms, heads, d, {})
-    monkeypatch.setattr(multiplier, "find_saturated_vertex", keeping(d + 1))
+    monkeypatch.setattr(multiplier, "_find_saturated_vertex", keeping(d + 1))
     assert len(many(fam, node, ms, heads, d, {})) == d + 1
+
+
+def _contracting_case():
+    """A 14-cycle with set (0, 7) at depth 1, whose kernel keeps 0, 1, 2, 6,
+    7, 8, 9, 13 and contracts the base paths 2..6 and 9..13. The chords
+    (1, 8) and (2, 9) make a valid transversal outside omega; the chord
+    (2, 6) of subgraph 1 lands on a contracted edge."""
+    fam = make_ham_family(14, {13: [(13, 7)], 0: [(1, 7)], 6: [(6, 0)], 7: [(8, 0)],
+                               1: [(1, 8), (2, 6)], 8: [(2, 9)]})
+    return fam, (0, 7)
+
+
+def test_kernel_contracts_the_paths_between_the_sets_neighbors():
+    fam, S = _contracting_case()
+    kfam, kms, kheads, K, paths = multiplier._kernel(fam, S, support(build_full_ryb(fam), S))
+    assert K == (0, 1, 2, 6, 7, 8, 9, 13)
+    assert kms == (0, 4) and kheads == support(build_full_ryb(kfam), kms) == {7: (4,), 1: (4,), 3: (0,), 5: (0,)}
+    assert validate_transversal(kfam, planted(KIND_HAM, 8)).ok
+    # each contracted edge is in its own subgraph only, and stands for its base path
+    assert paths == {(2, 3): (2, (((2, 3), 2), ((3, 4), 3), ((4, 5), 4), ((5, 6), 5))),
+                     (6, 7): (6, (((9, 10), 9), ((10, 11), 10), ((11, 12), 11), ((12, 13), 12)))}
+    assert [c for c, g in enumerate(kfam.subgraphs) if paths.keys() & g] == [2, 6]
+    # kernel subgraph 1 is root subgraph 1 on K, less the chord (2, 6)
+    assert kfam.subgraphs[1] == {(1, 2), (1, 5)}
+    # nothing contracts when every member is within four of the next
+    tight, _ = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
+    heads = support(build_full_ryb(tight), (0, 4, 8))
+    kernel = multiplier._kernel(tight, (0, 4, 8), heads)
+    assert kernel[0] is tight and kernel[2] is heads and kernel[3:] == (tuple(range(11)), {})
+
+
+def _multiply_in_full(family, S, H):
+    """``_multiply`` as it ran before the kernel: the recursion on the
+    root node, expanded there."""
+    base = planted(family.kind, family.num_vertices)
+    ms = tuple(sorted(S))
+    heads = support(H, ms)
+    d = support_depth(heads)
+    if d < 1:
+        raise DStarTooSmall(f"support depth is {d}; need at least 1")
+    root = tuple(range(family.num_vertices)), tuple(range(family.num_colors)), ()
+    plan = multiplier._many(family, root, ms, heads, d, {family.num_vertices: base})
+    out = sorted(set(multiplier._expand(plan, *root)), key=lambda t: t.items)
+    if len(out) < math.factorial(d + 1):
+        raise GuaranteeViolated("multiplication fell short of (d+1)!")
+    return out
+
+
+@st.composite
+def cycle_with_spread_set(draw):
+    """(family, S, gaps): a witness or planted-ham family on n <= 60
+    vertices and a red-independent set of 2-4 members, ``gaps`` apart. With
+    every gap 3 or 4 the kernel keeps every vertex; wider gaps contract."""
+    size = draw(st.integers(2, 4), label="members")
+    widest = draw(st.sampled_from([4, 14]), label="widest gap")
+    gaps = draw(st.lists(st.integers(3, widest), min_size=size, max_size=size), label="gaps")
+    n = sum(gaps)
+    first = draw(st.integers(0, n - 1), label="first member")
+    S = tuple(sorted((first + sum(gaps[:k])) % n for k in range(size)))
+    seed = draw(st.integers(0, 2**16), label="seed")
+    if draw(st.sampled_from(["witness"] * 3 + ["planted-ham"]), label="model") == "witness":
+        fam, _ = gen_witness_instance_ham(n, S, draw(st.integers(1, size - 1), label="depth"), seed=seed)
+    else:
+        fam, _ = gen_planted_ham_family(n, draw(st.integers(1, 3), label="extra degree"), seed=seed)
+    return fam, S, gaps
+
+
+def _outputs_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(cycle_with_spread_set())
+def test_kernel_multiplication_equals_the_full_recursion(case):
+    fam, S, gaps = case
+    H = build_full_ryb(fam)
+    kfam = multiplier._kernel(fam, S, {})[0]
+    assert (kfam is fam) == (max(gaps) <= 4)
+    assert kfam.num_vertices <= 4 * len(S)
+    out = _outputs_or_error(many_ham_transversals, fam, S, H)
+    assert out == _outputs_or_error(_multiply_in_full, fam, S, H)
+    if isinstance(out, list):
+        base = planted(KIND_HAM, fam.num_vertices)
+        assert all(omega_member_ham(base, S, psi) for psi in out)
+
+
+def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
+    # witness n=2400, d=3, the set at the quarter points: the one family and
+    # base graph built are the 16-vertex kernel's, every node reads its
+    # support and rows there, and the caller's family is validated for the
+    # planted cycle and each output only
+    S = (0, 600, 1200, 1800)
+    fam, t = gen_witness_instance_ham(2400, S, 3, seed=7)
+    H = build_full_ryb(fam)
+    built, rows, checked, lifted = [], [], [], []
+    for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__"),
+                      (RybDigraph, "__post_init__"), (RbDigraph, "__post_init__")):
+        def constructing(self, *args, fn=getattr(cls, name), cls=cls):
+            built.append(cls.__name__)
+            fn(self, *args)
+        monkeypatch.setattr(cls, name, constructing)
+
+    def reading(family, *args, fn=relabel_rows):
+        rows.append(family.num_vertices)
+        return fn(family, *args)
+
+    def validating(family, u, calls=checked):
+        calls.append((family, u))
+        return validate_transversal(family, u)
+
+    monkeypatch.setattr(multiplier, "relabel_rows", reading)
+    monkeypatch.setattr(multiplier, "validate_transversal", validating)
+    monkeypatch.setattr(exchange, "validate_transversal", partial(validating, calls=lifted))
+    misses, rounds = _counting(monkeypatch)
+    out = many_ham_transversals(fam, S, H)
+    assert len(out) == 24
+    assert built == ["BaseGraph", "SubgraphFamily"]
+    kernel = misses[0][0]
+    assert kernel.num_vertices <= 4 * len(S)
+    assert rows and set(rows) == {kernel.num_vertices}
+    assert all(family is kernel for family, *_ in misses + rounds + lifted)
+    assert len(misses) == 10 and len(rounds) == len(lifted) == 17
+    assert checked[0] == (fam, t) and [family for family, _ in checked] == [fam] * 25
+    assert {u for _, u in checked[1:]} == set(out)
+
+
+@pytest.mark.parametrize("contracts", [True, False])
+def test_many_ham_raises_on_an_output_outside_omega(contracts, monkeypatch):
+    # the recursion also returns a valid transversal outside the exchange
+    # neighborhood: the first one the oracle lists in its family, which is
+    # the kernel when the set's neighbors leave a path to contract. The
+    # instance that does not contract is that kernel itself
+    fam, S = _contracting_case()
+    if not contracts:
+        fam, S = multiplier._kernel(fam, S, {})[0], (0, 4)
+    many = multiplier._many
+
+    def and_outside_omega(family, node, ms, heads, d, memo):
+        assert (family is fam) != contracts
+        base = planted(KIND_HAM, family.num_vertices)
+        bad = next(u for u in enumerate_all_ham_transversals(family) if not omega_member_ham(base, ms, u))
+        return many(family, node, ms, heads, d, memo) + [bad]
+
+    H = build_full_ryb(fam)
+    assert many_ham_transversals(fam, S, H)
+    monkeypatch.setattr(multiplier, "_many", and_outside_omega)
+    with pytest.raises(GuaranteeViolated, match="outside the exchange neighborhood"):
+        many_ham_transversals(fam, S, H)
+
+
+def test_kernel_expansion_refuses_a_recolored_path(monkeypatch):
+    # a kernel output that gives the contracted edge (2, 3) color 1 and
+    # (1, 2) color 2 cannot stand for the base path 2..6
+    fam, S = _contracting_case()
+    many = multiplier._many
+
+    def and_recolored(family, node, ms, heads, d, memo):
+        swapped = {(1, 2): 2, (2, 3): 1}
+        bad = Transversal(KIND_HAM, tuple((e, swapped.get(e, c)) for e, c in planted(KIND_HAM, 8).items))
+        return many(family, node, ms, heads, d, memo) + [bad]
+
+    monkeypatch.setattr(multiplier, "_many", and_recolored)
+    with pytest.raises(GuaranteeViolated, match=r"recolors the contracted edge \(2, 3\)"):
+        many_ham_transversals(fam, S, build_full_ryb(fam))
+
+
+def test_many_ham_validates_each_expanded_output(monkeypatch):
+    # a kernel whose paths each lose their last edge: every output is valid
+    # in the kernel and lies in its omega, but expands to a broken cycle
+    fam, S = _contracting_case()
+    kernel = multiplier._kernel
+
+    def losing_an_edge(family, ms, heads):
+        *rest, paths = kernel(family, ms, heads)
+        return *rest, {e: (c, items[:-1]) for e, (c, items) in paths.items()}
+
+    monkeypatch.setattr(multiplier, "_kernel", losing_an_edge)
+    with pytest.raises(GuaranteeViolated, match="expanded multiplication output is invalid: size"):
+        many_ham_transversals(fam, S, build_full_ryb(fam))

@@ -76,6 +76,13 @@ MUTANTS = {
     "sampled-floor-minus-one": ("src/transversals/sampler.py", "if d < floor:", "if d < floor - 1:"),
     "exchange-may-return-base": (EXCHANGE, "if out == base:", "if False:"),
     "multiply-skips-entry-validation": (MULTIPLIER, "if not report.ok:", "if False:"),
+    "kernel-accepts-recolored-path": (MULTIPLIER, "elif c != path[0]:", "elif False:"),
+    "multiply-skips-output-validation": (MULTIPLIER, "if not check.ok:", "if False:"),
+    "multiply-skips-omega-check": (
+        MULTIPLIER,
+        "if family.kind == KIND_HAM and not all(omega_member_ham(kbase, kms, t) for t in out):",
+        "if False:",
+    ),
     "cycle-lookup-counts-own-member": (
         DIGRAPHS, _LOOKUP, f"({_LOOKUP} if not cycle else [(t, h) for h in candidates])",
     ),
