@@ -34,7 +34,7 @@ from dataclasses import asdict
 from functools import lru_cache
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import le
+from operator import itemgetter, le
 from typing import Optional
 
 from . import oracle
@@ -127,8 +127,8 @@ def _gen_fits(edges: int) -> None:
 
 def transversal_to_obj(t: Transversal) -> dict:
     return {
-        "edges": [list(e) for e, _ in t.items],
-        "colors": [c for _, c in t.items],
+        "edges": list(map(list, map(itemgetter(0), t.items))),
+        "colors": list(map(itemgetter(1), t.items)),
     }
 
 

@@ -26,7 +26,10 @@ once in the caller's labels. The base is the planted transversal,
 ``planted(kind, n)``: it is built and validated once on entry, and the
 memo keeps one per node size, so a cycle's is built once per call.
 Every other witness is validated once, by the exchange round that made
-it, and every expanded output once in the caller's labels. The (d+1)!
+it. A kernel output is checked in O(|S|), in the kernel and item by
+item against the caller's family, after one O(n) check per call that
+the contracted paths are planted runs tiling the cycle; together these
+are its expansion's validation in the caller's labels. The (d+1)!
 floor, the target count, the depth drop, a cycle output's membership in
 the exchange neighborhood and its expansion are each checked once and
 raise GuaranteeViolated.
@@ -295,10 +298,10 @@ def _multiply(family, members, H) -> list[Transversal]:
     The planted transversal is built and validated here, once, and every
     check on the set runs on the caller's family and H. A cycle's
     recursion then runs on its ``_kernel``, whose outputs are expanded
-    back once, validated in the caller's labels, and checked against the
-    exchange neighborhood in the kernel's. Every other witness comes out
-    of the exchange, which validates it, and a child's base is the
-    relabelled image of one.
+    back once, checked by ``_expand_kernel`` as valid in the caller's
+    labels, and checked against the exchange neighborhood in the
+    kernel's. Every other witness comes out of the exchange, which
+    validates it, and a child's base is the relabelled image of one.
     """
     base = planted(family.kind, family.num_vertices)
     report = validate_transversal(family, base)
@@ -316,7 +319,7 @@ def _multiply(family, members, H) -> list[Transversal]:
     out = set(_expand(plan, *root))
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
-    expanded = _expand_kernel(family, out, K, paths)
+    expanded = _expand_kernel(family, kfam, out, K, paths)
     if family.kind == KIND_HAM and not all(omega_member_ham(kbase, kms, t) for t in out):
         raise GuaranteeViolated("a multiplication output lies outside the exchange neighborhood")
     return sorted(expanded, key=lambda t: t.items)
@@ -390,29 +393,92 @@ def _kernel(family: SubgraphFamily, ms: tuple[int, ...], heads: dict[int, tuple[
     return SubgraphFamily(base, subs, KIND_HAM), tuple([new[m] for m in ms]), kheads, tuple(K), paths
 
 
-def _expand_kernel(family, out, K, paths) -> list[Transversal]:
-    """``_kernel``'s outputs in family's labels, each validated there;
-    ``out`` as it is when nothing contracted. A contracted edge becomes
-    its path, and must carry its own color."""
+def _expand_kernel(family, kfam, out, K, paths) -> list[Transversal]:
+    """``_kernel``'s outputs in family's labels; ``out`` as it is when
+    nothing contracted. A contracted edge becomes its path.
+
+    ``_check_paths`` runs once per call, in O(n): K is increasing, kfam
+    has one vertex and color per entry of K, each contracted edge (k,
+    k+1) in color k stands for exactly the planted run K[k]...K[k+1] with
+    base colors K[k]...K[k+1]-1, and the kept edges and the paths tile
+    the root cycle: |K| - #paths + the paths' total length is n. Every
+    path item is then a planted item, which ``_multiply``'s entry
+    validation checked in family. Each output t then costs O(|K|) checks,
+    each raising GuaranteeViolated, in this order: (P2) every contracted
+    edge in t carries its own color; (P1) t is valid in kfam, a
+    Hamiltonian cycle on K with one edge of each kernel color; (P3) every
+    contracted edge is in t; (P4) every other item ((a, b), c) has (K[a],
+    K[b]) in family's base and in its subgraph K[c], which checks
+    ``_kernel``'s restriction without trusting it.
+
+    Why these are the validation of the expansion in family:
+    - Size: P1 gives |K| items and P3 puts every path back, so by the
+      tiling the expansion has n items.
+    - Membership: a kept item is in its subgraph by P4, and a path item
+      is a planted item.
+    - Colors: by P1 and P2 each kernel color c is carried once, by a kept
+      item, which becomes root color K[c], or by a contracted edge, whose
+      path carries K[c] and the colors strictly between K[c] and the next
+      entry of K. K is increasing, so those interior colors are outside
+      K and in no other path: the n colors are distinct, a bijection on
+      0..n-1.
+    - Cycle: P1's Hamiltonian cycle on K, with each contracted edge
+      replaced by its path, whose interior vertices are likewise outside
+      K and in no other path, is one cycle; by the tiling, the kept
+      vertices and the interiors are all n vertices.
+    Conversely, when ``_kernel`` built kfam, K and paths, a kernel output
+    whose expansion is valid in family passes P1 to P4: its kept items
+    are root edges in their root subgraphs that are no contracted edge,
+    so they are in kfam, and only the paths cover their interiors. So
+    this accepts exactly what validating each expansion in family did.
+    """
     if not paths:
         return list(out)
+    _check_paths(family, kfam, K, paths)
+    base, subs = family.base.edge_set, family.subgraphs
     expanded = []
     for t in out:
+        for e, c in t.items:
+            if e in paths and c != paths[e][0]:
+                raise GuaranteeViolated(f"a kernel output recolors the contracted edge {e}")
+        check = validate_transversal(kfam, t)
+        if not check.ok:
+            raise GuaranteeViolated(f"a kernel multiplication output is invalid: {check.summary()}")
+        missing = paths.keys() - t.edge_set
+        if missing:
+            raise GuaranteeViolated(f"a kernel output leaves out the contracted edge {min(missing)}")
         items = []
         for e, c in t.items:
             path = paths.get(e)
             if path is None:
-                items.append(((K[e[0]], K[e[1]]), K[c]))
-            elif c != path[0]:
-                raise GuaranteeViolated(f"a kernel output recolors the contracted edge {e}")
+                f, fc = (K[e[0]], K[e[1]]), K[c]
+                if f not in base or f not in subs[fc]:
+                    raise GuaranteeViolated(
+                        f"an expanded multiplication output is invalid: edge {f} not in base and subgraph {fc}")
+                items.append((f, fc))
             else:
                 items += path[1]
-        u = Transversal(KIND_HAM, tuple(items))
-        check = validate_transversal(family, u)
-        if not check.ok:
-            raise GuaranteeViolated(f"an expanded multiplication output is invalid: {check.summary()}")
-        expanded.append(u)
+        expanded.append(Transversal(KIND_HAM, tuple(items)))
     return expanded
+
+
+def _check_paths(family, kfam, K, paths) -> None:
+    """``_expand_kernel``'s check once per call, in O(n)."""
+    n, size = family.num_vertices, len(K)
+    if not (kfam.num_vertices == kfam.num_colors == size and 0 <= K[0] and K[-1] < n
+            and all(a < b for a, b in zip(K, K[1:]))):
+        raise GuaranteeViolated("the kernel does not keep one vertex and color per entry of K, in cycle order")
+    total = size - len(paths) + sum([len(items) for _, items in paths.values()])
+    if total != n:
+        raise GuaranteeViolated(
+            f"an expanded multiplication output is invalid: size: expected {n} edges, got {total}")
+    for e, (c, items) in paths.items():
+        if not 0 <= c < size or e != edge(c, (c + 1) % size):
+            raise GuaranteeViolated(f"the contracted edge {e} is not the kernel edge of its color {c}")
+        a, b = K[c], K[(c + 1) % size]
+        run = tuple([(edge(v % n, (v + 1) % n), v % n) for v in range(a, a + (b - a) % n)])
+        if items != run:
+            raise GuaranteeViolated(f"the contracted edge {e} does not stand for the base path {a}...{b}")
 
 
 def _expand(plan, vmap, cmap, fixed=()):

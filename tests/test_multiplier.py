@@ -744,7 +744,7 @@ def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
     # witness n=2400, d=3, the set at the quarter points: the one family and
     # base graph built are the 16-vertex kernel's, every node reads its
     # support and rows there, and the caller's family is validated for the
-    # planted cycle and each output only
+    # planted cycle only: each output is checked in the kernel
     S = (0, 600, 1200, 1800)
     fam, t = gen_witness_instance_ham(2400, S, 3, seed=7)
     H = build_full_ryb(fam)
@@ -776,8 +776,8 @@ def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
     assert rows and set(rows) == {kernel.num_vertices}
     assert all(family is kernel for family, *_ in misses + rounds + lifted)
     assert len(misses) == 10 and len(rounds) == len(lifted) == 17
-    assert checked[0] == (fam, t) and [family for family, _ in checked] == [fam] * 25
-    assert {u for _, u in checked[1:]} == set(out)
+    assert checked[0] == (fam, t) and [family for family, _ in checked] == [fam] + [kernel] * 24
+    assert len({u for _, u in checked[1:]}) == 24
 
 
 @pytest.mark.parametrize("contracts", [True, False])
@@ -833,3 +833,108 @@ def test_many_ham_validates_each_expanded_output(monkeypatch):
     monkeypatch.setattr(multiplier, "_kernel", losing_an_edge)
     with pytest.raises(GuaranteeViolated, match="expanded multiplication output is invalid: size"):
         many_ham_transversals(fam, S, build_full_ryb(fam))
+
+
+def _with_kernel_output(monkeypatch, chords, items):
+    """Make ``_kernel`` add ``chords`` (kernel edge -> color) to its family
+    and the recursion return ``items`` as one more output; the family is
+    ``_contracting_case``'s, whose kernel keeps 0, 1, 2, 6, 7, 8, 9, 13."""
+    fam, S = _contracting_case()
+    kernel, many = multiplier._kernel, multiplier._many
+
+    def with_chords(family, ms, heads):
+        kfam, *rest = kernel(family, ms, heads)
+        subs = list(kfam.subgraphs)
+        for e, c in chords.items():
+            subs[c] = subs[c] | {e}
+        base = BaseGraph(kfam.num_vertices, kfam.base.edge_set | chords.keys())
+        return SubgraphFamily(base, subs, KIND_HAM), *rest
+
+    def and_output(family, node, ms, heads, d, memo):
+        return many(family, node, ms, heads, d, memo) + [Transversal(KIND_HAM, items)]
+
+    monkeypatch.setattr(multiplier, "_kernel", with_chords)
+    monkeypatch.setattr(multiplier, "_many", and_output)
+    return fam, S
+
+
+def test_kernel_expansion_checks_each_kept_edge_in_the_root(monkeypatch):
+    # the kernel's subgraph 4 gains the chord (0, 2), which is no edge of
+    # the root: the output using it is a valid kernel cycle through both
+    # contracted edges, but its expansion holds the root pair (0, 2) in color 7
+    fam, S = _with_kernel_output(monkeypatch, {(0, 2): 4}, (
+        ((0, 1), 0), ((0, 2), 4), ((1, 5), 1), ((2, 3), 2), ((3, 4), 3), ((4, 7), 7), ((5, 6), 5), ((6, 7), 6)))
+    with pytest.raises(GuaranteeViolated, match=r"invalid: edge \(0, 2\) not in base and subgraph 7"):
+        many_ham_transversals(fam, S, build_full_ryb(fam))
+
+
+def test_kernel_expansion_refuses_an_output_without_a_contracted_edge(monkeypatch):
+    # with the chords (2, 4) and (3, 5) a kernel cycle avoids the contracted
+    # edge (2, 3), so its expansion would skip the root vertices 3, 4, 5
+    fam, S = _with_kernel_output(monkeypatch, {(2, 4): 2, (3, 5): 4}, (
+        ((0, 1), 0), ((0, 7), 7), ((1, 2), 1), ((2, 4), 2), ((3, 4), 3), ((3, 5), 4), ((5, 6), 5), ((6, 7), 6)))
+    with pytest.raises(GuaranteeViolated, match=r"leaves out the contracted edge \(2, 3\)"):
+        many_ham_transversals(fam, S, build_full_ryb(fam))
+
+
+def test_kernel_expansion_checks_the_paths_once_per_call():
+    # the path checks run before any output is looked at, so they refuse a
+    # bad kernel even with no output to expand
+    fam, S = _contracting_case()
+    kfam, _, _, K, paths = multiplier._kernel(fam, S, {})
+    assert multiplier._expand_kernel(fam, kfam, [], K, paths) == []
+    recolored = dict(paths)
+    recolored[(2, 3)] = 2, (((2, 3), 2), ((3, 4), 4), ((4, 5), 3), ((5, 6), 5))
+    with pytest.raises(GuaranteeViolated, match=r"\(2, 3\) does not stand for the base path 2...6"):
+        multiplier._expand_kernel(fam, kfam, [], K, recolored)
+    # dropping a path leaves the root vertices 10, 11, 12 to no item, and
+    # its four edges to the one root pair (9, 13)
+    with pytest.raises(GuaranteeViolated, match="invalid: size: expected 14 edges, got 11"):
+        multiplier._expand_kernel(fam, kfam, [], K, {(2, 3): paths[(2, 3)]})
+    with pytest.raises(GuaranteeViolated, match="one vertex and color per entry of K, in cycle order"):
+        multiplier._expand_kernel(fam, kfam, [], K[1:] + K[:1], paths)
+
+
+def _expanded_naively(K, paths, t):
+    """t in root labels: a contracted edge in its own color becomes its
+    path, every other item is relabelled through K."""
+    items = []
+    for (a, b), c in t.items:
+        path = paths.get((a, b))
+        items += path[1] if path is not None and path[0] == c else [((K[a], K[b]), K[c])]
+    return Transversal(KIND_HAM, tuple(items))
+
+
+@settings(deadline=None, max_examples=80)
+@given(cycle_with_spread_set(), st.data())
+def test_kernel_output_check_is_the_root_validation(case, data):
+    # differential: a member of the kernel's omega, corrupted in one item or
+    # not at all, passes _expand_kernel's checks exactly when its naive
+    # expansion is valid in the root family, and then expands to it
+    fam, S, _ = case
+    kfam, kms, _, K, paths = multiplier._kernel(fam, S, {})
+    assume(paths)
+    size = len(K)
+    omega = enumerate_omega_ham(kfam, planted(KIND_HAM, size), kms)
+    items = list(data.draw(st.sampled_from(omega), label="kernel output").items)
+    how = data.draw(st.sampled_from(["none", "recolor", "swap colors", "move edge", "drop"]), label="corruption")
+    i = data.draw(st.integers(0, size - 1), label="item")
+    (a, b), c = items[i]
+    if how == "recolor":
+        items[i] = (a, b), data.draw(st.integers(0, size - 1), label="color")
+    elif how == "swap colors":
+        j = data.draw(st.integers(0, size - 1), label="other item")
+        items[i], items[j] = ((a, b), items[j][1]), (items[j][0], c)
+    elif how == "move edge":
+        a = data.draw(st.integers(0, size - 2), label="u")
+        items[i] = (a, data.draw(st.integers(a + 1, size - 1), label="v")), c
+    elif how == "drop":
+        del items[i]
+    t = Transversal(KIND_HAM, tuple(items))
+    naive = _expanded_naively(K, paths, t)
+    try:
+        got = multiplier._expand_kernel(fam, kfam, [t], K, paths)
+    except GuaranteeViolated:
+        got = None
+    assert (got is not None) == validate_transversal(fam, naive).ok
+    assert got in (None, [naive])

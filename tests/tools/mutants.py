@@ -76,8 +76,12 @@ MUTANTS = {
     "sampled-floor-minus-one": ("src/transversals/sampler.py", "if d < floor:", "if d < floor - 1:"),
     "exchange-may-return-base": (EXCHANGE, "if out == base:", "if False:"),
     "multiply-skips-entry-validation": (MULTIPLIER, "if not report.ok:", "if False:"),
-    "kernel-accepts-recolored-path": (MULTIPLIER, "elif c != path[0]:", "elif False:"),
+    "kernel-accepts-recolored-path": (MULTIPLIER, "if e in paths and c != paths[e][0]:", "if False:"),
     "multiply-skips-output-validation": (MULTIPLIER, "if not check.ok:", "if False:"),
+    "kernel-paths-unchecked": (MULTIPLIER, "    _check_paths(family, kfam, K, paths)\n", ""),
+    "kernel-paths-untiled": (MULTIPLIER, "if total != n:", "if False:"),
+    "kernel-expansion-skips-contracted-edges": (MULTIPLIER, "if missing:", "if False:"),
+    "kernel-expansion-skips-root-membership": (MULTIPLIER, "if f not in base or f not in subs[fc]:", "if False:"),
     "multiply-skips-omega-check": (
         MULTIPLIER,
         "if family.kind == KIND_HAM and not all(omega_member_ham(kbase, kms, t) for t in out):",
