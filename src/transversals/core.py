@@ -21,9 +21,10 @@ the digraph builders, the exchanges and the multiplication take the
 family alone. Only the omega checks, which compare a result with a
 base, take one, and ``enumerate_omega_*`` pass it to
 ``require_naturally_indexed``. ``canonical_tables`` states the rule
-once as new-to-old tables, ``relabel_rows`` and ``relabel`` rebuild a
-family from them and ``lift`` maps transversals back;
-``naturally_index`` and the multiplication's children share it.
+once as new-to-old tables, ``relabel_rows`` maps a family's subgraphs
+through them, ``relabel`` rebuilds the whole family, its base edges by
+the same rule, and ``lift`` maps transversals back; ``naturally_index``
+and the multiplication's children share it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import InvalidTransversal, NotNaturallyIndexed
 
 Edge = tuple[int, int]
 Tables = tuple[tuple[int, ...], tuple[int, ...]]  # new-to-old vertex and color tables
-Rows = tuple[frozenset[Edge], tuple[frozenset[Edge], ...]]  # base edges and subgraphs
 
 KIND_HAM = "hamiltonian"
 KIND_PM = "perfect_matching"
@@ -203,6 +203,17 @@ class Transversal:
     @classmethod
     def from_map(cls, kind: str, colors: Mapping[Edge, int]) -> "Transversal":
         return cls(kind, tuple(colors.items()))
+
+    @classmethod
+    def _canonical(cls, kind: str, items: tuple[tuple[Edge, int], ...]) -> "Transversal":
+        """A transversal of items that are already canonical: each edge
+        (min, max), sorted. They are stored as given, neither normalised
+        nor sorted again; ``multiplier._expand_kernel``, the one caller,
+        says why its items are canonical."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "kind", kind)
+        object.__setattr__(t, "items", items)
+        return t
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -379,38 +390,43 @@ def old_to_new(vinv: Sequence[int], num_vertices: int) -> list[int]:
     return new
 
 
-def relabel_rows(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> Rows:
-    """The base edges and subgraphs under new-to-old tables: vertex k is
-    old ``vinv[k]``, subgraph k is old ``cinv[k]``, and edges touching a
-    vertex left out of ``vinv`` are dropped. Edges are ordered (min, max),
-    so equal families give equal rows; shared subgraphs stay shared.
-    Identity tables return the family's own rows."""
+def _mapped_pairs(new: Sequence[int], edges: Iterable[Edge]) -> frozenset[Edge]:
+    """Edges through the old-to-new table ``new``, each ordered (min, max);
+    an edge touching a vertex the table leaves out (-1) is dropped."""
+    mapped = [(new[u], new[v]) for u, v in edges]
+    return frozenset([(a, b) if a <= b else (b, a) for a, b in mapped if a >= 0 and b >= 0])
+
+
+def relabel_rows(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> tuple[frozenset[Edge], ...]:
+    """The subgraphs under new-to-old tables: vertex k is old ``vinv[k]``,
+    subgraph k is old ``cinv[k]``, and edges touching a vertex left out of
+    ``vinv`` are dropped. Edges are ordered (min, max), so equal families
+    give equal rows; shared subgraphs stay shared. The base edges are left
+    to ``relabel``, which maps them by the same rule: the multiplication's
+    memo keys a child on these rows alone. Identity tables return the
+    family's own subgraphs."""
     if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
-        return family.base.edge_set, family.subgraphs
+        return family.subgraphs
     new = old_to_new(vinv, family.num_vertices)
-
-    def pairs(edges) -> frozenset[Edge]:
-        mapped = [(new[u], new[v]) for u, v in edges]
-        return frozenset([(a, b) if a <= b else (b, a) for a, b in mapped if a >= 0 and b >= 0])
-
     # a subgraph shared by several colors is mapped once and stays shared
     mapped: dict[int, frozenset[Edge]] = {}
     subs = []
     for c in cinv:
         g = family.subgraphs[c]
         if id(g) not in mapped:
-            mapped[id(g)] = pairs(g)
+            mapped[id(g)] = _mapped_pairs(new, g)
         subs.append(mapped[id(g)])
-    return pairs(family.base.edge_set), tuple(subs)
+    return tuple(subs)
 
 
 def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> SubgraphFamily:
-    """The family on ``len(vinv)`` vertices built from ``relabel_rows``.
-    Identity tables return the family itself."""
+    """The family on ``len(vinv)`` vertices with ``relabel_rows``'s
+    subgraphs and the base edges mapped by the same rule. Identity tables
+    return the family itself."""
     if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
         return family
-    base, subs = relabel_rows(family, vinv, cinv)
-    return SubgraphFamily(BaseGraph(len(vinv), base), subs, family.kind)
+    base = _mapped_pairs(old_to_new(vinv, family.num_vertices), family.base.edge_set)
+    return SubgraphFamily(BaseGraph(len(vinv), base), relabel_rows(family, vinv, cinv), family.kind)
 
 
 def lift(transversals: Iterable[Transversal], vinv: tuple[int, ...], cinv: tuple[int, ...]) -> list[Transversal]:

@@ -18,11 +18,14 @@ whose members are at most four apart, keeps every vertex, and runs on
 the caller's family as it is. A node is its new-to-old vertex and color
 tables into the family the recursion runs on, plus its set; no family,
 base graph or digraph is built for it, and ``support_through`` reads its
-support once. A memo keyed on each child's rows (``relabel_rows``) and
-set solves each distinct child once per call. The plan of tables the
-recursion returns is expanded once at the top, and each kernel output
-once more, putting the contracted paths back, so each output is built
-once in the caller's labels. The base is the planted transversal,
+support once. A memo keyed on each child's size, subgraph rows
+(``relabel_rows``) and set solves each distinct child once per call;
+nothing below the root reads a child's base rows, so they are not in the
+key. The plan of tables the recursion returns is expanded once at the
+top, and each kernel output once more, splicing its O(|S|) kept items
+into the contracted paths' items, sorted once per call, so each output
+is built once in the caller's labels, without sorting its n items
+again. The base is the planted transversal,
 ``planted(kind, n)``: it is built and validated once on entry, and the
 memo keeps one per node size, so a cycle's is built once per call.
 Every other witness is validated once, by the exchange round that made
@@ -38,6 +41,7 @@ raise GuaranteeViolated.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -431,10 +435,24 @@ def _expand_kernel(family, kfam, out, K, paths) -> list[Transversal]:
     are root edges in their root subgraphs that are no contracted edge,
     so they are in kfam, and only the paths cover their interiors. So
     this accepts exactly what validating each expansion in family did.
+
+    The expansion is spliced, not sorted: the paths' items are sorted
+    once per call, and each output's kept items are merged into them by
+    ``_spliced``, in O(|K| log n) comparisons and slice copies. The result
+    is canonical, so ``Transversal._canonical`` stores it as it is:
+    - a kept edge (K[a], K[b]) is ordered (min, max), as K is increasing,
+      and path items come from ``edge()``;
+    - the kept items are in order: t's items are sorted by edge, and K
+      is increasing;
+    - the merge keeps the order, and no kept edge equals a path edge:
+      every path edge has an endpoint inside its path, and those
+      endpoints are outside K.
     """
     if not paths:
         return list(out)
     _check_paths(family, kfam, K, paths)
+    # P3 puts every path in every output: their items are sorted once
+    run = sorted([item for _, items in paths.values() for item in items])
     base, subs = family.base.edge_set, family.subgraphs
     expanded = []
     for t in out:
@@ -447,19 +465,29 @@ def _expand_kernel(family, kfam, out, K, paths) -> list[Transversal]:
         missing = paths.keys() - t.edge_set
         if missing:
             raise GuaranteeViolated(f"a kernel output leaves out the contracted edge {min(missing)}")
-        items = []
+        kept = []
         for e, c in t.items:
-            path = paths.get(e)
-            if path is None:
+            if e not in paths:
                 f, fc = (K[e[0]], K[e[1]]), K[c]
                 if f not in base or f not in subs[fc]:
                     raise GuaranteeViolated(
                         f"an expanded multiplication output is invalid: edge {f} not in base and subgraph {fc}")
-                items.append((f, fc))
-            else:
-                items += path[1]
-        expanded.append(Transversal(KIND_HAM, tuple(items)))
+                kept.append((f, fc))
+        expanded.append(Transversal._canonical(KIND_HAM, _spliced(run, kept)))
     return expanded
+
+
+def _spliced(run: list, kept: list) -> tuple:
+    """The sorted list ``run`` with the sorted ``kept`` merged in, each
+    placed by ``bisect`` and the run copied between them in slices."""
+    items, lo = [], 0
+    for item in kept:
+        hi = bisect_left(run, item, lo)
+        items += run[lo:hi]
+        items.append(item)
+        lo = hi
+    items += run[lo:]
+    return tuple(items)
 
 
 def _check_paths(family, kfam, K, paths) -> None:
@@ -505,9 +533,18 @@ def _many(family, node, ms, heads, d, memo) -> list:
     Returns a plan: a list of outputs in this node's labels, or of branches
     ``(vinv, cinv, pairs, child plan)``: the child's tables and the (edge,
     color) items it drops, a matching's branch pair. ``memo`` (one dict per
-    ``_multiply`` call) maps each distinct child's rows and set to its
-    depth and plan, and each node size to the node's planted transversal,
-    so a cycle's, shared by every node, is built once.
+    ``_multiply`` call) maps each distinct child's size, subgraph rows and
+    set to its depth and plan, and each node size to the node's planted
+    transversal, so a cycle's, shared by every node, is built once.
+
+    Why the key leaves out the child's base rows: nothing below here
+    reads them. ``support_through`` reads subgraphs, the exchange reads
+    only ``heads``, and each witness is validated by ``checked_second`` in
+    the labels of family, the one the recursion runs on, not the child's;
+    there every subgraph edge is a base edge (``validate_family``
+    requires it of every loaded file, and ``_kernel`` builds it so), so a
+    witness's base check follows from its subgraph check. So children with equal subgraph rows and equal
+    sets have equal plans, whatever their base rows.
     """
     vt, ct, fixed = node
     ham = family.kind == KIND_HAM
@@ -530,11 +567,11 @@ def _many(family, node, ms, heads, d, memo) -> list:
         pairs = () if ham else ((e, wit.color_of(e)),)
         # relabelling composes: these rows are what this node's family would give
         vt2, ct2 = tuple([vt[k] for k in vinv]), tuple([ct[k] for k in cinv])
-        base2, subs2 = relabel_rows(family, vt2, ct2)
+        subs2 = relabel_rows(family, vt2, ct2)
         new = old_to_new(vinv, len(vt))
         # e has one endpoint in the set, and the child's set leaves it out
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
-        key = len(vinv), base2, subs2, ms2
+        key = len(vinv), subs2, ms2
         hit = memo.get(key)
         if hit is None:
             heads2 = support_through(family, vt2, ct2, ms2)

@@ -11,12 +11,14 @@ A count keeps no solution, so two branches that reach the same state
 have the same solutions and nodes below them (the subset-state argument
 of Held and Karp, J. SIAM 10(1), 1962). Counting therefore memoizes each
 finished subtree's (solutions, nodes) on its state: in the matching
-search, the matched vertices and the used colors; in the coloring of one
-cycle, the used colors. A state met again adds both numbers without a
-walk, but only when walking it would neither exhaust the node budget nor
-reach the result cap; otherwise it is walked as before. So node counts,
-partial counts and every budget exit are those of the plain search.
-Enumeration keeps its results and never reads the memo.
+search, the matched vertices and the used colors; in the colorings of
+the cycles, the cycle's color options in coloring order and the used
+colors, in one memo for all the cycles of a search. A state met again
+adds both numbers without a walk, but only when walking it would neither
+exhaust the node budget nor reach the result cap; otherwise it is
+walked as before. So node counts, partial counts and every budget exit
+are those of the plain search. Enumeration keeps its results and never
+reads the memo.
 """
 
 from __future__ import annotations
@@ -94,18 +96,25 @@ class _Search:
 
 
 def _walk(
-    search: _Search, expand: Callable[[], Iterator[bool]], key: Callable[[], Hashable] | None = None
+    search: _Search,
+    expand: Callable[[], Iterator[bool]],
+    key: Callable[[], Hashable] | None = None,
+    memo: dict | None = None,
 ) -> None:
     """Depth-first search on an explicit stack, stopped by the result cap.
 
     ``expand()`` walks the children of the current state: it applies each
     child's move, ticking for it, yields True, and undoes the move when
     resumed. At a leaf it records the solution and yields nothing. While
-    counting, ``key()`` names the current state for the memo.
+    counting, ``key()`` names the current state in ``memo``: a new dict
+    unless the caller shares one between walks.
     """
     if search.full():
         return
-    memo: dict | None = {} if key is not None and search.kind is None else None
+    if key is None or search.kind is not None:
+        memo = None
+    elif memo is None:
+        memo = {}
     stack = [(expand(), key() if memo is not None else None, search.found, search.nodes)]
     while stack:
         children, state, found, nodes = stack[-1]
@@ -169,14 +178,25 @@ def _colors_feasible(chosen: Sequence[Edge], options: dict[Edge, tuple[int, ...]
     return True
 
 
-def _assign_colors(search: _Search, edges: list[Edge], options: dict[Edge, tuple[int, ...]]):
+def _assign_colors(
+    search: _Search, edges: list[Edge], options: dict[Edge, tuple[int, ...]], memo: dict, signatures: dict
+):
     """Enumerate all bijective colorings of a fixed edge set.
 
     The edges are colored in one fixed order, most constrained first, so
-    the used colors alone fix the state: how many edges are colored, and
-    which colors are left for the rest.
+    their option tuples in that order and the used colors fix the state:
+    how many edges are colored, and which colors are left for the rest.
+    ``memo`` is keyed on both, so cycles whose edges carry the same
+    options share it. ``signatures`` numbers the option tuples, so a key
+    hashes two numbers, not n tuples. An enumeration, which reads no
+    memo, numbers none, nor does a full one: no state of an unnumbered
+    cycle is stored to be met again.
     """
     order = sorted(edges, key=lambda e: len(options[e]))
+    signature = tuple([options[e] for e in order])
+    number = signatures.get(signature)
+    if number is None and search.kind is None and len(memo) < MEMO_ENTRIES:
+        number = signatures[signature] = len(signatures)
     assignment: dict[Edge, int] = {}
     used = 0  # bit c set: color c is taken
 
@@ -196,12 +216,13 @@ def _assign_colors(search: _Search, edges: list[Edge], options: dict[Edge, tuple
             del assignment[e]
             used ^= 1 << c
 
-    _walk(search, expand, lambda: used)
+    _walk(search, expand, None if number is None else lambda: (number, used), memo)
 
 
 def _search_ham(family: SubgraphFamily, budget: SearchBudget | None, kind: str | None = None) -> _Search:
     """Cycles rooted at vertex 0 with the smaller second vertex, so each
-    cycle is found once; colorings are enumerated per cycle."""
+    cycle is found once; colorings are enumerated per cycle, all cycles
+    sharing one coloring memo."""
     if family.kind != KIND_HAM:
         raise ValueError("hamiltonian enumeration needs a hamiltonian family")
     search = _Search(budget or SearchBudget(), kind)
@@ -212,6 +233,8 @@ def _search_ham(family: SubgraphFamily, budget: SearchBudget | None, kind: str |
     used = [False] * n
     used[0] = True
     chosen: list[Edge] = []
+    colorings: dict = {}  # the coloring memo, and the numbered option tuples it is keyed on
+    signatures: dict[tuple, int] = {}
 
     def expand():
         u = path[-1]
@@ -219,7 +242,7 @@ def _search_ham(family: SubgraphFamily, budget: SearchBudget | None, kind: str |
             if base.has_edge(u, 0) and path[1] < u:
                 cycle = chosen + [edge(u, 0)]
                 if _colors_feasible(cycle, options):
-                    _assign_colors(search, cycle, options)
+                    _assign_colors(search, cycle, options, colorings, signatures)
             return
         for v in base.neighbors(u):
             if used[v]:

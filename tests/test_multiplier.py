@@ -515,19 +515,49 @@ def _counting(monkeypatch):
 
 def test_many_builds_each_distinct_child_once(monkeypatch):
     # planted-pm n=8 seed 2 of the pinned reports: 1744 children and 1015
-    # exchanges without the memo, 358 distinct children
+    # exchanges without the memo, 337 distinct children (358 if the base
+    # rows were keyed as well)
     fam, t, S, build, many = _entry_case(KIND_PM)
     H = build(fam)
     misses, rounds = _counting(monkeypatch)
     assert len(many(fam, S, H)) == 982
-    # each child's support is read once, so each (rows, set) key is missed once
+    # each child's support is read once, so each (subgraph rows, set) key is missed once
     keys = [(relabel_rows(fam, vt, ct), ms) for _, vt, ct, ms in misses]
-    assert len(misses) == len(set(keys)) == 358
-    assert len(rounds) == 455
+    assert len(misses) == len(set(keys)) == 337
+    assert len(rounds) == 444
     # the memo lives for one call: a second call solves every child again
     first = list(misses)
     assert len(many(fam, S, H)) == 982
     assert misses[len(first):] == first
+
+
+def test_children_differing_only_in_base_rows_share_one_solve(monkeypatch):
+    # planted-pm n=8 seed 2: walking the plan and composing the tables, the
+    # 1744 children read 337 distinct plans, one per memo miss. A plan is
+    # read only by children with equal subgraph rows, but some of them
+    # differ in base rows: keyed on base rows as well, 358 would be solved
+    fam, t, S, build, _ = _entry_case(KIND_PM)
+    node, ms, heads = _root(fam, S, build(fam))
+    misses, _ = _counting(monkeypatch)
+    plan = multiplier._many(fam, node, ms, heads, support_depth(heads), {fam.num_vertices: t})
+    readers = {}  # id of a child plan -> (the plan, its readers' base rows, their subgraph rows)
+
+    def walk(plan, vt, ct):
+        for item in plan:
+            if isinstance(item, Transversal):
+                continue
+            vinv, cinv, _, child = item
+            vt2, ct2 = tuple([vt[k] for k in vinv]), tuple([ct[k] for k in cinv])
+            child_fam = relabel(fam, vt2, ct2)
+            _, bases, subs = readers.setdefault(id(child), (child, set(), set()))
+            bases.add(child_fam.base.edge_set)
+            subs.add(child_fam.subgraphs)
+            walk(child, vt2, ct2)
+
+    walk(plan, *node[:2])
+    assert len(readers) == len(misses) == 337
+    assert all(len(subs) == 1 for _, _, subs in readers.values())
+    assert sum(len(bases) for _, bases, _ in readers.values()) == 358
 
 
 @pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
@@ -938,3 +968,28 @@ def test_kernel_output_check_is_the_root_validation(case, data):
         got = None
     assert (got is not None) == validate_transversal(fam, naive).ok
     assert got in (None, [naive])
+    # the spliced items are the sorted, normalised items of the naive expansion
+    assert got is None or got[0].items == Transversal(KIND_HAM, naive.items).items
+
+
+def test_kernel_outputs_are_spliced_not_normalised(monkeypatch):
+    # witness n=2400, d=3, the set at the quarter points: of the
+    # 2400-item transversals, only the planted cycle, built on entry,
+    # goes through the normalising constructor; the 24 outputs are spliced
+    S = (0, 600, 1200, 1800)
+    fam, t = gen_witness_instance_ham(2400, S, 3, seed=7)
+    H = build_full_ryb(fam)
+    normalised = []
+    init = Transversal.__post_init__
+
+    def normalising(self):
+        init(self)
+        normalised.append(self)
+
+    monkeypatch.setattr(Transversal, "__post_init__", normalising)
+    out = many_ham_transversals(fam, S, H)
+    assert len(out) == 24
+    assert [u for u in normalised if len(u) == 2400] == [t]
+    assert not {id(u) for u in out} & {id(u) for u in normalised}
+    assert all(validate_transversal(fam, u).ok for u in out)
+    assert all(u.items == Transversal(KIND_HAM, u.items).items for u in out)

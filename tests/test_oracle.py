@@ -220,6 +220,42 @@ def test_a_memoized_subtree_that_ends_at_the_budget_is_not_walked(monkeypatch):
         assert len(ticks) - walked == walked < total
 
 
+def _recording_colorings(monkeypatch):
+    """Record the memo and the numbered option tuples of each cycle's coloring walk."""
+    calls = []
+    assign = oracle._assign_colors
+
+    def recording(search, edges, options, memo, signatures):
+        assign(search, edges, options, memo, signatures)
+        calls.append((memo, signatures))
+
+    monkeypatch.setattr(oracle, "_assign_colors", recording)
+    return calls
+
+
+def test_cycles_with_equal_options_share_one_coloring_memo(monkeypatch):
+    # K6 all-equal: its 60 cycles carry the same options, so one memo of
+    # the 64 used-color sets serves them all, where a memo per cycle
+    # would hold 60 times as many states
+    calls = _recording_colorings(monkeypatch)
+    assert count_ham_transversals(gen_dirac_family(6, 1.0, seed=1)) == 43200
+    memo, signatures = calls[0]
+    assert len(calls) == 60 and all(m is memo and s is signatures for m, s in calls)
+    assert len(signatures) == 1 and len(memo) == 64
+
+
+def test_cycles_with_other_options_keep_their_own_states(monkeypatch):
+    # planted-ham families whose cycles carry different options: a state
+    # is the options and the used colors, so the count is the enumeration's.
+    # The enumeration, which reads no memo, numbers no options
+    calls = _recording_colorings(monkeypatch)
+    for seed in range(6):
+        fam, _ = gen_planted_ham_family(7, 3, seed=seed)
+        calls.clear()
+        assert count_ham_transversals(fam) == len(enumerate_all_ham_transversals(fam))
+        assert len(calls[0][1]) > 1 and calls[-1][1] == {}
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 6).flatmap(lambda k: st.lists(
     st.lists(st.integers(0, 5), max_size=4, unique=True), min_size=k, max_size=k

@@ -64,12 +64,7 @@ MUTANTS = {
     ),
     "depth-drop-by-two": (MULTIPLIER, "d2 < d - 1", "d2 < d - 2"),
     "d-targets-suffice": (MULTIPLIER, "len(targets) < d + 1", "len(targets) < d"),
-    "memo-key-without-set": (
-        MULTIPLIER, "key = len(vinv), base2, subs2, ms2", "key = len(vinv), base2, subs2",
-    ),
-    "memo-key-without-base-edges": (
-        MULTIPLIER, "key = len(vinv), base2, subs2, ms2", "key = len(vinv), subs2, ms2",
-    ),
+    "memo-key-without-set": (MULTIPLIER, "key = len(vinv), subs2, ms2", "key = len(vinv), subs2"),
     "expansion-drops-branch-pair": (
         MULTIPLIER, "[cmap[k] for k in cinv], fixed + pairs)", "[cmap[k] for k in cinv], fixed)",
     ),
@@ -93,7 +88,11 @@ MUTANTS = {
     "matching-lookup-counts-partner": (
         DIGRAPHS, _LOOKUP, f"({_LOOKUP} if cycle else [(t, h) for h in candidates if (t < n) != (h < n)])",
     ),
-    "memo-key-from-tables": (MULTIPLIER, "key = len(vinv), base2, subs2, ms2", "key = vt2, ct2, ms2"),
+    "memo-key-from-tables": (MULTIPLIER, "key = len(vinv), subs2, ms2", "key = vt2, ct2, ms2"),
+    "kernel-splice-unsorted": (
+        MULTIPLIER, "Transversal._canonical(KIND_HAM, _spliced(run, kept))", "Transversal._canonical(KIND_HAM, (*run, *kept))",
+    ),
+    "coloring-memo-without-signature": (ORACLE, "lambda: (number, used)", "lambda: used"),
     "negative-row-index": ("src/transversals/cli.py", "not 0 <= i < len(out)", "not i < len(out)"),
     "second-skips-omega-check": ("src/transversals/cli.py", "if not omega_ok:", "if False:"),
 }
