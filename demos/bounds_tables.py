@@ -12,8 +12,8 @@ print("== sufficient inequalities for the biased-bit sampler ==")
 for m in (261, 262, 300, 1000):
     rep = lll_condition_ham(m)
     print(
-        f"m = {m:4d}: first margin {rep.first_margin:+.3e} holds={rep.first_holds}, "
-        f"second margin {rep.second_margin:+.3e} holds={rep.second_holds}"
+        f"m = {m:4d}: first margin {rep.first.margin:+.3e} holds={rep.first.holds}, "
+        f"second margin {rep.second.margin:+.3e} holds={rep.second.holds}"
     )
 
 scan = lll_condition_scan(3, 5000)

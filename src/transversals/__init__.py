@@ -98,6 +98,7 @@ from .oracle import (
 )
 from .sampler import (
     BOUND_IDS,
+    Inequality,
     InequalityReport,
     SampleOutcome,
     SamplerConfig,

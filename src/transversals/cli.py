@@ -105,7 +105,7 @@ EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
 LLL_SCAN_MAX_HI = 1_000_000  # at about 5 us per m, a scan of seconds
-GEN_MAX_EDGES = 5_000_000  # edges a gen file lists with one row per color: about 130 MB of text
+GEN_MAX_EDGES = 5_000_000  # edges a gen file lists: about 130 MB of text
 
 _BUDGET_ERRORS = (BudgetExceeded, ResampleBudgetExceeded)
 _INTERNAL_ERRORS = (GuaranteeViolated, WalkStuck, RecolorConflict)
@@ -308,22 +308,20 @@ def instance_from_obj(obj: dict):
         )
     try:
         subgraphs = _json_subgraphs(rows, sub_lists if fmt == 2 else range(len(rows)))
-        union = set().union(*{id(g): g for g in subgraphs}.values())
-        if "base_edges" in obj:
+        explicit = "base_edges" in obj
+        if explicit:
             base_edges = [_json_edge(e) for e in obj["base_edges"]]
-        else:
-            base_edges = sorted(union)
         planted_obj = obj.get("planted")
-        planted = None
+        planted, colors = None, {}
         if planted_obj is not None:
             colors = {
                 _json_edge(e): _json_int(c, "planted color")
                 for e, c in zip(planted_obj["edges"], planted_obj["colors"])
             }
-            union |= set(colors)
-            if "base_edges" not in obj:
-                base_edges = sorted(union)
             planted = Transversal.from_map(kind, colors)
+        if not explicit:
+            # the default base: every subgraph edge and every planted edge
+            base_edges = sorted(set(colors).union(*{id(g): g for g in subgraphs}.values()))
         base = BaseGraph(num_vertices, base_edges)
         family = SubgraphFamily(base, subgraphs, kind)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -416,8 +414,7 @@ def cmd_gen(args) -> tuple[dict, list, int]:
     model, n, extra = args.model, args.n, args.extra_degree
     params = {"model": model, "n": n, "seed": args.seed}
     # each bound counts, before anything is allocated, the edges the file
-    # lists with one row per color: the base edges, every color's row and
-    # the planted edges
+    # lists: the base edges, each distinct row once and the planted edges
     if model == "planted-ham":
         _gen_fits(n * (3 + 2 * extra))
         params["extra_degree"] = extra
@@ -441,7 +438,8 @@ def cmd_gen(args) -> tuple[dict, list, int]:
     elif model == "regular-all-equal":
         if args.m is None:
             raise InputError("regular-all-equal model needs --m")
-        _gen_fits((n + 1) * n * args.m // 2 + n)
+        # one shared row, as large as the base
+        _gen_fits(n * args.m + n)
         params["m"] = args.m
         family, planted = gen_regular_all_equal(n, args.m, args.seed)
     elif model == "witness":
@@ -616,28 +614,7 @@ def cmd_bounds(args) -> tuple[dict, list, int]:
     if bid == "lll-cond":
         if args.m is None:
             raise InputError("lll-cond needs --m")
-        rep = lll_condition_ham(args.m)
-        results = {
-            "m": rep.m,
-            "p": rep.p,
-            "r": rep.r,
-            "x": rep.x,
-            "y": rep.y,
-            "xi": rep.xi,
-            "first": {
-                "lhs": rep.first_lhs,
-                "rhs": rep.first_rhs,
-                "margin": rep.first_margin,
-                "holds": rep.first_holds,
-            },
-            "second": {
-                "lhs": rep.second_lhs,
-                "rhs": rep.second_rhs,
-                "margin": rep.second_margin,
-                "holds": rep.second_holds,
-            },
-        }
-        return results, [], EXIT_OK
+        return asdict(lll_condition_ham(args.m)), [], EXIT_OK
     if bid == "lll-scan":
         if args.hi > LLL_SCAN_MAX_HI:
             raise InputError(f"lll-scan --hi is capped at {LLL_SCAN_MAX_HI}, got {args.hi}")

@@ -133,10 +133,10 @@ class SubgraphFamily:
     def __post_init__(self):
         if self.kind not in (KIND_HAM, KIND_PM):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        # keyed by id, not by value: hashing every set would cost the many
-        # small child families of the multiplication more than it saves;
-        # the tuple keeps each input alive, so no id is reused meanwhile;
-        # edge() is inlined, which pays for the memo in those families
+        # keyed by id, not by value: a loaded file's equal rows and an
+        # all-equal family's subgraphs are one shared object, so each is
+        # canonicalised once without hashing any set; the tuple keeps each
+        # input alive, so no id is reused meanwhile; edge() is inlined
         given = tuple(self.subgraphs)
         canon: dict[int, frozenset[Edge]] = {}
         subs = []
@@ -195,7 +195,8 @@ class Transversal:
     def __post_init__(self):
         if self.kind not in (KIND_HAM, KIND_PM):
             raise ValueError(f"unknown transversal kind {self.kind!r}")
-        # edge() is inlined: every output of the multiplication passes here
+        # edge() is inlined: every plan leaf the multiplication expands
+        # passes here once, in the labels its recursion runs on
         object.__setattr__(
             self, "items", tuple(sorted([((u, v) if u <= v else (v, u), c) for (u, v), c in self.items]))
         )

@@ -4,13 +4,14 @@ The exchange neighborhood of (base, S) is enumerated directly for small
 sets. The multiplication recursions first locate a saturated boundary
 vertex: a vertex all of whose set-targeting edges are realized by some
 already-constructed neighborhood member. Saturation is reached
-constructively by one ``_find_saturated_vertex`` for both kinds: it
+constructively by one ``_saturated_branches`` for both kinds: it
 passes the not-yet-realized heads of the set's ``support`` to the
 exchange, which keeps the first of each list, and crosses off every
 head the returned transversal realizes; no digraph is built per round.
-Branching over the saturated vertex's d+1 or more target edges and
-recursing on the shrunk set multiplies the count by d+1 per level. One
-recursion serves both kinds. A cycle's runs on its ``_kernel``: each
+It returns the saturated vertex's branches, one per target edge: the
+child's tables and the pairs it drops. Branching over those d+1 or more
+and recursing on the shrunk set multiplies the count by d+1 per level.
+One recursion serves both kinds. A cycle's runs on its ``_kernel``: each
 member, its two cycle neighbors and the vertex after its successor, at
 most 4|S| vertices, with every longer base path between them contracted
 to one edge. So its nodes cost O(|S|), not O(n). A matching, or a cycle
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -207,25 +207,10 @@ def omega_admissibility_matrix(
     ]
 
 
-@dataclass
-class WitnessTable:
-    """Realized set-targeting edges per boundary vertex.
-
-    witnesses maps (vertex, edge) to a neighborhood member containing the
-    edge, and its tables if a cycle; saturated is the vertex whose
-    set-targeting edges were all realized first.
-    """
-
-    saturated: int
-    witnesses: dict[tuple[int, Edge], tuple[Transversal, Tables | None]]
-
-    def targets_of(self, v: int) -> list[Edge]:
-        return sorted(e for (w, e) in self.witnesses if w == v)
-
-
-def _find_saturated_vertex(family: SubgraphFamily, node: tuple, base: Transversal, members: Sequence[int],
-                           heads: dict[int, tuple[int, ...]]) -> WitnessTable:
-    """Run exchange rounds until some boundary vertex has no pending head.
+def _saturated_branches(family: SubgraphFamily, node: tuple, base: Transversal, members: Sequence[int],
+                        heads: dict[int, tuple[int, ...]]) -> list[tuple[Edge, Tables, tuple]]:
+    """Run exchange rounds until some boundary vertex has no pending head,
+    and return one branch per target edge of the lowest such vertex.
 
     ``node`` is as in ``_many`` and base is its planted transversal, as
     ``_many`` holds it; the tails of heads, its ``support``, are the
@@ -235,21 +220,25 @@ def _find_saturated_vertex(family: SubgraphFamily, node: tuple, base: Transversa
     first, lowest, head of each, and crosses off every pending head the
     returned transversal realizes. That transversal differs from base
     inside the kept arcs, so every round makes progress.
+
+    Returns, per target edge e of the saturated vertex, in ascending
+    order, ``(e, tables, pairs)``: the child's new-to-old tables, a
+    cycle's from the walk that realized e, a matching's
+    ``canonical_tables`` of its witness at e; and the (edge, color) items
+    the child drops, a matching's branch pair.
     """
     ms = sorted(set(members))
     n = len(base)
-    if base.kind == KIND_HAM:
+    ham = base.kind == KIND_HAM
+    if ham:
         # each boundary vertex is the cycle neighbor of exactly one member
         base_edge = {(m + k) % n: edge(m, (m + k) % n) for m in ms for k in (-1, 1)}
         tables = tuple(range(n)), tuple(range(n))
     else:
         base_edge, tables = {m: edge(m, (m + n) % (2 * n)) for m in ms}, None
     todo = {v: list(hs) for v, hs in heads.items()}
-    witnesses = {(v, base_edge[v]): (base, tables) for v in todo}
-    while True:
-        empties = [v for v, t in todo.items() if not t]
-        if empties:
-            return WitnessTable(min(empties), witnesses)
+    witnesses = {v: {base_edge[v]: (base, tables)} for v in todo}
+    while all(todo.values()):
         found = _second(family, node, base, ms, todo)
         realized = found[0].edge_set
         progressed = False
@@ -258,13 +247,17 @@ def _find_saturated_vertex(family: SubgraphFamily, node: tuple, base: Transversa
             for h in pending:
                 e = edge(v, h)
                 if e in realized:
-                    witnesses[(v, e)] = found
+                    witnesses[v][e] = found
                     progressed = True
                 else:
                     kept.append(h)
             todo[v] = kept
         if not progressed:
             raise WalkStuck("exchange realized none of the kept arcs")
+    targets = sorted(witnesses[min(v for v, t in todo.items() if not t)].items())
+    if ham:
+        return [(e, tables, ()) for e, (_, tables) in targets]
+    return [(e, canonical_tables(wit, e), ((e, wit.color_of(e)),)) for e, (wit, _) in targets]
 
 
 def _second(family, node, base, ms, heads) -> tuple[Transversal, Tables | None]:
@@ -555,16 +548,11 @@ def _many(family, node, ms, heads, d, memo) -> list:
         return [base, _second(family, node, base, ms, heads)[0]]
     if not ham and (d == 0 or len(ct) == 1):
         return [base]
-    table = _find_saturated_vertex(family, node, base, ms, heads)
-    v0 = table.saturated
-    targets = table.targets_of(v0)
-    if len(targets) < d + 1:
+    branches = _saturated_branches(family, node, base, ms, heads)
+    if len(branches) < d + 1:
         raise GuaranteeViolated("saturated vertex has too few targets")
     plan = []
-    for e in targets:
-        wit, tables = table.witnesses[(v0, e)]
-        vinv, cinv = tables or canonical_tables(wit, e)
-        pairs = () if ham else ((e, wit.color_of(e)),)
+    for e, (vinv, cinv), pairs in branches:
         # relabelling composes: these rows are what this node's family would give
         vt2, ct2 = tuple([vt[k] for k in vinv]), tuple([ct[k] for k in cinv])
         subs2 = relabel_rows(family, vt2, ct2)

@@ -375,6 +375,14 @@ def empirical_lower_tail(
 
 
 @dataclass(frozen=True)
+class Inequality:
+    lhs: float
+    rhs: float
+    margin: float
+    holds: bool
+
+
+@dataclass(frozen=True)
 class InequalityReport:
     m: int
     p: float
@@ -382,14 +390,8 @@ class InequalityReport:
     x: float
     y: float
     xi: float
-    first_lhs: float
-    first_rhs: float
-    first_margin: float
-    first_holds: bool
-    second_lhs: float
-    second_rhs: float
-    second_margin: float
-    second_holds: bool
+    first: Inequality
+    second: Inequality
 
 
 def lll_condition_ham(m: int) -> InequalityReport:
@@ -418,14 +420,8 @@ def lll_condition_ham(m: int) -> InequalityReport:
         x=x,
         y=y,
         xi=XI,
-        first_lhs=first_lhs,
-        first_rhs=first_rhs,
-        first_margin=first_lhs - first_rhs,
-        first_holds=first_lhs - first_rhs > 0.0,
-        second_lhs=second_lhs,
-        second_rhs=second_rhs,
-        second_margin=second_rhs - second_lhs,
-        second_holds=second_lhs < second_rhs,
+        first=Inequality(first_lhs, first_rhs, first_lhs - first_rhs, first_lhs - first_rhs > 0.0),
+        second=Inequality(second_lhs, second_rhs, second_rhs - second_lhs, second_lhs < second_rhs),
     )
 
 
@@ -461,16 +457,16 @@ def lll_condition_scan(lo: int = 3, hi: int = 5000) -> ScanReport:
     prev = None
     for m in range(lo, hi + 1):
         rep = lll_condition_ham(m)
-        if rep.first_holds and first_min is None:
+        if rep.first.holds and first_min is None:
             first_min = m
-        if rep.second_holds and second_min is None:
+        if rep.second.holds and second_min is None:
             second_min = m
         if prev is not None:
-            if rep.first_holds != prev[0]:
+            if rep.first.holds != prev[0]:
                 ftrans.append(m)
-            if rep.second_holds != prev[1]:
+            if rep.second.holds != prev[1]:
                 strans.append(m)
-        prev = (rep.first_holds, rep.second_holds)
+        prev = (rep.first.holds, rep.second.holds)
     return ScanReport(lo, hi, first_min, second_min, tuple(ftrans), tuple(strans))
 
 

@@ -68,10 +68,10 @@ from conftest import make_ham_family, random_ham_set, random_pm_set
 def test_c01_lll_numeric_constants():
     start = time.perf_counter()
     r262 = lll_condition_ham(262)
-    assert r262.first_holds, "first inequality must be positive at m = 262"
-    assert r262.first_margin > 0
+    assert r262.first.holds, "first inequality must be positive at m = 262"
+    assert r262.first.margin > 0
     r194 = lll_condition_ham(194)
-    assert r194.second_holds, "second inequality must be satisfied at m = 194"
+    assert r194.second.holds, "second inequality must be satisfied at m = 194"
     scan = lll_condition_scan(3, 5000)
     assert scan.first_min_m is not None and scan.first_min_m <= 262
     assert scan.second_min_m is not None and scan.second_min_m <= 194

@@ -524,7 +524,7 @@ OVER_CAP = [
     "--model planted-ham --n 100000000",
     "--model planted-pm --n 2000000 --extra-degree 1",
     "--model dirac --n 300 --c 0.5",
-    "--model regular-all-equal --n 2000 --m 10",
+    "--model regular-all-equal --n 200000 --m 30",
     "--model witness --n 2000000 --set 0,3,6 --d 2",
 ]
 GENERATORS = (
@@ -551,13 +551,25 @@ def test_the_gen_cap_bounds_the_edges_the_file_lists(model, tmp_path, capsys, mo
     path = tmp_path / "g.json"
     assert main(["gen", *model.split(), "--out", str(path)]) == 0
     obj = json.loads(path.read_text())
-    # the cap counts one row per color, as a format-1 file lists them
-    listed = len(obj["base_edges"]) + sum(len(obj["rows"][i]) for i in obj["subgraphs"])
+    # the cap counts each distinct row once, as the file lists it
+    listed = len(obj["base_edges"]) + sum(map(len, obj["rows"]))
     listed += len(obj.get("planted", {}).get("edges", ()))
     # a bound below what the file lists would reject this very file
     monkeypatch.setattr(cli, "GEN_MAX_EDGES", listed - 1)
     assert main(["gen", *model.split(), "--out", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_an_all_equal_file_under_the_cap_is_written(tmp_path, capsys):
+    # 10,000 base edges, one 10,000-edge row and 2,000 planted edges: a
+    # bound with one row per color would count 20,012,000
+    path = tmp_path / "g.json"
+    assert main(["gen", "--model", "regular-all-equal", "--n", "2000", "--m", "10",
+                 "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    assert len(obj["rows"]) == 1
+    assert len(obj["base_edges"]) + len(obj["rows"][0]) + len(obj["planted"]["edges"]) == 22_000
 
 
 def _k3_file(tmp_path, rows):
@@ -866,6 +878,63 @@ def test_a_bad_format_2_file_is_an_input_error(change, message, tmp_path, capsys
     path.write_text(json.dumps(_K3_FORMAT_2))
     assert main(["count", "--in", str(path)]) == 0
     capsys.readouterr()
+
+
+_K3 = {"kind": "hamiltonian", "num_vertices": 3, "subgraphs": [K3_ROW] * 3}
+_K3_PLANTED = {**_K3, "planted": {"edges": K3_ROW, "colors": [0, 1, 2]}}
+_K4_PLANTED = {
+    "format": 2, "kind": "perfect_matching", "num_vertices": 4, "subgraphs": [0, 0],
+    "rows": [[[u, v] for u in range(4) for v in range(u + 1, 4)]],
+    "planted": {"edges": [[0, 2], [1, 3]], "colors": [0, 1]},
+}
+_K6 = {
+    "format": 2, "kind": "hamiltonian", "num_vertices": 6, "subgraphs": [0] * 6,
+    "rows": [[[u, v] for u in range(6) for v in range(u + 1, 6)]],
+}
+
+
+@pytest.mark.parametrize("obj, argv, message", [
+    ({**_K3, "kind": "tree"}, [], "unknown kind 'tree'"),
+    ({**_K3, "num_vertices": 0, "subgraphs": []}, [],
+     "malformed instance file: subgraphs must be a non-empty list"),
+    ({**_K3, "base_edges": [[0, 1], [1, 2]]}, [],
+     "invalid family: " + "; ".join(f"edge_not_in_base: subgraph {c} edge (0,2) missing from base" for c in range(3))),
+    # two triangles
+    ({**_K6, "planted": {"edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]], "colors": list(range(6))}}, [],
+     "invalid planted transversal: not_hamiltonian_cycle: edges do not form one cycle through all vertices"),
+    ({**_K4_PLANTED, "planted": {"edges": [[0, 1], [1, 2]], "colors": [0, 1]}}, [],
+     "invalid planted transversal: not_perfect_matching: edges do not form a perfect matching"),
+    ({**_K3, "planted": {"edges": K3_ROW, "colors": [0, 1, 3]}}, [],
+     "invalid planted transversal: color_range: edge (0, 2) colored 3, outside 0..2"),
+    ({**_K3, "base_edges": K3_ROW, "planted": {"edges": [[0, 1], [1, 2], [0, 0]], "colors": [0, 1, 2]}}, [],
+     "invalid planted transversal: bad_edge: edge (0, 0) not a valid vertex pair"),
+    # a bad base edge is named before a bad planted color
+    ({**_K3, "base_edges": [[0, 1], [1, 2], [0, "x"]], "planted": {"edges": K3_ROW, "colors": [0, 1, 2.5]}}, [],
+     "malformed instance file: vertex ids must be integers, got [0, 'x']"),
+    (_K3_PLANTED, ["second", "--set", "0,3"], "bad set member '3'"),
+    (_K3_PLANTED, ["second", "--set", "-1"], "bad set member '-1'"),
+    (_K3_PLANTED, ["second", "--set", " , "], "empty set spec"),
+    (_K4_PLANTED, ["second", "--set", "x0,x2"], "bad set member 'x2'"),
+    (_K4_PLANTED, ["second", "--set", "y-1"], "bad set member 'y-1'"),
+])
+def test_a_bad_instance_or_set_exits_2_with_its_message(obj, argv, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    command, *rest = argv or ["count"]
+    assert main([command, "--in", str(path), *rest]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sample_set_out_of_resamples_exits_3_and_writes_its_records(tmp_path, capsys):
+    path, log = str(tmp_path / "reg.json"), tmp_path / "dbg.jsonl"
+    run_cli(capsys, "gen", "--model", "regular-all-equal", "--n", "40", "--m", "8", "--seed", "3", "--out", path)
+    # this run needs 2053 resamples
+    code, rep = run_cli(capsys, "sample-set", "--in", path, "--method", "lll-ham", "--seed", "1",
+                        "--max-resamples", "5", "--debug-log", str(log))
+    assert code == 3
+    assert rep["results"] == {"status": "budget-exhausted", "resamples": 5}
+    assert rep["warnings"] == ["no event-free assignment within 5 resamples"]
+    assert [json.loads(line)["step"] for line in log.read_text().splitlines()] == list(range(5))
 
 
 _LONG_M = "1" + "0" * 400

@@ -106,16 +106,23 @@ def _root(fam, S, H):
     return node, tuple(sorted(S)), support(H, S)
 
 
+def _branch_witness(kind, tables, pairs):
+    """The witness a branch of ``_saturated_branches`` stands for: the
+    child's planted transversal, expanded through the branch's tables and
+    dropped pairs."""
+    vinv, cinv = tables
+    return next(multiplier._expand([planted(kind, len(vinv))], vinv, cinv, pairs))
+
+
 def test_saturated_vertex_ham_accumulates_enough_targets():
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     node, ms, heads = _root(fam, (0, 4, 8), build_full_ryb(fam))
-    table = multiplier._find_saturated_vertex(fam, node, t, ms, heads)
-    v = table.saturated
-    targets = table.targets_of(v)
-    assert len(targets) >= 3  # d + 1
-    for e in targets:
-        wit, tables = table.witnesses[(v, e)]
-        assert tables == canonical_tables(wit)
+    branches = multiplier._saturated_branches(fam, node, t, ms, heads)
+    assert len(branches) >= 3  # d + 1
+    assert [e for e, _, _ in branches] == sorted({e for e, _, _ in branches})
+    for e, tables, pairs in branches:
+        wit = _branch_witness(KIND_HAM, tables, pairs)
+        assert tables == canonical_tables(wit) and pairs == ()
         assert e in wit.edge_set
         assert validate_transversal(fam, wit).ok
         assert omega_member_ham(t, (0, 4, 8), wit)
@@ -126,13 +133,12 @@ def test_saturated_vertex_pm_accumulates_enough_targets():
     H = build_full_rb(fam)
     S = tuple(range(6))
     node, ms, heads = _root(fam, S, H)
-    table = multiplier._find_saturated_vertex(fam, node, t, ms, heads)
-    v = table.saturated
-    targets = table.targets_of(v)
-    assert len(targets) >= d_cross(H, S) + 1
-    for e in targets:
-        wit, tables = table.witnesses[(v, e)]
-        assert tables is None
+    branches = multiplier._saturated_branches(fam, node, t, ms, heads)
+    assert len(branches) >= d_cross(H, S) + 1
+    assert [e for e, _, _ in branches] == sorted({e for e, _, _ in branches})
+    for e, tables, pairs in branches:
+        wit = _branch_witness(KIND_PM, tables, pairs)
+        assert tables == canonical_tables(wit, e) and pairs == ((e, wit.color_of(e)),)
         assert e in wit.edge_set
         assert validate_transversal(fam, wit).ok
         assert omega_member_pm(t, S, wit)
@@ -225,23 +231,25 @@ def test_many_pm_lies_in_omega(case):
 @given(st.one_of(witness_ham_with_set(), planted_pm_with_set()))
 def test_child_lifts_back_to_its_witness(case):
     # the child's canonical transversal, expanded through a one-branch plan
-    # (the tables, plus the dropped branch pair of a matching), is the
-    # witness it came from; a cycle's tables, taken from the walk, are
-    # canonical_tables' own
+    # (the tables, plus the dropped branch pair of a matching), is a valid
+    # member of omega holding the branch's edge, whose canonical_tables are
+    # the branch's: a cycle's, taken from the walk, as well
     fam, t, S = case
     assume(fam.num_vertices > 2)  # a one-pair matching has no child
     ham = fam.kind == KIND_HAM
-    build = build_full_ryb if ham else build_full_rb
+    build, member = (build_full_ryb, omega_member_ham) if ham else (build_full_rb, omega_member_pm)
     node, ms, heads = _root(fam, S, build(fam))
-    table = multiplier._find_saturated_vertex(fam, node, t, ms, heads)
-    for (_, e), (wit, tables) in table.witnesses.items():
-        vinv, cinv = canonical_tables(wit, None if ham else e)
-        assert tables == ((vinv, cinv) if ham else None)
+    for e, (vinv, cinv), pairs in multiplier._saturated_branches(fam, node, t, ms, heads):
         fam2 = relabel(fam, vinv, cinv)
         t2 = planted(fam2.kind, fam2.num_vertices)
         assert validate_transversal(fam2, t2).ok
-        plan = [(vinv, cinv, () if ham else ((e, wit.color_of(e)),), [t2])]
-        assert list(multiplier._expand(plan, range(fam.num_vertices), range(fam.num_colors))) == [wit]
+        plan = [(vinv, cinv, pairs, [t2])]
+        (wit,) = multiplier._expand(plan, range(fam.num_vertices), range(fam.num_colors))
+        assert (vinv, cinv) == canonical_tables(wit, None if ham else e)
+        assert pairs == (() if ham else ((e, wit.color_of(e)),))
+        assert e in wit.edge_set
+        assert validate_transversal(fam, wit).ok
+        assert member(t, S, wit)
 
 
 def test_many_ham_rejects_zero_depth():
@@ -392,13 +400,12 @@ def _many_per_family(family, base, ms, H, d, memo):
         return [base, ham_exchange(family, ms, heads)[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
-    table = multiplier._find_saturated_vertex(family, node, base, ms, heads)
-    targets = table.targets_of(table.saturated)
-    assert len(targets) >= d + 1
+    branches = multiplier._saturated_branches(family, node, base, ms, heads)
+    assert len(branches) >= d + 1
     build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
     plan = []
-    for e in targets:
-        wit, _ = table.witnesses[(table.saturated, e)]
+    for e, tables, pairs in branches:
+        wit = _branch_witness(family.kind, tables, pairs)
         vinv, cinv = canonical_tables(wit, None if ham else e)
         fam2 = relabel(family, vinv, cinv)
         new = old_to_new(vinv, family.num_vertices)
@@ -472,11 +479,10 @@ def _lifted_per_level(family, base, ms, H, d):
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     node, _, heads = _root(family, ms, H)
-    table = multiplier._find_saturated_vertex(family, node, base, ms, heads)
     build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
     out = []
-    for e in table.targets_of(table.saturated):
-        wit, _ = table.witnesses[(table.saturated, e)]
+    for e, tables, pairs in multiplier._saturated_branches(family, node, base, ms, heads):
+        wit = _branch_witness(family.kind, tables, pairs)
         vinv, cinv = canonical_tables(wit, None if ham else e)
         fam2 = relabel(family, vinv, cinv)
         new = old_to_new(vinv, family.num_vertices)
@@ -658,28 +664,24 @@ def test_a_child_may_drop_the_depth_by_one_and_no_more(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
 def test_a_saturated_vertex_needs_d_plus_one_targets(kind, monkeypatch):
-    # the saturated vertex keeps only its first k targets: k = d raises,
+    # the saturated vertex keeps only its first k branches: k = d raises,
     # k = d + 1 does not
     fam, t, node, ms, heads, d = _boundary_case(kind)
-    find = multiplier._find_saturated_vertex
+    find = multiplier._saturated_branches
     many = multiplier._many
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
 
     def keeping(k):
         def trimmed(*args):
-            table = find(*args)
-            v0 = table.saturated
-            kept = set(table.targets_of(v0)[:k])
-            assert len(kept) == k
-            return multiplier.WitnessTable(v0, {
-                (v, e): w for (v, e), w in table.witnesses.items() if v != v0 or e in kept
-            })
+            branches = find(*args)[:k]
+            assert len(branches) == k
+            return branches
         return trimmed
 
-    monkeypatch.setattr(multiplier, "_find_saturated_vertex", keeping(d))
+    monkeypatch.setattr(multiplier, "_saturated_branches", keeping(d))
     with pytest.raises(GuaranteeViolated, match="too few targets"):
         many(fam, node, ms, heads, d, {})
-    monkeypatch.setattr(multiplier, "_find_saturated_vertex", keeping(d + 1))
+    monkeypatch.setattr(multiplier, "_saturated_branches", keeping(d + 1))
     assert len(many(fam, node, ms, heads, d, {})) == d + 1
 
 

@@ -56,9 +56,9 @@ def test_xi_constant_value():
 def test_lll_condition_frozen_margins():
     r261 = lll_condition_ham(261)
     r262 = lll_condition_ham(262)
-    assert not r261.first_holds and r262.first_holds
-    assert r261.first_margin == pytest.approx(-8.005928e-07, rel=1e-5)
-    assert r262.first_margin == pytest.approx(7.225762e-08, rel=1e-5)
+    assert not r261.first.holds and r262.first.holds
+    assert r261.first.margin == pytest.approx(-8.005928e-07, rel=1e-5)
+    assert r262.first.margin == pytest.approx(7.225762e-08, rel=1e-5)
     assert r262.p == pytest.approx(0.5 * math.sqrt(math.log(262) / 262))
     assert r262.r == pytest.approx(7 * math.sqrt(262 * math.log(262)) + 2)
     assert r262.x == pytest.approx(1.05 * r262.p**2)

@@ -63,7 +63,7 @@ MUTANTS = {
         "args.hi > 2 * LLL_SCAN_MAX_HI",
     ),
     "depth-drop-by-two": (MULTIPLIER, "d2 < d - 1", "d2 < d - 2"),
-    "d-targets-suffice": (MULTIPLIER, "len(targets) < d + 1", "len(targets) < d"),
+    "d-targets-suffice": (MULTIPLIER, "len(branches) < d + 1", "len(branches) < d"),
     "memo-key-without-set": (MULTIPLIER, "key = len(vinv), subs2, ms2", "key = len(vinv), subs2"),
     "expansion-drops-branch-pair": (
         MULTIPLIER, "[cmap[k] for k in cinv], fixed + pairs)", "[cmap[k] for k in cinv], fixed)",
