@@ -10,10 +10,11 @@ import math
 
 from transversals import (
     build_full_ryb,
-    d_star,
     enumerate_omega_ham,
     gen_witness_instance_ham,
     many_ham_transversals,
+    support,
+    support_depth,
     validate_transversal,
 )
 
@@ -21,7 +22,7 @@ n, S, d, seed = 10, (0, 3, 6), 2, 6
 family, base = gen_witness_instance_ham(n, S, d, seed=seed)
 J = build_full_ryb(family)
 
-depth = d_star(J, S)
+depth = support_depth(support(J, S))
 required = math.factorial(depth + 1)
 print(f"n = {n}, S = {S}, exchange depth d* = {depth}")
 print(f"lower bound to certify: (d*+1)! = {required}")

@@ -11,7 +11,6 @@ from transversals import (
     KIND_HAM,
     SearchBudget,
     SubgraphFamily,
-    complete_graph,
     count_ham_transversals,
     count_pm_transversals,
     edge,
@@ -23,7 +22,7 @@ from transversals import (
 )
 
 print("== K_4 with every subgraph equal to the whole graph ==")
-base = complete_graph(4)
+base = BaseGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 K4 = SubgraphFamily(base, [base.edge_set] * 4, KIND_HAM)
 count = count_ham_transversals(K4, SearchBudget())
 print(f"count = {count}  (3 Hamiltonian cycles x 4! colorings = 72)")

@@ -10,8 +10,6 @@ from transversals import (
     SamplerConfig,
     build_full_rb,
     build_full_ryb,
-    d_cross,
-    d_star,
     default_inclusion_probability,
     dirac_depth_target,
     exists_ham_transversal,
@@ -22,6 +20,8 @@ from transversals import (
     sample_set_dirac,
     sample_set_lll_ham,
     sample_set_pm,
+    support,
+    support_depth,
 )
 
 print("== biased-bit sampler with targeted resampling (cycle families) ==")
@@ -34,7 +34,7 @@ r = min(
 )
 floor = math.ceil(default_inclusion_probability(30) * r / 400.0)
 print(f"|S| = {len(out.members)}, resamples = {out.resamples}")
-print(f"guaranteed depth floor = {floor}, realized d* = {d_star(J, out.members)}")
+print(f"guaranteed depth floor = {floor}, realized d* = {support_depth(support(J, out.members))}")
 for w in out.warnings:
     print("  warning:", w)
 
@@ -45,7 +45,7 @@ fam_c, t_c, _ = naturally_index(family, t)
 J = build_full_ryb(fam_c)
 out = sample_set_dirac(J, SamplerConfig(seed=4, c=0.9))
 print(f"|S| = {len(out.members)}, redraws = {out.resamples}")
-print(f"target depth = {dirac_depth_target(60, 0.9)}, realized d* = {d_star(J, out.members)}")
+print(f"target depth = {dirac_depth_target(60, 0.9)}, realized d* = {support_depth(support(J, out.members))}")
 
 print("\n== per-pair choice sampler (matching families) ==")
 family, _ = gen_bipartite_pm_family(60, 20, seed=9)
@@ -54,4 +54,4 @@ out = sample_set_pm(H, SamplerConfig(seed=11, alpha=0.5))
 r = min(len(H.blue[v]) for v in range(120))
 floor = math.ceil(0.5 * r / 2.0)
 print(f"|S| = {len(out.members)} (one vertex per pair), resamples = {out.resamples}")
-print(f"guaranteed depth floor = {floor}, realized d_cross = {d_cross(H, out.members)}")
+print(f"guaranteed depth floor = {floor}, realized d_cross = {support_depth(support(H, out.members))}")

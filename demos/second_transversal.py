@@ -12,7 +12,6 @@ from transversals import (
     KIND_HAM,
     SubgraphFamily,
     build_full_ryb,
-    d_star,
     edge,
     ham_exchange,
     lollipop_walk,
@@ -20,6 +19,7 @@ from transversals import (
     planted,
     prune,
     support,
+    support_depth,
     validate_transversal,
 )
 
@@ -43,8 +43,8 @@ print("\nyellow arcs:", {v: sorted(J.yellow[v]) for v in range(n) if J.yellow[v]
 print("blue arcs:  ", {v: sorted(J.blue[v]) for v in range(n) if J.blue[v]})
 
 S = (0, 3)
-print(f"\nset S = {S}: d* = {d_star(J, S)}")
 heads = support(J, S)
+print(f"\nset S = {S}: d* = {support_depth(heads)}")
 print("support lists:", heads)
 
 jp = prune(heads, S, n)

@@ -18,8 +18,6 @@ from .core import (
     KIND_PM,
     SubgraphFamily,
     Transversal,
-    complete_graph,
-    cycle_graph,
     edge,
     lift,
     naturally_index,
@@ -33,14 +31,10 @@ from .digraphs import (
     RybDigraph,
     build_full_rb,
     build_full_ryb,
-    d_cross,
-    d_star,
-    is_locally_dominating,
-    is_maximal_red_independent,
-    is_red_independent,
     omega_member_ham,
     omega_member_pm,
     support,
+    support_depth,
 )
 from .errors import (
     BudgetExceeded,
@@ -105,7 +99,6 @@ from .sampler import (
     chernoff_bounds,
     default_inclusion_probability,
     dirac_depth_target,
-    empirical_lower_tail,
     factorial_bounds,
     ham_hypothesis_warnings,
     lll_condition_ham,

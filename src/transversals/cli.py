@@ -55,8 +55,6 @@ from .core import (
 from .digraphs import (
     build_full_rb,
     build_full_ryb,
-    d_cross,
-    d_star,
     omega_member_ham,
     omega_member_pm,
     support,
@@ -391,8 +389,7 @@ def _prepare(args, kind=None):
     kind its method needs); relabel with ``naturally_index``; check the
     kind; map the set; build H. Returns the file's family, transversal and
     set, their canonical forms, H, the new-to-old vertex and color tables
-    that ``lift`` maps results back through, and the depth function with
-    its report name.
+    that ``lift`` maps results back through, and the depth's report name.
     """
     family, planted, _ = load_instance(args.infile)
     if planted is None:
@@ -404,10 +401,10 @@ def _prepare(args, kind=None):
     new = old_to_new(tables[0], family.num_vertices)
     ms = tuple(sorted(new[v] for v in members))
     if fam_c.kind == KIND_HAM:
-        H, depth, metric = build_full_ryb(fam_c), d_star, "d_star"
+        H, metric = build_full_ryb(fam_c), "d_star"
     else:
-        H, depth, metric = build_full_rb(fam_c), d_cross, "d_cross"
-    return family, planted, members, fam_c, t_c, ms, H, tables, depth, metric
+        H, metric = build_full_rb(fam_c), "d_cross"
+    return family, planted, members, fam_c, t_c, ms, H, tables, metric
 
 
 def cmd_gen(args) -> tuple[dict, list, int]:
@@ -492,7 +489,7 @@ def cmd_count(args) -> tuple[dict, list, int]:
 
 
 def cmd_second(args) -> tuple[dict, list, int]:
-    family, planted, members, fam_c, t_c, ms, H, tables, _, metric = _prepare(args)
+    family, planted, members, fam_c, t_c, ms, H, tables, metric = _prepare(args)
     heads = support(H, ms)
     if fam_c.kind == KIND_HAM:
         t2_c, trace = ham_exchange(fam_c, ms, heads)
@@ -537,7 +534,7 @@ def _write_debug_log(path: Optional[str], records) -> None:
 def cmd_sample_set(args) -> tuple[dict, list, int]:
     _at_least(args.max_resamples, 0, "--max-resamples")
     kind = KIND_PM if args.method == "pm" else KIND_HAM
-    family, _, _, _, _, _, H, (vinv, _), _, metric = _prepare(args, kind)
+    family, _, _, _, _, _, H, (vinv, _), metric = _prepare(args, kind)
     m = args.m if args.m is not None else family.base.max_degree()
     cfg = SamplerConfig(
         seed=args.seed,
@@ -577,8 +574,8 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
 
 
 def cmd_multiply(args) -> tuple[dict, list, int]:
-    _, _, members, fam_c, t_c, ms, H, tables, depth, metric = _prepare(args)
-    d = depth(H, ms)
+    _, _, members, fam_c, t_c, ms, H, tables, metric = _prepare(args)
+    d = support_depth(support(H, ms))
     if fam_c.kind == KIND_HAM:
         out_c = many_ham_transversals(fam_c, ms, H)
         omega = (

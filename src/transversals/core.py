@@ -106,17 +106,6 @@ class BaseGraph:
         return f"BaseGraph(n={self.num_vertices}, m={len(self._edges)})"
 
 
-def cycle_graph(n: int) -> BaseGraph:
-    """The n-cycle 0-1-...-(n-1)-0."""
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return BaseGraph(n, [edge(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> BaseGraph:
-    return BaseGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
 @dataclass(frozen=True)
 class SubgraphFamily:
     """A base graph with an ordered tuple of subgraph edge sets.

@@ -16,9 +16,10 @@ Red edges are fixed by the labelling, so neither class stores them.
 ``support`` lists, per arc tail, the heads the support depth counts, and
 checks red independence; ``support_through`` gives the same lists for a
 relabelled family by looking each arc up, under ``_arcs``, the arc rule
-``build_full_*`` also applies. ``d_star`` and ``d_cross`` are the
-shortest list; the exchange keeps the first head of each, and the
-multiplier's saturation loop crosses heads off and passes what is left.
+``build_full_*`` also applies. ``support_depth`` is the shortest list,
+which reports name d_star for a cycle and d_cross for a matching. The
+exchange keeps the first head of each, and the multiplier's saturation
+loop crosses heads off and passes what is left.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ class RbDigraph:
                     raise ValueError(f"arc {tail}->{head} stays inside one pair")
                 if (tail < self.n) == (head < self.n):
                     raise ValueError(f"arc {tail}->{head} does not cross sides")
-
-    def partner(self, v: int) -> int:
-        return v + self.n if v < self.n else v - self.n
 
     def pair_index(self, v: int) -> int:
         return v % self.n
@@ -133,21 +131,10 @@ def build_full_rb(family: SubgraphFamily) -> RbDigraph:
     return RbDigraph(n, tuple(tuple(sorted(set(h))) for h in blue))
 
 
-def is_red_independent(digraph: RybDigraph | RbDigraph, members: Sequence[int]) -> bool:
-    """No two members joined by a red edge."""
-    return _red_independent(isinstance(digraph, RybDigraph), digraph.n, sorted(set(members)))
-
-
 def _red_independent(cycle: bool, n: int, ms: list[int]) -> bool:
     if cycle:  # no two members within cycle distance 2
         return all(min((b - a) % n, (a - b) % n) > 2 for i, a in enumerate(ms) for b in ms[i + 1:])
     return len({v % n for v in ms}) == len(ms)  # no two in one pair
-
-
-def is_maximal_red_independent(digraph: RbDigraph, members: Sequence[int]) -> bool:
-    """Exactly one endpoint from every matched pair."""
-    ms = set(members)
-    return len(ms) == digraph.n and is_red_independent(digraph, sorted(ms))
 
 
 def _support(cycle: bool, n: int, members: Sequence[int], row) -> dict[int, tuple[int, ...]]:
@@ -178,7 +165,9 @@ def support(H: RybDigraph | RbDigraph, members: Sequence[int]) -> dict[int, tupl
     Cycle kind: for each member m, ascending, m-1's yellow heads in the set
     and then m+1's blue heads in the set; red independence keeps these
     tails distinct. Matching kind: each member's blue heads outside the
-    set. Heads stay in row order, which is ascending.
+    set. Heads stay in row order, which is ascending. A cycle set with a
+    red edge raises NotRedIndependent, and a matching set that is not one
+    endpoint per pair NotMaximalRedIndependent.
     """
     cycle = not isinstance(H, RbDigraph)
     return _support(cycle, H.n, members, lambda t, c, _: H.yellow[t] if cycle and c == t else H.blue[t])
@@ -195,28 +184,9 @@ def support_through(family: SubgraphFamily, vt: Sequence[int], ct: Sequence[int]
 
 
 def support_depth(heads: dict[int, tuple[int, ...]]) -> int:
-    """The support depth: the length of the shortest list of ``heads``."""
+    """The support depth, d_star for a cycle set and d_cross for a
+    matching: the length of the shortest list of ``heads``."""
     return min(map(len, heads.values()))
-
-
-def is_locally_dominating(J: RybDigraph, members: Sequence[int]) -> bool:
-    """Every member is fed by a yellow arc from its predecessor and a blue
-    arc from its successor, both landing inside the set."""
-    return d_star(J, members) >= 1
-
-
-def d_star(H: RybDigraph, members: Sequence[int]) -> int:
-    """Minimum in-set support over all members (cycle kind).
-
-    Zero whenever some member has an empty yellow or blue support; the
-    caller decides whether zero is an error.
-    """
-    return support_depth(support(H, members))
-
-
-def d_cross(H: RbDigraph, members: Sequence[int]) -> int:
-    """Minimum number of blue arcs leaving the set from any member."""
-    return support_depth(support(H, members))
 
 
 def omega_member_ham(base: Transversal, members: Sequence[int], cand: Transversal) -> bool:

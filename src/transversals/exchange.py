@@ -242,9 +242,6 @@ class AlternatingCycle:
     pairs: tuple[int, ...]
     arcs: tuple[tuple[int, int], ...]
 
-    def red_edges(self, n: int) -> list[Edge]:
-        return [edge(p, p + n) for p in self.pairs]
-
     def length(self) -> int:
         return 2 * len(self.pairs)
 

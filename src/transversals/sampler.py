@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .digraphs import RbDigraph, RybDigraph, d_cross, d_star
+from .digraphs import RbDigraph, RybDigraph, support, support_depth
 from .errors import (
     DomainError,
     GuaranteeViolated,
@@ -64,7 +64,7 @@ class SampleOutcome:
     it is certified for.
 
     members is sorted and red-independent (one endpoint per pair for the
-    matching sampler); depth is its ``d_star`` or ``d_cross``.
+    matching sampler); depth is its support depth (d_star or d_cross).
     depth_floor is the support depth every accepted set reaches. The
     resampling samplers also give event_threshold, the count below which
     a bad event fires; lll-ham gives statement_form, the floor in the
@@ -138,11 +138,11 @@ def _row_counts(flat: np.ndarray, offsets: np.ndarray, incl: np.ndarray) -> np.n
     return np.add.reduceat(incl[flat].astype(np.int64), offsets[:-1])
 
 
-def _sampled_depth(depth, H, members: tuple[int, ...], floor: int = 0) -> int:
+def _sampled_depth(H, members: tuple[int, ...], floor: int = 0) -> int:
     """The support depth of a sampled set, and its post-hoc guarantee:
     red-independent, depth >= floor."""
     try:
-        d = depth(H, members)
+        d = support_depth(support(H, members))
     except (NotRedIndependent, NotMaximalRedIndependent):
         raise GuaranteeViolated("sampled set is not red-independent") from None
     if d < floor:
@@ -214,7 +214,7 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
                 worst = (key, "y_blue", int(v), H.blue[int(v)])
         if worst is None:
             members = tuple(int(v) for v in np.nonzero(incl)[0])
-            depth = _sampled_depth(d_star, H, members, floor)
+            depth = _sampled_depth(H, members, floor)
             return SampleOutcome(members, depth, step, tuple(records), warnings, floor, threshold, statement_form)
         if step == cfg.max_resamples:
             break
@@ -273,7 +273,7 @@ def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
         keep = incl & ~near
         members = tuple(int(v) for v in np.nonzero(keep)[0])
         if members:
-            observed = _sampled_depth(d_star, H, members)
+            observed = _sampled_depth(H, members)
             if observed >= target:
                 return SampleOutcome(members, observed, step, tuple(records), warnings, target)
         else:
@@ -334,7 +334,7 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
         flagged = np.nonzero(escapes < threshold)[0]
         if flagged.size == 0:
             members = tuple(int(v) for v in np.sort(chosen))
-            depth = _sampled_depth(d_cross, H, members, floor)
+            depth = _sampled_depth(H, members, floor)
             return SampleOutcome(members, depth, step, tuple(records), warnings, floor, threshold)
         if step == cfg.max_resamples:
             break
@@ -359,19 +359,6 @@ def chernoff_bounds(mu: float, delta: float) -> tuple[float, float]:
     bound1 = math.exp(mu * (-delta - (1.0 - delta) * math.log1p(-delta)))
     bound2 = math.exp(-0.5 * delta * delta * mu)
     return bound1, bound2
-
-
-def empirical_lower_tail(
-    n: int, p: float, delta: float, trials: int, seed: int
-) -> float:
-    """Monte-Carlo frequency of Bin(n,p) < (1-delta)np."""
-    import numpy as np
-
-    if not 0.0 < p < 1.0 or not 0.0 < delta < 1.0 or n < 1 or trials < 1:
-        raise DomainError("need n, trials >= 1 and p, delta in (0,1)")
-    rng = np.random.default_rng(seed)
-    draws = rng.binomial(n, p, size=trials)
-    return float(np.mean(draws < (1.0 - delta) * n * p))
 
 
 @dataclass(frozen=True)
@@ -433,10 +420,6 @@ class ScanReport:
     second_min_m: Optional[int]
     first_transitions: tuple[int, ...]
     second_transitions: tuple[int, ...]
-
-    @property
-    def first_single_crossing(self) -> bool:
-        return len(self.first_transitions) <= 1
 
     @property
     def second_single_crossing(self) -> bool:

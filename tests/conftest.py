@@ -1,15 +1,35 @@
 import random
 
+import numpy as np
 import pytest
 
 from transversals import (
     BaseGraph,
     KIND_HAM,
     SubgraphFamily,
-    d_cross,
     edge,
     planted,
+    support,
+    support_depth,
 )
+
+
+def cycle_graph(n):
+    """The n-cycle 0-1-...-(n-1)-0."""
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return BaseGraph(n, [edge(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n):
+    return BaseGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def empirical_lower_tail(n, p, delta, trials, seed):
+    """Monte-Carlo frequency of Bin(n,p) < (1-delta)np."""
+    rng = np.random.default_rng(seed)
+    draws = rng.binomial(n, p, size=trials)
+    return float(np.mean(draws < (1.0 - delta) * n * p))
 
 
 def make_ham_family(n, chords):
@@ -49,6 +69,6 @@ def random_pm_set(rng: random.Random, H, n: int):
     """One endpoint per pair, rejection-sampled so every member can escape."""
     for _ in range(20):
         S = tuple(sorted(i if rng.random() < 0.5 else n + i for i in range(n)))
-        if d_cross(H, S) >= 1:
+        if support_depth(support(H, S)) >= 1:
             return S
     return tuple(range(n))

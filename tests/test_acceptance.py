@@ -25,13 +25,9 @@ from transversals import (
     build_full_rb,
     build_full_ryb,
     chernoff_bounds,
-    complete_graph,
     count_ham_transversals,
     count_pm_transversals,
-    d_cross,
-    d_star,
     edge,
-    empirical_lower_tail,
     enumerate_omega_ham,
     enumerate_omega_pm,
     factorial_bounds,
@@ -59,10 +55,11 @@ from transversals import (
     sample_set_lll_ham,
     sample_set_pm,
     support,
+    support_depth,
     validate_transversal,
 )
 
-from conftest import make_ham_family, random_ham_set, random_pm_set
+from conftest import complete_graph, empirical_lower_tail, make_ham_family, random_ham_set, random_pm_set
 
 
 def test_c01_lll_numeric_constants():
@@ -127,12 +124,12 @@ def test_c03_d_star_invariance_exhaustive():
         d = 1 if len(S) < 3 else rng.choice([1, 1, 2])
         fam, t = gen_witness_instance_ham(n, S, d, seed=i)
         H = build_full_ryb(fam)
-        d0 = d_star(H, S)
+        d0 = support_depth(support(H, S))
         for psi in enumerate_omega_ham(fam, t, S):
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             S2 = sorted(new[v] for v in S)
-            assert d_star(build_full_ryb(fam2), S2) == d0, (n, S, i)
+            assert support_depth(support(build_full_ryb(fam2), S2)) == d0, (n, S, i)
             members_checked += 1
         instances += 1
     assert instances >= 50 and members_checked > instances
@@ -206,7 +203,7 @@ def test_c06_d_cross_invariance_and_permanent():
         fam, t = gen_planted_pm_family(n, extra, seed=500 + i)
         H = build_full_rb(fam)
         S = random_pm_set(rng, H, n)
-        d0 = d_cross(H, S)
+        d0 = support_depth(support(H, S))
         om = enumerate_omega_pm(fam, t, S)
         M = omega_admissibility_matrix(fam, S)
         assert len(om) == permanent(M), (n, i)
@@ -214,7 +211,7 @@ def test_c06_d_cross_invariance_and_permanent():
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             S2 = sorted(new[v] for v in S)
-            assert d_cross(build_full_rb(fam2), S2) == d0, (n, i)
+            assert support_depth(support(build_full_rb(fam2), S2)) == d0, (n, i)
             members_checked += 1
         instances += 1
     assert instances >= 50
@@ -233,7 +230,7 @@ def test_c07_many_pm_factorial_bound():
             fam, t = gen_planted_pm_family(n, d, seed=3000 * d + i)
             H = build_full_rb(fam)
             S = tuple(range(n))
-            assert d_cross(H, S) == d, (d, n, i)
+            assert support_depth(support(H, S)) == d, (d, n, i)
             out = many_pm_transversals(fam, S, H)
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)

@@ -15,6 +15,7 @@ import transversals
 from transversals import (
     AlternatingCycle,
     BaseGraph,
+    BudgetExceeded,
     GuaranteeViolated,
     KIND_HAM,
     KIND_PM,
@@ -195,7 +196,7 @@ def test_sample_set_exits_5_when_the_sampled_set_is_not_red_independent(tmp_path
     def not_independent(H, members):
         raise NotRedIndependent(f"set {list(members)} has a red-adjacent pair")
 
-    monkeypatch.setattr(sampler, "d_star", not_independent)
+    monkeypatch.setattr(sampler, "support", not_independent)
     assert main(["sample-set", "--in", path, "--method", "lll-ham", "--seed", "2"]) == cli.EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -980,3 +981,74 @@ def test_lll_ham_sampling_with_a_max_degree_too_large_for_a_float_exits_4(p, tmp
     err = capsys.readouterr().err
     assert err == "precondition failed: DomainError: max degree m is too large for a float\n"
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def dirac_file(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("dirac") / "d.json")
+    assert main(["gen", "--model", "dirac", "--n", "10", "--c", "0.8", "--seed", "4", "--find-planted",
+                 "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--c 8", "step-1 probability c/8 = 1.0 outside (0,1)"),
+    ("--c 1.0", "some out-degree (6) is below c*n - 2 = 8.0"),
+])
+def test_dirac_sampling_out_of_range_exits_4(argv, message, dirac_file, capsys):
+    capsys.readouterr()
+    assert main(["sample-set", "--in", dirac_file, "--method", "dirac", "--seed", "1", *argv.split()]) == 4
+    assert capsys.readouterr().err == f"precondition failed: DomainError: {message}\n"
+
+
+def test_dirac_sampling_below_the_analyzed_c_warns(dirac_file, capsys):
+    capsys.readouterr()
+    code, rep = run_cli(capsys, "sample-set", "--in", dirac_file, "--method", "dirac", "--seed", "1", "--c", "0.4")
+    assert code == 0
+    assert rep["results"]["status"] == "ok"
+    assert rep["warnings"] == ["c = 0.4 is below the analyzed range c >= 1/2"]
+
+
+def test_dirac_sampling_out_of_redraws_exits_3(dirac_file, capsys):
+    capsys.readouterr()
+    code, rep = run_cli(capsys, "sample-set", "--in", dirac_file, "--method", "dirac", "--seed", "1",
+                        "--c", "0.3", "--max-resamples", "0")
+    assert code == 3
+    assert rep["results"] == {"status": "budget-exhausted", "resamples": 0}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gen --model dirac --n 10 --seed 1", "dirac model needs --c"),
+    ("gen --model regular-all-equal --n 10 --seed 1", "regular-all-equal model needs --m"),
+    ("gen --model witness --n 9 --seed 1 --set 0,3,6", "witness model needs --set and --d"),
+    ("gen --model witness --n 9 --seed 1 --d 2", "witness model needs --set and --d"),
+    ("bounds --id lll-cond", "lll-cond needs --m"),
+    ("bounds --id pm-degree-threshold --m 44", "pm-degree-threshold needs --alpha and --m"),
+    ("bounds --id pm-degree-threshold --alpha 0.5", "pm-degree-threshold needs --alpha and --m"),
+])
+def test_a_missing_flag_exits_2(argv, message, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert main([*argv.split(), *(["--out", str(out)] if argv.startswith("gen") else [])]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_the_pm_degree_threshold_prints(capsys):
+    code, rep = run_cli(capsys, "bounds", "--id", "pm-degree-threshold", "--alpha", "0.5", "--m", "44")
+    assert code == 0
+    assert rep["results"] == {"alpha": 0.5, "m": 44, "threshold": 148.8208186539448}
+
+
+def test_a_search_budget_exhausted_outside_count_exits_3(tmp_path, capsys, monkeypatch):
+    # main's handler, not the command's: gen --find-planted has no budget report of its own
+    def exhausted(family):
+        raise BudgetExceeded("node budget of 1 spent", nodes=1)
+
+    monkeypatch.setattr(cli.oracle, "exists_ham_transversal", exhausted)
+    out = tmp_path / "d.json"
+    argv = ["gen", "--model", "dirac", "--n", "10", "--c", "0.8", "--seed", "4", "--find-planted", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: node budget of 1 spent\n"
+    assert not out.exists()

@@ -9,8 +9,6 @@ from transversals import (
     NotNaturallyIndexed,
     SubgraphFamily,
     Transversal,
-    complete_graph,
-    cycle_graph,
     edge,
     gen_planted_pm_family,
     gen_regular_all_equal,
@@ -23,7 +21,7 @@ from transversals import (
 )
 from transversals.core import ValidationReport, Violation, canonical_tables, relabel, require_naturally_indexed
 
-from conftest import make_ham_family
+from conftest import complete_graph, cycle_graph, make_ham_family
 
 
 def test_edge_orders_endpoints():

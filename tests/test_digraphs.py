@@ -10,20 +10,17 @@ from transversals import (
     SubgraphFamily,
     build_full_rb,
     build_full_ryb,
-    d_cross,
-    d_star,
     edge,
     gen_planted_ham_family,
     gen_planted_pm_family,
     gen_witness_instance_ham,
     ham_exchange,
-    is_locally_dominating,
-    is_maximal_red_independent,
-    is_red_independent,
     omega_member_ham,
     omega_member_pm,
     pm_exchange,
+    prune,
     support,
+    support_depth,
 )
 
 from conftest import make_ham_family
@@ -139,7 +136,7 @@ def test_ryb_build_matches_arc_definition_on_witness_instances(n, data):
     H = build_full_ryb(fam)
     assert (H.yellow, H.blue) == _arcs_by_definition(fam)
     assert support(H, members) == _support_by_definition(fam, members)
-    assert d_star(H, members) == d
+    assert support_depth(support(H, members)) == d
 
 
 def test_ryb_build_reads_both_endpoints_of_one_subgraph():
@@ -158,37 +155,35 @@ def test_ryb_build_reads_both_endpoints_of_one_subgraph():
 
 
 def test_red_independence_circular_distance():
+    # support raises on two members at cycle distance 1 or 2
     H = RybDigraph(8, _rows(8), _rows(8))
-    assert is_red_independent(H, (0, 3))
-    assert is_red_independent(H, (0, 4))
-    assert not is_red_independent(H, (0, 1))
-    assert not is_red_independent(H, (0, 2))
-    assert not is_red_independent(H, (0, 6))  # distance 2 around the wrap
-    H9 = RybDigraph(9, _rows(9), _rows(9))
-    assert is_red_independent(H9, (0, 3, 6))
+    support(H, (0, 3))
+    support(H, (0, 4))
+    for red in ((0, 1), (0, 2), (0, 6)):  # (0, 6): distance 2 around the wrap
+        with pytest.raises(NotRedIndependent):
+            support(H, red)
+    support(RybDigraph(9, _rows(9), _rows(9)), (0, 3, 6))
 
 
 def test_d_star_counts_min_inset_support(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam)
-    assert d_star(H, (0, 3)) == 1
-    assert is_locally_dominating(H, (0, 3))
+    assert support_depth(support(H, (0, 3))) == 1
     # member 0 needs yellow from 5 into S and blue from 1 into S
-    assert not is_locally_dominating(H, (0,)) or d_star(H, (0,)) == 0
+    assert support_depth(support(H, (0,))) == 0
 
 
 def test_d_star_on_witness_instance_matches_request():
     for d in (1, 2):
         fam, t = gen_witness_instance_ham(9, (0, 3, 6), d, seed=5)
         H = build_full_ryb(fam)
-        assert d_star(H, (0, 3, 6)) == d
-        assert is_locally_dominating(H, (0, 3, 6))
+        heads = support(H, (0, 3, 6))
+        assert support_depth(heads) == d
+        prune(heads, (0, 3, 6), 9)  # locally dominating: the exchange can start
 
 
-def test_rb_partner_and_pair_index():
+def test_rb_pair_index():
     H = RbDigraph(4, _rows(8))
-    assert H.partner(0) == 4 and H.partner(4) == 0
-    assert H.partner(3) == 7 and H.partner(7) == 3
     assert H.pair_index(2) == 2 and H.pair_index(6) == 2
 
 
@@ -201,19 +196,20 @@ def test_rb_arcs_cross_pair_boundary():
 
 
 def test_pm_red_independence_one_per_pair():
+    # support needs exactly one endpoint of every pair
     H = RbDigraph(3, _rows(6))
-    assert is_red_independent(H, (0, 1, 2))
-    assert is_red_independent(H, (0, 4, 2))
-    assert not is_red_independent(H, (0, 3, 1))  # 0 and 3 share pair 0
-    assert is_maximal_red_independent(H, (0, 4, 2))
-    assert not is_maximal_red_independent(H, (0, 4))
+    support(H, (0, 1, 2))
+    support(H, (0, 4, 2))
+    for bad in ((0, 3, 1), (0, 4)):  # 0 and 3 share pair 0; pair 2 is missing
+        with pytest.raises(NotMaximalRedIndependent):
+            support(H, bad)
 
 
 def test_d_cross_counts_escapes():
     fam, t = gen_planted_pm_family(6, 2, seed=3)
     H = build_full_rb(fam)
     S = tuple(range(6))
-    assert d_cross(H, S) == 2  # every x-side vertex got exactly 2 cross edges
+    assert support_depth(support(H, S)) == 2  # every x-side vertex got exactly 2 cross edges
     got = min(len([w for w in H.blue[v] if w not in set(S)]) for v in S)
     assert got == 2
 
@@ -224,7 +220,7 @@ def test_support_lists_the_counted_heads(figure_family):
     # member 0: yellow 5 -> 3 and blue 1 -> 3; member 3: yellow 2 -> 0 and blue 4 -> 0
     heads = support(H, (3, 0))
     assert list(heads.items()) == [(5, (3,)), (1, (3,)), (2, (0,)), (4, (0,))]
-    assert d_star(H, (0, 3)) == min(map(len, heads.values())) == 1
+    assert support_depth(support(H, (0, 3))) == min(map(len, heads.values())) == 1
     with pytest.raises(ValueError, match="empty set"):
         support(H, ())
     with pytest.raises(NotRedIndependent, match=r"set \[0, 1\] has a red-adjacent pair"):
@@ -234,7 +230,7 @@ def test_support_lists_the_counted_heads(figure_family):
     H2 = build_full_rb(fam2)
     # the x side is one endpoint per pair, and every blue arc leaves it
     assert support(H2, range(4)) == {v: H2.blue[v] for v in range(4)}
-    assert d_cross(H2, tuple(range(4))) == min(len(H2.blue[v]) for v in range(4))
+    assert support_depth(support(H2, tuple(range(4)))) == min(len(H2.blue[v]) for v in range(4))
     with pytest.raises(NotMaximalRedIndependent, match="need exactly one endpoint per pair"):
         support(H2, (0, 4, 1, 2))
 

@@ -7,8 +7,6 @@ from transversals import (
     InfeasibleWitness,
     build_full_rb,
     build_full_ryb,
-    d_cross,
-    d_star,
     edge,
     gen_bipartite_pm_family,
     gen_dirac_family,
@@ -17,6 +15,8 @@ from transversals import (
     gen_regular_all_equal,
     gen_witness_instance_ham,
     planted,
+    support,
+    support_depth,
     validate_family,
     validate_transversal,
 )
@@ -63,7 +63,7 @@ def test_planted_pm_family_shape():
         assert t == planted(fam.kind, fam.num_vertices)
         H = build_full_rb(fam)
         # each x-side member has exactly extra escapes from its own subgraph
-        assert d_cross(H, tuple(range(n))) == extra
+        assert support_depth(support(H, tuple(range(n)))) == extra
 
 
 def test_dirac_family_degree_floor():
@@ -115,7 +115,7 @@ def test_witness_instance_depth_is_exact():
         fam, t = gen_witness_instance_ham(n, S, d, seed=rng.randrange(10**6))
         assert validate_family(fam).ok
         H = build_full_ryb(fam)
-        assert d_star(H, S) == d
+        assert support_depth(support(H, S)) == d
 
 
 def test_witness_instance_rejections():

@@ -18,8 +18,6 @@ from transversals import (
     Transversal,
     build_full_rb,
     build_full_ryb,
-    d_cross,
-    d_star,
     enumerate_all_ham_transversals,
     enumerate_omega_ham,
     enumerate_omega_pm,
@@ -38,6 +36,7 @@ from transversals import (
     permanent,
     planted,
     support,
+    support_depth,
     validate_transversal,
 )
 from transversals import exchange, multiplier
@@ -134,7 +133,7 @@ def test_saturated_vertex_pm_accumulates_enough_targets():
     S = tuple(range(6))
     node, ms, heads = _root(fam, S, H)
     branches = multiplier._saturated_branches(fam, node, t, ms, heads)
-    assert len(branches) >= d_cross(H, S) + 1
+    assert len(branches) >= support_depth(support(H, S)) + 1
     assert [e for e, _, _ in branches] == sorted({e for e, _, _ in branches})
     for e, tables, pairs in branches:
         wit = _branch_witness(KIND_PM, tables, pairs)
@@ -168,7 +167,7 @@ def test_many_pm_reaches_factorial(d):
         fam, t = gen_planted_pm_family(n, d, seed=rng.randrange(10**6))
         H = build_full_rb(fam)
         S = tuple(range(n))
-        assert d_cross(H, S) == d
+        assert support_depth(support(H, S)) == d
         out = many_pm_transversals(fam, S, H)
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
@@ -213,7 +212,7 @@ def test_many_ham_lies_in_omega(case):
     fam, t, S = case
     H = build_full_ryb(fam)
     out = many_ham_transversals(fam, S, H)
-    _check_multiplied(fam, out, set(enumerate_omega_ham(fam, t, S)), d_star(H, S))
+    _check_multiplied(fam, out, set(enumerate_omega_ham(fam, t, S)), support_depth(support(H, S)))
 
 
 @settings(deadline=None)
@@ -222,7 +221,7 @@ def test_many_pm_lies_in_omega(case):
     # S holds a random endpoint of each pair, not only the low ones
     fam, t, S = case
     H = build_full_rb(fam)
-    d = d_cross(H, S)
+    d = support_depth(support(H, S))
     assume(d <= 4)  # 7 pairs at depth 6 take about a second each
     out = many_pm_transversals(fam, S, H)
     _check_multiplied(fam, out, set(enumerate_omega_pm(fam, t, S)), d)
@@ -282,12 +281,12 @@ def test_the_floor_is_d_plus_one_factorial_exactly(kind, monkeypatch):
     # floor that drifts to d! or to (d+1)! + 1 fails here
     if kind == KIND_HAM:
         fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-        ms, H, many, depth = (0, 4, 8), build_full_ryb(fam), many_ham_transversals, d_star
+        ms, H, many = (0, 4, 8), build_full_ryb(fam), many_ham_transversals
     else:
         fam, t = gen_planted_pm_family(6, 2, seed=5)
-        ms, H, many, depth = tuple(range(6)), build_full_rb(fam), many_pm_transversals, d_cross
+        ms, H, many = tuple(range(6)), build_full_rb(fam), many_pm_transversals
     outputs = many(fam, ms, H)
-    floor = math.factorial(depth(H, ms) + 1)
+    floor = math.factorial(support_depth(support(H, ms)) + 1)
     assert len(outputs) >= floor > 1
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: outputs[:floor - 1])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
@@ -402,7 +401,7 @@ def _many_per_family(family, base, ms, H, d, memo):
         return [base]
     branches = multiplier._saturated_branches(family, node, base, ms, heads)
     assert len(branches) >= d + 1
-    build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
+    build = build_full_ryb if ham else build_full_rb
     plan = []
     for e, tables, pairs in branches:
         wit = _branch_witness(family.kind, tables, pairs)
@@ -414,8 +413,9 @@ def _many_per_family(family, base, ms, H, d, memo):
         if key not in memo:
             t2 = planted(fam2.kind, fam2.num_vertices)
             H2 = build(fam2)
-            assert depth(H2, ms2) >= d - 1
-            memo[key] = _many_per_family(fam2, t2, ms2, H2, depth(H2, ms2), memo)
+            d2 = support_depth(support(H2, ms2))
+            assert d2 >= d - 1
+            memo[key] = _many_per_family(fam2, t2, ms2, H2, d2, memo)
         plan.append((vinv, cinv, () if ham else ((e, wit.color_of(e)),), memo[key]))
     return plan
 
@@ -479,7 +479,7 @@ def _lifted_per_level(family, base, ms, H, d):
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     node, _, heads = _root(family, ms, H)
-    build, depth = (build_full_ryb, d_star) if ham else (build_full_rb, d_cross)
+    build = build_full_ryb if ham else build_full_rb
     out = []
     for e, tables, pairs in multiplier._saturated_branches(family, node, base, ms, heads):
         wit = _branch_witness(family.kind, tables, pairs)
@@ -489,7 +489,7 @@ def _lifted_per_level(family, base, ms, H, d):
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
         t2 = planted(fam2.kind, fam2.num_vertices)
         H2 = build(fam2)
-        solved = _lifted_per_level(fam2, t2, ms2, H2, depth(H2, ms2))
+        solved = _lifted_per_level(fam2, t2, ms2, H2, support_depth(support(H2, ms2)))
         pair = {} if ham else {e: wit.color_of(e)}
         out += [Transversal.from_map(u.kind, {**u.colors(), **pair}) for u in lift(solved, vinv, cinv)]
     return out
@@ -502,8 +502,8 @@ def test_many_equals_a_lift_per_level(case):
     # that lifting every child's list back at each level gives
     fam, t, S, H, _ = case
     ham = fam.kind == KIND_HAM
-    many, depth = (many_ham_transversals, d_star) if ham else (many_pm_transversals, d_cross)
-    expected = sorted(set(_lifted_per_level(fam, t, S, H, depth(H, S))), key=lambda u: u.items)
+    many = many_ham_transversals if ham else many_pm_transversals
+    expected = sorted(set(_lifted_per_level(fam, t, S, H, support_depth(support(H, S)))), key=lambda u: u.items)
     assert many(fam, S, H) == expected
 
 
@@ -616,11 +616,11 @@ def test_d_star_invariant_across_omega():
         S = random_ham_set(rng, n, rng.random() < 0.4)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
         H = build_full_ryb(fam)
-        d0 = d_star(H, S)
+        d0 = support_depth(support(H, S))
         for psi in enumerate_omega_ham(fam, t, S):
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
-            assert d_star(build_full_ryb(fam2), sorted(new[v] for v in S)) == d0
+            assert support_depth(support(build_full_ryb(fam2), sorted(new[v] for v in S))) == d0
 
 
 def test_d_cross_invariant_across_omega():
@@ -631,11 +631,11 @@ def test_d_cross_invariant_across_omega():
         fam, t = gen_planted_pm_family(n, extra, seed=rng.randrange(10**6))
         H = build_full_rb(fam)
         S = tuple(range(n))
-        d0 = d_cross(H, S)
+        d0 = support_depth(support(H, S))
         for psi in enumerate_omega_pm(fam, t, S):
             fam2, psi2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
-            assert d_cross(build_full_rb(fam2), sorted(new[v] for v in S)) == d0
+            assert support_depth(support(build_full_rb(fam2), sorted(new[v] for v in S))) == d0
 
 
 def _boundary_case(kind):

@@ -11,7 +11,6 @@ from transversals import (
     KIND_PM,
     SearchBudget,
     SubgraphFamily,
-    complete_graph,
     count_ham_transversals,
     count_pm_transversals,
     edge,
@@ -26,7 +25,7 @@ from transversals import (
     validate_transversal,
 )
 
-from conftest import make_ham_family
+from conftest import complete_graph, make_ham_family
 
 
 def _k4_all_equal():

@@ -10,18 +10,13 @@ from transversals import (
     build_full_rb,
     build_full_ryb,
     chernoff_bounds,
-    d_cross,
-    d_star,
     default_inclusion_probability,
     dirac_depth_target,
-    empirical_lower_tail,
     exists_ham_transversal,
     factorial_bounds,
     gen_bipartite_pm_family,
     gen_dirac_family,
     gen_regular_all_equal,
-    is_maximal_red_independent,
-    is_red_independent,
     lll_condition_ham,
     lll_condition_scan,
     naturally_index,
@@ -31,9 +26,13 @@ from transversals import (
     sample_set_dirac,
     sample_set_lll_ham,
     sample_set_pm,
+    support,
+    support_depth,
 )
 from transversals import sampler
 from transversals.sampler import XI
+
+from conftest import empirical_lower_tail
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +68,6 @@ def test_lll_scan_transition_structure():
     scan = lll_condition_scan(3, 400)
     assert scan.first_min_m == 262
     assert scan.first_transitions == (262,)
-    assert scan.first_single_crossing
     # the second inequality holds on [3, 7], fails on [8, 77], holds from 78
     assert scan.second_transitions == (8, 78)
     assert scan.second_min_m == 3
@@ -85,13 +83,13 @@ def test_default_inclusion_probability():
 def test_lll_ham_sampler_meets_guarantee(regular_ryb):
     H = regular_ryb
     out = sample_set_lll_ham(H, SamplerConfig(seed=5, m=30))
-    assert is_red_independent(H, out.members)
     p = default_inclusion_probability(30)
     r = min(
         min(len(H.yellow[v]) for v in range(H.n)),
         min(len(H.blue[v]) for v in range(H.n)),
     )
-    assert out.depth == d_star(H, out.members) >= math.ceil(p * r / 400.0)
+    # support raises unless the set is red-independent
+    assert out.depth == support_depth(support(H, out.members)) >= math.ceil(p * r / 400.0)
     assert len(out.warnings) == 2  # small-m and small-r regime notes
 
 
@@ -142,9 +140,9 @@ def test_samplers_warn_when_m_is_not_given(regular_ryb, bipartite_rb):
 def test_pm_sampler_meets_guarantee(bipartite_rb):
     H = bipartite_rb
     out = sample_set_pm(H, SamplerConfig(seed=1, alpha=0.5))
-    assert is_maximal_red_independent(H, out.members)
     assert len(out.members) == H.n
-    assert out.depth == d_cross(H, out.members) >= math.ceil(0.5 * 20 / 2)
+    # support raises unless the set has one endpoint per pair
+    assert out.depth == support_depth(support(H, out.members)) >= math.ceil(0.5 * 20 / 2)
 
 
 def test_pm_escape_counts_match_the_row_loop(bipartite_rb):
@@ -168,7 +166,7 @@ def test_pm_sampler_deterministic(bipartite_rb):
 
 def test_pm_sampler_raises_when_the_depth_floor_fails(bipartite_rb, monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
-    monkeypatch.setattr(sampler, "d_cross", lambda H, ms: 0)
+    monkeypatch.setattr(sampler, "support_depth", lambda heads: 0)
     with pytest.raises(GuaranteeViolated, match="below the floor 5"):
         sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
 
@@ -187,7 +185,7 @@ def test_dirac_sampler_meets_target():
     H = build_full_ryb(fam_c)
     out = sample_set_dirac(H, SamplerConfig(seed=4, c=0.9))
     assert out.depth >= dirac_depth_target(60, 0.9)
-    assert is_red_independent(H, out.members)
+    assert out.depth == support_depth(support(H, out.members))  # red-independent, or support raises
     again = sample_set_dirac(H, SamplerConfig(seed=4, c=0.9))
     assert again.members == out.members
 
@@ -272,10 +270,10 @@ def test_a_sampled_set_below_its_depth_floor_raises(regular_ryb, monkeypatch):
     # the set's depth is reported as floor - 1, then as floor
     floor = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30)).depth_floor
     assert floor >= 1
-    monkeypatch.setattr(sampler, "d_star", lambda H, members: floor - 1)
+    monkeypatch.setattr(sampler, "support_depth", lambda heads: floor - 1)
     with pytest.raises(GuaranteeViolated, match=f"below the floor {floor}"):
         sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
-    monkeypatch.setattr(sampler, "d_star", lambda H, members: floor)
+    monkeypatch.setattr(sampler, "support_depth", lambda heads: floor)
     assert sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30)).depth == floor
 
 

@@ -1,8 +1,11 @@
 """Source checks no installed linter makes: unused imports, stray asserts,
-private helpers that nothing calls."""
+private helpers that nothing calls, public functions only tests call."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import transversals
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "transversals"
@@ -39,15 +42,20 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_every_private_helper_is_read():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+def _read_names(trees) -> set:
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_every_private_helper_is_read():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    read = _read_names(trees.values())
     unread = [
         f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
         for path, tree in trees.items()
@@ -56,6 +64,25 @@ def test_every_private_helper_is_read():
         and node.name not in read
     ]
     assert unread == []
+
+
+# the public functions that no module of the package calls, and why each stays
+UNCALLED_PUBLIC = {
+    "chernoff_bounds": "paper calculator: the two lower-tail bounds behind the samplers",
+    "pm_bounded_degree_floor": "paper calculator: the 10 log m + 6 degree floor of the matching count",
+    "gen_bipartite_pm_family": "generator: the matching families the pm sampler is shown on",
+    "enumerate_all_pm_transversals": "oracle reference: lists what count_pm_transversals counts",
+    "permanent": "oracle reference: the matching count it equals; the benchmark reads it",
+    "omega_admissibility_matrix": "oracle reference: the matrix whose permanent that is; the benchmark reads it",
+}
+
+
+def test_every_public_function_is_called_in_the_package():
+    # a function exported only for tests or demos belongs in tests/
+    read = _read_names(tree for path, tree in _modules() if path.parent == PACKAGE)
+    public = {name for name in transversals.__all__ if inspect.isfunction(getattr(transversals, name))}
+    assert sorted(public - read - UNCALLED_PUBLIC.keys()) == []
+    assert sorted(UNCALLED_PUBLIC.keys() - (public - read)) == []
 
 
 def test_no_function_imports_from_the_package():

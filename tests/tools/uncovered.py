@@ -6,9 +6,12 @@ installs a ``sys.settrace`` line collector for the files of
 ``src/transversals/`` before anything is imported, and writes what it saw
 when the process exits. So a test that runs the CLI as a subprocess and
 keeps ``PYTHONPATH`` counts too; one that replaces it (the demo tests)
-does not. For each module the script then prints the statement lines
-that never ran: lines that start a statement and carry bytecode, with
-docstrings left out. Tier-1 does not collect this file.
+does not. Tracing slows every test several times over, so the run also
+loads, with ``-p``, a plugin from the same directory that turns off
+Hypothesis deadlines before any test module is imported; no test's own
+settings change. For each module the script then prints the statement
+lines that never ran: lines that start a statement and carry bytecode,
+with docstrings left out. Tier-1 does not collect this file.
 
     python tests/tools/uncovered.py                      # all of tier-1
     python tests/tools/uncovered.py tests/test_cli.py    # pytest arguments
@@ -65,6 +68,17 @@ atexit.register(_dump)
 """
 
 
+# the pytest plugin the traced run loads: a Hypothesis profile with no
+# deadline, the default for every @settings made after it loads
+_PLUGIN_NAME = "uncovered_no_deadline"
+_PLUGIN = """\
+from hypothesis import settings
+
+settings.register_profile("uncovered", deadline=None)
+settings.load_profile("uncovered")
+"""
+
+
 def statement_lines(path: Path) -> set[int]:
     """Lines of path that start a statement other than a docstring and
     that the compiler gives bytecode."""
@@ -105,10 +119,11 @@ def main(argv=None) -> int:
         out.mkdir()
         package = str(PACKAGE.resolve()) + os.sep
         (site / "sitecustomize.py").write_text(_SITECUSTOMIZE.format(package=package, out=str(out)))
+        (site / f"{_PLUGIN_NAME}.py").write_text(_PLUGIN)
         path = os.pathsep.join(filter(None, [str(site), str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-             *pytest_args],
+             "-p", _PLUGIN_NAME, *pytest_args],
             cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
         )
         ran: dict[str, set[int]] = {}
