@@ -2,10 +2,12 @@
 
 Subcommands: gen, count, second, sample-set, multiply, bounds. Every
 report is a JSON object on stdout whose fields other than wall_time_s
-are a pure function of the inputs and the seed. Exit codes: 0 success,
-2 input error, 3 budget, result cap or resample cap exhausted, 4 precondition
-violated by otherwise well-formed input, 5 internal error (a guarantee
-check failed, which signals a bug, not bad input).
+are a pure function of the inputs and the seed. A report carries its
+transversals as ``Transversal`` values, which ``_json_text`` writes as
+{colors, edges} objects. Exit codes: 0 success, 2 input error, 3
+budget, result cap or resample cap exhausted, 4 precondition violated
+by otherwise well-formed input, 5 internal error (a guarantee check
+failed, which signals a bug, not bad input).
 
 Instance files are JSON: kind (``KIND_HAM`` = "hamiltonian" or
 ``KIND_PM`` = "perfect_matching", the same values the library uses),
@@ -180,16 +182,48 @@ def _json_text(value, indent: int) -> str:
     is structural. A dict with a key that is not a ``str`` is left to
     ``json.dumps`` and shifted in to its depth: JSON escapes newlines inside
     strings, so each newline it writes starts a line.
+
+    A ``Transversal`` is written as exactly the text of its
+    ``transversal_to_obj`` dict at that place, without building the dict:
+    a ``multiply`` report lists at least (d+1)! outputs that share all
+    but a few edges. Each edge's row text is made once per depth and kept
+    in ``rows``, which lives only for this call; an output is then one
+    join of its colors and one of its cached rows. A row's text depends
+    on nothing but its edge and its depth: json writes the list [u, v]
+    as "[", each id on a line of its own one level in, and "]" back on
+    the row's line, and an int id as ``int.__repr__`` does, which is what
+    the f-string gives.
     """
     pieces: list[str] = []
     unit = " " * indent
+    rows: dict[str, dict[Edge, str]] = {}  # a depth's line start -> edge -> row text
 
     def enc(v, item_separator: str) -> str:
         return "".join(_c_encoder(item_separator)(v, 0))
 
+    def transversal(t: Transversal, p0: str) -> str:
+        p1 = p0 + unit
+        if not t.items:
+            return "{" + p1 + '"colors": [],' + p1 + '"edges": []' + p0 + "}"
+        p2 = p1 + unit
+        text = rows.setdefault(p0, {})
+        try:
+            edges = [text[e] for e, _ in t.items]
+        except KeyError:
+            p3 = p2 + unit
+            text.update({e: f"[{p3}{e[0]},{p3}{e[1]}{p2}]" for e, _ in t.items if e not in text})
+            edges = [text[e] for e, _ in t.items]
+        sep = "," + p2
+        colors = enc([c for _, c in t.items], sep)[1:-1]
+        return "".join(("{", p1, '"colors": [', p2, colors, p1, "],", p1,
+                        '"edges": [', p2, sep.join(edges), p1, "]", p0, "}"))
+
     def write(v, depth: int) -> None:
         p0 = "\n" + unit * depth
         p1 = p0 + unit
+        if type(v) is Transversal:
+            pieces.append(transversal(v, p0))
+            return
         if isinstance(v, dict):
             if not v:
                 pieces.append("{}")
@@ -439,7 +473,7 @@ def cmd_gen(args) -> tuple[dict, list, int]:
         _gen_fits(n * args.m + n)
         params["m"] = args.m
         family, planted = gen_regular_all_equal(n, args.m, args.seed)
-    elif model == "witness":
+    else:  # witness: argparse's choices admit no other model
         if args.set is None or args.d is None:
             raise InputError("witness model needs --set and --d")
         try:
@@ -450,8 +484,6 @@ def cmd_gen(args) -> tuple[dict, list, int]:
         params["set"] = list(members)
         params["d"] = args.d
         family, planted = gen_witness_instance_ham(n, members, args.d, args.seed)
-    else:
-        raise InputError(f"unknown model {model!r}")
     obj = instance_to_obj(family, planted, params)
     with open(args.out, "w") as fh:
         fh.write(_json_text(obj, 1) + "\n")
@@ -512,7 +544,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
     (t2,) = lift([t2_c], *tables)
     results = {
         "set": list(members),
-        "second": transversal_to_obj(t2),
+        "second": t2,
         "valid": validate_transversal(family, t2).ok,
         "distinct": t2 != planted,
         "omega_member": omega_ok,
@@ -593,7 +625,7 @@ def cmd_multiply(args) -> tuple[dict, list, int]:
         "d": d,
         "required": required,
         "count": len(out_c),
-        "transversals": [transversal_to_obj(t) for t in lift(out_c, *tables)],
+        "transversals": lift(out_c, *tables),
     }
     if omega is not None:
         omega_set = set(omega)

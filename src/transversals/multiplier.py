@@ -34,9 +34,9 @@ it. A kernel output is checked in O(|S|), in the kernel and item by
 item against the caller's family, after one O(n) check per call that
 the contracted paths are planted runs tiling the cycle; together these
 are its expansion's validation in the caller's labels. The (d+1)!
-floor, the target count, the depth drop, a cycle output's membership in
-the exchange neighborhood and its expansion are each checked once and
-raise GuaranteeViolated.
+floor, the target count, the depth drop, each output's membership in
+the exchange neighborhood and a kernel output's expansion are each
+checked once and raise GuaranteeViolated.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .core import (
     require_naturally_indexed,
     validate_transversal,
 )
-from .digraphs import RbDigraph, RybDigraph, omega_member_ham, support, support_depth, support_through
+from .digraphs import RbDigraph, RybDigraph, omega_member_ham, omega_member_pm, support, support_depth, support_through
 from .errors import DStarTooSmall, GuaranteeViolated, InvalidTransversal, NotRedIndependent, WalkStuck
 from .exchange import checked_second, cycle_exchange, matching_exchange
 
@@ -295,10 +295,11 @@ def _multiply(family, members, H) -> list[Transversal]:
     The planted transversal is built and validated here, once, and every
     check on the set runs on the caller's family and H. A cycle's
     recursion then runs on its ``_kernel``, whose outputs are expanded
-    back once, checked by ``_expand_kernel`` as valid in the caller's
-    labels, and checked against the exchange neighborhood in the
-    kernel's. Every other witness comes out of the exchange, which
-    validates it, and a child's base is the relabelled image of one.
+    back once and checked by ``_expand_kernel`` as valid in the caller's
+    labels. Every output of either kind is checked against the exchange
+    neighborhood in the labels the recursion ran on. Every other witness
+    comes out of the exchange, which validates it, and a child's base is
+    the relabelled image of one.
     """
     base = planted(family.kind, family.num_vertices)
     report = validate_transversal(family, base)
@@ -317,7 +318,8 @@ def _multiply(family, members, H) -> list[Transversal]:
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
     expanded = _expand_kernel(family, kfam, out, K, paths)
-    if family.kind == KIND_HAM and not all(omega_member_ham(kbase, kms, t) for t in out):
+    in_omega = omega_member_ham if family.kind == KIND_HAM else omega_member_pm
+    if not all(in_omega(kbase, kms, t) for t in out):
         raise GuaranteeViolated("a multiplication output lies outside the exchange neighborhood")
     return sorted(expanded, key=lambda t: t.items)
 

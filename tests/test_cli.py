@@ -22,6 +22,7 @@ from transversals import (
     LollipopTrace,
     NotRedIndependent,
     SubgraphFamily,
+    Transversal,
     cli,
     edge,
     enumerate_all_ham_transversals,
@@ -507,6 +508,46 @@ def test_json_text_is_json_dumps(value, indent):
     assert cli._json_text(value, indent) == json.dumps(value, indent=indent, sort_keys=True)
 
 
+@st.composite
+def transversal_values(draw):
+    """Values holding transversals of both kinds, empty ones included,
+    whose edges come from one small pool, so that they share edges, with
+    one transversal object at two depths."""
+    pool = draw(st.lists(st.tuples(st.integers(-2, 10**6), st.integers(-2, 10**6)), min_size=1, max_size=6))
+    transversals = st.builds(
+        Transversal,
+        st.sampled_from([KIND_HAM, KIND_PM]),
+        st.lists(st.tuples(st.sampled_from(pool), st.integers()), max_size=5).map(tuple),
+    )
+    shared = draw(transversals)
+    tree = draw(st.recursive(
+        transversals | st.just(shared) | _SCALARS,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.tuples(kids, kids),
+            st.dictionaries(st.text(max_size=3), kids, max_size=4),
+        ),
+        max_leaves=12,
+    ))
+    return [shared, tree, {"again": [shared, Transversal(KIND_PM, ())]}]
+
+
+def _as_objs(value):
+    if isinstance(value, Transversal):
+        return cli.transversal_to_obj(value)
+    if isinstance(value, dict):
+        return {k: _as_objs(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_objs(v) for v in value]
+    return value
+
+
+@given(transversal_values(), st.sampled_from([1, 2]))
+def test_json_text_writes_a_transversal_as_its_obj(value, indent):
+    want = json.dumps(_as_objs(value), indent=indent, sort_keys=True)
+    assert cli._json_text(value, indent) == want
+
+
 def test_a_closed_stdout_ends_without_a_traceback():
     src = str(Path(transversals.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -917,6 +958,7 @@ _K6 = {
     (_K3_PLANTED, ["second", "--set", " , "], "empty set spec"),
     (_K4_PLANTED, ["second", "--set", "x0,x2"], "bad set member 'x2'"),
     (_K4_PLANTED, ["second", "--set", "y-1"], "bad set member 'y-1'"),
+    ({**_K3, "subgraphs": [[*K3_ROW, 5]] * 3}, [], "malformed instance file: cannot unpack non-iterable int object"),
 ])
 def test_a_bad_instance_or_set_exits_2_with_its_message(obj, argv, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -1037,6 +1079,15 @@ def test_the_pm_degree_threshold_prints(capsys):
     code, rep = run_cli(capsys, "bounds", "--id", "pm-degree-threshold", "--alpha", "0.5", "--m", "44")
     assert code == 0
     assert rep["results"] == {"alpha": 0.5, "m": 44, "threshold": 148.8208186539448}
+
+
+def test_find_planted_without_a_transversal_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.oracle, "exists_ham_transversal", lambda family: None)
+    out = tmp_path / "d.json"
+    argv = ["gen", "--model", "dirac", "--n", "6", "--c", "0.8", "--seed", "1", "--find-planted", "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", "precondition failed: DomainError: no transversal found to plant\n")
+    assert not out.exists()
 
 
 def test_a_search_budget_exhausted_outside_count_exits_3(tmp_path, capsys, monkeypatch):

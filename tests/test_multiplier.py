@@ -19,6 +19,7 @@ from transversals import (
     build_full_rb,
     build_full_ryb,
     enumerate_all_ham_transversals,
+    enumerate_all_pm_transversals,
     enumerate_omega_ham,
     enumerate_omega_pm,
     gen_planted_ham_family,
@@ -834,6 +835,26 @@ def test_many_ham_raises_on_an_output_outside_omega(contracts, monkeypatch):
     monkeypatch.setattr(multiplier, "_many", and_outside_omega)
     with pytest.raises(GuaranteeViolated, match="outside the exchange neighborhood"):
         many_ham_transversals(fam, S, H)
+
+
+def test_many_pm_raises_on_an_output_outside_omega(monkeypatch):
+    # the matching twin: a valid matching the oracle lists whose colors
+    # at the set differ from the planted matching's
+    fam, _ = gen_planted_pm_family(6, 2, seed=5)
+    S, H = tuple(range(6)), build_full_rb(fam)
+    base = planted(KIND_PM, fam.num_vertices)
+    bad = next(u for u in enumerate_all_pm_transversals(fam) if not omega_member_pm(base, S, u))
+    many, calls = multiplier._many, []
+
+    def and_outside_omega(family, node, ms, heads, d, memo):
+        calls.append(node)  # the root's call is the first; its children share its family
+        plan = many(family, node, ms, heads, d, memo)
+        return plan + [bad] if node is calls[0] else plan
+
+    assert many_pm_transversals(fam, S, H)
+    monkeypatch.setattr(multiplier, "_many", and_outside_omega)
+    with pytest.raises(GuaranteeViolated, match="outside the exchange neighborhood"):
+        many_pm_transversals(fam, S, H)
 
 
 def test_kernel_expansion_refuses_a_recolored_path(monkeypatch):

@@ -79,7 +79,7 @@ MUTANTS = {
     "kernel-expansion-skips-root-membership": (MULTIPLIER, "if f not in base or f not in subs[fc]:", "if False:"),
     "multiply-skips-omega-check": (
         MULTIPLIER,
-        "if family.kind == KIND_HAM and not all(omega_member_ham(kbase, kms, t) for t in out):",
+        "if not all(in_omega(kbase, kms, t) for t in out):",
         "if False:",
     ),
     "cycle-lookup-counts-own-member": (
@@ -95,6 +95,7 @@ MUTANTS = {
     "coloring-memo-without-signature": (ORACLE, "lambda: (number, used)", "lambda: used"),
     "negative-row-index": ("src/transversals/cli.py", "not 0 <= i < len(out)", "not i < len(out)"),
     "second-skips-omega-check": ("src/transversals/cli.py", "if not omega_ok:", "if False:"),
+    "transversal-rows-without-depth": ("src/transversals/cli.py", "rows.setdefault(p0, {})", "rows.setdefault(unit, {})"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench")
