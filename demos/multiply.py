@@ -12,7 +12,7 @@ from transversals import (
     build_full_ryb,
     enumerate_omega_ham,
     gen_witness_instance_ham,
-    many_ham_transversals,
+    many_transversals,
     support,
     support_depth,
     validate_transversal,
@@ -27,7 +27,8 @@ required = math.factorial(depth + 1)
 print(f"n = {n}, S = {S}, exchange depth d* = {depth}")
 print(f"lower bound to certify: (d*+1)! = {required}")
 
-outputs = many_ham_transversals(family, S, J)
+d, outputs = many_transversals(family, S, J)
+assert d == depth, "the recursion counts the same depth"
 print(f"recursion produced {len(outputs)} transversals")
 
 assert len(set(outputs)) == len(outputs), "outputs must be pairwise distinct"

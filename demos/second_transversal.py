@@ -13,11 +13,11 @@ from transversals import (
     SubgraphFamily,
     build_full_ryb,
     edge,
-    ham_exchange,
     lollipop_walk,
     omega_member_ham,
     planted,
     prune,
+    second_transversal,
     support,
     support_depth,
     validate_transversal,
@@ -56,7 +56,9 @@ print(f"rotation walk: {len(trace.states)} states, pivots {list(trace.pivots)}")
 for state in trace.states:
     print("  path", state)
 
-second = ham_exchange(family, S, heads)[0]
+# the family is canonically labelled: identity tables validate the result there
+identity = tuple(range(n)), tuple(range(n))
+second = second_transversal(family, identity, base, S, heads)[0]
 print("\nsecond transversal:")
 for e, c in second.items:
     marker = "" if base.colors().get(e) == c else "   <- new"

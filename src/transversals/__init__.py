@@ -60,11 +60,10 @@ from .exchange import (
     LollipopTrace,
     PrunedDigraph,
     find_alternating_cycle,
-    ham_exchange,
     lollipop_walk,
-    pm_exchange,
     prune,
     recolor_ham,
+    second_transversal,
 )
 from .generators import (
     gen_bipartite_pm_family,
@@ -77,8 +76,7 @@ from .generators import (
 from .multiplier import (
     enumerate_omega_ham,
     enumerate_omega_pm,
-    many_ham_transversals,
-    many_pm_transversals,
+    many_transversals,
     omega_admissibility_matrix,
 )
 from .oracle import (

@@ -17,14 +17,15 @@ The canonical ("naturally indexed") labelling puts the cycle on
 0,1,...,n-1 with edge(i, i+1 mod n) colored i, or pairs vertex i with
 n+i colored i. Everything downstream assumes it. That transversal is
 ``planted(kind, n)``, a function of the kind and the vertex count, so
-the digraph builders, the exchanges and the multiplication take the
-family alone. Only the omega checks, which compare a result with a
-base, take one, and ``enumerate_omega_*`` pass it to
-``require_naturally_indexed``. ``canonical_tables`` states the rule
-once as new-to-old tables, ``relabel_rows`` maps a family's subgraphs
-through them, ``relabel`` rebuilds the whole family, its base edges by
-the same rule, and ``lift`` maps transversals back; ``naturally_index``
-and the multiplication's children share it.
+the digraph builders and the multiplication take the family alone. The
+exchange takes it from its caller, which holds it already, and the
+omega checks, which compare a result with a base, take one;
+``enumerate_omega_*`` pass it to ``require_naturally_indexed``.
+``canonical_tables`` states the rule once as new-to-old tables,
+``relabel_rows`` maps a family's subgraphs through them, ``relabel``
+rebuilds the whole family, its base edges by the same rule, and ``lift``
+maps transversals back; ``naturally_index`` and the multiplication's
+children share it.
 """
 
 from __future__ import annotations
@@ -419,15 +420,18 @@ def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]
     return SubgraphFamily(BaseGraph(len(vinv), base), relabel_rows(family, vinv, cinv), family.kind)
 
 
-def lift(transversals: Iterable[Transversal], vinv: tuple[int, ...], cinv: tuple[int, ...]) -> list[Transversal]:
+def lift(transversals: Iterable[Transversal], vinv: tuple[int, ...], cinv: tuple[int, ...],
+         fixed: tuple = ()) -> list[Transversal]:
     """Transversals of a relabelled family in the old labels: edge (u, v)
-    colored c becomes (``vinv[u]``, ``vinv[v]``) colored ``cinv[c]``.
-    Identity tables return the inputs themselves. The multiplication does
-    not lift level by level: it composes the tables down its recursion
-    and builds each output once, in the labels of the call."""
-    if vinv == tuple(range(len(vinv))) and cinv == tuple(range(len(cinv))):
+    colored c becomes (``vinv[u]``, ``vinv[v]``) colored ``cinv[c]``, and
+    each gains the (edge, color) pairs of ``fixed``, in the old labels: a
+    matching's multiplication node's dropped pairs. Identity tables and no
+    fixed pairs return the inputs themselves. The multiplication does not
+    lift level by level: it composes the tables down its recursion and
+    builds each output once, in the labels of the call."""
+    if not fixed and vinv == tuple(range(len(vinv))) and cinv == tuple(range(len(cinv))):
         return list(transversals)
-    return [Transversal(t.kind, tuple([((vinv[u], vinv[v]), cinv[c]) for (u, v), c in t.items]))
+    return [Transversal(t.kind, tuple([((vinv[u], vinv[v]), cinv[c]) for (u, v), c in t.items]) + fixed)
             for t in transversals]
 
 

@@ -16,12 +16,11 @@ Both exchanges read a heads map shaped like ``digraphs.support``'s result,
 arc tail to the heads the support depth counts, and keep the first head
 of each list: the lowest, as ``support`` lists heads ascending. The
 multiplier's witness loop passes its pending lists as they are.
-``cycle_exchange`` and ``matching_exchange`` need no family, and
-``checked_second`` validates a result in the labels its caller lifts it
-to. ``ham_exchange`` and ``pm_exchange`` take a canonically labelled
-family, whose planted transversal is ``planted(kind, n)``, and return
-the second transversal with the rotation walk or alternating cycle
-that produced it.
+``second_transversal`` runs the exchange of ``base.kind`` in the
+canonical labelling whose planted transversal is ``base``. It validates
+the result once, in the labels its caller lifts it to, refuses base, and
+returns the result with the rotation walk or alternating cycle that
+produced it.
 """
 
 from __future__ import annotations
@@ -32,14 +31,12 @@ from typing import Mapping, Sequence
 from .core import (
     Edge,
     KIND_HAM,
-    KIND_PM,
     SubgraphFamily,
     Tables,
     Transversal,
     cycle_tables,
     edge,
     lift,
-    planted,
     validate_transversal,
 )
 from .errors import (
@@ -195,42 +192,6 @@ def recolor_ham(cycle: Sequence[int], jp: PrunedDigraph) -> tuple[int, ...]:
     return tuple(psi.values()) + tuple(set(range(n)).difference(psi.values()))
 
 
-def cycle_exchange(heads: Heads, members: Sequence[int], n: int) -> tuple[Tables, LollipopTrace]:
-    """The second cycle's canonical tables on the n-cycle, and its walk,
-    anchored at the smallest member's forward cycle edge. Requires local
-    domination: every member's predecessor and successor have a head."""
-    ms = tuple(sorted(set(members)))
-    jp = prune(heads, ms, n)
-    trace = lollipop_walk(jp, edge(ms[0], (ms[0] + 1) % n))
-    cyc = trace.final
-    if cyc[0] not in jp.adj[cyc[-1]]:
-        raise WalkStuck("final state does not close into a cycle")
-    return cycle_tables(cyc, recolor_ham(cyc, jp)), trace
-
-
-def checked_second(family: SubgraphFamily, base: Transversal, out: Transversal, lifted: Transversal) -> Transversal:
-    """out, after checking that ``lifted``, its image in family's labels, is valid and out is not base."""
-    report = validate_transversal(family, lifted)
-    if not report.ok:
-        raise InvalidTransversal(f"exchange produced an invalid transversal: {report.summary()}", report)
-    if out == base:
-        raise WalkStuck("exchange returned the base transversal")
-    return out
-
-
-def ham_exchange(family: SubgraphFamily, members: Sequence[int], heads: Heads) -> tuple[Transversal, LollipopTrace]:
-    """Second cycle transversal supported by the first of ``heads``, with its walk.
-
-    Requires the canonical labelling, a red-independent set (``support``
-    checks it), and what ``cycle_exchange`` requires. The result is
-    validated and is always distinct from the planted cycle.
-    """
-    base = planted(KIND_HAM, family.num_vertices)
-    tables, trace = cycle_exchange(heads, members, family.num_vertices)
-    (out,) = lift([base], *tables)
-    return checked_second(family, base, out, out), trace
-
-
 @dataclass(frozen=True)
 class AlternatingCycle:
     """Even cycle alternating red pair edges and blue arcs.
@@ -272,23 +233,42 @@ def find_alternating_cycle(escapes: Heads, n: int) -> AlternatingCycle:
         p = w % n
 
 
-def pm_exchange(family: SubgraphFamily, members: Sequence[int], heads: Heads) -> tuple[Transversal, AlternatingCycle]:
-    """Swap the alternating cycle into the planted matching; return both.
+def second_transversal(family: SubgraphFamily, tables: tuple, base: Transversal, members: Sequence[int],
+                       heads: Heads) -> tuple[Transversal, Transversal, Tables | None, LollipopTrace | AlternatingCycle]:
+    """A second transversal supported by the first of ``heads``, either kind.
 
-    The members must be the keys of ``heads``, one endpoint per pair.
-    Each set member on the cycle moves to its first head and keeps its
-    planted color; untouched pairs stay as they are. Validated, distinct.
+    base is ``planted(kind, n)`` of the canonical labelling the exchange
+    runs in, and ``tables``, ``lift``'s arguments after the transversals,
+    lead from there to family's labels, where the result is validated once.
+    A cycle needs local domination: every member's predecessor and
+    successor have a head; its walk is anchored at the smallest member's
+    forward cycle edge. A matching's members must be the keys of
+    ``heads``, one endpoint per pair; each one on the alternating cycle
+    moves to its first head and keeps its planted color. Returns the
+    result, never base, in base's labels and in family's, a cycle's
+    canonical tables (None for a matching), and the walk or the
+    alternating cycle.
     """
-    if set(members) != set(heads):
-        raise NotMaximalRedIndependent("the members must be the keys of the heads map, one endpoint per pair")
-    out, cyc = matching_exchange(heads, family.num_pairs)
-    return checked_second(family, planted(KIND_PM, family.num_vertices), out, out), cyc
-
-
-def matching_exchange(heads: Heads, n: int) -> tuple[Transversal, AlternatingCycle]:
-    """Swap the alternating cycle of ``heads`` into the planted matching
-    on n pairs, (p, n+p) colored p; the result is not validated."""
-    cyc = find_alternating_cycle(heads, n)
-    swapped = set(cyc.pairs)
-    kept = [((p, p + n), p) for p in range(n) if p not in swapped]
-    return Transversal(KIND_PM, tuple(kept + [((t, h), t % n) for t, h in cyc.arcs])), cyc
+    n = len(base)
+    if base.kind == KIND_HAM:
+        jp = prune(heads, members, n)
+        walk = lollipop_walk(jp, edge(jp.members[0], (jp.members[0] + 1) % n))
+        cyc = walk.final
+        if cyc[0] not in jp.adj[cyc[-1]]:
+            raise WalkStuck("final state does not close into a cycle")
+        canonical = cycle_tables(cyc, recolor_ham(cyc, jp))
+        (out,) = lift([base], *canonical)
+    else:
+        if set(members) != set(heads):
+            raise NotMaximalRedIndependent("the members must be the keys of the heads map, one endpoint per pair")
+        walk, canonical = find_alternating_cycle(heads, n), None
+        swapped = set(walk.pairs)
+        kept = [((p, p + n), p) for p in range(n) if p not in swapped]
+        out = Transversal(base.kind, tuple(kept + [((t, h), t % n) for t, h in walk.arcs]))
+    (lifted,) = lift([out], *tables)
+    report = validate_transversal(family, lifted)
+    if not report.ok:
+        raise InvalidTransversal(f"exchange produced an invalid transversal: {report.summary()}", report)
+    if out == base:
+        raise WalkStuck("exchange returned the base transversal")
+    return out, lifted, canonical, walk

@@ -11,7 +11,9 @@ head the returned transversal realizes; no digraph is built per round.
 It returns the saturated vertex's branches, one per target edge: the
 child's tables and the pairs it drops. Branching over those d+1 or more
 and recursing on the shrunk set multiplies the count by d+1 per level.
-One recursion serves both kinds. A cycle's runs on its ``_kernel``: each
+One recursion serves both kinds, and one entry, ``many_transversals``,
+which returns the set's support depth d with the outputs, so a caller
+reads d where the floor uses it. A cycle's runs on its ``_kernel``: each
 member, its two cycle neighbors and the vertex after its successor, at
 most 4|S| vertices, with every longer base path between them contracted
 to one edge. So its nodes cost O(|S|), not O(n). A matching, or a cycle
@@ -63,7 +65,7 @@ from .core import (
 )
 from .digraphs import RbDigraph, RybDigraph, omega_member_ham, omega_member_pm, support, support_depth, support_through
 from .errors import DStarTooSmall, GuaranteeViolated, InvalidTransversal, NotRedIndependent, WalkStuck
-from .exchange import checked_second, cycle_exchange, matching_exchange
+from .exchange import second_transversal
 
 
 def _cycle_paths(n: int, members: Sequence[int]):
@@ -239,15 +241,15 @@ def _saturated_branches(family: SubgraphFamily, node: tuple, base: Transversal, 
     todo = {v: list(hs) for v, hs in heads.items()}
     witnesses = {v: {base_edge[v]: (base, tables)} for v in todo}
     while all(todo.values()):
-        found = _second(family, node, base, ms, todo)
-        realized = found[0].edge_set
+        out, _, canonical, _ = second_transversal(family, node, base, ms, todo)
+        realized = out.edge_set
         progressed = False
         for v, pending in todo.items():
             kept = []
             for h in pending:
                 e = edge(v, h)
                 if e in realized:
-                    witnesses[v][e] = found
+                    witnesses[v][e] = out, canonical
                     progressed = True
                 else:
                     kept.append(h)
@@ -260,46 +262,22 @@ def _saturated_branches(family: SubgraphFamily, node: tuple, base: Transversal, 
     return [(e, canonical_tables(wit, e), ((e, wit.color_of(e)),)) for e, (wit, _) in targets]
 
 
-def _second(family, node, base, ms, heads) -> tuple[Transversal, Tables | None]:
-    """One exchange at a node: the witness, with its tables for a cycle,
-    validated once, lifted into family's labels as ``_expand`` lifts."""
-    if base.kind == KIND_HAM:
-        tables, _ = cycle_exchange(heads, ms, len(base))
-        (out,) = lift([base], *tables)
-    else:
-        tables, (out, _) = None, matching_exchange(heads, len(base))
-    return checked_second(family, base, out, next(_expand([out], *node))), tables
+def many_transversals(family: SubgraphFamily, members: Sequence[int],
+                      H: RybDigraph | RbDigraph) -> tuple[int, list[Transversal]]:
+    """The support depth d of members, and at least (d+1)! distinct
+    transversals, all in the exchange neighborhood of the planted one and
+    members, that one included; canonically sorted.
 
-
-def many_ham_transversals(family: SubgraphFamily, members: Sequence[int], H: RybDigraph) -> list[Transversal]:
-    """At least (d+1)! distinct transversals, d the support depth of members.
-
-    H is the full digraph ``build_full_ryb(family)``. All outputs lie in
-    the exchange neighborhood of the planted cycle and members, and
-    include the planted cycle itself.
-    """
-    return _multiply(family, members, H)
-
-
-def many_pm_transversals(family: SubgraphFamily, members: Sequence[int], H: RbDigraph) -> list[Transversal]:
-    """At least (d+1)! distinct matchings, d the blue escape depth.
-
-    H is the full digraph ``build_full_rb(family)``.
-    """
-    return _multiply(family, members, H)
-
-
-def _multiply(family, members, H) -> list[Transversal]:
-    """The entry checks and the (d+1)! floor, once for the whole recursion.
-
-    The planted transversal is built and validated here, once, and every
-    check on the set runs on the caller's family and H. A cycle's
-    recursion then runs on its ``_kernel``, whose outputs are expanded
-    back once and checked by ``_expand_kernel`` as valid in the caller's
-    labels. Every output of either kind is checked against the exchange
-    neighborhood in the labels the recursion ran on. Every other witness
-    comes out of the exchange, which validates it, and a child's base is
-    the relabelled image of one.
+    family is canonically labelled, and H is its full digraph,
+    ``build_full_ryb`` or ``build_full_rb``. The planted transversal is
+    built and validated here, once, and every check on the set runs on
+    family and H: a cycle needs d >= 1. A cycle's recursion then runs on
+    its ``_kernel``, whose outputs are expanded back once and checked by
+    ``_expand_kernel`` as valid in the caller's labels. Every output of
+    either kind is checked against the exchange neighborhood in the labels
+    the recursion ran on. Every other witness comes out of the exchange,
+    which validates it, and a child's base is the relabelled image of
+    one. The (d+1)! floor is checked here, once for the whole recursion.
     """
     base = planted(family.kind, family.num_vertices)
     report = validate_transversal(family, base)
@@ -321,7 +299,7 @@ def _multiply(family, members, H) -> list[Transversal]:
     in_omega = omega_member_ham if family.kind == KIND_HAM else omega_member_pm
     if not all(in_omega(kbase, kms, t) for t in out):
         raise GuaranteeViolated("a multiplication output lies outside the exchange neighborhood")
-    return sorted(expanded, key=lambda t: t.items)
+    return d, sorted(expanded, key=lambda t: t.items)
 
 
 def _kernel(family: SubgraphFamily, ms: tuple[int, ...], heads: dict[int, tuple[int, ...]]) -> tuple:
@@ -401,7 +379,7 @@ def _expand_kernel(family, kfam, out, K, paths) -> list[Transversal]:
     k+1) in color k stands for exactly the planted run K[k]...K[k+1] with
     base colors K[k]...K[k+1]-1, and the kept edges and the paths tile
     the root cycle: |K| - #paths + the paths' total length is n. Every
-    path item is then a planted item, which ``_multiply``'s entry
+    path item is then a planted item, which ``many_transversals``'s entry
     validation checked in family. Each output t then costs O(|K|) checks,
     each raising GuaranteeViolated, in this order: (P2) every contracted
     edge in t carries its own color; (P1) t is valid in kfam, a
@@ -505,12 +483,12 @@ def _check_paths(family, kfam, K, paths) -> None:
 
 
 def _expand(plan, vmap, cmap, fixed=()):
-    """The outputs a plan stands for, each built once: vmap and cmap take
+    """The outputs a plan stands for, each lifted once: vmap and cmap take
     the node's labels to the caller's, and ``fixed`` holds the branch
     pairs dropped on the way down, in the caller's labels."""
     for item in plan:
         if isinstance(item, Transversal):
-            yield Transversal(item.kind, tuple([((vmap[u], vmap[v]), cmap[c]) for (u, v), c in item.items]) + fixed)
+            yield from lift([item], vmap, cmap, fixed)
         else:
             vinv, cinv, pairs, child = item
             pairs = tuple([((vmap[u], vmap[v]), cmap[c]) for (u, v), c in pairs])
@@ -520,26 +498,27 @@ def _expand(plan, vmap, cmap, fixed=()):
 def _many(family, node, ms, heads, d, memo) -> list:
     """One branch per target of a saturated vertex, for either kind.
 
-    family is the one ``_multiply`` runs on, a cycle's kernel or the
-    caller's; ``node = (vt, ct, fixed)``: new vertex k is
-    family's ``vt[k]``, new color k is ``ct[k]``, and ``fixed`` holds the
+    family is the one ``many_transversals`` runs on, a cycle's kernel or
+    the caller's; ``node = (vt, ct, fixed)``: new vertex k is family's
+    ``vt[k]``, new color k is ``ct[k]``, and ``fixed`` holds the
     pairs a matching dropped on the way down, in family's labels. heads
     is ms's ``support`` and d its depth.
     Returns a plan: a list of outputs in this node's labels, or of branches
     ``(vinv, cinv, pairs, child plan)``: the child's tables and the (edge,
     color) items it drops, a matching's branch pair. ``memo`` (one dict per
-    ``_multiply`` call) maps each distinct child's size, subgraph rows and
-    set to its depth and plan, and each node size to the node's planted
-    transversal, so a cycle's, shared by every node, is built once.
+    ``many_transversals`` call) maps each distinct child's size, subgraph
+    rows and set to its depth and plan, and each node size to the node's
+    planted transversal, so a cycle's, shared by every node, is built once.
 
     Why the key leaves out the child's base rows: nothing below here
     reads them. ``support_through`` reads subgraphs, the exchange reads
-    only ``heads``, and each witness is validated by ``checked_second`` in
-    the labels of family, the one the recursion runs on, not the child's;
-    there every subgraph edge is a base edge (``validate_family``
-    requires it of every loaded file, and ``_kernel`` builds it so), so a
-    witness's base check follows from its subgraph check. So children with equal subgraph rows and equal
-    sets have equal plans, whatever their base rows.
+    only ``heads``, and each witness is validated by ``second_transversal``
+    in the labels of family, the one the recursion runs on, not the
+    child's, lifted there through the node as ``_expand`` lifts; there
+    every subgraph edge is a base edge (``validate_family`` requires it of
+    every loaded file, and ``_kernel`` builds it so), so a witness's base
+    check follows from its subgraph check. So children with equal subgraph
+    rows and equal sets have equal plans, whatever their base rows.
     """
     vt, ct, fixed = node
     ham = family.kind == KIND_HAM
@@ -547,7 +526,7 @@ def _many(family, node, ms, heads, d, memo) -> list:
     if base is None:
         base = memo[len(vt)] = planted(family.kind, len(vt))
     if ham and d == 1:
-        return [base, _second(family, node, base, ms, heads)[0]]
+        return [base, second_transversal(family, node, base, ms, heads)[0]]
     if not ham and (d == 0 or len(ct) == 1):
         return [base]
     branches = _saturated_branches(family, node, base, ms, heads)

@@ -32,6 +32,12 @@ def empirical_lower_tail(n, p, delta, trials, seed):
     return float(np.mean(draws < (1.0 - delta) * n * p))
 
 
+def identity(family):
+    """The identity new-to-old tables of a family, as ``lift`` takes them:
+    an exchange in a canonically labelled family validates in its labels."""
+    return tuple(range(family.num_vertices)), tuple(range(family.num_colors))
+
+
 def make_ham_family(n, chords):
     """Cycle family on n vertices; chords maps color -> iterable of edges."""
     cyc = [edge(i, (i + 1) % n) for i in range(n)]

@@ -38,28 +38,26 @@ from transversals import (
     gen_planted_pm_family,
     gen_regular_all_equal,
     gen_witness_instance_ham,
-    ham_exchange,
     lll_condition_ham,
     lll_condition_scan,
-    many_ham_transversals,
-    many_pm_transversals,
+    many_transversals,
     naturally_index,
     old_to_new,
     omega_admissibility_matrix,
     omega_member_ham,
     omega_member_pm,
     permanent,
-    pm_exchange,
     pm_hypothesis_warnings,
     pm_lll_rhs,
     sample_set_lll_ham,
     sample_set_pm,
+    second_transversal,
     support,
     support_depth,
     validate_transversal,
 )
 
-from conftest import complete_graph, empirical_lower_tail, make_ham_family, random_ham_set, random_pm_set
+from conftest import complete_graph, empirical_lower_tail, identity, make_ham_family, random_ham_set, random_pm_set
 
 
 def test_c01_lll_numeric_constants():
@@ -94,7 +92,7 @@ def test_c02_second_ham_suite_200_instances():
         S = random_ham_set(rng, n, n >= 9 and rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=i)
         H = build_full_ryb(fam)
-        t2 = ham_exchange(fam, S, support(H, S))[0]
+        t2 = second_transversal(fam, identity(fam), t, S, support(H, S))[0]
         assert validate_transversal(fam, t2).ok, (n, S, i)
         assert t2 != t, (n, S, i)
         assert omega_member_ham(t, S, t2), (n, S, i)
@@ -149,7 +147,7 @@ def test_c04_many_ham_factorial_bound():
             n = rng.randrange(9, 13)
             S = (0, 3, 6)
             fam, t = gen_witness_instance_ham(n, S, d, seed=1000 * d + i)
-            out = many_ham_transversals(fam, S, build_full_ryb(fam))
+            out = many_transversals(fam, S, build_full_ryb(fam))[1]
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)
             assert len(set(out)) == len(out), (d, n, i)
@@ -182,7 +180,7 @@ def test_c05_second_pm_suite_200_instances():
         heads = support(H, S)
         cyc = find_alternating_cycle(heads, n)
         assert cyc.length() >= 2 and cyc.length() % 2 == 0, (n, i)
-        t2 = pm_exchange(fam, S, heads)[0]
+        t2 = second_transversal(fam, identity(fam), t, S, heads)[0]
         assert validate_transversal(fam, t2).ok, (n, i)
         assert t2 != t, (n, i)
         assert omega_member_pm(t, S, t2), (n, i)
@@ -231,7 +229,7 @@ def test_c07_many_pm_factorial_bound():
             H = build_full_rb(fam)
             S = tuple(range(n))
             assert support_depth(support(H, S)) == d, (d, n, i)
-            out = many_pm_transversals(fam, S, H)
+            out = many_transversals(fam, S, H)[1]
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)
             assert len(set(out)) == len(out), (d, n, i)
@@ -411,10 +409,10 @@ def test_c11_determinism_everywhere():
     fam3, t3 = gen_witness_instance_ham(10, (0, 3, 6), 2, seed=6)
     H3 = build_full_ryb(fam3)
     heads3 = support(H3, (0, 3, 6))
-    assert ham_exchange(fam3, (0, 3, 6), heads3)[0] == ham_exchange(
-        fam3, (0, 3, 6), heads3
-    )[0]
-    assert many_ham_transversals(fam3, (0, 3, 6), H3) == many_ham_transversals(
+    assert second_transversal(fam3, identity(fam3), t3, (0, 3, 6), heads3) == second_transversal(
+        fam3, identity(fam3), t3, (0, 3, 6), heads3
+    )
+    assert many_transversals(fam3, (0, 3, 6), H3) == many_transversals(
         fam3, (0, 3, 6), H3
     )
     print("CRITERION 11 PASS: generators, samplers, exchange, multiplication all bit-stable under fixed seeds")

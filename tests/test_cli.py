@@ -32,6 +32,7 @@ from transversals import (
     planted,
     sampler,
 )
+from transversals import core, exchange, multiplier
 from transversals.cli import main
 from transversals.sampler import ScanReport
 
@@ -183,7 +184,7 @@ def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
     def fall_short(*args):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
 
-    monkeypatch.setattr(cli, "many_ham_transversals", fall_short)
+    monkeypatch.setattr(cli, "many_transversals", fall_short)
     assert main(["multiply", "--in", path, "--set", "0,3,6"]) == cli.EXIT_INTERNAL == 5
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -212,17 +213,18 @@ def test_second_exits_5_when_its_result_is_outside_omega(kind, tmp_path, capsys,
     model, n, extra, members = ("planted-ham", 8, 3, "0,4") if kind == KIND_HAM else ("planted-pm", 4, 2, "0,1,2,3")
     run_cli(capsys, "gen", "--model", model, "--n", str(n), "--extra-degree", str(extra), "--seed", "0", "--out", path)
     if kind == KIND_HAM:
-        every, member, name = enumerate_all_ham_transversals, omega_member_ham, "ham_exchange"
+        every, member = enumerate_all_ham_transversals, omega_member_ham
         provenance = LollipopTrace((tuple(range(n)),), ())
     else:
-        every, member, name = enumerate_all_pm_transversals, omega_member_pm, "pm_exchange"
+        every, member = enumerate_all_pm_transversals, omega_member_pm
         provenance = AlternatingCycle((), ())
 
-    def outside_omega(family, ms, heads):
-        base = planted(family.kind, family.num_vertices)
-        return next(t for t in every(family) if not member(base, ms, t)), provenance
+    def outside_omega(family, tables, base, ms, heads):
+        # gen writes canonical files: family's labels are base's
+        bad = next(t for t in every(family) if not member(base, ms, t))
+        return bad, bad, None, provenance
 
-    monkeypatch.setattr(cli, name, outside_omega)
+    monkeypatch.setattr(cli, "second_transversal", outside_omega)
     assert main(["second", "--in", path, "--set", members]) == cli.EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -791,6 +793,40 @@ def test_prepare_rejects_before_the_build(stage_files, stage_calls, capsys):
         assert capsys.readouterr().err == f"error: method {argv[4]} needs a {kind} instance\n"
         # checked after the canonical relabelling, before the digraph is built
         assert stage_calls == {"load_instance": 1, "naturally_index": 1}
+
+
+
+def _counted(monkeypatch, name, modules):
+    """The arguments of each call of ``name`` through each module's binding."""
+    calls = []
+    for module in modules:
+        def counted(*args, _fn=getattr(module, name), **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_multiply_reads_the_support_once(stage_files, capsys, monkeypatch):
+    # the reported d is the one the multiplication checked its floor against
+    calls = _counted(monkeypatch, "support", (cli, multiplier))
+    for path, members in ((stage_files["ham"], "2,6,10,14,17,22,25,28"), (stage_files["pm"], "x0,x1,x2,x3,x4,x5")):
+        calls.clear()
+        code, rep = run_cli(capsys, "multiply", "--in", path, "--set", members)
+        assert code == 0
+        assert len(calls) == 1
+        assert rep["results"]["count"] >= rep["results"]["required"] == math.factorial(rep["results"]["d"] + 1)
+
+
+def test_second_validates_its_result_once(tmp_path, capsys, monkeypatch):
+    # the planted transversal at load and in naturally_index, then the
+    # result once, by the exchange, in the file's labels: the report's "valid"
+    path = gen_witness_file(tmp_path, capsys)
+    calls = _counted(monkeypatch, "validate_transversal", (cli, core, exchange))
+    code, rep = run_cli(capsys, "second", "--in", path, "--set", "0,3,6")
+    assert code == 0 and rep["results"]["valid"] is True
+    assert len(calls) == 3
+    assert cli.transversal_to_obj(calls[-1][1]) == rep["results"]["second"]
 
 
 # SHA-256 of each report (wall_time_s removed, re-serialised as printed)

@@ -33,3 +33,16 @@ def test_oracle_demo_permanent_equals_enumeration(tmp_path):
     perm = re.search(r"^permanent of the admissibility matrix: (\d+)$", out, re.M)
     assert enumerated and perm, out
     assert enumerated.group(1) == perm.group(1)
+
+
+def test_readme_library_example_runs(tmp_path):
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Library example"):]
+    start = section.index("```python\n") + len("```python\n")
+    example = tmp_path / "readme_example.py"
+    example.write_text(section[start:section.index("```", start)])
+    done = _run(example, tmp_path)
+    assert done.returncode == 0, done.stderr
+    depth, last = done.stdout.splitlines()
+    d, count = last.split()
+    assert depth == d == "2" and int(count) >= 6

@@ -14,16 +14,15 @@ from transversals import (
     gen_planted_ham_family,
     gen_planted_pm_family,
     gen_witness_instance_ham,
-    ham_exchange,
     omega_member_ham,
     omega_member_pm,
-    pm_exchange,
     prune,
+    second_transversal,
     support,
     support_depth,
 )
 
-from conftest import make_ham_family
+from conftest import identity, make_ham_family
 
 
 def _rows(n, arcs=()):
@@ -250,7 +249,7 @@ def test_support_matches_the_family_on_planted_matchings(n, data):
 def test_omega_member_ham_accepts_and_rejects(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam)
-    t2 = ham_exchange(fam, (0, 3), support(H, (0, 3)))[0]
+    t2 = second_transversal(fam, identity(fam), t, (0, 3), support(H, (0, 3)))[0]
     assert omega_member_ham(t, (0, 3), t2)
     assert omega_member_ham(t, (0, 3), t)
 
@@ -274,6 +273,6 @@ def test_omega_member_pm_checks_color_and_boundary():
     fam, t = gen_planted_pm_family(5, 2, seed=7)
     H = build_full_rb(fam)
     S = tuple(range(5))
-    t2 = pm_exchange(fam, S, support(H, S))[0]
+    t2 = second_transversal(fam, identity(fam), t, S, support(H, S))[0]
     assert omega_member_pm(t, S, t2)
     assert omega_member_pm(t, S, t)

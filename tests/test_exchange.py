@@ -4,6 +4,7 @@ import pytest
 
 from transversals import (
     AlternatingCycle,
+    InvalidTransversal,
     NoBlueEscape,
     NotLocallyDominating,
     NotMaximalRedIndependent,
@@ -14,13 +15,12 @@ from transversals import (
     find_alternating_cycle,
     gen_planted_pm_family,
     gen_witness_instance_ham,
-    ham_exchange,
     lollipop_walk,
     omega_member_ham,
     omega_member_pm,
     planted,
-    pm_exchange,
     prune,
+    second_transversal,
     support,
     support_depth,
     validate_transversal,
@@ -28,7 +28,7 @@ from transversals import (
 from transversals import exchange
 from transversals.exchange import LollipopTrace, PrunedDigraph
 
-from conftest import make_ham_family, random_ham_set
+from conftest import identity, make_ham_family, random_ham_set
 
 
 def _ham_cycles_through(n, adj, anchor):
@@ -58,7 +58,7 @@ def _ham_cycles_through(n, adj, anchor):
 def test_figure_second_transversal_matches_hand_trace(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam)
-    t2 = ham_exchange(fam, (0, 3), support(H, (0, 3)))[0]
+    t2 = second_transversal(fam, identity(fam), t, (0, 3), support(H, (0, 3)))[0]
     assert t2.colors() == {
         (0, 1): 0,
         (1, 2): 1,
@@ -147,7 +147,7 @@ def test_second_ham_differs_only_in_allowed_places():
         S = random_ham_set(rng, n, rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
         H = build_full_ryb(fam)
-        t2 = ham_exchange(fam, S, support(H, S))[0]
+        t2 = second_transversal(fam, identity(fam), t, S, support(H, S))[0]
         assert validate_transversal(fam, t2).ok
         assert t2 != t
         assert omega_member_ham(t, S, t2)
@@ -180,7 +180,7 @@ def test_second_pm_transversal_swaps_cycle():
     fam, t = gen_planted_pm_family(6, 2, seed=23)
     H = build_full_rb(fam)
     S = tuple(range(6))
-    t2 = pm_exchange(fam, S, support(H, S))[0]
+    t2 = second_transversal(fam, identity(fam), t, S, support(H, S))[0]
     assert validate_transversal(fam, t2).ok
     assert t2 != t
     assert omega_member_pm(t, S, t2)
@@ -213,11 +213,11 @@ def test_ham_exchange_refuses_to_return_its_base(monkeypatch):
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     H = build_full_ryb(fam)
     heads = support(H, (0, 4, 8))
-    assert ham_exchange(fam, (0, 4, 8), heads)[0] != t
+    assert second_transversal(fam, identity(fam), t, (0, 4, 8), heads)[0] != t
     # a walk that ends where it started: the opened base cycle
     monkeypatch.setattr(exchange, "lollipop_walk", lambda jp, anchor: LollipopTrace((tuple(range(11)),), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
-        ham_exchange(fam, (0, 4, 8), heads)[0]
+        second_transversal(fam, identity(fam), t, (0, 4, 8), heads)[0]
 
 
 def test_pm_exchange_refuses_to_return_its_base(monkeypatch):
@@ -225,10 +225,10 @@ def test_pm_exchange_refuses_to_return_its_base(monkeypatch):
     fam, t = gen_planted_pm_family(6, 2, seed=23)
     H = build_full_rb(fam)
     heads = support(H, range(6))
-    assert pm_exchange(fam, tuple(range(6)), heads)[0] != t
+    assert second_transversal(fam, identity(fam), t, tuple(range(6)), heads)[0] != t
     monkeypatch.setattr(exchange, "find_alternating_cycle", lambda escapes, n: AlternatingCycle((), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
-        pm_exchange(fam, tuple(range(6)), heads)[0]
+        second_transversal(fam, identity(fam), t, tuple(range(6)), heads)[0]
 
 
 def test_the_exchange_reads_only_the_first_head_of_each_list():
@@ -241,9 +241,9 @@ def test_the_exchange_reads_only_the_first_head_of_each_list():
         S = random_ham_set(rng, n, True)
         fam, t = gen_witness_instance_ham(n, S, rng.randrange(1, len(S)), seed=rng.randrange(10**6))
         heads = support(build_full_ryb(fam), S)
-        second = ham_exchange(fam, S, heads)[0]
+        second = second_transversal(fam, identity(fam), t, S, heads)[0]
         for k in range(1, max(map(len, heads.values())) + 1):
-            assert ham_exchange(fam, S, {v: hs[:k] for v, hs in heads.items()})[0] == second
+            assert second_transversal(fam, identity(fam), t, S, {v: hs[:k] for v, hs in heads.items()})[0] == second
     tried = 0
     for _ in range(30):
         n = rng.randrange(3, 9)
@@ -253,9 +253,9 @@ def test_the_exchange_reads_only_the_first_head_of_each_list():
         if not all(heads.values()):
             continue
         tried += max(map(len, heads.values())) > 1
-        second = pm_exchange(fam, S, heads)[0]
+        second = second_transversal(fam, identity(fam), t, S, heads)[0]
         for k in range(1, max(map(len, heads.values())) + 1):
-            assert pm_exchange(fam, S, {v: hs[:k] for v, hs in heads.items()})[0] == second
+            assert second_transversal(fam, identity(fam), t, S, {v: hs[:k] for v, hs in heads.items()})[0] == second
     assert tried >= 5
 
 
@@ -266,17 +266,34 @@ def test_a_heads_map_support_could_not_make_is_a_precondition_error():
     heads = support(build_full_ryb(fam), (0, 3, 6))
     for tail in heads:
         with pytest.raises(NotLocallyDominating, match="lacks in-set support"):
-            ham_exchange(fam, (0, 3, 6), {v: hs for v, hs in heads.items() if v != tail})[0]
+            second_transversal(fam, identity(fam), t, (0, 3, 6), {v: hs for v, hs in heads.items() if v != tail})[0]
         for head in (4, 20, -1):
             with pytest.raises(NotLocallyDominating, match="not all in the set"):
-                ham_exchange(fam, (0, 3, 6), {**heads, tail: (head, *heads[tail])})[0]
+                second_transversal(fam, identity(fam), t, (0, 3, 6), {**heads, tail: (head, *heads[tail])})[0]
     fam, t = gen_planted_pm_family(4, 2, seed=3)
     heads = support(build_full_rb(fam), range(4))
     for bad in ({v: heads[v] for v in range(3)}, {**heads, 4: heads[0]}, {**heads, 5: ()}):
         with pytest.raises(NotMaximalRedIndependent, match="one endpoint per pair"):
-            pm_exchange(fam, range(4), bad)[0]
+            second_transversal(fam, identity(fam), t, range(4), bad)[0]
     # a well-formed map whose keys are not the members given
-    assert pm_exchange(fam, range(4), heads)[0] != t
+    assert second_transversal(fam, identity(fam), t, range(4), heads)[0] != t
     for members in (range(3), (0, 1, 2, 7), range(5)):
         with pytest.raises(NotMaximalRedIndependent, match="keys of the heads map"):
-            pm_exchange(fam, members, heads)[0]
+            second_transversal(fam, identity(fam), t, members, heads)[0]
+
+
+def test_the_exchange_validates_its_result_in_the_callers_labels():
+    # a first head in the set that is no arc of the support: the walk or
+    # the swap runs, and the one validation of the result refuses it
+    fam, t = gen_witness_instance_ham(9, (0, 3, 6), 1, seed=5)
+    heads = support(build_full_ryb(fam), (0, 3, 6))
+    with pytest.raises(InvalidTransversal, match=r"invalid transversal: edge_not_in_base: edge \(3, 8\) missing"):
+        second_transversal(fam, identity(fam), t, (0, 3, 6), {**heads, 8: (3,)})
+    fam, t = gen_planted_pm_family(4, 2, seed=3)
+    heads = support(build_full_rb(fam), range(4))
+    with pytest.raises(InvalidTransversal, match=r"invalid transversal: edge_not_in_subgraph: edge \(0, 6\)"):
+        second_transversal(fam, identity(fam), t, range(4), {**heads, 0: (6,)})
+    # members equal to the keys, but 0 and 4 are one pair's two endpoints
+    bad = {0: heads[0], 1: heads[1], 2: heads[2], 4: heads[3]}
+    with pytest.raises(NotMaximalRedIndependent, match="^need exactly one endpoint per pair$"):
+        second_transversal(fam, identity(fam), t, (0, 1, 2, 4), bad)

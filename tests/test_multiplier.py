@@ -25,10 +25,8 @@ from transversals import (
     gen_planted_ham_family,
     gen_planted_pm_family,
     gen_witness_instance_ham,
-    ham_exchange,
     lift,
-    many_ham_transversals,
-    many_pm_transversals,
+    many_transversals,
     naturally_index,
     old_to_new,
     omega_admissibility_matrix,
@@ -36,6 +34,7 @@ from transversals import (
     omega_member_pm,
     permanent,
     planted,
+    second_transversal,
     support,
     support_depth,
     validate_transversal,
@@ -44,7 +43,7 @@ from transversals import exchange, multiplier
 from transversals.core import canonical_tables, relabel, relabel_rows
 from transversals.digraphs import support_depth, support_through
 
-from conftest import make_ham_family, random_ham_set
+from conftest import identity, make_ham_family, random_ham_set
 
 
 def test_omega_contains_base_and_stays_inside_all(figure_family):
@@ -151,7 +150,7 @@ def test_many_ham_reaches_factorial(d):
         n = rng.randrange(9, 13)
         S = (0, 4, 8) if n >= 11 and rng.random() < 0.4 else (0, 3, 6)
         fam, t = gen_witness_instance_ham(n, S, d, seed=rng.randrange(10**6))
-        out = many_ham_transversals(fam, S, build_full_ryb(fam))
+        out = many_transversals(fam, S, build_full_ryb(fam))[1]
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
         om = set(enumerate_omega_ham(fam, t, S))
@@ -169,7 +168,7 @@ def test_many_pm_reaches_factorial(d):
         H = build_full_rb(fam)
         S = tuple(range(n))
         assert support_depth(support(H, S)) == d
-        out = many_pm_transversals(fam, S, H)
+        out = many_transversals(fam, S, H)[1]
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
         om = set(enumerate_omega_pm(fam, t, S))
@@ -212,7 +211,7 @@ def _check_multiplied(fam, out, omega, d):
 def test_many_ham_lies_in_omega(case):
     fam, t, S = case
     H = build_full_ryb(fam)
-    out = many_ham_transversals(fam, S, H)
+    out = many_transversals(fam, S, H)[1]
     _check_multiplied(fam, out, set(enumerate_omega_ham(fam, t, S)), support_depth(support(H, S)))
 
 
@@ -224,7 +223,7 @@ def test_many_pm_lies_in_omega(case):
     H = build_full_rb(fam)
     d = support_depth(support(H, S))
     assume(d <= 4)  # 7 pairs at depth 6 take about a second each
-    out = many_pm_transversals(fam, S, H)
+    out = many_transversals(fam, S, H)[1]
     _check_multiplied(fam, out, set(enumerate_omega_pm(fam, t, S)), d)
 
 
@@ -256,7 +255,7 @@ def test_many_ham_rejects_zero_depth():
     fam = make_ham_family(8, {})
     t = planted(fam.kind, fam.num_vertices)
     with pytest.raises(DStarTooSmall):
-        many_ham_transversals(fam, (0, 4), build_full_ryb(fam))
+        many_transversals(fam, (0, 4), build_full_ryb(fam))
 
 
 def test_many_pm_raises_when_the_floor_fails(monkeypatch):
@@ -265,7 +264,7 @@ def test_many_pm_raises_when_the_floor_fails(monkeypatch):
     H = build_full_rb(fam)
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many_pm_transversals(fam, tuple(range(6)), H)
+        many_transversals(fam, tuple(range(6)), H)
 
 
 def test_many_ham_raises_when_the_floor_fails(monkeypatch):
@@ -273,7 +272,7 @@ def test_many_ham_raises_when_the_floor_fails(monkeypatch):
     H = build_full_ryb(fam)
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many_ham_transversals(fam, (0, 4, 8), H)
+        many_transversals(fam, (0, 4, 8), H)
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
@@ -282,40 +281,41 @@ def test_the_floor_is_d_plus_one_factorial_exactly(kind, monkeypatch):
     # floor that drifts to d! or to (d+1)! + 1 fails here
     if kind == KIND_HAM:
         fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-        ms, H, many = (0, 4, 8), build_full_ryb(fam), many_ham_transversals
+        ms, H = (0, 4, 8), build_full_ryb(fam)
     else:
         fam, t = gen_planted_pm_family(6, 2, seed=5)
-        ms, H, many = tuple(range(6)), build_full_rb(fam), many_pm_transversals
-    outputs = many(fam, ms, H)
-    floor = math.factorial(support_depth(support(H, ms)) + 1)
+        ms, H = tuple(range(6)), build_full_rb(fam)
+    d, outputs = many_transversals(fam, ms, H)
+    assert d == support_depth(support(H, ms))
+    floor = math.factorial(d + 1)
     assert len(outputs) >= floor > 1
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: outputs[:floor - 1])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many(fam, ms, H)
+        many_transversals(fam, ms, H)
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: outputs[:floor])
-    assert many(fam, ms, H) == outputs[:floor]
+    assert many_transversals(fam, ms, H) == (d, outputs[:floor])
 
 
 def _entry_case(kind):
-    """(family, base, set, build, many): a witness cycle instance with d = 2,
-    or the planted-pm n=8 seed 2 instance of the pinned reports (d = 4)."""
+    """(family, base, set, build): a witness cycle instance with d = 2, or
+    the planted-pm n=8 seed 2 instance of the pinned reports (d = 4)."""
     if kind == KIND_HAM:
         fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-        return fam, t, (0, 4, 8), build_full_ryb, many_ham_transversals
+        return fam, t, (0, 4, 8), build_full_ryb
     fam, t = gen_planted_pm_family(8, 4, seed=2)
-    return fam, t, tuple(range(8)), build_full_rb, many_pm_transversals
+    return fam, t, tuple(range(8)), build_full_rb
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
 def test_many_rejects_a_base_missing_from_its_subgraph(kind):
     # the family is canonically labelled, but subgraph 2 lacks the planted
     # edge of color 2, which only the entry validation sees
-    fam, t, S, build, many = _entry_case(kind)
+    fam, t, S, build = _entry_case(kind)
     subs = list(fam.subgraphs)
     subs[2] = subs[2] - {e for e, c in t.items if c == 2}
     fam = SubgraphFamily(fam.base, subs, kind)
     with pytest.raises(InvalidTransversal, match="witness is invalid: edge_not_in_subgraph"):
-        many(fam, S, build(fam))
+        many_transversals(fam, S, build(fam))
 
 
 @pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
@@ -323,7 +323,7 @@ def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
     # the base is checked on entry; every other witness was checked once,
     # in the root family's labels, by the exchange round that made it, so
     # the recursion checks none again
-    fam, t, S, build, many = _entry_case(kind)
+    fam, t, S, build = _entry_case(kind)
     checked, lifted = [], []
 
     def counting(family, u, calls=checked):
@@ -333,7 +333,7 @@ def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
     monkeypatch.setattr(multiplier, "validate_transversal", counting)
     monkeypatch.setattr(exchange, "validate_transversal", partial(counting, calls=lifted))
     _, rounds = _counting(monkeypatch)
-    assert len(many(fam, S, build(fam))) == outputs
+    assert len(many_transversals(fam, S, build(fam))[1]) == outputs
     assert checked == [(fam, t)]
     assert len(lifted) == len(rounds) and all(family is fam for family, _ in lifted)
 
@@ -343,16 +343,18 @@ def test_many_builds_each_planted_transversal_once(kind, sizes, monkeypatch):
     # every cycle node shares the root's planted cycle, so one call builds
     # it once; a matching node builds its own once per size, not once per
     # node (359) or per exchange round (455), and the exchange builds none
-    fam, t, S, build, many = _entry_case(kind)
+    fam, t, S, build = _entry_case(kind)
     H = build(fam)
     built = []
-    for module in (multiplier, exchange):
-        def counting(kind, num_vertices, fn=module.planted):
-            built.append(num_vertices)
-            return fn(kind, num_vertices)
-        monkeypatch.setattr(module, "planted", counting)
-    many(fam, S, H)
+    def counting(kind, num_vertices, fn=multiplier.planted):
+        built.append(num_vertices)
+        return fn(kind, num_vertices)
+
+    monkeypatch.setattr(multiplier, "planted", counting)
+    many_transversals(fam, S, H)
     assert built == sizes
+    # the exchange takes its base from its caller
+    assert not hasattr(exchange, "planted")
 
 
 class _NeverStores(dict):
@@ -397,7 +399,7 @@ def _many_per_family(family, base, ms, H, d, memo):
     ham = family.kind == KIND_HAM
     node, _, heads = _root(family, ms, H)
     if ham and d == 1:
-        return [base, ham_exchange(family, ms, heads)[0]]
+        return [base, second_transversal(family, identity(family), base, ms, heads)[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     branches = multiplier._saturated_branches(family, node, base, ms, heads)
@@ -476,7 +478,7 @@ def _lifted_per_level(family, base, ms, H, d):
     lifted back a level at a time, a matching child's branch pair added."""
     ham = family.kind == KIND_HAM
     if ham and d == 1:
-        return [base, ham_exchange(family, ms, support(H, ms))[0]]
+        return [base, second_transversal(family, identity(family), base, ms, support(H, ms))[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     node, _, heads = _root(family, ms, H)
@@ -502,17 +504,16 @@ def test_many_equals_a_lift_per_level(case):
     # the plan, expanded once at the top, gives the outputs, in the order,
     # that lifting every child's list back at each level gives
     fam, t, S, H, _ = case
-    ham = fam.kind == KIND_HAM
-    many = many_ham_transversals if ham else many_pm_transversals
-    expected = sorted(set(_lifted_per_level(fam, t, S, H, support_depth(support(H, S)))), key=lambda u: u.items)
-    assert many(fam, S, H) == expected
+    d = support_depth(support(H, S))
+    expected = sorted(set(_lifted_per_level(fam, t, S, H, d)), key=lambda u: u.items)
+    assert many_transversals(fam, S, H) == (d, expected)
 
 
 def _counting(monkeypatch):
     """Record the arguments of each memo miss (the one ``support_through``
     call a new child makes) and of each exchange round."""
     misses, rounds = [], []
-    for name, calls in (("support_through", misses), ("_second", rounds)):
+    for name, calls in (("support_through", misses), ("second_transversal", rounds)):
         def counted(*args, fn=getattr(multiplier, name), calls=calls):
             calls.append(args)
             return fn(*args)
@@ -524,17 +525,17 @@ def test_many_builds_each_distinct_child_once(monkeypatch):
     # planted-pm n=8 seed 2 of the pinned reports: 1744 children and 1015
     # exchanges without the memo, 337 distinct children (358 if the base
     # rows were keyed as well)
-    fam, t, S, build, many = _entry_case(KIND_PM)
+    fam, t, S, build = _entry_case(KIND_PM)
     H = build(fam)
     misses, rounds = _counting(monkeypatch)
-    assert len(many(fam, S, H)) == 982
+    assert len(many_transversals(fam, S, H)[1]) == 982
     # each child's support is read once, so each (subgraph rows, set) key is missed once
     keys = [(relabel_rows(fam, vt, ct), ms) for _, vt, ct, ms in misses]
     assert len(misses) == len(set(keys)) == 337
     assert len(rounds) == 444
     # the memo lives for one call: a second call solves every child again
     first = list(misses)
-    assert len(many(fam, S, H)) == 982
+    assert len(many_transversals(fam, S, H)[1]) == 982
     assert misses[len(first):] == first
 
 
@@ -543,7 +544,7 @@ def test_children_differing_only_in_base_rows_share_one_solve(monkeypatch):
     # 1744 children read 337 distinct plans, one per memo miss. A plan is
     # read only by children with equal subgraph rows, but some of them
     # differ in base rows: keyed on base rows as well, 358 would be solved
-    fam, t, S, build, _ = _entry_case(KIND_PM)
+    fam, t, S, build = _entry_case(KIND_PM)
     node, ms, heads = _root(fam, S, build(fam))
     misses, _ = _counting(monkeypatch)
     plan = multiplier._many(fam, node, ms, heads, support_depth(heads), {fam.num_vertices: t})
@@ -572,7 +573,7 @@ def test_many_builds_no_family_or_digraph_below_the_root(kind, outputs, monkeypa
     # a node is a pair of tables into the root family: once the caller's
     # digraph exists, the recursion constructs no family, base graph or
     # digraph for any child
-    fam, t, S, build, many = _entry_case(kind)
+    fam, t, S, build = _entry_case(kind)
     H = build(fam)
     built = []
     for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__"),
@@ -581,7 +582,7 @@ def test_many_builds_no_family_or_digraph_below_the_root(kind, outputs, monkeypa
             built.append(cls.__name__)
             fn(self, *args)
         monkeypatch.setattr(cls, name, counting)
-    assert len(many(fam, S, H)) == outputs
+    assert len(many_transversals(fam, S, H)[1]) == outputs
     assert built == []
 
 
@@ -593,7 +594,7 @@ def test_many_solves_equal_cycle_children_once(monkeypatch):
     S = (0, 15, 30, 45)
     fam, t = gen_witness_instance_ham(60, S, 3, seed=7)
     misses, rounds = _counting(monkeypatch)
-    assert len(many_ham_transversals(fam, S, build_full_ryb(fam))) == 24
+    assert len(many_transversals(fam, S, build_full_ryb(fam))[1]) == 24
     assert len(misses) == 10
     assert len(rounds) == 17
 
@@ -641,7 +642,7 @@ def test_d_cross_invariant_across_omega():
 
 def _boundary_case(kind):
     """``_entry_case`` as ``_many``'s arguments at the root, with its depth."""
-    fam, t, S, build, _ = _entry_case(kind)
+    fam, t, S, build = _entry_case(kind)
     node, ms, heads = _root(fam, S, build(fam))
     return fam, t, node, ms, heads, support_depth(heads)
 
@@ -716,7 +717,7 @@ def test_kernel_contracts_the_paths_between_the_sets_neighbors():
 
 
 def _multiply_in_full(family, S, H):
-    """``_multiply`` as it ran before the kernel: the recursion on the
+    """``many_transversals`` as it ran before the kernel: the recursion on the
     root node, expanded there."""
     base = planted(family.kind, family.num_vertices)
     ms = tuple(sorted(S))
@@ -729,7 +730,7 @@ def _multiply_in_full(family, S, H):
     out = sorted(set(multiplier._expand(plan, *root)), key=lambda t: t.items)
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
-    return out
+    return d, out
 
 
 @st.composite
@@ -766,11 +767,11 @@ def test_kernel_multiplication_equals_the_full_recursion(case):
     kfam = multiplier._kernel(fam, S, {})[0]
     assert (kfam is fam) == (max(gaps) <= 4)
     assert kfam.num_vertices <= 4 * len(S)
-    out = _outputs_or_error(many_ham_transversals, fam, S, H)
+    out = _outputs_or_error(many_transversals, fam, S, H)
     assert out == _outputs_or_error(_multiply_in_full, fam, S, H)
-    if isinstance(out, list):
+    if isinstance(out, tuple):
         base = planted(KIND_HAM, fam.num_vertices)
-        assert all(omega_member_ham(base, S, psi) for psi in out)
+        assert all(omega_member_ham(base, S, psi) for psi in out[1])
 
 
 def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
@@ -801,7 +802,7 @@ def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
     monkeypatch.setattr(multiplier, "validate_transversal", validating)
     monkeypatch.setattr(exchange, "validate_transversal", partial(validating, calls=lifted))
     misses, rounds = _counting(monkeypatch)
-    out = many_ham_transversals(fam, S, H)
+    out = many_transversals(fam, S, H)[1]
     assert len(out) == 24
     assert built == ["BaseGraph", "SubgraphFamily"]
     kernel = misses[0][0]
@@ -831,10 +832,10 @@ def test_many_ham_raises_on_an_output_outside_omega(contracts, monkeypatch):
         return many(family, node, ms, heads, d, memo) + [bad]
 
     H = build_full_ryb(fam)
-    assert many_ham_transversals(fam, S, H)
+    assert many_transversals(fam, S, H)[1]
     monkeypatch.setattr(multiplier, "_many", and_outside_omega)
     with pytest.raises(GuaranteeViolated, match="outside the exchange neighborhood"):
-        many_ham_transversals(fam, S, H)
+        many_transversals(fam, S, H)
 
 
 def test_many_pm_raises_on_an_output_outside_omega(monkeypatch):
@@ -851,10 +852,10 @@ def test_many_pm_raises_on_an_output_outside_omega(monkeypatch):
         plan = many(family, node, ms, heads, d, memo)
         return plan + [bad] if node is calls[0] else plan
 
-    assert many_pm_transversals(fam, S, H)
+    assert many_transversals(fam, S, H)[1]
     monkeypatch.setattr(multiplier, "_many", and_outside_omega)
     with pytest.raises(GuaranteeViolated, match="outside the exchange neighborhood"):
-        many_pm_transversals(fam, S, H)
+        many_transversals(fam, S, H)
 
 
 def test_kernel_expansion_refuses_a_recolored_path(monkeypatch):
@@ -870,7 +871,7 @@ def test_kernel_expansion_refuses_a_recolored_path(monkeypatch):
 
     monkeypatch.setattr(multiplier, "_many", and_recolored)
     with pytest.raises(GuaranteeViolated, match=r"recolors the contracted edge \(2, 3\)"):
-        many_ham_transversals(fam, S, build_full_ryb(fam))
+        many_transversals(fam, S, build_full_ryb(fam))
 
 
 def test_many_ham_validates_each_expanded_output(monkeypatch):
@@ -885,7 +886,7 @@ def test_many_ham_validates_each_expanded_output(monkeypatch):
 
     monkeypatch.setattr(multiplier, "_kernel", losing_an_edge)
     with pytest.raises(GuaranteeViolated, match="expanded multiplication output is invalid: size"):
-        many_ham_transversals(fam, S, build_full_ryb(fam))
+        many_transversals(fam, S, build_full_ryb(fam))
 
 
 def _with_kernel_output(monkeypatch, chords, items):
@@ -918,7 +919,7 @@ def test_kernel_expansion_checks_each_kept_edge_in_the_root(monkeypatch):
     fam, S = _with_kernel_output(monkeypatch, {(0, 2): 4}, (
         ((0, 1), 0), ((0, 2), 4), ((1, 5), 1), ((2, 3), 2), ((3, 4), 3), ((4, 7), 7), ((5, 6), 5), ((6, 7), 6)))
     with pytest.raises(GuaranteeViolated, match=r"invalid: edge \(0, 2\) not in base and subgraph 7"):
-        many_ham_transversals(fam, S, build_full_ryb(fam))
+        many_transversals(fam, S, build_full_ryb(fam))
 
 
 def test_kernel_expansion_refuses_an_output_without_a_contracted_edge(monkeypatch):
@@ -927,7 +928,7 @@ def test_kernel_expansion_refuses_an_output_without_a_contracted_edge(monkeypatc
     fam, S = _with_kernel_output(monkeypatch, {(2, 4): 2, (3, 5): 4}, (
         ((0, 1), 0), ((0, 7), 7), ((1, 2), 1), ((2, 4), 2), ((3, 4), 3), ((3, 5), 4), ((5, 6), 5), ((6, 7), 6)))
     with pytest.raises(GuaranteeViolated, match=r"leaves out the contracted edge \(2, 3\)"):
-        many_ham_transversals(fam, S, build_full_ryb(fam))
+        many_transversals(fam, S, build_full_ryb(fam))
 
 
 def test_kernel_expansion_checks_the_paths_once_per_call():
@@ -1010,7 +1011,7 @@ def test_kernel_outputs_are_spliced_not_normalised(monkeypatch):
         normalised.append(self)
 
     monkeypatch.setattr(Transversal, "__post_init__", normalising)
-    out = many_ham_transversals(fam, S, H)
+    out = many_transversals(fam, S, H)[1]
     assert len(out) == 24
     assert [u for u in normalised if len(u) == 2400] == [t]
     assert not {id(u) for u in out} & {id(u) for u in normalised}

@@ -70,6 +70,7 @@ MUTANTS = {
     ),
     "sampled-floor-minus-one": ("src/transversals/sampler.py", "if d < floor:", "if d < floor - 1:"),
     "exchange-may-return-base": (EXCHANGE, "if out == base:", "if False:"),
+    "exchange-skips-result-validation": (EXCHANGE, "if not report.ok:", "if False:"),
     "multiply-skips-entry-validation": (MULTIPLIER, "if not report.ok:", "if False:"),
     "kernel-accepts-recolored-path": (MULTIPLIER, "if e in paths and c != paths[e][0]:", "if False:"),
     "multiply-skips-output-validation": (MULTIPLIER, "if not check.ok:", "if False:"),
