@@ -41,7 +41,7 @@ for w in out.warnings:
 print("\n== two-step rejection sampler (dense cycle families) ==")
 family = gen_dirac_family(60, 0.9, seed=2)
 t = exists_ham_transversal(family)
-fam_c, t_c, _ = naturally_index(family, t)
+fam_c, _ = naturally_index(family, t)
 J = build_full_ryb(fam_c)
 out = sample_set_dirac(J, SamplerConfig(seed=4, c=0.9))
 print(f"|S| = {len(out.members)}, redraws = {out.resamples}")

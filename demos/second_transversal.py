@@ -58,11 +58,11 @@ for state in trace.states:
 
 # the family is canonically labelled: identity tables validate the result there
 identity = tuple(range(n)), tuple(range(n))
-second = second_transversal(family, identity, base, S, heads)[0]
+second = second_transversal(family, identity, S, heads)[0]
 print("\nsecond transversal:")
 for e, c in second.items:
     marker = "" if base.colors().get(e) == c else "   <- new"
     print(f"  edge {e} colored {c}{marker}")
 print("valid:", validate_transversal(family, second).ok)
 print("distinct from base:", second != base)
-print("stays inside the constrained space:", omega_member_ham(base, S, second))
+print("stays inside the constrained space:", omega_member_ham(S, second))

@@ -51,6 +51,7 @@ from .core import (
     lift,
     naturally_index,
     old_to_new,
+    planted,
     validate_family,
     validate_transversal,
 )
@@ -132,7 +133,7 @@ def transversal_to_obj(t: Transversal) -> dict:
 
 
 def instance_to_obj(
-    family: SubgraphFamily, planted: Optional[Transversal], metadata: Optional[dict]
+    family: SubgraphFamily, t: Optional[Transversal], metadata: Optional[dict]
 ) -> dict:
     """A format-2 instance: each distinct subgraph is one row, in order of
     first use by color, and ``subgraphs`` holds each color's row index."""
@@ -147,8 +148,8 @@ def instance_to_obj(
         "rows": [[list(e) for e in sorted(g)] for g in index],
         "subgraphs": [index[g] for g in family.subgraphs],
     }
-    if planted is not None:
-        obj["planted"] = transversal_to_obj(planted)
+    if t is not None:
+        obj["planted"] = transversal_to_obj(t)
     if metadata:
         obj["metadata"] = metadata
     return obj
@@ -343,13 +344,13 @@ def instance_from_obj(obj: dict):
         if explicit:
             base_edges = [_json_edge(e) for e in obj["base_edges"]]
         planted_obj = obj.get("planted")
-        planted, colors = None, {}
+        t, colors = None, {}
         if planted_obj is not None:
             colors = {
                 _json_edge(e): _json_int(c, "planted color")
                 for e, c in zip(planted_obj["edges"], planted_obj["colors"])
             }
-            planted = Transversal.from_map(kind, colors)
+            t = Transversal.from_map(kind, colors)
         if not explicit:
             # the default base: every subgraph edge and every planted edge
             base_edges = sorted(set(colors).union(*{id(g): g for g in subgraphs}.values()))
@@ -360,11 +361,11 @@ def instance_from_obj(obj: dict):
     report = validate_family(family)
     if not report.ok:
         raise InputError(f"invalid family: {report.summary()}")
-    if planted is not None:
-        report = validate_transversal(family, planted)
+    if t is not None:
+        report = validate_transversal(family, t)
         if not report.ok:
             raise InputError(f"invalid planted transversal: {report.summary()}")
-    return family, planted, obj.get("metadata", {})
+    return family, t, obj.get("metadata", {})
 
 
 def load_instance(path: str):
@@ -421,14 +422,15 @@ def _prepare(args, kind=None):
     unless ``kind`` is given (``sample-set`` takes no set and passes the
     kind its method needs); relabel with ``naturally_index``; check the
     kind; map the set; build H. Returns the file's family, transversal and
-    set, their canonical forms, H, the new-to-old vertex and color tables
-    that ``lift`` maps results back through, and the depth's report name.
+    set, the canonical family and set, H, the new-to-old vertex and color
+    tables that ``lift`` maps results back through, and the depth's report
+    name. The canonical transversal is ``planted`` of the canonical family.
     """
-    family, planted, _ = load_instance(args.infile)
-    if planted is None:
+    family, t, _ = load_instance(args.infile)
+    if t is None:
         raise InputError("this command needs an instance file with a planted transversal")
     members = parse_set_spec(args.set, family) if kind is None else ()
-    fam_c, t_c, tables = naturally_index(family, planted)
+    fam_c, tables = naturally_index(family, t)
     if kind not in (None, fam_c.kind):
         raise InputError(f"method {args.method} needs a {kind} instance")
     new = old_to_new(tables[0], family.num_vertices)
@@ -437,7 +439,7 @@ def _prepare(args, kind=None):
         H, metric = build_full_ryb(fam_c), "d_star"
     else:
         H, metric = build_full_rb(fam_c), "d_cross"
-    return family, planted, members, fam_c, t_c, ms, H, tables, metric
+    return family, t, members, fam_c, ms, H, tables, metric
 
 
 def cmd_gen(args) -> tuple[dict, list, int]:
@@ -448,42 +450,43 @@ def cmd_gen(args) -> tuple[dict, list, int]:
     if model == "planted-ham":
         _gen_fits(n * (3 + 2 * extra))
         params["extra_degree"] = extra
-        family, planted = gen_planted_ham_family(n, extra, args.seed)
+        family, t = gen_planted_ham_family(n, extra, args.seed)
     elif model == "planted-pm":
         _gen_fits(n * (3 + 4 * extra))
         params["extra_degree"] = extra
-        family, planted = gen_planted_pm_family(n, extra, args.seed)
+        family, t = gen_planted_pm_family(n, extra, args.seed)
     elif model == "dirac":
         if args.c is None:
             raise InputError("dirac model needs --c")
         _gen_fits((n + 1) * n * (n - 1) // 2 + n)
         params["c"] = args.c
         family = gen_dirac_family(n, args.c, args.seed)
-        planted = None
+        t = None
         if args.find_planted:
-            planted = oracle.exists_ham_transversal(family)
-            if planted is None:
+            t = oracle.exists_ham_transversal(family)
+            if t is None:
                 raise DomainError("no transversal found to plant")
-            family, planted, _ = naturally_index(family, planted)
+            family, _ = naturally_index(family, t)
+            t = planted(KIND_HAM, family.num_vertices)
     elif model == "regular-all-equal":
         if args.m is None:
             raise InputError("regular-all-equal model needs --m")
         # one shared row, as large as the base
         _gen_fits(n * args.m + n)
         params["m"] = args.m
-        family, planted = gen_regular_all_equal(n, args.m, args.seed)
+        family, t = gen_regular_all_equal(n, args.m, args.seed)
     else:  # witness: argparse's choices admit no other model
         if args.set is None or args.d is None:
             raise InputError("witness model needs --set and --d")
         try:
-            members = tuple(int(t) for t in args.set.split(",") if t.strip())
+            members = tuple(int(tok) for tok in args.set.split(",") if tok.strip())
         except ValueError:
             raise InputError(f"bad --set {args.set!r}; need comma-separated integers") from None
         _gen_fits(3 * n + 4 * len(members) * args.d)
         params["set"] = list(members)
         params["d"] = args.d
-        family, planted = gen_witness_instance_ham(n, members, args.d, args.seed)
-    obj = instance_to_obj(family, planted, params)
+        family, t = gen_witness_instance_ham(n, members, args.d, args.seed)
+    obj = instance_to_obj(family, t, params)
     with open(args.out, "w") as fh:
         fh.write(_json_text(obj, 1) + "\n")
     results = {
@@ -492,7 +495,7 @@ def cmd_gen(args) -> tuple[dict, list, int]:
         "num_subgraphs": family.num_colors,
         "num_base_edges": family.base.num_edges,
         "max_degree": family.base.max_degree(),
-        "planted": planted is not None,
+        "planted": t is not None,
     }
     return results, [], EXIT_OK
 
@@ -520,19 +523,19 @@ def cmd_count(args) -> tuple[dict, list, int]:
 
 
 def cmd_second(args) -> tuple[dict, list, int]:
-    family, planted, members, fam_c, t_c, ms, H, tables, metric = _prepare(args)
+    family, t, members, fam_c, ms, H, tables, metric = _prepare(args)
     heads = support(H, ms)
     # validated in the file's labels, so the report's "valid" is that check
-    t2_c, t2, _, walk = second_transversal(family, tables, t_c, ms, heads)
+    t2_c, t2, _, walk = second_transversal(family, tables, ms, heads)
     if fam_c.kind == KIND_HAM:
-        omega_ok = omega_member_ham(t_c, ms, t2_c)
+        omega_ok = omega_member_ham(ms, t2_c)
         provenance = {
             "anchor": list(edge(*walk.states[0][:2])),
             "trace_states": len(walk.states),
             "pivot_edges": [list(e) for e in walk.pivots],
         }
     else:
-        omega_ok = omega_member_pm(t_c, ms, t2_c)
+        omega_ok = omega_member_pm(ms, t2_c)
         provenance = {
             "cycle_pairs": list(walk.pairs),
             "cycle_arcs": [list(a) for a in walk.arcs],
@@ -544,7 +547,7 @@ def cmd_second(args) -> tuple[dict, list, int]:
         "set": list(members),
         "second": t2,
         "valid": True,
-        "distinct": t2 != planted,
+        "distinct": t2 != t,
         "omega_member": omega_ok,
         "provenance": provenance,
         "metric": metric,
@@ -564,7 +567,7 @@ def _write_debug_log(path: Optional[str], records) -> None:
 def cmd_sample_set(args) -> tuple[dict, list, int]:
     _at_least(args.max_resamples, 0, "--max-resamples")
     kind = KIND_PM if args.method == "pm" else KIND_HAM
-    family, _, _, _, _, _, H, (vinv, _), metric = _prepare(args, kind)
+    family, _, _, _, _, H, (vinv, _), metric = _prepare(args, kind)
     m = args.m if args.m is not None else family.base.max_degree()
     cfg = SamplerConfig(
         seed=args.seed,
@@ -604,16 +607,17 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
 
 
 def cmd_multiply(args) -> tuple[dict, list, int]:
-    _, _, members, fam_c, t_c, ms, H, tables, metric = _prepare(args)
+    _, _, members, fam_c, ms, H, tables, metric = _prepare(args)
     d, out_c = many_transversals(fam_c, ms, H)
+    base = planted(fam_c.kind, fam_c.num_vertices)
     if fam_c.kind == KIND_HAM:
         omega = (
-            enumerate_omega_ham(fam_c, t_c, ms)
+            enumerate_omega_ham(fam_c, base, ms)
             if fam_c.num_vertices <= 12 and len(ms) <= 4
             else None
         )
     else:
-        omega = enumerate_omega_pm(fam_c, t_c, ms) if fam_c.num_pairs <= 8 else None
+        omega = enumerate_omega_pm(fam_c, base, ms) if fam_c.num_pairs <= 8 else None
     required = math.factorial(d + 1)
     results = {
         "set": list(members),

@@ -16,11 +16,11 @@ The values are also the ``kind`` tags of the instance files.
 The canonical ("naturally indexed") labelling puts the cycle on
 0,1,...,n-1 with edge(i, i+1 mod n) colored i, or pairs vertex i with
 n+i colored i. Everything downstream assumes it. That transversal is
-``planted(kind, n)``, a function of the kind and the vertex count, so
-the digraph builders and the multiplication take the family alone. The
-exchange takes it from its caller, which holds it already, and the
-omega checks, which compare a result with a base, take one;
-``enumerate_omega_*`` pass it to ``require_naturally_indexed``.
+``planted(kind, n)``, a value of the kind and the vertex count, built
+once per process and shared, so no function takes it as an argument:
+the digraph builders, the exchange, the omega predicates and the
+multiplication derive it; only ``enumerate_omega_*`` still take a base,
+which ``require_naturally_indexed`` compares with it.
 ``canonical_tables`` states the rule once as new-to-old tables,
 ``relabel_rows`` maps a family's subgraphs through them, ``relabel``
 rebuilds the whole family, its base edges by the same rule, and ``lift``
@@ -31,6 +31,7 @@ children share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidTransversal, NotNaturallyIndexed
@@ -327,16 +328,17 @@ def validate_transversal(family: SubgraphFamily, t: Transversal) -> ValidationRe
     return ValidationReport(tuple(out))
 
 
-def _canonical_colors(kind: str, num_vertices: int) -> dict[Edge, int]:
-    if kind == KIND_HAM:
-        return {edge(i, (i + 1) % num_vertices): i for i in range(num_vertices)}
-    n = num_vertices // 2
-    return {edge(i, n + i): i for i in range(n)}
-
-
+@lru_cache(maxsize=None)
 def planted(kind: str, num_vertices: int) -> Transversal:
-    """The canonical labelling's transversal: edge(i, i+1 mod n) or (i, n+i), colored i."""
-    return Transversal.from_map(kind, _canonical_colors(kind, num_vertices))
+    """The canonical labelling's transversal: edge(i, i+1 mod n) or (i, n+i),
+    colored i. Built once per (kind, num_vertices) and shared: a
+    Transversal is frozen, and a process meets few sizes."""
+    if kind == KIND_HAM:
+        colors = {edge(i, (i + 1) % num_vertices): i for i in range(num_vertices)}
+    else:
+        n = num_vertices // 2
+        colors = {edge(i, n + i): i for i in range(n)}
+    return Transversal.from_map(kind, colors)
 
 
 def canonical_tables(t: Transversal, drop: Edge | None = None) -> Tables:
@@ -412,10 +414,7 @@ def relabel_rows(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int,
 
 def relabel(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int, ...]) -> SubgraphFamily:
     """The family on ``len(vinv)`` vertices with ``relabel_rows``'s
-    subgraphs and the base edges mapped by the same rule. Identity tables
-    return the family itself."""
-    if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
-        return family
+    subgraphs and the base edges mapped by the same rule."""
     base = _mapped_pairs(old_to_new(vinv, family.num_vertices), family.base.edge_set)
     return SubgraphFamily(BaseGraph(len(vinv), base), relabel_rows(family, vinv, cinv), family.kind)
 
@@ -435,25 +434,27 @@ def lift(transversals: Iterable[Transversal], vinv: tuple[int, ...], cinv: tuple
             for t in transversals]
 
 
-def naturally_index(family: SubgraphFamily, t: Transversal) -> tuple[SubgraphFamily, Transversal, Tables]:
-    """Relabel vertices and reorder subgraphs so t becomes canonical.
+def naturally_index(family: SubgraphFamily, t: Transversal) -> tuple[SubgraphFamily, Tables]:
+    """Relabel vertices and reorder subgraphs so t becomes ``planted``.
 
-    Returns them with the new-to-old tables of ``canonical_tables``, which
-    ``lift`` maps results back through; a matching keeps its color order.
-    A valid t that is already canonical returns the family and t
-    themselves, with identity tables, rebuilding nothing.
+    Returns the relabelled family with the new-to-old tables of
+    ``canonical_tables``, which ``lift`` maps results back through; a
+    matching keeps its color order. ``canonical_tables`` is the identity
+    exactly when t is planted, so a valid planted t returns the family
+    itself with identity tables, computing and rebuilding nothing.
     """
     report = validate_transversal(family, t)
     if not report.ok:
         raise InvalidTransversal(f"cannot index invalid transversal: {report.summary()}", report)
+    if t == planted(family.kind, family.num_vertices):
+        return family, (tuple(range(family.num_vertices)), tuple(range(family.num_colors)))
     tables = canonical_tables(t)
-    fam2 = relabel(family, *tables)
-    return fam2, t if fam2 is family else planted(fam2.kind, fam2.num_vertices), tables
+    return relabel(family, *tables), tables
 
 
 def require_naturally_indexed(family: SubgraphFamily, t: Transversal) -> None:
     """Raise unless t is the planted transversal in the canonical labelling."""
-    if t.colors() != _canonical_colors(family.kind, family.num_vertices):
+    if t != planted(family.kind, family.num_vertices):
         raise NotNaturallyIndexed("operation requires the canonical labelling; run naturally_index first")
 
 

@@ -11,7 +11,8 @@ are the matched pairs (i, n+i), and a blue arc leaves an endpoint of
 pair i toward an opposite-side endpoint of a different pair j whenever
 that edge lies in subgraph i.
 
-Red edges are fixed by the labelling, so neither class stores them.
+Red edges are fixed by the labelling, so neither class stores them, and
+the omega predicates state the planted colors themselves.
 
 ``support`` lists, per arc tail, the heads the support depth counts, and
 checks red independence; ``support_through`` gives the same lists for a
@@ -189,52 +190,40 @@ def support_depth(heads: dict[int, tuple[int, ...]]) -> int:
     return min(map(len, heads.values()))
 
 
-def omega_member_ham(base: Transversal, members: Sequence[int], cand: Transversal) -> bool:
-    """Membership in the exchange neighborhood of (base, members).
+def omega_member_ham(members: Sequence[int], cand: Transversal) -> bool:
+    """Membership in the exchange neighborhood of the planted cycle and
+    members.
 
-    cand must contain every base-cycle edge avoiding the set, with its base
-    color, and at each cycle neighbor v of the set, cand must join v to the
-    set by one edge carrying the color of v's base edge into the set.
-    cand is assumed to be a valid transversal of the same family.
+    cand must keep every planted edge (i, i+1) avoiding the set in its
+    color i, and each member m's cycle neighbors m-1 and m+1 must join the
+    set by one edge each, in colors m-1 and m, those of their planted
+    edges to m. cand is assumed to be a valid transversal of the same
+    canonically labelled family.
     """
-    n = len(base)
+    n = len(cand)
     s = frozenset(members)
     cand_colors = cand.colors()
-    base_colors = base.colors()
     cand_at: dict[int, list[Edge]] = {v: [] for v in range(n)}
     for u, v in cand.edges:
         cand_at[u].append((u, v))
         cand_at[v].append((u, v))
     for i in range(n):
-        e = edge(i, (i + 1) % n)
-        if i in s or (i + 1) % n in s:
-            continue
-        if cand_colors.get(e) != base_colors[e]:
+        if i not in s and (i + 1) % n not in s and cand_colors.get(edge(i, (i + 1) % n)) != i:
             return False
     for m in s:
-        for v in ((m - 1) % n, (m + 1) % n):
-            base_e = edge(v, m)
+        for v, c in (((m - 1) % n, (m - 1) % n), ((m + 1) % n, m)):
             joins = [e for e in cand_at[v] if (e[0] if e[1] == v else e[1]) in s]
-            if len(joins) != 1 or cand_colors[joins[0]] != base_colors[base_e]:
+            if len(joins) != 1 or cand_colors[joins[0]] != c:
                 return False
     return True
 
 
-def omega_member_pm(base: Transversal, members: Sequence[int], cand: Transversal) -> bool:
-    """Every cand edge crosses the set boundary, and each member keeps the
-    color its base pair had. cand is assumed valid for the same family."""
-    s = frozenset(members)
-    base_color_at: dict[int, int] = {}
-    for (u, v), c in base.items:
-        if u in s:
-            base_color_at[u] = c
-        if v in s:
-            base_color_at[v] = c
+def omega_member_pm(members: Sequence[int], cand: Transversal) -> bool:
+    """Every cand edge crosses the set boundary, and the member on each
+    keeps its planted pair's color, m mod n. cand is assumed valid for the
+    same canonically labelled family."""
+    n, s = len(cand), frozenset(members)
     for (u, v), c in cand.items:
-        u_in, v_in = u in s, v in s
-        if u_in == v_in:
-            return False
-        m = u if u_in else v
-        if base_color_at.get(m) != c:
+        if (u in s) == (v in s) or (u if u in s else v) % n != c:
             return False
     return True

@@ -16,11 +16,11 @@ Both exchanges read a heads map shaped like ``digraphs.support``'s result,
 arc tail to the heads the support depth counts, and keep the first head
 of each list: the lowest, as ``support`` lists heads ascending. The
 multiplier's witness loop passes its pending lists as they are.
-``second_transversal`` runs the exchange of ``base.kind`` in the
-canonical labelling whose planted transversal is ``base``. It validates
-the result once, in the labels its caller lifts it to, refuses base, and
-returns the result with the rotation walk or alternating cycle that
-produced it.
+``second_transversal`` runs the exchange of the family's kind in a
+canonical labelling, around its ``planted`` transversal, which the size
+of the caller's tables fixes. It validates the result once, in the
+labels its caller lifts it to, refuses the planted one, and returns the
+result with the rotation walk or alternating cycle that produced it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .core import (
     cycle_tables,
     edge,
     lift,
+    planted,
     validate_transversal,
 )
 from .errors import (
@@ -74,7 +75,9 @@ def prune(heads: Heads, members: Sequence[int], n: int) -> PrunedDigraph:
     """Keep the first yellow head of each member's predecessor and the
     first blue head of its successor; a tail missing from ``heads`` has
     none. ``heads`` is ``support``'s map, or any map whose lists start
-    with heads ``support`` would list."""
+    with heads ``support`` would list: each kept head is in the set and,
+    by ``RybDigraph``'s arc rule, neither its tail nor a cycle neighbor
+    of it, or NotLocallyDominating is raised."""
     ms = tuple(sorted(set(members)))
     if not ms:
         raise ValueError("empty set has no support depth")
@@ -90,6 +93,8 @@ def prune(heads: Heads, members: Sequence[int], n: int) -> PrunedDigraph:
         ypick.append((m, (ytail, yheads[0])))
         bpick.append((m, (btail, bheads[0])))
         for t, h in ((ytail, yheads[0]), (btail, bheads[0])):
+            if (h - t) % n in (0, 1, n - 1):
+                raise NotLocallyDominating(f"arc {t}->{h} targets its tail or a cycle neighbor of it")
             adj[t].add(h)
             adj[h].add(t)
     colors = {edge(t, h): (t - 1) % n for _, (t, h) in bpick} | {edge(t, h): t for _, (t, h) in ypick}
@@ -233,22 +238,23 @@ def find_alternating_cycle(escapes: Heads, n: int) -> AlternatingCycle:
         p = w % n
 
 
-def second_transversal(family: SubgraphFamily, tables: tuple, base: Transversal, members: Sequence[int],
+def second_transversal(family: SubgraphFamily, tables: tuple, members: Sequence[int],
                        heads: Heads) -> tuple[Transversal, Transversal, Tables | None, LollipopTrace | AlternatingCycle]:
     """A second transversal supported by the first of ``heads``, either kind.
 
-    base is ``planted(kind, n)`` of the canonical labelling the exchange
-    runs in, and ``tables``, ``lift``'s arguments after the transversals,
-    lead from there to family's labels, where the result is validated once.
-    A cycle needs local domination: every member's predecessor and
-    successor have a head; its walk is anchored at the smallest member's
-    forward cycle edge. A matching's members must be the keys of
-    ``heads``, one endpoint per pair; each one on the alternating cycle
-    moves to its first head and keeps its planted color. Returns the
-    result, never base, in base's labels and in family's, a cycle's
-    canonical tables (None for a matching), and the walk or the
-    alternating cycle.
+    The exchange runs in a canonical labelling around its planted
+    transversal, ``planted(family.kind, len(tables[0]))``, and ``tables``,
+    ``lift``'s arguments after the transversals, lead from there to
+    family's labels, where the result is validated once. A cycle needs
+    local domination: every member's predecessor and successor have a
+    head; its walk is anchored at the smallest member's forward cycle
+    edge. A matching's members must be the keys of ``heads``, one endpoint
+    per pair; each one on the alternating cycle moves to its first head
+    and keeps its planted color. Returns the result, never the planted
+    one, in the canonical labels and in family's, a cycle's canonical
+    tables (None for a matching), and the walk or the alternating cycle.
     """
+    base = planted(family.kind, len(tables[0]))
     n = len(base)
     if base.kind == KIND_HAM:
         jp = prune(heads, members, n)

@@ -28,14 +28,14 @@ key. The plan of tables the recursion returns is expanded once at the
 top, and each kernel output once more, splicing its O(|S|) kept items
 into the contracted paths' items, sorted once per call, so each output
 is built once in the caller's labels, without sorting its n items
-again. The base is the planted transversal,
-``planted(kind, n)``: it is built and validated once on entry, and the
-memo keeps one per node size, so a cycle's is built once per call.
-Every other witness is validated once, by the exchange round that made
-it. A kernel output is checked in O(|S|), in the kernel and item by
-item against the caller's family, after one O(n) check per call that
-the contracted paths are planted runs tiling the cycle; together these
-are its expansion's validation in the caller's labels. The (d+1)!
+again. The base is the planted transversal, ``planted(kind, n)``,
+validated once on entry; each node and exchange round derives its own
+from the node's size, and ``planted`` builds each size once per
+process. Every other witness is validated once, by the exchange round
+that made it. A kernel output is checked in O(|S|), in the kernel and
+item by item against the caller's family, after one O(n) check per call
+that the contracted paths are planted runs tiling the cycle; together
+these are its expansion's validation in the caller's labels. The (d+1)!
 floor, the target count, the depth drop, each output's membership in
 the exchange neighborhood and a kernel output's expansion are each
 checked once and raise GuaranteeViolated.
@@ -209,19 +209,19 @@ def omega_admissibility_matrix(
     ]
 
 
-def _saturated_branches(family: SubgraphFamily, node: tuple, base: Transversal, members: Sequence[int],
+def _saturated_branches(family: SubgraphFamily, node: tuple, members: Sequence[int],
                         heads: dict[int, tuple[int, ...]]) -> list[tuple[Edge, Tables, tuple]]:
     """Run exchange rounds until some boundary vertex has no pending head,
     and return one branch per target edge of the lowest such vertex.
 
-    ``node`` is as in ``_many`` and base is its planted transversal, as
-    ``_many`` holds it; the tails of heads, its ``support``, are the
-    boundary vertices. Each starts with its heads pending, and base
-    witnesses its cycle edge to its member, or its planted pair. Each
-    round passes the pending lists to the exchange, which keeps the
-    first, lowest, head of each, and crosses off every pending head the
-    returned transversal realizes. That transversal differs from base
-    inside the kept arcs, so every round makes progress.
+    ``node`` is as in ``_many``, and base is ``planted`` of its size; the
+    tails of heads, its ``support``, are the boundary vertices. Each
+    starts with its heads pending, and base witnesses its cycle edge to
+    its member, or its planted pair. Each round passes the pending lists
+    to the exchange, which keeps the first, lowest, head of each, and
+    crosses off every pending head the returned transversal realizes.
+    That transversal differs from base inside the kept arcs, so every
+    round makes progress.
 
     Returns, per target edge e of the saturated vertex, in ascending
     order, ``(e, tables, pairs)``: the child's new-to-old tables, a
@@ -229,6 +229,7 @@ def _saturated_branches(family: SubgraphFamily, node: tuple, base: Transversal, 
     ``canonical_tables`` of its witness at e; and the (edge, color) items
     the child drops, a matching's branch pair.
     """
+    base = planted(family.kind, len(node[0]))
     ms = sorted(set(members))
     n = len(base)
     ham = base.kind == KIND_HAM
@@ -241,7 +242,7 @@ def _saturated_branches(family: SubgraphFamily, node: tuple, base: Transversal, 
     todo = {v: list(hs) for v, hs in heads.items()}
     witnesses = {v: {base_edge[v]: (base, tables)} for v in todo}
     while all(todo.values()):
-        out, _, canonical, _ = second_transversal(family, node, base, ms, todo)
+        out, _, canonical, _ = second_transversal(family, node, ms, todo)
         realized = out.edge_set
         progressed = False
         for v, pending in todo.items():
@@ -270,7 +271,7 @@ def many_transversals(family: SubgraphFamily, members: Sequence[int],
 
     family is canonically labelled, and H is its full digraph,
     ``build_full_ryb`` or ``build_full_rb``. The planted transversal is
-    built and validated here, once, and every check on the set runs on
+    validated here, once, and every check on the set runs on
     family and H: a cycle needs d >= 1. A cycle's recursion then runs on
     its ``_kernel``, whose outputs are expanded back once and checked by
     ``_expand_kernel`` as valid in the caller's labels. Every output of
@@ -279,8 +280,7 @@ def many_transversals(family: SubgraphFamily, members: Sequence[int],
     which validates it, and a child's base is the relabelled image of
     one. The (d+1)! floor is checked here, once for the whole recursion.
     """
-    base = planted(family.kind, family.num_vertices)
-    report = validate_transversal(family, base)
+    report = validate_transversal(family, planted(family.kind, family.num_vertices))
     if not report.ok:
         raise InvalidTransversal(f"witness is invalid: {report.summary()}", report)
     ms = tuple(sorted(set(members)))
@@ -289,15 +289,14 @@ def many_transversals(family: SubgraphFamily, members: Sequence[int],
     if d < 1 and family.kind == KIND_HAM:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
     kfam, kms, kheads, K, paths = _kernel(family, ms, heads)
-    kbase = base if kfam is family else planted(KIND_HAM, len(K))
     root = tuple(range(kfam.num_vertices)), tuple(range(kfam.num_colors)), ()
-    plan = _many(kfam, root, kms, kheads, d, {kfam.num_vertices: kbase})
+    plan = _many(kfam, root, kms, kheads, d, {})
     out = set(_expand(plan, *root))
     if len(out) < math.factorial(d + 1):
         raise GuaranteeViolated("multiplication fell short of (d+1)!")
     expanded = _expand_kernel(family, kfam, out, K, paths)
     in_omega = omega_member_ham if family.kind == KIND_HAM else omega_member_pm
-    if not all(in_omega(kbase, kms, t) for t in out):
+    if not all(in_omega(kms, t) for t in out):
         raise GuaranteeViolated("a multiplication output lies outside the exchange neighborhood")
     return d, sorted(expanded, key=lambda t: t.items)
 
@@ -507,8 +506,8 @@ def _many(family, node, ms, heads, d, memo) -> list:
     ``(vinv, cinv, pairs, child plan)``: the child's tables and the (edge,
     color) items it drops, a matching's branch pair. ``memo`` (one dict per
     ``many_transversals`` call) maps each distinct child's size, subgraph
-    rows and set to its depth and plan, and each node size to the node's
-    planted transversal, so a cycle's, shared by every node, is built once.
+    rows and set to its depth and plan. A node's planted transversal is
+    ``planted(family.kind, len(vt))``, built once per size and process.
 
     Why the key leaves out the child's base rows: nothing below here
     reads them. ``support_through`` reads subgraphs, the exchange reads
@@ -522,14 +521,12 @@ def _many(family, node, ms, heads, d, memo) -> list:
     """
     vt, ct, fixed = node
     ham = family.kind == KIND_HAM
-    base = memo.get(len(vt))
-    if base is None:
-        base = memo[len(vt)] = planted(family.kind, len(vt))
+    base = planted(family.kind, len(vt))
     if ham and d == 1:
-        return [base, second_transversal(family, node, base, ms, heads)[0]]
+        return [base, second_transversal(family, node, ms, heads)[0]]
     if not ham and (d == 0 or len(ct) == 1):
         return [base]
-    branches = _saturated_branches(family, node, base, ms, heads)
+    branches = _saturated_branches(family, node, ms, heads)
     if len(branches) < d + 1:
         raise GuaranteeViolated("saturated vertex has too few targets")
     plan = []

@@ -219,9 +219,9 @@ def test_second_exits_5_when_its_result_is_outside_omega(kind, tmp_path, capsys,
         every, member = enumerate_all_pm_transversals, omega_member_pm
         provenance = AlternatingCycle((), ())
 
-    def outside_omega(family, tables, base, ms, heads):
-        # gen writes canonical files: family's labels are base's
-        bad = next(t for t in every(family) if not member(base, ms, t))
+    def outside_omega(family, tables, ms, heads):
+        # gen writes canonical files: family's labels are the canonical ones
+        bad = next(t for t in every(family) if not member(ms, t))
         return bad, bad, None, provenance
 
     monkeypatch.setattr(cli, "second_transversal", outside_omega)

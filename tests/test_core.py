@@ -19,6 +19,7 @@ from transversals import (
     validate_family,
     validate_transversal,
 )
+from transversals import core
 from transversals.core import ValidationReport, Violation, canonical_tables, relabel, require_naturally_indexed
 
 from conftest import complete_graph, cycle_graph, make_ham_family
@@ -198,19 +199,22 @@ def test_require_naturally_indexed_raises():
     assert validate_transversal(fam2, t).ok
     with pytest.raises(NotNaturallyIndexed):
         require_naturally_indexed(fam2, t)
-    fam3, t3, _ = naturally_index(fam2, t)
-    require_naturally_indexed(fam3, t3)
-    assert t3 == planted(fam3.kind, fam3.num_vertices)
+    fam3, tables = naturally_index(fam2, t)
+    t3 = planted(fam3.kind, fam3.num_vertices)
+    assert validate_transversal(fam3, t3).ok
+    assert lift([t3], *tables) == [t]
 
 
-def test_naturally_index_returns_canonical_input_itself():
+def test_naturally_index_returns_canonical_input_itself(monkeypatch):
+    # a planted t needs no canonical_tables: its tables are the identity
+    monkeypatch.setattr(core, "canonical_tables", None)
     ham = make_ham_family(7, {2: [(2, 5)]})
     for fam, t in ((ham, planted(ham.kind, ham.num_vertices)), gen_planted_pm_family(5, 2, seed=1)):
-        fam2, t2, (vinv, cinv) = naturally_index(fam, t)
-        assert fam2 is fam and t2 is t
+        fam2, (vinv, cinv) = naturally_index(fam, t)
+        assert fam2 is fam
         assert vinv == tuple(range(fam.num_vertices))
         assert cinv == tuple(range(fam.num_colors))
-        assert lift([t2], vinv, cinv)[0] is t
+        assert lift([t], vinv, cinv)[0] is t
 
 
 def test_naturally_index_validates_before_the_identity_path():
@@ -234,19 +238,20 @@ def test_natural_indexing_round_trip(n, kind, rng):
     colors = list(range(n))
     rng.shuffle(colors)
     if kind == KIND_HAM:
-        planted = [edge(seq[k], seq[(k + 1) % n]) for k in range(n)]
+        chosen = [edge(seq[k], seq[(k + 1) % n]) for k in range(n)]
     else:
-        planted = [edge(seq[2 * k], seq[2 * k + 1]) for k in range(n)]
+        chosen = [edge(seq[2 * k], seq[2 * k + 1]) for k in range(n)]
     base = complete_graph(len(seq))
     subs = [frozenset() for _ in range(n)]
     items = {}
-    for k, e in enumerate(planted):
+    for k, e in enumerate(chosen):
         subs[colors[k]] = frozenset({e})
         items[e] = colors[k]
     fam = SubgraphFamily(base, subs, kind)
     t = Transversal.from_map(kind, items)
-    fam2, t2, (vinv, cinv) = naturally_index(fam, t)
-    require_naturally_indexed(fam2, t2)
+    fam2, (vinv, cinv) = naturally_index(fam, t)
+    t2 = planted(kind, len(seq))
+    assert validate_transversal(fam2, t2).ok
     assert lift([t2], vinv, cinv) == [t]
     vnew = old_to_new(vinv, len(seq))
     assert [vinv[v] for v in vnew] == list(range(len(seq)))
@@ -273,7 +278,7 @@ def test_pm_natural_indexing_places_pairs():
     subs = [frozenset({(0, 1)}), frozenset({(2, 3), (1, 2)})]
     fam = SubgraphFamily(base, subs, KIND_PM)
     t = Transversal.from_map(KIND_PM, {(0, 1): 0, (2, 3): 1})
-    fam2, t2, _ = naturally_index(fam, t)
-    assert t2 == planted(KIND_PM, 4)
-    assert t2.color_of(edge(0, 2)) == 0
-    assert t2.color_of(edge(1, 3)) == 1
+    fam2, tables = naturally_index(fam, t)
+    assert tables == ((0, 2, 1, 3), (0, 1))
+    assert validate_transversal(fam2, planted(KIND_PM, 4)).ok
+    assert lift([planted(KIND_PM, 4)], *tables) == [t]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,8 @@ from transversals import (
     build_full_rb,
     build_full_ryb,
     edge,
+    enumerate_all_pm_transversals,
+    enumerate_omega_pm,
     gen_planted_ham_family,
     gen_planted_pm_family,
     gen_witness_instance_ham,
@@ -249,9 +253,9 @@ def test_support_matches_the_family_on_planted_matchings(n, data):
 def test_omega_member_ham_accepts_and_rejects(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam)
-    t2 = second_transversal(fam, identity(fam), t, (0, 3), support(H, (0, 3)))[0]
-    assert omega_member_ham(t, (0, 3), t2)
-    assert omega_member_ham(t, (0, 3), t)
+    t2 = second_transversal(fam, identity(fam), (0, 3), support(H, (0, 3)))[0]
+    assert omega_member_ham((0, 3), t2)
+    assert omega_member_ham((0, 3), t)
 
 
 def test_omega_member_ham_agrees_with_enumeration():
@@ -264,15 +268,35 @@ def test_omega_member_ham_agrees_with_enumeration():
         omega = set(enumerate_omega_ham(fam, t, S))
         everything = enumerate_all_ham_transversals(fam)
         assert omega <= set(everything)
-        flags = [omega_member_ham(t, S, x) for x in everything]
+        flags = [omega_member_ham(S, x) for x in everything]
         assert [x in omega for x in everything] == flags
         assert any(flags) and not all(flags)
+
+
+def test_omega_member_pm_agrees_with_enumeration():
+    # the predicate states the planted colors itself: on every valid
+    # transversal it says what enumerating omega around the planted
+    # matching says, whichever endpoint of each pair is in the set
+    rng = random.Random(29)
+    split = 0
+    for seed in range(6):
+        n = 3 + seed % 3
+        fam, t = gen_planted_pm_family(n, 2, seed=seed)
+        everything = enumerate_all_pm_transversals(fam)
+        for _ in range(4):
+            S = tuple(sorted(i + n * rng.randrange(2) for i in range(n)))
+            omega = set(enumerate_omega_pm(fam, t, S))
+            assert omega <= set(everything)
+            flags = [omega_member_pm(S, x) for x in everything]
+            assert [x in omega for x in everything] == flags
+            split += any(flags) and not all(flags)
+    assert split >= 10
 
 
 def test_omega_member_pm_checks_color_and_boundary():
     fam, t = gen_planted_pm_family(5, 2, seed=7)
     H = build_full_rb(fam)
     S = tuple(range(5))
-    t2 = second_transversal(fam, identity(fam), t, S, support(H, S))[0]
-    assert omega_member_pm(t, S, t2)
-    assert omega_member_pm(t, S, t)
+    t2 = second_transversal(fam, identity(fam), S, support(H, S))[0]
+    assert omega_member_pm(S, t2)
+    assert omega_member_pm(S, t)

@@ -58,7 +58,7 @@ def _ham_cycles_through(n, adj, anchor):
 def test_figure_second_transversal_matches_hand_trace(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam)
-    t2 = second_transversal(fam, identity(fam), t, (0, 3), support(H, (0, 3)))[0]
+    t2 = second_transversal(fam, identity(fam), (0, 3), support(H, (0, 3)))[0]
     assert t2.colors() == {
         (0, 1): 0,
         (1, 2): 1,
@@ -68,7 +68,7 @@ def test_figure_second_transversal_matches_hand_trace(figure_family):
         (0, 4): 3,
     }
     assert validate_transversal(fam, t2).ok
-    assert omega_member_ham(t, (0, 3), t2)
+    assert omega_member_ham((0, 3), t2)
 
 
 def test_prune_keeps_only_rotation_arcs(figure_family):
@@ -147,10 +147,10 @@ def test_second_ham_differs_only_in_allowed_places():
         S = random_ham_set(rng, n, rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
         H = build_full_ryb(fam)
-        t2 = second_transversal(fam, identity(fam), t, S, support(H, S))[0]
+        t2 = second_transversal(fam, identity(fam), S, support(H, S))[0]
         assert validate_transversal(fam, t2).ok
         assert t2 != t
-        assert omega_member_ham(t, S, t2)
+        assert omega_member_ham(S, t2)
         # colors of surviving base edges are untouched
         base_colors = t.colors()
         for e, c in t2.items:
@@ -180,10 +180,10 @@ def test_second_pm_transversal_swaps_cycle():
     fam, t = gen_planted_pm_family(6, 2, seed=23)
     H = build_full_rb(fam)
     S = tuple(range(6))
-    t2 = second_transversal(fam, identity(fam), t, S, support(H, S))[0]
+    t2 = second_transversal(fam, identity(fam), S, support(H, S))[0]
     assert validate_transversal(fam, t2).ok
     assert t2 != t
-    assert omega_member_pm(t, S, t2)
+    assert omega_member_pm(S, t2)
     # every member still covered, pair colors preserved on moved edges
     for e, c in t2.items:
         u, v = e
@@ -213,11 +213,11 @@ def test_ham_exchange_refuses_to_return_its_base(monkeypatch):
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     H = build_full_ryb(fam)
     heads = support(H, (0, 4, 8))
-    assert second_transversal(fam, identity(fam), t, (0, 4, 8), heads)[0] != t
+    assert second_transversal(fam, identity(fam), (0, 4, 8), heads)[0] != t
     # a walk that ends where it started: the opened base cycle
     monkeypatch.setattr(exchange, "lollipop_walk", lambda jp, anchor: LollipopTrace((tuple(range(11)),), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
-        second_transversal(fam, identity(fam), t, (0, 4, 8), heads)[0]
+        second_transversal(fam, identity(fam), (0, 4, 8), heads)[0]
 
 
 def test_pm_exchange_refuses_to_return_its_base(monkeypatch):
@@ -225,10 +225,10 @@ def test_pm_exchange_refuses_to_return_its_base(monkeypatch):
     fam, t = gen_planted_pm_family(6, 2, seed=23)
     H = build_full_rb(fam)
     heads = support(H, range(6))
-    assert second_transversal(fam, identity(fam), t, tuple(range(6)), heads)[0] != t
+    assert second_transversal(fam, identity(fam), tuple(range(6)), heads)[0] != t
     monkeypatch.setattr(exchange, "find_alternating_cycle", lambda escapes, n: AlternatingCycle((), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
-        second_transversal(fam, identity(fam), t, tuple(range(6)), heads)[0]
+        second_transversal(fam, identity(fam), tuple(range(6)), heads)[0]
 
 
 def test_the_exchange_reads_only_the_first_head_of_each_list():
@@ -241,9 +241,9 @@ def test_the_exchange_reads_only_the_first_head_of_each_list():
         S = random_ham_set(rng, n, True)
         fam, t = gen_witness_instance_ham(n, S, rng.randrange(1, len(S)), seed=rng.randrange(10**6))
         heads = support(build_full_ryb(fam), S)
-        second = second_transversal(fam, identity(fam), t, S, heads)[0]
+        second = second_transversal(fam, identity(fam), S, heads)[0]
         for k in range(1, max(map(len, heads.values())) + 1):
-            assert second_transversal(fam, identity(fam), t, S, {v: hs[:k] for v, hs in heads.items()})[0] == second
+            assert second_transversal(fam, identity(fam), S, {v: hs[:k] for v, hs in heads.items()})[0] == second
     tried = 0
     for _ in range(30):
         n = rng.randrange(3, 9)
@@ -253,33 +253,37 @@ def test_the_exchange_reads_only_the_first_head_of_each_list():
         if not all(heads.values()):
             continue
         tried += max(map(len, heads.values())) > 1
-        second = second_transversal(fam, identity(fam), t, S, heads)[0]
+        second = second_transversal(fam, identity(fam), S, heads)[0]
         for k in range(1, max(map(len, heads.values())) + 1):
-            assert second_transversal(fam, identity(fam), t, S, {v: hs[:k] for v, hs in heads.items()})[0] == second
+            assert second_transversal(fam, identity(fam), S, {v: hs[:k] for v, hs in heads.items()})[0] == second
     assert tried >= 5
 
 
 def test_a_heads_map_support_could_not_make_is_a_precondition_error():
-    # a missing tail, or a first head outside the set, leaves a member
-    # undominated; a matching map needs exactly one endpoint of every pair
+    # a missing tail, a first head outside the set, or one that is its
+    # tail's cycle neighbor, so no arc, leaves a member undominated; a
+    # matching map needs exactly one endpoint of every pair
     fam, t = gen_witness_instance_ham(9, (0, 3, 6), 1, seed=5)
     heads = support(build_full_ryb(fam), (0, 3, 6))
     for tail in heads:
         with pytest.raises(NotLocallyDominating, match="lacks in-set support"):
-            second_transversal(fam, identity(fam), t, (0, 3, 6), {v: hs for v, hs in heads.items() if v != tail})[0]
+            second_transversal(fam, identity(fam), (0, 3, 6), {v: hs for v, hs in heads.items() if v != tail})[0]
         for head in (4, 20, -1):
             with pytest.raises(NotLocallyDominating, match="not all in the set"):
-                second_transversal(fam, identity(fam), t, (0, 3, 6), {**heads, tail: (head, *heads[tail])})[0]
+                second_transversal(fam, identity(fam), (0, 3, 6), {**heads, tail: (head, *heads[tail])})[0]
+    for tail, head in ((8, 0), (7, 6)):
+        with pytest.raises(NotLocallyDominating, match=f"arc {tail}->{head} targets its tail or a cycle neighbor"):
+            second_transversal(fam, identity(fam), (0, 3, 6), {**heads, tail: (head,)})
     fam, t = gen_planted_pm_family(4, 2, seed=3)
     heads = support(build_full_rb(fam), range(4))
     for bad in ({v: heads[v] for v in range(3)}, {**heads, 4: heads[0]}, {**heads, 5: ()}):
         with pytest.raises(NotMaximalRedIndependent, match="one endpoint per pair"):
-            second_transversal(fam, identity(fam), t, range(4), bad)[0]
+            second_transversal(fam, identity(fam), range(4), bad)[0]
     # a well-formed map whose keys are not the members given
-    assert second_transversal(fam, identity(fam), t, range(4), heads)[0] != t
+    assert second_transversal(fam, identity(fam), range(4), heads)[0] != t
     for members in (range(3), (0, 1, 2, 7), range(5)):
         with pytest.raises(NotMaximalRedIndependent, match="keys of the heads map"):
-            second_transversal(fam, identity(fam), t, members, heads)[0]
+            second_transversal(fam, identity(fam), members, heads)[0]
 
 
 def test_the_exchange_validates_its_result_in_the_callers_labels():
@@ -288,12 +292,12 @@ def test_the_exchange_validates_its_result_in_the_callers_labels():
     fam, t = gen_witness_instance_ham(9, (0, 3, 6), 1, seed=5)
     heads = support(build_full_ryb(fam), (0, 3, 6))
     with pytest.raises(InvalidTransversal, match=r"invalid transversal: edge_not_in_base: edge \(3, 8\) missing"):
-        second_transversal(fam, identity(fam), t, (0, 3, 6), {**heads, 8: (3,)})
+        second_transversal(fam, identity(fam), (0, 3, 6), {**heads, 8: (3,)})
     fam, t = gen_planted_pm_family(4, 2, seed=3)
     heads = support(build_full_rb(fam), range(4))
     with pytest.raises(InvalidTransversal, match=r"invalid transversal: edge_not_in_subgraph: edge \(0, 6\)"):
-        second_transversal(fam, identity(fam), t, range(4), {**heads, 0: (6,)})
+        second_transversal(fam, identity(fam), range(4), {**heads, 0: (6,)})
     # members equal to the keys, but 0 and 4 are one pair's two endpoints
     bad = {0: heads[0], 1: heads[1], 2: heads[2], 4: heads[3]}
     with pytest.raises(NotMaximalRedIndependent, match="^need exactly one endpoint per pair$"):
-        second_transversal(fam, identity(fam), t, (0, 1, 2, 4), bad)
+        second_transversal(fam, identity(fam), (0, 1, 2, 4), bad)

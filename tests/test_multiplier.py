@@ -55,7 +55,7 @@ def test_omega_contains_base_and_stays_inside_all(figure_family):
     assert set(om) <= everything
     for psi in om:
         assert validate_transversal(fam, psi).ok
-        assert omega_member_ham(t, (0, 3), psi)
+        assert omega_member_ham((0, 3), psi)
 
 
 def test_omega_ham_respects_path_reversal_only():
@@ -78,7 +78,7 @@ def test_omega_pm_equals_permanent():
         assert len(om) == permanent(M)
         assert len(set(om)) == len(om)
         for psi in om:
-            assert omega_member_pm(t, S, psi)
+            assert omega_member_pm(S, psi)
 
 
 @st.composite
@@ -116,7 +116,7 @@ def _branch_witness(kind, tables, pairs):
 def test_saturated_vertex_ham_accumulates_enough_targets():
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
     node, ms, heads = _root(fam, (0, 4, 8), build_full_ryb(fam))
-    branches = multiplier._saturated_branches(fam, node, t, ms, heads)
+    branches = multiplier._saturated_branches(fam, node, ms, heads)
     assert len(branches) >= 3  # d + 1
     assert [e for e, _, _ in branches] == sorted({e for e, _, _ in branches})
     for e, tables, pairs in branches:
@@ -124,7 +124,7 @@ def test_saturated_vertex_ham_accumulates_enough_targets():
         assert tables == canonical_tables(wit) and pairs == ()
         assert e in wit.edge_set
         assert validate_transversal(fam, wit).ok
-        assert omega_member_ham(t, (0, 4, 8), wit)
+        assert omega_member_ham((0, 4, 8), wit)
 
 
 def test_saturated_vertex_pm_accumulates_enough_targets():
@@ -132,7 +132,7 @@ def test_saturated_vertex_pm_accumulates_enough_targets():
     H = build_full_rb(fam)
     S = tuple(range(6))
     node, ms, heads = _root(fam, S, H)
-    branches = multiplier._saturated_branches(fam, node, t, ms, heads)
+    branches = multiplier._saturated_branches(fam, node, ms, heads)
     assert len(branches) >= support_depth(support(H, S)) + 1
     assert [e for e, _, _ in branches] == sorted({e for e, _, _ in branches})
     for e, tables, pairs in branches:
@@ -140,7 +140,7 @@ def test_saturated_vertex_pm_accumulates_enough_targets():
         assert tables == canonical_tables(wit, e) and pairs == ((e, wit.color_of(e)),)
         assert e in wit.edge_set
         assert validate_transversal(fam, wit).ok
-        assert omega_member_pm(t, S, wit)
+        assert omega_member_pm(S, wit)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -238,7 +238,7 @@ def test_child_lifts_back_to_its_witness(case):
     ham = fam.kind == KIND_HAM
     build, member = (build_full_ryb, omega_member_ham) if ham else (build_full_rb, omega_member_pm)
     node, ms, heads = _root(fam, S, build(fam))
-    for e, (vinv, cinv), pairs in multiplier._saturated_branches(fam, node, t, ms, heads):
+    for e, (vinv, cinv), pairs in multiplier._saturated_branches(fam, node, ms, heads):
         fam2 = relabel(fam, vinv, cinv)
         t2 = planted(fam2.kind, fam2.num_vertices)
         assert validate_transversal(fam2, t2).ok
@@ -248,7 +248,7 @@ def test_child_lifts_back_to_its_witness(case):
         assert pairs == (() if ham else ((e, wit.color_of(e)),))
         assert e in wit.edge_set
         assert validate_transversal(fam, wit).ok
-        assert member(t, S, wit)
+        assert member(S, wit)
 
 
 def test_many_ham_rejects_zero_depth():
@@ -339,22 +339,16 @@ def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, sizes", [(KIND_HAM, [11]), (KIND_PM, [16, 14, 12, 10, 8, 6, 4, 2])])
-def test_many_builds_each_planted_transversal_once(kind, sizes, monkeypatch):
-    # every cycle node shares the root's planted cycle, so one call builds
-    # it once; a matching node builds its own once per size, not once per
-    # node (359) or per exchange round (455), and the exchange builds none
+def test_many_builds_each_planted_transversal_once(kind, sizes):
+    # planted is built once per (kind, n) and process: every cycle node
+    # shares the root's planted cycle, and a matching call builds one per
+    # node size, not once per node (359) or per exchange round (455)
     fam, t, S, build = _entry_case(kind)
     H = build(fam)
-    built = []
-    def counting(kind, num_vertices, fn=multiplier.planted):
-        built.append(num_vertices)
-        return fn(kind, num_vertices)
-
-    monkeypatch.setattr(multiplier, "planted", counting)
+    planted.cache_clear()
     many_transversals(fam, S, H)
-    assert built == sizes
-    # the exchange takes its base from its caller
-    assert not hasattr(exchange, "planted")
+    assert planted.cache_info().misses == len(sizes)
+    assert planted.cache_info().hits > 0
 
 
 class _NeverStores(dict):
@@ -392,17 +386,18 @@ def test_many_memo_changes_no_output(case):
     assert multiplier._many(fam, node, ms, heads, d, {}) == multiplier._many(fam, node, ms, heads, d, _NeverStores())
 
 
-def _many_per_family(family, base, ms, H, d, memo):
+def _many_per_family(family, ms, H, d, memo):
     """The recursion as it was when every child was a family: the child's
     rows make a new family, whose digraph gives the child's depth and
     support, and whose labels the exchange validates in."""
     ham = family.kind == KIND_HAM
+    base = planted(family.kind, family.num_vertices)
     node, _, heads = _root(family, ms, H)
     if ham and d == 1:
-        return [base, second_transversal(family, identity(family), base, ms, heads)[0]]
+        return [base, second_transversal(family, identity(family), ms, heads)[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
-    branches = multiplier._saturated_branches(family, node, base, ms, heads)
+    branches = multiplier._saturated_branches(family, node, ms, heads)
     assert len(branches) >= d + 1
     build = build_full_ryb if ham else build_full_rb
     plan = []
@@ -414,11 +409,10 @@ def _many_per_family(family, base, ms, H, d, memo):
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
         key = fam2.base, fam2.subgraphs, ms2
         if key not in memo:
-            t2 = planted(fam2.kind, fam2.num_vertices)
             H2 = build(fam2)
             d2 = support_depth(support(H2, ms2))
             assert d2 >= d - 1
-            memo[key] = _many_per_family(fam2, t2, ms2, H2, d2, memo)
+            memo[key] = _many_per_family(fam2, ms2, H2, d2, memo)
         plan.append((vinv, cinv, () if ham else ((e, wit.color_of(e)),), memo[key]))
     return plan
 
@@ -431,7 +425,7 @@ def test_many_matches_the_recursion_over_child_families(case):
     fam, t, S, H, d = case
     node, ms, heads = _root(fam, S, H)
     plan = multiplier._many(fam, node, ms, heads, d, {})
-    expected = _many_per_family(fam, t, ms, H, d, {})
+    expected = _many_per_family(fam, ms, H, d, {})
     assert list(multiplier._expand(plan, *node)) == list(multiplier._expand(expected, *node))
 
 
@@ -473,26 +467,26 @@ def test_support_through_is_the_support_of_the_relabelled_digraph(case):
     assert _outcome(support_through, fam, vt, ct, members) == expected
 
 
-def _lifted_per_level(family, base, ms, H, d):
+def _lifted_per_level(family, ms, H, d):
     """The recursion with no memo and no plan: every child's outputs are
     lifted back a level at a time, a matching child's branch pair added."""
     ham = family.kind == KIND_HAM
+    base = planted(family.kind, family.num_vertices)
     if ham and d == 1:
-        return [base, second_transversal(family, identity(family), base, ms, support(H, ms))[0]]
+        return [base, second_transversal(family, identity(family), ms, support(H, ms))[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     node, _, heads = _root(family, ms, H)
     build = build_full_ryb if ham else build_full_rb
     out = []
-    for e, tables, pairs in multiplier._saturated_branches(family, node, base, ms, heads):
+    for e, tables, pairs in multiplier._saturated_branches(family, node, ms, heads):
         wit = _branch_witness(family.kind, tables, pairs)
         vinv, cinv = canonical_tables(wit, None if ham else e)
         fam2 = relabel(family, vinv, cinv)
         new = old_to_new(vinv, family.num_vertices)
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
-        t2 = planted(fam2.kind, fam2.num_vertices)
         H2 = build(fam2)
-        solved = _lifted_per_level(fam2, t2, ms2, H2, support_depth(support(H2, ms2)))
+        solved = _lifted_per_level(fam2, ms2, H2, support_depth(support(H2, ms2)))
         pair = {} if ham else {e: wit.color_of(e)}
         out += [Transversal.from_map(u.kind, {**u.colors(), **pair}) for u in lift(solved, vinv, cinv)]
     return out
@@ -505,7 +499,7 @@ def test_many_equals_a_lift_per_level(case):
     # that lifting every child's list back at each level gives
     fam, t, S, H, _ = case
     d = support_depth(support(H, S))
-    expected = sorted(set(_lifted_per_level(fam, t, S, H, d)), key=lambda u: u.items)
+    expected = sorted(set(_lifted_per_level(fam, S, H, d)), key=lambda u: u.items)
     assert many_transversals(fam, S, H) == (d, expected)
 
 
@@ -620,7 +614,7 @@ def test_d_star_invariant_across_omega():
         H = build_full_ryb(fam)
         d0 = support_depth(support(H, S))
         for psi in enumerate_omega_ham(fam, t, S):
-            fam2, psi2, (vinv, _) = naturally_index(fam, psi)
+            fam2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             assert support_depth(support(build_full_ryb(fam2), sorted(new[v] for v in S))) == d0
 
@@ -635,7 +629,7 @@ def test_d_cross_invariant_across_omega():
         S = tuple(range(n))
         d0 = support_depth(support(H, S))
         for psi in enumerate_omega_pm(fam, t, S):
-            fam2, psi2, (vinv, _) = naturally_index(fam, psi)
+            fam2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             assert support_depth(support(build_full_rb(fam2), sorted(new[v] for v in S))) == d0
 
@@ -771,7 +765,7 @@ def test_kernel_multiplication_equals_the_full_recursion(case):
     assert out == _outputs_or_error(_multiply_in_full, fam, S, H)
     if isinstance(out, tuple):
         base = planted(KIND_HAM, fam.num_vertices)
-        assert all(omega_member_ham(base, S, psi) for psi in out[1])
+        assert all(omega_member_ham(S, psi) for psi in out[1])
 
 
 def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
@@ -828,7 +822,7 @@ def test_many_ham_raises_on_an_output_outside_omega(contracts, monkeypatch):
     def and_outside_omega(family, node, ms, heads, d, memo):
         assert (family is fam) != contracts
         base = planted(KIND_HAM, family.num_vertices)
-        bad = next(u for u in enumerate_all_ham_transversals(family) if not omega_member_ham(base, ms, u))
+        bad = next(u for u in enumerate_all_ham_transversals(family) if not omega_member_ham(ms, u))
         return many(family, node, ms, heads, d, memo) + [bad]
 
     H = build_full_ryb(fam)
@@ -844,7 +838,7 @@ def test_many_pm_raises_on_an_output_outside_omega(monkeypatch):
     fam, _ = gen_planted_pm_family(6, 2, seed=5)
     S, H = tuple(range(6)), build_full_rb(fam)
     base = planted(KIND_PM, fam.num_vertices)
-    bad = next(u for u in enumerate_all_pm_transversals(fam) if not omega_member_pm(base, S, u))
+    bad = next(u for u in enumerate_all_pm_transversals(fam) if not omega_member_pm(S, u))
     many, calls = multiplier._many, []
 
     def and_outside_omega(family, node, ms, heads, d, memo):
@@ -1011,6 +1005,8 @@ def test_kernel_outputs_are_spliced_not_normalised(monkeypatch):
         normalised.append(self)
 
     monkeypatch.setattr(Transversal, "__post_init__", normalising)
+    # the generator built t through the cache; the entry builds it afresh
+    planted.cache_clear()
     out = many_transversals(fam, S, H)[1]
     assert len(out) == 24
     assert [u for u in normalised if len(u) == 2400] == [t]

@@ -141,6 +141,6 @@ def test_a_relabelled_all_equal_family_stays_one_shared_subgraph():
     moved, moved_planted = _relabel(family, planted, vperm, cperm)
     # every color of an all-equal family maps to the same edge set: share it
     shared = SubgraphFamily(moved.base, [moved.subgraphs[0]] * 12, KIND_HAM)
-    fam_c, _, _ = naturally_index(shared, moved_planted)
+    fam_c, _ = naturally_index(shared, moved_planted)
     assert fam_c is not shared
     assert all(g is fam_c.subgraphs[0] for g in fam_c.subgraphs)

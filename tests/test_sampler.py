@@ -181,7 +181,7 @@ def test_pm_sampler_rejects_bad_alpha(bipartite_rb):
 def test_dirac_sampler_meets_target():
     fam = gen_dirac_family(60, 0.9, seed=2)
     t = exists_ham_transversal(fam)
-    fam_c, t_c, _ = naturally_index(fam, t)
+    fam_c, _ = naturally_index(fam, t)
     H = build_full_ryb(fam_c)
     out = sample_set_dirac(H, SamplerConfig(seed=4, c=0.9))
     assert out.depth >= dirac_depth_target(60, 0.9)
@@ -193,7 +193,7 @@ def test_dirac_sampler_meets_target():
 def test_dirac_sampler_requires_c():
     fam = gen_dirac_family(20, 0.9, seed=0)
     t = exists_ham_transversal(fam)
-    fam_c, t_c, _ = naturally_index(fam, t)
+    fam_c, _ = naturally_index(fam, t)
     H = build_full_ryb(fam_c)
     with pytest.raises(DomainError):
         sample_set_dirac(H, SamplerConfig(seed=0))

@@ -80,9 +80,18 @@ MUTANTS = {
     "kernel-expansion-skips-root-membership": (MULTIPLIER, "if f not in base or f not in subs[fc]:", "if False:"),
     "multiply-skips-omega-check": (
         MULTIPLIER,
-        "if not all(in_omega(kbase, kms, t) for t in out):",
+        "if not all(in_omega(kms, t) for t in out):",
         "if False:",
     ),
+    "omega-ham-boundary-color": (
+        DIGRAPHS,
+        "for v, c in (((m - 1) % n, (m - 1) % n), ((m + 1) % n, m)):",
+        "for v, c in (((m - 1) % n, (m - 1) % n), ((m + 1) % n, (m + 1) % n)):",
+    ),
+    "omega-pm-ignores-member-color": (
+        DIGRAPHS, "if (u in s) == (v in s) or (u if u in s else v) % n != c:", "if (u in s) == (v in s):",
+    ),
+    "prune-accepts-neighbour-head": (EXCHANGE, "if (h - t) % n in (0, 1, n - 1):", "if False:"),
     "cycle-lookup-counts-own-member": (
         DIGRAPHS, _LOOKUP, f"({_LOOKUP} if not cycle else [(t, h) for h in candidates])",
     ),
