@@ -9,7 +9,6 @@ confirms every output lives there.
 import math
 
 from transversals import (
-    build_full_ryb,
     enumerate_omega_ham,
     gen_witness_instance_ham,
     many_transversals,
@@ -20,14 +19,13 @@ from transversals import (
 
 n, S, d, seed = 10, (0, 3, 6), 2, 6
 family, base = gen_witness_instance_ham(n, S, d, seed=seed)
-J = build_full_ryb(family)
 
-depth = support_depth(support(J, S))
+depth = support_depth(support(family, S))
 required = math.factorial(depth + 1)
 print(f"n = {n}, S = {S}, exchange depth d* = {depth}")
 print(f"lower bound to certify: (d*+1)! = {required}")
 
-d, outputs = many_transversals(family, S, J)
+d, outputs = many_transversals(family, S)
 assert d == depth, "the recursion counts the same depth"
 print(f"recursion produced {len(outputs)} transversals")
 

@@ -38,12 +38,14 @@ print("subgraphs:")
 for i, g in enumerate(subs):
     print(f"  G_{i}: {sorted(g)}")
 
+# the digraph, built here to show its arcs; support reads the same arcs
+# from the family without building it
 J = build_full_ryb(family)
 print("\nyellow arcs:", {v: sorted(J.yellow[v]) for v in range(n) if J.yellow[v]})
 print("blue arcs:  ", {v: sorted(J.blue[v]) for v in range(n) if J.blue[v]})
 
 S = (0, 3)
-heads = support(J, S)
+heads = support(family, S)
 print(f"\nset S = {S}: d* = {support_depth(heads)}")
 print("support lists:", heads)
 

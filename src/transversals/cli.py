@@ -56,8 +56,6 @@ from .core import (
     validate_transversal,
 )
 from .digraphs import (
-    build_full_rb,
-    build_full_ryb,
     omega_member_ham,
     omega_member_pm,
     support,
@@ -416,15 +414,15 @@ def parse_set_spec(spec: str, family: SubgraphFamily) -> tuple[int, ...]:
 
 
 def _prepare(args, kind=None):
-    """Load a planted instance, relabel it canonically and build its digraph.
+    """Load a planted instance and relabel it canonically.
 
     In order: load; require the planted transversal; parse ``--set``
     unless ``kind`` is given (``sample-set`` takes no set and passes the
     kind its method needs); relabel with ``naturally_index``; check the
-    kind; map the set; build H. Returns the file's family, transversal and
-    set, the canonical family and set, H, the new-to-old vertex and color
-    tables that ``lift`` maps results back through, and the depth's report
-    name. The canonical transversal is ``planted`` of the canonical family.
+    kind; map the set. Returns the file's family, transversal and set, the
+    canonical family and set, the new-to-old vertex and color tables that
+    ``lift`` maps results back through, and the depth's report name. The
+    canonical transversal is ``planted`` of the canonical family.
     """
     family, t, _ = load_instance(args.infile)
     if t is None:
@@ -435,11 +433,8 @@ def _prepare(args, kind=None):
         raise InputError(f"method {args.method} needs a {kind} instance")
     new = old_to_new(tables[0], family.num_vertices)
     ms = tuple(sorted(new[v] for v in members))
-    if fam_c.kind == KIND_HAM:
-        H, metric = build_full_ryb(fam_c), "d_star"
-    else:
-        H, metric = build_full_rb(fam_c), "d_cross"
-    return family, t, members, fam_c, ms, H, tables, metric
+    metric = "d_star" if fam_c.kind == KIND_HAM else "d_cross"
+    return family, t, members, fam_c, ms, tables, metric
 
 
 def cmd_gen(args) -> tuple[dict, list, int]:
@@ -523,8 +518,8 @@ def cmd_count(args) -> tuple[dict, list, int]:
 
 
 def cmd_second(args) -> tuple[dict, list, int]:
-    family, t, members, fam_c, ms, H, tables, metric = _prepare(args)
-    heads = support(H, ms)
+    family, t, members, fam_c, ms, tables, metric = _prepare(args)
+    heads = support(fam_c, ms)
     # validated in the file's labels, so the report's "valid" is that check
     t2_c, t2, _, walk = second_transversal(family, tables, ms, heads)
     if fam_c.kind == KIND_HAM:
@@ -567,7 +562,7 @@ def _write_debug_log(path: Optional[str], records) -> None:
 def cmd_sample_set(args) -> tuple[dict, list, int]:
     _at_least(args.max_resamples, 0, "--max-resamples")
     kind = KIND_PM if args.method == "pm" else KIND_HAM
-    family, _, _, _, _, H, (vinv, _), metric = _prepare(args, kind)
+    family, _, _, fam_c, _, (vinv, _), metric = _prepare(args, kind)
     m = args.m if args.m is not None else family.base.max_degree()
     cfg = SamplerConfig(
         seed=args.seed,
@@ -580,7 +575,7 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
     )
     run = {"lll-ham": sample_set_lll_ham, "dirac": sample_set_dirac, "pm": sample_set_pm}[args.method]
     try:
-        outcome = run(H, cfg)
+        outcome = run(fam_c, cfg)
     except ResampleBudgetExceeded as exc:
         _write_debug_log(args.debug_log, exc.records)
         results = {"status": "budget-exhausted", "resamples": exc.resamples}
@@ -607,8 +602,8 @@ def cmd_sample_set(args) -> tuple[dict, list, int]:
 
 
 def cmd_multiply(args) -> tuple[dict, list, int]:
-    _, _, members, fam_c, ms, H, tables, metric = _prepare(args)
-    d, out_c = many_transversals(fam_c, ms, H)
+    _, _, members, fam_c, ms, tables, metric = _prepare(args)
+    d, out_c = many_transversals(fam_c, ms)
     base = planted(fam_c.kind, fam_c.num_vertices)
     if fam_c.kind == KIND_HAM:
         omega = (

@@ -15,12 +15,12 @@ Red edges are fixed by the labelling, so neither class stores them, and
 the omega predicates state the planted colors themselves.
 
 ``support`` lists, per arc tail, the heads the support depth counts, and
-checks red independence; ``support_through`` gives the same lists for a
-relabelled family by looking each arc up, under ``_arcs``, the arc rule
-``build_full_*`` also applies. ``support_depth`` is the shortest list,
-which reports name d_star for a cycle and d_cross for a matching. The
-exchange keeps the first head of each, and the multiplier's saturation
-loop crosses heads off and passes what is left.
+checks red independence, reading family's subgraphs in its own labels or
+through new-to-old tables, under ``_arcs``, the arc rule ``build_full_*``
+also applies. ``support_depth`` is the shortest list, which reports name
+d_star for a cycle and d_cross for a matching. The exchange keeps the
+first head of each, and the multiplier's saturation loop crosses heads
+off and passes what is left.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ from .core import (
     KIND_HAM,
     KIND_PM,
     SubgraphFamily,
+    Tables,
     Transversal,
     edge,
+    old_to_new,
 )
 from .errors import NotMaximalRedIndependent, NotRedIndependent
 
@@ -67,6 +69,8 @@ class RbDigraph:
     def __post_init__(self):
         for tail in range(2 * self.n):
             for head in self.blue[tail]:
+                if not 0 <= head < 2 * self.n:
+                    raise ValueError(f"arc {tail}->{head} leaves the vertex range 0..{2 * self.n - 1}")
                 if self.pair_index(head) == self.pair_index(tail):
                     raise ValueError(f"arc {tail}->{head} stays inside one pair")
                 if (tail < self.n) == (head < self.n):
@@ -79,9 +83,9 @@ class RbDigraph:
 def _arcs(cycle: bool, n: int, c: int, pairs) -> list[tuple[int, int]]:
     """The arc rule: the arcs t->h that the edges t-h of subgraph c in
     ``pairs`` give, one call per batch. A cycle keeps a pair (both arcs)
-    unless it joins cycle neighbors; one out of range stays, for RybDigraph
-    to reject. A matching's edge gives the arc from its end in pair c to an
-    end of another pair, across the sides."""
+    unless it joins cycle neighbors. A matching's edge gives the arc from
+    its end in pair c to an end of another pair, across the sides. An arc
+    out of range stays, for RybDigraph or RbDigraph to reject."""
     if cycle:
         red = 1, n - 1
         return [p for p in pairs if (p[1] - p[0]) % n not in red or not (0 <= p[0] < n and 0 <= p[1] < n)]
@@ -132,56 +136,47 @@ def build_full_rb(family: SubgraphFamily) -> RbDigraph:
     return RbDigraph(n, tuple(tuple(sorted(set(h))) for h in blue))
 
 
-def _red_independent(cycle: bool, n: int, ms: list[int]) -> bool:
-    if cycle:  # no two members within cycle distance 2
-        return all(min((b - a) % n, (a - b) % n) > 2 for i, a in enumerate(ms) for b in ms[i + 1:])
-    return len({v % n for v in ms}) == len(ms)  # no two in one pair
+def support(family: SubgraphFamily, members: Sequence[int],
+            tables: Tables | None = None) -> dict[int, tuple[int, ...]]:
+    """The arc heads the support depth counts, by arc tail, as the rows of
+    ``build_full_*`` of ``relabel(family, *tables)`` give them, or of
+    family when tables is None; read from family's subgraphs, not built.
 
-
-def _support(cycle: bool, n: int, members: Sequence[int], row) -> dict[int, tuple[int, ...]]:
-    """``support``'s checks and lists. ``row(t, c, candidates)`` gives tail
-    t's heads in subgraph c, ascending; it may keep only the candidates."""
+    Cycle kind: for each member m, ascending, m-1's yellow heads in the set
+    and then m+1's blue heads in the set, by O(|S|^2) arc lookups; red
+    independence keeps these tails distinct. Matching kind: each member's
+    blue heads outside the set, by one scan of its own subgraph. Heads
+    ascend. A cycle set with a red edge raises NotRedIndependent, and a
+    matching set that is not one endpoint per pair NotMaximalRedIndependent.
+    """
+    cycle, subs = family.kind == KIND_HAM, family.subgraphs
+    vt, ct = (range(family.num_vertices), range(family.num_colors)) if tables is None else tables
+    n = len(ct)
     ms = sorted(set(members))
     s = frozenset(ms)
     if not cycle:
-        if len(ms) != n or not _red_independent(False, n, ms):
+        if len(ms) != n or len({v % n for v in ms}) != n:
             raise NotMaximalRedIndependent("need exactly one endpoint per pair")
-        rest = [w for w in range(2 * n) if w not in s]
-        return {m: tuple(h for h in row(m, m % n, rest) if h not in s) for m in ms}
+        new = old_to_new(vt, family.num_vertices)
+        heads = {}
+        for m in ms:
+            o, c = vt[m], m % n
+            far = [v if u == o else u for u, v in subs[ct[c]] if o in (u, v)]
+            # an end outside family's vertices is no head, nor one the tables leave out (-1)
+            mapped = [new[b] for b in far if 0 <= b < len(new)]
+            heads[m] = tuple(sorted(h for _, h in _arcs(False, n, c, [(m, h) for h in mapped if h >= 0]) if h not in s))
+        return heads
     if not ms:
         raise ValueError("empty set has no support depth")
-    if not _red_independent(True, n, ms):
+    # no two members within cycle distance 2
+    if any(min((b - a) % n, (a - b) % n) <= 2 for i, a in enumerate(ms) for b in ms[i + 1:]):
         raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
-    heads: dict[int, tuple[int, ...]] = {}
+    heads = {}
     for m in ms:
         # m-1 has yellow heads, read in subgraph m-1; m+1 has blue ones, read in subgraph m
         for t, c in (((m - 1) % n, (m - 1) % n), ((m + 1) % n, m)):
-            heads[t] = tuple(h for h in row(t, c, ms) if h in s)
+            heads[t] = tuple(h for _, h in _arcs(True, n, c, [(t, h) for h in ms]) if edge(vt[t], vt[h]) in subs[ct[c]])
     return heads
-
-
-def support(H: RybDigraph | RbDigraph, members: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """The arc heads the support depth counts, by arc tail.
-
-    Cycle kind: for each member m, ascending, m-1's yellow heads in the set
-    and then m+1's blue heads in the set; red independence keeps these
-    tails distinct. Matching kind: each member's blue heads outside the
-    set. Heads stay in row order, which is ascending. A cycle set with a
-    red edge raises NotRedIndependent, and a matching set that is not one
-    endpoint per pair NotMaximalRedIndependent.
-    """
-    cycle = not isinstance(H, RbDigraph)
-    return _support(cycle, H.n, members, lambda t, c, _: H.yellow[t] if cycle and c == t else H.blue[t])
-
-
-def support_through(family: SubgraphFamily, vt: Sequence[int], ct: Sequence[int],
-                    members: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """``support`` of ``relabel(family, vt, ct)``'s digraph, errors included,
-    looking each candidate arc up in family's subgraphs through the tables:
-    O(|S|^2) lookups for a cycle, O(n^2) for a matching."""
-    cycle, n, subs = family.kind == KIND_HAM, len(ct), family.subgraphs
-    return _support(cycle, n, members, lambda t, c, candidates: [
-        h for _, h in _arcs(cycle, n, c, [(t, h) for h in candidates]) if edge(vt[t], vt[h]) in subs[ct[c]]])
 
 
 def support_depth(heads: dict[int, tuple[int, ...]]) -> int:

@@ -20,8 +20,8 @@ to one edge. So its nodes cost O(|S|), not O(n). A matching, or a cycle
 whose members are at most four apart, keeps every vertex, and runs on
 the caller's family as it is. A node is its new-to-old vertex and color
 tables into the family the recursion runs on, plus its set; no family,
-base graph or digraph is built for it, and ``support_through`` reads its
-support once. A memo keyed on each child's size, subgraph rows
+base graph or digraph is built for it, and ``support`` reads its support
+once, through its tables. A memo keyed on each child's size, subgraph rows
 (``relabel_rows``) and set solves each distinct child once per call;
 nothing below the root reads a child's base rows, so they are not in the
 key. The plan of tables the recursion returns is expanded once at the
@@ -63,7 +63,7 @@ from .core import (
     require_naturally_indexed,
     validate_transversal,
 )
-from .digraphs import RbDigraph, RybDigraph, omega_member_ham, omega_member_pm, support, support_depth, support_through
+from .digraphs import omega_member_ham, omega_member_pm, support, support_depth
 from .errors import DStarTooSmall, GuaranteeViolated, InvalidTransversal, NotRedIndependent, WalkStuck
 from .exchange import second_transversal
 
@@ -263,17 +263,16 @@ def _saturated_branches(family: SubgraphFamily, node: tuple, members: Sequence[i
     return [(e, canonical_tables(wit, e), ((e, wit.color_of(e)),)) for e, (wit, _) in targets]
 
 
-def many_transversals(family: SubgraphFamily, members: Sequence[int],
-                      H: RybDigraph | RbDigraph) -> tuple[int, list[Transversal]]:
+def many_transversals(family: SubgraphFamily, members: Sequence[int]) -> tuple[int, list[Transversal]]:
     """The support depth d of members, and at least (d+1)! distinct
     transversals, all in the exchange neighborhood of the planted one and
     members, that one included; canonically sorted.
 
-    family is canonically labelled, and H is its full digraph,
-    ``build_full_ryb`` or ``build_full_rb``. The planted transversal is
-    validated here, once, and every check on the set runs on
-    family and H: a cycle needs d >= 1. A cycle's recursion then runs on
-    its ``_kernel``, whose outputs are expanded back once and checked by
+    family is canonically labelled, and no digraph is built: ``support``
+    reads the set's heads from family. The planted transversal is
+    validated here, once, and every check on the set runs on family: a
+    cycle needs d >= 1. A cycle's recursion then runs on its
+    ``_kernel``, whose outputs are expanded back once and checked by
     ``_expand_kernel`` as valid in the caller's labels. Every output of
     either kind is checked against the exchange neighborhood in the labels
     the recursion ran on. Every other witness comes out of the exchange,
@@ -284,7 +283,7 @@ def many_transversals(family: SubgraphFamily, members: Sequence[int],
     if not report.ok:
         raise InvalidTransversal(f"witness is invalid: {report.summary()}", report)
     ms = tuple(sorted(set(members)))
-    heads = support(H, ms)
+    heads = support(family, ms)
     d = support_depth(heads)
     if d < 1 and family.kind == KIND_HAM:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
@@ -325,12 +324,12 @@ def _kernel(family: SubgraphFamily, ms: tuple[int, ...], heads: dict[int, tuple[
       keeps each path m+2...m'-1 whole, uses no chord between two
       non-members, and no color of a path's interior.
     - The recursion reads no interior vertex of a contracted path.
-      ``support`` and ``support_through`` read arcs from m-1 and m+1 into
-      the set, in colors m-1 and m. The exchange keeps one such arc per
-      tail, and its rotation walk pivots only at ends of kept arcs, all
-      in K: a path's interior vertex has no kept arc, so every walk state
-      holds its two base edges, and the recolor gives them their base
-      colors. Each child is a member of omega, so the same holds below.
+      ``support`` reads arcs from m-1 and m+1 into the set, in colors m-1
+      and m. The exchange keeps one such arc per tail, and its rotation
+      walk pivots only at ends of kept arcs, all in K: a path's interior
+      vertex has no kept arc, so every walk state holds its two base
+      edges, and the recolor gives them their base colors. Each child is
+      a member of omega, so the same holds below.
     - A valid kernel transversal expands to a valid root one. A
       contracted edge in its own color stands for its path, whose
       interior vertices and colors appear nowhere else in the kernel, so
@@ -510,7 +509,7 @@ def _many(family, node, ms, heads, d, memo) -> list:
     ``planted(family.kind, len(vt))``, built once per size and process.
 
     Why the key leaves out the child's base rows: nothing below here
-    reads them. ``support_through`` reads subgraphs, the exchange reads
+    reads them. ``support`` reads subgraphs, the exchange reads
     only ``heads``, and each witness is validated by ``second_transversal``
     in the labels of family, the one the recursion runs on, not the
     child's, lifted there through the node as ``_expand`` lifts; there
@@ -540,7 +539,7 @@ def _many(family, node, ms, heads, d, memo) -> list:
         key = len(vinv), subs2, ms2
         hit = memo.get(key)
         if hit is None:
-            heads2 = support_through(family, vt2, ct2, ms2)
+            heads2 = support(family, ms2, (vt2, ct2))
             d2 = support_depth(heads2)
         else:
             d2, child = hit

@@ -3,8 +3,10 @@
 Two samplers are resampling loops in the algorithmic local-lemma style:
 draw independent bits, flag bad events, redraw exactly the variables in
 the lowest-keyed flagged event's scope, repeat. The third is plain
-rejection. Each run owns one generator seeded from the config, so a
-(inputs, seed) pair fixes the output and the full resample log.
+rejection. Each takes a canonically labelled family and builds the full
+digraph it reads, the only digraph a command builds. Each run owns one
+generator seeded from the config, so a (inputs, seed) pair fixes the
+output and the full resample log.
 
 All logarithms here are natural. Event thresholds compare with strict
 less-than; the post-hoc guarantees round up.
@@ -17,7 +19,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .digraphs import RbDigraph, RybDigraph, support, support_depth
+from .core import SubgraphFamily
+from .digraphs import build_full_rb, build_full_ryb, support, support_depth
 from .errors import (
     DomainError,
     GuaranteeViolated,
@@ -138,11 +141,11 @@ def _row_counts(flat: np.ndarray, offsets: np.ndarray, incl: np.ndarray) -> np.n
     return np.add.reduceat(incl[flat].astype(np.int64), offsets[:-1])
 
 
-def _sampled_depth(H, members: tuple[int, ...], floor: int = 0) -> int:
-    """The support depth of a sampled set, and its post-hoc guarantee:
-    red-independent, depth >= floor."""
+def _sampled_depth(family: SubgraphFamily, members: tuple[int, ...], floor: int = 0) -> int:
+    """The support depth of a sampled set, read from family as every other
+    depth is, and its post-hoc guarantee: red-independent, depth >= floor."""
     try:
-        d = support_depth(support(H, members))
+        d = support_depth(support(family, members))
     except (NotRedIndependent, NotMaximalRedIndependent):
         raise GuaranteeViolated("sampled set is not red-independent") from None
     if d < floor:
@@ -150,7 +153,7 @@ def _sampled_depth(H, members: tuple[int, ...], floor: int = 0) -> int:
     return d
 
 
-def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
+def sample_set_lll_ham(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcome:
     """Red-independent set with all boundary support counts >= p*r/400.
 
     Inclusion bits are p-biased per vertex. Bad events: a red pair fully
@@ -160,6 +163,7 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
     """
     import numpy as np
 
+    H = build_full_ryb(family)
     n = H.n
     ydeg = [len(H.yellow[v]) for v in range(n)]
     bdeg = [len(H.blue[v]) for v in range(n)]
@@ -214,7 +218,7 @@ def sample_set_lll_ham(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
                 worst = (key, "y_blue", int(v), H.blue[int(v)])
         if worst is None:
             members = tuple(int(v) for v in np.nonzero(incl)[0])
-            depth = _sampled_depth(H, members, floor)
+            depth = _sampled_depth(family, members, floor)
             return SampleOutcome(members, depth, step, tuple(records), warnings, floor, threshold, statement_form)
         if step == cfg.max_resamples:
             break
@@ -236,7 +240,7 @@ def dirac_depth_target(n: int, c: float) -> int:
     return max(1, math.ceil(raw))
 
 
-def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
+def sample_set_dirac(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcome:
     """Two-step rejection: p-biased draw, then delete every red-adjacent pair.
 
     A draw is accepted when the surviving set is nonempty and its support
@@ -245,6 +249,7 @@ def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
     """
     import numpy as np
 
+    H = build_full_ryb(family)
     n = H.n
     if cfg.c is None:
         raise DomainError("dirac sampling needs cfg.c")
@@ -273,7 +278,7 @@ def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
         keep = incl & ~near
         members = tuple(int(v) for v in np.nonzero(keep)[0])
         if members:
-            observed = _sampled_depth(H, members)
+            observed = _sampled_depth(family, members)
             if observed >= target:
                 return SampleOutcome(members, observed, step, tuple(records), warnings, target)
         else:
@@ -289,7 +294,7 @@ def sample_set_dirac(H: RybDigraph, cfg: SamplerConfig) -> SampleOutcome:
     )
 
 
-def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
+def sample_set_pm(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcome:
     """One endpoint per pair with every member's blue escape count >= alpha*r/2.
 
     The choice bit of pair i is flagged (b_i) when the chosen endpoint has
@@ -299,6 +304,7 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
     """
     import numpy as np
 
+    H = build_full_rb(family)
     n = H.n
     alpha = cfg.alpha
     if not 0.0 < alpha < 1.0:
@@ -334,7 +340,7 @@ def sample_set_pm(H: RbDigraph, cfg: SamplerConfig) -> SampleOutcome:
         flagged = np.nonzero(escapes < threshold)[0]
         if flagged.size == 0:
             members = tuple(int(v) for v in np.sort(chosen))
-            depth = _sampled_depth(H, members, floor)
+            depth = _sampled_depth(family, members, floor)
             return SampleOutcome(members, depth, step, tuple(records), warnings, floor, threshold)
         if step == cfg.max_resamples:
             break

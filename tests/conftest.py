@@ -6,6 +6,9 @@ import pytest
 from transversals import (
     BaseGraph,
     KIND_HAM,
+    NotMaximalRedIndependent,
+    NotRedIndependent,
+    RbDigraph,
     SubgraphFamily,
     edge,
     planted,
@@ -71,10 +74,33 @@ def random_ham_set(rng: random.Random, n: int, want_three: bool):
             return S
 
 
-def random_pm_set(rng: random.Random, H, n: int):
+def random_pm_set(rng: random.Random, family, n: int):
     """One endpoint per pair, rejection-sampled so every member can escape."""
     for _ in range(20):
         S = tuple(sorted(i if rng.random() < 0.5 else n + i for i in range(n)))
-        if support_depth(support(H, S)) >= 1:
+        if support_depth(support(family, S)) >= 1:
             return S
     return tuple(range(n))
+
+
+def digraph_support(H, members):
+    """The support read off a built digraph's rows, errors included: for a
+    cycle each member m's tails m-1 (yellow row) and m+1 (blue row), their
+    heads in the set; for a matching each member's blue row, less the set.
+    ``support`` must give the same from the family with no digraph."""
+    cycle, n = not isinstance(H, RbDigraph), H.n
+    ms = sorted(set(members))
+    s = frozenset(ms)
+    if not cycle:
+        if len(ms) != n or len({v % n for v in ms}) != len(ms):
+            raise NotMaximalRedIndependent("need exactly one endpoint per pair")
+        return {m: tuple(h for h in H.blue[m] if h not in s) for m in ms}
+    if not ms:
+        raise ValueError("empty set has no support depth")
+    if not all(min((b - a) % n, (a - b) % n) > 2 for i, a in enumerate(ms) for b in ms[i + 1:]):
+        raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
+    heads = {}
+    for m in ms:
+        for t, row in (((m - 1) % n, H.yellow), ((m + 1) % n, H.blue)):
+            heads[t] = tuple(h for h in row[t] if h in s)
+    return heads

@@ -22,7 +22,6 @@ from transversals import (
     SamplerConfig,
     SubgraphFamily,
     KIND_HAM,
-    build_full_rb,
     build_full_ryb,
     chernoff_bounds,
     count_ham_transversals,
@@ -92,7 +91,7 @@ def test_c02_second_ham_suite_200_instances():
         S = random_ham_set(rng, n, n >= 9 and rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=i)
         H = build_full_ryb(fam)
-        t2 = second_transversal(fam, identity(fam), S, support(H, S))[0]
+        t2 = second_transversal(fam, identity(fam), S, support(fam, S))[0]
         assert validate_transversal(fam, t2).ok, (n, S, i)
         assert t2 != t, (n, S, i)
         assert omega_member_ham(S, t2), (n, S, i)
@@ -121,13 +120,12 @@ def test_c03_d_star_invariance_exhaustive():
             S = random_ham_set(rng, n, False)
         d = 1 if len(S) < 3 else rng.choice([1, 1, 2])
         fam, t = gen_witness_instance_ham(n, S, d, seed=i)
-        H = build_full_ryb(fam)
-        d0 = support_depth(support(H, S))
+        d0 = support_depth(support(fam, S))
         for psi in enumerate_omega_ham(fam, t, S):
             fam2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             S2 = sorted(new[v] for v in S)
-            assert support_depth(support(build_full_ryb(fam2), S2)) == d0, (n, S, i)
+            assert support_depth(support(fam2, S2)) == d0, (n, S, i)
             members_checked += 1
         instances += 1
     assert instances >= 50 and members_checked > instances
@@ -147,7 +145,7 @@ def test_c04_many_ham_factorial_bound():
             n = rng.randrange(9, 13)
             S = (0, 3, 6)
             fam, t = gen_witness_instance_ham(n, S, d, seed=1000 * d + i)
-            out = many_transversals(fam, S, build_full_ryb(fam))[1]
+            out = many_transversals(fam, S)[1]
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)
             assert len(set(out)) == len(out), (d, n, i)
@@ -175,9 +173,8 @@ def test_c05_second_pm_suite_200_instances():
         n = rng.randrange(2, 21)
         extra = 1 if n <= 3 else rng.randrange(1, min(4, n - 1))
         fam, t = gen_planted_pm_family(n, extra, seed=i)
-        H = build_full_rb(fam)
-        S = random_pm_set(rng, H, n)
-        heads = support(H, S)
+        S = random_pm_set(rng, fam, n)
+        heads = support(fam, S)
         cyc = find_alternating_cycle(heads, n)
         assert cyc.length() >= 2 and cyc.length() % 2 == 0, (n, i)
         t2 = second_transversal(fam, identity(fam), S, heads)[0]
@@ -199,9 +196,8 @@ def test_c06_d_cross_invariance_and_permanent():
         n = rng.randrange(2, 9)
         extra = 1 if n <= 3 else rng.randrange(1, min(4, n - 1))
         fam, t = gen_planted_pm_family(n, extra, seed=500 + i)
-        H = build_full_rb(fam)
-        S = random_pm_set(rng, H, n)
-        d0 = support_depth(support(H, S))
+        S = random_pm_set(rng, fam, n)
+        d0 = support_depth(support(fam, S))
         om = enumerate_omega_pm(fam, t, S)
         M = omega_admissibility_matrix(fam, S)
         assert len(om) == permanent(M), (n, i)
@@ -209,7 +205,7 @@ def test_c06_d_cross_invariance_and_permanent():
             fam2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
             S2 = sorted(new[v] for v in S)
-            assert support_depth(support(build_full_rb(fam2), S2)) == d0, (n, i)
+            assert support_depth(support(fam2, S2)) == d0, (n, i)
             members_checked += 1
         instances += 1
     assert instances >= 50
@@ -226,10 +222,9 @@ def test_c07_many_pm_factorial_bound():
         for i in range(30):
             n = rng.randrange(max(3, d + 2), 9)
             fam, t = gen_planted_pm_family(n, d, seed=3000 * d + i)
-            H = build_full_rb(fam)
             S = tuple(range(n))
-            assert support_depth(support(H, S)) == d, (d, n, i)
-            out = many_transversals(fam, S, H)[1]
+            assert support_depth(support(fam, S)) == d, (d, n, i)
+            out = many_transversals(fam, S)[1]
             need = math.factorial(d + 1)
             assert len(out) >= need, (d, n, i)
             assert len(set(out)) == len(out), (d, n, i)
@@ -287,12 +282,11 @@ def test_c08b_sampler_behavior_at_stated_scale():
     start = time.perf_counter()
     fam, t = gen_bipartite_pm_family(200, 180, seed=808)
     m = fam.base.max_degree()
-    H = build_full_rb(fam)
     target = math.ceil(0.5 * 180 / 2)
     assert target == 45
     good = 0
     for seed in range(10):
-        out = sample_set_pm(H, SamplerConfig(seed=seed, alpha=0.5, m=m))
+        out = sample_set_pm(fam, SamplerConfig(seed=seed, alpha=0.5, m=m))
         assert len(out.warnings) == 1 and "escape floor" in out.warnings[0], (
             out.warnings
         )
@@ -315,11 +309,10 @@ def test_c08c_sampler_at_full_hypothesis_scale():
     m = fam.base.max_degree()
     assert m == 249
     assert r >= pm_lll_rhs(alpha, m)  # 204 >= 203.585...
-    H = build_full_rb(fam)
     target = math.ceil(alpha * r / 2)
     good = 0
     for seed in range(10):
-        out = sample_set_pm(H, SamplerConfig(seed=seed, alpha=alpha, m=m))
+        out = sample_set_pm(fam, SamplerConfig(seed=seed, alpha=alpha, m=m))
         assert out.warnings == (), out.warnings
         if out.depth >= target:
             good += 1
@@ -392,29 +385,24 @@ def test_c11_determinism_everywhere():
     assert gen_bipartite_pm_family(10, 3, seed=4) == gen_bipartite_pm_family(10, 3, seed=4)
     # samplers (members and resample trace both pinned)
     fam, t = gen_regular_all_equal(150, 26, seed=2)
-    H = build_full_ryb(fam)
-    a = sample_set_lll_ham(H, SamplerConfig(seed=9, m=26))
-    b = sample_set_lll_ham(H, SamplerConfig(seed=9, m=26))
+    a = sample_set_lll_ham(fam, SamplerConfig(seed=9, m=26))
+    b = sample_set_lll_ham(fam, SamplerConfig(seed=9, m=26))
     assert a.members == b.members
     assert a.resamples == b.resamples
     assert [(r.kind, r.location) for r in a.records] == [
         (r.kind, r.location) for r in b.records
     ]
     fam2, t2 = gen_bipartite_pm_family(40, 12, seed=2)
-    H2 = build_full_rb(fam2)
-    c = sample_set_pm(H2, SamplerConfig(seed=9, alpha=0.5))
-    d = sample_set_pm(H2, SamplerConfig(seed=9, alpha=0.5))
+    c = sample_set_pm(fam2, SamplerConfig(seed=9, alpha=0.5))
+    d = sample_set_pm(fam2, SamplerConfig(seed=9, alpha=0.5))
     assert c.members == d.members
     # deterministic pipelines: exchange and multiplication output order
     fam3, t3 = gen_witness_instance_ham(10, (0, 3, 6), 2, seed=6)
-    H3 = build_full_ryb(fam3)
-    heads3 = support(H3, (0, 3, 6))
+    heads3 = support(fam3, (0, 3, 6))
     assert second_transversal(fam3, identity(fam3), (0, 3, 6), heads3) == second_transversal(
         fam3, identity(fam3), (0, 3, 6), heads3
     )
-    assert many_transversals(fam3, (0, 3, 6), H3) == many_transversals(
-        fam3, (0, 3, 6), H3
-    )
+    assert many_transversals(fam3, (0, 3, 6)) == many_transversals(fam3, (0, 3, 6))
     print("CRITERION 11 PASS: generators, samplers, exchange, multiplication all bit-stable under fixed seeds")
 
 

@@ -32,7 +32,7 @@ from transversals import (
     planted,
     sampler,
 )
-from transversals import core, exchange, multiplier
+from transversals import core, digraphs, exchange, multiplier
 from transversals.cli import main
 from transversals.sampler import ScanReport
 
@@ -195,7 +195,7 @@ def test_sample_set_exits_5_when_the_sampled_set_is_not_red_independent(tmp_path
     path = str(tmp_path / "r.json")
     run_cli(capsys, "gen", "--model", "regular-all-equal", "--n", "30", "--m", "10", "--seed", "1", "--out", path)
 
-    def not_independent(H, members):
+    def not_independent(family, members):
         raise NotRedIndependent(f"set {list(members)} has a red-adjacent pair")
 
     monkeypatch.setattr(sampler, "support", not_independent)
@@ -723,7 +723,8 @@ def test_dirac_gen_with_find_planted(tmp_path, capsys):
     assert code in (0, 4)
 
 
-STAGES = ("load_instance", "naturally_index", "build_full_ryb", "build_full_rb")
+STAGES = ("load_instance", "naturally_index")
+BUILDS = ("build_full_ryb", "build_full_rb")
 
 
 @pytest.fixture
@@ -741,17 +742,23 @@ def stage_files(tmp_path):
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """Calls per stage through the cli module's bindings."""
+    """Calls per stage: loading and relabelling through the cli module's
+    bindings, a digraph build through every package module that binds one."""
     calls = Counter()
-    for name in STAGES:
-        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+    bindings = [(cli, name) for name in STAGES] + [
+        (module, name) for module in (cli, digraphs, exchange, multiplier, sampler)
+        for name in BUILDS if hasattr(module, name)]
+    for module, name in bindings:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_each_stage_runs_once_per_command(stage_files, stage_calls):
+    # second and multiply read the set's support from the family and build
+    # no digraph; sample-set's sampler builds the one it reads, once
     ham, pm = stage_files["ham"], stage_files["pm"]
     ham_set, pm_set = "2,6,10,14,17,22,25,28", "x0,x1,x2,x3,x4,x5"
     for build, commands in (
@@ -769,7 +776,8 @@ def test_each_stage_runs_once_per_command(stage_files, stage_calls):
         for argv in commands:
             stage_calls.clear()
             assert main(argv) == 0, argv
-            assert stage_calls == {"load_instance": 1, "naturally_index": 1, build: 1}, argv
+            built = {build: 1} if argv[0] == "sample-set" else {}
+            assert stage_calls == {"load_instance": 1, "naturally_index": 1, **built}, argv
 
 
 def test_prepare_rejects_before_the_build(stage_files, stage_calls, capsys):
@@ -808,13 +816,15 @@ def _counted(monkeypatch, name, modules):
 
 
 def test_multiply_reads_the_support_once(stage_files, capsys, monkeypatch):
-    # the reported d is the one the multiplication checked its floor against
+    # the reported d is the one the multiplication checked its floor against:
+    # one support read in the canonical family's labels, with no tables; a
+    # child's read passes its tables
     calls = _counted(monkeypatch, "support", (cli, multiplier))
     for path, members in ((stage_files["ham"], "2,6,10,14,17,22,25,28"), (stage_files["pm"], "x0,x1,x2,x3,x4,x5")):
         calls.clear()
         code, rep = run_cli(capsys, "multiply", "--in", path, "--set", members)
         assert code == 0
-        assert len(calls) == 1
+        assert len([args for args in calls if len(args) == 2]) == 1
         assert rep["results"]["count"] >= rep["results"]["required"] == math.factorial(rep["results"]["d"] + 1)
 
 
@@ -1139,3 +1149,35 @@ def test_a_search_budget_exhausted_outside_count_exits_3(tmp_path, capsys, monke
     assert captured.out == ""
     assert captured.err == "budget exhausted: node budget of 1 spent\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def domain_files(tmp_path_factory):
+    """The dense regular-all-equal n=200, m=30 file (out-degrees 28) and
+    planted-pm n=8 with extra degree 4 (blue out-degrees 4)."""
+    where = tmp_path_factory.mktemp("domain")
+    for name, model in (("dense.json", "regular-all-equal --n 200 --m 30 --seed 1"),
+                        ("pm8.json", "planted-pm --n 8 --extra-degree 4 --seed 2")):
+        assert main(["gen", "--model", *model.split(), "--out", str(where / name)]) == 0
+    return where
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("sample-set --in dense.json --method lll-ham --seed 1 --r 0", "out-degree floor r = 0; need r >= 1"),
+    ("sample-set --in dense.json --method lll-ham --seed 1 --r 31", "some out-degree (28) is below r = 31"),
+    ("sample-set --in pm8.json --method pm --seed 1 --r 0", "escape floor r = 0; need r >= 1"),
+    ("sample-set --in pm8.json --method pm --seed 1 --r 99", "some blue out-degree (4) is below r = 99"),
+    ("bounds --id pm-degree-threshold --alpha 0.5 --m 1", "max degree must be >= 2, got 1"),
+    ("bounds --id pm-degree-threshold --alpha 1.5 --m 10", "alpha must lie in (0,1), got 1.5"),
+    ("bounds --id lll-cond --m 2", "need m >= 3, got 2"),
+    (f"bounds --id lll-cond --m {10**154}",
+     "m is too large for float arithmetic: 2(m-1)^2 exceeds the largest float"),
+    ("bounds --id lll-scan --lo 2 --hi 5", "need 3 <= lo <= hi"),
+    ("bounds --id ham-min-degree --m 100 --t 500", "need m >= 262, got 100"),
+    ("bounds --id pm-min-degree --m 30 --t 10 --alpha 0.5", "need m >= 37, got 30"),
+])
+def test_a_sampler_or_bound_domain_error_exits_4(argv, message, domain_files, capsys):
+    # the samplers' degree floors and the bounds' parameter checks
+    args = [str(domain_files / a) if a.endswith(".json") else a for a in argv.split()]
+    assert main(args) == cli.EXIT_PRECONDITION == 4
+    assert capsys.readouterr() == ("", f"precondition failed: DomainError: {message}\n")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from transversals import (
     KIND_HAM,
+    KIND_PM,
     RbDigraph,
     RybDigraph,
     NotMaximalRedIndependent,
@@ -26,7 +27,9 @@ from transversals import (
     support_depth,
 )
 
-from conftest import identity, make_ham_family
+from transversals.core import canonical_tables
+
+from conftest import digraph_support, identity, make_ham_family
 
 
 def _rows(n, arcs=()):
@@ -126,7 +129,7 @@ def test_ryb_build_matches_arc_definition_on_planted_families(n, data):
     size = data.draw(st.integers(1, n // 3), label="set size")
     shift = data.draw(st.integers(0, n - 1), label="shift")
     members = [(shift + i * (n // size)) % n for i in range(size)]
-    assert support(H, members) == _support_by_definition(fam, members)
+    assert support(fam, members) == digraph_support(H, members) == _support_by_definition(fam, members)
 
 
 @given(st.integers(9, 40), st.data())
@@ -138,8 +141,8 @@ def test_ryb_build_matches_arc_definition_on_witness_instances(n, data):
     fam, t = gen_witness_instance_ham(n, members, d, seed)
     H = build_full_ryb(fam)
     assert (H.yellow, H.blue) == _arcs_by_definition(fam)
-    assert support(H, members) == _support_by_definition(fam, members)
-    assert support_depth(support(H, members)) == d
+    assert support(fam, members) == digraph_support(H, members) == _support_by_definition(fam, members)
+    assert support_depth(support(fam, members)) == d
 
 
 def test_ryb_build_reads_both_endpoints_of_one_subgraph():
@@ -159,28 +162,26 @@ def test_ryb_build_reads_both_endpoints_of_one_subgraph():
 
 def test_red_independence_circular_distance():
     # support raises on two members at cycle distance 1 or 2
-    H = RybDigraph(8, _rows(8), _rows(8))
-    support(H, (0, 3))
-    support(H, (0, 4))
+    fam = make_ham_family(8, {})
+    support(fam, (0, 3))
+    support(fam, (0, 4))
     for red in ((0, 1), (0, 2), (0, 6)):  # (0, 6): distance 2 around the wrap
         with pytest.raises(NotRedIndependent):
-            support(H, red)
-    support(RybDigraph(9, _rows(9), _rows(9)), (0, 3, 6))
+            support(fam, red)
+    support(make_ham_family(9, {}), (0, 3, 6))
 
 
 def test_d_star_counts_min_inset_support(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam)
-    assert support_depth(support(H, (0, 3))) == 1
+    assert support_depth(support(fam, (0, 3))) == 1
     # member 0 needs yellow from 5 into S and blue from 1 into S
-    assert support_depth(support(H, (0,))) == 0
+    assert support_depth(support(fam, (0,))) == 0
 
 
 def test_d_star_on_witness_instance_matches_request():
     for d in (1, 2):
         fam, t = gen_witness_instance_ham(9, (0, 3, 6), d, seed=5)
-        H = build_full_ryb(fam)
-        heads = support(H, (0, 3, 6))
+        heads = support(fam, (0, 3, 6))
         assert support_depth(heads) == d
         prune(heads, (0, 3, 6), 9)  # locally dominating: the exchange can start
 
@@ -188,6 +189,36 @@ def test_d_star_on_witness_instance_matches_request():
 def test_rb_pair_index():
     H = RbDigraph(4, _rows(8))
     assert H.pair_index(2) == 2 and H.pair_index(6) == 2
+
+
+def _with_edges_past_the_range():
+    """gen_planted_pm_family(3, 1, seed=1), and the same with edges (0, 7)
+    and (-1, 0) added to subgraph 0: past either end of its 6 vertices,
+    which validate_family reports as edge_not_in_base."""
+    fam, t = gen_planted_pm_family(3, 1, seed=1)
+    subs = list(fam.subgraphs)
+    subs[0] = subs[0] | {(0, 7), (-1, 0)}
+    return fam, t, SubgraphFamily(fam.base, subs, KIND_PM)
+
+
+def test_rb_rejects_a_head_past_the_vertex_range():
+    # as RybDigraph does; before the check, blue[0] was (4, 7)
+    fam, _, bad = _with_edges_past_the_range()
+    with pytest.raises(ValueError, match=r"arc 0->7 leaves the vertex range 0\.\.5"):
+        build_full_rb(bad)
+    for head in (7, 6, -1):
+        with pytest.raises(ValueError, match="leaves the vertex range"):
+            RbDigraph(3, _rows(6, [(0, head)]))
+    assert build_full_rb(fam).blue[0] == (4,)
+
+
+def test_matching_support_reads_no_head_past_the_vertex_range():
+    # member 0 scans subgraph 0, where 7 and -1 map to no vertex, in the
+    # family's labels or through a child's tables
+    fam, t, bad = _with_edges_past_the_range()
+    assert support(bad, (0, 1, 2)) == support(fam, (0, 1, 2)) == {0: (4,), 1: (5,), 2: (4,)}
+    tables = canonical_tables(t, (2, 5))
+    assert support(bad, (0, 1), tables) == support(fam, (0, 1), tables)
 
 
 def test_rb_arcs_cross_pair_boundary():
@@ -200,42 +231,41 @@ def test_rb_arcs_cross_pair_boundary():
 
 def test_pm_red_independence_one_per_pair():
     # support needs exactly one endpoint of every pair
-    H = RbDigraph(3, _rows(6))
-    support(H, (0, 1, 2))
-    support(H, (0, 4, 2))
+    fam, _ = gen_planted_pm_family(3, 0, seed=0)
+    support(fam, (0, 1, 2))
+    support(fam, (0, 4, 2))
     for bad in ((0, 3, 1), (0, 4)):  # 0 and 3 share pair 0; pair 2 is missing
         with pytest.raises(NotMaximalRedIndependent):
-            support(H, bad)
+            support(fam, bad)
 
 
 def test_d_cross_counts_escapes():
     fam, t = gen_planted_pm_family(6, 2, seed=3)
     H = build_full_rb(fam)
     S = tuple(range(6))
-    assert support_depth(support(H, S)) == 2  # every x-side vertex got exactly 2 cross edges
+    assert support_depth(support(fam, S)) == 2  # every x-side vertex got exactly 2 cross edges
     got = min(len([w for w in H.blue[v] if w not in set(S)]) for v in S)
     assert got == 2
 
 
 def test_support_lists_the_counted_heads(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam)
     # member 0: yellow 5 -> 3 and blue 1 -> 3; member 3: yellow 2 -> 0 and blue 4 -> 0
-    heads = support(H, (3, 0))
+    heads = support(fam, (3, 0))
     assert list(heads.items()) == [(5, (3,)), (1, (3,)), (2, (0,)), (4, (0,))]
-    assert support_depth(support(H, (0, 3))) == min(map(len, heads.values())) == 1
+    assert support_depth(support(fam, (0, 3))) == min(map(len, heads.values())) == 1
     with pytest.raises(ValueError, match="empty set"):
-        support(H, ())
+        support(fam, ())
     with pytest.raises(NotRedIndependent, match=r"set \[0, 1\] has a red-adjacent pair"):
-        support(H, (1, 0))
+        support(fam, (1, 0))
 
     fam2, t2 = gen_planted_pm_family(4, 1, seed=0)
     H2 = build_full_rb(fam2)
     # the x side is one endpoint per pair, and every blue arc leaves it
-    assert support(H2, range(4)) == {v: H2.blue[v] for v in range(4)}
-    assert support_depth(support(H2, tuple(range(4)))) == min(len(H2.blue[v]) for v in range(4))
+    assert support(fam2, range(4)) == {v: H2.blue[v] for v in range(4)}
+    assert support_depth(support(fam2, tuple(range(4)))) == min(len(H2.blue[v]) for v in range(4))
     with pytest.raises(NotMaximalRedIndependent, match="need exactly one endpoint per pair"):
-        support(H2, (0, 4, 1, 2))
+        support(fam2, (0, 4, 1, 2))
 
 
 @given(st.integers(2, 12), st.data())
@@ -245,15 +275,14 @@ def test_support_matches_the_family_on_planted_matchings(n, data):
     sides = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="sides")
     members = [i + n * y for i, y in enumerate(sides)]
     fam, t = gen_planted_pm_family(n, k, seed)
-    heads = support(build_full_rb(fam), members)
-    assert heads == _support_by_definition(fam, members)
+    heads = support(fam, members)
+    assert heads == digraph_support(build_full_rb(fam), members) == _support_by_definition(fam, members)
     assert list(heads) == sorted(members)
 
 
 def test_omega_member_ham_accepts_and_rejects(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam)
-    t2 = second_transversal(fam, identity(fam), (0, 3), support(H, (0, 3)))[0]
+    t2 = second_transversal(fam, identity(fam), (0, 3), support(fam, (0, 3)))[0]
     assert omega_member_ham((0, 3), t2)
     assert omega_member_ham((0, 3), t)
 
@@ -295,8 +324,7 @@ def test_omega_member_pm_agrees_with_enumeration():
 
 def test_omega_member_pm_checks_color_and_boundary():
     fam, t = gen_planted_pm_family(5, 2, seed=7)
-    H = build_full_rb(fam)
     S = tuple(range(5))
-    t2 = second_transversal(fam, identity(fam), S, support(H, S))[0]
+    t2 = second_transversal(fam, identity(fam), S, support(fam, S))[0]
     assert omega_member_pm(S, t2)
     assert omega_member_pm(S, t)

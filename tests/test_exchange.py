@@ -57,8 +57,7 @@ def _ham_cycles_through(n, adj, anchor):
 
 def test_figure_second_transversal_matches_hand_trace(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam)
-    t2 = second_transversal(fam, identity(fam), (0, 3), support(H, (0, 3)))[0]
+    t2 = second_transversal(fam, identity(fam), (0, 3), support(fam, (0, 3)))[0]
     assert t2.colors() == {
         (0, 1): 0,
         (1, 2): 1,
@@ -74,7 +73,7 @@ def test_figure_second_transversal_matches_hand_trace(figure_family):
 def test_prune_keeps_only_rotation_arcs(figure_family):
     fam, t = figure_family
     H = build_full_ryb(fam)
-    jp = prune(support(H, (0, 3)), (0, 3), 6)
+    jp = prune(support(fam, (0, 3)), (0, 3), 6)
     assert isinstance(jp, PrunedDigraph)
     assert set(jp.members) == {0, 3}
     for m, (tail, head) in jp.yellow_pick:
@@ -95,8 +94,7 @@ def test_walk_finds_the_unique_other_anchored_cycle():
     # frozen instances whose pruned graph has exactly two anchored cycles
     for n, S, seed in [(8, (0, 4), 0), (9, (0, 3, 6), 0)]:
         fam, t = gen_witness_instance_ham(n, S, 1, seed=seed)
-        H = build_full_ryb(fam)
-        jp = prune(support(H, S), S, n)
+        jp = prune(support(fam, S), S, n)
         anchor = edge(min(S), min(S) + 1)
         thru = _ham_cycles_through(n, jp.adj, anchor)
         assert len(thru) == 2
@@ -115,8 +113,7 @@ def test_anchored_cycle_count_is_even():
         n = rng.randrange(7, 11)
         S = random_ham_set(rng, n, rng.random() < 0.4)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
-        H = build_full_ryb(fam)
-        jp = prune(support(H, S), S, n)
+        jp = prune(support(fam, S), S, n)
         anchor = edge(min(S), min(S) + 1)
         thru = _ham_cycles_through(n, jp.adj, anchor)
         assert len(thru) % 2 == 0 and len(thru) >= 2
@@ -124,8 +121,7 @@ def test_anchored_cycle_count_is_even():
 
 def test_walk_trace_shape(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam)
-    jp = prune(support(H, (0, 3)), (0, 3), 6)
+    jp = prune(support(fam, (0, 3)), (0, 3), 6)
     trace = lollipop_walk(jp, edge(0, 1))
     assert len(trace.states) >= 2
     assert trace.states[0] != trace.states[-1]
@@ -135,9 +131,8 @@ def test_walk_trace_shape(figure_family):
 def test_prune_rejects_undominated_set():
     fam = make_ham_family(8, {})
     t = planted(fam.kind, fam.num_vertices)
-    H = build_full_ryb(fam)
     with pytest.raises(NotLocallyDominating):
-        prune(support(H, (0, 4)), (0, 4), 8)
+        prune(support(fam, (0, 4)), (0, 4), 8)
 
 
 def test_second_ham_differs_only_in_allowed_places():
@@ -146,8 +141,7 @@ def test_second_ham_differs_only_in_allowed_places():
         n = rng.randrange(7, 12)
         S = random_ham_set(rng, n, rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
-        H = build_full_ryb(fam)
-        t2 = second_transversal(fam, identity(fam), S, support(H, S))[0]
+        t2 = second_transversal(fam, identity(fam), S, support(fam, S))[0]
         assert validate_transversal(fam, t2).ok
         assert t2 != t
         assert omega_member_ham(S, t2)
@@ -166,7 +160,7 @@ def test_find_alternating_cycle_alternates():
         fam, t = gen_planted_pm_family(n, extra, seed=rng.randrange(10**6))
         H = build_full_rb(fam)
         S = tuple(range(n))
-        cyc = find_alternating_cycle(support(H, S), n)
+        cyc = find_alternating_cycle(support(fam, S), n)
         assert cyc.length() >= 2 and cyc.length() % 2 == 0
         assert len(cyc.arcs) == len(cyc.pairs)
         # arcs leave members of the listed pairs and land outside S
@@ -180,7 +174,7 @@ def test_second_pm_transversal_swaps_cycle():
     fam, t = gen_planted_pm_family(6, 2, seed=23)
     H = build_full_rb(fam)
     S = tuple(range(6))
-    t2 = second_transversal(fam, identity(fam), S, support(H, S))[0]
+    t2 = second_transversal(fam, identity(fam), S, support(fam, S))[0]
     assert validate_transversal(fam, t2).ok
     assert t2 != t
     assert omega_member_pm(S, t2)
@@ -195,24 +189,22 @@ def test_no_blue_escape_raises():
     stranded = None
     for seed in range(10):
         fam, t = gen_planted_pm_family(2, 1, seed=seed)
-        H = build_full_rb(fam)
         for S in [(0, 1), (0, 3), (1, 2), (2, 3)]:
-            if support_depth(support(H, S)) == 0:
-                stranded = (H, S)
+            if support_depth(support(fam, S)) == 0:
+                stranded = (fam, S)
                 break
         if stranded:
             break
     assert stranded is not None, "expected some stranded side choice at n = 2"
-    H, S = stranded
+    fam, S = stranded
     with pytest.raises(NoBlueEscape):
-        find_alternating_cycle(support(H, S), 2)
+        find_alternating_cycle(support(fam, S), 2)
 
 
 def test_ham_exchange_refuses_to_return_its_base(monkeypatch):
     # a walk that recolors back to the base is stuck, not a second cycle
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-    H = build_full_ryb(fam)
-    heads = support(H, (0, 4, 8))
+    heads = support(fam, (0, 4, 8))
     assert second_transversal(fam, identity(fam), (0, 4, 8), heads)[0] != t
     # a walk that ends where it started: the opened base cycle
     monkeypatch.setattr(exchange, "lollipop_walk", lambda jp, anchor: LollipopTrace((tuple(range(11)),), ()))
@@ -223,8 +215,7 @@ def test_ham_exchange_refuses_to_return_its_base(monkeypatch):
 def test_pm_exchange_refuses_to_return_its_base(monkeypatch):
     # swapping an empty alternating cycle leaves the base as it was
     fam, t = gen_planted_pm_family(6, 2, seed=23)
-    H = build_full_rb(fam)
-    heads = support(H, range(6))
+    heads = support(fam, range(6))
     assert second_transversal(fam, identity(fam), tuple(range(6)), heads)[0] != t
     monkeypatch.setattr(exchange, "find_alternating_cycle", lambda escapes, n: AlternatingCycle((), ()))
     with pytest.raises(WalkStuck, match="returned the base"):
@@ -240,7 +231,7 @@ def test_the_exchange_reads_only_the_first_head_of_each_list():
         n = rng.randrange(9, 14)
         S = random_ham_set(rng, n, True)
         fam, t = gen_witness_instance_ham(n, S, rng.randrange(1, len(S)), seed=rng.randrange(10**6))
-        heads = support(build_full_ryb(fam), S)
+        heads = support(fam, S)
         second = second_transversal(fam, identity(fam), S, heads)[0]
         for k in range(1, max(map(len, heads.values())) + 1):
             assert second_transversal(fam, identity(fam), S, {v: hs[:k] for v, hs in heads.items()})[0] == second
@@ -249,7 +240,7 @@ def test_the_exchange_reads_only_the_first_head_of_each_list():
         n = rng.randrange(3, 9)
         fam, t = gen_planted_pm_family(n, rng.randrange(1, n), seed=rng.randrange(10**6))
         S = tuple(i + n * rng.randrange(2) for i in range(n))
-        heads = support(build_full_rb(fam), S)
+        heads = support(fam, S)
         if not all(heads.values()):
             continue
         tried += max(map(len, heads.values())) > 1
@@ -264,7 +255,7 @@ def test_a_heads_map_support_could_not_make_is_a_precondition_error():
     # tail's cycle neighbor, so no arc, leaves a member undominated; a
     # matching map needs exactly one endpoint of every pair
     fam, t = gen_witness_instance_ham(9, (0, 3, 6), 1, seed=5)
-    heads = support(build_full_ryb(fam), (0, 3, 6))
+    heads = support(fam, (0, 3, 6))
     for tail in heads:
         with pytest.raises(NotLocallyDominating, match="lacks in-set support"):
             second_transversal(fam, identity(fam), (0, 3, 6), {v: hs for v, hs in heads.items() if v != tail})[0]
@@ -275,7 +266,7 @@ def test_a_heads_map_support_could_not_make_is_a_precondition_error():
         with pytest.raises(NotLocallyDominating, match=f"arc {tail}->{head} targets its tail or a cycle neighbor"):
             second_transversal(fam, identity(fam), (0, 3, 6), {**heads, tail: (head,)})
     fam, t = gen_planted_pm_family(4, 2, seed=3)
-    heads = support(build_full_rb(fam), range(4))
+    heads = support(fam, range(4))
     for bad in ({v: heads[v] for v in range(3)}, {**heads, 4: heads[0]}, {**heads, 5: ()}):
         with pytest.raises(NotMaximalRedIndependent, match="one endpoint per pair"):
             second_transversal(fam, identity(fam), range(4), bad)[0]
@@ -290,11 +281,11 @@ def test_the_exchange_validates_its_result_in_the_callers_labels():
     # a first head in the set that is no arc of the support: the walk or
     # the swap runs, and the one validation of the result refuses it
     fam, t = gen_witness_instance_ham(9, (0, 3, 6), 1, seed=5)
-    heads = support(build_full_ryb(fam), (0, 3, 6))
+    heads = support(fam, (0, 3, 6))
     with pytest.raises(InvalidTransversal, match=r"invalid transversal: edge_not_in_base: edge \(3, 8\) missing"):
         second_transversal(fam, identity(fam), (0, 3, 6), {**heads, 8: (3,)})
     fam, t = gen_planted_pm_family(4, 2, seed=3)
-    heads = support(build_full_rb(fam), range(4))
+    heads = support(fam, range(4))
     with pytest.raises(InvalidTransversal, match=r"invalid transversal: edge_not_in_subgraph: edge \(0, 6\)"):
         second_transversal(fam, identity(fam), range(4), {**heads, 0: (6,)})
     # members equal to the keys, but 0 and 4 are one pair's two endpoints

@@ -6,7 +6,6 @@ from transversals import (
     InfeasibleDegree,
     InfeasibleWitness,
     build_full_rb,
-    build_full_ryb,
     edge,
     gen_bipartite_pm_family,
     gen_dirac_family,
@@ -61,9 +60,8 @@ def test_planted_pm_family_shape():
         assert validate_family(fam).ok
         assert validate_transversal(fam, t).ok
         assert t == planted(fam.kind, fam.num_vertices)
-        H = build_full_rb(fam)
         # each x-side member has exactly extra escapes from its own subgraph
-        assert support_depth(support(H, tuple(range(n)))) == extra
+        assert support_depth(support(fam, tuple(range(n)))) == extra
 
 
 def test_dirac_family_degree_floor():
@@ -114,8 +112,7 @@ def test_witness_instance_depth_is_exact():
         d = rng.randrange(1, 3)
         fam, t = gen_witness_instance_ham(n, S, d, seed=rng.randrange(10**6))
         assert validate_family(fam).ok
-        H = build_full_ryb(fam)
-        assert support_depth(support(H, S)) == d
+        assert support_depth(support(fam, S)) == d
 
 
 def test_witness_instance_rejections():

@@ -41,9 +41,8 @@ from transversals import (
 )
 from transversals import exchange, multiplier
 from transversals.core import canonical_tables, relabel, relabel_rows
-from transversals.digraphs import support_depth, support_through
 
-from conftest import identity, make_ham_family, random_ham_set
+from conftest import digraph_support, identity, make_ham_family, random_ham_set
 
 
 def test_omega_contains_base_and_stays_inside_all(figure_family):
@@ -98,11 +97,11 @@ def test_omega_pm_count_is_the_permanent(case):
     assert len(enumerate_omega_pm(fam, t, S)) == permanent(omega_admissibility_matrix(fam, S))
 
 
-def _root(fam, S, H):
+def _root(fam, S):
     """``_many``'s node, set and support at the root: identity tables, no
     dropped pairs."""
     node = tuple(range(fam.num_vertices)), tuple(range(fam.num_colors)), ()
-    return node, tuple(sorted(S)), support(H, S)
+    return node, tuple(sorted(S)), support(fam, S)
 
 
 def _branch_witness(kind, tables, pairs):
@@ -115,7 +114,7 @@ def _branch_witness(kind, tables, pairs):
 
 def test_saturated_vertex_ham_accumulates_enough_targets():
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-    node, ms, heads = _root(fam, (0, 4, 8), build_full_ryb(fam))
+    node, ms, heads = _root(fam, (0, 4, 8))
     branches = multiplier._saturated_branches(fam, node, ms, heads)
     assert len(branches) >= 3  # d + 1
     assert [e for e, _, _ in branches] == sorted({e for e, _, _ in branches})
@@ -129,11 +128,10 @@ def test_saturated_vertex_ham_accumulates_enough_targets():
 
 def test_saturated_vertex_pm_accumulates_enough_targets():
     fam, t = gen_planted_pm_family(6, 2, seed=5)
-    H = build_full_rb(fam)
     S = tuple(range(6))
-    node, ms, heads = _root(fam, S, H)
+    node, ms, heads = _root(fam, S)
     branches = multiplier._saturated_branches(fam, node, ms, heads)
-    assert len(branches) >= support_depth(support(H, S)) + 1
+    assert len(branches) >= support_depth(heads) + 1
     assert [e for e, _, _ in branches] == sorted({e for e, _, _ in branches})
     for e, tables, pairs in branches:
         wit = _branch_witness(KIND_PM, tables, pairs)
@@ -150,7 +148,7 @@ def test_many_ham_reaches_factorial(d):
         n = rng.randrange(9, 13)
         S = (0, 4, 8) if n >= 11 and rng.random() < 0.4 else (0, 3, 6)
         fam, t = gen_witness_instance_ham(n, S, d, seed=rng.randrange(10**6))
-        out = many_transversals(fam, S, build_full_ryb(fam))[1]
+        out = many_transversals(fam, S)[1]
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
         om = set(enumerate_omega_ham(fam, t, S))
@@ -165,10 +163,9 @@ def test_many_pm_reaches_factorial(d):
     for _ in range(8):
         n = rng.randrange(d + 2, 9)
         fam, t = gen_planted_pm_family(n, d, seed=rng.randrange(10**6))
-        H = build_full_rb(fam)
         S = tuple(range(n))
-        assert support_depth(support(H, S)) == d
-        out = many_transversals(fam, S, H)[1]
+        assert support_depth(support(fam, S)) == d
+        out = many_transversals(fam, S)[1]
         assert len(out) >= math.factorial(d + 1)
         assert len(set(out)) == len(out)
         om = set(enumerate_omega_pm(fam, t, S))
@@ -210,9 +207,8 @@ def _check_multiplied(fam, out, omega, d):
 @given(witness_ham_with_set())
 def test_many_ham_lies_in_omega(case):
     fam, t, S = case
-    H = build_full_ryb(fam)
-    out = many_transversals(fam, S, H)[1]
-    _check_multiplied(fam, out, set(enumerate_omega_ham(fam, t, S)), support_depth(support(H, S)))
+    out = many_transversals(fam, S)[1]
+    _check_multiplied(fam, out, set(enumerate_omega_ham(fam, t, S)), support_depth(support(fam, S)))
 
 
 @settings(deadline=None)
@@ -220,10 +216,9 @@ def test_many_ham_lies_in_omega(case):
 def test_many_pm_lies_in_omega(case):
     # S holds a random endpoint of each pair, not only the low ones
     fam, t, S = case
-    H = build_full_rb(fam)
-    d = support_depth(support(H, S))
+    d = support_depth(support(fam, S))
     assume(d <= 4)  # 7 pairs at depth 6 take about a second each
-    out = many_transversals(fam, S, H)[1]
+    out = many_transversals(fam, S)[1]
     _check_multiplied(fam, out, set(enumerate_omega_pm(fam, t, S)), d)
 
 
@@ -236,8 +231,8 @@ def test_child_lifts_back_to_its_witness(case):
     fam, t, S = case
     assume(fam.num_vertices > 2)  # a one-pair matching has no child
     ham = fam.kind == KIND_HAM
-    build, member = (build_full_ryb, omega_member_ham) if ham else (build_full_rb, omega_member_pm)
-    node, ms, heads = _root(fam, S, build(fam))
+    member = omega_member_ham if ham else omega_member_pm
+    node, ms, heads = _root(fam, S)
     for e, (vinv, cinv), pairs in multiplier._saturated_branches(fam, node, ms, heads):
         fam2 = relabel(fam, vinv, cinv)
         t2 = planted(fam2.kind, fam2.num_vertices)
@@ -255,24 +250,22 @@ def test_many_ham_rejects_zero_depth():
     fam = make_ham_family(8, {})
     t = planted(fam.kind, fam.num_vertices)
     with pytest.raises(DStarTooSmall):
-        many_transversals(fam, (0, 4), build_full_ryb(fam))
+        many_transversals(fam, (0, 4))
 
 
 def test_many_pm_raises_when_the_floor_fails(monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
     fam, t = gen_planted_pm_family(6, 2, seed=5)
-    H = build_full_rb(fam)
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many_transversals(fam, tuple(range(6)), H)
+        many_transversals(fam, tuple(range(6)))
 
 
 def test_many_ham_raises_when_the_floor_fails(monkeypatch):
     fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-    H = build_full_ryb(fam)
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: [t])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many_transversals(fam, (0, 4, 8), H)
+        many_transversals(fam, (0, 4, 8))
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
@@ -281,41 +274,41 @@ def test_the_floor_is_d_plus_one_factorial_exactly(kind, monkeypatch):
     # floor that drifts to d! or to (d+1)! + 1 fails here
     if kind == KIND_HAM:
         fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-        ms, H = (0, 4, 8), build_full_ryb(fam)
+        ms = (0, 4, 8)
     else:
         fam, t = gen_planted_pm_family(6, 2, seed=5)
-        ms, H = tuple(range(6)), build_full_rb(fam)
-    d, outputs = many_transversals(fam, ms, H)
-    assert d == support_depth(support(H, ms))
+        ms = tuple(range(6))
+    d, outputs = many_transversals(fam, ms)
+    assert d == support_depth(support(fam, ms))
     floor = math.factorial(d + 1)
     assert len(outputs) >= floor > 1
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: outputs[:floor - 1])
     with pytest.raises(GuaranteeViolated, match=r"fell short of \(d\+1\)!"):
-        many_transversals(fam, ms, H)
+        many_transversals(fam, ms)
     monkeypatch.setattr(multiplier, "_many", lambda family, node, ms, heads, d, memo: outputs[:floor])
-    assert many_transversals(fam, ms, H) == (d, outputs[:floor])
+    assert many_transversals(fam, ms) == (d, outputs[:floor])
 
 
 def _entry_case(kind):
-    """(family, base, set, build): a witness cycle instance with d = 2, or
-    the planted-pm n=8 seed 2 instance of the pinned reports (d = 4)."""
+    """(family, base, set): a witness cycle instance with d = 2, or the
+    planted-pm n=8 seed 2 instance of the pinned reports (d = 4)."""
     if kind == KIND_HAM:
         fam, t = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-        return fam, t, (0, 4, 8), build_full_ryb
+        return fam, t, (0, 4, 8)
     fam, t = gen_planted_pm_family(8, 4, seed=2)
-    return fam, t, tuple(range(8)), build_full_rb
+    return fam, t, tuple(range(8))
 
 
 @pytest.mark.parametrize("kind", [KIND_HAM, KIND_PM])
 def test_many_rejects_a_base_missing_from_its_subgraph(kind):
     # the family is canonically labelled, but subgraph 2 lacks the planted
     # edge of color 2, which only the entry validation sees
-    fam, t, S, build = _entry_case(kind)
+    fam, t, S = _entry_case(kind)
     subs = list(fam.subgraphs)
     subs[2] = subs[2] - {e for e, c in t.items if c == 2}
     fam = SubgraphFamily(fam.base, subs, kind)
     with pytest.raises(InvalidTransversal, match="witness is invalid: edge_not_in_subgraph"):
-        many_transversals(fam, S, build(fam))
+        many_transversals(fam, S)
 
 
 @pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
@@ -323,7 +316,7 @@ def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
     # the base is checked on entry; every other witness was checked once,
     # in the root family's labels, by the exchange round that made it, so
     # the recursion checks none again
-    fam, t, S, build = _entry_case(kind)
+    fam, t, S = _entry_case(kind)
     checked, lifted = [], []
 
     def counting(family, u, calls=checked):
@@ -333,7 +326,7 @@ def test_many_validates_each_witness_once(kind, outputs, monkeypatch):
     monkeypatch.setattr(multiplier, "validate_transversal", counting)
     monkeypatch.setattr(exchange, "validate_transversal", partial(counting, calls=lifted))
     _, rounds = _counting(monkeypatch)
-    assert len(many_transversals(fam, S, build(fam))[1]) == outputs
+    assert len(many_transversals(fam, S)[1]) == outputs
     assert checked == [(fam, t)]
     assert len(lifted) == len(rounds) and all(family is fam for family, _ in lifted)
 
@@ -343,10 +336,9 @@ def test_many_builds_each_planted_transversal_once(kind, sizes):
     # planted is built once per (kind, n) and process: every cycle node
     # shares the root's planted cycle, and a matching call builds one per
     # node size, not once per node (359) or per exchange round (455)
-    fam, t, S, build = _entry_case(kind)
-    H = build(fam)
+    fam, t, S = _entry_case(kind)
     planted.cache_clear()
-    many_transversals(fam, S, H)
+    many_transversals(fam, S)
     assert planted.cache_info().misses == len(sizes)
     assert planted.cache_info().hits > 0
 
@@ -360,7 +352,7 @@ class _NeverStores(dict):
 
 @st.composite
 def multiply_case(draw):
-    """(family, planted, S, H, d): a planted-pm family with 3-7 pairs,
+    """(family, planted, S, d): a planted-pm family with 3-7 pairs,
     extra degree d = 1-3 and S its low endpoints, or a witness cycle
     instance with d = 2 or 3 and |S| = d + 1."""
     if draw(st.booleans(), label="matching"):
@@ -368,12 +360,12 @@ def multiply_case(draw):
         extra = draw(st.integers(1, min(3, n - 1)), label="extra degree")
         fam, t = gen_planted_pm_family(n, extra, seed=draw(st.integers(0, 2**16), label="seed"))
         S = tuple(range(n))
-        return fam, t, S, build_full_rb(fam), extra
+        return fam, t, S, extra
     d = draw(st.integers(2, 3), label="depth")
     n = draw(st.integers(3 * d + 3, 3 * d + 7), label="vertices")
     S = _spread_set(draw, n, d + 1)
     fam, t = gen_witness_instance_ham(n, S, d, seed=draw(st.integers(0, 2**16), label="seed"))
-    return fam, t, S, build_full_ryb(fam), d
+    return fam, t, S, d
 
 
 @settings(deadline=None, max_examples=60)
@@ -381,18 +373,18 @@ def multiply_case(draw):
 def test_many_memo_changes_no_output(case):
     # solving each distinct child once gives the list, in the order, that
     # solving every child again gives
-    fam, t, S, H, d = case
-    node, ms, heads = _root(fam, S, H)
+    fam, t, S, d = case
+    node, ms, heads = _root(fam, S)
     assert multiplier._many(fam, node, ms, heads, d, {}) == multiplier._many(fam, node, ms, heads, d, _NeverStores())
 
 
-def _many_per_family(family, ms, H, d, memo):
+def _many_per_family(family, ms, heads, d, memo):
     """The recursion as it was when every child was a family: the child's
     rows make a new family, whose digraph gives the child's depth and
     support, and whose labels the exchange validates in."""
     ham = family.kind == KIND_HAM
     base = planted(family.kind, family.num_vertices)
-    node, _, heads = _root(family, ms, H)
+    node = tuple(range(family.num_vertices)), tuple(range(family.num_colors)), ()
     if ham and d == 1:
         return [base, second_transversal(family, identity(family), ms, heads)[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
@@ -409,10 +401,10 @@ def _many_per_family(family, ms, H, d, memo):
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
         key = fam2.base, fam2.subgraphs, ms2
         if key not in memo:
-            H2 = build(fam2)
-            d2 = support_depth(support(H2, ms2))
+            heads2 = digraph_support(build(fam2), ms2)
+            d2 = support_depth(heads2)
             assert d2 >= d - 1
-            memo[key] = _many_per_family(fam2, ms2, H2, d2, memo)
+            memo[key] = _many_per_family(fam2, ms2, heads2, d2, memo)
         plan.append((vinv, cinv, () if ham else ((e, wit.color_of(e)),), memo[key]))
     return plan
 
@@ -422,31 +414,44 @@ def _many_per_family(family, ms, H, d, memo):
 def test_many_matches_the_recursion_over_child_families(case):
     # a child held as tables into the root family gives the outputs, in
     # the order, that building each child's family and digraph gives
-    fam, t, S, H, d = case
-    node, ms, heads = _root(fam, S, H)
+    fam, t, S, d = case
+    node, ms, heads = _root(fam, S)
     plan = multiplier._many(fam, node, ms, heads, d, {})
-    expected = _many_per_family(fam, ms, H, d, {})
+    expected = _many_per_family(fam, ms, heads, d, {})
     assert list(multiplier._expand(plan, *node)) == list(multiplier._expand(expected, *node))
 
 
 @st.composite
-def relabelled_support_case(draw):
-    """(family, vt, ct, members): a ``multiply_case`` family, random
-    new-to-old tables (a matching keeps k of its pairs' vertices and
-    colors, not necessarily pairwise) and a set, spread or arbitrary."""
-    fam = draw(multiply_case())[0]
+def support_case(draw):
+    """(family, tables, members): a ``multiply_case`` family; no tables
+    (the family's own labels), a multiplication child's (``canonical_tables``
+    of a valid transversal other than the planted one, a matching's with
+    one pair dropped or none), or random new-to-old tables (a matching
+    keeps k of its pairs' vertices and colors, not necessarily pairwise);
+    and a set, spread or arbitrary, the latter mostly not red-independent."""
+    fam, t, S, _ = draw(multiply_case())
     ham = fam.kind == KIND_HAM
-    k = fam.num_colors if ham else draw(st.integers(1, fam.num_colors), label="colors kept")
-    size = k if ham else 2 * k
-    vt = tuple(draw(st.permutations(range(fam.num_vertices)), label="vertex table")[:size])
-    ct = tuple(draw(st.permutations(range(fam.num_colors)), label="color table")[:k])
+    how = draw(st.sampled_from(["own labels", "child", "random"]), label="tables")
+    if how == "own labels":
+        tables = None
+    elif how == "child":
+        build = build_full_ryb if ham else build_full_rb
+        wit = second_transversal(fam, identity(fam), S, digraph_support(build(fam), S))[0]
+        drop = None if ham else draw(st.sampled_from([None, *sorted(wit.edge_set)]), label="dropped pair")
+        tables = canonical_tables(wit, drop)
+    else:
+        k = fam.num_colors if ham else draw(st.integers(1, fam.num_colors), label="colors kept")
+        size = k if ham else 2 * k
+        tables = (tuple(draw(st.permutations(range(fam.num_vertices)), label="vertex table")[:size]),
+                  tuple(draw(st.permutations(range(fam.num_colors)), label="color table")[:k]))
+    k = fam.num_colors if tables is None else len(tables[1])
     if not draw(st.booleans(), label="well-formed set"):
-        members = tuple(draw(st.sets(st.integers(0, size - 1), max_size=4), label="set"))
+        members = tuple(draw(st.sets(st.integers(0, (k if ham else 2 * k) - 1), max_size=4), label="set"))
     elif ham:
         members = _spread_set(draw, k, draw(st.integers(1, k // 3), label="members"))
     else:
         members = tuple(i + k * draw(st.integers(0, 1), label="high endpoint") for i in range(k))
-    return fam, vt, ct, members
+    return fam, tables, members
 
 
 def _outcome(fn, *args):
@@ -458,25 +463,28 @@ def _outcome(fn, *args):
 
 
 @settings(deadline=None, max_examples=80)
-@given(relabelled_support_case())
-def test_support_through_is_the_support_of_the_relabelled_digraph(case):
-    fam, vt, ct, members = case
-    fam2 = relabel(fam, vt, ct)
+@given(support_case())
+def test_support_is_the_support_of_the_built_digraph(case):
+    # read from the family, in its own labels or through a child's or any
+    # tables, the support is the one the relabelled family's built digraph
+    # gives, errors and their messages included
+    fam, tables, members = case
     build = build_full_ryb if fam.kind == KIND_HAM else build_full_rb
-    expected = _outcome(support, build(fam2), members)
-    assert _outcome(support_through, fam, vt, ct, members) == expected
+    expected = _outcome(digraph_support, build(fam if tables is None else relabel(fam, *tables)), members)
+    assert _outcome(support, fam, members, tables) == expected
 
 
-def _lifted_per_level(family, ms, H, d):
+def _lifted_per_level(family, ms, heads, d):
     """The recursion with no memo and no plan: every child's outputs are
-    lifted back a level at a time, a matching child's branch pair added."""
+    lifted back a level at a time, a matching child's branch pair added;
+    each child's support read off its built digraph."""
     ham = family.kind == KIND_HAM
     base = planted(family.kind, family.num_vertices)
     if ham and d == 1:
-        return [base, second_transversal(family, identity(family), ms, support(H, ms))[0]]
+        return [base, second_transversal(family, identity(family), ms, heads)[0]]
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
-    node, _, heads = _root(family, ms, H)
+    node = tuple(range(family.num_vertices)), tuple(range(family.num_colors)), ()
     build = build_full_ryb if ham else build_full_rb
     out = []
     for e, tables, pairs in multiplier._saturated_branches(family, node, ms, heads):
@@ -485,8 +493,8 @@ def _lifted_per_level(family, ms, H, d):
         fam2 = relabel(family, vinv, cinv)
         new = old_to_new(vinv, family.num_vertices)
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
-        H2 = build(fam2)
-        solved = _lifted_per_level(fam2, ms2, H2, support_depth(support(H2, ms2)))
+        heads2 = digraph_support(build(fam2), ms2)
+        solved = _lifted_per_level(fam2, ms2, heads2, support_depth(heads2))
         pair = {} if ham else {e: wit.color_of(e)}
         out += [Transversal.from_map(u.kind, {**u.colors(), **pair}) for u in lift(solved, vinv, cinv)]
     return out
@@ -497,21 +505,30 @@ def _lifted_per_level(family, ms, H, d):
 def test_many_equals_a_lift_per_level(case):
     # the plan, expanded once at the top, gives the outputs, in the order,
     # that lifting every child's list back at each level gives
-    fam, t, S, H, _ = case
-    d = support_depth(support(H, S))
-    expected = sorted(set(_lifted_per_level(fam, S, H, d)), key=lambda u: u.items)
-    assert many_transversals(fam, S, H) == (d, expected)
+    fam, t, S, _ = case
+    heads = support(fam, S)
+    d = support_depth(heads)
+    expected = sorted(set(_lifted_per_level(fam, S, heads, d)), key=lambda u: u.items)
+    assert many_transversals(fam, S) == (d, expected)
 
 
 def _counting(monkeypatch):
-    """Record the arguments of each memo miss (the one ``support_through``
-    call a new child makes) and of each exchange round."""
+    """Record the arguments of each memo miss, as (family, vt, ct, set): the
+    one ``support`` call through a new child's tables; and of each exchange
+    round. The root's own ``support`` call, with no tables, is no miss."""
     misses, rounds = [], []
-    for name, calls in (("support_through", misses), ("second_transversal", rounds)):
-        def counted(*args, fn=getattr(multiplier, name), calls=calls):
-            calls.append(args)
-            return fn(*args)
-        monkeypatch.setattr(multiplier, name, counted)
+
+    def read(family, members, tables=None, fn=multiplier.support):
+        if tables is not None:
+            misses.append((family, *tables, members))
+        return fn(family, members, tables)
+
+    def exchanged(*args, fn=multiplier.second_transversal):
+        rounds.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(multiplier, "support", read)
+    monkeypatch.setattr(multiplier, "second_transversal", exchanged)
     return misses, rounds
 
 
@@ -519,17 +536,16 @@ def test_many_builds_each_distinct_child_once(monkeypatch):
     # planted-pm n=8 seed 2 of the pinned reports: 1744 children and 1015
     # exchanges without the memo, 337 distinct children (358 if the base
     # rows were keyed as well)
-    fam, t, S, build = _entry_case(KIND_PM)
-    H = build(fam)
+    fam, t, S = _entry_case(KIND_PM)
     misses, rounds = _counting(monkeypatch)
-    assert len(many_transversals(fam, S, H)[1]) == 982
+    assert len(many_transversals(fam, S)[1]) == 982
     # each child's support is read once, so each (subgraph rows, set) key is missed once
     keys = [(relabel_rows(fam, vt, ct), ms) for _, vt, ct, ms in misses]
     assert len(misses) == len(set(keys)) == 337
     assert len(rounds) == 444
     # the memo lives for one call: a second call solves every child again
     first = list(misses)
-    assert len(many_transversals(fam, S, H)[1]) == 982
+    assert len(many_transversals(fam, S)[1]) == 982
     assert misses[len(first):] == first
 
 
@@ -538,8 +554,8 @@ def test_children_differing_only_in_base_rows_share_one_solve(monkeypatch):
     # 1744 children read 337 distinct plans, one per memo miss. A plan is
     # read only by children with equal subgraph rows, but some of them
     # differ in base rows: keyed on base rows as well, 358 would be solved
-    fam, t, S, build = _entry_case(KIND_PM)
-    node, ms, heads = _root(fam, S, build(fam))
+    fam, t, S = _entry_case(KIND_PM)
+    node, ms, heads = _root(fam, S)
     misses, _ = _counting(monkeypatch)
     plan = multiplier._many(fam, node, ms, heads, support_depth(heads), {fam.num_vertices: t})
     readers = {}  # id of a child plan -> (the plan, its readers' base rows, their subgraph rows)
@@ -564,11 +580,10 @@ def test_children_differing_only_in_base_rows_share_one_solve(monkeypatch):
 
 @pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
 def test_many_builds_no_family_or_digraph_below_the_root(kind, outputs, monkeypatch):
-    # a node is a pair of tables into the root family: once the caller's
-    # digraph exists, the recursion constructs no family, base graph or
-    # digraph for any child
-    fam, t, S, build = _entry_case(kind)
-    H = build(fam)
+    # a node is a pair of tables into the root family, whose support is
+    # read from it: the recursion constructs no family, base graph or
+    # digraph, at the root or for any child
+    fam, t, S = _entry_case(kind)
     built = []
     for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__"),
                       (RybDigraph, "__post_init__"), (RbDigraph, "__post_init__")):
@@ -576,7 +591,7 @@ def test_many_builds_no_family_or_digraph_below_the_root(kind, outputs, monkeypa
             built.append(cls.__name__)
             fn(self, *args)
         monkeypatch.setattr(cls, name, counting)
-    assert len(many_transversals(fam, S, H)[1]) == outputs
+    assert len(many_transversals(fam, S)[1]) == outputs
     assert built == []
 
 
@@ -588,7 +603,7 @@ def test_many_solves_equal_cycle_children_once(monkeypatch):
     S = (0, 15, 30, 45)
     fam, t = gen_witness_instance_ham(60, S, 3, seed=7)
     misses, rounds = _counting(monkeypatch)
-    assert len(many_transversals(fam, S, build_full_ryb(fam))[1]) == 24
+    assert len(many_transversals(fam, S)[1]) == 24
     assert len(misses) == 10
     assert len(rounds) == 17
 
@@ -611,12 +626,11 @@ def test_d_star_invariant_across_omega():
         n = rng.randrange(7, 11)
         S = random_ham_set(rng, n, rng.random() < 0.4)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=rng.randrange(10**6))
-        H = build_full_ryb(fam)
-        d0 = support_depth(support(H, S))
+        d0 = support_depth(support(fam, S))
         for psi in enumerate_omega_ham(fam, t, S):
             fam2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
-            assert support_depth(support(build_full_ryb(fam2), sorted(new[v] for v in S))) == d0
+            assert support_depth(support(fam2, sorted(new[v] for v in S))) == d0
 
 
 def test_d_cross_invariant_across_omega():
@@ -625,19 +639,18 @@ def test_d_cross_invariant_across_omega():
         n = rng.randrange(3, 7)
         extra = rng.randrange(1, min(4, n - 1))
         fam, t = gen_planted_pm_family(n, extra, seed=rng.randrange(10**6))
-        H = build_full_rb(fam)
         S = tuple(range(n))
-        d0 = support_depth(support(H, S))
+        d0 = support_depth(support(fam, S))
         for psi in enumerate_omega_pm(fam, t, S):
             fam2, (vinv, _) = naturally_index(fam, psi)
             new = old_to_new(vinv, fam.num_vertices)
-            assert support_depth(support(build_full_rb(fam2), sorted(new[v] for v in S))) == d0
+            assert support_depth(support(fam2, sorted(new[v] for v in S))) == d0
 
 
 def _boundary_case(kind):
     """``_entry_case`` as ``_many``'s arguments at the root, with its depth."""
-    fam, t, S, build = _entry_case(kind)
-    node, ms, heads = _root(fam, S, build(fam))
+    fam, t, S = _entry_case(kind)
+    node, ms, heads = _root(fam, S)
     return fam, t, node, ms, heads, support_depth(heads)
 
 
@@ -693,9 +706,9 @@ def _contracting_case():
 
 def test_kernel_contracts_the_paths_between_the_sets_neighbors():
     fam, S = _contracting_case()
-    kfam, kms, kheads, K, paths = multiplier._kernel(fam, S, support(build_full_ryb(fam), S))
+    kfam, kms, kheads, K, paths = multiplier._kernel(fam, S, support(fam, S))
     assert K == (0, 1, 2, 6, 7, 8, 9, 13)
-    assert kms == (0, 4) and kheads == support(build_full_ryb(kfam), kms) == {7: (4,), 1: (4,), 3: (0,), 5: (0,)}
+    assert kms == (0, 4) and kheads == support(kfam, kms) == {7: (4,), 1: (4,), 3: (0,), 5: (0,)}
     assert validate_transversal(kfam, planted(KIND_HAM, 8)).ok
     # each contracted edge is in its own subgraph only, and stands for its base path
     assert paths == {(2, 3): (2, (((2, 3), 2), ((3, 4), 3), ((4, 5), 4), ((5, 6), 5))),
@@ -705,17 +718,17 @@ def test_kernel_contracts_the_paths_between_the_sets_neighbors():
     assert kfam.subgraphs[1] == {(1, 2), (1, 5)}
     # nothing contracts when every member is within four of the next
     tight, _ = gen_witness_instance_ham(11, (0, 4, 8), 2, seed=2)
-    heads = support(build_full_ryb(tight), (0, 4, 8))
+    heads = support(tight, (0, 4, 8))
     kernel = multiplier._kernel(tight, (0, 4, 8), heads)
     assert kernel[0] is tight and kernel[2] is heads and kernel[3:] == (tuple(range(11)), {})
 
 
-def _multiply_in_full(family, S, H):
+def _multiply_in_full(family, S):
     """``many_transversals`` as it ran before the kernel: the recursion on the
     root node, expanded there."""
     base = planted(family.kind, family.num_vertices)
     ms = tuple(sorted(S))
-    heads = support(H, ms)
+    heads = support(family, ms)
     d = support_depth(heads)
     if d < 1:
         raise DStarTooSmall(f"support depth is {d}; need at least 1")
@@ -757,12 +770,11 @@ def _outputs_or_error(fn, *args):
 @given(cycle_with_spread_set())
 def test_kernel_multiplication_equals_the_full_recursion(case):
     fam, S, gaps = case
-    H = build_full_ryb(fam)
     kfam = multiplier._kernel(fam, S, {})[0]
     assert (kfam is fam) == (max(gaps) <= 4)
     assert kfam.num_vertices <= 4 * len(S)
-    out = _outputs_or_error(many_transversals, fam, S, H)
-    assert out == _outputs_or_error(_multiply_in_full, fam, S, H)
+    out = _outputs_or_error(many_transversals, fam, S)
+    assert out == _outputs_or_error(_multiply_in_full, fam, S)
     if isinstance(out, tuple):
         base = planted(KIND_HAM, fam.num_vertices)
         assert all(omega_member_ham(S, psi) for psi in out[1])
@@ -775,7 +787,6 @@ def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
     # planted cycle only: each output is checked in the kernel
     S = (0, 600, 1200, 1800)
     fam, t = gen_witness_instance_ham(2400, S, 3, seed=7)
-    H = build_full_ryb(fam)
     built, rows, checked, lifted = [], [], [], []
     for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__"),
                       (RybDigraph, "__post_init__"), (RbDigraph, "__post_init__")):
@@ -796,7 +807,7 @@ def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
     monkeypatch.setattr(multiplier, "validate_transversal", validating)
     monkeypatch.setattr(exchange, "validate_transversal", partial(validating, calls=lifted))
     misses, rounds = _counting(monkeypatch)
-    out = many_transversals(fam, S, H)[1]
+    out = many_transversals(fam, S)[1]
     assert len(out) == 24
     assert built == ["BaseGraph", "SubgraphFamily"]
     kernel = misses[0][0]
@@ -825,18 +836,17 @@ def test_many_ham_raises_on_an_output_outside_omega(contracts, monkeypatch):
         bad = next(u for u in enumerate_all_ham_transversals(family) if not omega_member_ham(ms, u))
         return many(family, node, ms, heads, d, memo) + [bad]
 
-    H = build_full_ryb(fam)
-    assert many_transversals(fam, S, H)[1]
+    assert many_transversals(fam, S)[1]
     monkeypatch.setattr(multiplier, "_many", and_outside_omega)
     with pytest.raises(GuaranteeViolated, match="outside the exchange neighborhood"):
-        many_transversals(fam, S, H)
+        many_transversals(fam, S)
 
 
 def test_many_pm_raises_on_an_output_outside_omega(monkeypatch):
     # the matching twin: a valid matching the oracle lists whose colors
     # at the set differ from the planted matching's
     fam, _ = gen_planted_pm_family(6, 2, seed=5)
-    S, H = tuple(range(6)), build_full_rb(fam)
+    S = tuple(range(6))
     base = planted(KIND_PM, fam.num_vertices)
     bad = next(u for u in enumerate_all_pm_transversals(fam) if not omega_member_pm(S, u))
     many, calls = multiplier._many, []
@@ -846,10 +856,10 @@ def test_many_pm_raises_on_an_output_outside_omega(monkeypatch):
         plan = many(family, node, ms, heads, d, memo)
         return plan + [bad] if node is calls[0] else plan
 
-    assert many_transversals(fam, S, H)[1]
+    assert many_transversals(fam, S)[1]
     monkeypatch.setattr(multiplier, "_many", and_outside_omega)
     with pytest.raises(GuaranteeViolated, match="outside the exchange neighborhood"):
-        many_transversals(fam, S, H)
+        many_transversals(fam, S)
 
 
 def test_kernel_expansion_refuses_a_recolored_path(monkeypatch):
@@ -865,7 +875,7 @@ def test_kernel_expansion_refuses_a_recolored_path(monkeypatch):
 
     monkeypatch.setattr(multiplier, "_many", and_recolored)
     with pytest.raises(GuaranteeViolated, match=r"recolors the contracted edge \(2, 3\)"):
-        many_transversals(fam, S, build_full_ryb(fam))
+        many_transversals(fam, S)
 
 
 def test_many_ham_validates_each_expanded_output(monkeypatch):
@@ -880,7 +890,7 @@ def test_many_ham_validates_each_expanded_output(monkeypatch):
 
     monkeypatch.setattr(multiplier, "_kernel", losing_an_edge)
     with pytest.raises(GuaranteeViolated, match="expanded multiplication output is invalid: size"):
-        many_transversals(fam, S, build_full_ryb(fam))
+        many_transversals(fam, S)
 
 
 def _with_kernel_output(monkeypatch, chords, items):
@@ -913,7 +923,7 @@ def test_kernel_expansion_checks_each_kept_edge_in_the_root(monkeypatch):
     fam, S = _with_kernel_output(monkeypatch, {(0, 2): 4}, (
         ((0, 1), 0), ((0, 2), 4), ((1, 5), 1), ((2, 3), 2), ((3, 4), 3), ((4, 7), 7), ((5, 6), 5), ((6, 7), 6)))
     with pytest.raises(GuaranteeViolated, match=r"invalid: edge \(0, 2\) not in base and subgraph 7"):
-        many_transversals(fam, S, build_full_ryb(fam))
+        many_transversals(fam, S)
 
 
 def test_kernel_expansion_refuses_an_output_without_a_contracted_edge(monkeypatch):
@@ -922,7 +932,7 @@ def test_kernel_expansion_refuses_an_output_without_a_contracted_edge(monkeypatc
     fam, S = _with_kernel_output(monkeypatch, {(2, 4): 2, (3, 5): 4}, (
         ((0, 1), 0), ((0, 7), 7), ((1, 2), 1), ((2, 4), 2), ((3, 4), 3), ((3, 5), 4), ((5, 6), 5), ((6, 7), 6)))
     with pytest.raises(GuaranteeViolated, match=r"leaves out the contracted edge \(2, 3\)"):
-        many_transversals(fam, S, build_full_ryb(fam))
+        many_transversals(fam, S)
 
 
 def test_kernel_expansion_checks_the_paths_once_per_call():
@@ -996,7 +1006,6 @@ def test_kernel_outputs_are_spliced_not_normalised(monkeypatch):
     # goes through the normalising constructor; the 24 outputs are spliced
     S = (0, 600, 1200, 1800)
     fam, t = gen_witness_instance_ham(2400, S, 3, seed=7)
-    H = build_full_ryb(fam)
     normalised = []
     init = Transversal.__post_init__
 
@@ -1007,7 +1016,7 @@ def test_kernel_outputs_are_spliced_not_normalised(monkeypatch):
     monkeypatch.setattr(Transversal, "__post_init__", normalising)
     # the generator built t through the cache; the entry builds it afresh
     planted.cache_clear()
-    out = many_transversals(fam, S, H)[1]
+    out = many_transversals(fam, S)[1]
     assert len(out) == 24
     assert [u for u in normalised if len(u) == 2400] == [t]
     assert not {id(u) for u in out} & {id(u) for u in normalised}

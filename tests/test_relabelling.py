@@ -21,7 +21,6 @@ from transversals import (
     KIND_HAM,
     SubgraphFamily,
     Transversal,
-    build_full_rb,
     cli,
     edge,
     enumerate_omega_ham,
@@ -46,7 +45,7 @@ def planted_instances(draw):
     if model == "planted-pm":
         n = draw(st.integers(2, 8), label="pairs")
         family, planted = gen_planted_pm_family(n, draw(st.integers(1, min(2, n - 1))), seed)
-        return family, planted, random_pm_set(rng, build_full_rb(family), n)
+        return family, planted, random_pm_set(rng, family, n)
     n = draw(st.integers(6, 8), label="n")
     members = random_ham_set(rng, n, False)
     if model == "witness":

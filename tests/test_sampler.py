@@ -36,15 +36,13 @@ from conftest import empirical_lower_tail
 
 
 @pytest.fixture(scope="module")
-def regular_ryb():
-    fam, t = gen_regular_all_equal(200, 30, seed=3)
-    return build_full_ryb(fam)
+def regular_family():
+    return gen_regular_all_equal(200, 30, seed=3)[0]
 
 
 @pytest.fixture(scope="module")
-def bipartite_rb():
-    fam, t = gen_bipartite_pm_family(60, 20, seed=9)
-    return build_full_rb(fam)
+def bipartite_family():
+    return gen_bipartite_pm_family(60, 20, seed=9)[0]
 
 
 def test_xi_constant_value():
@@ -80,26 +78,26 @@ def test_default_inclusion_probability():
     )
 
 
-def test_lll_ham_sampler_meets_guarantee(regular_ryb):
-    H = regular_ryb
-    out = sample_set_lll_ham(H, SamplerConfig(seed=5, m=30))
+def test_lll_ham_sampler_meets_guarantee(regular_family):
+    H = build_full_ryb(regular_family)
+    out = sample_set_lll_ham(regular_family, SamplerConfig(seed=5, m=30))
     p = default_inclusion_probability(30)
     r = min(
         min(len(H.yellow[v]) for v in range(H.n)),
         min(len(H.blue[v]) for v in range(H.n)),
     )
     # support raises unless the set is red-independent
-    assert out.depth == support_depth(support(H, out.members)) >= math.ceil(p * r / 400.0)
+    assert out.depth == support_depth(support(regular_family, out.members)) >= math.ceil(p * r / 400.0)
     assert len(out.warnings) == 2  # small-m and small-r regime notes
 
 
-def test_lll_ham_sampler_deterministic(regular_ryb):
-    a = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
-    b = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
+def test_lll_ham_sampler_deterministic(regular_family):
+    a = sample_set_lll_ham(regular_family, SamplerConfig(seed=5, m=30))
+    b = sample_set_lll_ham(regular_family, SamplerConfig(seed=5, m=30))
     assert a.members == b.members
     assert a.resamples == b.resamples
     assert [r.location for r in a.records] == [r.location for r in b.records]
-    c = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=6, m=30))
+    c = sample_set_lll_ham(regular_family, SamplerConfig(seed=6, m=30))
     assert (
         c.members != a.members or c.resamples != a.resamples
     )
@@ -107,49 +105,47 @@ def test_lll_ham_sampler_deterministic(regular_ryb):
 
 def test_lll_ham_sampler_budget_exhaustion():
     fam, t = gen_regular_all_equal(300, 8, seed=3)
-    H = build_full_ryb(fam)
     with pytest.raises(ResampleBudgetExceeded) as exc:
-        sample_set_lll_ham(H, SamplerConfig(seed=5, m=8, max_resamples=60))
+        sample_set_lll_ham(fam, SamplerConfig(seed=5, m=8, max_resamples=60))
     assert exc.value.resamples == 60
     assert len(exc.value.records) == 60
 
 
-def test_lll_ham_sampler_rejects_bad_p(regular_ryb):
+def test_lll_ham_sampler_rejects_bad_p(regular_family):
     with pytest.raises(DomainError):
-        sample_set_lll_ham(regular_ryb, SamplerConfig(seed=0, p=1.5))
+        sample_set_lll_ham(regular_family, SamplerConfig(seed=0, p=1.5))
     with pytest.raises(DomainError):
-        sample_set_lll_ham(regular_ryb, SamplerConfig(seed=0))  # no p, no m
+        sample_set_lll_ham(regular_family, SamplerConfig(seed=0))  # no p, no m
 
 
-def test_samplers_warn_when_m_is_not_given(regular_ryb, bipartite_rb):
+def test_samplers_warn_when_m_is_not_given(regular_family, bipartite_family):
     # without m the hypotheses on m cannot be checked, and the outcome says so
-    ham = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, p=default_inclusion_probability(30)))
-    pm = sample_set_pm(bipartite_rb, SamplerConfig(seed=0, alpha=0.5))
+    ham = sample_set_lll_ham(regular_family, SamplerConfig(seed=5, p=default_inclusion_probability(30)))
+    pm = sample_set_pm(bipartite_family, SamplerConfig(seed=0, alpha=0.5))
     for out in (ham, pm):
         assert len(out.warnings) == 1
         assert "m not given" in out.warnings[0] and "not checked" in out.warnings[0]
         assert out.depth_floor == math.ceil(out.event_threshold)
         assert out.depth >= out.depth_floor
     assert ham.statement_form is None
-    with_m = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
+    with_m = sample_set_lll_ham(regular_family, SamplerConfig(seed=5, m=30))
     assert (with_m.members, with_m.depth) == (ham.members, ham.depth)
     # r/400 * sqrt(log m/m) is twice p*r/400 at the default p
     assert with_m.statement_form == pytest.approx(2 * with_m.event_threshold)
 
 
-def test_pm_sampler_meets_guarantee(bipartite_rb):
-    H = bipartite_rb
-    out = sample_set_pm(H, SamplerConfig(seed=1, alpha=0.5))
-    assert len(out.members) == H.n
+def test_pm_sampler_meets_guarantee(bipartite_family):
+    out = sample_set_pm(bipartite_family, SamplerConfig(seed=1, alpha=0.5))
+    assert len(out.members) == bipartite_family.num_pairs
     # support raises unless the set has one endpoint per pair
-    assert out.depth == support_depth(support(H, out.members)) >= math.ceil(0.5 * 20 / 2)
+    assert out.depth == support_depth(support(bipartite_family, out.members)) >= math.ceil(0.5 * 20 / 2)
 
 
-def test_pm_escape_counts_match_the_row_loop(bipartite_rb):
+def test_pm_escape_counts_match_the_row_loop(bipartite_family):
     # the sampler counts escapes as degree minus in-set heads over the flat layout
     import numpy as np
 
-    H = bipartite_rb
+    H = build_full_rb(bipartite_family)
     flat, offsets = sampler._flat_heads(H.blue)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -158,35 +154,34 @@ def test_pm_escape_counts_match_the_row_loop(bipartite_rb):
         assert got.tolist() == [sum(1 for h in row if not in_set[h]) for row in H.blue]
 
 
-def test_pm_sampler_deterministic(bipartite_rb):
-    a = sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
-    b = sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
+def test_pm_sampler_deterministic(bipartite_family):
+    a = sample_set_pm(bipartite_family, SamplerConfig(seed=1, alpha=0.5))
+    b = sample_set_pm(bipartite_family, SamplerConfig(seed=1, alpha=0.5))
     assert a.members == b.members
 
 
-def test_pm_sampler_raises_when_the_depth_floor_fails(bipartite_rb, monkeypatch):
+def test_pm_sampler_raises_when_the_depth_floor_fails(bipartite_family, monkeypatch):
     # an explicit raise, not an assert, so python -O keeps the check
     monkeypatch.setattr(sampler, "support_depth", lambda heads: 0)
     with pytest.raises(GuaranteeViolated, match="below the floor 5"):
-        sample_set_pm(bipartite_rb, SamplerConfig(seed=1, alpha=0.5))
+        sample_set_pm(bipartite_family, SamplerConfig(seed=1, alpha=0.5))
 
 
-def test_pm_sampler_rejects_bad_alpha(bipartite_rb):
+def test_pm_sampler_rejects_bad_alpha(bipartite_family):
     with pytest.raises(DomainError):
-        sample_set_pm(bipartite_rb, SamplerConfig(seed=0, alpha=1.0))
+        sample_set_pm(bipartite_family, SamplerConfig(seed=0, alpha=1.0))
     with pytest.raises(DomainError):
-        sample_set_pm(bipartite_rb, SamplerConfig(seed=0, alpha=0.0))
+        sample_set_pm(bipartite_family, SamplerConfig(seed=0, alpha=0.0))
 
 
 def test_dirac_sampler_meets_target():
     fam = gen_dirac_family(60, 0.9, seed=2)
     t = exists_ham_transversal(fam)
     fam_c, _ = naturally_index(fam, t)
-    H = build_full_ryb(fam_c)
-    out = sample_set_dirac(H, SamplerConfig(seed=4, c=0.9))
+    out = sample_set_dirac(fam_c, SamplerConfig(seed=4, c=0.9))
     assert out.depth >= dirac_depth_target(60, 0.9)
-    assert out.depth == support_depth(support(H, out.members))  # red-independent, or support raises
-    again = sample_set_dirac(H, SamplerConfig(seed=4, c=0.9))
+    assert out.depth == support_depth(support(fam_c, out.members))  # red-independent, or support raises
+    again = sample_set_dirac(fam_c, SamplerConfig(seed=4, c=0.9))
     assert again.members == out.members
 
 
@@ -194,9 +189,8 @@ def test_dirac_sampler_requires_c():
     fam = gen_dirac_family(20, 0.9, seed=0)
     t = exists_ham_transversal(fam)
     fam_c, _ = naturally_index(fam, t)
-    H = build_full_ryb(fam_c)
     with pytest.raises(DomainError):
-        sample_set_dirac(H, SamplerConfig(seed=0))
+        sample_set_dirac(fam_c, SamplerConfig(seed=0))
 
 
 def test_dirac_depth_target_values():
@@ -266,22 +260,22 @@ def test_factorial_bounds_domain_checks():
         factorial_bounds("ham-bounded-degree", m=262, n=3)
 
 
-def test_a_sampled_set_below_its_depth_floor_raises(regular_ryb, monkeypatch):
+def test_a_sampled_set_below_its_depth_floor_raises(regular_family, monkeypatch):
     # the set's depth is reported as floor - 1, then as floor
-    floor = sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30)).depth_floor
+    floor = sample_set_lll_ham(regular_family, SamplerConfig(seed=5, m=30)).depth_floor
     assert floor >= 1
     monkeypatch.setattr(sampler, "support_depth", lambda heads: floor - 1)
     with pytest.raises(GuaranteeViolated, match=f"below the floor {floor}"):
-        sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30))
+        sample_set_lll_ham(regular_family, SamplerConfig(seed=5, m=30))
     monkeypatch.setattr(sampler, "support_depth", lambda heads: floor)
-    assert sample_set_lll_ham(regular_ryb, SamplerConfig(seed=5, m=30)).depth == floor
+    assert sample_set_lll_ham(regular_family, SamplerConfig(seed=5, m=30)).depth == floor
 
 
 @pytest.mark.parametrize("cfg", [SamplerConfig(seed=0, m=0), SamplerConfig(seed=0, p=0.3, m=-3),
                                  SamplerConfig(seed=0, m=1)])
-def test_lll_ham_sampler_rejects_a_max_degree_below_2(regular_ryb, cfg):
+def test_lll_ham_sampler_rejects_a_max_degree_below_2(regular_family, cfg):
     with pytest.raises(DomainError, match=f"max degree must be >= 2, got {cfg.m}"):
-        sample_set_lll_ham(regular_ryb, cfg)
+        sample_set_lll_ham(regular_family, cfg)
 
 
 def test_factorial_bounds_stop_above_max_arg():

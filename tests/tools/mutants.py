@@ -31,8 +31,9 @@ ORACLE = "src/transversals/oracle.py"
 MULTIPLIER = "src/transversals/multiplier.py"
 EXCHANGE = "src/transversals/exchange.py"
 DIGRAPHS = "src/transversals/digraphs.py"
-# the arc rule as support_through's lookup applies it
-_LOOKUP = "_arcs(cycle, n, c, [(t, h) for h in candidates])"
+# the arc rule as support applies it: a cycle's lookups, a matching's scan
+_CYCLE_LOOKUP = "_arcs(True, n, c, [(t, h) for h in ms])"
+_MATCHING_SCAN = "_arcs(False, n, c, [(m, h) for h in mapped if h >= 0])"
 
 # name -> (file, text, replacement)
 MUTANTS = {
@@ -92,11 +93,15 @@ MUTANTS = {
         DIGRAPHS, "if (u in s) == (v in s) or (u if u in s else v) % n != c:", "if (u in s) == (v in s):",
     ),
     "prune-accepts-neighbour-head": (EXCHANGE, "if (h - t) % n in (0, 1, n - 1):", "if False:"),
-    "cycle-lookup-counts-own-member": (
-        DIGRAPHS, _LOOKUP, f"({_LOOKUP} if not cycle else [(t, h) for h in candidates])",
-    ),
+    "cycle-lookup-counts-own-member": (DIGRAPHS, _CYCLE_LOOKUP, "[(t, h) for h in ms]"),
     "matching-lookup-counts-partner": (
-        DIGRAPHS, _LOOKUP, f"({_LOOKUP} if cycle else [(t, h) for h in candidates if (t < n) != (h < n)])",
+        DIGRAPHS, _MATCHING_SCAN, "[(m, h) for h in mapped if h >= 0 and (m < n) != (h < n)]",
+    ),
+    "matching-support-maps-one-end": (
+        DIGRAPHS, "mapped = [new[b] for b in far if 0 <= b < len(new)]", "mapped = [new[b] for b in far]",
+    ),
+    "child-support-ignores-tables": (
+        MULTIPLIER, "heads2 = support(family, ms2, (vt2, ct2))", "heads2 = support(family, ms2)",
     ),
     "memo-key-from-tables": (MULTIPLIER, "key = len(vinv), subs2, ms2", "key = vt2, ct2, ms2"),
     "kernel-splice-unsorted": (
