@@ -200,8 +200,9 @@ class Transversal:
     def _canonical(cls, kind: str, items: tuple[tuple[Edge, int], ...]) -> "Transversal":
         """A transversal of items that are already canonical: each edge
         (min, max), sorted. They are stored as given, neither normalised
-        nor sorted again; ``multiplier._expand_kernel``, the one caller,
-        says why its items are canonical."""
+        nor sorted again; its callers, ``multiplier._expand_kernel`` and
+        ``multiplier.enumerate_omega_pm``, say why their items are
+        canonical."""
         t = object.__new__(cls)
         object.__setattr__(t, "kind", kind)
         object.__setattr__(t, "items", items)
@@ -396,8 +397,9 @@ def relabel_rows(family: SubgraphFamily, vinv: tuple[int, ...], cinv: tuple[int,
     ``vinv`` are dropped. Edges are ordered (min, max), so equal families
     give equal rows; shared subgraphs stay shared. The base edges are left
     to ``relabel``, which maps them by the same rule: the multiplication's
-    memo keys a child on these rows alone. Identity tables return the
-    family's own subgraphs."""
+    memo keys a cycle child on these rows alone, and a matching child on
+    fewer, its members' ``digraphs.admissible_rows``. Identity tables
+    return the family's own subgraphs."""
     if vinv == tuple(range(family.num_vertices)) and cinv == tuple(range(family.num_colors)):
         return family.subgraphs
     new = old_to_new(vinv, family.num_vertices)

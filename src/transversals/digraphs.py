@@ -17,10 +17,12 @@ the omega predicates state the planted colors themselves.
 ``support`` lists, per arc tail, the heads the support depth counts, and
 checks red independence, reading family's subgraphs in its own labels or
 through new-to-old tables, under ``_arcs``, the arc rule ``build_full_*``
-also applies. ``support_depth`` is the shortest list, which reports name
-d_star for a cycle and d_cross for a matching. The exchange keeps the
-first head of each, and the multiplier's saturation loop crosses heads
-off and passes what is left.
+also applies. A matching's is ``row_heads`` of its ``admissible_rows``,
+the members' own rows outside the set, which the multiplication also
+keys its children on. ``support_depth`` is the shortest list, which
+reports name d_star for a cycle and d_cross for a matching. The exchange
+keeps the first head of each, and the multiplier's saturation loop
+crosses heads off and passes what is left.
 """
 
 from __future__ import annotations
@@ -144,28 +146,18 @@ def support(family: SubgraphFamily, members: Sequence[int],
 
     Cycle kind: for each member m, ascending, m-1's yellow heads in the set
     and then m+1's blue heads in the set, by O(|S|^2) arc lookups; red
-    independence keeps these tails distinct. Matching kind: each member's
-    blue heads outside the set, by one scan of its own subgraph. Heads
-    ascend. A cycle set with a red edge raises NotRedIndependent, and a
-    matching set that is not one endpoint per pair NotMaximalRedIndependent.
+    independence keeps these tails distinct. Matching kind: ``row_heads``
+    of the set's ``admissible_rows``. Heads ascend. A cycle set with a red
+    edge raises NotRedIndependent, and a matching set that is not one
+    endpoint per pair NotMaximalRedIndependent.
     """
-    cycle, subs = family.kind == KIND_HAM, family.subgraphs
+    if family.kind != KIND_HAM:
+        ms = tuple(sorted(set(members)))
+        return row_heads(ms, admissible_rows(family, ms, tables))
+    subs = family.subgraphs
     vt, ct = (range(family.num_vertices), range(family.num_colors)) if tables is None else tables
     n = len(ct)
     ms = sorted(set(members))
-    s = frozenset(ms)
-    if not cycle:
-        if len(ms) != n or len({v % n for v in ms}) != n:
-            raise NotMaximalRedIndependent("need exactly one endpoint per pair")
-        new = old_to_new(vt, family.num_vertices)
-        heads = {}
-        for m in ms:
-            o, c = vt[m], m % n
-            far = [v if u == o else u for u, v in subs[ct[c]] if o in (u, v)]
-            # an end outside family's vertices is no head, nor one the tables leave out (-1)
-            mapped = [new[b] for b in far if 0 <= b < len(new)]
-            heads[m] = tuple(sorted(h for _, h in _arcs(False, n, c, [(m, h) for h in mapped if h >= 0]) if h not in s))
-        return heads
     if not ms:
         raise ValueError("empty set has no support depth")
     # no two members within cycle distance 2
@@ -177,6 +169,42 @@ def support(family: SubgraphFamily, members: Sequence[int],
         for t, c in (((m - 1) % n, (m - 1) % n), ((m + 1) % n, m)):
             heads[t] = tuple(h for _, h in _arcs(True, n, c, [(t, h) for h in ms]) if edge(vt[t], vt[h]) in subs[ct[c]])
     return heads
+
+
+def admissible_rows(family: SubgraphFamily, members: Sequence[int],
+                    tables: Tables | None = None) -> tuple[tuple[int, ...], ...]:
+    """A matching set's admissible rows: per member m, ascending, the
+    vertices outside the set that m's own subgraph, color m mod n, joins it
+    to, ascending; read by one scan of that subgraph, in family's labels or
+    through new-to-old tables. A set that is not one endpoint per pair
+    raises NotMaximalRedIndependent. A row holds every vertex omega may
+    match m to, as ``enumerate_omega_pm`` lists them, and ``row_heads``
+    keeps those the arc rule allows: the multiplication keys a matching
+    child on the rows and filters its support from them.
+    """
+    vt, ct = (range(family.num_vertices), range(family.num_colors)) if tables is None else tables
+    n = len(ct)
+    ms = sorted(set(members))
+    if len(ms) != n or len({v % n for v in ms}) != n:
+        raise NotMaximalRedIndependent("need exactly one endpoint per pair")
+    new = old_to_new(vt, family.num_vertices)
+    s = frozenset(ms)
+    rows = []
+    for m in ms:
+        o = vt[m]
+        far = [v if u == o else u for u, v in family.subgraphs[ct[m % n]] if o in (u, v)]
+        # an end outside family's vertices is no head, nor one the tables leave out (-1)
+        mapped = [new[b] for b in far if 0 <= b < len(new)]
+        rows.append(tuple(sorted(h for h in mapped if h >= 0 and h not in s)))
+    return tuple(rows)
+
+
+def row_heads(members: Sequence[int], rows: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """A matching set's ``support`` from its ``admissible_rows``: each
+    member's heads are the row's entries the arc rule keeps, across the
+    sides and off the member's own pair; members ascend, rows are theirs."""
+    n = len(rows)
+    return {m: tuple(h for _, h in _arcs(False, n, m % n, [(m, h) for h in row])) for m, row in zip(members, rows)}
 
 
 def support_depth(heads: dict[int, tuple[int, ...]]) -> int:

@@ -20,19 +20,21 @@ to one edge. So its nodes cost O(|S|), not O(n). A matching, or a cycle
 whose members are at most four apart, keeps every vertex, and runs on
 the caller's family as it is. A node is its new-to-old vertex and color
 tables into the family the recursion runs on, plus its set; no family,
-base graph or digraph is built for it, and ``support`` reads its support
-once, through its tables. A memo keyed on each child's size, subgraph rows
-(``relabel_rows``) and set solves each distinct child once per call;
-nothing below the root reads a child's base rows, so they are not in the
-key. The plan of tables the recursion returns is expanded once at the
-top, and each kernel output once more, splicing its O(|S|) kept items
-into the contracted paths' items, sorted once per call, so each output
-is built once in the caller's labels, without sorting its n items
-again. The base is the planted transversal, ``planted(kind, n)``,
-validated once on entry; each node and exchange round derives its own
-from the node's size, and ``planted`` builds each size once per
-process. Every other witness is validated once, by the exchange round
-that made it. A kernel output is checked in O(|S|), in the kernel and
+base graph or digraph is built for it, and its support is read once,
+through its tables. A memo solves each distinct child once per call. A
+cycle child is keyed on its size, subgraph rows (``relabel_rows``) and
+set: nothing below the root reads a child's base rows, so they are not
+in the key. A matching child is keyed on its size, its members'
+``admissible_rows`` and its set, and its support is filtered from that
+key on a miss: its subtree reads no other row. The plan of tables the
+recursion returns is expanded once at the top, and each kernel output
+once more, splicing its O(|S|) kept items into the contracted paths'
+items, sorted once per call, so each output is built once in the
+caller's labels, without sorting its n items again. The base is the
+planted transversal, ``planted(kind, n)``, validated once on entry;
+each node and exchange round derives its own from the node's size, and
+``planted`` builds each size once per process. Every other witness is
+validated once, by the exchange round that made it. A kernel output is checked in O(|S|), in the kernel and
 item by item against the caller's family, after one O(n) check per call
 that the contracted paths are planted runs tiling the cycle; together
 these are its expansion's validation in the caller's labels. The (d+1)!
@@ -63,7 +65,7 @@ from .core import (
     require_naturally_indexed,
     validate_transversal,
 )
-from .digraphs import omega_member_ham, omega_member_pm, support, support_depth
+from .digraphs import admissible_rows, omega_member_ham, omega_member_pm, row_heads, support, support_depth
 from .errors import DStarTooSmall, GuaranteeViolated, InvalidTransversal, NotRedIndependent, WalkStuck
 from .exchange import second_transversal
 
@@ -163,37 +165,39 @@ def enumerate_omega_pm(
 
     Equivalent to the perfect matchings of the member-versus-outside
     bipartite admissibility graph, so len(result) equals the permanent of
-    omega_admissibility_matrix(family, members).
+    omega_admissibility_matrix(family, members). Each member's admissible
+    (edge, color) items are built once, and each leaf's items are sorted
+    into a ``Transversal._canonical``: its edges are ``edge()``'s, and no
+    two leaves give one matching, as each takes other heads.
     """
     require_naturally_indexed(family, base)
     n = family.num_pairs
     ms = sorted(set(members))
     if len(ms) != n:
         raise ValueError("need exactly one endpoint per pair")
-    outside = [v for v in range(2 * n) if v not in set(ms)]
-    heads = {
-        m: [w for w in outside if edge(m, w) in family.subgraphs[m % n]] for m in ms
-    }
+    s = set(ms)
+    outside = [v for v in range(2 * n) if v not in s]
+    rows = [[(w, (edge(m, w), m % n)) for w in outside if edge(m, w) in family.subgraphs[m % n]] for m in ms]
     found: list[Transversal] = []
     taken: set[int] = set()
-    psi: dict[Edge, int] = {}
+    items: list[tuple[Edge, int]] = []
 
     def rec(k: int):
-        if k == len(ms):
-            found.append(Transversal.from_map(base.kind, dict(psi)))
+        if k == n:
+            found.append(Transversal._canonical(base.kind, tuple(sorted(items))))
             return
-        m = ms[k]
-        for w in heads[m]:
+        for w, item in rows[k]:
             if w in taken:
                 continue
             taken.add(w)
-            psi[edge(m, w)] = m % n
+            items.append(item)
             rec(k + 1)
-            del psi[edge(m, w)]
+            items.pop()
             taken.discard(w)
 
     rec(0)
-    return sorted(set(found), key=lambda t: t.items)
+    found.sort(key=lambda t: t.items)
+    return found
 
 
 def omega_admissibility_matrix(
@@ -504,11 +508,14 @@ def _many(family, node, ms, heads, d, memo) -> list:
     Returns a plan: a list of outputs in this node's labels, or of branches
     ``(vinv, cinv, pairs, child plan)``: the child's tables and the (edge,
     color) items it drops, a matching's branch pair. ``memo`` (one dict per
-    ``many_transversals`` call) maps each distinct child's size, subgraph
-    rows and set to its depth and plan. A node's planted transversal is
-    ``planted(family.kind, len(vt))``, built once per size and process.
+    ``many_transversals`` call) maps each distinct child's key to its depth
+    and plan: a cycle child's size, subgraph rows (``relabel_rows``) and
+    set, a matching child's size, ``admissible_rows`` and set. A matching
+    child's support is ``row_heads`` of its key, filtered once, on a miss.
+    A node's planted transversal is ``planted(family.kind, len(vt))``,
+    built once per size and process.
 
-    Why the key leaves out the child's base rows: nothing below here
+    Why a cycle's key leaves out the child's base rows: nothing below here
     reads them. ``support`` reads subgraphs, the exchange reads
     only ``heads``, and each witness is validated by ``second_transversal``
     in the labels of family, the one the recursion runs on, not the
@@ -517,6 +524,38 @@ def _many(family, node, ms, heads, d, memo) -> list:
     every loaded file, and ``_kernel`` builds it so), so a witness's base
     check follows from its subgraph check. So children with equal subgraph
     rows and equal sets have equal plans, whatever their base rows.
+
+    Why a matching's key may leave out every subgraph row but the
+    members' own, read outside the set:
+    - The subtree reads only heads. Its depth, its leaf (depth 0 or one
+      pair), the exchange's alternating cycle, the saturation loop's
+      crossing off and each branch's ``canonical_tables`` read the size,
+      the set and the heads, which ``row_heads`` takes from the key.
+    - Members keep their vertices and colors down the tree. Every witness
+      is in omega, so a member m keeps color m mod n, and
+      ``canonical_tables`` takes pairs in color order: m's image m2 in a
+      child has ``vt2[m2] == vt[m]`` and ``ct2[m2 % n2] == ct[m % n]``,
+      so its row is read in the same subgraph at the same vertex of
+      family.
+    - A grandchild's tables and admissible rows are functions of the
+      child's key: its tables come from a witness in the child's labels,
+      and each member's row is the image of its row in the child, less
+      the dropped pair's outside vertex, as the grandchild keeps every
+      other vertex and the dropped member takes no row.
+    - Every leaf item of a shared plan is valid in the root labels for
+      every reader. Down a reader's path, each item of a node's planted
+      transversal, of a witness and of a dropped pair is, by induction,
+      a pair of the reader's validated planted transversal at the root or
+      a member's edge to a head in its admissible row, in the member's
+      color: the reader's own tables read that row, so the edge is in the
+      member's subgraph of family, and so in its base. A witness's items
+      tile the vertices and colors of its node's planted pairs in the
+      node's labels, whoever reads them; so with the reader's dropped
+      pairs each lifted witness, and each output, is a perfect matching
+      with one edge of each color, as the exchange's validation found
+      for the first reader.
+    So children with equal admissible rows and equal sets have equal
+    plans, whatever their other subgraph rows.
     """
     vt, ct, fixed = node
     ham = family.kind == KIND_HAM
@@ -532,14 +571,14 @@ def _many(family, node, ms, heads, d, memo) -> list:
     for e, (vinv, cinv), pairs in branches:
         # relabelling composes: these rows are what this node's family would give
         vt2, ct2 = tuple([vt[k] for k in vinv]), tuple([ct[k] for k in cinv])
-        subs2 = relabel_rows(family, vt2, ct2)
         new = old_to_new(vinv, len(vt))
         # e has one endpoint in the set, and the child's set leaves it out
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
-        key = len(vinv), subs2, ms2
+        rows2 = relabel_rows(family, vt2, ct2) if ham else admissible_rows(family, ms2, (vt2, ct2))
+        key = len(vinv), rows2, ms2
         hit = memo.get(key)
         if hit is None:
-            heads2 = support(family, ms2, (vt2, ct2))
+            heads2 = support(family, ms2, (vt2, ct2)) if ham else row_heads(ms2, rows2)
             d2 = support_depth(heads2)
         else:
             d2, child = hit

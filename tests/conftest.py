@@ -10,11 +10,27 @@ from transversals import (
     NotRedIndependent,
     RbDigraph,
     SubgraphFamily,
+    Transversal,
     edge,
     planted,
     support,
     support_depth,
 )
+from transversals.core import require_naturally_indexed
+
+
+def relabelled(family, t, vperm, cperm):
+    """The family and its transversal t with vertex v moved to vperm[v]
+    and color c to cperm[c]."""
+    def move(e):
+        return edge(vperm[e[0]], vperm[e[1]])
+
+    subs = [frozenset()] * family.num_colors
+    for c, g in enumerate(family.subgraphs):
+        subs[cperm[c]] = frozenset(map(move, g))
+    base = BaseGraph(family.num_vertices, [move(e) for e in family.base.edges()])
+    moved = Transversal.from_map(family.kind, {move(e): cperm[c] for e, c in t.items})
+    return SubgraphFamily(base, subs, family.kind), moved
 
 
 def cycle_graph(n):
@@ -104,3 +120,39 @@ def digraph_support(H, members):
         for t, row in (((m - 1) % n, H.yellow), ((m + 1) % n, H.blue)):
             heads[t] = tuple(h for h in row[t] if h in s)
     return heads
+
+
+def enumerate_omega_pm_by_map(family, base, members):
+    """``enumerate_omega_pm`` as each leaf once built its matching: the
+    items set and cleared in a dict, each leaf normalised and sorted by
+    ``Transversal.from_map``, and the list deduplicated before sorting.
+    It must list the same transversals, in the same order."""
+    require_naturally_indexed(family, base)
+    n = family.num_pairs
+    ms = sorted(set(members))
+    if len(ms) != n:
+        raise ValueError("need exactly one endpoint per pair")
+    outside = [v for v in range(2 * n) if v not in set(ms)]
+    heads = {
+        m: [w for w in outside if edge(m, w) in family.subgraphs[m % n]] for m in ms
+    }
+    found = []
+    taken = set()
+    psi = {}
+
+    def rec(k):
+        if k == len(ms):
+            found.append(Transversal.from_map(base.kind, dict(psi)))
+            return
+        m = ms[k]
+        for w in heads[m]:
+            if w in taken:
+                continue
+            taken.add(w)
+            psi[edge(m, w)] = m % n
+            rec(k + 1)
+            del psi[edge(m, w)]
+            taken.discard(w)
+
+    rec(0)
+    return sorted(set(found), key=lambda t: t.items)

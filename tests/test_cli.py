@@ -590,6 +590,18 @@ def test_gen_exits_2_above_the_edge_cap_before_generating(model, tmp_path, capsy
     assert not path.exists()
 
 
+@pytest.mark.parametrize("model, message", [
+    ("--model planted-pm --n 0", "InfeasibleDegree: need n >= 1, got 0"),
+    ("--model planted-pm --n 3 --extra-degree 5", "InfeasibleDegree: extra_degree 5 outside [0, n-1] for n = 3"),
+    ("--model witness --n 2 --set 0 --d 1", "InfeasibleWitness: need n >= 3, got 2"),
+])
+def test_gen_outside_its_generators_domain_exits_4(model, message, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    assert main(["gen", *model.split(), "--seed", "1", "--out", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"precondition failed: {message}\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("model", GEN_MODELS)
 def test_the_gen_cap_bounds_the_edges_the_file_lists(model, tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.json"

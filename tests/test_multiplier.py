@@ -41,8 +41,16 @@ from transversals import (
 )
 from transversals import exchange, multiplier
 from transversals.core import canonical_tables, relabel, relabel_rows
+from transversals.digraphs import admissible_rows
 
-from conftest import digraph_support, identity, make_ham_family, random_ham_set
+from conftest import (
+    digraph_support,
+    enumerate_omega_pm_by_map,
+    identity,
+    make_ham_family,
+    random_ham_set,
+    relabelled,
+)
 
 
 def test_omega_contains_base_and_stays_inside_all(figure_family):
@@ -95,6 +103,14 @@ def planted_pm_with_set(draw):
 def test_omega_pm_count_is_the_permanent(case):
     fam, t, S = case
     assert len(enumerate_omega_pm(fam, t, S)) == permanent(omega_admissibility_matrix(fam, S))
+
+
+@given(planted_pm_with_set())
+def test_omega_pm_lists_what_building_each_leaf_by_map_lists(case):
+    # each leaf's items, sorted once into a canonical transversal, give
+    # the list, in the order, that normalising each leaf's map gave
+    fam, t, S = case
+    assert enumerate_omega_pm(fam, t, S) == enumerate_omega_pm_by_map(fam, t, S)
 
 
 def _root(fam, S):
@@ -378,6 +394,48 @@ def test_many_memo_changes_no_output(case):
     assert multiplier._many(fam, node, ms, heads, d, {}) == multiplier._many(fam, node, ms, heads, d, _NeverStores())
 
 
+@st.composite
+def matching_memo_case(draw):
+    """(family, S): a planted-pm family with 2-7 pairs and extra degree
+    1-3, S one endpoint of each pair, from either side; or a copy with its
+    vertices and colors permuted, brought back by ``naturally_index``,
+    which may put either end of a pair low, and S moved along."""
+    n = draw(st.integers(2, 7), label="pairs")
+    extra = draw(st.integers(1, min(3, n - 1)), label="extra degree")
+    fam, t = gen_planted_pm_family(n, extra, seed=draw(st.integers(0, 2**16), label="seed"))
+    S = [i + n * draw(st.integers(0, 1), label="high endpoint") for i in range(n)]
+    if draw(st.booleans(), label="relabelled copy"):
+        vperm = draw(st.permutations(range(2 * n)), label="vertex permutation")
+        cperm = draw(st.permutations(range(n)), label="color permutation")
+        fam, (vinv, _) = naturally_index(*relabelled(fam, t, vperm, cperm))
+        new = old_to_new(vinv, 2 * n)
+        S = [new[vperm[v]] for v in S]
+    return fam, tuple(sorted(S))
+
+
+def _expanded(fam, S, memo):
+    """``_many``'s outputs at the root with this memo, expanded in the
+    root's labels, or the error's type and message."""
+    node, ms, heads = _root(fam, S)
+    try:
+        return list(multiplier._expand(multiplier._many(fam, node, ms, heads, support_depth(heads), memo), *node))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(matching_memo_case())
+def test_sharing_a_matching_plan_changes_no_output(case):
+    # a child reads the plan of the first child with its set and admissible
+    # rows: that gives the outputs, in the order, that solving every child
+    # gives, and each reader's outputs are valid in the root's labels
+    fam, S = case
+    shared = _expanded(fam, S, {})
+    assert shared == _expanded(fam, S, _NeverStores())
+    if isinstance(shared, list):
+        assert all(validate_transversal(fam, u).ok and omega_member_pm(S, u) for u in shared)
+
+
 def _many_per_family(family, ms, heads, d, memo):
     """The recursion as it was when every child was a family: the child's
     rows make a new family, whose digraph gives the child's depth and
@@ -513,9 +571,11 @@ def test_many_equals_a_lift_per_level(case):
 
 
 def _counting(monkeypatch):
-    """Record the arguments of each memo miss, as (family, vt, ct, set): the
-    one ``support`` call through a new child's tables; and of each exchange
-    round. The root's own ``support`` call, with no tables, is no miss."""
+    """Record the arguments of each memo miss and of each exchange round.
+    A cycle's miss is the one ``support`` call through a new child's
+    tables, recorded as (family, vt, ct, set); the root's own call, with
+    no tables, is no miss. A matching's is the one ``row_heads`` call that
+    filters a new child's key, recorded as (set, admissible rows)."""
     misses, rounds = [], []
 
     def read(family, members, tables=None, fn=multiplier.support):
@@ -523,59 +583,68 @@ def _counting(monkeypatch):
             misses.append((family, *tables, members))
         return fn(family, members, tables)
 
+    def filtered(members, rows, fn=multiplier.row_heads):
+        misses.append((members, rows))
+        return fn(members, rows)
+
     def exchanged(*args, fn=multiplier.second_transversal):
         rounds.append(args)
         return fn(*args)
 
     monkeypatch.setattr(multiplier, "support", read)
+    monkeypatch.setattr(multiplier, "row_heads", filtered)
     monkeypatch.setattr(multiplier, "second_transversal", exchanged)
     return misses, rounds
 
 
 def test_many_builds_each_distinct_child_once(monkeypatch):
     # planted-pm n=8 seed 2 of the pinned reports: 1744 children and 1015
-    # exchanges without the memo, 337 distinct children (358 if the base
-    # rows were keyed as well)
+    # exchanges without the memo, 230 distinct admissible-row keys (337
+    # when each child was keyed on all its subgraph rows)
     fam, t, S = _entry_case(KIND_PM)
     misses, rounds = _counting(monkeypatch)
     assert len(many_transversals(fam, S)[1]) == 982
-    # each child's support is read once, so each (subgraph rows, set) key is missed once
-    keys = [(relabel_rows(fam, vt, ct), ms) for _, vt, ct, ms in misses]
-    assert len(misses) == len(set(keys)) == 337
-    assert len(rounds) == 444
+    # each child's heads are filtered once, so each (set, admissible rows) key is missed once
+    assert len(misses) == len(set(misses)) == 230
+    assert len(rounds) == 347
     # the memo lives for one call: a second call solves every child again
     first = list(misses)
     assert len(many_transversals(fam, S)[1]) == 982
     assert misses[len(first):] == first
 
 
-def test_children_differing_only_in_base_rows_share_one_solve(monkeypatch):
+def test_children_sharing_a_plan_have_equal_admissible_rows(monkeypatch):
     # planted-pm n=8 seed 2: walking the plan and composing the tables, the
-    # 1744 children read 337 distinct plans, one per memo miss. A plan is
-    # read only by children with equal subgraph rows, but some of them
-    # differ in base rows: keyed on base rows as well, 358 would be solved
+    # 1744 children read 230 distinct plans, one per memo miss. A plan is
+    # read only by children with equal sets and admissible rows, but some
+    # of them differ in subgraph rows: keyed on those as well, 337 would be
+    # solved. Every output of every reader is valid in the root's labels
     fam, t, S = _entry_case(KIND_PM)
     node, ms, heads = _root(fam, S)
     misses, _ = _counting(monkeypatch)
-    plan = multiplier._many(fam, node, ms, heads, support_depth(heads), {fam.num_vertices: t})
-    readers = {}  # id of a child plan -> (the plan, its readers' base rows, their subgraph rows)
+    plan = multiplier._many(fam, node, ms, heads, support_depth(heads), {})
+    readers = {}  # id of a child plan -> (the plan, its readers' (set, admissible rows), their subgraph rows)
 
-    def walk(plan, vt, ct):
+    def walk(plan, vt, ct, ms, fixed):
         for item in plan:
             if isinstance(item, Transversal):
+                (out,) = lift([item], vt, ct, fixed)
+                assert validate_transversal(fam, out).ok
                 continue
-            vinv, cinv, _, child = item
+            vinv, cinv, pairs, child = item
             vt2, ct2 = tuple([vt[k] for k in vinv]), tuple([ct[k] for k in cinv])
-            child_fam = relabel(fam, vt2, ct2)
-            _, bases, subs = readers.setdefault(id(child), (child, set(), set()))
-            bases.add(child_fam.base.edge_set)
-            subs.add(child_fam.subgraphs)
-            walk(child, vt2, ct2)
+            new = old_to_new(vinv, len(vt))
+            ms2 = tuple(sorted(new[m] for m in ms if m not in pairs[0][0]))
+            _, keys, subs = readers.setdefault(id(child), (child, set(), set()))
+            keys.add((ms2, admissible_rows(fam, ms2, (vt2, ct2))))
+            subs.add((ms2, relabel_rows(fam, vt2, ct2)))
+            fixed2 = fixed + tuple([((vt[u], vt[v]), ct[c]) for (u, v), c in pairs])
+            walk(child, vt2, ct2, ms2, fixed2)
 
-    walk(plan, *node[:2])
-    assert len(readers) == len(misses) == 337
-    assert all(len(subs) == 1 for _, _, subs in readers.values())
-    assert sum(len(bases) for _, bases, _ in readers.values()) == 358
+    walk(plan, *node[:2], ms, ())
+    assert len(readers) == len(misses) == 230
+    assert all(len(keys) == 1 for _, keys, _ in readers.values())
+    assert sum(len(subs) for _, _, subs in readers.values()) == 337
 
 
 @pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])

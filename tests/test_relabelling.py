@@ -17,7 +17,6 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from transversals import (
-    BaseGraph,
     KIND_HAM,
     SubgraphFamily,
     Transversal,
@@ -33,7 +32,7 @@ from transversals import (
     validate_transversal,
 )
 
-from conftest import random_ham_set, random_pm_set
+from conftest import random_ham_set, random_pm_set, relabelled
 
 
 @st.composite
@@ -51,18 +50,6 @@ def planted_instances(draw):
     if model == "witness":
         return (*gen_witness_instance_ham(n, members, 1, seed), members)
     return (*gen_planted_ham_family(n, draw(st.integers(0, 2)), seed), members)
-
-
-def _relabel(family, planted, vperm, cperm):
-    def move(e):
-        return edge(vperm[e[0]], vperm[e[1]])
-
-    subs = [frozenset()] * family.num_colors
-    for c, g in enumerate(family.subgraphs):
-        subs[cperm[c]] = frozenset(map(move, g))
-    base = BaseGraph(family.num_vertices, [move(e) for e in family.base.edges()])
-    moved = Transversal.from_map(family.kind, {move(e): cperm[c] for e, c in planted.items})
-    return SubgraphFamily(base, subs, family.kind), moved
 
 
 def _run(*argv):
@@ -93,7 +80,7 @@ def test_relabelling_keeps_every_guarantee(case, rnd):
         rnd.shuffle(low)
         rnd.shuffle(high)
         vperm = high + low if rnd.random() < 0.5 else low + high
-    moved_family, moved_planted = _relabel(family, planted, vperm, cperm)
+    moved_family, moved_planted = relabelled(family, planted, vperm, cperm)
     vback = {v: u for u, v in enumerate(vperm)}
     cback = {c: k for k, c in enumerate(cperm)}
     with tempfile.TemporaryDirectory() as tmp:
@@ -137,7 +124,7 @@ def test_a_relabelled_all_equal_family_stays_one_shared_subgraph():
     vperm, cperm = list(range(12)), list(range(12))
     rnd.shuffle(vperm)
     rnd.shuffle(cperm)
-    moved, moved_planted = _relabel(family, planted, vperm, cperm)
+    moved, moved_planted = relabelled(family, planted, vperm, cperm)
     # every color of an all-equal family maps to the same edge set: share it
     shared = SubgraphFamily(moved.base, [moved.subgraphs[0]] * 12, KIND_HAM)
     fam_c, _ = naturally_index(shared, moved_planted)

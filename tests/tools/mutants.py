@@ -31,9 +31,11 @@ ORACLE = "src/transversals/oracle.py"
 MULTIPLIER = "src/transversals/multiplier.py"
 EXCHANGE = "src/transversals/exchange.py"
 DIGRAPHS = "src/transversals/digraphs.py"
-# the arc rule as support applies it: a cycle's lookups, a matching's scan
+# the arc rule as support applies it: a cycle's lookups, a matching's row filter
 _CYCLE_LOOKUP = "_arcs(True, n, c, [(t, h) for h in ms])"
-_MATCHING_SCAN = "_arcs(False, n, c, [(m, h) for h in mapped if h >= 0])"
+_MATCHING_FILTER = "_arcs(False, n, m % n, [(m, h) for h in row])"
+# a child's memo key, either kind; a matching child's support is filtered from it
+_CHILD_KEY = "key = len(vinv), rows2, ms2"
 
 # name -> (file, text, replacement)
 MUTANTS = {
@@ -65,7 +67,7 @@ MUTANTS = {
     ),
     "depth-drop-by-two": (MULTIPLIER, "d2 < d - 1", "d2 < d - 2"),
     "d-targets-suffice": (MULTIPLIER, "len(branches) < d + 1", "len(branches) < d"),
-    "memo-key-without-set": (MULTIPLIER, "key = len(vinv), subs2, ms2", "key = len(vinv), subs2"),
+    "memo-key-without-set": (MULTIPLIER, _CHILD_KEY, "key = len(vinv), rows2"),
     "expansion-drops-branch-pair": (
         MULTIPLIER, "[cmap[k] for k in cinv], fixed + pairs)", "[cmap[k] for k in cinv], fixed)",
     ),
@@ -95,15 +97,22 @@ MUTANTS = {
     "prune-accepts-neighbour-head": (EXCHANGE, "if (h - t) % n in (0, 1, n - 1):", "if False:"),
     "cycle-lookup-counts-own-member": (DIGRAPHS, _CYCLE_LOOKUP, "[(t, h) for h in ms]"),
     "matching-lookup-counts-partner": (
-        DIGRAPHS, _MATCHING_SCAN, "[(m, h) for h in mapped if h >= 0 and (m < n) != (h < n)]",
+        DIGRAPHS, _MATCHING_FILTER, "[(m, h) for h in row if (m < n) != (h < n)]",
     ),
     "matching-support-maps-one-end": (
         DIGRAPHS, "mapped = [new[b] for b in far if 0 <= b < len(new)]", "mapped = [new[b] for b in far]",
     ),
     "child-support-ignores-tables": (
+        MULTIPLIER, "admissible_rows(family, ms2, (vt2, ct2))", "admissible_rows(family, ms2)",
+    ),
+    "cycle-child-support-ignores-tables": (
         MULTIPLIER, "heads2 = support(family, ms2, (vt2, ct2))", "heads2 = support(family, ms2)",
     ),
-    "memo-key-from-tables": (MULTIPLIER, "key = len(vinv), subs2, ms2", "key = vt2, ct2, ms2"),
+    "memo-key-from-tables": (MULTIPLIER, _CHILD_KEY, "key = vt2, ct2, ms2"),
+    "memo-key-reads-rows-in-wrong-colors": (
+        MULTIPLIER, _CHILD_KEY,
+        "key = len(vinv), rows2 if ham else admissible_rows(family, ms2, (vt2, ct2[1:] + ct2[:1])), ms2",
+    ),
     "kernel-splice-unsorted": (
         MULTIPLIER, "Transversal._canonical(KIND_HAM, _spliced(run, kept))", "Transversal._canonical(KIND_HAM, (*run, *kept))",
     ),
