@@ -561,6 +561,7 @@ def _write_debug_log(path: Optional[str], records) -> None:
 
 def cmd_sample_set(args) -> tuple[dict, list, int]:
     _at_least(args.max_resamples, 0, "--max-resamples")
+    _at_least(args.seed, 0, "--seed")
     kind = KIND_PM if args.method == "pm" else KIND_HAM
     family, _, _, fam_c, _, (vinv, _), metric = _prepare(args, kind)
     m = args.m if args.m is not None else family.base.max_degree()

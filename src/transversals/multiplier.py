@@ -166,18 +166,16 @@ def enumerate_omega_pm(
     Equivalent to the perfect matchings of the member-versus-outside
     bipartite admissibility graph, so len(result) equals the permanent of
     omega_admissibility_matrix(family, members). Each member's admissible
-    (edge, color) items are built once, and each leaf's items are sorted
-    into a ``Transversal._canonical``: its edges are ``edge()``'s, and no
-    two leaves give one matching, as each takes other heads.
+    (edge, color) items are built once, from its ``admissible_rows`` row,
+    and each leaf's items are sorted into a ``Transversal._canonical``:
+    its edges are ``edge()``'s, and no two leaves give one matching, as
+    each takes other heads. A set that is not one endpoint per pair
+    raises NotMaximalRedIndependent.
     """
     require_naturally_indexed(family, base)
     n = family.num_pairs
     ms = sorted(set(members))
-    if len(ms) != n:
-        raise ValueError("need exactly one endpoint per pair")
-    s = set(ms)
-    outside = [v for v in range(2 * n) if v not in s]
-    rows = [[(w, (edge(m, w), m % n)) for w in outside if edge(m, w) in family.subgraphs[m % n]] for m in ms]
+    rows = [[(w, (edge(m, w), m % n)) for w in row] for m, row in zip(ms, admissible_rows(family, ms))]
     found: list[Transversal] = []
     taken: set[int] = set()
     items: list[tuple[Edge, int]] = []
@@ -204,13 +202,13 @@ def omega_admissibility_matrix(
     family: SubgraphFamily, members: Sequence[int]
 ) -> list[list[int]]:
     """0/1 matrix: members (rows, sorted) versus outside vertices (columns,
-    sorted); 1 where the subgraph of the member's pair holds the edge."""
-    n = family.num_pairs
-    ms = sorted(set(members))
-    outside = [v for v in range(2 * n) if v not in set(ms)]
-    return [
-        [1 if edge(m, w) in family.subgraphs[m % n] else 0 for w in outside] for m in ms
-    ]
+    sorted); 1 where the subgraph of the member's pair holds the edge, as
+    ``admissible_rows`` reads it. A set that is not one endpoint per pair
+    raises NotMaximalRedIndependent."""
+    rows = admissible_rows(family, members)
+    s = set(members)
+    outside = [v for v in range(family.num_vertices) if v not in s]
+    return [[1 if w in row else 0 for w in outside] for row in rows]
 
 
 def _saturated_branches(family: SubgraphFamily, node: tuple, members: Sequence[int],

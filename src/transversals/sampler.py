@@ -5,8 +5,11 @@ draw independent bits, flag bad events, redraw exactly the variables in
 the lowest-keyed flagged event's scope, repeat. The third is plain
 rejection. Each takes a canonically labelled family and builds the full
 digraph it reads, the only digraph a command builds. Each run owns one
-generator seeded from the config, so a (inputs, seed) pair fixes the
-output and the full resample log.
+generator seeded from the config: ``_rng.Generator``, NumPy's PCG64
+stream written out bit for bit, so an (inputs, seed) pair alone fixes the
+output and the full resample log, whatever NumPy is or is not installed.
+The resampling loops keep each row's in-set head count up to date
+through reverse rows, so a redraw costs the bits it flips, not a recount.
 
 All logarithms here are natural. Event thresholds compare with strict
 less-than; the post-hoc guarantees round up.
@@ -17,8 +20,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from ._rng import Generator
 from .core import SubgraphFamily
 from .digraphs import build_full_rb, build_full_ryb, support, support_depth
 from .errors import (
@@ -28,12 +32,6 @@ from .errors import (
     NotRedIndependent,
     ResampleBudgetExceeded,
 )
-
-# numpy is most of the package's import time and only the samplers use it,
-# so each function that needs it imports it; commands that sample nothing
-# never load it
-if TYPE_CHECKING:
-    import numpy as np
 
 XI = math.exp(-399.0 / 400.0) / (1.0 / 400.0) ** (1.0 / 400.0)
 
@@ -123,22 +121,35 @@ def pm_hypothesis_warnings(alpha: float, m: Optional[int], r: int) -> list[str]:
     return []
 
 
-def _flat_heads(rows: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
+class _RowCounts:
+    """How many heads of each row lie in a set, kept up to date as single
+    vertices join or leave it: a vertex's reverse row lists the rows that
+    hold it, once per occurrence, and those are the counts it moves."""
 
-    # CSR layout: heads concatenated, offsets of length len(rows)+1
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    for i, row in enumerate(rows):
-        offsets[i + 1] = offsets[i] + len(row)
-    flat = np.fromiter((h for row in rows for h in row), dtype=np.int64, count=int(offsets[-1]))
-    return flat, offsets
+    __slots__ = ("count", "_rev")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], in_set: list[bool]):
+        self.count = [sum(map(in_set.__getitem__, row)) for row in rows]
+        self._rev: list[list[int]] = [[] for _ in in_set]
+        add = [rev.append for rev in self._rev]
+        for t, row in enumerate(rows):
+            for h in row:
+                add[h](t)
+
+    def move(self, v: int, d: int) -> list[int]:
+        """Add d to the count of every row holding v, and return those rows."""
+        count = self.count
+        rows = self._rev[v]
+        for t in rows:
+            count[t] += d
+        return rows
 
 
-def _row_counts(flat: np.ndarray, offsets: np.ndarray, incl: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    # np.add.reduceat misbehaves on empty rows; callers guarantee none
-    return np.add.reduceat(incl[flat].astype(np.int64), offsets[:-1])
+def _mark(flagged: set, key, on: bool) -> None:
+    if on:
+        flagged.add(key)
+    else:
+        flagged.discard(key)
 
 
 def _sampled_depth(family: SubgraphFamily, members: tuple[int, ...], floor: int = 0) -> int:
@@ -161,8 +172,6 @@ def sample_set_lll_ham(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutc
     meets the set fewer than p*r/400 times (y_yellow / y_blue). The flagged
     event with the smallest canonical key is resampled until none remain.
     """
-    import numpy as np
-
     H = build_full_ryb(family)
     n = H.n
     ydeg = [len(H.yellow[v]) for v in range(n)]
@@ -191,40 +200,48 @@ def sample_set_lll_ham(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutc
     statement_form = None if cfg.m is None else r / 400.0 * math.sqrt(math.log(cfg.m) / cfg.m)
     warnings = tuple(ham_hypothesis_warnings(cfg.m, r))
 
-    yflat, yoff = _flat_heads(H.yellow)
-    bflat, boff = _flat_heads(H.blue)
-    rng = np.random.default_rng(cfg.seed)
-    incl = rng.random(n) < p
+    rng = Generator(cfg.seed)
+    incl = [x < p for x in rng.random(n)]
+    # the flagged events, each kept as its bits flip: per color the tails
+    # whose count is below the threshold, and the included pairs at cycle
+    # distance 1 or 2 as (low, high)
+    near = [{(v + k) % n for k in (1, 2, -1, -2)} for v in range(n)]
+    colors = []
+    for rows in (H.yellow, H.blue):
+        counts = _RowCounts(rows, incl)
+        colors.append((counts, {v for v in range(n) if counts.count[v] < threshold}))
+    (_, y_low), (_, b_low) = colors
+    x_pairs = {(u, v) for u in range(n) if incl[u] for v in near[u] if u <= v and incl[v]}
     records: list[ResampleRecord] = []
 
     for step in range(cfg.max_resamples + 1):
-        worst = None
-        for k in (1, 2):
-            both = incl & np.roll(incl, -k)
-            for u in np.nonzero(both)[0]:
-                v = (int(u) + k) % n
-                key = (0, min(int(u), v), max(int(u), v))
-                if worst is None or key < worst[0]:
-                    worst = (key, "x_event", (key[1], key[2]), (key[1], key[2]))
-        ycnt = _row_counts(yflat, yoff, incl)
-        bcnt = _row_counts(bflat, boff, incl)
-        for v in np.nonzero(ycnt < threshold)[0]:
-            key = (1, int(v))
-            if worst is None or key < worst[0]:
-                worst = (key, "y_yellow", int(v), H.yellow[int(v)])
-        for v in np.nonzero(bcnt < threshold)[0]:
-            key = (2, int(v))
-            if worst is None or key < worst[0]:
-                worst = (key, "y_blue", int(v), H.blue[int(v)])
-        if worst is None:
-            members = tuple(int(v) for v in np.nonzero(incl)[0])
+        # the lowest key: x events by pair, then yellow, then blue tails
+        if x_pairs:
+            kind, location = "x_event", min(x_pairs)
+            scope = location
+        elif y_low:
+            kind, location = "y_yellow", min(y_low)
+            scope = H.yellow[location]
+        elif b_low:
+            kind, location = "y_blue", min(b_low)
+            scope = H.blue[location]
+        else:
+            members = tuple(v for v in range(n) if incl[v])
             depth = _sampled_depth(family, members, floor)
             return SampleOutcome(members, depth, step, tuple(records), warnings, floor, threshold, statement_form)
         if step == cfg.max_resamples:
             break
-        _, kind, location, scope = worst
         scope = tuple(sorted(set(scope)))
-        incl[list(scope)] = rng.random(len(scope)) < p
+        for v, x in zip(scope, rng.random(len(scope))):
+            now = x < p
+            if now == incl[v]:
+                continue
+            incl[v] = now
+            for counts, low in colors:
+                for t in counts.move(v, 1 if now else -1):
+                    _mark(low, t, counts.count[t] < threshold)
+            for w in near[v]:
+                _mark(x_pairs, (v, w) if v <= w else (w, v), now and incl[w])
         records.append(ResampleRecord(step, kind, location, scope))
 
     raise ResampleBudgetExceeded(
@@ -247,8 +264,6 @@ def sample_set_dirac(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcom
     depth reaches dirac_depth_target. Rejected draws are redrawn whole;
     the record's redrawn field is left empty to mean a full redraw.
     """
-    import numpy as np
-
     H = build_full_ryb(family)
     n = H.n
     if cfg.c is None:
@@ -268,15 +283,13 @@ def sample_set_dirac(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcom
         warnings = (f"c = {c} is below the analyzed range c >= 1/2",)
     target = dirac_depth_target(n, c)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = Generator(cfg.seed)
     records: list[ResampleRecord] = []
     for step in range(cfg.max_resamples + 1):
-        incl = rng.random(n) < p
-        near = np.zeros(n, dtype=bool)
-        for k in (1, 2):
-            near |= np.roll(incl, k) | np.roll(incl, -k)
-        keep = incl & ~near
-        members = tuple(int(v) for v in np.nonzero(keep)[0])
+        incl = [x < p for x in rng.random(n)]
+        members = tuple(
+            v for v in range(n) if incl[v] and not any(incl[(v + k) % n] for k in (1, 2, -1, -2))
+        )
         if members:
             observed = _sampled_depth(family, members)
             if observed >= target:
@@ -302,8 +315,6 @@ def sample_set_pm(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcome:
     i's bit together with the bits of every pair owning a vertex of
     blue(x_i) or blue(y_i).
     """
-    import numpy as np
-
     H = build_full_rb(family)
     n = H.n
     alpha = cfg.alpha
@@ -319,34 +330,45 @@ def sample_set_pm(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcome:
     floor = math.ceil(threshold)
     warnings = tuple(pm_hypothesis_warnings(alpha, cfg.m, r))
 
-    # every row is non-empty, as r >= 1
-    flat, offsets = _flat_heads(H.blue)
-    deg = np.diff(offsets)
     scopes: list[tuple[int, ...]] = []
     for i in range(n):
         owners = {w % n for w in H.blue[i]} | {w % n for w in H.blue[n + i]} | {i}
         scopes.append(tuple(sorted(owners)))
 
-    rng = np.random.default_rng(cfg.seed)
-    bits = rng.integers(0, 2, size=n)
-    idx = np.arange(n)
+    rng = Generator(cfg.seed)
+    bits = rng.integers(n)
+    in_set = [False] * (2 * n)
+    for i, b in enumerate(bits):
+        in_set[i + n * b] = True
+    counts = _RowCounts(H.blue, in_set)
+
+    def flags(t: int) -> bool:
+        # tail t's escapes, its blue heads outside the set, are too few
+        return degs[t] - counts.count[t] < threshold
+
+    flagged = {i for i, b in enumerate(bits) if flags(i + n * b)}
     records: list[ResampleRecord] = []
 
     for step in range(cfg.max_resamples + 1):
-        chosen = idx + n * bits
-        in_set = np.zeros(2 * n, dtype=bool)
-        in_set[chosen] = True
-        escapes = (deg - _row_counts(flat, offsets, in_set))[chosen]
-        flagged = np.nonzero(escapes < threshold)[0]
-        if flagged.size == 0:
-            members = tuple(int(v) for v in np.sort(chosen))
+        if not flagged:
+            members = tuple(sorted(i + n * b for i, b in enumerate(bits)))
             depth = _sampled_depth(family, members, floor)
             return SampleOutcome(members, depth, step, tuple(records), warnings, floor, threshold)
         if step == cfg.max_resamples:
             break
-        i0 = int(flagged[0])
+        i0 = min(flagged)
         scope = scopes[i0]
-        bits[list(scope)] = rng.integers(0, 2, size=len(scope))
+        for i, b in zip(scope, rng.integers(len(scope))):
+            if b == bits[i]:
+                continue
+            bits[i] = b
+            # the pair's chosen end leaves the set and its other end joins
+            for v, d in ((i + n * (1 - b), -1), (i + n * b, 1)):
+                for t in counts.move(v, d):
+                    j = t % n
+                    if t == j + n * bits[j]:
+                        _mark(flagged, j, flags(t))
+            _mark(flagged, i, flags(i + n * b))
         records.append(ResampleRecord(step, "b_i", i0, scope))
 
     raise ResampleBudgetExceeded(

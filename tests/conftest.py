@@ -9,14 +9,18 @@ from transversals import (
     NotMaximalRedIndependent,
     NotRedIndependent,
     RbDigraph,
+    ResampleBudgetExceeded,
     SubgraphFamily,
     Transversal,
+    build_full_rb,
+    build_full_ryb,
     edge,
     planted,
     support,
     support_depth,
 )
 from transversals.core import require_naturally_indexed
+from transversals.sampler import ResampleRecord, default_inclusion_probability
 
 
 def relabelled(family, t, vperm, cperm):
@@ -156,3 +160,123 @@ def enumerate_omega_pm_by_map(family, base, members):
 
     rec(0)
     return sorted(set(found), key=lambda t: t.items)
+
+
+# The samplers as they were written over numpy arrays, before the package
+# dropped numpy: each recounts every row at every step. Each takes what its
+# sampler takes and returns (members, resamples, records), or raises
+# ResampleBudgetExceeded with the records, and the sampler must agree.
+
+def _flat_heads(rows):
+    # CSR layout: heads concatenated, offsets of length len(rows)+1
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    for i, row in enumerate(rows):
+        offsets[i + 1] = offsets[i] + len(row)
+    flat = np.fromiter((h for row in rows for h in row), dtype=np.int64, count=int(offsets[-1]))
+    return flat, offsets
+
+
+def _row_counts(flat, offsets, incl):
+    # np.add.reduceat misbehaves on empty rows; callers guarantee none
+    return np.add.reduceat(incl[flat].astype(np.int64), offsets[:-1])
+
+
+def _budget_exceeded(cfg, records):
+    return ResampleBudgetExceeded(
+        f"no event-free assignment within {cfg.max_resamples} resamples",
+        resamples=cfg.max_resamples, records=tuple(records),
+    )
+
+
+def sample_set_lll_ham_by_numpy(family, cfg):
+    H = build_full_ryb(family)
+    n = H.n
+    r = cfg.r if cfg.r is not None else min(min(map(len, H.yellow)), min(map(len, H.blue)))
+    p = cfg.p if cfg.p is not None else default_inclusion_probability(cfg.m)
+    threshold = p * r / 400.0
+    yflat, yoff = _flat_heads(H.yellow)
+    bflat, boff = _flat_heads(H.blue)
+    rng = np.random.default_rng(cfg.seed)
+    incl = rng.random(n) < p
+    records = []
+    for step in range(cfg.max_resamples + 1):
+        worst = None
+        for k in (1, 2):
+            both = incl & np.roll(incl, -k)
+            for u in np.nonzero(both)[0]:
+                v = (int(u) + k) % n
+                key = (0, min(int(u), v), max(int(u), v))
+                if worst is None or key < worst[0]:
+                    worst = (key, "x_event", (key[1], key[2]), (key[1], key[2]))
+        ycnt = _row_counts(yflat, yoff, incl)
+        bcnt = _row_counts(bflat, boff, incl)
+        for v in np.nonzero(ycnt < threshold)[0]:
+            key = (1, int(v))
+            if worst is None or key < worst[0]:
+                worst = (key, "y_yellow", int(v), H.yellow[int(v)])
+        for v in np.nonzero(bcnt < threshold)[0]:
+            key = (2, int(v))
+            if worst is None or key < worst[0]:
+                worst = (key, "y_blue", int(v), H.blue[int(v)])
+        if worst is None:
+            return tuple(int(v) for v in np.nonzero(incl)[0]), step, tuple(records)
+        if step == cfg.max_resamples:
+            break
+        _, kind, location, scope = worst
+        scope = tuple(sorted(set(scope)))
+        incl[list(scope)] = rng.random(len(scope)) < p
+        records.append(ResampleRecord(step, kind, location, scope))
+    raise _budget_exceeded(cfg, records)
+
+
+def sample_set_dirac_by_numpy(family, cfg, target):
+    """The draws until one keeps a set of depth ``target`` or more."""
+    n = family.num_vertices
+    rng = np.random.default_rng(cfg.seed)
+    records = []
+    for step in range(cfg.max_resamples + 1):
+        incl = rng.random(n) < cfg.c / 8.0
+        near = np.zeros(n, dtype=bool)
+        for k in (1, 2):
+            near |= np.roll(incl, k) | np.roll(incl, -k)
+        keep = incl & ~near
+        members = tuple(int(v) for v in np.nonzero(keep)[0])
+        observed = support_depth(support(family, members)) if members else -1
+        if observed >= target:
+            return members, step, tuple(records)
+        if step == cfg.max_resamples:
+            break
+        records.append(ResampleRecord(step, "chernoff_fail", observed, ()))
+    raise _budget_exceeded(cfg, records)
+
+
+def sample_set_pm_by_numpy(family, cfg):
+    H = build_full_rb(family)
+    n = H.n
+    r = cfg.r if cfg.r is not None else min(map(len, H.blue))
+    threshold = cfg.alpha * r / 2.0
+    flat, offsets = _flat_heads(H.blue)
+    deg = np.diff(offsets)
+    scopes = []
+    for i in range(n):
+        owners = {w % n for w in H.blue[i]} | {w % n for w in H.blue[n + i]} | {i}
+        scopes.append(tuple(sorted(owners)))
+    rng = np.random.default_rng(cfg.seed)
+    bits = rng.integers(0, 2, size=n)
+    idx = np.arange(n)
+    records = []
+    for step in range(cfg.max_resamples + 1):
+        chosen = idx + n * bits
+        in_set = np.zeros(2 * n, dtype=bool)
+        in_set[chosen] = True
+        escapes = (deg - _row_counts(flat, offsets, in_set))[chosen]
+        flagged = np.nonzero(escapes < threshold)[0]
+        if flagged.size == 0:
+            return tuple(int(v) for v in np.sort(chosen)), step, tuple(records)
+        if step == cfg.max_resamples:
+            break
+        i0 = int(flagged[0])
+        scope = scopes[i0]
+        bits[list(scope)] = rng.integers(0, 2, size=len(scope))
+        records.append(ResampleRecord(step, "b_i", i0, scope))
+    raise _budget_exceeded(cfg, records)

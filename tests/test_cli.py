@@ -284,6 +284,7 @@ def test_a_deep_cycle_count_ends_in_its_budget_exit(tmp_path, capsys):
     (["count", "--max-results", "-3"], "--max-results must be at least 1, got -3"),
     (["sample-set", "--method", "pm", "--seed", "1", "--max-resamples", "-1"],
      "--max-resamples must be at least 0, got -1"),
+    (["sample-set", "--method", "lll-ham", "--seed", "-1"], "--seed must be at least 0, got -1"),
 ])
 def test_a_budget_below_its_floor_exits_2_before_the_file_is_read(argv, message, tmp_path, capsys):
     # the file does not exist, so reading it first would name the file
@@ -713,12 +714,30 @@ def test_loading_restores_the_collector_state(enabled, tmp_path):
         gc.enable() if was else gc.disable()
 
 
-def test_cli_import_does_not_load_numpy():
+def test_sample_set_runs_without_numpy(tmp_path):
+    # each sampler draws from the package's own generator, so a process
+    # that generates instances and samples with all three methods loads
+    # no numpy; the source check in test_source_hygiene covers the rest
     src = str(Path(transversals.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, transversals.cli; print('numpy' in sys.modules)"
+    ham, dirac, pm = (str(tmp_path / f"{name}.json") for name in ("ham", "dirac", "pm"))
+    runs = [
+        ["gen", "--model", "regular-all-equal", "--n", "60", "--m", "12", "--seed", "3", "--out", ham],
+        ["gen", "--model", "dirac", "--n", "10", "--c", "0.8", "--seed", "4", "--find-planted", "--out", dirac],
+        ["gen", "--model", "planted-pm", "--n", "6", "--extra-degree", "2", "--seed", "7", "--out", pm],
+        ["sample-set", "--in", ham, "--method", "lll-ham", "--seed", "5", "--p", "0.05"],
+        ["sample-set", "--in", dirac, "--method", "dirac", "--seed", "1", "--c", "0.6"],
+        ["sample-set", "--in", pm, "--method", "pm", "--seed", "1"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from transversals import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"
 
 
 def test_dirac_gen_with_find_planted(tmp_path, capsys):

@@ -12,6 +12,7 @@ from transversals import (
     InvalidTransversal,
     KIND_HAM,
     KIND_PM,
+    NotMaximalRedIndependent,
     RbDigraph,
     RybDigraph,
     SubgraphFamily,
@@ -111,6 +112,17 @@ def test_omega_pm_lists_what_building_each_leaf_by_map_lists(case):
     # the list, in the order, that normalising each leaf's map gave
     fam, t, S = case
     assert enumerate_omega_pm(fam, t, S) == enumerate_omega_pm_by_map(fam, t, S)
+
+
+@pytest.mark.parametrize("S", [(0, 4, 1, 2), (0, 1), (0, 4), (0, 1, 2, 3, 4)])
+def test_omega_pm_and_its_matrix_refuse_a_set_that_is_not_one_endpoint_per_pair(S):
+    # (0, 4, 1, 2) has n members but both ends of pair 0: omega once listed
+    # 6 matchings that each fail validation, and (0, 1) gave a 2 x 6 matrix
+    fam, t = gen_planted_pm_family(4, 3, seed=1)
+    with pytest.raises(NotMaximalRedIndependent, match="one endpoint per pair"):
+        enumerate_omega_pm(fam, t, S)
+    with pytest.raises(NotMaximalRedIndependent, match="one endpoint per pair"):
+        omega_admissibility_matrix(fam, S)
 
 
 def _root(fam, S):

@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from transversals import (
     DomainError,
@@ -32,7 +34,12 @@ from transversals import (
 from transversals import sampler
 from transversals.sampler import XI
 
-from conftest import empirical_lower_tail
+from conftest import (
+    empirical_lower_tail,
+    sample_set_dirac_by_numpy,
+    sample_set_lll_ham_by_numpy,
+    sample_set_pm_by_numpy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,16 +149,82 @@ def test_pm_sampler_meets_guarantee(bipartite_family):
 
 
 def test_pm_escape_counts_match_the_row_loop(bipartite_family):
-    # the sampler counts escapes as degree minus in-set heads over the flat layout
-    import numpy as np
-
+    # the sampler counts escapes as degree minus in-set heads, and moves the
+    # counts of the rows holding a vertex as it joins or leaves the set
     H = build_full_rb(bipartite_family)
-    flat, offsets = sampler._flat_heads(H.blue)
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        in_set = rng.random(2 * H.n) < 0.5
-        got = np.diff(offsets) - sampler._row_counts(flat, offsets, in_set)
-        assert got.tolist() == [sum(1 for h in row if not in_set[h]) for row in H.blue]
+    rng = random.Random(0)
+    in_set = [rng.random() < 0.5 for _ in range(2 * H.n)]
+    counts = sampler._RowCounts(H.blue, in_set)
+    for _ in range(100):
+        v = rng.randrange(2 * H.n)
+        in_set[v] = not in_set[v]
+        moved = counts.move(v, 1 if in_set[v] else -1)
+        assert sorted(moved) == [t for t, row in enumerate(H.blue) if v in row]
+        got = [len(row) - c for row, c in zip(H.blue, counts.count)]
+        assert got == [sum(1 for h in row if not in_set[h]) for row in H.blue]
+
+
+def _run(sample, *args):
+    """A sampler's (members, resamples, records), or its budget error's."""
+    try:
+        out = sample(*args)
+    except ResampleBudgetExceeded as exc:
+        return "budget exhausted", exc.resamples, exc.records
+    return out if isinstance(out, tuple) else (out.members, out.resamples, out.records)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lll_ham_sampler_matches_the_numpy_reference_at_scale(regular_family, seed):
+    cfg = SamplerConfig(seed=seed, m=30)
+    assert _run(sample_set_lll_ham, regular_family, cfg) == _run(sample_set_lll_ham_by_numpy, regular_family, cfg)
+
+
+def _dirac_family(n, c_gen, seed):
+    """A naturally indexed Dirac family; generated at c_gen >= 0.8 and
+    n >= 9, its every out-degree is at least 0.75 n - 2."""
+    family = gen_dirac_family(n, c_gen, seed)
+    return naturally_index(family, exists_ham_transversal(family))[0]
+
+
+@st.composite
+def ham_families(draw):
+    # a regular all-equal family never flags a blue row first; a Dirac
+    # family's blue row can be empty when every yellow row is met
+    n = draw(st.integers(9, 30), label="n")
+    seed = draw(st.integers(0, 1000), label="family seed")
+    if draw(st.booleans(), label="dirac"):
+        return _dirac_family(n, draw(st.floats(0.8, 1.0), label="c"), seed)
+    m = draw(st.integers(3, 8).filter(lambda m: n * m % 2 == 0), label="m")
+    return gen_regular_all_equal(n, m, seed=seed)[0]
+
+
+@settings(deadline=None, max_examples=80)
+@given(ham_families(), st.integers(0, 2**64), st.floats(0.02, 0.6), st.integers(0, 60))
+@example(_dirac_family(12, 0.8, 0), 0, 0.02, 60)  # y_blue events, then budget exhausted
+def test_lll_ham_sampler_matches_the_numpy_reference(family, seed, p, max_resamples):
+    cfg = SamplerConfig(seed=seed, p=p, max_resamples=max_resamples)
+    assert _run(sample_set_lll_ham, family, cfg) == _run(sample_set_lll_ham_by_numpy, family, cfg)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(3, 24), st.integers(0, 2**64), st.data())
+def test_pm_sampler_matches_the_numpy_reference(n, seed, data):
+    r = data.draw(st.integers(1, n - 2), label="r")
+    family, _ = gen_bipartite_pm_family(n, r, seed=seed % 1000)
+    cfg = SamplerConfig(
+        seed=seed, alpha=data.draw(st.floats(0.05, 0.95), label="alpha"),
+        max_resamples=data.draw(st.integers(0, 60), label="max_resamples"),
+    )
+    assert _run(sample_set_pm, family, cfg) == _run(sample_set_pm_by_numpy, family, cfg)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(9, 24), st.floats(0.8, 1.0), st.floats(0.5, 0.75), st.integers(0, 2**64), st.integers(0, 20))
+def test_dirac_sampler_matches_the_numpy_reference(n, c_gen, c, seed, max_resamples):
+    family = _dirac_family(n, c_gen, seed % 1000)
+    cfg = SamplerConfig(seed=seed, c=c, max_resamples=max_resamples)
+    want = _run(sample_set_dirac_by_numpy, family, cfg, dirac_depth_target(n, c))
+    assert _run(sample_set_dirac, family, cfg) == want
 
 
 def test_pm_sampler_deterministic(bipartite_family):

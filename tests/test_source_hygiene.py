@@ -33,6 +33,19 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_package_module_imports_numpy():
+    # the package's one runtime need of numpy, the samplers' generator, is
+    # written out in _rng; numpy stays a test dependency
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+    assert found == []
+
+
 def test_package_has_no_assert_statements():
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"

@@ -31,6 +31,8 @@ ORACLE = "src/transversals/oracle.py"
 MULTIPLIER = "src/transversals/multiplier.py"
 EXCHANGE = "src/transversals/exchange.py"
 DIGRAPHS = "src/transversals/digraphs.py"
+SAMPLER = "src/transversals/sampler.py"
+RNG = "src/transversals/_rng.py"
 # the arc rule as support applies it: a cycle's lookups, a matching's row filter
 _CYCLE_LOOKUP = "_arcs(True, n, c, [(t, h) for h in ms])"
 _MATCHING_FILTER = "_arcs(False, n, m % n, [(m, h) for h in row])"
@@ -71,7 +73,7 @@ MUTANTS = {
     "expansion-drops-branch-pair": (
         MULTIPLIER, "[cmap[k] for k in cinv], fixed + pairs)", "[cmap[k] for k in cinv], fixed)",
     ),
-    "sampled-floor-minus-one": ("src/transversals/sampler.py", "if d < floor:", "if d < floor - 1:"),
+    "sampled-floor-minus-one": (SAMPLER, "if d < floor:", "if d < floor - 1:"),
     "exchange-may-return-base": (EXCHANGE, "if out == base:", "if False:"),
     "exchange-skips-result-validation": (EXCHANGE, "if not report.ok:", "if False:"),
     "multiply-skips-entry-validation": (MULTIPLIER, "if not report.ok:", "if False:"),
@@ -120,6 +122,12 @@ MUTANTS = {
     "negative-row-index": ("src/transversals/cli.py", "not 0 <= i < len(out)", "not i < len(out)"),
     "second-skips-omega-check": ("src/transversals/cli.py", "if not omega_ok:", "if False:"),
     "transversal-rows-without-depth": ("src/transversals/cli.py", "rows.setdefault(p0, {})", "rows.setdefault(unit, {})"),
+    "pcg-xsl-without-rotation": (RNG, "return (x >> rot | x << (64 - rot)) & _M64", "return x"),
+    "rng-half-word-dropped-per-call": (RNG, "out = []", "out, self._high = [], None"),
+    "lll-ham-flip-skips-blue-counts": (SAMPLER, "for counts, low in colors:", "for counts, low in colors[:1]:"),
+    "pm-flip-skips-the-end-that-leaves": (
+        SAMPLER, "for v, d in ((i + n * (1 - b), -1), (i + n * b, 1)):", "for v, d in ((i + n * b, 1),):",
+    ),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench")
