@@ -11,7 +11,7 @@ from transversals import (
     BaseGraph,
     KIND_HAM,
     SubgraphFamily,
-    build_full_ryb,
+    arc_rows,
     edge,
     lollipop_walk,
     omega_member_ham,
@@ -38,11 +38,11 @@ print("subgraphs:")
 for i, g in enumerate(subs):
     print(f"  G_{i}: {sorted(g)}")
 
-# the digraph, built here to show its arcs; support reads the same arcs
-# from the family without building it
-J = build_full_ryb(family)
-print("\nyellow arcs:", {v: sorted(J.yellow[v]) for v in range(n) if J.yellow[v]})
-print("blue arcs:  ", {v: sorted(J.blue[v]) for v in range(n) if J.blue[v]})
+# every tail's arcs, read here to show them; support reads the same arcs
+# from the family, only at the set
+yellow, blue = arc_rows(family)
+print("\nyellow arcs:", {v: list(row) for v, row in enumerate(yellow) if row})
+print("blue arcs:  ", {v: list(row) for v, row in enumerate(blue) if row})
 
 S = (0, 3)
 heads = support(family, S)

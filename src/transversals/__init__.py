@@ -2,11 +2,12 @@
 
 Given a graph split into s edge-disjoint subgraphs, a transversal picks
 one edge per subgraph so the union is a target structure: a Hamiltonian
-cycle or a perfect matching. This package builds the auxiliary digraphs
-that encode local exchanges around a planted transversal, rotates or
-swaps a second transversal out of them, multiplies one transversal into
-factorially many, samples the required well-spread vertex sets, and
-checks the numeric inequalities that make the guarantees kick in.
+cycle or a perfect matching. This package reads the auxiliary digraphs
+that encode local exchanges around a planted transversal straight off
+the family's subgraphs, rotates or swaps a second transversal out of
+them, multiplies one transversal into factorially many, samples the
+required well-spread vertex sets, and checks the numeric inequalities
+that make the guarantees kick in.
 Everything runs in a canonical labelling: ``naturally_index`` relabels an
 instance into it and returns the new-to-old tables, and ``lift`` maps
 results back to the instance's own labels.
@@ -27,10 +28,7 @@ from .core import (
     validate_transversal,
 )
 from .digraphs import (
-    RbDigraph,
-    RybDigraph,
-    build_full_rb,
-    build_full_ryb,
+    arc_rows,
     omega_member_ham,
     omega_member_pm,
     support,

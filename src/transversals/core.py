@@ -18,9 +18,9 @@ The canonical ("naturally indexed") labelling puts the cycle on
 n+i colored i. Everything downstream assumes it. That transversal is
 ``planted(kind, n)``, a value of the kind and the vertex count, built
 once per process and shared, so no function takes it as an argument:
-the digraph builders, the exchange, the omega predicates and the
-multiplication derive it; only ``enumerate_omega_*`` still take a base,
-which ``require_naturally_indexed`` compares with it.
+the exchange, the omega predicates and the multiplication derive it;
+only ``enumerate_omega_*`` still take a base, which
+``require_naturally_indexed`` compares with it.
 ``canonical_tables`` states the rule once as new-to-old tables,
 ``relabel_rows`` maps a family's subgraphs through them, ``relabel``
 rebuilds the whole family, its base edges by the same rule, and ``lift``

@@ -1,39 +1,37 @@
 """Colored auxiliary digraphs over a canonically labelled transversal.
 
-Cycle kind builds a red/yellow/blue digraph on the cycle vertices:
-red edges are the bidirectional distance-1 and distance-2 cycle pairs,
-a yellow arc i->j exists when edge(i,j) lies in subgraph i and j is not
-a cycle neighbor of i, and a blue arc i->j exists when edge(i,j) lies
-in subgraph i-1 (mod n) under the same exclusion.
+Cycle kind has a red/yellow/blue digraph on the cycle vertices: red
+edges are the bidirectional distance-1 and distance-2 cycle pairs, a
+yellow arc i->j exists when edge(i,j) lies in subgraph i and j is not a
+cycle neighbor of i, and a blue arc i->j exists when edge(i,j) lies in
+subgraph i-1 (mod n) under the same exclusion.
 
-Matching kind builds a red/blue digraph on the 2n endpoints: red edges
-are the matched pairs (i, n+i), and a blue arc leaves an endpoint of
-pair i toward an opposite-side endpoint of a different pair j whenever
-that edge lies in subgraph i.
+Matching kind has a red/blue digraph on the 2n endpoints: red edges are
+the matched pairs (i, n+i), and a blue arc leaves an endpoint of pair i
+toward an opposite-side endpoint of a different pair j whenever that
+edge lies in subgraph i.
 
-Red edges are fixed by the labelling, so neither class stores them, and
-the omega predicates state the planted colors themselves.
+No digraph is stored: ``_arcs`` states the arc rule once, and the
+samplers read every tail's heads from ``arc_rows``. Red edges are fixed
+by the labelling; the omega predicates state the planted colors.
 
 ``support`` lists, per arc tail, the heads the support depth counts, and
 checks red independence, reading family's subgraphs in its own labels or
-through new-to-old tables, under ``_arcs``, the arc rule ``build_full_*``
-also applies. A matching's is ``row_heads`` of its ``admissible_rows``,
-the members' own rows outside the set, which the multiplication also
-keys its children on. ``support_depth`` is the shortest list, which
-reports name d_star for a cycle and d_cross for a matching. The exchange
-keeps the first head of each, and the multiplier's saturation loop
-crosses heads off and passes what is left.
+through new-to-old tables, under ``_arcs``. A matching's is ``row_heads``
+of its ``admissible_rows``, the members' own rows outside the set, which
+the multiplication also keys its children on. ``support_depth`` is the
+shortest list, which reports name d_star for a cycle and d_cross for a
+matching. The exchange keeps the first head of each, and the multiplier's
+saturation loop crosses heads off and passes what is left.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     Edge,
     KIND_HAM,
-    KIND_PM,
     SubgraphFamily,
     Tables,
     Transversal,
@@ -43,113 +41,76 @@ from .core import (
 from .errors import NotMaximalRedIndependent, NotRedIndependent
 
 
-@dataclass(frozen=True)
-class RybDigraph:
-    """Per-vertex sorted yellow and blue arc heads on a cycle of length n."""
-
-    n: int
-    yellow: tuple[tuple[int, ...], ...]
-    blue: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for tail in range(self.n):
-            banned = {(tail - 1) % self.n, (tail + 1) % self.n, tail}
-            for head in self.yellow[tail] + self.blue[tail]:
-                if head in banned:
-                    raise ValueError(f"arc {tail}->{head} targets a cycle neighbor or itself")
-                if not 0 <= head < self.n:
-                    raise ValueError(f"arc {tail}->{head} leaves the vertex range 0..{self.n - 1}")
-
-
-@dataclass(frozen=True)
-class RbDigraph:
-    """Blue arc heads per endpoint over n matched pairs (vertices 0..2n-1)."""
-
-    n: int
-    blue: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for tail in range(2 * self.n):
-            for head in self.blue[tail]:
-                if not 0 <= head < 2 * self.n:
-                    raise ValueError(f"arc {tail}->{head} leaves the vertex range 0..{2 * self.n - 1}")
-                if self.pair_index(head) == self.pair_index(tail):
-                    raise ValueError(f"arc {tail}->{head} stays inside one pair")
-                if (tail < self.n) == (head < self.n):
-                    raise ValueError(f"arc {tail}->{head} does not cross sides")
-
-    def pair_index(self, v: int) -> int:
-        return v % self.n
-
-
 def _arcs(cycle: bool, n: int, c: int, pairs) -> list[tuple[int, int]]:
     """The arc rule: the arcs t->h that the edges t-h of subgraph c in
     ``pairs`` give, one call per batch. A cycle keeps a pair (both arcs)
     unless it joins cycle neighbors. A matching's edge gives the arc from
-    its end in pair c to an end of another pair, across the sides. An arc
-    out of range stays, for RybDigraph or RbDigraph to reject."""
+    its end in pair c to an end of another pair, across the sides."""
     if cycle:
         red = 1, n - 1
-        return [p for p in pairs if (p[1] - p[0]) % n not in red or not (0 <= p[0] < n and 0 <= p[1] < n)]
+        return [p for p in pairs if (p[1] - p[0]) % n not in red]
     return [(t, h) for u, v in pairs for t, h in ((u, v), (v, u))
             if t % n == c and (t < n) != (h < n) and h % n != c]
 
 
-def build_full_ryb(family: SubgraphFamily) -> RybDigraph:
-    """All yellow and blue arcs the family supports over the planted cycle.
+def arc_rows(family: SubgraphFamily) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every tail's arc heads under ``_arcs``, ascending: a cycle's
+    (yellow, blue) rows, a matching's (blue,) rows, one per vertex.
 
-    Row i of yellow reads only G_i at vertex i, and row i of blue only
-    G_{i-1} at i. Each distinct subgraph object is indexed by vertex once,
-    so an all-equal family costs one pass over its one edge set, and any
-    family O(n + the sum of its distinct |G_c|).
+    Yellow row i reads G_i at i, blue row i G_{i-1} at i, and a matching's
+    row v G_{v mod n} at v. Each distinct subgraph object is indexed once,
+    a matching's once per color, as its arc rule names the color. A loop,
+    or an edge with an end outside 0..|V|-1, raises ValueError; ``_arcs``
+    keeps no head on its tail, a cycle neighbor, its pair or its side, so
+    no row is checked for one.
     """
-    if family.kind != KIND_HAM:
-        raise ValueError("cycle digraph needs a hamiltonian family")
-    n = family.num_vertices
+    cycle, size = family.kind == KIND_HAM, family.num_vertices
+    n = size if cycle else family.num_pairs
+    rows = [[()] * size for _ in range(2 if cycle else 1)]
     # keyed by id as SubgraphFamily canonicalises: the family keeps each alive
-    index: dict[int, dict[int, list[int]]] = {}
-    yellow: list[tuple[int, ...]] = [()] * n
-    blue: list[tuple[int, ...]] = [()] * n
+    index: dict[object, dict[int, list[int]]] = {}
     for c, g in enumerate(family.subgraphs):
-        at = index.get(id(g))
+        key = id(g) if cycle else (id(g), c)
+        at = index.get(key)
         if at is None:
-            at = index[id(g)] = {}
-            for u, v in _arcs(True, n, c, g):
-                at.setdefault(u, []).append(v)
-                at.setdefault(v, []).append(u)
-        nxt = (c + 1) % n
-        # G_c at c gives c's yellow heads, and at c+1 the blue heads of c+1
-        if c in at:
-            yellow[c] = tuple(sorted(at[c]))
-        if nxt in at:
-            blue[nxt] = tuple(sorted(at[nxt]))
-    return RybDigraph(n, tuple(yellow), tuple(blue))
+            # only a subgraph outside the base can hold a loop or an end out of range; u <= v
+            for u, v in () if g <= family.base.edge_set else sorted(g):
+                if not 0 <= u < v < size:
+                    raise ValueError(f"subgraph {c} has a loop at {u}" if u == v else
+                                     f"subgraph {c} edge ({u},{v}) leaves the vertex range 0..{size - 1}")
+            at = index[key] = {}
+            for t, h in _arcs(cycle, n, c, g):
+                at.setdefault(t, []).append(h)
+                if cycle:
+                    at.setdefault(h, []).append(t)
+        # G_c gives c's yellow and c+1's blue heads, or the ends of pair c theirs
+        for row, t in ((0, c), (1, (c + 1) % n)) if cycle else ((0, c), (0, n + c)):
+            if t in at:
+                rows[row][t] = tuple(sorted(at[t]))
+    return tuple(map(tuple, rows))
 
 
-def build_full_rb(family: SubgraphFamily) -> RbDigraph:
-    """All blue arcs the family supports over the planted pairing."""
-    if family.kind != KIND_PM:
-        raise ValueError("pair digraph needs a matching family")
-    n = family.num_pairs
-    blue: list[list[int]] = [[] for _ in range(2 * n)]
-    for i, g in enumerate(family.subgraphs):
-        for a, b in _arcs(False, n, i, g):
-            blue[a].append(b)
-    return RbDigraph(n, tuple(tuple(sorted(set(h))) for h in blue))
+def _members(members: Sequence[int], size: int) -> list[int]:
+    """The set's members ascending, each a vertex of 0..size-1 or ValueError."""
+    ms = sorted(set(members))
+    if ms and not (ms[0] >= 0 and ms[-1] < size):
+        raise ValueError(f"set {ms} leaves the vertex range 0..{size - 1}")
+    return ms
 
 
 def support(family: SubgraphFamily, members: Sequence[int],
             tables: Tables | None = None) -> dict[int, tuple[int, ...]]:
     """The arc heads the support depth counts, by arc tail, as the rows of
-    ``build_full_*`` of ``relabel(family, *tables)`` give them, or of
-    family when tables is None; read from family's subgraphs, not built.
+    ``arc_rows`` of ``relabel(family, *tables)`` give them, or of family
+    when tables is None; read from family's subgraphs, not built.
 
     Cycle kind: for each member m, ascending, m-1's yellow heads in the set
     and then m+1's blue heads in the set, by O(|S|^2) arc lookups; red
     independence keeps these tails distinct. Matching kind: ``row_heads``
     of the set's ``admissible_rows``. Heads ascend. A cycle set with a red
     edge raises NotRedIndependent, and a matching set that is not one
-    endpoint per pair NotMaximalRedIndependent.
+    endpoint per pair NotMaximalRedIndependent. A member outside the
+    vertex range raises ValueError.
     """
     if family.kind != KIND_HAM:
         ms = tuple(sorted(set(members)))
@@ -157,7 +118,7 @@ def support(family: SubgraphFamily, members: Sequence[int],
     subs = family.subgraphs
     vt, ct = (range(family.num_vertices), range(family.num_colors)) if tables is None else tables
     n = len(ct)
-    ms = sorted(set(members))
+    ms = _members(members, n)
     if not ms:
         raise ValueError("empty set has no support depth")
     # no two members within cycle distance 2
@@ -177,14 +138,15 @@ def admissible_rows(family: SubgraphFamily, members: Sequence[int],
     vertices outside the set that m's own subgraph, color m mod n, joins it
     to, ascending; read by one scan of that subgraph, in family's labels or
     through new-to-old tables. A set that is not one endpoint per pair
-    raises NotMaximalRedIndependent. A row holds every vertex omega may
+    raises NotMaximalRedIndependent, and one with a member outside the
+    vertex range ValueError. A row holds every vertex omega may
     match m to, as ``enumerate_omega_pm`` lists them, and ``row_heads``
     keeps those the arc rule allows: the multiplication keys a matching
     child on the rows and filters its support from them.
     """
     vt, ct = (range(family.num_vertices), range(family.num_colors)) if tables is None else tables
     n = len(ct)
-    ms = sorted(set(members))
+    ms = _members(members, len(vt))
     if len(ms) != n or len({v % n for v in ms}) != n:
         raise NotMaximalRedIndependent("need exactly one endpoint per pair")
     new = old_to_new(vt, family.num_vertices)

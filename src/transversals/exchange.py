@@ -76,7 +76,7 @@ def prune(heads: Heads, members: Sequence[int], n: int) -> PrunedDigraph:
     first blue head of its successor; a tail missing from ``heads`` has
     none. ``heads`` is ``support``'s map, or any map whose lists start
     with heads ``support`` would list: each kept head is in the set and,
-    by ``RybDigraph``'s arc rule, neither its tail nor a cycle neighbor
+    by the arc rule ``digraphs._arcs``, neither its tail nor a cycle neighbor
     of it, or NotLocallyDominating is raised."""
     ms = tuple(sorted(set(members)))
     if not ms:

@@ -351,7 +351,7 @@ def _kernel(family: SubgraphFamily, ms: tuple[int, ...], heads: dict[int, tuple[
             path = tuple([(edge(v % n, (v + 1) % n), v % n) for v in range(a, a + gap)])
             paths[edge(k, (k + 1) % size)] = k, path
     new = {v: k for k, v in enumerate(K)}
-    # one restriction per distinct subgraph object, as build_full_ryb indexes
+    # one restriction per distinct subgraph object, as arc_rows indexes
     # them; K is increasing, so a restricted edge stays (min, max)
     restricted: dict[int, frozenset[Edge]] = {}
     subs = []

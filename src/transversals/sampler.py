@@ -3,11 +3,11 @@
 Two samplers are resampling loops in the algorithmic local-lemma style:
 draw independent bits, flag bad events, redraw exactly the variables in
 the lowest-keyed flagged event's scope, repeat. The third is plain
-rejection. Each takes a canonically labelled family and builds the full
-digraph it reads, the only digraph a command builds. Each run owns one
-generator seeded from the config: ``_rng.Generator``, NumPy's PCG64
-stream written out bit for bit, so an (inputs, seed) pair alone fixes the
-output and the full resample log, whatever NumPy is or is not installed.
+rejection. Each reads the rows of its canonically labelled family from
+``arc_rows``. Each run owns one generator seeded from the config:
+``_rng.Generator``, NumPy's PCG64 stream written out bit for bit, so an
+(inputs, seed) pair alone fixes the output and the full resample log,
+whatever NumPy is or is not installed.
 The resampling loops keep each row's in-set head count up to date
 through reverse rows, so a redraw costs the bits it flips, not a recount.
 
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._rng import Generator
-from .core import SubgraphFamily
-from .digraphs import build_full_rb, build_full_ryb, support, support_depth
+from .core import KIND_HAM, KIND_PM, SubgraphFamily
+from .digraphs import arc_rows, support, support_depth
 from .errors import (
     DomainError,
     GuaranteeViolated,
@@ -152,6 +152,13 @@ def _mark(flagged: set, key, on: bool) -> None:
         flagged.discard(key)
 
 
+def _rows(family: SubgraphFamily, kind: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """family's ``arc_rows``, once its kind is the one the sampler needs."""
+    if family.kind != kind:
+        raise ValueError(f"this sampler needs a {kind} family, got {family.kind}")
+    return arc_rows(family)
+
+
 def _sampled_depth(family: SubgraphFamily, members: tuple[int, ...], floor: int = 0) -> int:
     """The support depth of a sampled set, read from family as every other
     depth is, and its post-hoc guarantee: red-independent, depth >= floor."""
@@ -172,17 +179,14 @@ def sample_set_lll_ham(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutc
     meets the set fewer than p*r/400 times (y_yellow / y_blue). The flagged
     event with the smallest canonical key is resampled until none remain.
     """
-    H = build_full_ryb(family)
-    n = H.n
-    ydeg = [len(H.yellow[v]) for v in range(n)]
-    bdeg = [len(H.blue[v]) for v in range(n)]
-    r = cfg.r if cfg.r is not None else min(min(ydeg), min(bdeg))
+    yellow, blue = _rows(family, KIND_HAM)
+    n = len(yellow)
+    short = min(map(len, yellow + blue))
+    r = cfg.r if cfg.r is not None else short
     if r < 1:
         raise DomainError(f"out-degree floor r = {r}; need r >= 1")
-    if min(ydeg) < r or min(bdeg) < r:
-        raise DomainError(
-            f"some out-degree ({min(min(ydeg), min(bdeg))}) is below r = {r}"
-        )
+    if short < r:
+        raise DomainError(f"some out-degree ({short}) is below r = {r}")
     if cfg.m is not None and cfg.m < 2:
         raise DomainError(f"max degree must be >= 2, got {cfg.m}")
     if cfg.m is not None and cfg.m > sys.float_info.max:
@@ -207,7 +211,7 @@ def sample_set_lll_ham(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutc
     # distance 1 or 2 as (low, high)
     near = [{(v + k) % n for k in (1, 2, -1, -2)} for v in range(n)]
     colors = []
-    for rows in (H.yellow, H.blue):
+    for rows in (yellow, blue):
         counts = _RowCounts(rows, incl)
         colors.append((counts, {v for v in range(n) if counts.count[v] < threshold}))
     (_, y_low), (_, b_low) = colors
@@ -221,10 +225,10 @@ def sample_set_lll_ham(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutc
             scope = location
         elif y_low:
             kind, location = "y_yellow", min(y_low)
-            scope = H.yellow[location]
+            scope = yellow[location]
         elif b_low:
             kind, location = "y_blue", min(b_low)
-            scope = H.blue[location]
+            scope = blue[location]
         else:
             members = tuple(v for v in range(n) if incl[v])
             depth = _sampled_depth(family, members, floor)
@@ -264,18 +268,15 @@ def sample_set_dirac(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcom
     depth reaches dirac_depth_target. Rejected draws are redrawn whole;
     the record's redrawn field is left empty to mean a full redraw.
     """
-    H = build_full_ryb(family)
-    n = H.n
     if cfg.c is None:
         raise DomainError("dirac sampling needs cfg.c")
+    short = min(len(row) for rows in _rows(family, KIND_HAM) for row in rows)
+    n = family.num_vertices
     c = cfg.c
     p = c / 8.0
     if not 0.0 < p < 1.0:
         raise DomainError(f"step-1 probability c/8 = {p} outside (0,1)")
     floor = c * n - 2.0
-    short = min(
-        min(len(H.yellow[v]) for v in range(n)), min(len(H.blue[v]) for v in range(n))
-    )
     if short < floor:
         raise DomainError(f"some out-degree ({short}) is below c*n - 2 = {floor}")
     warnings = ()
@@ -315,12 +316,12 @@ def sample_set_pm(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcome:
     i's bit together with the bits of every pair owning a vertex of
     blue(x_i) or blue(y_i).
     """
-    H = build_full_rb(family)
-    n = H.n
+    (blue,) = _rows(family, KIND_PM)
+    n = family.num_pairs
     alpha = cfg.alpha
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    degs = [len(H.blue[v]) for v in range(2 * n)]
+    degs = [len(row) for row in blue]
     r = cfg.r if cfg.r is not None else min(degs)
     if r < 1:
         raise DomainError(f"escape floor r = {r}; need r >= 1")
@@ -332,7 +333,7 @@ def sample_set_pm(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcome:
 
     scopes: list[tuple[int, ...]] = []
     for i in range(n):
-        owners = {w % n for w in H.blue[i]} | {w % n for w in H.blue[n + i]} | {i}
+        owners = {w % n for w in blue[i]} | {w % n for w in blue[n + i]} | {i}
         scopes.append(tuple(sorted(owners)))
 
     rng = Generator(cfg.seed)
@@ -340,7 +341,7 @@ def sample_set_pm(family: SubgraphFamily, cfg: SamplerConfig) -> SampleOutcome:
     in_set = [False] * (2 * n)
     for i, b in enumerate(bits):
         in_set[i + n * b] = True
-    counts = _RowCounts(H.blue, in_set)
+    counts = _RowCounts(blue, in_set)
 
     def flags(t: int) -> bool:
         # tail t's escapes, its blue heads outside the set, are too few

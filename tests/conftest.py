@@ -8,12 +8,10 @@ from transversals import (
     KIND_HAM,
     NotMaximalRedIndependent,
     NotRedIndependent,
-    RbDigraph,
     ResampleBudgetExceeded,
     SubgraphFamily,
     Transversal,
-    build_full_rb,
-    build_full_ryb,
+    arc_rows,
     edge,
     planted,
     support,
@@ -71,6 +69,20 @@ def make_ham_family(n, chords):
     return SubgraphFamily(base, subs, KIND_HAM)
 
 
+def with_edge(fam, color, e):
+    """fam with the edge e, taken as given, added to subgraph color."""
+    subs = list(fam.subgraphs)
+    subs[color] = subs[color] | {e}
+    return SubgraphFamily(fam.base, subs, fam.kind)
+
+
+# edges added to subgraph 2 of an 8-cycle family, none of them in range,
+# and the error each gives
+BAD_CYCLE_EDGES = {(2, 2): "subgraph 2 has a loop at 2",
+                   (2, 9): r"subgraph 2 edge \(2,9\) leaves the vertex range 0\.\.7",
+                   (-1, 3): r"subgraph 2 edge \(-1,3\) leaves the vertex range 0\.\.7"}
+
+
 @pytest.fixture(scope="session")
 def figure_family():
     """Hand-checked 6-vertex instance used throughout: S = (0, 3) works."""
@@ -103,25 +115,28 @@ def random_pm_set(rng: random.Random, family, n: int):
     return tuple(range(n))
 
 
-def digraph_support(H, members):
-    """The support read off a built digraph's rows, errors included: for a
+def digraph_support(rows, members):
+    """The support read off ``arc_rows``'s rows, errors included: for a
     cycle each member m's tails m-1 (yellow row) and m+1 (blue row), their
     heads in the set; for a matching each member's blue row, less the set.
-    ``support`` must give the same from the family with no digraph."""
-    cycle, n = not isinstance(H, RbDigraph), H.n
+    ``support`` must give the same from the family with no rows built."""
+    cycle = len(rows) == 2
+    n = len(rows[0]) if cycle else len(rows[0]) // 2
     ms = sorted(set(members))
     s = frozenset(ms)
+    if ms and not (ms[0] >= 0 and ms[-1] < len(rows[0])):
+        raise ValueError(f"set {ms} leaves the vertex range 0..{len(rows[0]) - 1}")
     if not cycle:
         if len(ms) != n or len({v % n for v in ms}) != len(ms):
             raise NotMaximalRedIndependent("need exactly one endpoint per pair")
-        return {m: tuple(h for h in H.blue[m] if h not in s) for m in ms}
+        return {m: tuple(h for h in rows[0][m] if h not in s) for m in ms}
     if not ms:
         raise ValueError("empty set has no support depth")
     if not all(min((b - a) % n, (a - b) % n) > 2 for i, a in enumerate(ms) for b in ms[i + 1:]):
         raise NotRedIndependent(f"set {ms} has a red-adjacent pair")
     heads = {}
     for m in ms:
-        for t, row in (((m - 1) % n, H.yellow), ((m + 1) % n, H.blue)):
+        for t, row in (((m - 1) % n, rows[0]), ((m + 1) % n, rows[1])):
             heads[t] = tuple(h for h in row[t] if h in s)
     return heads
 
@@ -189,13 +204,13 @@ def _budget_exceeded(cfg, records):
 
 
 def sample_set_lll_ham_by_numpy(family, cfg):
-    H = build_full_ryb(family)
-    n = H.n
-    r = cfg.r if cfg.r is not None else min(min(map(len, H.yellow)), min(map(len, H.blue)))
+    yellow, blue = arc_rows(family)
+    n = len(yellow)
+    r = cfg.r if cfg.r is not None else min(min(map(len, yellow)), min(map(len, blue)))
     p = cfg.p if cfg.p is not None else default_inclusion_probability(cfg.m)
     threshold = p * r / 400.0
-    yflat, yoff = _flat_heads(H.yellow)
-    bflat, boff = _flat_heads(H.blue)
+    yflat, yoff = _flat_heads(yellow)
+    bflat, boff = _flat_heads(blue)
     rng = np.random.default_rng(cfg.seed)
     incl = rng.random(n) < p
     records = []
@@ -213,11 +228,11 @@ def sample_set_lll_ham_by_numpy(family, cfg):
         for v in np.nonzero(ycnt < threshold)[0]:
             key = (1, int(v))
             if worst is None or key < worst[0]:
-                worst = (key, "y_yellow", int(v), H.yellow[int(v)])
+                worst = (key, "y_yellow", int(v), yellow[int(v)])
         for v in np.nonzero(bcnt < threshold)[0]:
             key = (2, int(v))
             if worst is None or key < worst[0]:
-                worst = (key, "y_blue", int(v), H.blue[int(v)])
+                worst = (key, "y_blue", int(v), blue[int(v)])
         if worst is None:
             return tuple(int(v) for v in np.nonzero(incl)[0]), step, tuple(records)
         if step == cfg.max_resamples:
@@ -251,15 +266,15 @@ def sample_set_dirac_by_numpy(family, cfg, target):
 
 
 def sample_set_pm_by_numpy(family, cfg):
-    H = build_full_rb(family)
-    n = H.n
-    r = cfg.r if cfg.r is not None else min(map(len, H.blue))
+    (blue,) = arc_rows(family)
+    n = family.num_pairs
+    r = cfg.r if cfg.r is not None else min(map(len, blue))
     threshold = cfg.alpha * r / 2.0
-    flat, offsets = _flat_heads(H.blue)
+    flat, offsets = _flat_heads(blue)
     deg = np.diff(offsets)
     scopes = []
     for i in range(n):
-        owners = {w % n for w in H.blue[i]} | {w % n for w in H.blue[n + i]} | {i}
+        owners = {w % n for w in blue[i]} | {w % n for w in blue[n + i]} | {i}
         scopes.append(tuple(sorted(owners)))
     rng = np.random.default_rng(cfg.seed)
     bits = rng.integers(0, 2, size=n)

@@ -22,7 +22,7 @@ from transversals import (
     SamplerConfig,
     SubgraphFamily,
     KIND_HAM,
-    build_full_ryb,
+    arc_rows,
     chernoff_bounds,
     count_ham_transversals,
     count_pm_transversals,
@@ -90,15 +90,15 @@ def test_c02_second_ham_suite_200_instances():
         n = rng.randrange(6, 16)
         S = random_ham_set(rng, n, n >= 9 and rng.random() < 0.5)
         fam, t = gen_witness_instance_ham(n, S, 1, seed=i)
-        H = build_full_ryb(fam)
+        yellow, blue = arc_rows(fam)
         t2 = second_transversal(fam, identity(fam), S, support(fam, S))[0]
         assert validate_transversal(fam, t2).ok, (n, S, i)
         assert t2 != t, (n, S, i)
         assert omega_member_ham(S, t2), (n, S, i)
         allowed = {edge(v, (v + 1) % n) for v in range(n)}
         for tail in range(n):
-            allowed.update(edge(tail, h) for h in H.yellow[tail])
-            allowed.update(edge(tail, h) for h in H.blue[tail])
+            allowed.update(edge(tail, h) for h in yellow[tail])
+            allowed.update(edge(tail, h) for h in blue[tail])
         assert t2.edge_set <= allowed, (n, S, i)
         assert t2.edge_set <= fam.base.edge_set, (n, S, i)
         checked += 1

@@ -755,7 +755,6 @@ def test_dirac_gen_with_find_planted(tmp_path, capsys):
 
 
 STAGES = ("load_instance", "naturally_index")
-BUILDS = ("build_full_ryb", "build_full_rb")
 
 
 @pytest.fixture
@@ -774,11 +773,11 @@ def stage_files(tmp_path):
 @pytest.fixture
 def stage_calls(monkeypatch):
     """Calls per stage: loading and relabelling through the cli module's
-    bindings, a digraph build through every package module that binds one."""
+    bindings, ``arc_rows`` through every package module that binds it."""
     calls = Counter()
     bindings = [(cli, name) for name in STAGES] + [
-        (module, name) for module in (cli, digraphs, exchange, multiplier, sampler)
-        for name in BUILDS if hasattr(module, name)]
+        (module, "arc_rows") for module in (cli, digraphs, exchange, multiplier, sampler)
+        if hasattr(module, "arc_rows")]
     for module, name in bindings:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -788,27 +787,22 @@ def stage_calls(monkeypatch):
 
 
 def test_each_stage_runs_once_per_command(stage_files, stage_calls):
-    # second and multiply read the set's support from the family and build
-    # no digraph; sample-set's sampler builds the one it reads, once
+    # second and multiply read the set's support from the family and no
+    # rows; sample-set's sampler reads its rows from arc_rows, once
     ham, pm = stage_files["ham"], stage_files["pm"]
     ham_set, pm_set = "2,6,10,14,17,22,25,28", "x0,x1,x2,x3,x4,x5"
-    for build, commands in (
-        ("build_full_ryb", [
-            ["second", "--in", ham, "--set", ham_set],
-            ["sample-set", "--in", ham, "--method", "lll-ham", "--seed", "2"],
-            ["multiply", "--in", ham, "--set", ham_set],
-        ]),
-        ("build_full_rb", [
-            ["second", "--in", pm, "--set", pm_set],
-            ["sample-set", "--in", pm, "--method", "pm", "--seed", "1"],
-            ["multiply", "--in", pm, "--set", pm_set],
-        ]),
+    for argv in (
+        ["second", "--in", ham, "--set", ham_set],
+        ["sample-set", "--in", ham, "--method", "lll-ham", "--seed", "2"],
+        ["multiply", "--in", ham, "--set", ham_set],
+        ["second", "--in", pm, "--set", pm_set],
+        ["sample-set", "--in", pm, "--method", "pm", "--seed", "1"],
+        ["multiply", "--in", pm, "--set", pm_set],
     ):
-        for argv in commands:
-            stage_calls.clear()
-            assert main(argv) == 0, argv
-            built = {build: 1} if argv[0] == "sample-set" else {}
-            assert stage_calls == {"load_instance": 1, "naturally_index": 1, **built}, argv
+        stage_calls.clear()
+        assert main(argv) == 0, argv
+        rows = {"arc_rows": 1} if argv[0] == "sample-set" else {}
+        assert stage_calls == {"load_instance": 1, "naturally_index": 1, **rows}, argv
 
 
 def test_prepare_rejects_before_the_build(stage_files, stage_calls, capsys):
@@ -830,7 +824,7 @@ def test_prepare_rejects_before_the_build(stage_files, stage_calls, capsys):
         stage_calls.clear()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: method {argv[4]} needs a {kind} instance\n"
-        # checked after the canonical relabelling, before the digraph is built
+        # checked after the canonical relabelling, before any row is read
         assert stage_calls == {"load_instance": 1, "naturally_index": 1}
 
 

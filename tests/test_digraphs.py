@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from transversals import (
+    BaseGraph,
     KIND_HAM,
     KIND_PM,
-    RbDigraph,
-    RybDigraph,
     NotMaximalRedIndependent,
     NotRedIndependent,
     SubgraphFamily,
-    build_full_rb,
-    build_full_ryb,
+    arc_rows,
     edge,
     enumerate_all_pm_transversals,
     enumerate_omega_pm,
+    gen_bipartite_pm_family,
     gen_planted_ham_family,
     gen_planted_pm_family,
     gen_witness_instance_ham,
@@ -29,49 +28,32 @@ from transversals import (
 
 from transversals.core import canonical_tables
 
-from conftest import digraph_support, identity, make_ham_family
-
-
-def _rows(n, arcs=()):
-    """One tuple of heads per tail 0..n-1, from (tail, head) arcs."""
-    rows = [() for _ in range(n)]
-    for t, h in arcs:
-        rows[t] += (h,)
-    return tuple(rows)
+from conftest import BAD_CYCLE_EDGES, digraph_support, identity, make_ham_family, with_edge
 
 
 def test_figure_arcs(figure_family):
     fam, t = figure_family
-    H = build_full_ryb(fam)
-    assert {v: sorted(H.yellow[v]) for v in range(6) if H.yellow[v]} == {
-        2: [0],
-        5: [3],
-    }
-    assert {v: sorted(H.blue[v]) for v in range(6) if H.blue[v]} == {
-        1: [3],
-        4: [0],
-    }
+    yellow, blue = arc_rows(fam)
+    assert {v: row for v, row in enumerate(yellow) if row} == {2: (0,), 5: (3,)}
+    assert {v: row for v, row in enumerate(blue) if row} == {1: (3,), 4: (0,)}
 
 
 def test_yellow_arc_excludes_cycle_neighbors():
-    # chord (1, 3) in G_1 gives yellow 1 -> 3; chord (1, 2) could not
+    # chord (1, 3) in G_1 gives yellow 1 -> 3; the cycle edges of G_1 and
+    # G_0, (1, 2) and (0, 1), give no arc
     fam = make_ham_family(7, {1: [(1, 3)]})
-    H = build_full_ryb(fam)
-    assert 3 in H.yellow[1]
-    with pytest.raises(ValueError):
-        RybDigraph(7, _rows(7, [(1, 2)]), _rows(7))
-    with pytest.raises(ValueError):
-        RybDigraph(7, _rows(7, [(1, 1)]), _rows(7))
-    with pytest.raises(ValueError):
-        RybDigraph(7, _rows(7), _rows(7, [(0, 6)]))
+    yellow, blue = arc_rows(fam)
+    assert yellow[1] == (3,)
+    # blue 0 reads G_6 = {(6, 0)} across the wrap
+    assert not yellow[0] and not blue[0] and not blue[1] and not blue[2]
 
 
 def test_blue_arc_comes_from_previous_subgraph():
     # chord (2, 5) placed in G_1 means blue arc 2 -> 5
     fam = make_ham_family(7, {1: [(2, 5)]})
-    H = build_full_ryb(fam)
-    assert 5 in H.blue[2]
-    assert not H.yellow[2]
+    yellow, blue = arc_rows(fam)
+    assert 5 in blue[2]
+    assert not yellow[2]
 
 
 def _arcs_by_definition(fam):
@@ -119,45 +101,87 @@ def _support_by_definition(fam, members):
 
 
 @given(st.integers(3, 14), st.data())
-def test_ryb_build_matches_arc_definition_on_planted_families(n, data):
+def test_cycle_rows_match_arc_definition_on_planted_families(n, data):
     k = data.draw(st.integers(0, n - 3), label="extra_degree")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     fam, t = gen_planted_ham_family(n, k, seed)
-    H = build_full_ryb(fam)
-    assert (H.yellow, H.blue) == _arcs_by_definition(fam)
+    rows = arc_rows(fam)
+    assert rows == _arcs_by_definition(fam)
     # random chords, so arcs also land outside the set
     size = data.draw(st.integers(1, n // 3), label="set size")
     shift = data.draw(st.integers(0, n - 1), label="shift")
     members = [(shift + i * (n // size)) % n for i in range(size)]
-    assert support(fam, members) == digraph_support(H, members) == _support_by_definition(fam, members)
+    assert support(fam, members) == digraph_support(rows, members) == _support_by_definition(fam, members)
 
 
 @given(st.integers(9, 40), st.data())
-def test_ryb_build_matches_arc_definition_on_witness_instances(n, data):
+def test_cycle_rows_match_arc_definition_on_witness_instances(n, data):
     size = data.draw(st.integers(2, n // 3), label="set size")
     members = [i * (n // size) for i in range(size)]  # gaps of at least 3
     d = data.draw(st.integers(1, size - 1), label="d")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     fam, t = gen_witness_instance_ham(n, members, d, seed)
-    H = build_full_ryb(fam)
-    assert (H.yellow, H.blue) == _arcs_by_definition(fam)
-    assert support(fam, members) == digraph_support(H, members) == _support_by_definition(fam, members)
+    rows = arc_rows(fam)
+    assert rows == _arcs_by_definition(fam)
+    assert support(fam, members) == digraph_support(rows, members) == _support_by_definition(fam, members)
     assert support_depth(support(fam, members)) == d
 
 
-def test_ryb_build_reads_both_endpoints_of_one_subgraph():
+def test_cycle_rows_read_both_endpoints_of_one_subgraph():
     # G_2 has a chord at 2 and one at 3; G_7 wraps: a chord at 7 and one at 0
     fam = make_ham_family(8, {2: [(2, 5), (3, 6)], 7: [(3, 7), (0, 4)]})
-    H = build_full_ryb(fam)
-    assert {i: r for i, r in enumerate(H.yellow) if r} == {2: (5,), 7: (3,)}
-    assert {i: r for i, r in enumerate(H.blue) if r} == {3: (6,), 0: (4,)}
+    yellow, blue = arc_rows(fam)
+    assert {i: r for i, r in enumerate(yellow) if r} == {2: (5,), 7: (3,)}
+    assert {i: r for i, r in enumerate(blue) if r} == {3: (6,), 0: (4,)}
+
+
+def test_arc_rows_rejects_a_loop_or_an_edge_past_the_vertex_range():
     # a loop edge is a self-arc, and an edge to a vertex past n-1 or
-    # below 0 is an arc to no vertex; each is rejected
-    for bad in ((2, 2), (2, 9), (-1, 3)):
-        subs = list(fam.subgraphs)
-        subs[2] = subs[2] | {bad}
-        with pytest.raises(ValueError):
-            build_full_ryb(SubgraphFamily(fam.base, subs, KIND_HAM))
+    # below 0 is an arc to no vertex; each is rejected in the one scan
+    fam = make_ham_family(8, {2: [(2, 5)]})
+    for bad, message in BAD_CYCLE_EDGES.items():
+        with pytest.raises(ValueError, match=message):
+            arc_rows(with_edge(fam, 2, bad))
+    # an in-range edge missing from the base is still read: validate_family reports it
+    assert arc_rows(with_edge(fam, 2, (2, 6)))[0][2] == (5, 6)
+
+
+def _random_family(data, kind, n):
+    """n colors over 2n vertices (n for a cycle), each subgraph a random
+    set of edges, same-side ones included, some of them shared objects."""
+    size = n if kind == KIND_HAM else 2 * n
+    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    subs = []
+    for c in range(n):
+        if subs and data.draw(st.booleans(), label=f"share {c}"):
+            subs.append(subs[data.draw(st.integers(0, c - 1), label=f"shared {c}")])
+        else:
+            subs.append(frozenset(data.draw(st.sets(st.sampled_from(pairs)), label=f"G_{c}")))
+    base = set().union(*subs) if data.draw(st.booleans(), label="base holds them") else pairs
+    return SubgraphFamily(BaseGraph(size, base), subs, kind)
+
+
+@given(st.data())
+def test_arc_rows_state_the_row_rule_of_the_definition_and_of_support(data):
+    # a cycle's rows are the arc definition's; a matching's are support's
+    # rows of either whole side, merged: one statement of each row rule
+    source = data.draw(st.sampled_from(["cycle", "planted", "bipartite", "random"]), label="source")
+    if source == "cycle":
+        fam = _random_family(data, KIND_HAM, data.draw(st.integers(3, 9), label="n"))
+        assert arc_rows(fam) == _arcs_by_definition(fam)
+        return
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    if source == "planted":
+        n = data.draw(st.integers(1, 9), label="n")
+        fam, _ = gen_planted_pm_family(n, data.draw(st.integers(0, n - 1), label="extra_degree"), seed)
+    elif source == "bipartite":
+        n = data.draw(st.integers(3, 9), label="n")
+        fam, _ = gen_bipartite_pm_family(n, data.draw(st.integers(1, n - 2), label="r"), seed)
+    else:
+        n = data.draw(st.integers(1, 6), label="n")
+        fam = _random_family(data, KIND_PM, n)
+    (blue,) = arc_rows(fam)
+    assert dict(enumerate(blue)) == {**support(fam, range(n)), **support(fam, range(n, 2 * n))}
 
 
 def test_red_independence_circular_distance():
@@ -186,30 +210,25 @@ def test_d_star_on_witness_instance_matches_request():
         prune(heads, (0, 3, 6), 9)  # locally dominating: the exchange can start
 
 
-def test_rb_pair_index():
-    H = RbDigraph(4, _rows(8))
-    assert H.pair_index(2) == 2 and H.pair_index(6) == 2
-
-
 def _with_edges_past_the_range():
     """gen_planted_pm_family(3, 1, seed=1), and the same with edges (0, 7)
     and (-1, 0) added to subgraph 0: past either end of its 6 vertices,
     which validate_family reports as edge_not_in_base."""
     fam, t = gen_planted_pm_family(3, 1, seed=1)
-    subs = list(fam.subgraphs)
-    subs[0] = subs[0] | {(0, 7), (-1, 0)}
-    return fam, t, SubgraphFamily(fam.base, subs, KIND_PM)
+    return fam, t, with_edge(with_edge(fam, 0, (0, 7)), 0, (-1, 0))
 
 
-def test_rb_rejects_a_head_past_the_vertex_range():
-    # as RybDigraph does; before the check, blue[0] was (4, 7)
+def test_matching_rows_reject_an_edge_past_the_vertex_range():
+    # as a cycle's do; without the scan, blue[0] would be (4, 7)
     fam, _, bad = _with_edges_past_the_range()
-    with pytest.raises(ValueError, match=r"arc 0->7 leaves the vertex range 0\.\.5"):
-        build_full_rb(bad)
-    for head in (7, 6, -1):
+    with pytest.raises(ValueError, match=r"subgraph 0 edge \(-1,0\) leaves the vertex range 0\.\.5"):
+        arc_rows(bad)
+    for e in ((0, 7), (0, 6), (-1, 0)):
         with pytest.raises(ValueError, match="leaves the vertex range"):
-            RbDigraph(3, _rows(6, [(0, head)]))
-    assert build_full_rb(fam).blue[0] == (4,)
+            arc_rows(with_edge(fam, 0, e))
+    with pytest.raises(ValueError, match="subgraph 1 has a loop at 4"):
+        arc_rows(with_edge(fam, 1, (4, 4)))
+    assert arc_rows(fam)[0][0] == (4,)
 
 
 def test_matching_support_reads_no_head_past_the_vertex_range():
@@ -221,12 +240,28 @@ def test_matching_support_reads_no_head_past_the_vertex_range():
     assert support(bad, (0, 1), tables) == support(fam, (0, 1), tables)
 
 
-def test_rb_arcs_cross_pair_boundary():
+def test_support_rejects_a_member_outside_the_vertex_range():
+    # a member past either end is no vertex: unchecked, a cycle read heads
+    # at -3, and a matching's -1 passed as the end of pair 3
+    fam, _ = gen_planted_ham_family(10, 2, 1)
+    for members in ((-3,), (10,), (0, 3, 6, -3)):
+        with pytest.raises(ValueError, match=r"leaves the vertex range 0\.\.9"):
+            support(fam, members)
+    pm, t = gen_planted_pm_family(4, 1, seed=0)
+    for members in ((0, 1, 2, -1), (0, 1, 2, 11)):
+        with pytest.raises(ValueError, match=r"leaves the vertex range 0\.\.7"):
+            support(pm, members)
+    # through a child's tables the range is the child's: 3 pairs, 6 vertices
+    with pytest.raises(ValueError, match=r"set \[0, 1, 6\] leaves the vertex range 0\.\.5"):
+        support(pm, (0, 1, 6), canonical_tables(t, (3, 7)))
+
+
+def test_matching_arcs_cross_pair_boundary():
     fam, t = gen_planted_pm_family(5, 2, seed=1)
-    H = build_full_rb(fam)
+    (blue,) = arc_rows(fam)
     for tail in range(10):
-        for head in H.blue[tail]:
-            assert H.pair_index(head) != H.pair_index(tail)
+        for head in blue[tail]:
+            assert head % 5 != tail % 5 and (head < 5) != (tail < 5)
 
 
 def test_pm_red_independence_one_per_pair():
@@ -241,10 +276,10 @@ def test_pm_red_independence_one_per_pair():
 
 def test_d_cross_counts_escapes():
     fam, t = gen_planted_pm_family(6, 2, seed=3)
-    H = build_full_rb(fam)
+    (blue,) = arc_rows(fam)
     S = tuple(range(6))
     assert support_depth(support(fam, S)) == 2  # every x-side vertex got exactly 2 cross edges
-    got = min(len([w for w in H.blue[v] if w not in set(S)]) for v in S)
+    got = min(len([w for w in blue[v] if w not in set(S)]) for v in S)
     assert got == 2
 
 
@@ -260,10 +295,10 @@ def test_support_lists_the_counted_heads(figure_family):
         support(fam, (1, 0))
 
     fam2, t2 = gen_planted_pm_family(4, 1, seed=0)
-    H2 = build_full_rb(fam2)
+    (blue2,) = arc_rows(fam2)
     # the x side is one endpoint per pair, and every blue arc leaves it
-    assert support(fam2, range(4)) == {v: H2.blue[v] for v in range(4)}
-    assert support_depth(support(fam2, tuple(range(4)))) == min(len(H2.blue[v]) for v in range(4))
+    assert support(fam2, range(4)) == {v: blue2[v] for v in range(4)}
+    assert support_depth(support(fam2, tuple(range(4)))) == min(len(blue2[v]) for v in range(4))
     with pytest.raises(NotMaximalRedIndependent, match="need exactly one endpoint per pair"):
         support(fam2, (0, 4, 1, 2))
 
@@ -276,7 +311,7 @@ def test_support_matches_the_family_on_planted_matchings(n, data):
     members = [i + n * y for i, y in enumerate(sides)]
     fam, t = gen_planted_pm_family(n, k, seed)
     heads = support(fam, members)
-    assert heads == digraph_support(build_full_rb(fam), members) == _support_by_definition(fam, members)
+    assert heads == digraph_support(arc_rows(fam), members) == _support_by_definition(fam, members)
     assert list(heads) == sorted(members)
 
 

@@ -5,7 +5,7 @@ import pytest
 from transversals import (
     InfeasibleDegree,
     InfeasibleWitness,
-    build_full_rb,
+    arc_rows,
     edge,
     gen_bipartite_pm_family,
     gen_dirac_family,
@@ -130,9 +130,8 @@ def test_bipartite_pm_family_degrees():
     fam, t = gen_bipartite_pm_family(12, 4, seed=6)
     assert validate_family(fam).ok
     assert validate_transversal(fam, t).ok
-    H = build_full_rb(fam)
-    for v in range(24):
-        assert len(H.blue[v]) == 4
+    (blue,) = arc_rows(fam)
+    assert list(map(len, blue)) == [4] * 24
     with pytest.raises(InfeasibleDegree):
         gen_bipartite_pm_family(5, 4, seed=0)  # r > n - 2
 

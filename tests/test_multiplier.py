@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -13,12 +14,9 @@ from transversals import (
     KIND_HAM,
     KIND_PM,
     NotMaximalRedIndependent,
-    RbDigraph,
-    RybDigraph,
     SubgraphFamily,
     Transversal,
-    build_full_rb,
-    build_full_ryb,
+    arc_rows,
     enumerate_all_ham_transversals,
     enumerate_all_pm_transversals,
     enumerate_omega_ham,
@@ -461,7 +459,6 @@ def _many_per_family(family, ms, heads, d, memo):
         return [base]
     branches = multiplier._saturated_branches(family, node, ms, heads)
     assert len(branches) >= d + 1
-    build = build_full_ryb if ham else build_full_rb
     plan = []
     for e, tables, pairs in branches:
         wit = _branch_witness(family.kind, tables, pairs)
@@ -471,7 +468,7 @@ def _many_per_family(family, ms, heads, d, memo):
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
         key = fam2.base, fam2.subgraphs, ms2
         if key not in memo:
-            heads2 = digraph_support(build(fam2), ms2)
+            heads2 = digraph_support(arc_rows(fam2), ms2)
             d2 = support_depth(heads2)
             assert d2 >= d - 1
             memo[key] = _many_per_family(fam2, ms2, heads2, d2, memo)
@@ -505,8 +502,7 @@ def support_case(draw):
     if how == "own labels":
         tables = None
     elif how == "child":
-        build = build_full_ryb if ham else build_full_rb
-        wit = second_transversal(fam, identity(fam), S, digraph_support(build(fam), S))[0]
+        wit = second_transversal(fam, identity(fam), S, digraph_support(arc_rows(fam), S))[0]
         drop = None if ham else draw(st.sampled_from([None, *sorted(wit.edge_set)]), label="dropped pair")
         tables = canonical_tables(wit, drop)
     else:
@@ -539,8 +535,7 @@ def test_support_is_the_support_of_the_built_digraph(case):
     # tables, the support is the one the relabelled family's built digraph
     # gives, errors and their messages included
     fam, tables, members = case
-    build = build_full_ryb if fam.kind == KIND_HAM else build_full_rb
-    expected = _outcome(digraph_support, build(fam if tables is None else relabel(fam, *tables)), members)
+    expected = _outcome(digraph_support, arc_rows(fam if tables is None else relabel(fam, *tables)), members)
     assert _outcome(support, fam, members, tables) == expected
 
 
@@ -555,7 +550,6 @@ def _lifted_per_level(family, ms, heads, d):
     if not ham and (d == 0 or family.num_pairs == 1):
         return [base]
     node = tuple(range(family.num_vertices)), tuple(range(family.num_colors)), ()
-    build = build_full_ryb if ham else build_full_rb
     out = []
     for e, tables, pairs in multiplier._saturated_branches(family, node, ms, heads):
         wit = _branch_witness(family.kind, tables, pairs)
@@ -563,7 +557,7 @@ def _lifted_per_level(family, ms, heads, d):
         fam2 = relabel(family, vinv, cinv)
         new = old_to_new(vinv, family.num_vertices)
         ms2 = tuple(sorted(new[m] for m in ms if m not in e))
-        heads2 = digraph_support(build(fam2), ms2)
+        heads2 = digraph_support(arc_rows(fam2), ms2)
         solved = _lifted_per_level(fam2, ms2, heads2, support_depth(heads2))
         pair = {} if ham else {e: wit.color_of(e)}
         out += [Transversal.from_map(u.kind, {**u.colors(), **pair}) for u in lift(solved, vinv, cinv)]
@@ -659,19 +653,45 @@ def test_children_sharing_a_plan_have_equal_admissible_rows(monkeypatch):
     assert sum(len(subs) for _, _, subs in readers.values()) == 337
 
 
-@pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
-def test_many_builds_no_family_or_digraph_below_the_root(kind, outputs, monkeypatch):
-    # a node is a pair of tables into the root family, whose support is
-    # read from it: the recursion constructs no family, base graph or
-    # digraph, at the root or for any child
-    fam, t, S = _entry_case(kind)
+def _constructing(monkeypatch):
+    """The names of the families and base graphs constructed, and of each
+    ``arc_rows`` call through any binding in the package, in order."""
     built = []
-    for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__"),
-                      (RybDigraph, "__post_init__"), (RbDigraph, "__post_init__")):
-        def counting(self, *args, fn=getattr(cls, name), cls=cls):
+    for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__")):
+        def constructing(self, *args, fn=getattr(cls, name), cls=cls):
             built.append(cls.__name__)
             fn(self, *args)
-        monkeypatch.setattr(cls, name, counting)
+        monkeypatch.setattr(cls, name, constructing)
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "transversals"]:
+        if hasattr(module, "arc_rows"):
+            def reading(*args, fn=module.arc_rows):
+                built.append("arc_rows")
+                return fn(*args)
+            monkeypatch.setattr(module, "arc_rows", reading)
+    return built
+
+
+def test_a_member_outside_the_vertex_range_is_a_value_error():
+    # not a misleading NotLocallyDominating (-3) or a bare IndexError (21)
+    fam, t = gen_witness_instance_ham(12, (0, 3, 6, 9), 2, seed=1)
+    fam, _ = naturally_index(fam, t)
+    for S in ((0, 3, 6, -3), (0, 3, 6, 21)):
+        with pytest.raises(ValueError, match=r"leaves the vertex range 0\.\.11"):
+            many_transversals(fam, S)
+    pm, t = gen_planted_pm_family(4, 1, seed=0)
+    for S in ((0, 1, 2, -1), (0, 1, 2, 11)):
+        for run in (many_transversals, omega_admissibility_matrix, lambda f, S: enumerate_omega_pm(f, t, S)):
+            with pytest.raises(ValueError, match=r"leaves the vertex range 0\.\.7"):
+                run(pm, S)
+
+
+@pytest.mark.parametrize("kind, outputs", [(KIND_HAM, 6), (KIND_PM, 982)])
+def test_many_builds_no_family_or_rows_below_the_root(kind, outputs, monkeypatch):
+    # a node is a pair of tables into the root family, whose support is
+    # read from it: the recursion constructs no family or base graph and
+    # reads no ``arc_rows``, at the root or for any child
+    fam, t, S = _entry_case(kind)
+    built = _constructing(monkeypatch)
     assert len(many_transversals(fam, S)[1]) == outputs
     assert built == []
 
@@ -868,13 +888,7 @@ def test_many_runs_a_cycle_on_its_kernel(monkeypatch):
     # planted cycle only: each output is checked in the kernel
     S = (0, 600, 1200, 1800)
     fam, t = gen_witness_instance_ham(2400, S, 3, seed=7)
-    built, rows, checked, lifted = [], [], [], []
-    for cls, name in ((SubgraphFamily, "__post_init__"), (BaseGraph, "__init__"),
-                      (RybDigraph, "__post_init__"), (RbDigraph, "__post_init__")):
-        def constructing(self, *args, fn=getattr(cls, name), cls=cls):
-            built.append(cls.__name__)
-            fn(self, *args)
-        monkeypatch.setattr(cls, name, constructing)
+    built, rows, checked, lifted = _constructing(monkeypatch), [], [], []
 
     def reading(family, *args, fn=relabel_rows):
         rows.append(family.num_vertices)

@@ -9,8 +9,7 @@ from transversals import (
     GuaranteeViolated,
     ResampleBudgetExceeded,
     SamplerConfig,
-    build_full_rb,
-    build_full_ryb,
+    arc_rows,
     chernoff_bounds,
     default_inclusion_probability,
     dirac_depth_target,
@@ -18,6 +17,7 @@ from transversals import (
     factorial_bounds,
     gen_bipartite_pm_family,
     gen_dirac_family,
+    gen_planted_pm_family,
     gen_regular_all_equal,
     lll_condition_ham,
     lll_condition_scan,
@@ -35,10 +35,13 @@ from transversals import sampler
 from transversals.sampler import XI
 
 from conftest import (
+    BAD_CYCLE_EDGES,
     empirical_lower_tail,
+    make_ham_family,
     sample_set_dirac_by_numpy,
     sample_set_lll_ham_by_numpy,
     sample_set_pm_by_numpy,
+    with_edge,
 )
 
 
@@ -86,13 +89,10 @@ def test_default_inclusion_probability():
 
 
 def test_lll_ham_sampler_meets_guarantee(regular_family):
-    H = build_full_ryb(regular_family)
+    yellow, blue = arc_rows(regular_family)
     out = sample_set_lll_ham(regular_family, SamplerConfig(seed=5, m=30))
     p = default_inclusion_probability(30)
-    r = min(
-        min(len(H.yellow[v]) for v in range(H.n)),
-        min(len(H.blue[v]) for v in range(H.n)),
-    )
+    r = min(min(map(len, yellow)), min(map(len, blue)))
     # support raises unless the set is red-independent
     assert out.depth == support_depth(support(regular_family, out.members)) >= math.ceil(p * r / 400.0)
     assert len(out.warnings) == 2  # small-m and small-r regime notes
@@ -151,17 +151,17 @@ def test_pm_sampler_meets_guarantee(bipartite_family):
 def test_pm_escape_counts_match_the_row_loop(bipartite_family):
     # the sampler counts escapes as degree minus in-set heads, and moves the
     # counts of the rows holding a vertex as it joins or leaves the set
-    H = build_full_rb(bipartite_family)
+    (blue,) = arc_rows(bipartite_family)
     rng = random.Random(0)
-    in_set = [rng.random() < 0.5 for _ in range(2 * H.n)]
-    counts = sampler._RowCounts(H.blue, in_set)
+    in_set = [rng.random() < 0.5 for _ in range(len(blue))]
+    counts = sampler._RowCounts(blue, in_set)
     for _ in range(100):
-        v = rng.randrange(2 * H.n)
+        v = rng.randrange(len(blue))
         in_set[v] = not in_set[v]
         moved = counts.move(v, 1 if in_set[v] else -1)
-        assert sorted(moved) == [t for t, row in enumerate(H.blue) if v in row]
-        got = [len(row) - c for row, c in zip(H.blue, counts.count)]
-        assert got == [sum(1 for h in row if not in_set[h]) for row in H.blue]
+        assert sorted(moved) == [t for t, row in enumerate(blue) if v in row]
+        got = [len(row) - c for row, c in zip(blue, counts.count)]
+        assert got == [sum(1 for h in row if not in_set[h]) for row in blue]
 
 
 def _run(sample, *args):
@@ -258,12 +258,36 @@ def test_dirac_sampler_meets_target():
     assert again.members == out.members
 
 
-def test_dirac_sampler_requires_c():
+def test_dirac_sampler_requires_c(monkeypatch):
     fam = gen_dirac_family(20, 0.9, seed=0)
     t = exists_ham_transversal(fam)
     fam_c, _ = naturally_index(fam, t)
-    with pytest.raises(DomainError):
+    # checked before any row is read
+    monkeypatch.setattr(sampler, "arc_rows", None)
+    with pytest.raises(DomainError, match="dirac sampling needs cfg.c"):
         sample_set_dirac(fam_c, SamplerConfig(seed=0))
+
+
+def test_samplers_reject_a_family_of_the_other_kind(regular_family, bipartite_family):
+    for sample, fam, cfg, kind in (
+        (sample_set_lll_ham, bipartite_family, SamplerConfig(seed=0, m=30), "hamiltonian"),
+        (sample_set_dirac, bipartite_family, SamplerConfig(seed=0, c=0.9), "hamiltonian"),
+        (sample_set_pm, regular_family, SamplerConfig(seed=0), "perfect_matching"),
+    ):
+        with pytest.raises(ValueError, match=f"this sampler needs a {kind} family, got "):
+            sample(fam, cfg)
+
+
+def test_samplers_reject_a_loop_or_an_edge_past_the_vertex_range():
+    # the rows' scan is the samplers' one check of the family's edges
+    fam = make_ham_family(8, {2: [(2, 5)]})
+    for bad, message in BAD_CYCLE_EDGES.items():
+        with pytest.raises(ValueError, match=message):
+            sample_set_lll_ham(with_edge(fam, 2, bad), SamplerConfig(seed=0, p=0.5))
+    pm, _ = gen_planted_pm_family(3, 1, seed=1)
+    for bad in ((0, 7), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"subgraph 0 edge \({bad[0]},{bad[1]}\) leaves the vertex range 0\.\.5"):
+            sample_set_pm(with_edge(pm, 0, bad), SamplerConfig(seed=0))
 
 
 def test_dirac_depth_target_values():
