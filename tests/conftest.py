@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -51,6 +52,44 @@ def empirical_lower_tail(n, p, delta, trials, seed):
     rng = np.random.default_rng(seed)
     draws = rng.binomial(n, p, size=trials)
     return float(np.mean(draws < (1.0 - delta) * n * p))
+
+
+def permanent_by_ryser(matrix):
+    """Permanent of a square matrix by Ryser's formula, walked in Gray-code order.
+
+    per(A) = sum over nonempty column sets S of (-1)^(k-|S|) times the
+    product over rows of that row's sum over S. Successive sets of a
+    Gray code differ in one column, so each of the 2^k - 1 steps adds or
+    subtracts that column's nonzero entries from k running row sums, then
+    forms the k-term product only when no row sum is zero. Arithmetic is
+    in exact Python integers, never floats. The step count doubles with
+    each row, so k up to about 20 (a million steps) is practical.
+    ``permanent_by_ryser([]) == 1``; a ragged or non-square matrix raises
+    ``ValueError``. The reference ``oracle.permanent`` is tested against.
+    """
+    k = len(matrix)
+    if k == 0:
+        return 1
+    if any(len(row) != k for row in matrix):
+        raise ValueError("permanent needs a square matrix")
+    columns = [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(k)]
+    sums = [0] * k
+    zeros = k
+    inside = [False] * k
+    sign = 1 if k % 2 else -1  # (-1)^(k-|S|) at the first set, |S| = 1
+    total = 0
+    for step in range(1, 1 << k):
+        j = (step & -step).bit_length() - 1  # the Gray code flips the lowest set bit
+        inside[j] = add = not inside[j]
+        for i, a in columns[j]:
+            before = sums[i]
+            after = before + a if add else before - a
+            sums[i] = after
+            zeros += (after == 0) - (before == 0)
+        if not zeros:
+            total += sign * math.prod(sums)
+        sign = -sign
+    return total
 
 
 def identity(family):

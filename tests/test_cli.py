@@ -262,6 +262,20 @@ def test_count_stopped_by_the_result_cap_is_inconclusive(tmp_path, capsys):
     assert rep["results"] == {"status": "exact", "count": 43200}
 
 
+def test_max_nodes_bounds_the_plain_search_with_memo_hits_included(tmp_path, capsys):
+    # this file is K8 with every color equal; a memo hit adds its subtree's
+    # nodes without walking them, so the default 10^8-node budget runs out
+    # within milliseconds, and a larger one gives the exact 7!/2 * 8! at once
+    path = str(tmp_path / "k8.json")
+    run_cli(capsys, "gen", "--model", "dirac", "--n", "8", "--c", "0.9", "--seed", "1", "--out", path)
+    code, rep = run_cli(capsys, "count", "--in", path)
+    assert code == cli.EXIT_BUDGET == 3
+    assert rep["results"] == {"status": "inconclusive", "partial_count": 36787392, "nodes": 100000001}
+    code, rep = run_cli(capsys, "count", "--in", path, "--max-nodes", "1000000000000")
+    assert code == 0
+    assert rep["results"] == {"status": "exact", "count": math.factorial(7) // 2 * math.factorial(8)}
+
+
 def test_a_deep_cycle_count_ends_in_its_budget_exit(tmp_path, capsys):
     # a 600-vertex path is 600 levels deep; the search keeps its own stack,
     # so the budget, not Python's recursion limit, ends it

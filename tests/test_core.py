@@ -48,6 +48,7 @@ def test_base_graph_basics():
     k = complete_graph(4)
     assert k.num_edges == 6
     assert k.max_degree() == 3
+    assert (g == 1) is False
 
 
 def test_base_graph_rejects_bad_edges():
@@ -55,6 +56,8 @@ def test_base_graph_rejects_bad_edges():
         BaseGraph(3, [(0, 3)])
     with pytest.raises(ValueError):
         BaseGraph(3, [(1, 1)])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        BaseGraph(0, [])
 
 
 def test_family_validation_catches_stray_subgraph_edge():
@@ -141,8 +144,10 @@ def test_canonical_transversal_shapes():
     assert t.kind == KIND_HAM
     assert t.color_of(edge(2, 3)) == 2
     assert t.color_of(edge(5, 0)) == 5
+    with pytest.raises(KeyError):
+        t.color_of(edge(0, 2))
     assert canonical_tables(t) == ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5))
-    assert validate_transversal(fam, t).ok
+    assert validate_transversal(fam, t).summary() == "ok"
     require_naturally_indexed(fam, t)
 
 
@@ -165,6 +170,15 @@ def test_transversal_validation_catches_wrong_subgraph():
     assert any(v.code == "edge_not_in_subgraph" for v in rep.violations)
 
 
+def test_transversal_validation_catches_a_vertex_of_degree_three():
+    # four edges on K4, one per color, but vertex 0 has degree 3 and 3 has degree 1
+    base = complete_graph(4)
+    fam = SubgraphFamily(base, [base.edge_set] * 4, KIND_HAM)
+    t = Transversal.from_map(KIND_HAM, {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3})
+    rep = validate_transversal(fam, t)
+    assert [v.code for v in rep.violations] == ["not_hamiltonian_cycle"]
+
+
 def test_matching_transversal_shape_check():
     # 6 vertices, pairs (0,3),(1,4),(2,5)
     base = BaseGraph(6, [(0, 3), (1, 4), (2, 5), (0, 4)])
@@ -185,6 +199,8 @@ def test_kind_mapping():
     assert t.kind == fam.kind == KIND_HAM
     rep = validate_transversal(fam, Transversal(KIND_PM, t.items))
     assert [v.code for v in rep.violations] == ["kind_mismatch"]
+    with pytest.raises(ValueError, match="unknown transversal kind 'cycle'"):
+        Transversal("cycle", t.items)
 
 
 def test_require_naturally_indexed_raises():

@@ -20,12 +20,13 @@ from transversals import (
     gen_dirac_family,
     gen_planted_ham_family,
     gen_planted_pm_family,
+    omega_admissibility_matrix,
     permanent,
     oracle,
     validate_transversal,
 )
 
-from conftest import complete_graph, make_ham_family
+from conftest import complete_graph, make_ham_family, permanent_by_ryser
 
 
 def _k4_all_equal():
@@ -112,6 +113,20 @@ def test_budget_exhaustion_counts_what_enumeration_keeps():
             count_ham_transversals(fam, budget)
         assert kept.value.found == len(kept.value.partial) == counted.value.found
         assert kept.value.nodes == counted.value.nodes
+
+
+def test_a_result_cap_of_zero_stops_the_count_before_its_first_node():
+    fam = gen_planted_pm_family(4, 2, seed=1)[0]
+    with pytest.raises(BudgetExceeded, match="result cap 0 reached") as exc:
+        count_pm_transversals(fam, SearchBudget(max_results=0))
+    assert (exc.value.nodes, exc.value.found) == (0, 0)
+
+
+def test_each_search_refuses_a_family_of_the_other_kind():
+    with pytest.raises(ValueError, match="hamiltonian enumeration needs a hamiltonian family"):
+        count_ham_transversals(gen_planted_pm_family(4, 2, seed=1)[0])
+    with pytest.raises(ValueError, match="matching enumeration needs a matching family"):
+        count_pm_transversals(_k4_all_equal())
 
 
 def test_max_results_stops_early():
@@ -302,6 +317,69 @@ def test_permanent_is_exact_beyond_float_precision():
     assert permanent(matrix) == _permanent_by_permutations(matrix)
     # all entries equal: per(cJ_k) = k! c^k, which a float would round
     assert permanent([[big + 1] * 5 for _ in range(5)]) == 120 * (big + 1) ** 5
+
+
+# entry kinds the column-set program and Ryser's formula must agree on
+_ENTRIES = [
+    st.sampled_from([0, 0, 0, 1]),  # sparse 0/1
+    st.sampled_from([0, 1, 1, 1]),  # dense 0/1
+    st.integers(-2, 2),  # mixed signs: row sums and set weights cancel
+    st.one_of(st.just(0), st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64))),
+]
+
+
+@st.composite
+def _square_matrices(draw):
+    """A k x k matrix, k <= 12, of one entry kind, with some rows and
+    columns then set to zero."""
+    k = draw(st.integers(0, 12))
+    entries = draw(st.sampled_from(_ENTRIES))
+    matrix = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k))
+    if k:
+        index = st.integers(0, k - 1)
+        for i in draw(st.sets(index, max_size=2)):
+            matrix[i] = [0] * k
+        for j in draw(st.sets(index, max_size=2)):
+            for row in matrix:
+                row[j] = 0
+    return matrix
+
+
+@settings(deadline=None)
+@given(_square_matrices())
+def test_permanent_equals_ryser(matrix):
+    assert permanent(matrix) == permanent_by_ryser(matrix)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 14), st.integers(0, 4), st.integers(0, 2**31), st.data())
+def test_permanent_of_an_omega_matrix_equals_ryser(k, extra, seed, data):
+    family, _ = gen_planted_pm_family(k, min(extra, k - 1), seed)
+    ends = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    matrix = omega_admissibility_matrix(family, [i + k * b for i, b in enumerate(ends)])
+    assert permanent(matrix) == permanent_by_ryser(matrix)
+
+
+def test_permanent_extends_only_sets_with_one_column_per_row():
+    products = []
+
+    class Entry(int):
+        """An entry that records each product it is the right factor of."""
+
+        def __rmul__(self, other):
+            products.append(other)
+            return other * int(self)
+
+    # before row i every held set has i columns, so on the all-ones k x k
+    # matrix row i extends C(k, i) sets by k - i columns: k * 2^(k-1) products
+    k = 8
+    assert permanent([[Entry(1)] * k for _ in range(k)]) == math.factorial(k)
+    assert len(products) == k * 2 ** (k - 1)
+    # two rows on one column leave no set after the second, and no later row is read
+    products.clear()
+    one = [Entry(1)] + [0] * (k - 1)
+    assert permanent([one, one] + [[Entry(1)] * k for _ in range(k - 2)]) == 0
+    assert len(products) == 1
 
 
 @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1], [2]]])

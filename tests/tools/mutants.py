@@ -119,6 +119,10 @@ MUTANTS = {
         MULTIPLIER, "Transversal._canonical(KIND_HAM, _spliced(run, kept))", "Transversal._canonical(KIND_HAM, (*run, *kept))",
     ),
     "coloring-memo-without-signature": (ORACLE, "lambda: (number, used)", "lambda: used"),
+    "permanent-prunes-a-row-ahead": (ORACLE, "zip(rows, later[1:])", "zip(rows, later[2:] + [0])"),
+    "permanent-takes-a-column-twice": (
+        ORACLE, "                if used & bit:  # each column is taken once\n                    continue\n", "",
+    ),
     "negative-row-index": ("src/transversals/cli.py", "not 0 <= i < len(out)", "not i < len(out)"),
     "second-skips-omega-check": ("src/transversals/cli.py", "if not omega_ok:", "if False:"),
     "transversal-rows-without-depth": ("src/transversals/cli.py", "rows.setdefault(p0, {})", "rows.setdefault(unit, {})"),
